@@ -47,10 +47,22 @@ const JOIN: &str = "SELECT COUNT(*) FROM fact, dim \
 fn bench_parallel_exec(c: &mut Criterion) {
     let db = build_db();
 
-    // Every mode must agree row-for-row before anything is timed: serial
-    // vs DOP 4, and the columnar batch engine vs row-at-a-time execution.
-    // At 120k rows this exercises scales the unit-test corpora never reach.
-    for query in [SCAN_AGG, JOIN] {
+    // Serial and DOP 4 must agree row-for-row before anything is timed, and
+    // both must match counts recomputed from the generating formulas. At
+    // 120k rows this exercises scales the unit-test corpora never reach.
+    let fact = |i: i64| ((i * 17) % DIM_ROWS, i as f64 * 0.003);
+    let scanned: Vec<i64> = (0..FACT_ROWS)
+        .filter(|&i| fact(i).1 > 1.0 && i % 3 == 0)
+        .map(|i| fact(i).0)
+        .collect();
+    let groups = scanned
+        .iter()
+        .collect::<std::collections::BTreeSet<_>>()
+        .len();
+    let joined = (0..FACT_ROWS)
+        .filter(|&i| fact(i).0 % 3 == 1 && fact(i).1 > 10.0)
+        .count();
+    let agreed = |query: &str| {
         db.set_parallelism(1);
         let serial = db.execute(query).unwrap();
         db.set_parallelism(4);
@@ -59,15 +71,13 @@ fn bench_parallel_exec(c: &mut Criterion) {
             serial.rows, parallel.rows,
             "parallelism changed the answer: {query}"
         );
-        db.set_parallelism(1);
-        db.set_batch_enabled(false);
-        let row_engine = db.execute(query).unwrap();
-        db.set_batch_enabled(true);
-        assert_eq!(
-            serial.rows, row_engine.rows,
-            "batch engine changed the answer: {query}"
-        );
-    }
+        serial
+    };
+    let by_k = agreed(SCAN_AGG);
+    assert_eq!(by_k.rows.len(), groups);
+    let counted: i64 = by_k.rows.iter().map(|r| r[1].as_int().unwrap()).sum();
+    assert_eq!(counted, scanned.len() as i64);
+    assert_eq!(agreed(JOIN).scalar(), Some(&Value::Int(joined as i64)));
 
     let mut group = c.benchmark_group("parallel_exec");
     group.sample_size(15);
@@ -80,13 +90,6 @@ fn bench_parallel_exec(c: &mut Criterion) {
         group.bench_function(format!("{name}/dop4"), |b| {
             b.iter(|| db.execute(query).unwrap())
         });
-        // Row-at-a-time reference point for the columnar batch engine.
-        db.set_parallelism(1);
-        db.set_batch_enabled(false);
-        group.bench_function(format!("{name}/row_serial"), |b| {
-            b.iter(|| db.execute(query).unwrap())
-        });
-        db.set_batch_enabled(true);
     }
     group.finish();
     db.set_parallelism(0);

@@ -2,7 +2,7 @@
 //! system, and returns a printable report. The `repro` binary is a thin
 //! dispatcher over these.
 
-use crate::linkops::{LinkOps, RemoteMixedOps, ShardedLinkOps, SqlLinkOps};
+use crate::linkops::{spin, LinkOps, RemoteMixedOps, ShardedLinkOps, SqlLinkOps};
 use crate::setup::{
     build_kvgraph, build_nativegraph, build_sharded, build_sqlgraph, to_graph_data,
 };
@@ -20,20 +20,8 @@ use sqlgraph_rel::Value;
 use sqlgraph_server::Server;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Busy-wait for `d` (sub-100µs sleeps are too coarse for the simulated
-/// round trip).
-fn spin(d: Duration) {
-    if d.is_zero() {
-        return;
-    }
-    let start = Instant::now();
-    while start.elapsed() < d {
-        std::hint::spin_loop();
-    }
-}
 
 /// Harness-wide knobs.
 #[derive(Debug, Clone)]
@@ -692,7 +680,6 @@ fn run_linkbench<S: LinkOps>(
     ops_per_requester: usize,
     seed: u64,
 ) -> (f64, Vec<(&'static str, LatencyStats)>) {
-    use std::sync::Mutex;
     let collected: Mutex<Vec<(&'static str, LatencyStats)>> = Mutex::new(Vec::new());
     let start = Instant::now();
     crossbeam::thread::scope(|scope| {
@@ -819,7 +806,6 @@ fn run_pinned_mix<S: LinkOps>(
     seed: u64,
     write_permille: u32,
 ) -> (f64, LatencyStats) {
-    use std::sync::Mutex;
     let collected: Mutex<LatencyStats> = Mutex::new(LatencyStats::default());
     let start = Instant::now();
     crossbeam::thread::scope(|scope| {
@@ -931,6 +917,71 @@ pub fn shard_sweep(cfg: &ReproConfig) -> String {
     out
 }
 
+/// The lock baseline of the mixed run: a readers/writer lock that serves
+/// requests first come, first served. A write transaction (`BEGIN` …
+/// `COMMIT`, every round trip of it) holds it exclusively and a read
+/// request holds it shared, so readers queue behind open write
+/// transactions — the discipline of a non-versioned store, kept in the
+/// harness so the engine carries no such mode.
+///
+/// Neither readers/writer lock at hand can stand in. Holds here last whole
+/// round trips and every client asks again at once: the workspace's
+/// `parking_lot` stand-in admits readers until none is left, so the writer
+/// never ran (2–3 wr/s measured), and `std`'s lets the releasing writer
+/// take the lock back before a woken reader moves, so the readers never
+/// finished. In arrival order each waiting reader gets one request in
+/// between two write transactions.
+#[derive(Default)]
+struct FifoRwLock {
+    state: Mutex<FifoState>,
+    turn: Condvar,
+}
+
+#[derive(Default)]
+struct FifoState {
+    next_ticket: u64,
+    serving: u64,
+    readers: usize,
+    writer: bool,
+}
+
+/// Run one client request under the mixed run's lock discipline; without
+/// a lock (MVCC) nobody waits.
+fn under_lock<T>(lock: Option<&FifoRwLock>, write: bool, request: impl FnOnce() -> T) -> T {
+    const HEALTHY: &str = "the harness lock is never held across a panic";
+    let Some(lock) = lock else { return request() };
+    let mut s = lock.state.lock().expect(HEALTHY);
+    let ticket = s.next_ticket;
+    s.next_ticket += 1;
+    s = lock
+        .turn
+        .wait_while(s, |s| {
+            s.serving != ticket || s.writer || (write && s.readers > 0)
+        })
+        .expect(HEALTHY);
+    s.serving += 1;
+    if write {
+        s.writer = true;
+    } else {
+        s.readers += 1;
+    }
+    drop(s);
+    if !write {
+        // The next ticket may be a reader that can share the lock.
+        lock.turn.notify_all();
+    }
+    let out = request();
+    let mut s = lock.state.lock().expect(HEALTHY);
+    if write {
+        s.writer = false;
+    } else {
+        s.readers -= 1;
+    }
+    drop(s);
+    lock.turn.notify_all();
+    out
+}
+
 /// One mixed run: `readers` client connections work through a fixed quota
 /// of read operations while `writers` connections stream write
 /// transactions continuously until the readers finish — every operation a
@@ -940,6 +991,10 @@ pub fn shard_sweep(cfg: &ReproConfig) -> String {
 /// roles keep the writer pressure constant — in a closed-loop mix, blocked
 /// readers would stop issuing writes too, hiding exactly the
 /// reader/writer interference this experiment measures.
+///
+/// `lock_baseline` runs the cell under one [`FifoRwLock`] that every
+/// reader request takes shared and a writer client holds exclusively from
+/// `BEGIN` to `COMMIT`.
 fn run_mixed(
     addr: SocketAddr,
     nodes: usize,
@@ -947,8 +1002,11 @@ fn run_mixed(
     writers: usize,
     reads_per_thread: usize,
     seed: u64,
+    lock_baseline: bool,
 ) -> (f64, f64) {
     use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrd};
+    let lock = lock_baseline.then(FifoRwLock::default);
+    let lock = lock.as_ref();
     let stop = AtomicBool::new(false);
     let wrote = AtomicU64::new(0);
     let done = AtomicUsize::new(0);
@@ -961,7 +1019,7 @@ fn run_mixed(
                 let mut wl = Workload::new(seed, 1_000 + w as u64, nodes, 32);
                 while !stop.load(AtomicOrd::Relaxed) {
                     let op = wl.next_op_mixed(1000);
-                    let _ = ops.apply(&op);
+                    let _ = under_lock(lock, true, || ops.apply(&op));
                     wrote.fetch_add(1, AtomicOrd::Relaxed);
                 }
             });
@@ -973,7 +1031,7 @@ fn run_mixed(
                 let mut wl = Workload::new(seed, r as u64, nodes, 32);
                 for _ in 0..reads_per_thread {
                     let op = wl.next_op_mixed(0);
-                    let _ = ops.apply(&op);
+                    let _ = under_lock(lock, false, || ops.apply(&op));
                 }
                 if done.fetch_add(1, AtomicOrd::Relaxed) + 1 == readers {
                     stop.store(true, AtomicOrd::Relaxed);
@@ -996,12 +1054,11 @@ fn run_mixed(
 /// store behind the wire-protocol server while writer connections
 /// continuously execute client-driven write transactions
 /// (multi-statement, one real socket round trip per statement — see
-/// [`RemoteMixedOps`]). The *lock* columns re-run each cell with
-/// `set_coarse_writes(true)`, restoring pre-MVCC locking: a write
-/// transaction holds its lock from begin to commit and readers queue
-/// behind it. Under MVCC, readers execute against their snapshots and
-/// never wait on the writers — the `rd gain` column is this
-/// reproduction's headline.
+/// [`RemoteMixedOps`]). The *lock* columns re-run each cell under the
+/// harness-side lock baseline (see [`run_mixed`]): a write transaction
+/// holds the lock from begin to commit and readers queue behind it. Under
+/// MVCC, readers execute against their snapshots and never wait on the
+/// writers — the `rd gain` column is this reproduction's headline.
 pub fn throughput_mixed(cfg: &ReproConfig) -> String {
     let mut out = String::new();
     let nodes = cfg.lb_nodes.first().copied().unwrap_or(1_000);
@@ -1032,9 +1089,8 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
     for &(readers, writers) in &[(1usize, 1usize), (3, 1), (7, 1), (4, 4)] {
         // Fresh store and server per cell and mode so earlier mutations
         // (and accumulated version chains) don't skew later cells.
-        let run = |coarse: bool| {
+        let run = |lock_baseline: bool| {
             let sql = Arc::new(build_sqlgraph(&data));
-            sql.database().set_coarse_writes(coarse);
             let server = Server::start_local(Arc::clone(&sql)).expect("server starts");
             let result = run_mixed(
                 server.local_addr(),
@@ -1043,6 +1099,7 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
                 writers,
                 reads_per_thread,
                 13,
+                lock_baseline,
             );
             server.shutdown();
             result
@@ -1085,7 +1142,7 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
 /// requester model) rather than proportionally more work.
 pub fn conn_sweep(cfg: &ReproConfig) -> String {
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrd};
-    use std::sync::{Barrier, Mutex};
+    use std::sync::Barrier;
 
     let mut out = String::new();
     let nodes = cfg.lb_nodes.first().copied().unwrap_or(1_000);
@@ -1519,4 +1576,68 @@ pub fn longpath(cfg: &ReproConfig) -> String {
         row_total / csr_total.max(1e-9)
     );
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sqlgraph_datagen::linkbench::Op;
+    use std::sync::mpsc;
+
+    /// Open a remote write transaction under `lock`, then issue one reader
+    /// request under it from a second connection. Returns whether the read
+    /// completed within `patience` while the transaction was still open.
+    fn reader_finishes_while_write_txn_open(lock: Option<&FifoRwLock>, patience: Duration) -> bool {
+        let data = linkbench::generate(&LinkBenchConfig::with_nodes(50));
+        let server = Server::start_local(Arc::new(build_sqlgraph(&data))).expect("server starts");
+        let addr = server.local_addr();
+        let (opened_tx, opened_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let (read_tx, read_rx) = mpsc::channel();
+        let early = std::thread::scope(|s| {
+            s.spawn(move || {
+                let mut writer = RemoteMixedOps::connect(addr).expect("writer connects");
+                under_lock(lock, true, || {
+                    writer.client.begin().expect("begin");
+                    writer
+                        .client
+                        .query_gremlin("g.addVertex(['type':1])")
+                        .expect("write inside the transaction");
+                    opened_tx.send(()).expect("main waits");
+                    release_rx.recv().expect("main releases");
+                    writer.client.commit().expect("commit");
+                });
+            });
+            opened_rx.recv().expect("writer opens its transaction");
+            s.spawn(move || {
+                let mut reader = RemoteMixedOps::connect(addr).expect("reader connects");
+                let read = under_lock(lock, false, || reader.apply(&Op::GetNode { id: 1 }));
+                read_tx.send(read).expect("main waits");
+            });
+            let early = read_rx.recv_timeout(patience).ok();
+            release_tx.send(()).expect("writer waits");
+            let read = early.clone().unwrap_or_else(|| {
+                read_rx
+                    .recv_timeout(Duration::from_secs(60))
+                    .expect("the read completes once the transaction commits")
+            });
+            assert_eq!(read, Ok(true));
+            early.is_some()
+        });
+        server.shutdown();
+        early
+    }
+
+    #[test]
+    fn harness_lock_makes_a_reader_wait_for_an_open_write_transaction() {
+        let lock = FifoRwLock::default();
+        assert!(
+            !reader_finishes_while_write_txn_open(Some(&lock), Duration::from_millis(300)),
+            "lock baseline: the read must queue behind the open transaction"
+        );
+        assert!(
+            reader_finishes_while_write_txn_open(None, Duration::from_secs(60)),
+            "MVCC: the read must not wait for the open transaction"
+        );
+    }
 }

@@ -12,7 +12,7 @@ use sqlgraph_core::{GraphTxn, ShardedGraph, SqlGraph};
 use sqlgraph_datagen::linkbench::Op;
 use sqlgraph_gremlin::{Blueprints, Direction};
 use sqlgraph_json::Json;
-use sqlgraph_rel::{Relation, Value};
+use sqlgraph_rel::{Database, Relation, Value};
 use sqlgraph_server::Client;
 
 /// Execute one LinkBench operation. Errors from racing requesters (e.g.
@@ -106,6 +106,58 @@ impl<G: Blueprints + ?Sized> LinkOps for G {
     }
 }
 
+/// Busy-wait for `d`: the simulated client/server round trip (sub-100µs
+/// sleeps are too coarse for it).
+pub(crate) fn spin(d: std::time::Duration) {
+    if d.is_zero() {
+        return;
+    }
+    let start = std::time::Instant::now();
+    while start.elapsed() < d {
+        std::hint::spin_loop();
+    }
+}
+
+/// A LinkBench read as its single indexed statement, handed to `run` with
+/// its positional parameters.
+fn read_with(
+    op: &Op,
+    run: impl FnOnce(&str, &[Value]) -> Result<Relation, String>,
+) -> Result<bool, String> {
+    match op {
+        Op::GetNode { id } => run("SELECT attr FROM va WHERE vid = ?", &[Value::Int(*id)]),
+        Op::CountLink { id, ltype } => run(
+            "SELECT COUNT(*) FROM ea WHERE inv = ? AND lbl = ?",
+            &[Value::Int(*id), Value::str(*ltype)],
+        ),
+        Op::MultigetLink { src, dsts, ltype } => {
+            let list = dsts
+                .iter()
+                .map(|d| d.to_string())
+                .collect::<Vec<_>>()
+                .join(", ");
+            run(
+                &format!("SELECT eid, outv FROM ea WHERE inv = ? AND lbl = ? AND outv IN ({list})"),
+                &[Value::Int(*src), Value::str(*ltype)],
+            )
+        }
+        Op::GetLinkList { id, ltype } => run(
+            "SELECT eid, outv, attr FROM ea WHERE inv = ? AND lbl = ?",
+            &[Value::Int(*id), Value::str(*ltype)],
+        ),
+        other => Err(format!("{} is not a read op", other.name())),
+    }?;
+    Ok(true)
+}
+
+/// Run a LinkBench read against `db`: one statement, one round trip.
+fn read_op(db: &Database, op: &Op) -> Result<bool, String> {
+    read_with(op, |sql, params| {
+        db.execute_with_params(sql, params)
+            .map_err(|e| e.to_string())
+    })
+}
+
 /// SQLGraph's set-oriented LinkBench driver: one SQL statement per read,
 /// stored-procedure transactions per write. `overhead` is charged once per
 /// operation — the single client/server round trip.
@@ -118,64 +170,13 @@ pub struct SqlLinkOps<'g> {
 
 impl LinkOps for SqlLinkOps<'_> {
     fn apply(&self, op: &Op) -> Result<bool, String> {
-        if !self.overhead.is_zero() {
-            let start = std::time::Instant::now();
-            while start.elapsed() < self.overhead {
-                std::hint::spin_loop();
-            }
+        spin(self.overhead);
+        if op.is_write() {
+            // Blueprints impl of SqlGraph already routes through the
+            // stored procedures; reuse it for writes.
+            return <SqlGraph as LinkOps>::apply(self.graph, op);
         }
-        let db = self.graph.database();
-        match op {
-            // Writes are the store's transactional procedures.
-            Op::AddNode { .. }
-            | Op::UpdateNode { .. }
-            | Op::DeleteNode { .. }
-            | Op::AddLink { .. }
-            | Op::UpdateLink { .. }
-            | Op::DeleteLink { .. } => {
-                // Blueprints impl of SqlGraph already routes through the
-                // stored procedures; reuse it for writes.
-                let g: &SqlGraph = self.graph;
-                <SqlGraph as LinkOps>::apply(g, op)
-            }
-            // Reads compile to single indexed statements.
-            Op::GetNode { id } => {
-                db.execute_with_params("SELECT attr FROM va WHERE vid = ?", &[Value::Int(*id)])
-                    .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Op::CountLink { id, ltype } => {
-                db.execute_with_params(
-                    "SELECT COUNT(*) FROM ea WHERE inv = ? AND lbl = ?",
-                    &[Value::Int(*id), Value::str(*ltype)],
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Op::MultigetLink { src, dsts, ltype } => {
-                let list = dsts
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                db.execute_with_params(
-                    &format!(
-                        "SELECT eid, outv FROM ea WHERE inv = ? AND lbl = ? AND outv IN ({list})"
-                    ),
-                    &[Value::Int(*src), Value::str(*ltype)],
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Op::GetLinkList { id, ltype } => {
-                db.execute_with_params(
-                    "SELECT eid, outv, attr FROM ea WHERE inv = ? AND lbl = ?",
-                    &[Value::Int(*id), Value::str(*ltype)],
-                )
-                .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-        }
+        read_op(self.graph.database(), op)
     }
 }
 
@@ -196,72 +197,15 @@ pub struct ShardedLinkOps<'g> {
 
 impl LinkOps for ShardedLinkOps<'_> {
     fn apply(&self, op: &Op) -> Result<bool, String> {
-        if !self.overhead.is_zero() {
-            let start = std::time::Instant::now();
-            while start.elapsed() < self.overhead {
-                std::hint::spin_loop();
-            }
-        }
+        spin(self.overhead);
         match op {
-            Op::AddNode { .. }
-            | Op::UpdateNode { .. }
-            | Op::DeleteNode { .. }
-            | Op::AddLink { .. }
-            | Op::UpdateLink { .. }
-            | Op::DeleteLink { .. } => {
-                // Blueprints impl of ShardedGraph routes through the
-                // sharded stored procedures; reuse it for writes.
-                let g: &ShardedGraph = self.graph;
-                <ShardedGraph as LinkOps>::apply(g, op)
-            }
-            Op::GetNode { id } => {
-                self.graph
-                    .shard_for(*id)
-                    .database()
-                    .execute_with_params("SELECT attr FROM va WHERE vid = ?", &[Value::Int(*id)])
-                    .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Op::CountLink { id, ltype } => {
-                self.graph
-                    .shard_for(*id)
-                    .database()
-                    .execute_with_params(
-                        "SELECT COUNT(*) FROM ea WHERE inv = ? AND lbl = ?",
-                        &[Value::Int(*id), Value::str(*ltype)],
-                    )
-                    .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Op::MultigetLink { src, dsts, ltype } => {
-                let list = dsts
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                self.graph
-                    .shard_for(*src)
-                    .database()
-                    .execute_with_params(
-                        &format!(
-                            "SELECT eid, outv FROM ea WHERE inv = ? AND lbl = ? AND outv IN ({list})"
-                        ),
-                        &[Value::Int(*src), Value::str(*ltype)],
-                    )
-                    .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Op::GetLinkList { id, ltype } => {
-                self.graph
-                    .shard_for(*id)
-                    .database()
-                    .execute_with_params(
-                        "SELECT eid, outv, attr FROM ea WHERE inv = ? AND lbl = ?",
-                        &[Value::Int(*id), Value::str(*ltype)],
-                    )
-                    .map_err(|e| e.to_string())?;
-                Ok(true)
-            }
+            Op::GetNode { id }
+            | Op::CountLink { id, .. }
+            | Op::MultigetLink { src: id, .. }
+            | Op::GetLinkList { id, .. } => read_op(self.graph.shard_for(*id).database(), op),
+            // Blueprints impl of ShardedGraph routes through the sharded
+            // stored procedures; reuse it for writes.
+            _ => <ShardedGraph as LinkOps>::apply(self.graph, op),
         }
     }
 }
@@ -407,11 +351,7 @@ pub struct MixedSqlOps<'g> {
 impl LinkOps for MixedSqlOps<'_> {
     fn apply(&self, op: &Op) -> Result<bool, String> {
         if !op.is_write() {
-            return SqlLinkOps {
-                graph: self.graph,
-                overhead: std::time::Duration::ZERO,
-            }
-            .apply(op);
+            return read_op(self.graph.database(), op);
         }
         let mut tx = self.graph.transaction();
         match apply_mixed_write(&mut tx, op) {
@@ -479,49 +419,11 @@ impl RemoteMixedOps {
     /// Reads: the same single indexed statements [`SqlLinkOps`] issues,
     /// as one wire round trip each.
     fn apply_read(&mut self, op: &Op) -> Result<bool, String> {
-        let c = &mut self.client;
-        let run = |c: &mut Client, sql: &str, params: &[Value]| {
-            c.query_sql_with_params(sql, params)
+        read_with(op, |sql, params| {
+            self.client
+                .query_sql_with_params(sql, params)
                 .map_err(|e| e.to_string())
-        };
-        match op {
-            Op::GetNode { id } => {
-                run(c, "SELECT attr FROM va WHERE vid = ?", &[Value::Int(*id)])?;
-                Ok(true)
-            }
-            Op::CountLink { id, ltype } => {
-                run(
-                    c,
-                    "SELECT COUNT(*) FROM ea WHERE inv = ? AND lbl = ?",
-                    &[Value::Int(*id), Value::str(*ltype)],
-                )?;
-                Ok(true)
-            }
-            Op::MultigetLink { src, dsts, ltype } => {
-                let list = dsts
-                    .iter()
-                    .map(|d| d.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                run(
-                    c,
-                    &format!(
-                        "SELECT eid, outv FROM ea WHERE inv = ? AND lbl = ? AND outv IN ({list})"
-                    ),
-                    &[Value::Int(*src), Value::str(*ltype)],
-                )?;
-                Ok(true)
-            }
-            Op::GetLinkList { id, ltype } => {
-                run(
-                    c,
-                    "SELECT eid, outv, attr FROM ea WHERE inv = ? AND lbl = ?",
-                    &[Value::Int(*id), Value::str(*ltype)],
-                )?;
-                Ok(true)
-            }
-            other => Err(format!("{} is not a read op", other.name())),
-        }
+        })
     }
 }
 

@@ -84,7 +84,8 @@ fn build_stores(data: &GraphData) -> (SqlGraph, MemGraph) {
     (sql, mem)
 }
 
-fn check_query(sql: &SqlGraph, mem: &MemGraph, query: &str) {
+/// Returns the translated statement's result, when the query translates.
+fn check_query(sql: &SqlGraph, mem: &MemGraph, query: &str) -> Option<sqlgraph_rel::Relation> {
     let pipeline = parse_query(query).unwrap();
     let oracle = canon_elems(&interp::eval(mem, &pipeline).unwrap());
     let chatty = canon_elems(&interp::eval(sql, &pipeline).unwrap());
@@ -102,10 +103,10 @@ fn check_query(sql: &SqlGraph, mem: &MemGraph, query: &str) {
                 oracle,
                 "translation diverged on {query}\nSQL: {sql_text}"
             );
+            Some(translated)
         }
-        Err(_) => {
-            // Fallback path must still match (covered by `chatty` above).
-        }
+        // Fallback path must still match (covered by `chatty` above).
+        Err(_) => None,
     }
 }
 
@@ -463,122 +464,37 @@ fn corpus_survives_crash_and_reopen() {
 }
 
 #[test]
-fn corpus_planned_vs_naive_join_order() {
-    // The cost-based planner may reorder joins and push predicates below
-    // them; every translatable corpus query must return the same multiset
-    // of rows as naive left-to-right execution — with and without fresh
-    // ANALYZE statistics.
-    for seed in 0..3u64 {
+fn corpus_parallel_vs_serial() {
+    // The serial result is tied to the interpreter over MemGraph, and
+    // morsel-parallel execution must be not just multiset-equal but
+    // row-identical to serial: parallel operators concatenate morsel
+    // outputs in morsel order, so even unsorted results keep serial row
+    // order. Checked at DOP 2/4/8, on index-seeded statistics (seed 0) and
+    // on fresh ANALYZE statistics.
+    for seed in 0..2u64 {
         let data = random_graph(seed, 25, 60);
-        let (sql, _mem) = build_stores(&data);
+        let (sql, mem) = build_stores(&data);
         if seed > 0 {
-            // Seed 0 runs on index-seeded statistics only.
             sql.database().execute("ANALYZE").unwrap();
         }
         for query in CORPUS {
-            let Ok(sql_text) = sql.translate_query(query) else {
+            sql.database().set_parallelism(1);
+            let Some(serial) = check_query(&sql, &mem, query) else {
                 continue;
             };
-            sql.database().set_planner_enabled(true);
-            let planned = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                panic!("planned execution failed for {query}: {e}\nSQL: {sql_text}")
-            });
-            sql.database().set_planner_enabled(false);
-            let naive = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                panic!("naive execution failed for {query}: {e}\nSQL: {sql_text}")
-            });
-            sql.database().set_planner_enabled(true);
-            assert_eq!(
-                canon_values(&planned.rows),
-                canon_values(&naive.rows),
-                "planner changed results on {query}\nSQL: {sql_text}"
-            );
-        }
-    }
-}
-
-#[test]
-fn corpus_parallel_vs_serial() {
-    // Morsel-parallel execution must be not just multiset-equal but
-    // row-identical to serial: parallel operators concatenate morsel
-    // outputs in morsel order, so even unsorted results keep serial row
-    // order. Checked at DOP 2/4/8 with the planner both on and off.
-    for seed in 0..2u64 {
-        let data = random_graph(seed, 25, 60);
-        let (sql, _mem) = build_stores(&data);
-        if seed > 0 {
-            sql.database().execute("ANALYZE").unwrap();
-        }
-        for planner_on in [true, false] {
-            sql.database().set_planner_enabled(planner_on);
-            for query in CORPUS {
-                let Ok(sql_text) = sql.translate_query(query) else {
-                    continue;
-                };
-                sql.database().set_parallelism(1);
-                let serial = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                    panic!("serial execution failed for {query}: {e}\nSQL: {sql_text}")
+            let sql_text = sql.translate_query(query).unwrap();
+            for dop in [2usize, 4, 8] {
+                sql.database().set_parallelism(dop);
+                let parallel = sql.database().execute(&sql_text).unwrap_or_else(|e| {
+                    panic!("dop {dop} execution failed for {query}: {e}\nSQL: {sql_text}")
                 });
-                for dop in [2usize, 4, 8] {
-                    sql.database().set_parallelism(dop);
-                    let parallel = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                        panic!("dop {dop} execution failed for {query}: {e}\nSQL: {sql_text}")
-                    });
-                    assert_eq!(
-                        serial.rows, parallel.rows,
-                        "dop {dop} diverged (planner={planner_on}) on {query}\nSQL: {sql_text}"
-                    );
-                }
+                assert_eq!(
+                    serial.rows, parallel.rows,
+                    "dop {dop} diverged on {query}\nSQL: {sql_text}"
+                );
             }
         }
-        sql.database().set_planner_enabled(true);
         sql.database().set_parallelism(0);
-    }
-}
-
-#[test]
-fn corpus_batch_vs_row() {
-    // The columnar batch engine must be byte-identical to the row engine —
-    // not just multiset-equal: same rows in the same order, since batch
-    // operators preserve the serial row order by construction. Checked for
-    // every translatable corpus query at DOP 1/2/4/8 with the planner both
-    // on and off.
-    for seed in 0..2u64 {
-        let data = random_graph(seed, 25, 60);
-        let (sql, _mem) = build_stores(&data);
-        if seed > 0 {
-            sql.database().execute("ANALYZE").unwrap();
-        }
-        for planner_on in [true, false] {
-            sql.database().set_planner_enabled(planner_on);
-            for query in CORPUS {
-                let Ok(sql_text) = sql.translate_query(query) else {
-                    continue;
-                };
-                for dop in [1usize, 2, 4, 8] {
-                    sql.database().set_parallelism(dop);
-                    sql.database().set_batch_enabled(false);
-                    let row = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                        panic!("row engine failed for {query}: {e}\nSQL: {sql_text}")
-                    });
-                    sql.database().set_batch_enabled(true);
-                    let batch = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                        panic!("batch engine failed for {query}: {e}\nSQL: {sql_text}")
-                    });
-                    assert_eq!(
-                        batch.rows, row.rows,
-                        "batch engine diverged (dop {dop}, planner={planner_on}) on {query}\nSQL: {sql_text}"
-                    );
-                    assert_eq!(
-                        batch.columns, row.columns,
-                        "column names diverged on {query}"
-                    );
-                }
-            }
-        }
-        sql.database().set_planner_enabled(true);
-        sql.database().set_parallelism(0);
-        sql.database().set_batch_enabled(true);
     }
 }
 
@@ -587,41 +503,36 @@ fn corpus_csr_on_vs_off() {
     // The CSR adjacency access path plus list-based execution must be
     // byte-identical to the row engine's index nested-loop joins — same
     // rows, same order — for every translatable corpus query at DOP
-    // 1/2/4/8 with the planner both on and off. The graph is sized so the
-    // adjacency tables clear the planner's CSR row-count floor (the tiny
-    // corpus graphs never would).
+    // 1/2/4/8. The graph is sized so the adjacency tables clear the
+    // planner's CSR row-count floor (the tiny corpus graphs never would).
     let data = random_graph(42, 400, 1100);
     let (sql, _mem) = build_stores(&data);
     sql.database().execute("ANALYZE").unwrap();
-    for planner_on in [true, false] {
-        sql.database().set_planner_enabled(planner_on);
-        for query in CORPUS {
-            let Ok(sql_text) = sql.translate_query(query) else {
-                continue;
-            };
-            for dop in [1usize, 2, 4, 8] {
-                sql.database().set_parallelism(dop);
-                sql.database().set_csr_enabled(false);
-                let row = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                    panic!("csr-off execution failed for {query}: {e}\nSQL: {sql_text}")
-                });
-                sql.database().set_csr_enabled(true);
-                let csr = sql.database().execute(&sql_text).unwrap_or_else(|e| {
-                    panic!("csr-on execution failed for {query}: {e}\nSQL: {sql_text}")
-                });
-                assert_eq!(
-                    csr.rows, row.rows,
-                    "csr path diverged (dop {dop}, planner={planner_on}) on {query}\nSQL: {sql_text}"
-                );
-                assert_eq!(csr.columns, row.columns, "column names diverged on {query}");
-            }
+    for query in CORPUS {
+        let Ok(sql_text) = sql.translate_query(query) else {
+            continue;
+        };
+        for dop in [1usize, 2, 4, 8] {
+            sql.database().set_parallelism(dop);
+            sql.database().set_csr_enabled(false);
+            let row = sql.database().execute(&sql_text).unwrap_or_else(|e| {
+                panic!("csr-off execution failed for {query}: {e}\nSQL: {sql_text}")
+            });
+            sql.database().set_csr_enabled(true);
+            let csr = sql.database().execute(&sql_text).unwrap_or_else(|e| {
+                panic!("csr-on execution failed for {query}: {e}\nSQL: {sql_text}")
+            });
+            assert_eq!(
+                csr.rows, row.rows,
+                "csr path diverged (dop {dop}) on {query}\nSQL: {sql_text}"
+            );
+            assert_eq!(csr.columns, row.columns, "column names diverged on {query}");
         }
     }
     assert!(
         sql.database().csr_builds() > 0,
         "corpus never exercised the CSR access path"
     );
-    sql.database().set_planner_enabled(true);
     sql.database().set_parallelism(0);
 }
 

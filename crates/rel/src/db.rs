@@ -18,10 +18,7 @@
 //! Two residual locking rules keep the rare multi-lock paths safe: a
 //! write statement compiles its expressions (which may read other tables
 //! for subqueries) *before* taking the target's write lock, and
-//! checkpoints exclude commits via `commit_lock`. A `coarse_writes` toggle
-//! restores the pre-MVCC readers-queue-behind-writers behavior as a
-//! benchmark baseline: write transactions hold a store-wide lock
-//! exclusively from begin to commit, autocommit reads take it shared.
+//! checkpoints exclude commits via `commit_lock`.
 
 use crate::checkpoint::{self, CheckpointReport, RecoveryReport};
 use crate::error::{Error, Result};
@@ -59,16 +56,9 @@ pub struct Database {
     /// second-chance (clock) eviction: hits set a used bit, and when the
     /// cache is full an insert sweeps out entries whose bit is clear.
     stmt_cache: RwLock<FxHashMap<String, CachedStmt>>,
-    /// Cost-based join planner switch (on by default). Off = left-to-right
-    /// attachment in textual FROM order, for A/B comparison and debugging.
-    planner: std::sync::atomic::AtomicBool,
     /// Intra-query parallelism: 0 = auto (planner picks a DOP from table
     /// statistics), 1 = serial, n > 1 = pin every eligible operator to n.
     parallelism: std::sync::atomic::AtomicUsize,
-    /// Columnar batch execution switch (on by default). Off = the executor
-    /// materializes `Vec<Row>` everywhere, for A/B comparison and
-    /// differential testing against the batch engine.
-    batch: std::sync::atomic::AtomicBool,
     /// Commit vs checkpoint exclusion. Commits hold this shared across the
     /// WAL append + version stamping, so a checkpoint (exclusive) never
     /// snapshots table state whose WAL records would land in the
@@ -78,23 +68,13 @@ pub struct Database {
     commit_lock: RwLock<()>,
     /// MVCC state: commit clock, token allocator, active snapshots.
     txns: TxnManager,
-    /// Benchmark baseline switch: when set, UPDATE/DELETE hold the target
-    /// table's write lock for the whole statement (compilation included),
-    /// reproducing the pre-MVCC per-table-lock behavior for A/B runs.
-    coarse_writes: std::sync::atomic::AtomicBool,
-    /// The coarse baseline's transaction-scope lock (only used while
-    /// `coarse_writes` is set): write transactions hold it exclusively
-    /// from begin to commit — the two-phase-locking discipline a
-    /// non-versioned store needs — and autocommit reads take it shared,
-    /// so readers wait out concurrent write transactions exactly as they
-    /// would under per-table locks (every LinkBench write touches the
-    /// same hot attribute/adjacency tables the reads scan). MVCC mode
-    /// never touches this lock.
-    coarse_txn_lock: Arc<RwLock<()>>,
     /// Commits since the last automatic vacuum.
     commits_since_vacuum: std::sync::atomic::AtomicU64,
     /// CSR adjacency access path switch (on by default). Off = probes run
-    /// index nested-loop row-at-a-time, for A/B and differential testing.
+    /// index nested-loop row-at-a-time. The one ablation switch the engine
+    /// keeps: it is read in one place (`plan::csr_eligible`) and neither
+    /// arm dominates (`repro longpath`: 0.7–0.9× on short low-fanout paths,
+    /// 5–28× on long ones), so a cost rule needs the off arm to be judged.
     csr: std::sync::atomic::AtomicBool,
     /// Lazily built CSR adjacency entries, keyed by (table, index, kept
     /// columns). Entries are validated against the table's content version
@@ -222,24 +202,13 @@ struct Journal {
 /// The execution state of one open transaction: its MVCC snapshot (which
 /// also carries the provisional-write token) and its undo/redo journal.
 /// Owned by a [`Txn`] handle or a [`crate::txn::Session`].
+#[derive(Debug)]
 pub struct TxnState {
     pub(crate) snap: Snapshot,
     journal: Journal,
     /// Whether `snap` is registered in the active-snapshot set (and so
     /// must be released exactly once).
     registered: bool,
-    /// Held exclusively from begin to commit when the `coarse_writes`
-    /// baseline is active; `None` in MVCC mode.
-    coarse_guard: Option<ArcRwLockWriteGuard<RawRwLock, ()>>,
-}
-
-impl std::fmt::Debug for TxnState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TxnState")
-            .field("snap", &self.snap)
-            .field("registered", &self.registered)
-            .finish_non_exhaustive()
-    }
 }
 
 impl Default for TxnState {
@@ -251,7 +220,6 @@ impl Default for TxnState {
             snap: Snapshot::latest(),
             journal: Journal::default(),
             registered: false,
-            coarse_guard: None,
         }
     }
 }
@@ -284,13 +252,9 @@ impl Database {
             procedures: RwLock::new(FxHashMap::default()),
             wal: None,
             stmt_cache: RwLock::new(FxHashMap::default()),
-            planner: std::sync::atomic::AtomicBool::new(true),
             parallelism: std::sync::atomic::AtomicUsize::new(env_test_dop()),
-            batch: std::sync::atomic::AtomicBool::new(true),
             commit_lock: RwLock::new(()),
             txns: TxnManager::with_oracle(oracle),
-            coarse_writes: std::sync::atomic::AtomicBool::new(false),
-            coarse_txn_lock: Arc::new(RwLock::new(())),
             commits_since_vacuum: std::sync::atomic::AtomicU64::new(0),
             csr: std::sync::atomic::AtomicBool::new(true),
             csr_cache: RwLock::new(FxHashMap::default()),
@@ -310,50 +274,6 @@ impl Database {
         self.txns.oracle().clone()
     }
 
-    /// Whether the coarse per-table-lock write baseline is active.
-    pub fn coarse_writes(&self) -> bool {
-        self.coarse_writes
-            .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Toggle the coarse write baseline (off by default): write
-    /// transactions hold [`Database::coarse_txn_lock`] exclusively from
-    /// begin to commit and autocommit reads take it shared — the
-    /// pre-MVCC readers-queue-behind-writers behavior, kept for honest
-    /// before/after throughput comparisons.
-    pub fn set_coarse_writes(&self, on: bool) {
-        self.coarse_writes
-            .store(on, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Whether the cost-based join planner is enabled.
-    pub fn planner_enabled(&self) -> bool {
-        self.planner.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Toggle the cost-based join planner (on by default). When off, FROM
-    /// items attach strictly left to right, as written.
-    ///
-    /// Flushes the prepared-statement cache: anything derived under the old
-    /// setting must not be replayed under the new one.
-    pub fn set_planner_enabled(&self, on: bool) {
-        self.planner.store(on, std::sync::atomic::Ordering::Relaxed);
-        self.stmt_cache.write().clear();
-    }
-
-    /// Whether columnar batch execution is enabled.
-    pub fn batch_enabled(&self) -> bool {
-        self.batch.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Toggle columnar batch execution (on by default). When off, every
-    /// operator materializes rows — byte-identical output, for A/B and
-    /// differential testing. Flushes the prepared-statement cache.
-    pub fn set_batch_enabled(&self, on: bool) {
-        self.batch.store(on, std::sync::atomic::Ordering::Relaxed);
-        self.stmt_cache.write().clear();
-    }
-
     /// Whether the CSR adjacency access path is enabled.
     pub fn csr_enabled(&self) -> bool {
         self.csr.load(std::sync::atomic::Ordering::Relaxed)
@@ -361,11 +281,11 @@ impl Database {
 
     /// Toggle the CSR adjacency access path (on by default). When off, the
     /// planner falls back to row-at-a-time index nested-loop probes —
-    /// byte-identical output, for A/B and differential testing. Flushes the
-    /// prepared-statement cache and drops every cached CSR entry.
+    /// byte-identical output, for A/B and differential testing. Drops every
+    /// cached CSR entry; cached statements are parsed ASTs and are planned
+    /// afresh on every execution, so they stay.
     pub fn set_csr_enabled(&self, on: bool) {
         self.csr.store(on, std::sync::atomic::Ordering::Relaxed);
-        self.stmt_cache.write().clear();
         self.csr_cache.write().clear();
     }
 
@@ -449,13 +369,9 @@ impl Database {
     /// from table statistics and stays serial below a row threshold),
     /// `1` = force serial, `n > 1` = pin every eligible operator to `n`
     /// workers regardless of input size (for differential testing).
-    ///
-    /// Flushes the prepared-statement cache: anything derived under the old
-    /// setting must not be replayed under the new one.
     pub fn set_parallelism(&self, n: usize) {
         self.parallelism
             .store(n, std::sync::atomic::Ordering::Relaxed);
-        self.stmt_cache.write().clear();
     }
 
     /// Current parallelism setting (see [`Database::set_parallelism`]).
@@ -826,15 +742,11 @@ impl Database {
     ) -> Result<Relation> {
         if matches!(stmt, Statement::Select(_) | Statement::Explain(_)) {
             // Read-only fast path: a registered read snapshot (token 0),
-            // nothing to journal, nothing to commit. Under the coarse
-            // baseline the read additionally waits out any in-flight
-            // write transaction (shared lock) — the cost MVCC removes.
-            let _coarse = self.coarse_writes().then(|| self.coarse_txn_lock.read());
+            // nothing to journal, nothing to commit.
             let mut state = TxnState {
                 snap: self.txns.read_snapshot(),
                 journal: Journal::default(),
                 registered: true,
-                coarse_guard: None,
             };
             let result = self.execute_in(stmt, params, sql_text, &mut state);
             self.release_state(state);
@@ -886,16 +798,10 @@ impl Database {
     }
 
     pub(crate) fn begin_state(&self) -> TxnState {
-        // Baseline mode: a transaction is a lock-holding writer for its
-        // whole lifetime (two-phase locking); readers queue behind it.
-        let coarse_guard = self
-            .coarse_writes()
-            .then(|| self.coarse_txn_lock.write_arc());
         TxnState {
             snap: self.txns.begin(),
             journal: Journal::default(),
             registered: true,
-            coarse_guard,
         }
     }
 
@@ -949,9 +855,6 @@ impl Database {
             snap,
             journal,
             registered,
-            // Keep the baseline's transaction lock held until the undo
-            // walk finishes (dropped at end of scope).
-            coarse_guard: _coarse_guard,
         } = state;
         for op in journal.undo.into_iter().rev() {
             // Rollback must not fail; violations here indicate a bug, and
@@ -1290,9 +1193,7 @@ impl Database {
         // subquery evaluation never runs while this statement holds a
         // write lock: two concurrent writers cannot deadlock on inverted
         // table orders, and a statement whose subquery reads its own
-        // target table cannot wedge itself. (The coarse baseline's lock
-        // scope lives at the transaction level — `coarse_txn_lock`, held
-        // from begin to commit — not here.)
+        // target table cannot wedge itself.
         let schema = self.read_table(table_name)?.schema.clone();
         let lower = schema.name.clone();
         let compiled_filter = filter

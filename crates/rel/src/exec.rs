@@ -442,7 +442,7 @@ fn run_core(
 /// first ascending / last descending, mixed types ranked by class, NaN
 /// greater than every other number. Stability means ties preserve the
 /// executor's deterministic row order, so sorted output is byte-identical
-/// across DOP and batch/row engine settings.
+/// at every DOP.
 fn sort_rows_by_hidden(rows: &mut [Row], visible: usize, descs: &[bool]) {
     rows.sort_by(|a, b| {
         for (i, desc) in descs.iter().enumerate() {
@@ -1571,89 +1571,51 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     // into morsels when the table is large enough (or
                     // parallelism is pinned). Morsels cover disjoint slab
                     // ranges and outputs concatenate in slab order, so the
-                    // result is identical at every DOP — and identical
-                    // between the columnar and row representations.
+                    // result is identical at every DOP. One columnar batch
+                    // per morsel; filters flip the selection vector
+                    // (vectorized where the predicate shape allows) instead
+                    // of materializing rows.
                     let snap = env.snap;
                     let live = t.len();
                     let dop = env.db.dop_for(live);
                     step.exec.scan_rows = Some(live);
                     step.exec.scan_dop = Some(dop);
-                    let slots = t.slots();
-                    if env.db.batch_enabled() {
-                        // Columnar: one batch per morsel; filters flip the
-                        // selection vector (vectorized where the predicate
-                        // shape allows) instead of materializing rows.
-                        let specs: Vec<Option<batch::PredSpec>> =
-                            locals.iter().map(batch::compile_spec).collect();
-                        let keep_ref: &[usize] = keep;
-                        let locals_ref: &[Expr] = locals;
-                        let specs_ref = &specs;
-                        let chunks = crate::parallel::ordered_map(
-                            dop,
-                            slots.len(),
-                            crate::parallel::MORSEL_ROWS,
-                            |range| -> Result<Batch> {
-                                let mut b = t.batch_range(range, keep_ref, snap);
-                                if !locals_ref.is_empty() {
-                                    let mut sel: Vec<u32> = (0..b.len as u32).collect();
-                                    for (p, spec) in locals_ref.iter().zip(specs_ref) {
-                                        sel =
-                                            match spec.as_ref().and_then(|s| s.try_apply(&b, &sel))
-                                            {
-                                                Some(s) => s,
-                                                None => generic_batch_filter(&b, &sel, p)?,
-                                            };
-                                    }
-                                    b.sel = Some(sel);
-                                }
-                                Ok(b)
-                            },
-                        );
-                        let mut batches = Vec::with_capacity(chunks.len().max(1));
-                        for c in chunks {
-                            batches.push(c?);
-                        }
-                        if batches.is_empty() {
-                            batches.push(t.batch_range(0..0, keep, snap));
-                        }
-                        if !locals.is_empty() {
-                            let total: usize = batches.iter().map(Batch::selected).sum();
-                            step.exec.local_counts.push((live, total));
-                        }
-                        Produced::Right(Data::Batches(batches))
-                    } else {
-                        let keep_ref: &[usize] = keep;
-                        let locals_ref: &[Expr] = locals;
-                        let chunks = crate::parallel::ordered_map(
-                            dop,
-                            slots.len(),
-                            crate::parallel::MORSEL_ROWS,
-                            |range| -> Result<Vec<Row>> {
-                                let mut out = Vec::new();
-                                'slot: for slot in &slots[range] {
-                                    let Some(r) = slot.visible(snap) else {
-                                        continue;
+                    let specs: Vec<Option<batch::PredSpec>> =
+                        locals.iter().map(batch::compile_spec).collect();
+                    let keep_ref: &[usize] = keep;
+                    let locals_ref: &[Expr] = locals;
+                    let specs_ref = &specs;
+                    let chunks = crate::parallel::ordered_map(
+                        dop,
+                        t.slots().len(),
+                        crate::parallel::MORSEL_ROWS,
+                        |range| -> Result<Batch> {
+                            let mut b = t.batch_range(range, keep_ref, snap);
+                            if !locals_ref.is_empty() {
+                                let mut sel: Vec<u32> = (0..b.len as u32).collect();
+                                for (p, spec) in locals_ref.iter().zip(specs_ref) {
+                                    sel = match spec.as_ref().and_then(|s| s.try_apply(&b, &sel)) {
+                                        Some(s) => s,
+                                        None => generic_batch_filter(&b, &sel, p)?,
                                     };
-                                    let row: Row = keep_ref.iter().map(|&i| r[i].clone()).collect();
-                                    for p in locals_ref {
-                                        if !p.eval_bool(&row)? {
-                                            continue 'slot;
-                                        }
-                                    }
-                                    out.push(row);
                                 }
-                                Ok(out)
-                            },
-                        );
-                        let mut scanned = Vec::new();
-                        for chunk in chunks {
-                            scanned.extend(chunk?);
-                        }
-                        if !locals.is_empty() {
-                            step.exec.local_counts.push((live, scanned.len()));
-                        }
-                        Produced::Right(Data::Rows(scanned))
+                                b.sel = Some(sel);
+                            }
+                            Ok(b)
+                        },
+                    );
+                    let mut batches = Vec::with_capacity(chunks.len().max(1));
+                    for c in chunks {
+                        batches.push(c?);
                     }
+                    if batches.is_empty() {
+                        batches.push(t.batch_range(0..0, keep, snap));
+                    }
+                    if !locals.is_empty() {
+                        let total: usize = batches.iter().map(Batch::selected).sum();
+                        step.exec.local_counts.push((live, total));
+                    }
+                    Produced::Right(Data::Batches(batches))
                 }
             }
         }

@@ -112,7 +112,9 @@ impl Latch {
         let mut n = self.remaining.lock().unwrap();
         *n -= 1;
         if *n == 0 {
-            drop(n);
+            // Notify while still holding the lock: the latch lives on the
+            // waiter's stack, and a waiter that could observe zero before
+            // this call would return and pop it from under `done`.
             self.done.notify_all();
         }
     }
@@ -282,6 +284,33 @@ mod tests {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.load(Ordering::SeqCst) >= 1);
+    }
+
+    #[test]
+    fn back_to_back_scopes_never_lose_the_latch_wakeup() {
+        // Each two-morsel call builds a latch on its own stack, waits on it
+        // and pops it; a helper that signals completion after releasing the
+        // latch's lock can touch a latch that is already gone and strand a
+        // later waiter. The watchdog turns that hang into a failure.
+        const THREADS: usize = 4;
+        const CALLS: usize = 5_000;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..THREADS {
+            let done = done_tx.clone();
+            std::thread::spawn(move || {
+                for i in 0..CALLS {
+                    let got = ordered_map(4, 2, 1, |r| r.start + i);
+                    assert_eq!(got, [i, i + 1]);
+                }
+                let _ = done.send(());
+            });
+        }
+        drop(done_tx);
+        for _ in 0..THREADS {
+            done_rx
+                .recv_timeout(std::time::Duration::from_secs(120))
+                .expect("a scoped call hung or panicked");
+        }
     }
 
     #[test]

@@ -535,8 +535,6 @@ struct UnitFacts {
     indexed_parts: Vec<crate::index::KeyPart>,
     /// Live row count at planning time (base tables only; caps ndv).
     live: usize,
-    /// Lateral units cannot move — they reference earlier units' columns.
-    reorderable: bool,
 }
 
 /// An equi-join conjunct linking two units, with its estimated selectivity.
@@ -666,7 +664,6 @@ fn gather_unit_facts(
                         col_index: FxHashMap::default(),
                         indexed_parts: Vec::new(),
                         live: 0,
-                        reorderable: true,
                     };
                 }
                 match env.db.read_table(name) {
@@ -701,7 +698,6 @@ fn gather_unit_facts(
                             col_index,
                             indexed_parts,
                             live,
-                            reorderable: true,
                         }
                     }
                     // Missing table: the attach step will surface the error;
@@ -714,7 +710,6 @@ fn gather_unit_facts(
                         col_index: FxHashMap::default(),
                         indexed_parts: Vec::new(),
                         live: 0,
-                        reorderable: true,
                     },
                 }
             }
@@ -726,7 +721,6 @@ fn gather_unit_facts(
                 col_index: FxHashMap::default(),
                 indexed_parts: Vec::new(),
                 live: 0,
-                reorderable: true,
             },
             Unit::JoinTree { rel, scope_cols } => UnitFacts {
                 aliases: scope_cols
@@ -739,7 +733,6 @@ fn gather_unit_facts(
                 col_index: FxHashMap::default(),
                 indexed_parts: Vec::new(),
                 live: 0,
-                reorderable: true,
             },
             Unit::Lateral { alias, .. } | Unit::LateralFn { alias, .. } => UnitFacts {
                 aliases: vec![alias.to_ascii_lowercase()],
@@ -749,7 +742,6 @@ fn gather_unit_facts(
                 col_index: FxHashMap::default(),
                 indexed_parts: Vec::new(),
                 live: 0,
-                reorderable: false,
             },
         })
         .collect();
@@ -834,16 +826,17 @@ fn plan_join_order(
     units: &[Unit<'_>],
     pending: &[Option<&ast::Expr>],
 ) -> Vec<PlannedUnit> {
-    let facts = gather_unit_facts(env, units, pending);
-    let prefix = facts
+    // Lateral units cannot move — they reference earlier units' columns.
+    let prefix = units
         .iter()
-        .position(|f| !f.reorderable)
-        .unwrap_or(facts.len());
+        .position(|u| matches!(u, Unit::Lateral { .. } | Unit::LateralFn { .. }))
+        .unwrap_or(units.len());
     if prefix < 2 {
         return (0..units.len())
             .map(|idx| PlannedUnit { idx, est: None })
             .collect();
     }
+    let facts = gather_unit_facts(env, units, pending);
     let edges = extract_join_edges(&facts, pending, prefix);
 
     let mut order: Vec<PlannedUnit> = Vec::with_capacity(units.len());
@@ -933,23 +926,21 @@ pub(crate) fn plan_from(
         });
     }
 
-    // Phase 1: turn FROM items into units. With the planner on, inner-only
-    // JOIN trees flatten into their leaf units so the optimizer can reorder
-    // across explicit JOIN syntax too; their ON conjuncts become ordinary
-    // pending conjuncts (equivalent for inner joins).
-    let planner_on = env.db.planner_enabled();
+    // Phase 1: turn FROM items into units. Inner-only JOIN trees flatten
+    // into their leaf units so the optimizer can reorder across explicit
+    // JOIN syntax too; their ON conjuncts become ordinary pending conjuncts
+    // (equivalent for inner joins).
     let mut units: Vec<Unit<'_>> = Vec::with_capacity(from.len());
     let mut conjuncts: Vec<&ast::Expr> = Vec::new();
     for item in from {
-        if planner_on {
-            if let Some(leaves) = flatten_inner_joins(item, &mut conjuncts) {
+        match flatten_inner_joins(item, &mut conjuncts) {
+            Some(leaves) => {
                 for leaf in leaves {
                     units.push(plan_unit(env, leaf)?);
                 }
-                continue;
             }
+            None => units.push(plan_unit(env, item)?),
         }
-        units.push(plan_unit(env, item)?);
     }
 
     // Phase 2: split WHERE into conjuncts (kept as AST; compiled when their
@@ -961,13 +952,7 @@ pub(crate) fn plan_from(
     let mut pending: Vec<Option<&ast::Expr>> = conjuncts.into_iter().map(Some).collect();
 
     // Phase 3: pick an attachment order.
-    let planned: Vec<PlannedUnit> = if planner_on && units.len() > 1 {
-        plan_join_order(env, &units, &pending)
-    } else {
-        (0..units.len())
-            .map(|idx| PlannedUnit { idx, est: None })
-            .collect()
-    };
+    let planned = plan_join_order(env, &units, &pending);
     if planned.iter().enumerate().any(|(pos, p)| pos != p.idx) {
         env.note(|| {
             let names: Vec<String> = planned.iter().map(|p| unit_label(&units[p.idx])).collect();

@@ -68,23 +68,19 @@ const CORPUS: &[&str] = &[
 #[test]
 fn parallel_matches_serial_row_for_row() {
     let db = build_corpus_db();
-    for planner_on in [true, false] {
-        db.set_planner_enabled(planner_on);
-        for sql in CORPUS {
-            db.set_parallelism(1);
-            let serial = db.execute(sql).unwrap();
-            for dop in [2usize, 4, 8] {
-                db.set_parallelism(dop);
-                let parallel = db.execute(sql).unwrap();
-                assert_eq!(serial.columns, parallel.columns, "{sql} (dop {dop})");
-                assert_eq!(
-                    serial.rows, parallel.rows,
-                    "parallel dop {dop} diverged (planner={planner_on}) on: {sql}"
-                );
-            }
+    for sql in CORPUS {
+        db.set_parallelism(1);
+        let serial = db.execute(sql).unwrap();
+        for dop in [2usize, 4, 8] {
+            db.set_parallelism(dop);
+            let parallel = db.execute(sql).unwrap();
+            assert_eq!(serial.columns, parallel.columns, "{sql} (dop {dop})");
+            assert_eq!(
+                serial.rows, parallel.rows,
+                "parallel dop {dop} diverged on: {sql}"
+            );
         }
     }
-    db.set_planner_enabled(true);
     db.set_parallelism(0);
 }
 

@@ -1,6 +1,6 @@
 //! Cost-based planner tests: ANALYZE statistics, join reordering under
-//! skewed cardinalities and skewed ndv, predicate pushdown, and
-//! planner-on/off result equivalence.
+//! skewed cardinalities and skewed ndv, predicate pushdown, and join
+//! results checked against rows recomputed from the data's formulas.
 
 use sqlgraph_rel::{Database, Value};
 
@@ -188,7 +188,7 @@ fn constant_predicates_pushed_below_join() {
 }
 
 #[test]
-fn planner_toggle_returns_identical_rows() {
+fn join_queries_return_rows_from_generating_formulas() {
     let db = Database::new();
     db.execute("CREATE TABLE v (id INTEGER PRIMARY KEY, grp INTEGER)")
         .unwrap();
@@ -216,24 +216,57 @@ fn planner_toggle_returns_identical_rows() {
     db.execute("CREATE INDEX e_src ON e (src)").unwrap();
     db.execute("ANALYZE").unwrap();
 
-    // Mix of comma joins, an explicit JOIN (flattened when the planner is
-    // on), constant filters, and SELECT * (column-order sensitivity).
-    let queries = [
-        "SELECT * FROM v, e, names \
-         WHERE v.id = e.src AND e.dst = names.id AND v.grp = 2",
-        "SELECT names.label FROM names JOIN e ON names.id = e.dst JOIN v ON e.src = v.id \
-         WHERE v.grp < 3 ORDER BY names.label",
-        "SELECT v.id, names.label FROM v, names WHERE v.id = names.id AND names.label = 'n7'",
-    ];
-    for sql in queries {
-        db.set_planner_enabled(true);
-        let planned = db.execute(sql).unwrap();
-        db.set_planner_enabled(false);
-        let naive = db.execute(sql).unwrap();
-        db.set_planner_enabled(true);
-        assert_eq!(planned.columns, naive.columns, "{sql}");
-        assert_eq!(canon(&planned), canon(&naive), "{sql}");
-    }
+    // Mix of comma joins, an explicit JOIN (flattened and reordered like
+    // the comma form), constant filters, and SELECT * (column-order
+    // sensitivity). Expected rows come from the generating formulas above:
+    // grp = i % 6, dst = 7i % 40 (a bijection on 0..40), label = n{i}.
+    let label = |i: i64| Value::str(format!("n{i}"));
+
+    let star = db
+        .execute(
+            "SELECT * FROM v, e, names \
+             WHERE v.id = e.src AND e.dst = names.id AND v.grp = 2",
+        )
+        .unwrap();
+    assert_eq!(star.columns, ["id", "grp", "src", "dst", "id", "label"]);
+    let mut expected: Vec<String> = (0..40i64)
+        .filter(|i| i % 6 == 2)
+        .map(|i| {
+            let dst = (i * 7) % 40;
+            let row = vec![
+                Value::Int(i),
+                Value::Int(2),
+                Value::Int(i),
+                Value::Int(dst),
+                Value::Int(dst),
+                label(dst),
+            ];
+            format!("{row:?}")
+        })
+        .collect();
+    expected.sort();
+    assert_eq!(canon(&star), expected);
+
+    let joined = db
+        .execute(
+            "SELECT names.label FROM names JOIN e ON names.id = e.dst JOIN v ON e.src = v.id \
+             WHERE v.grp < 3 ORDER BY names.label",
+        )
+        .unwrap();
+    let mut labels: Vec<String> = (0..40i64)
+        .filter(|i| i % 6 < 3)
+        .map(|i| format!("n{}", (i * 7) % 40))
+        .collect();
+    labels.sort();
+    let expected: Vec<Vec<Value>> = labels.into_iter().map(|l| vec![Value::str(l)]).collect();
+    assert_eq!(joined.rows, expected);
+
+    let point = db
+        .execute(
+            "SELECT v.id, names.label FROM v, names WHERE v.id = names.id AND names.label = 'n7'",
+        )
+        .unwrap();
+    assert_eq!(point.rows, vec![vec![Value::Int(7), label(7)]]);
 }
 
 #[test]

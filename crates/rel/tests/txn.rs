@@ -12,8 +12,7 @@
 //!   and the invariant survives a crash + recovery,
 //! * differential check: the same serial workload produces byte-identical
 //!   state (values *and* physical row ids) under autocommit MVCC,
-//!   explicit `BEGIN`/`COMMIT` sessions, closure transactions, and the
-//!   coarse per-table-lock baseline,
+//!   explicit `BEGIN`/`COMMIT` sessions and closure transactions,
 //! * first-updater-wins conflicts and vacuum's watermark discipline.
 
 use std::path::PathBuf;
@@ -60,51 +59,48 @@ fn dump(db: &Database) -> PhysicalState {
 #[test]
 fn cross_table_write_statements_do_not_deadlock() {
     const ROUNDS: i64 = 120;
-    for coarse in [false, true] {
-        let db = Arc::new(Database::new());
-        db.set_coarse_writes(coarse);
-        db.execute("CREATE TABLE a (id INTEGER, v INTEGER)")
-            .unwrap();
-        db.execute("CREATE TABLE b (id INTEGER, v INTEGER)")
-            .unwrap();
-        db.execute("INSERT INTO a VALUES (1, 0)").unwrap();
-        db.execute("INSERT INTO b VALUES (1, 0)").unwrap();
-        let (done_tx, done_rx) = mpsc::channel();
-        for flip in [false, true] {
-            let db = Arc::clone(&db);
-            let done = done_tx.clone();
-            std::thread::spawn(move || {
-                let (target, source) = if flip { ("a", "b") } else { ("b", "a") };
-                let sql = format!(
-                    "UPDATE {target} SET v = v + 1 \
-                     WHERE id IN (SELECT id FROM {source} WHERE v >= 0)"
-                );
-                for _ in 0..ROUNDS {
-                    loop {
-                        match db.execute(&sql) {
-                            Ok(_) => break,
-                            // Autocommit MVCC writers can lose the
-                            // first-updater race; retrying is the contract.
-                            Err(Error::TxnConflict(_)) => std::thread::yield_now(),
-                            Err(e) => panic!("writer failed (coarse={coarse}): {e}"),
-                        }
+    let db = Arc::new(Database::new());
+    db.execute("CREATE TABLE a (id INTEGER, v INTEGER)")
+        .unwrap();
+    db.execute("CREATE TABLE b (id INTEGER, v INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO a VALUES (1, 0)").unwrap();
+    db.execute("INSERT INTO b VALUES (1, 0)").unwrap();
+    let (done_tx, done_rx) = mpsc::channel();
+    for flip in [false, true] {
+        let db = Arc::clone(&db);
+        let done = done_tx.clone();
+        std::thread::spawn(move || {
+            let (target, source) = if flip { ("a", "b") } else { ("b", "a") };
+            let sql = format!(
+                "UPDATE {target} SET v = v + 1 \
+                 WHERE id IN (SELECT id FROM {source} WHERE v >= 0)"
+            );
+            for _ in 0..ROUNDS {
+                loop {
+                    match db.execute(&sql) {
+                        Ok(_) => break,
+                        // Autocommit MVCC writers can lose the
+                        // first-updater race; retrying is the contract.
+                        Err(Error::TxnConflict(_)) => std::thread::yield_now(),
+                        Err(e) => panic!("writer failed: {e}"),
                     }
                 }
-                let _ = done.send(());
-            });
-        }
-        for _ in 0..2 {
-            done_rx
-                .recv_timeout(Duration::from_secs(120))
-                .unwrap_or_else(|_| panic!("cross-table writers deadlocked (coarse={coarse})"));
-        }
-        for t in ["a", "b"] {
-            assert_eq!(
-                int(&db.execute(&format!("SELECT v FROM {t}")).unwrap()),
-                ROUNDS,
-                "lost update on {t} (coarse={coarse})"
-            );
-        }
+            }
+            let _ = done.send(());
+        });
+    }
+    for _ in 0..2 {
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("cross-table writers deadlocked");
+    }
+    for t in ["a", "b"] {
+        assert_eq!(
+            int(&db.execute(&format!("SELECT v FROM {t}")).unwrap()),
+            ROUNDS,
+            "lost update on {t}"
+        );
     }
 }
 
@@ -299,9 +295,8 @@ const CORPUS_DDL: &str = "CREATE TABLE kv (k INTEGER, tag TEXT, v INTEGER)";
 
 /// The same serial workload must leave byte-identical state — physical
 /// row ids included — whether statements autocommit under MVCC, run in
-/// explicit `BEGIN`/`COMMIT` sessions, run in closure transactions, or
-/// autocommit under the coarse per-table-lock baseline. MVCC must change
-/// *nothing* about serial execution.
+/// explicit `BEGIN`/`COMMIT` sessions, or run in closure transactions.
+/// Transaction scope must change *nothing* about serial execution.
 #[test]
 fn serial_runs_are_identical_across_transaction_modes() {
     let groups = corpus();
@@ -343,21 +338,9 @@ fn serial_runs_are_identical_across_transaction_modes() {
         }
         dump(&db)
     };
-    let coarse = {
-        let db = Database::new();
-        db.set_coarse_writes(true);
-        db.execute(CORPUS_DDL).unwrap();
-        for g in &groups {
-            for s in g {
-                db.execute(s).unwrap();
-            }
-        }
-        dump(&db)
-    };
 
     assert_eq!(autocommit, session_txns, "session transactions diverged");
     assert_eq!(autocommit, closure_txns, "closure transactions diverged");
-    assert_eq!(autocommit, coarse, "coarse-lock baseline diverged");
 }
 
 // --------------------------------------------------- conflicts and vacuum --
