@@ -20,7 +20,7 @@ use crate::error::{Error, Result};
 use crate::expr::{self, BinaryOp, Expr};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::IndexKey;
-use crate::plan::{self, find_equi_split, Access, Attach, ProbePart, StepKind};
+use crate::plan::{self, Access, Attach, ProbePart, StepKind};
 use crate::sql::ast;
 use crate::storage::Table;
 use crate::txn::Snapshot;
@@ -29,9 +29,6 @@ use std::sync::Arc;
 
 /// An executor row.
 pub type Row = Vec<Value>;
-
-/// Per-alias column lists tracked through explicit JOIN trees.
-pub(crate) type ScopeCols = Vec<(String, Vec<String>)>;
 
 /// A materialized relation: named columns plus rows.
 #[derive(Debug, Clone, Default)]
@@ -389,7 +386,6 @@ fn run_core(
     let needs = crate::plan::collect_needs(core, order_by);
     let mut fplan = crate::plan::plan_from(env, &core.from, core.filter.as_ref(), &needs)?;
     let data = exec_from(env, &mut fplan)?;
-    crate::plan::render_notes(env, &fplan);
 
     // 2. Aggregate or plain projection. ORDER BY keys are computed as
     //    hidden trailing columns so they may reference unprojected inputs.
@@ -827,7 +823,7 @@ fn run_aggregate(
             for p in &proj_exprs {
                 need(p);
             }
-            AggInput::Rows(f.flatten_masked(&mask))
+            AggInput::Rows(f.flatten(Some(&mask)))
         }
     };
 
@@ -1207,54 +1203,20 @@ impl Factored {
 
     /// Depth-first flatten: for each base row in order, expand each level's
     /// elements in order — byte-identical to the nested index-probe loops
-    /// the plan would otherwise run.
-    fn flatten(self) -> Vec<Row> {
-        fn rec(levels: &[Level], parent: usize, prefix: &mut Row, out: &mut Vec<Row>) {
-            let (lv, rest) = levels.split_first().expect("levels never empty here");
-            let (lo, hi) = (lv.offsets[parent] as usize, lv.offsets[parent + 1] as usize);
-            for e in lo..hi {
-                let w = prefix.len();
-                for col in &lv.cols {
-                    prefix.push(col[e].clone());
-                }
-                if rest.is_empty() {
-                    out.push(prefix.clone());
-                } else {
-                    rec(rest, e, prefix, out);
-                }
-                prefix.truncate(w);
-            }
-        }
-        if self.levels.is_empty() {
-            return self.base;
-        }
-        let mut out = Vec::with_capacity(self.leaf_count());
-        let mut prefix: Row = Vec::new();
-        for (b, row) in self.base.iter().enumerate() {
-            prefix.clear();
-            prefix.extend_from_slice(row);
-            rec(&self.levels, b, &mut prefix, &mut out);
-        }
-        out
-    }
-
-    /// Flatten, cloning only the columns marked in `mask` — the rest come
-    /// out as `NULL`. Consumers that provably never read the unmasked
-    /// columns (aggregation reads group keys, aggregate arguments, HAVING,
-    /// and projection inputs only) get rows of the full width — column
-    /// indices stay valid — without paying for the dead values. Row count
-    /// and order are exactly [`Factored::flatten`]'s.
-    fn flatten_masked(self, mask: &[bool]) -> Vec<Row> {
-        if mask.iter().all(|&m| m) {
-            return self.flatten();
-        }
+    /// the plan would otherwise run. With a `mask`, only the marked columns
+    /// are cloned and the rest come out as `NULL`: consumers that provably
+    /// never read the unmarked columns (aggregation reads group keys,
+    /// aggregate arguments, HAVING, and projection inputs only) get rows of
+    /// the full width — column indices stay valid — without paying for the
+    /// dead values. Row count and order do not depend on the mask.
+    fn flatten(self, mask: Option<&[bool]>) -> Vec<Row> {
         // `prefix.len()` on entry to a level is that level's first absolute
         // column index, so the mask indexes directly.
         fn rec(
             levels: &[Level],
             parent: usize,
             prefix: &mut Row,
-            mask: &[bool],
+            mask: Option<&[bool]>,
             out: &mut Vec<Row>,
         ) {
             let (lv, rest) = levels.split_first().expect("levels never empty here");
@@ -1262,7 +1224,7 @@ impl Factored {
             let w = prefix.len();
             for e in lo..hi {
                 for (c, col) in lv.cols.iter().enumerate() {
-                    prefix.push(if mask[w + c] {
+                    prefix.push(if mask.is_none_or(|m| m[w + c]) {
                         col[e].clone()
                     } else {
                         Value::Null
@@ -1276,23 +1238,50 @@ impl Factored {
                 prefix.truncate(w);
             }
         }
-        let keep_base = |row: &Row| -> Row {
-            row.iter()
-                .enumerate()
-                .map(|(c, v)| if mask[c] { v.clone() } else { Value::Null })
-                .collect()
-        };
-        if self.levels.is_empty() {
-            return self.base.iter().map(keep_base).collect();
-        }
         let mut out = Vec::with_capacity(self.leaf_count());
         let mut prefix: Row = Vec::new();
         for (b, row) in self.base.iter().enumerate() {
             prefix.clear();
-            prefix.extend(keep_base(row));
+            prefix.extend(row.iter().enumerate().map(|(c, v)| {
+                if mask.is_none_or(|m| m[c]) {
+                    v.clone()
+                } else {
+                    Value::Null
+                }
+            }));
             rec(&self.levels, b, &mut prefix, mask, &mut out);
         }
         out
+    }
+
+    /// Leaf-wise evaluation. When every one of `exprs` reads only the last
+    /// level's columns, each leaf element stands for its whole flattened
+    /// row: call `f` once per leaf, in order, on a full-width scratch row —
+    /// NULLs (which `exprs` never read) before the leaf's own columns — and
+    /// return `true`. Otherwise return `false` without calling `f`; the
+    /// caller has to flatten.
+    fn try_each_leaf<'e>(
+        &self,
+        exprs: impl IntoIterator<Item = &'e Expr>,
+        mut f: impl FnMut(&Row) -> Result<()>,
+    ) -> Result<bool> {
+        let start = self.last_level_start();
+        let last = self.levels.last().expect("factor levels never empty");
+        let own = start..start + last.cols.len();
+        let mut leaf_only = true;
+        for e in exprs {
+            e.visit_columns(&mut |c| leaf_only &= own.contains(&c));
+        }
+        if !leaf_only {
+            return Ok(false);
+        }
+        let mut row: Row = vec![Value::Null; start];
+        for e in 0..last.len {
+            row.truncate(start);
+            row.extend(last.cols.iter().map(|col| col[e].clone()));
+            f(&row)?;
+        }
+        Ok(true)
     }
 
     /// The first flattened row (the aggregate representative) without
@@ -1334,7 +1323,7 @@ impl Data {
         match self {
             Data::Rows(r) => r,
             Data::Batches(bs) => bs.iter().flat_map(Batch::to_rows).collect(),
-            Data::Factor(f) => f.flatten(),
+            Data::Factor(f) => f.flatten(None),
         }
     }
 
@@ -1406,40 +1395,34 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     // Index nested-loop join: build a key per accumulated
                     // row, probe, and emit combined rows directly.
                     let idx = find_index(t, index)?;
+                    let keep: &[usize] = keep;
                     let lrows = left.take().expect("left consumed once").into_rows();
                     let mut out = Vec::new();
                     for l in lrows {
                         let mut key = Vec::with_capacity(parts.len());
-                        let mut null_key = false;
                         for p in parts.iter() {
                             let v = match p {
                                 ProbePart::Const(v) => v.clone(),
                                 ProbePart::Probe(e) => e.eval(&l)?,
                             };
                             if v.is_null() {
-                                null_key = true;
                                 break;
                             }
                             key.push(v);
                         }
-                        if null_key {
-                            continue;
-                        }
-                        let probe = IndexKey(key);
-                        for &rid in idx.lookup(&probe) {
-                            // A posting covers every version of a chain;
-                            // re-check the key against the visible version
-                            // (older versions may carry a different key).
-                            let Some(row) = t.get_visible(rid, env.snap) else {
-                                continue;
-                            };
-                            if idx.key_of(row) != probe {
-                                continue;
-                            }
-                            let mut combined = l.clone();
-                            combined.extend(keep.iter().map(|&i| row[i].clone()));
-                            out.push(combined);
-                        }
+                        // A NULL key part equals nothing: no candidates.
+                        let probe = (key.len() == parts.len()).then_some(IndexKey(key));
+                        let cands = probe.iter().flat_map(|probe| {
+                            idx.lookup(probe).iter().filter_map(move |&rid| {
+                                // A posting covers every version of a chain;
+                                // re-check the key against the visible version
+                                // (older versions may carry a different key).
+                                let row = t.get_visible(rid, env.snap)?;
+                                (idx.key_of(row) == *probe)
+                                    .then(move || keep.iter().map(move |&i| row[i].clone()))
+                            })
+                        });
+                        emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
                     }
                     Produced::Done(Data::Rows(out))
                 }
@@ -1452,74 +1435,41 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     // level instead of materializing one row per match.
                     let entry = env.db.csr_for(t, table, index, keep, env.snap)?;
                     step.exec.csr_groups = Some(entry.group_count());
-                    let width = keep.len();
                     let ldata = left.take().expect("left consumed once");
+                    let mut offsets: Vec<u32> = vec![0];
+                    let mut cols: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
+                    let mut total = 0usize;
+                    let mut expand = |l: &Row| -> Result<()> {
+                        let key = part.eval(l)?;
+                        if !key.is_null() {
+                            total += entry.expand_into(&key, &mut cols);
+                        }
+                        offsets.push(total as u32);
+                        Ok(())
+                    };
                     // A factored input extends in place when the probe key
                     // only reads the last level's columns (each leaf then
                     // owns its key); otherwise flatten first.
-                    let extend = match &ldata {
-                        Data::Factor(f) if !f.levels.is_empty() => {
-                            let start = f.last_level_start();
-                            let lw = f.levels.last().expect("checked non-empty").cols.len();
-                            let mut ok = true;
-                            part.visit_columns(&mut |c| {
-                                if c < start || c >= start + lw {
-                                    ok = false;
-                                }
-                            });
-                            ok
+                    let mut f = match ldata {
+                        Data::Factor(f) if f.try_each_leaf([&*part], &mut expand)? => f,
+                        other => {
+                            let base = other.into_rows();
+                            for l in &base {
+                                expand(l)?;
+                            }
+                            Factored {
+                                base_width: base.first().map_or(0, Vec::len),
+                                base,
+                                levels: Vec::new(),
+                            }
                         }
-                        _ => false,
                     };
-                    let mut offsets: Vec<u32> = vec![0];
-                    let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
-                    let mut total = 0usize;
-                    if extend {
-                        let Data::Factor(mut f) = ldata else {
-                            unreachable!("extend implies factored input");
-                        };
-                        let start = f.last_level_start();
-                        let last = f.levels.last().expect("checked non-empty");
-                        // Scratch row: NULL prefix (the probe never reads
-                        // it) + the leaf element's own columns.
-                        let mut buf: Row = vec![Value::Null; start];
-                        for e in 0..last.len {
-                            buf.truncate(start);
-                            for col in &last.cols {
-                                buf.push(col[e].clone());
-                            }
-                            let key = part.eval(&buf)?;
-                            if !key.is_null() {
-                                total += entry.expand_into(&key, &mut cols);
-                            }
-                            offsets.push(total as u32);
-                        }
-                        f.levels.push(Level {
-                            offsets,
-                            cols,
-                            len: total,
-                        });
-                        Produced::Done(Data::Factor(f))
-                    } else {
-                        let base = ldata.into_rows();
-                        let base_width = base.first().map_or(0, Vec::len);
-                        for l in &base {
-                            let key = part.eval(l)?;
-                            if !key.is_null() {
-                                total += entry.expand_into(&key, &mut cols);
-                            }
-                            offsets.push(total as u32);
-                        }
-                        Produced::Done(Data::Factor(Factored {
-                            base,
-                            base_width,
-                            levels: vec![Level {
-                                offsets,
-                                cols,
-                                len: total,
-                            }],
-                        }))
-                    }
+                    f.levels.push(Level {
+                        offsets,
+                        cols,
+                        len: total,
+                    });
+                    Produced::Done(Data::Factor(f))
                 }
                 Access::Point { index, key, .. } => {
                     let idx = find_index(t, index)?;
@@ -1625,75 +1575,54 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
             arity,
         } => {
             let ldata = left.take().expect("left consumed once");
-            // A factored input stays factored when every row expression
-            // reads only the last level's columns (the unpivot then nests
-            // as one more offset-delimited level instead of materializing
-            // the full-width cross product). Flatten order is preserved:
-            // each leaf's lateral rows nest under it in VALUES order.
-            let listwise = match &ldata {
-                Data::Factor(f) if !f.levels.is_empty() => {
-                    let start = f.last_level_start();
-                    let lw = f.levels.last().expect("checked non-empty").cols.len();
-                    let mut ok = true;
-                    for cr in compiled_rows.iter() {
-                        for e in cr {
-                            e.visit_columns(&mut |c| {
-                                if c < start || c >= start + lw {
-                                    ok = false;
-                                }
-                            });
-                        }
-                    }
-                    ok
-                }
-                _ => false,
+            let k = compiled_rows.len();
+            // Only a factored input can fill `cols` (one value per leaf and
+            // VALUES row); the row path below never touches them.
+            let leaves = match &ldata {
+                Data::Factor(f) => f.leaf_count(),
+                _ => 0,
             };
-            if listwise {
-                let Data::Factor(mut f) = ldata else {
-                    unreachable!("listwise implies factored input");
-                };
-                let start = f.last_level_start();
-                let last = f.levels.last().expect("checked non-empty");
-                let k = compiled_rows.len();
-                let parent_len = last.len;
-                let mut offsets: Vec<u32> = Vec::with_capacity(parent_len + 1);
-                offsets.push(0);
-                let mut cols: Vec<Vec<Value>> = (0..*arity)
-                    .map(|_| Vec::with_capacity(parent_len * k))
-                    .collect();
-                // Scratch row: NULL prefix (never read) + the leaf element.
-                let mut buf: Row = vec![Value::Null; start];
-                for e in 0..parent_len {
-                    buf.truncate(start);
-                    for col in &last.cols {
-                        buf.push(col[e].clone());
-                    }
-                    for cr in compiled_rows.iter() {
-                        for (j, expr) in cr.iter().enumerate() {
-                            cols[j].push(expr.eval(&buf)?);
-                        }
-                    }
-                    offsets.push(((e + 1) * k) as u32);
-                }
-                f.levels.push(Level {
-                    offsets,
-                    cols,
-                    len: parent_len * k,
-                });
-                Produced::Done(Data::Factor(f))
-            } else {
-                let lrows = ldata.into_rows();
-                let mut out = Vec::with_capacity(lrows.len() * compiled_rows.len());
-                for row in lrows {
-                    for cr in compiled_rows.iter() {
-                        let mut extended = row.clone();
-                        for e in cr {
-                            extended.push(e.eval(&row)?);
-                        }
-                        out.push(extended);
+            let mut offsets: Vec<u32> = vec![0];
+            let mut cols: Vec<Vec<Value>> = (0..*arity)
+                .map(|_| Vec::with_capacity(leaves * k))
+                .collect();
+            let mut unpivot = |leaf: &Row| -> Result<()> {
+                for cr in compiled_rows.iter() {
+                    for (j, expr) in cr.iter().enumerate() {
+                        cols[j].push(expr.eval(leaf)?);
                     }
                 }
-                Produced::Done(Data::Rows(out))
+                offsets.push((offsets.len() * k) as u32);
+                Ok(())
+            };
+            match ldata {
+                // A factored input stays factored when every row expression
+                // reads only the last level's columns (the unpivot then
+                // nests as one more offset-delimited level instead of
+                // materializing the full-width cross product). Flatten
+                // order is preserved: each leaf's lateral rows nest under
+                // it in VALUES order.
+                Data::Factor(mut f)
+                    if f.try_each_leaf(compiled_rows.iter().flatten(), &mut unpivot)? =>
+                {
+                    let len = (offsets.len() - 1) * k;
+                    f.levels.push(Level { offsets, cols, len });
+                    Produced::Done(Data::Factor(f))
+                }
+                other => {
+                    let lrows = other.into_rows();
+                    let mut out = Vec::with_capacity(lrows.len() * k);
+                    for row in lrows {
+                        for cr in compiled_rows.iter() {
+                            let mut extended = row.clone();
+                            for e in cr {
+                                extended.push(e.eval(&row)?);
+                            }
+                            out.push(extended);
+                        }
+                    }
+                    Produced::Done(Data::Rows(out))
+                }
             }
         }
         StepKind::LateralFunc {
@@ -1725,22 +1654,53 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
     }
 }
 
+/// The match-time half of every row join loop: emit `l` joined with each
+/// candidate unit row, in candidate order. For an outer step a pair must
+/// also pass what is left of the ON clause, and an `l` that nothing joined
+/// comes out once, NULL-padded.
+fn emit_matches<C: IntoIterator<Item = Value>>(
+    outer: Option<&plan::Outer>,
+    l: &Row,
+    cands: impl Iterator<Item = C>,
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    let before = out.len();
+    'cands: for cand in cands {
+        let mut combined = l.clone();
+        combined.extend(cand);
+        for p in outer.iter().flat_map(|o| &o.on) {
+            if !p.eval_bool(&combined)? {
+                continue 'cands;
+            }
+        }
+        out.push(combined);
+    }
+    if let (Some(o), true) = (outer, out.len() == before) {
+        let mut padded = l.clone();
+        padded.resize(l.len() + o.width, Value::Null);
+        out.push(padded);
+    }
+    Ok(())
+}
+
 /// Combine the accumulated rows with a step's produced unit rows.
 fn exec_attach(env: &Env<'_>, step: &mut plan::Step, left: Data, right: Data) -> Result<Data> {
+    let outer = step.outer.as_ref();
     match &step.attach {
         Attach::Hash { lkey, rkey } => {
             let dop = env.db.dop_for(right.len().max(left.len()));
             step.exec.join_rows = Some(right.len());
             step.exec.join_dop = Some(dop);
             // Columnar fast path: both sides batched and both keys bare
-            // columns — join on the column vectors directly.
-            if let (Data::Batches(lb), Data::Batches(rb), Expr::Col(lc), Expr::Col(rc)) =
-                (&left, &right, lkey, rkey)
+            // columns — join on the column vectors directly. (Batches have
+            // no row to pad, so an outer step joins rows.)
+            if let (Data::Batches(lb), Data::Batches(rb), Expr::Col(lc), Expr::Col(rc), None) =
+                (&left, &right, lkey, rkey, outer)
             {
                 return batch_hash_join(dop, lb, rb, *lc, *rc);
             }
             let rrows = right.into_rows();
-            let mut lrows = left.into_rows();
+            let lrows = left.into_rows();
             if dop <= 1 {
                 // Serial build in row order, probe in row order.
                 let mut table: FxHashMap<Value, Vec<&Row>> = FxHashMap::default();
@@ -1753,21 +1713,14 @@ fn exec_attach(env: &Env<'_>, step: &mut plan::Step, left: Data, right: Data) ->
                 let mut out = Vec::new();
                 for l in lrows {
                     let k = lkey.eval(&l)?;
-                    if k.is_null() {
-                        continue;
-                    }
-                    if let Some(cands) = table.get(&k) {
-                        for r in cands {
-                            let mut combined = l.clone();
-                            combined.extend_from_slice(r);
-                            out.push(combined);
-                        }
-                    }
+                    let cands = table.get(&k).filter(|_| !k.is_null());
+                    let cands = cands.into_iter().flatten().map(|r| r.iter().cloned());
+                    emit_matches(outer, &l, cands, &mut out)?;
                 }
                 Ok(Data::Rows(out))
             } else {
                 Ok(Data::Rows(parallel_hash_join(
-                    dop, &mut lrows, &rrows, lkey, rkey,
+                    dop, &lrows, &rrows, lkey, rkey, outer,
                 )?))
             }
         }
@@ -1775,8 +1728,6 @@ fn exec_attach(env: &Env<'_>, step: &mut plan::Step, left: Data, right: Data) ->
             if left.is_identity() {
                 // Leading unit: crossing the identity row is a passthrough
                 // (this keeps columnar scans columnar).
-                step.exec.join_rows = Some(right.len());
-                step.exec.join_dop = Some(1);
                 return Ok(right);
             }
             let rrows = right.into_rows();
@@ -1790,19 +1741,20 @@ fn exec_attach(env: &Env<'_>, step: &mut plan::Step, left: Data, right: Data) ->
                 dop,
                 lrows.len(),
                 crate::parallel::MORSEL_ROWS,
-                |range| {
+                |range| -> Result<Vec<Row>> {
                     let mut out = Vec::with_capacity(range.len() * right_ref.len());
                     for l in &left_ref[range] {
-                        for r in right_ref {
-                            let mut combined = l.clone();
-                            combined.extend_from_slice(r);
-                            out.push(combined);
-                        }
+                        let cands = right_ref.iter().map(|r| r.iter().cloned());
+                        emit_matches(outer, l, cands, &mut out)?;
                     }
-                    out
+                    Ok(out)
                 },
             );
-            Ok(Data::Rows(chunks.into_iter().flatten().collect()))
+            let mut out = Vec::new();
+            for chunk in chunks {
+                out.extend(chunk?);
+            }
+            Ok(Data::Rows(out))
         }
         Attach::Probe | Attach::Flatten => {
             unreachable!("probe/flatten attaches combine inside exec_step")
@@ -1931,48 +1883,35 @@ fn filter_data(env: &Env<'_>, data: Data, p: &Expr) -> Result<Data> {
             // leaf elements list-wise (each leaf is exactly one flattened
             // row, so dropping an element drops exactly that row); anything
             // touching earlier columns falls back to flattening.
+            // Survivors are copied into fresh columns: compacting the old
+            // ones in place (`retain`) measured 15 % slower on dq15, whose
+            // unpivot level keeps one leaf in six.
             let start = f.last_level_start();
-            let w = f
-                .levels
-                .last()
-                .expect("factor levels never empty")
-                .cols
-                .len();
-            let mut leaf_only = true;
-            p.visit_columns(&mut |c| {
-                if c < start || c >= start + w {
-                    leaf_only = false;
+            let width = f.levels.last().map_or(0, |l| l.cols.len());
+            let mut alive: Vec<bool> = Vec::with_capacity(f.leaf_count());
+            let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
+            let listwise = f.try_each_leaf([p], |leaf| {
+                let pass = p.eval_bool(leaf)?;
+                if pass {
+                    for (col, v) in cols.iter_mut().zip(&leaf[start..]) {
+                        col.push(v.clone());
+                    }
                 }
-            });
-            if !leaf_only {
-                return Ok(Data::Rows(filter_rows_par(env, f.flatten(), p)?));
+                alive.push(pass);
+                Ok(())
+            })?;
+            if !listwise {
+                return Ok(Data::Rows(filter_rows_par(env, f.flatten(None), p)?));
             }
             let last = f.levels.last_mut().expect("factor levels never empty");
-            let mut buf: Row = vec![Value::Null; start];
-            let mut offsets: Vec<u32> = Vec::with_capacity(last.offsets.len());
-            offsets.push(0);
-            let mut cols: Vec<Vec<Value>> = (0..w).map(|_| Vec::new()).collect();
             let mut kept = 0usize;
-            for parent in 0..last.offsets.len() - 1 {
-                let (lo, hi) = (
-                    last.offsets[parent] as usize,
-                    last.offsets[parent + 1] as usize,
-                );
-                for e in lo..hi {
-                    buf.truncate(start);
-                    for col in &last.cols {
-                        buf.push(col[e].clone());
-                    }
-                    if p.eval_bool(&buf)? {
-                        for (nc, col) in cols.iter_mut().zip(&last.cols) {
-                            nc.push(col[e].clone());
-                        }
-                        kept += 1;
-                    }
-                }
-                offsets.push(kept as u32);
-            }
-            last.offsets = offsets;
+            last.offsets = std::iter::once(0)
+                .chain(last.offsets.windows(2).map(|w| {
+                    let of_parent = &alive[w[0] as usize..w[1] as usize];
+                    kept += of_parent.iter().filter(|a| **a).count();
+                    kept as u32
+                }))
+                .collect();
             last.cols = cols;
             last.len = kept;
             Ok(Data::Factor(f))
@@ -1992,231 +1931,6 @@ fn generic_batch_filter(b: &Batch, sel: &[u32], p: &Expr) -> Result<Vec<u32>> {
         }
     }
     Ok(out)
-}
-
-/// Execute an explicit JOIN tree into a relation, tracking per-alias columns.
-pub(crate) fn run_join_tree(env: &Env<'_>, item: &ast::FromItem) -> Result<(Relation, ScopeCols)> {
-    match item {
-        ast::FromItem::Join {
-            left,
-            right,
-            kind,
-            on,
-        } => {
-            let (lrel, lcols) = run_join_tree(env, left)?;
-            // Index nested-loop fast path: right side is a base table whose
-            // join column is indexed — probe per left row instead of
-            // materializing and hashing the whole table.
-            if let ast::FromItem::Table { name, alias } = right.as_ref() {
-                let lname = name.to_ascii_lowercase();
-                if !env.ctes.contains_key(&lname) {
-                    let ralias = alias.clone().unwrap_or_else(|| name.clone());
-                    if let Some(result) =
-                        try_index_join(env, &lrel, &lcols, &lname, &ralias, *kind, on)?
-                    {
-                        return Ok(result);
-                    }
-                }
-            }
-            let (rrel, rcols) = run_join_tree(env, right)?;
-            // Build the combined scope for the ON expression.
-            let mut scope = Scope::default();
-            for (alias, cols) in lcols.iter().chain(rcols.iter()) {
-                scope.push(alias, cols.clone());
-            }
-            let lwidth = lrel.columns.len();
-            let rwidth = rrel.columns.len();
-            let on_compiled = compile_expr(env, &scope, on)?;
-
-            // Hash equi-join when the ON contains `l = r` across the inputs.
-            let equi = find_equi_split(&on_compiled, lwidth);
-            let mut out_rows = Vec::new();
-            match equi {
-                Some((lkey, rkey)) => {
-                    // Side purity (per `find_equi_split`) lets the build key
-                    // re-base onto the bare right row and the probe key run
-                    // on the left row directly — no padding clones.
-                    let mut rkey = rkey;
-                    rkey.map_columns(&mut |c| c - lwidth);
-                    let mut table: FxHashMap<Value, Vec<&Row>> = FxHashMap::default();
-                    for r in &rrel.rows {
-                        let k = rkey.eval(r)?;
-                        if !k.is_null() {
-                            table.entry(k).or_default().push(r);
-                        }
-                    }
-                    for l in &lrel.rows {
-                        let k = lkey.eval(l)?;
-                        let mut matched = false;
-                        if !k.is_null() {
-                            if let Some(cands) = table.get(&k) {
-                                for r in cands {
-                                    let mut combined = l.clone();
-                                    combined.extend_from_slice(r);
-                                    if on_compiled.eval_bool(&combined)? {
-                                        matched = true;
-                                        out_rows.push(combined);
-                                    }
-                                }
-                            }
-                        }
-                        if !matched && *kind == ast::JoinKind::LeftOuter {
-                            let mut combined = l.clone();
-                            combined.extend(std::iter::repeat_with(|| Value::Null).take(rwidth));
-                            out_rows.push(combined);
-                        }
-                    }
-                }
-                None => {
-                    // Nested loop.
-                    for l in &lrel.rows {
-                        let mut matched = false;
-                        for r in &rrel.rows {
-                            let mut combined = l.clone();
-                            combined.extend_from_slice(r);
-                            if on_compiled.eval_bool(&combined)? {
-                                matched = true;
-                                out_rows.push(combined);
-                            }
-                        }
-                        if !matched && *kind == ast::JoinKind::LeftOuter {
-                            let mut combined = l.clone();
-                            combined.extend(std::iter::repeat_with(|| Value::Null).take(rwidth));
-                            out_rows.push(combined);
-                        }
-                    }
-                }
-            }
-            let mut columns = lrel.columns;
-            columns.extend(rrel.columns);
-            let mut scope_cols = lcols;
-            scope_cols.extend(rcols);
-            Ok((
-                Relation {
-                    columns,
-                    rows: out_rows,
-                },
-                scope_cols,
-            ))
-        }
-        ast::FromItem::Table { name, alias } => {
-            let rel = load_named(env, &name.to_ascii_lowercase(), &[])?;
-            let alias = alias.clone().unwrap_or_else(|| name.clone());
-            let cols = rel.columns.clone();
-            Ok((rel, vec![(alias, cols)]))
-        }
-        ast::FromItem::Subquery { query, alias } => {
-            let rel = run_select(env, query)?;
-            let cols = rel.columns.clone();
-            Ok((rel, vec![(alias.clone(), cols)]))
-        }
-        ast::FromItem::LateralValues { .. } | ast::FromItem::LateralFunc { .. } => {
-            Err(Error::Invalid(
-                "TABLE(...) items cannot be JOIN operands; use them as comma FROM items".into(),
-            ))
-        }
-    }
-}
-
-/// Index nested-loop join of `lrel` against base table `table_name`:
-/// succeeds only when the ON clause contains an equi conjunct whose right
-/// side is a bare indexed column of the table. Returns `None` (caller falls
-/// back to hash/NL join) otherwise.
-fn try_index_join(
-    env: &Env<'_>,
-    lrel: &Relation,
-    lcols: &[(String, Vec<String>)],
-    table_name: &str,
-    ralias: &str,
-    kind: ast::JoinKind,
-    on: &ast::Expr,
-) -> Result<Option<(Relation, ScopeCols)>> {
-    let guard = match env.db.read_table(table_name) {
-        Ok(g) => g,
-        Err(_) => return Ok(None),
-    };
-    let table: &Table = &guard;
-    let rnames: Vec<String> = table
-        .schema
-        .columns
-        .iter()
-        .map(|c| c.name.clone())
-        .collect();
-    let mut scope = Scope::default();
-    for (alias, cols) in lcols {
-        scope.push(alias, cols.clone());
-    }
-    let lwidth = scope.width;
-    scope.push(ralias, rnames.clone());
-    let on_compiled = compile_expr(env, &scope, on)?;
-    let Some((lkey, rkey)) = find_equi_split(&on_compiled, lwidth) else {
-        return Ok(None);
-    };
-    // Right key must be a single bare column with a usable index.
-    let Expr::Col(ridx) = rkey else {
-        return Ok(None);
-    };
-    if ridx < lwidth {
-        return Ok(None);
-    }
-    let rcol = ridx - lwidth;
-    let Some(idx) = table
-        .indexes()
-        .iter()
-        .find(|i| i.columns.len() == 1 && i.columns[0] == rcol)
-    else {
-        return Ok(None);
-    };
-    env.note(|| {
-        format!(
-            "{table_name}: index {} join via {}",
-            if kind == ast::JoinKind::LeftOuter {
-                "left-outer"
-            } else {
-                "nested-loop"
-            },
-            idx.name
-        )
-    });
-    let rwidth = rnames.len();
-    let mut out_rows = Vec::new();
-    for l in &lrel.rows {
-        // `lkey` touches only columns < lwidth, so it evaluates directly on
-        // the left row — no padded probe clone.
-        let k = lkey.eval(l)?;
-        let mut matched = false;
-        if !k.is_null() {
-            for &rid in idx.lookup(&IndexKey(vec![k])) {
-                // The full ON re-evaluation below also rejects chain
-                // versions whose visible key differs from the posting.
-                let Some(row) = table.get_visible(rid, env.snap) else {
-                    continue;
-                };
-                let mut combined = l.clone();
-                combined.extend_from_slice(row);
-                if on_compiled.eval_bool(&combined)? {
-                    matched = true;
-                    out_rows.push(combined);
-                }
-            }
-        }
-        if !matched && kind == ast::JoinKind::LeftOuter {
-            let mut combined = l.clone();
-            combined.extend(std::iter::repeat_with(|| Value::Null).take(rwidth));
-            out_rows.push(combined);
-        }
-    }
-    let mut columns = lrel.columns.clone();
-    columns.extend(rnames.clone());
-    let mut scope_cols = lcols.to_vec();
-    scope_cols.push((ralias.to_string(), rnames));
-    Ok(Some((
-        Relation {
-            columns,
-            rows: out_rows,
-        },
-        scope_cols,
-    )))
 }
 
 /// Built-in lateral table functions.
@@ -2349,10 +2063,11 @@ impl TableFunc {
 /// byte-identical to the serial nested loop at any DOP.
 fn parallel_hash_join(
     dop: usize,
-    probe_rows: &mut Vec<Row>,
+    probe_rows: &[Row],
     build_rows: &[Row],
     lkey: &Expr,
     rkey: &Expr,
+    outer: Option<&plan::Outer>,
 ) -> Result<Vec<Row>> {
     use crate::hasher::FxHasher;
     use std::hash::{Hash, Hasher};
@@ -2401,27 +2116,21 @@ fn parallel_hash_join(
         });
 
     // Probe pass: morsels over the probe side, outputs in morsel order.
-    let probe = std::mem::take(probe_rows);
-    let probe_ref = &probe;
     let tables_ref = &tables;
     let chunks = crate::parallel::ordered_map(
         dop,
-        probe.len(),
+        probe_rows.len(),
         crate::parallel::MORSEL_ROWS,
         |range| -> Result<Vec<Row>> {
             let mut out = Vec::new();
-            for l in &probe_ref[range] {
+            for l in &probe_rows[range] {
                 let k = lkey.eval(l)?;
-                if k.is_null() {
-                    continue;
-                }
-                if let Some(cands) = tables_ref[part_of(&k)].get(&k) {
-                    for &i in cands {
-                        let mut combined = l.clone();
-                        combined.extend_from_slice(&build_rows[i as usize]);
-                        out.push(combined);
-                    }
-                }
+                let cands = tables_ref[part_of(&k)].get(&k).filter(|_| !k.is_null());
+                let cands = cands
+                    .into_iter()
+                    .flatten()
+                    .map(|&i| build_rows[i as usize].iter().cloned());
+                emit_matches(outer, l, cands, &mut out)?;
             }
             Ok(out)
         },
@@ -2476,23 +2185,6 @@ fn filter_rows_par(env: &Env<'_>, rows: Vec<Row>, predicate: &Expr) -> Result<Ve
         out.push(std::mem::take(&mut rows[i as usize]));
     }
     Ok(out)
-}
-
-/// Load a named relation (CTE or base table) fully.
-fn load_named(env: &Env<'_>, name: &str, _hint: &[()]) -> Result<Relation> {
-    if let Some(cte) = env.ctes.get(name) {
-        return Ok((**cte).clone());
-    }
-    let guard = env.db.read_table(name)?;
-    Ok(Relation {
-        columns: guard
-            .schema
-            .columns
-            .iter()
-            .map(|c| c.name.clone())
-            .collect(),
-        rows: guard.iter_snap(env.snap).map(|(_, r)| r.to_vec()).collect(),
-    })
 }
 
 // ---------------------------------------------------------------------------

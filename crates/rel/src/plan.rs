@@ -8,7 +8,10 @@
 //! pushdown (scan-local filters), hash-key extraction ([`Attach::Hash`]),
 //! and projection pruning ([`Needs`]). The executor (`exec::exec_from`)
 //! consumes the IR without making any planning choices of its own, and
-//! EXPLAIN renders the same tree that runs.
+//! EXPLAIN renders the same tree that runs. Explicit JOIN chains — inner and
+//! LEFT OUTER — flatten into the same units as comma items
+//! ([`flatten_joins`]), so this one pipeline plans every FROM clause; no join
+//! runs before planning ends.
 //!
 //! The planning pass mirrors the retired in-line planner *decision for
 //! decision* — the same conjunct-retirement order, the same compile-attempt
@@ -18,9 +21,7 @@
 //! results are byte-identical to the seed engine's.
 
 use crate::error::{Error, Result};
-use crate::exec::{
-    compile_expr, filter_rows, run_join_tree, run_select, Env, Relation, Scope, TableFunc,
-};
+use crate::exec::{compile_expr, filter_rows, run_select, Env, Relation, Scope, TableFunc};
 use crate::expr::{BinaryOp, Expr};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::sql::ast;
@@ -47,18 +48,34 @@ pub(crate) struct FromPlan {
 /// One unit attachment: produce the unit's rows ([`StepKind`]) and combine
 /// them with the rows accumulated so far ([`Attach`]).
 pub(crate) struct Step {
-    /// Display label (alias, or `a+b` for join-tree units).
+    /// Display label (the unit's alias).
     pub(crate) label: String,
     /// Planner's estimated cumulative cardinality after this step.
     pub(crate) est: Option<f64>,
     pub(crate) kind: StepKind,
     pub(crate) attach: Attach,
+    /// `Some` when the unit is the right operand of a LEFT OUTER JOIN.
+    pub(crate) outer: Option<Outer>,
     /// Ready conjuncts applied to the combined rows right after the attach
     /// (combined layout), in conjunct order.
     pub(crate) after: Vec<Expr>,
     /// Execution-time observations, filled by the executor and read by the
     /// EXPLAIN renderer.
     pub(crate) exec: StepExec,
+}
+
+/// The null-supplying half of a LEFT OUTER JOIN step. The join key ([`Access`]
+/// probe parts or [`Attach::Hash`] keys) and the filters pushed into the
+/// unit's scan come from the join's ON clause alone; whatever is left of it
+/// is `on`. An accumulated row that no unit row joins with comes out once,
+/// padded with `width` NULLs — so a WHERE conjunct that reads this unit can
+/// only ever run after the step, never inside it.
+pub(crate) struct Outer {
+    /// ON conjuncts that are neither the join key nor pushed into the scan,
+    /// checked per candidate pair (combined layout), in ON order.
+    pub(crate) on: Vec<Expr>,
+    /// Column count of the unit's rows.
+    pub(crate) width: usize,
 }
 
 /// Cardinalities and DOPs observed while executing a [`Step`].
@@ -96,10 +113,11 @@ pub(crate) enum StepKind {
         access: Access,
         locals: Vec<Expr>,
     },
-    /// Pre-materialized relation (CTE clone, derived table, or an explicit
-    /// JOIN tree executed at plan time), with plan-time pushdown already
-    /// applied. `pushed` records per-filter (before, after) counts and
-    /// `rows` the final cardinality, both for EXPLAIN.
+    /// Pre-materialized relation (CTE clone or derived table — a subquery is
+    /// a statement of its own, run to completion before this one plans),
+    /// with plan-time pushdown already applied. `pushed` records per-filter
+    /// (before, after) counts and `rows` the final cardinality, both for
+    /// EXPLAIN.
     Rel {
         rel: Relation,
         pushed: Vec<(usize, usize)>,
@@ -158,7 +176,9 @@ pub(crate) enum ProbePart {
     Probe(Expr),
 }
 
-/// How the unit rows combine with the accumulated rows.
+/// How the unit rows combine with the accumulated rows. The same three join
+/// strategies serve comma units, inner JOIN operands and — with
+/// [`Step::outer`] set — LEFT OUTER JOIN operands.
 pub(crate) enum Attach {
     /// Handled inside the scan ([`Access::Probe`]).
     Probe,
@@ -310,133 +330,123 @@ fn collect_expr_needs(e: &ast::Expr, needs: &mut Needs) {
 // ---------------------------------------------------------------------------
 
 /// A FROM unit before access-path planning.
-enum Unit<'q> {
-    /// Base table or CTE reference.
-    Named { name: String, alias: String },
+struct Unit<'q> {
+    alias: String,
+    src: Source<'q>,
+    /// The ON conjuncts when this unit is the right operand of a LEFT OUTER
+    /// JOIN. They alone may key the join or be pushed into the unit's scan.
+    outer_on: Option<Vec<&'q ast::Expr>>,
+}
+
+/// Where a unit's rows come from.
+enum Source<'q> {
+    /// Base table or CTE reference (lower-cased name).
+    Named(String),
     /// Derived table, materialized eagerly.
-    Derived { rel: Relation, alias: String },
+    Derived(Relation),
     /// Lateral VALUES rows (expressions compiled later, against the
     /// accumulated scope).
     Lateral {
         rows: &'q [Vec<ast::Expr>],
-        alias: String,
         columns: Vec<String>,
     },
     /// Lateral table function (args compiled against the accumulated scope).
     LateralFn {
         func: TableFunc,
         args: &'q [ast::Expr],
-        alias: String,
         columns: Vec<String>,
     },
-    /// Explicit join tree, materialized recursively.
-    JoinTree {
-        rel: Relation,
-        scope_cols: Vec<(String, Vec<String>)>,
-    },
 }
 
-/// Display label for a unit (EXPLAIN output).
-fn unit_label(unit: &Unit<'_>) -> String {
-    match unit {
-        Unit::Named { alias, .. } => alias.clone(),
-        Unit::Derived { alias, .. } => alias.clone(),
-        Unit::Lateral { alias, .. } => alias.clone(),
-        Unit::LateralFn { alias, .. } => alias.clone(),
-        Unit::JoinTree { scope_cols, .. } => {
-            let names: Vec<&str> = scope_cols.iter().map(|(a, _)| a.as_str()).collect();
-            names.join("+")
+/// Flatten a FROM item — the grammar makes it a left-deep chain
+/// `unit (JOIN unit ON ...)*` — into units in textual order, so every join
+/// is planned like a comma unit. An inner join's ON conjuncts go to
+/// `conjuncts`: they are equivalent to WHERE conjuncts, and the optimizer
+/// may use them for any unit. A LEFT OUTER JOIN's stay with its right
+/// operand ([`Unit::outer_on`]).
+fn flatten_joins<'q>(
+    env: &Env<'_>,
+    item: &'q ast::FromItem,
+    units: &mut Vec<Unit<'q>>,
+    conjuncts: &mut Vec<&'q ast::Expr>,
+) -> Result<()> {
+    let lower = |columns: &[String]| columns.iter().map(|c| c.to_ascii_lowercase()).collect();
+    let (alias, src) = match item {
+        ast::FromItem::Join {
+            left,
+            right,
+            kind,
+            on,
+        } => {
+            // Left-deep only: the chain on the left, one table or subquery
+            // on the right.
+            let unit = |i: &ast::FromItem| {
+                matches!(
+                    i,
+                    ast::FromItem::Table { .. } | ast::FromItem::Subquery { .. }
+                )
+            };
+            if !unit(right) || !(unit(left) || matches!(**left, ast::FromItem::Join { .. })) {
+                return Err(Error::Invalid(
+                    "a JOIN operand must be a table or a subquery; \
+                     use TABLE(...) items as comma FROM items"
+                        .into(),
+                ));
+            }
+            flatten_joins(env, left, units, conjuncts)?;
+            flatten_joins(env, right, units, conjuncts)?;
+            match kind {
+                ast::JoinKind::Inner => collect_conjuncts(on, conjuncts),
+                ast::JoinKind::LeftOuter => {
+                    let mut own = Vec::new();
+                    collect_conjuncts(on, &mut own);
+                    units.last_mut().expect("right operand pushed").outer_on = Some(own);
+                }
+            }
+            return Ok(());
         }
-    }
-}
-
-fn plan_unit<'q>(env: &Env<'_>, item: &'q ast::FromItem) -> Result<Unit<'q>> {
-    match item {
-        ast::FromItem::Table { name, alias } => Ok(Unit::Named {
-            name: name.to_ascii_lowercase(),
-            alias: alias.clone().unwrap_or_else(|| name.clone()),
-        }),
+        ast::FromItem::Table { name, alias } => (
+            alias.clone().unwrap_or_else(|| name.clone()),
+            Source::Named(name.to_ascii_lowercase()),
+        ),
         ast::FromItem::Subquery { query, alias } => {
-            let rel = run_select(env, query)?;
-            Ok(Unit::Derived {
-                rel,
-                alias: alias.clone(),
-            })
+            (alias.clone(), Source::Derived(run_select(env, query)?))
         }
         ast::FromItem::LateralValues {
             rows,
             alias,
             columns,
-        } => Ok(Unit::Lateral {
-            rows,
-            alias: alias.clone(),
-            columns: columns.iter().map(|c| c.to_ascii_lowercase()).collect(),
-        }),
+        } => (
+            alias.clone(),
+            Source::Lateral {
+                rows,
+                columns: lower(columns),
+            },
+        ),
         ast::FromItem::LateralFunc {
             func,
             args,
             alias,
             columns,
-        } => Ok(Unit::LateralFn {
-            func: TableFunc::parse(func)?,
-            args,
-            alias: alias.clone(),
-            columns: columns.iter().map(|c| c.to_ascii_lowercase()).collect(),
-        }),
-        ast::FromItem::Join { .. } => {
-            let (rel, scope_cols) = run_join_tree(env, item)?;
-            Ok(Unit::JoinTree { rel, scope_cols })
-        }
-    }
-}
-
-/// Flatten an inner-only JOIN tree whose leaves are all tables/subqueries
-/// into its leaf items, pushing every ON conjunct into `on_out`. Returns
-/// `None` (caller keeps the tree intact) for outer joins, lateral operands,
-/// or non-join items.
-fn flatten_inner_joins<'q>(
-    item: &'q ast::FromItem,
-    on_out: &mut Vec<&'q ast::Expr>,
-) -> Option<Vec<&'q ast::FromItem>> {
-    fn walk<'q>(
-        item: &'q ast::FromItem,
-        leaves: &mut Vec<&'q ast::FromItem>,
-        ons: &mut Vec<&'q ast::Expr>,
-    ) -> bool {
-        match item {
-            ast::FromItem::Join {
-                left,
-                right,
-                kind: ast::JoinKind::Inner,
-                on,
-            } => {
-                walk(left, leaves, ons) && walk(right, leaves, ons) && {
-                    collect_conjuncts(on, ons);
-                    true
-                }
-            }
-            ast::FromItem::Table { .. } | ast::FromItem::Subquery { .. } => {
-                leaves.push(item);
-                true
-            }
-            _ => false,
-        }
-    }
-    if !matches!(item, ast::FromItem::Join { .. }) {
-        return None;
-    }
-    let mut leaves = Vec::new();
-    let mut ons = Vec::new();
-    if walk(item, &mut leaves, &mut ons) {
-        on_out.extend(ons);
-        Some(leaves)
-    } else {
-        None
-    }
+        } => (
+            alias.clone(),
+            Source::LateralFn {
+                func: TableFunc::parse(func)?,
+                args,
+                columns: lower(columns),
+            },
+        ),
+    };
+    units.push(Unit {
+        alias,
+        src,
+        outer_on: None,
+    });
+    Ok(())
 }
 
 /// Split an AST expression into top-level AND conjuncts.
-pub(crate) fn collect_conjuncts<'q>(e: &'q ast::Expr, out: &mut Vec<&'q ast::Expr>) {
+fn collect_conjuncts<'q>(e: &'q ast::Expr, out: &mut Vec<&'q ast::Expr>) {
     if let ast::Expr::Binary(BinaryOp::And, l, r) = e {
         collect_conjuncts(l, out);
         collect_conjuncts(r, out);
@@ -446,7 +456,7 @@ pub(crate) fn collect_conjuncts<'q>(e: &'q ast::Expr, out: &mut Vec<&'q ast::Exp
 }
 
 /// Visit the top-level AND conjuncts of a compiled expression.
-pub(crate) fn visit_conjuncts(e: &Expr, f: &mut impl FnMut(&Expr)) {
+fn visit_conjuncts(e: &Expr, f: &mut impl FnMut(&Expr)) {
     if let Expr::Binary(BinaryOp::And, l, r) = e {
         visit_conjuncts(l, f);
         visit_conjuncts(r, f);
@@ -458,7 +468,7 @@ pub(crate) fn visit_conjuncts(e: &Expr, f: &mut impl FnMut(&Expr)) {
 /// If `on` includes a conjunct `expr_l = expr_r` where `expr_l` touches only
 /// columns `< lwidth` and `expr_r` only columns `>= lwidth` (or vice versa),
 /// return `(left_key, right_key)`.
-pub(crate) fn find_equi_split(on: &Expr, lwidth: usize) -> Option<(Expr, Expr)> {
+fn find_equi_split(on: &Expr, lwidth: usize) -> Option<(Expr, Expr)> {
     let mut found = None;
     visit_conjuncts(on, &mut |c| {
         if found.is_some() {
@@ -521,8 +531,8 @@ struct PlannedUnit {
 
 /// Planning facts for one FROM unit, gathered without executing it.
 struct UnitFacts {
-    /// Aliases this unit contributes to the scope (lower-cased).
-    aliases: Vec<String>,
+    /// The unit's alias (lower-cased).
+    alias: String,
     /// Unfiltered cardinality.
     rows: f64,
     /// Cardinality after single-unit constant predicates.
@@ -651,98 +661,58 @@ fn gather_unit_facts(
     units: &[Unit<'_>],
     pending: &[Option<&ast::Expr>],
 ) -> Vec<UnitFacts> {
+    // A unit the planner knows only a row count for.
+    let opaque = |unit: &Unit<'_>, rows: usize| UnitFacts {
+        alias: unit.alias.to_ascii_lowercase(),
+        rows: rows as f64,
+        est: rows as f64,
+        stats: None,
+        col_index: FxHashMap::default(),
+        indexed_parts: Vec::new(),
+        live: 0,
+    };
     let mut all: Vec<UnitFacts> = units
         .iter()
-        .map(|unit| match unit {
-            Unit::Named { name, alias } => {
+        .map(|unit| match &unit.src {
+            Source::Named(name) => {
                 if let Some(cte) = env.ctes.get(name) {
-                    return UnitFacts {
-                        aliases: vec![alias.to_ascii_lowercase()],
-                        rows: cte.rows.len() as f64,
-                        est: cte.rows.len() as f64,
-                        stats: None,
-                        col_index: FxHashMap::default(),
-                        indexed_parts: Vec::new(),
-                        live: 0,
-                    };
+                    return opaque(unit, cte.rows.len());
                 }
-                match env.db.read_table(name) {
-                    Ok(t) => {
-                        let live = t.len();
-                        // Analyzed stats whose recorded row count has
-                        // drifted >2× from the live table mislead more
-                        // than they help; fall back to seeded stats.
-                        let stats = t
-                            .stats()
-                            .filter(|s| !s.is_stale(live))
-                            .cloned()
-                            .unwrap_or_else(|| crate::stats::TableStats::seed(&t));
-                        let col_index = t
-                            .schema
-                            .columns
-                            .iter()
-                            .enumerate()
-                            .map(|(i, c)| (c.name.clone(), i))
-                            .collect();
-                        let indexed_parts = t
-                            .indexes()
-                            .iter()
-                            .filter(|i| i.parts.len() == 1)
-                            .map(|i| i.parts[0].clone())
-                            .collect();
-                        UnitFacts {
-                            aliases: vec![alias.to_ascii_lowercase()],
-                            rows: live as f64,
-                            est: live as f64,
-                            stats: Some(stats),
-                            col_index,
-                            indexed_parts,
-                            live,
-                        }
-                    }
-                    // Missing table: the attach step will surface the error;
-                    // give the planner a neutral placeholder.
-                    Err(_) => UnitFacts {
-                        aliases: vec![alias.to_ascii_lowercase()],
-                        rows: 1.0,
-                        est: 1.0,
-                        stats: None,
-                        col_index: FxHashMap::default(),
-                        indexed_parts: Vec::new(),
-                        live: 0,
-                    },
+                // Missing table: the attach step will surface the error;
+                // give the planner a neutral placeholder.
+                let Ok(t) = env.db.read_table(name) else {
+                    return opaque(unit, 1);
+                };
+                let live = t.len();
+                // Analyzed stats whose recorded row count has drifted >2×
+                // from the live table mislead more than they help; fall
+                // back to seeded stats.
+                let stats = t
+                    .stats()
+                    .filter(|s| !s.is_stale(live))
+                    .cloned()
+                    .unwrap_or_else(|| crate::stats::TableStats::seed(&t));
+                UnitFacts {
+                    stats: Some(stats),
+                    col_index: t
+                        .schema
+                        .columns
+                        .iter()
+                        .enumerate()
+                        .map(|(i, c)| (c.name.clone(), i))
+                        .collect(),
+                    indexed_parts: t
+                        .indexes()
+                        .iter()
+                        .filter(|i| i.parts.len() == 1)
+                        .map(|i| i.parts[0].clone())
+                        .collect(),
+                    live,
+                    ..opaque(unit, live)
                 }
             }
-            Unit::Derived { rel, alias } => UnitFacts {
-                aliases: vec![alias.to_ascii_lowercase()],
-                rows: rel.rows.len() as f64,
-                est: rel.rows.len() as f64,
-                stats: None,
-                col_index: FxHashMap::default(),
-                indexed_parts: Vec::new(),
-                live: 0,
-            },
-            Unit::JoinTree { rel, scope_cols } => UnitFacts {
-                aliases: scope_cols
-                    .iter()
-                    .map(|(a, _)| a.to_ascii_lowercase())
-                    .collect(),
-                rows: rel.rows.len() as f64,
-                est: rel.rows.len() as f64,
-                stats: None,
-                col_index: FxHashMap::default(),
-                indexed_parts: Vec::new(),
-                live: 0,
-            },
-            Unit::Lateral { alias, .. } | Unit::LateralFn { alias, .. } => UnitFacts {
-                aliases: vec![alias.to_ascii_lowercase()],
-                rows: 1.0,
-                est: 1.0,
-                stats: None,
-                col_index: FxHashMap::default(),
-                indexed_parts: Vec::new(),
-                live: 0,
-            },
+            Source::Derived(rel) => opaque(unit, rel.rows.len()),
+            Source::Lateral { .. } | Source::LateralFn { .. } => opaque(unit, 1),
         })
         .collect();
 
@@ -751,11 +721,8 @@ fn gather_unit_facts(
         let mut sel = 1.0;
         for c in pending.iter().flatten() {
             let mut aliases = FxHashSet::default();
-            if !expr_aliases(c, &mut aliases) || aliases.len() != 1 {
-                continue;
-            }
-            let alias = aliases.iter().next().expect("len checked");
-            if facts.aliases.len() == 1 && facts.aliases[0] == *alias {
+            if expr_aliases(c, &mut aliases) && aliases.len() == 1 && aliases.contains(&facts.alias)
+            {
                 sel *= conjunct_selectivity(facts, c);
             }
         }
@@ -771,11 +738,8 @@ fn extract_join_edges(
     pending: &[Option<&ast::Expr>],
     prefix: usize,
 ) -> Vec<JoinEdge> {
-    let owner_of = |alias: &str| -> Option<usize> {
-        facts[..prefix]
-            .iter()
-            .position(|f| f.aliases.iter().any(|a| a == alias))
-    };
+    let owner_of =
+        |alias: &str| -> Option<usize> { facts[..prefix].iter().position(|f| f.alias == alias) };
     let mut edges = Vec::new();
     for c in pending.iter().flatten() {
         let ast::Expr::Binary(BinaryOp::Eq, l, r) = c else {
@@ -816,20 +780,25 @@ fn extract_join_edges(
 }
 
 /// Greedy smallest-first join ordering over the maximal leading run of
-/// non-lateral units. Starts from the unit with the smallest filtered
+/// movable units. Starts from the unit with the smallest filtered
 /// estimate, then repeatedly attaches the unit minimizing the estimated
 /// intermediate result — penalizing cross joins, mildly preferring
-/// index-probe attachments. Units at or after the first lateral keep their
-/// textual positions.
+/// index-probe attachments. Units at or after the first lateral or outer
+/// unit keep their textual positions.
 fn plan_join_order(
     env: &Env<'_>,
     units: &[Unit<'_>],
     pending: &[Option<&ast::Expr>],
 ) -> Vec<PlannedUnit> {
-    // Lateral units cannot move — they reference earlier units' columns.
+    // A lateral unit reads earlier units' columns, and an outer join does
+    // not commute with what precedes it: neither moves, nor does anything
+    // after it.
     let prefix = units
         .iter()
-        .position(|u| matches!(u, Unit::Lateral { .. } | Unit::LateralFn { .. }))
+        .position(|u| {
+            u.outer_on.is_some()
+                || matches!(u.src, Source::Lateral { .. } | Source::LateralFn { .. })
+        })
         .unwrap_or(units.len());
     if prefix < 2 {
         return (0..units.len())
@@ -894,7 +863,7 @@ fn plan_join_order(
             est: Some(cur),
         });
     }
-    // The first lateral and everything after it attach in textual order.
+    // The immovable suffix attaches in textual order.
     order.extend((prefix..units.len()).map(|idx| PlannedUnit { idx, est: None }));
     order
 }
@@ -926,25 +895,17 @@ pub(crate) fn plan_from(
         });
     }
 
-    // Phase 1: turn FROM items into units. Inner-only JOIN trees flatten
-    // into their leaf units so the optimizer can reorder across explicit
-    // JOIN syntax too; their ON conjuncts become ordinary pending conjuncts
-    // (equivalent for inner joins).
+    // Phase 1: turn FROM items into units; JOIN chains flatten into theirs,
+    // so the optimizer plans (and, for inner joins, reorders) across
+    // explicit JOIN syntax too.
     let mut units: Vec<Unit<'_>> = Vec::with_capacity(from.len());
     let mut conjuncts: Vec<&ast::Expr> = Vec::new();
     for item in from {
-        match flatten_inner_joins(item, &mut conjuncts) {
-            Some(leaves) => {
-                for leaf in leaves {
-                    units.push(plan_unit(env, leaf)?);
-                }
-            }
-            None => units.push(plan_unit(env, item)?),
-        }
+        flatten_joins(env, item, &mut units, &mut conjuncts)?;
     }
 
     // Phase 2: split WHERE into conjuncts (kept as AST; compiled when their
-    // tables are all bound). Flattened ON conjuncts come first so equi keys
+    // tables are all bound). Inner-join ON conjuncts come first so equi keys
     // are found before residual predicates.
     if let Some(f) = filter {
         collect_conjuncts(f, &mut conjuncts);
@@ -955,7 +916,10 @@ pub(crate) fn plan_from(
     let planned = plan_join_order(env, &units, &pending);
     if planned.iter().enumerate().any(|(pos, p)| pos != p.idx) {
         env.note(|| {
-            let names: Vec<String> = planned.iter().map(|p| unit_label(&units[p.idx])).collect();
+            let names: Vec<&str> = planned
+                .iter()
+                .map(|p| units[p.idx].alias.as_str())
+                .collect();
             format!("join order: {} (reordered)", names.join(", "))
         });
     }
@@ -963,17 +927,27 @@ pub(crate) fn plan_from(
     // Phase 4: plan each attach step in execution order.
     let mut scope = Scope::default();
     let mut slots: Vec<Option<Unit<'_>>> = units.into_iter().map(Some).collect();
-    let mut entry_spans: Vec<(usize, std::ops::Range<usize>)> = Vec::with_capacity(slots.len());
     let mut steps: Vec<Step> = Vec::with_capacity(slots.len());
 
     for p in &planned {
-        let unit = slots[p.idx].take().expect("each unit plans exactly once");
-        let label = unit_label(&unit);
-        let entries_before = scope.entries.len();
-        let (kind, attach) = match unit {
-            Unit::Lateral {
+        let Unit {
+            alias,
+            src,
+            outer_on,
+        } = slots[p.idx].take().expect("each unit plans exactly once");
+        let before_width = scope.width;
+        // An outer unit picks its key and pushed filters from its own ON
+        // conjuncts only; every other unit from everything still pending.
+        let mut own: Option<Vec<Option<&ast::Expr>>> =
+            outer_on.map(|on| on.into_iter().map(Some).collect());
+        let is_outer = own.is_some();
+        let usable: &mut [Option<&ast::Expr>] = match &mut own {
+            Some(on) => on,
+            None => &mut pending,
+        };
+        let (kind, attach) = match src {
+            Source::Lateral {
                 rows: value_rows,
-                alias,
                 columns,
             } => {
                 // Compile row expressions against a scope extended with the
@@ -997,10 +971,9 @@ pub(crate) fn plan_from(
                     Attach::Flatten,
                 )
             }
-            Unit::LateralFn {
+            Source::LateralFn {
                 func,
                 args,
-                alias,
                 columns,
             } => {
                 if columns.len() != func.arity() {
@@ -1025,36 +998,24 @@ pub(crate) fn plan_from(
                     Attach::Flatten,
                 )
             }
-            Unit::Derived { rel, alias } => {
-                plan_rel_step(env, &mut scope, rel, &[alias], true, &mut pending)?
-            }
-            Unit::JoinTree { rel, scope_cols } => {
-                // Multi-alias relation: extend the scope with every alias.
-                // Join-tree outputs take no pushdown (their own predicates
-                // lived in ON clauses); ready conjuncts apply after attach.
-                let before_width = scope.width;
-                for (alias, cols) in &scope_cols {
-                    scope.push(alias, cols.clone());
-                }
-                let rows = rel.rows.len();
-                let attach = pick_attach(env, &scope, before_width, &mut pending);
-                (
-                    StepKind::Rel {
-                        rel,
-                        pushed: Vec::new(),
-                        rows,
-                    },
-                    attach,
-                )
-            }
-            Unit::Named { name, alias } => {
-                if let Some(cte) = env.ctes.get(&name) {
-                    let rel = (**cte).clone();
-                    plan_rel_step(env, &mut scope, rel, &[alias], true, &mut pending)?
-                } else {
-                    plan_base_table(env, &mut scope, &name, &alias, &mut pending, needs)?
-                }
-            }
+            Source::Derived(rel) => plan_rel_step(env, &mut scope, rel, &alias, usable)?,
+            Source::Named(name) => match env.ctes.get(&name) {
+                Some(cte) => plan_rel_step(env, &mut scope, (**cte).clone(), &alias, usable)?,
+                None => plan_base_table(env, &mut scope, &name, &alias, usable, needs, is_outer)?,
+            },
+        };
+        // What the unit did not use of its ON clause is checked per
+        // candidate pair; a conjunct that does not resolve here never will.
+        let outer = match own {
+            Some(unused) => Some(Outer {
+                on: unused
+                    .into_iter()
+                    .flatten()
+                    .map(|c| compile_expr(env, &scope, c))
+                    .collect::<Result<_>>()?,
+                width: scope.width - before_width,
+            }),
+            None => None,
         };
 
         // Ready conjuncts: everything now fully resolvable applies to the
@@ -1077,30 +1038,28 @@ pub(crate) fn plan_from(
             // Compile failures reference columns not yet in scope; retry
             // after the next unit extends it.
         }
-        entry_spans.push((p.idx, entries_before..scope.entries.len()));
         steps.push(Step {
-            label,
+            label: alias,
             est: p.est,
             kind,
             attach,
+            outer,
             after,
             exec: StepExec::default(),
         });
     }
 
-    // Restore scope entries to textual order so `SELECT *` column order is
-    // unaffected by the planner; offsets keep pointing at the physical row
-    // layout, which is what name resolution uses.
-    entry_spans.sort_by_key(|(orig, _)| *orig);
-    let mut old: Vec<Option<crate::exec::ScopeEntry>> = std::mem::take(&mut scope.entries)
-        .into_iter()
-        .map(Some)
+    // Each step pushed one scope entry. Restore the entries to textual order
+    // so `SELECT *` column order is unaffected by the planner; offsets keep
+    // pointing at the physical row layout, which is what name resolution
+    // uses.
+    let mut entries: Vec<(usize, crate::exec::ScopeEntry)> = planned
+        .iter()
+        .map(|p| p.idx)
+        .zip(std::mem::take(&mut scope.entries))
         .collect();
-    for (_, span) in entry_spans {
-        for k in span {
-            scope.entries.push(old[k].take().expect("entry moved once"));
-        }
-    }
+    entries.sort_by_key(|(idx, _)| *idx);
+    scope.entries = entries.into_iter().map(|(_, e)| e).collect();
 
     // Any conjunct still unresolved references unknown columns — surface the
     // resolution error.
@@ -1115,30 +1074,24 @@ pub(crate) fn plan_from(
     })
 }
 
-/// Plan the attachment of a pre-materialized relation: push its alias(es),
+/// Plan the attachment of a pre-materialized relation: push its alias,
 /// apply plan-time pushdown (the relation's rows exist already), pick the
 /// hash key.
 fn plan_rel_step(
     env: &Env<'_>,
     scope: &mut Scope,
     mut rel: Relation,
-    aliases: &[String],
-    pushdown: bool,
+    alias: &str,
     pending: &mut [Option<&ast::Expr>],
 ) -> Result<(StepKind, Attach)> {
     let before_width = scope.width;
     let arity = rel.columns.len();
-    for alias in aliases {
-        scope.push(alias, rel.columns.clone());
-    }
+    scope.push(alias, rel.columns.clone());
     let mut pushed = Vec::new();
-    if pushdown {
-        let locals = take_locals(env, scope, before_width, arity, pending);
-        for p in &locals {
-            let before = rel.rows.len();
-            rel.rows = filter_rows(std::mem::take(&mut rel.rows), p)?;
-            pushed.push((before, rel.rows.len()));
-        }
+    for p in &take_locals(env, scope, before_width, arity, pending) {
+        let before = rel.rows.len();
+        rel.rows = filter_rows(std::mem::take(&mut rel.rows), p)?;
+        pushed.push((before, rel.rows.len()));
     }
     let rows = rel.rows.len();
     let attach = pick_attach(env, scope, before_width, pending);
@@ -1213,9 +1166,6 @@ fn pick_attach(
     Attach::Cross
 }
 
-/// Plan a base-table attach: choose index probe / point / range / full scan
-/// (the same strategy ladder the in-line executor used), scoop local
-/// filters, and pick the join strategy.
 /// Minimum live rows before the planner routes a probe through the CSR
 /// adjacency cache: below this the O(table) lazy build cannot beat plain
 /// index nested-loop probes even with perfect reuse.
@@ -1226,14 +1176,17 @@ const CSR_MIN_ROWS: usize = 256;
 /// a single probed key part over a non-unique hash index (unique indexes
 /// are 1:1 point lookups that the probe path already serves optimally, and
 /// B-trees also answer range scans the flat CSR layout cannot) — over a
-/// table big enough to amortize the lazy build.
+/// table big enough to amortize the lazy build. An outer step pads per
+/// accumulated row, which the list representation has no element for.
 fn csr_eligible(
     env: &Env<'_>,
     table: &crate::storage::Table,
     idx: &crate::index::Index,
     parts: &[ProbePart],
+    outer: bool,
 ) -> bool {
     env.db.csr_enabled()
+        && !outer
         && parts.len() == 1
         && matches!(parts[0], ProbePart::Probe(_))
         && !idx.unique
@@ -1252,6 +1205,10 @@ fn csr_est_fanout(table: &crate::storage::Table, idx: &crate::index::Index) -> f
     }
 }
 
+/// Plan a base-table attach: choose index probe / point / range / full scan
+/// (the same strategy ladder the in-line executor used), scoop local
+/// filters, and pick the join strategy — all from `pending`, the conjuncts
+/// this unit may use (for an `outer` unit, its own ON clause).
 fn plan_base_table(
     env: &Env<'_>,
     scope: &mut Scope,
@@ -1259,6 +1216,7 @@ fn plan_base_table(
     alias: &str,
     pending: &mut [Option<&ast::Expr>],
     needs: &Needs,
+    outer: bool,
 ) -> Result<(StepKind, Attach)> {
     let guard = env.db.read_table(name)?;
     let table: &crate::storage::Table = &guard;
@@ -1382,7 +1340,7 @@ fn plan_base_table(
             pending[*pi] = None;
         }
         if uses_probe {
-            let access = if csr_eligible(env, table, idx, &parts) {
+            let access = if csr_eligible(env, table, idx, &parts, outer) {
                 let Some(ProbePart::Probe(part)) = parts.into_iter().next() else {
                     unreachable!("eligibility requires a single probe part")
                 };
@@ -1542,138 +1500,12 @@ fn plan_base_table(
 // EXPLAIN rendering
 // ---------------------------------------------------------------------------
 
-/// Emit the flat access-path notes for an executed plan (the historical
-/// EXPLAIN format: strategy, pushdown counts, join kind + DOP, and
-/// per-step `estimated … actual` cardinalities).
-pub(crate) fn render_notes(env: &Env<'_>, plan: &FromPlan) {
-    for step in &plan.steps {
-        let x = &step.exec;
-        match &step.kind {
-            StepKind::Scan {
-                table,
-                access,
-                locals,
-                ..
-            } => match access {
-                Access::Probe { index, parts } => {
-                    env.note(|| {
-                        format!(
-                            "{table}: index nested-loop join via index {index} ({} key parts)",
-                            parts.len()
-                        )
-                    });
-                }
-                Access::Csr { index, .. } => {
-                    env.note(|| {
-                        let fanout = env
-                            .db
-                            .read_table(table)
-                            .map(|t| {
-                                t.indexes()
-                                    .iter()
-                                    .find(|i| &i.name == index)
-                                    .map(|i| csr_est_fanout(&t, i))
-                                    .unwrap_or(0.0)
-                            })
-                            .unwrap_or(0.0);
-                        format!(
-                            "{table}: csr adjacency via index {index} ({} groups, est fanout {fanout:.1})",
-                            x.csr_groups.unwrap_or_default()
-                        )
-                    });
-                }
-                Access::Point { index, parts, .. } => {
-                    env.note(|| {
-                        format!("{table}: index scan via index {index} ({parts} key parts)")
-                    });
-                    for (before, after) in &x.local_counts {
-                        env.note(|| {
-                            format!("{}: pushdown filter ({before} -> {after} rows)", step.label)
-                        });
-                    }
-                }
-                Access::Range { index, .. } => {
-                    env.note(|| {
-                        format!(
-                            "{table}: range scan via index {index} ({} rows)",
-                            x.scan_rows.unwrap_or_default()
-                        )
-                    });
-                    for (before, after) in &x.local_counts {
-                        env.note(|| {
-                            format!("{}: pushdown filter ({before} -> {after} rows)", step.label)
-                        });
-                    }
-                }
-                Access::Full => {
-                    env.note(|| {
-                        format!(
-                            "{table}: full scan ({} rows, dop {})",
-                            x.scan_rows.unwrap_or_default(),
-                            x.scan_dop.unwrap_or(1)
-                        )
-                    });
-                    if !locals.is_empty() {
-                        for (before, after) in &x.local_counts {
-                            env.note(|| {
-                                format!(
-                                    "{}: pushdown filter ({before} -> {after} rows)",
-                                    step.label
-                                )
-                            });
-                        }
-                    }
-                }
-            },
-            StepKind::Rel { pushed, .. } => {
-                for (before, after) in pushed {
-                    env.note(|| {
-                        format!("{}: pushdown filter ({before} -> {after} rows)", step.label)
-                    });
-                }
-            }
-            StepKind::LateralValues { .. } | StepKind::LateralFunc { .. } => {}
-        }
-        match &step.attach {
-            Attach::Hash { .. } => {
-                env.note(|| {
-                    format!(
-                        "hash join ({} build rows, dop {})",
-                        x.join_rows.unwrap_or_default(),
-                        x.join_dop.unwrap_or(1)
-                    )
-                });
-            }
-            Attach::Cross => {
-                env.note(|| {
-                    format!(
-                        "cross join ({} right rows, dop {})",
-                        x.join_rows.unwrap_or_default(),
-                        x.join_dop.unwrap_or(1)
-                    )
-                });
-            }
-            Attach::Probe | Attach::Flatten => {}
-        }
-        if let (Some(est), Some(actual)) = (step.est, x.actual) {
-            let mode = match x.list_out {
-                Some(true) => " (list)",
-                Some(false) => " (flat)",
-                None => "",
-            };
-            env.note(|| {
-                format!(
-                    "{}: estimated {est:.0} rows, actual {actual}{mode}",
-                    step.label
-                )
-            });
-        }
-    }
-}
-
 /// Render the physical operator tree (the IR that actually ran) into the
 /// trace: outer `wrappers` (Sort/Distinct/Aggregate, outermost first), then
-/// the left-deep join tree with per-node DOP and pushed-filter counts.
+/// the left-deep join tree. Each fact is stated once, on the node it
+/// belongs to: access path, pushed-filter row counts and scan DOP on the
+/// source line; join kind, build/right rows and join DOP on the join line;
+/// `estimated … actual` on the topmost line of the step.
 pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, wrappers: &[String]) {
     let mut lines: Vec<String> = vec!["plan:".to_string()];
     let mut depth = 1usize;
@@ -1692,93 +1524,84 @@ pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, wrappers: &[String]) {
     if plan.steps.is_empty() {
         lines.push(format!("{}Values (1 row)", "  ".repeat(depth)));
     } else {
-        tree_into(&plan.steps, plan.steps.len() - 1, depth, &mut lines);
+        tree_into(env, &plan.steps, plan.steps.len() - 1, depth, &mut lines);
     }
     for line in lines {
-        env.note(|| line.clone());
+        env.note(|| line);
     }
 }
 
 /// Recursive left-deep tree render of `steps[..=i]`.
-fn tree_into(steps: &[Step], i: usize, depth: usize, out: &mut Vec<String>) {
+fn tree_into(env: &Env<'_>, steps: &[Step], i: usize, depth: usize, out: &mut Vec<String>) {
     let step = &steps[i];
-    let pad = "  ".repeat(depth);
+    let x = &step.exec;
+    let top = out.len();
     let mut depth = depth;
     if !step.after.is_empty() {
-        out.push(format!("{pad}Filter ({} predicates)", step.after.len()));
+        out.push(format!(
+            "{}Filter ({} predicates)",
+            "  ".repeat(depth),
+            step.after.len()
+        ));
         depth += 1;
     }
     let pad = "  ".repeat(depth);
-    let x = &step.exec;
-    // The attach node (for non-leading steps, and for index probes which
-    // fuse join+scan).
+    let source = source_label(env, step);
+    let outer = outer_note(step);
+    let join = match &step.attach {
+        Attach::Hash { .. } => Some(format!(
+            "HashJoin ({outer}build {}, {} build rows, dop {})",
+            step.label,
+            x.join_rows.unwrap_or_default(),
+            x.join_dop.unwrap_or(1)
+        )),
+        Attach::Cross => Some(format!(
+            "CrossJoin ({outer}{} right rows, dop {})",
+            x.join_rows.unwrap_or_default(),
+            x.join_dop.unwrap_or(1)
+        )),
+        Attach::Flatten => Some(format!("Flatten {}", step.label)),
+        // An index probe fuses join and scan into the source line.
+        Attach::Probe => None,
+    };
     if i == 0 {
-        // Leading step: its Cross attach against the identity row is a
-        // passthrough — render the source alone.
-        out.push(format!("{pad}{}", leaf_label(step)));
-        return;
+        // The leading step's attach against the identity row is a
+        // passthrough: the source alone is the node.
+        out.push(format!("{pad}{source}"));
+    } else if let Some(join) = join {
+        out.push(format!("{pad}{join}"));
+        tree_into(env, steps, i - 1, depth + 1, out);
+        out.push(format!("{pad}  {source}"));
+    } else {
+        out.push(format!("{pad}{source}"));
+        tree_into(env, steps, i - 1, depth + 1, out);
     }
-    match &step.attach {
-        Attach::Probe => {
-            match &step.kind {
-                StepKind::Scan {
-                    access: Access::Probe { index, parts },
-                    ..
-                } => {
-                    out.push(format!(
-                        "{pad}IndexJoin {} (index {index}, {} key parts)",
-                        step.label,
-                        parts.len()
-                    ));
-                }
-                StepKind::Scan {
-                    access: Access::Csr { index, .. },
-                    ..
-                } => {
-                    let mode = match x.list_out {
-                        Some(false) => "flat",
-                        // List output is the design point; report it even if
-                        // the step never executed.
-                        _ => "list",
-                    };
-                    out.push(format!(
-                        "{pad}CsrExpand {} (index {index}, {} groups, {mode})",
-                        step.label,
-                        x.csr_groups.unwrap_or_default()
-                    ));
-                }
-                _ => out.push(format!(
-                    "{pad}IndexJoin {} (index ?, 0 key parts)",
-                    step.label
-                )),
-            }
-            tree_into(steps, i - 1, depth + 1, out);
+    let mode = match x.list_out {
+        Some(true) => " (list)",
+        Some(false) => " (flat)",
+        None => "",
+    };
+    match (step.est, x.actual) {
+        (Some(est), Some(actual)) => {
+            out[top] += &format!(" [estimated {est:.0} rows, actual {actual}{mode}]")
         }
-        Attach::Hash { .. } => {
-            out.push(format!(
-                "{pad}HashJoin (build {}, {} build rows, dop {})",
-                step.label,
-                x.join_rows.unwrap_or_default(),
-                x.join_dop.unwrap_or(1)
-            ));
-            tree_into(steps, i - 1, depth + 1, out);
-            out.push(format!("{}{}", "  ".repeat(depth + 1), leaf_label(step)));
-        }
-        Attach::Cross => {
-            out.push(format!("{pad}CrossJoin (dop {})", x.join_dop.unwrap_or(1)));
-            tree_into(steps, i - 1, depth + 1, out);
-            out.push(format!("{}{}", "  ".repeat(depth + 1), leaf_label(step)));
-        }
-        Attach::Flatten => {
-            out.push(format!("{pad}Flatten {}", step.label));
-            tree_into(steps, i - 1, depth + 1, out);
-            out.push(format!("{}{}", "  ".repeat(depth + 1), leaf_label(step)));
-        }
+        (None, Some(actual)) => out[top] += &format!(" [actual {actual}{mode}]"),
+        (_, None) => {}
+    }
+}
+
+/// `left outer, ` (plus the ON conjuncts checked per candidate pair, if any)
+/// for an outer step's join line; empty otherwise.
+fn outer_note(step: &Step) -> String {
+    match &step.outer {
+        Some(o) if o.on.is_empty() => "left outer, ".to_string(),
+        Some(o) => format!("left outer, {} ON predicates, ", o.on.len()),
+        None => String::new(),
     }
 }
 
 /// One-line description of a step's row source.
-fn leaf_label(step: &Step) -> String {
+fn source_label(env: &Env<'_>, step: &Step) -> String {
     let x = &step.exec;
     match &step.kind {
         StepKind::Scan {
@@ -1788,29 +1611,33 @@ fn leaf_label(step: &Step) -> String {
             keep,
         } => match access {
             Access::Probe { index, parts } => format!(
-                "Probe {} [{table}] (index {index}, {} key parts)",
+                "IndexJoin {} [{table}] ({}index {index}, {} key parts)",
                 step.label,
+                outer_note(step),
                 parts.len()
             ),
-            Access::Csr { index, .. } => format!(
-                "CsrExpand {} [{table}] (index {index}, {} groups, {})",
-                step.label,
-                x.csr_groups.unwrap_or_default(),
-                match x.list_out {
-                    Some(false) => "flat",
-                    _ => "list",
-                }
-            ),
+            Access::Csr { index, .. } => {
+                let fanout = env.db.read_table(table).ok().and_then(|t| {
+                    let idx = t.indexes().iter().find(|i| &i.name == index)?;
+                    Some(csr_est_fanout(&t, idx))
+                });
+                format!(
+                    "CsrExpand {} [{table}] (index {index}, {} groups, est fanout {:.1})",
+                    step.label,
+                    x.csr_groups.unwrap_or_default(),
+                    fanout.unwrap_or(0.0)
+                )
+            }
             Access::Point { index, parts, .. } => format!(
                 "Scan {} [{table}] (index {index}, point, {parts} key parts{})",
                 step.label,
-                filters_suffix(locals.len())
+                filters_suffix(locals.len(), &x.local_counts)
             ),
             Access::Range { index, .. } => format!(
                 "Scan {} [{table}] (index {index}, range, {} rows{})",
                 step.label,
                 x.scan_rows.unwrap_or_default(),
-                filters_suffix(locals.len())
+                filters_suffix(locals.len(), &x.local_counts)
             ),
             Access::Full => format!(
                 "Scan {} [{table}] (full, {} rows, {} cols, dop {}{})",
@@ -1818,13 +1645,13 @@ fn leaf_label(step: &Step) -> String {
                 x.scan_rows.unwrap_or_default(),
                 keep.len(),
                 x.scan_dop.unwrap_or(1),
-                filters_suffix(locals.len())
+                filters_suffix(locals.len(), &x.local_counts)
             ),
         },
         StepKind::Rel { rows, pushed, .. } => format!(
             "Rel {} ({rows} rows{})",
             step.label,
-            filters_suffix(pushed.len())
+            filters_suffix(pushed.len(), pushed)
         ),
         StepKind::LateralValues { rows, arity } => {
             format!("Values {} ({} rows, {arity} cols)", step.label, rows.len())
@@ -1835,10 +1662,15 @@ fn leaf_label(step: &Step) -> String {
     }
 }
 
-fn filters_suffix(n: usize) -> String {
-    if n == 0 {
-        String::new()
-    } else {
-        format!(", {n} pushed filters")
+/// `, N pushed filters: before -> after[ -> after…] rows`. `counts` holds one
+/// (before, after) pair per filter, or one pair for all of a full scan's.
+fn filters_suffix(n: usize, counts: &[(usize, usize)]) -> String {
+    let Some((first, _)) = counts.first() else {
+        return String::new();
+    };
+    let mut s = format!(", {n} pushed filters: {first}");
+    for (_, after) in counts {
+        s += &format!(" -> {after}");
     }
+    s + " rows"
 }

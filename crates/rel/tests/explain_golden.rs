@@ -76,6 +76,13 @@ const GOLDEN_QUERIES: &[(&str, &str)] = &[
         "SELECT fact.k, COUNT(*), SUM(fact.v) FROM fact WHERE fact.v > 1.0 \
          GROUP BY fact.k ORDER BY fact.k",
     ),
+    // The paper's hop ending: a frontier CTE, LEFT OUTER JOINed to the
+    // overflow table through its index.
+    (
+        "left_outer_join",
+        "WITH t AS (SELECT dim.k AS val FROM dim WHERE dim.tag = 1) \
+         SELECT COALESCE(s.v, p.val) AS val FROM t p LEFT OUTER JOIN fact s ON p.val = s.k",
+    ),
 ];
 
 fn golden_path(name: &str) -> PathBuf {
@@ -124,8 +131,9 @@ fn explain_matches_golden_files() {
 #[test]
 fn golden_files_capture_key_plan_facts() {
     // Independent of exact formatting, the golden corpus must keep showing
-    // the planner's three headline behaviours: join reordering, predicate
-    // pushdown, and per-node parallelism.
+    // the planner's headline behaviours: join reordering, predicate
+    // pushdown, per-node parallelism, per-step cardinalities, and the outer
+    // join as a planned node.
     let all: String = GOLDEN_QUERIES
         .iter()
         .map(|(name, _)| {
@@ -135,13 +143,17 @@ fn golden_files_capture_key_plan_facts() {
         })
         .collect();
     assert!(all.contains("(reordered)"), "no join-order note in goldens");
-    assert!(
-        all.contains("pushdown filter") || all.contains("pushed filter"),
-        "no pushdown note in goldens"
+    let node = |what: &str, fact: &str| {
+        assert!(
+            all.lines().any(|l| l.contains(what) && l.contains(fact)),
+            "no `{what}` node stating `{fact}` in goldens"
+        );
+    };
+    node(
+        "Scan fact [fact] (full, ",
+        "pushed filters: 500 -> 213 rows",
     );
-    assert!(all.contains("dop 4"), "no parallel dop in goldens");
-    assert!(
-        all.contains("estimated"),
-        "no cardinality estimates in goldens"
-    );
+    node("Scan fact [fact] (full, ", "dop 4");
+    node("CsrExpand fact", "[estimated 250 rows, actual 250 (list)]");
+    node("IndexJoin s [fact]", "left outer, index fact_k");
 }

@@ -128,19 +128,25 @@ fn explain_reports_chosen_dop() {
     let db = build_corpus_db();
     db.set_parallelism(4);
     let plan = plan_of(&db, "SELECT COUNT(*) FROM e WHERE e.w = 2");
+    let scan_line = |plan: &str| {
+        let line = plan.lines().find(|l| l.contains("Scan e [e] (full, "));
+        line.unwrap_or_else(|| panic!("no full scan:\n{plan}"))
+            .to_string()
+    };
+    assert!(scan_line(&plan).contains("dop 4"), "{plan}");
     assert!(
-        plan.contains("full scan") && plan.contains("dop 4"),
+        plan.contains("aggregate (") && plan.contains("dop 4)"),
         "{plan}"
     );
     // Serial pin shows dop 1 on the same steps.
     db.set_parallelism(1);
     let plan = plan_of(&db, "SELECT COUNT(*) FROM e WHERE e.w = 2");
-    assert!(plan.contains("dop 1"), "{plan}");
+    assert!(scan_line(&plan).contains("dop 1"), "{plan}");
     // Auto mode stays serial below the row threshold.
     db.set_parallelism(0);
     let plan = plan_of(&db, "SELECT COUNT(*) FROM e WHERE e.w = 2");
     assert!(
-        plan.contains("dop 1"),
+        scan_line(&plan).contains("dop 1"),
         "small tables must not pay thread overhead:\n{plan}"
     );
 }

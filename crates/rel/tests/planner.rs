@@ -79,9 +79,14 @@ fn join_reordered_smallest_first() {
         plan.contains("join order: small, big (reordered)"),
         "{plan}"
     );
-    // Estimated and actual cardinalities are reported per attach step.
-    assert!(plan.contains("estimated"), "{plan}");
-    assert!(plan.contains("actual"), "{plan}");
+    // Estimated and actual cardinalities are reported on each step's node.
+    for (node, cardinality) in [
+        ("Scan small", "[estimated 5 rows, actual 5]"),
+        ("HashJoin (build big", "[estimated 300 rows, actual 300]"),
+    ] {
+        let line = plan.lines().find(|l| l.contains(node)).expect(node);
+        assert!(line.contains(cardinality), "{plan}");
+    }
 
     // The reordered plan returns exactly the rows of the textual order.
     let rel = db
@@ -169,10 +174,13 @@ fn constant_predicates_pushed_below_join() {
 
     let sql = "SELECT l.id, r.id FROM l, r WHERE l.k = r.k AND r.tag = 'even' AND l.id < 10";
     let plan = plan_of(&db, sql);
-    assert!(
-        plan.contains("pushdown filter"),
-        "constant conjuncts filter base tables:\n{plan}"
-    );
+    for scan in ["Scan l [l]", "Scan r [r]"] {
+        let line = plan.lines().find(|l| l.contains(scan)).expect(scan);
+        assert!(
+            line.contains("pushed filters: 50 -> "),
+            "constant conjuncts filter base tables:\n{plan}"
+        );
+    }
 
     // Cross-check rows against a straightforward recomputation.
     let rel = db.execute(sql).unwrap();
@@ -300,10 +308,55 @@ fn explain_three_table_join_shows_cardinalities() {
     );
     // Three-table join: the tiny d2 leads, f connects, d1 last.
     assert!(plan.contains("join order: d2, f, d1 (reordered)"), "{plan}");
-    // Every planned step reports estimated vs. actual cardinality.
+    // Every planned step's node reports estimated vs. actual cardinality.
     let steps = plan
         .lines()
+        .skip_while(|l| *l != "plan:")
         .filter(|l| l.contains("estimated") && l.contains("actual"))
         .count();
     assert_eq!(steps, 3, "{plan}");
+}
+
+#[test]
+fn left_outer_join_is_planned_like_any_other_unit() {
+    let db = Database::new();
+    db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER)")
+        .unwrap();
+    db.execute("CREATE TABLE b (id INTEGER PRIMARY KEY, y INTEGER)")
+        .unwrap();
+    db.execute("CREATE INDEX b_y ON b (y)").unwrap();
+    db.execute("INSERT INTO a VALUES (1, 10), (2, 20), (3, 30), (4, 40), (5, 50)")
+        .unwrap();
+    db.execute("INSERT INTO b VALUES (1, 20), (2, 20), (3, 50)")
+        .unwrap();
+    let sql = "SELECT a.id, b.id FROM a LEFT OUTER JOIN b ON a.x = b.y WHERE a.id = 2";
+    let plan = plan_of(&db, sql);
+    // The preserved side's WHERE conjunct reaches its scan: one primary-key
+    // lookup, not a filter over a join of every row of `a`.
+    assert!(
+        plan.contains("Scan a [a] (index a_pk_id, point, 1 key parts)"),
+        "{plan}"
+    );
+    assert!(
+        plan.contains("IndexJoin b [b] (left outer, index b_y, 1 key parts) [actual 2]"),
+        "{plan}"
+    );
+    assert!(!plan.contains("Filter"), "{plan}");
+    assert_eq!(
+        db.execute(sql).unwrap().rows,
+        [
+            [Value::Int(2), Value::Int(1)],
+            [Value::Int(2), Value::Int(2)]
+        ]
+    );
+}
+
+#[test]
+fn leading_scan_is_not_reported_as_a_cross_join() {
+    let db = Database::new();
+    db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, x INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO a VALUES (1, 10), (2, 20)").unwrap();
+    let plan = plan_of(&db, "SELECT a.x FROM a WHERE a.id = 2");
+    assert!(!plan.to_lowercase().contains("cross"), "{plan}");
 }

@@ -635,7 +635,10 @@ fn explain_reports_access_paths() {
         .execute("EXPLAIN SELECT * FROM people WHERE age > 1")
         .unwrap();
     let plan = rel.strings().join("\n");
-    assert!(plan.contains("full scan"), "expected a full scan:\n{plan}");
+    assert!(
+        plan.contains("Scan people [people] (full, "),
+        "expected a full scan:\n{plan}"
+    );
 }
 
 #[test]
@@ -657,7 +660,7 @@ fn btree_range_pushdown() {
         .unwrap()
         .strings()
         .join("\n");
-    assert!(plan.contains("range scan via index m_v"), "{plan}");
+    assert!(plan.contains("Scan m [m] (index m_v, range, "), "{plan}");
     // And the results are exact, including the exclusive upper bound.
     let rel = db
         .execute("SELECT id FROM m WHERE v >= 100 AND v < 120 ORDER BY id")
@@ -672,7 +675,7 @@ fn btree_range_pushdown() {
         .unwrap()
         .strings()
         .join("\n");
-    assert!(plan.contains("range scan"), "{plan}");
+    assert!(plan.contains("Scan m [m] (index m_v, range, "), "{plan}");
 }
 
 #[test]
@@ -698,7 +701,10 @@ fn functional_btree_range_on_json() {
         .unwrap()
         .strings()
         .join("\n");
-    assert!(plan.contains("range scan via index va_bucket"), "{plan}");
+    assert!(
+        plan.contains("Scan va [va] (index va_bucket, range, "),
+        "{plan}"
+    );
     let rel = db
         .execute(
             "SELECT COUNT(*) FROM va WHERE JSON_VAL(attr, 'bucket') >= 0 \
