@@ -407,7 +407,7 @@ impl ShardedGraph {
                     Some((key, value)) => format!(
                         " AND JSON_VAL(attr, {}) = {}",
                         sql_str(key),
-                        sql_json(value).map_err(|u| CoreError::Unsupported(u.reason))?
+                        sql_json(&value.value).map_err(|u| CoreError::Unsupported(u.reason))?
                     ),
                 };
                 let sql = format!("SELECT vid FROM va WHERE vid >= 0{cond}");
@@ -433,17 +433,17 @@ impl ShardedGraph {
                 Ok(Frontier::Edges(all))
             }
             Pipe::VertexById(id) => {
-                let rel = self
-                    .shard_for(*id)
-                    .database()
-                    .execute_with_params("SELECT vid FROM va WHERE vid = ?", &[Value::Int(*id)])?;
+                let rel = self.shard_for(id.value).database().execute_with_params(
+                    "SELECT vid FROM va WHERE vid = ?",
+                    &[Value::Int(id.value)],
+                )?;
                 Ok(Frontier::Vertices(rel.int_column()))
             }
             Pipe::EdgeById(id) => {
                 let parts = self.fan_out(|i| {
                     let rel = self.shards[i].database().execute_with_params(
                         "SELECT eid FROM ea WHERE eid = ?",
-                        &[Value::Int(*id)],
+                        &[Value::Int(id.value)],
                     )?;
                     Ok(rel.int_column())
                 })?;
@@ -588,7 +588,7 @@ impl ShardedGraph {
                         "JSON_VAL({{attr}}, {}) {} {}",
                         sql_str(key),
                         cmp_sql(*cmp),
-                        sql_json(v).map_err(|u| CoreError::Unsupported(u.reason))?
+                        sql_json(&v.value).map_err(|u| CoreError::Unsupported(u.reason))?
                     ),
                 };
                 self.filter_frontier(frontier, &cond)
@@ -599,8 +599,8 @@ impl ShardedGraph {
             }
             (Pipe::Interval { key, lo, hi }, frontier) => {
                 let k = sql_str(key);
-                let lo = sql_json(lo).map_err(|u| CoreError::Unsupported(u.reason))?;
-                let hi = sql_json(hi).map_err(|u| CoreError::Unsupported(u.reason))?;
+                let lo = sql_json(&lo.value).map_err(|u| CoreError::Unsupported(u.reason))?;
+                let hi = sql_json(&hi.value).map_err(|u| CoreError::Unsupported(u.reason))?;
                 let cond =
                     format!("JSON_VAL({{attr}}, {k}) >= {lo} AND JSON_VAL({{attr}}, {k}) < {hi}");
                 self.filter_frontier(frontier, &cond)
@@ -771,7 +771,7 @@ impl ShardedGraph {
             } => format!(
                 "SELECT COUNT(*) AS val FROM va WHERE vid >= 0 AND JSON_VAL(attr, {}) = {}",
                 sql_str(key),
-                sql_json(value).map_err(|u| CoreError::Unsupported(u.reason))?
+                sql_json(&value.value).map_err(|u| CoreError::Unsupported(u.reason))?
             ),
             Pipe::Edges => "SELECT COUNT(*) AS val FROM ea".to_string(),
             _ => return Ok(None),
@@ -1352,7 +1352,7 @@ fn scatter_supported(pipes: &[Pipe]) -> bool {
         Pipe::Vertices { filter: None } | Pipe::VertexById(_) => K::V,
         Pipe::Vertices {
             filter: Some((_, v)),
-        } if scalar(v) => K::V,
+        } if scalar(&v.value) => K::V,
         Pipe::Edges | Pipe::EdgeById(_) => K::E,
         _ => return false,
     };
@@ -1365,9 +1365,13 @@ fn scatter_supported(pipes: &[Pipe]) -> bool {
             (Pipe::Label, K::E) => K::Val,
             (Pipe::Values(_), K::V | K::E) => K::Val,
             (Pipe::Has { value: None, .. }, K::V | K::E) => kind,
-            (Pipe::Has { value: Some(v), .. }, K::V | K::E) if scalar(v) => kind,
+            (Pipe::Has { value: Some(v), .. }, K::V | K::E) if scalar(&v.value) => kind,
             (Pipe::HasNot { .. }, K::V | K::E) => kind,
-            (Pipe::Interval { lo, hi, .. }, K::V | K::E) if scalar(lo) && scalar(hi) => kind,
+            (Pipe::Interval { lo, hi, .. }, K::V | K::E)
+                if scalar(&lo.value) && scalar(&hi.value) =>
+            {
+                kind
+            }
             (Pipe::Dedup | Pipe::Range { .. }, _) => kind,
             (Pipe::Count, _) => K::Val,
             _ => return false,

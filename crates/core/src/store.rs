@@ -9,16 +9,19 @@
 
 use crate::layout::{color_labels, GraphLayout, LayoutStats};
 use crate::schema::{create_tables, deleted_id, SchemaConfig, MV_BASE};
-use crate::translate::{translate, translate_with, TranslateOptions};
+use crate::translate::{translate_template, translate_with, TranslateOptions};
 use crate::CoreError;
 use parking_lot::{RwLock, RwLockWriteGuard};
-use sqlgraph_gremlin::ast::GremlinStatement;
+use sqlgraph_gremlin::ast::{GremlinStatement, Pipeline};
 use sqlgraph_gremlin::blueprints::{
     Blueprints, Direction, GraphError, GraphResult, GraphTransaction,
 };
-use sqlgraph_gremlin::{interp, parse};
+use sqlgraph_gremlin::{interp, parse, parse_lifted, Lifted};
 use sqlgraph_json::{Json, JsonObject};
-use sqlgraph_rel::{Database, Relation, TsOracle, Txn, Value};
+use sqlgraph_rel::expr::json_to_value;
+use sqlgraph_rel::sql::ast::Statement;
+use sqlgraph_rel::sql::parser::parse_statement_with_params;
+use sqlgraph_rel::{ClockCache, Database, Relation, TsOracle, Txn, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -48,11 +51,40 @@ pub struct GraphData {
     pub edges: Vec<EdgeSpec>,
 }
 
+/// How many traversal templates a store keeps. A workload runs tens of
+/// shapes; a stream of one-off shapes turns the cache over instead of
+/// growing it.
+pub const TEMPLATE_CACHE_CAP: usize = 1024;
+
+/// What a traversal template is cached under: the Gremlin shape (labels,
+/// keys, `range`/`loop` bounds, closures and literal types, with the
+/// values of the lifted literals left out) and everything else the
+/// translation reads. The layout is not in the key; replacing it clears
+/// the cache.
+#[derive(Clone, PartialEq, Eq, Hash)]
+struct TemplateKey {
+    shape: String,
+    options: TranslateOptions,
+}
+
+/// A translated, parsed traversal, ready to execute once bound.
+#[derive(Clone)]
+struct Template {
+    statement: Arc<Statement>,
+    /// `slots[i]` is the lifted literal that `?` number `i` binds.
+    slots: Arc<[usize]>,
+}
+
 /// The SQLGraph property graph store.
 pub struct SqlGraph {
     db: Database,
     config: SchemaConfig,
-    layout: RwLock<GraphLayout>,
+    layout: RwLock<Arc<GraphLayout>>,
+    /// Traversal templates by shape, so a repeated shape is neither
+    /// translated nor parsed as SQL again.
+    templates: ClockCache<TemplateKey, Template>,
+    template_hits: AtomicU64,
+    template_misses: AtomicU64,
     /// Vertex deletion must not interleave with other mutations: a
     /// concurrent `add_edge` could slip an edge past the incident-edge
     /// collection and leave a dangling reference. Deletion takes this lock
@@ -164,7 +196,13 @@ impl SqlGraph {
         SqlGraph {
             db,
             config,
-            layout: RwLock::new(GraphLayout::trivial(config.out_buckets, config.in_buckets)),
+            layout: RwLock::new(Arc::new(GraphLayout::trivial(
+                config.out_buckets,
+                config.in_buckets,
+            ))),
+            templates: ClockCache::new(TEMPLATE_CACHE_CAP),
+            template_hits: AtomicU64::new(0),
+            template_misses: AtomicU64::new(0),
             mutation_lock: RwLock::new(()),
             next_vid: AtomicI64::new(1),
             next_eid: AtomicI64::new(1),
@@ -207,13 +245,24 @@ impl SqlGraph {
     }
 
     /// The current physical layout.
-    pub fn layout(&self) -> GraphLayout {
+    pub fn layout(&self) -> Arc<GraphLayout> {
         self.layout.read().clone()
     }
 
     /// Number of queries that used the interpreter fallback.
     pub fn fallback_count(&self) -> u64 {
         self.fallbacks.load(Ordering::Relaxed)
+    }
+
+    /// Traversal-template cache counters: `(hits, misses, entries)`. A
+    /// traversal is a hit when a template of its shape was cached, a miss
+    /// when it had to be translated (or turned out untranslatable).
+    pub fn template_cache_stats(&self) -> (u64, u64, usize) {
+        (
+            self.template_hits.load(Ordering::Relaxed),
+            self.template_misses.load(Ordering::Relaxed),
+            self.templates.len(),
+        )
     }
 
     /// Layout statistics from the last bulk load (out, in) — Table 3.
@@ -324,7 +373,15 @@ impl SqlGraph {
         let max_eid = data.edges.iter().map(|(e, ..)| *e).max().unwrap_or(0);
         self.next_vid.fetch_max(max_vid + 1, Ordering::SeqCst);
         self.next_eid.fetch_max(max_eid + 1, Ordering::SeqCst);
-        *self.layout.write() = layout.clone();
+        {
+            // Templates were translated against the old label → column
+            // assignment. Cleared under the layout lock, which a `prepared`
+            // that missed holds from reading the layout to inserting its
+            // template, so none built on the old layout lands afterwards.
+            let mut current = self.layout.write();
+            *current = Arc::new(layout.clone());
+            self.templates.clear();
+        }
         *self.load_stats.write() = Some((stats_out, stats_in));
         Ok(())
     }
@@ -416,17 +473,17 @@ impl SqlGraph {
     /// a single SQL statement; non-translatable queries fall back to the
     /// step-at-a-time interpreter; CRUD statements run as transactions.
     pub fn query(&self, gremlin: &str) -> Result<Relation, CoreError> {
-        let stmt = parse(gremlin)?;
-        match &stmt {
+        let (statement, lifted) = parse_lifted(gremlin)?;
+        match &statement {
             GremlinStatement::Query(pipeline) => {
-                let layout = self.layout.read().clone();
-                match translate(pipeline, &layout) {
-                    Ok(sql) => Ok(self.db.execute(&sql)?),
-                    Err(_) => {
+                match self.prepared(pipeline, lifted, TranslateOptions::default()) {
+                    Ok((stmt, binds)) => Ok(self.db.execute_statement(&stmt, &binds, None)?),
+                    Err(CoreError::Unsupported(_)) => {
                         self.fallbacks.fetch_add(1, Ordering::Relaxed);
                         let elems = interp::eval(self, pipeline)?;
                         Ok(elems_to_relation(elems))
                     }
+                    Err(e) => Err(e),
                 }
             }
             GremlinStatement::AddVertex { props } => {
@@ -480,11 +537,8 @@ impl SqlGraph {
         options: TranslateOptions,
     ) -> Result<String, CoreError> {
         match parse(gremlin)? {
-            GremlinStatement::Query(pipeline) => {
-                let layout = self.layout.read().clone();
-                translate_with(&pipeline, &layout, options)
-                    .map_err(|u| CoreError::Unsupported(u.reason))
-            }
+            GremlinStatement::Query(pipeline) => translate_with(&pipeline, &self.layout(), options)
+                .map_err(|u| CoreError::Unsupported(u.reason)),
             _ => Err(CoreError::Unsupported("not a traversal query".into())),
         }
     }
@@ -495,8 +549,75 @@ impl SqlGraph {
         gremlin: &str,
         options: TranslateOptions,
     ) -> Result<Relation, CoreError> {
-        let sql = self.translate_query_with(gremlin, options)?;
-        Ok(self.db.execute(&sql)?)
+        let (stmt, binds) = self.prepare_query(gremlin, options)?;
+        Ok(self.db.execute_statement(&stmt, &binds, None)?)
+    }
+
+    /// The statement a traversal executes as and the values bound to its
+    /// `?` parameters — what [`SqlGraph::query`] hands to
+    /// [`Database::execute_statement`]. With the binds written in place of
+    /// the `?`s it is the statement [`SqlGraph::translate_query_with`]
+    /// prints.
+    pub fn prepare_query(
+        &self,
+        gremlin: &str,
+        options: TranslateOptions,
+    ) -> Result<(Arc<Statement>, Vec<Value>), CoreError> {
+        match parse_lifted(gremlin)? {
+            (GremlinStatement::Query(pipeline), lifted) => {
+                self.prepared(&pipeline, lifted, options)
+            }
+            _ => Err(CoreError::Unsupported("not a traversal query".into())),
+        }
+    }
+
+    /// The one way a traversal becomes an executable statement: look its
+    /// shape up in the template cache — on a miss translate it with `?` at
+    /// every lifted literal, parse that SQL once and cache the result —
+    /// then bind this traversal's literals. `lifted` is what
+    /// [`parse_lifted`] returned beside `pipeline`. Untranslatable
+    /// pipelines return [`CoreError::Unsupported`] and cache nothing.
+    fn prepared(
+        &self,
+        pipeline: &Pipeline,
+        lifted: Lifted,
+        options: TranslateOptions,
+    ) -> Result<(Arc<Statement>, Vec<Value>), CoreError> {
+        let Lifted { shape, literals } = lifted;
+        let key = TemplateKey { shape, options };
+        let template = match self.templates.get(&key) {
+            Some(template) => {
+                self.template_hits.fetch_add(1, Ordering::Relaxed);
+                template
+            }
+            None => {
+                self.template_misses.fetch_add(1, Ordering::Relaxed);
+                // Held from reading the layout to inserting the template:
+                // see `bulk_load_with_layout`.
+                let layout = self.layout.read();
+                let (sql, slots) = translate_template(pipeline, &layout, options)
+                    .map_err(|u| CoreError::Unsupported(u.reason))?;
+                let (statement, params) = parse_statement_with_params(&sql)?;
+                if params != slots.len() {
+                    return Err(CoreError::Unsupported(format!(
+                        "template has {params} parameters for {} lifted literals",
+                        slots.len()
+                    )));
+                }
+                let template = Template {
+                    statement: Arc::new(statement),
+                    slots: slots.into(),
+                };
+                self.templates.insert(key, template.clone());
+                template
+            }
+        };
+        let binds = template
+            .slots
+            .iter()
+            .map(|&slot| json_to_value(&literals[slot]))
+            .collect();
+        Ok((template.statement, binds))
     }
 
     /// Evaluate a Gremlin traversal with the step-at-a-time interpreter
@@ -553,7 +674,7 @@ impl SqlGraph {
         let exclusive = self.mutation_lock.write();
         GraphTxn {
             txn: self.db.begin(),
-            layout: self.layout.read().clone(),
+            layout: self.layout(),
             graph: self,
             _exclusive: exclusive,
         }
@@ -568,7 +689,7 @@ impl SqlGraph {
         let exclusive = self.mutation_lock.try_write()?;
         Some(GraphTxn {
             txn: self.db.begin(),
-            layout: self.layout.read().clone(),
+            layout: self.layout(),
             graph: self,
             _exclusive: exclusive,
         })
@@ -642,7 +763,7 @@ impl SqlGraph {
         }
         let eid = self.next_eid.fetch_add(1, Ordering::SeqCst);
         let attr = Value::json(props_to_json(props));
-        let layout = self.layout.read().clone();
+        let layout = self.layout();
         self.retry_txn(|tx| self.add_edge_in(tx, &layout, eid, src, dst, label, &attr))?;
         Ok(eid)
     }
@@ -823,7 +944,7 @@ impl SqlGraph {
 
     fn remove_edge_impl(&self, eid: i64) -> Result<(), CoreError> {
         let _shared = self.mutation_lock.read();
-        let layout = self.layout.read().clone();
+        let layout = self.layout();
         self.retry_txn(|tx| self.remove_edge_in(tx, &layout, eid))?;
         Ok(())
     }
@@ -857,7 +978,7 @@ impl SqlGraph {
                 "no vertex {vid}"
             ))));
         }
-        let layout = self.layout.read().clone();
+        let layout = self.layout();
         self.retry_txn(|tx| self.remove_vertex_in(tx, &layout, vid))?;
         Ok(())
     }
@@ -1084,7 +1205,7 @@ pub struct GraphTxn<'g> {
     txn: Txn<'g>,
     /// Layout frozen at `transaction()`; safe because the mutation lock
     /// excludes concurrent bulk loads (the only layout writers).
-    layout: GraphLayout,
+    layout: Arc<GraphLayout>,
     /// Held exclusively so no autocommit mutation or checkpoint
     /// interleaves with this transaction's statements. Declared after
     /// `txn` so the rollback (via `Txn::drop`) happens before the lock is
@@ -1176,11 +1297,13 @@ impl<'g> GraphTxn<'g> {
     /// API, which would escape the snapshot — so non-translatable
     /// traversals return [`CoreError::Unsupported`].
     pub fn query(&mut self, gremlin: &str) -> Result<Relation, CoreError> {
-        match parse(gremlin)? {
+        let (statement, lifted) = parse_lifted(gremlin)?;
+        match statement {
             GremlinStatement::Query(pipeline) => {
-                let sql = translate(&pipeline, &self.layout)
-                    .map_err(|u| CoreError::Unsupported(u.reason))?;
-                Ok(self.txn.execute(&sql)?)
+                let (stmt, binds) =
+                    self.graph
+                        .prepared(&pipeline, lifted, TranslateOptions::default())?;
+                Ok(self.txn.execute_statement(&stmt, &binds, None)?)
             }
             GremlinStatement::AddVertex { props } => {
                 let id = self.add_vertex(&props)?;

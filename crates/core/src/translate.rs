@@ -17,9 +17,14 @@
 //!   loops are reported as [`Unsupported`] and the store falls back to the
 //!   interpreter (the paper's stored-procedure fallback).
 //! * Every generated vertex scan carries the `vid >= 0` deletion guard.
+//! * The scalar pipe arguments the Gremlin parser lifts ([`Lit`]) are the
+//!   only part of a pipeline that does not change the statement's shape.
+//!   `translate_template` renders each as `?` and reports which literal
+//!   every `?` binds, so the store caches one parsed statement per shape;
+//!   [`translate`] prints the same translation with the literals inline.
 
 use crate::layout::GraphLayout;
-use sqlgraph_gremlin::ast::{BackTarget, Closure, Cmp, Pipe, Pipeline};
+use sqlgraph_gremlin::ast::{BackTarget, Closure, Cmp, Lit, Pipe, Pipeline};
 use sqlgraph_json::Json;
 use std::collections::HashMap;
 use std::fmt::Write;
@@ -46,7 +51,7 @@ impl std::fmt::Display for Unsupported {
 }
 
 /// Physical strategy for adjacency steps (Table 4 / Figure 6 ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AdjacencyStrategy {
     /// The paper's rule: EA for a single-step lookup, hash tables otherwise.
     #[default]
@@ -58,7 +63,7 @@ pub enum AdjacencyStrategy {
 }
 
 /// Translation options.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TranslateOptions {
     /// Which physical tables serve `out`/`in`/`both`.
     pub adjacency: AdjacencyStrategy,
@@ -109,6 +114,10 @@ struct Ctx<'a> {
     /// single-step optimization).
     traversal_steps: usize,
     options: TranslateOptions,
+    /// `None` prints lifted literals inline. `Some` makes the statement a
+    /// template: each lifted literal prints as `?`, and entry `i` is the
+    /// slot ([`Lit::slot`]) of the literal that parameter `i` binds.
+    binds: Option<Vec<usize>>,
 }
 
 impl<'a> Ctx<'a> {
@@ -124,6 +133,31 @@ impl<'a> Ctx<'a> {
         name
     }
 
+    /// SQL for a lifted pipe argument — the one place such a literal is
+    /// rendered, as its inline text or as the next `?`. The SQL parser
+    /// numbers `?`s in text order, so a caller must push the CTE holding
+    /// the returned text before it renders into another CTE. A literal
+    /// emitted more than once (an unrolled `loop` segment) binds its slot
+    /// once per emission.
+    fn literal(&mut self, slot: usize, inline: String) -> String {
+        match &mut self.binds {
+            Some(slots) => {
+                slots.push(slot);
+                "?".to_string()
+            }
+            None => inline,
+        }
+    }
+
+    fn value(&mut self, lit: &Lit) -> Result<String, Unsupported> {
+        let inline = sql_json(&lit.value)?;
+        Ok(self.literal(lit.slot, inline))
+    }
+
+    fn id(&mut self, lit: &Lit<i64>) -> String {
+        self.literal(lit.slot, lit.value.to_string())
+    }
+
     /// Projection suffix continuing the path column through a transform.
     fn path_step(&self) -> &'static str {
         if self.path {
@@ -134,17 +168,42 @@ impl<'a> Ctx<'a> {
     }
 }
 
-/// Translate a pipeline into a single SQL statement with default options.
+/// Print the SQL statement a pipeline translates to, literals inline, with
+/// default options. The store executes the same translation as a cached
+/// template with the lifted literals bound (`translate_template`); this
+/// text is what that statement is with its binds written in — for EXPLAIN,
+/// the paper's Table 8 examples, and inspection.
 pub fn translate(pipeline: &Pipeline, layout: &GraphLayout) -> Result<String, Unsupported> {
     translate_with(pipeline, layout, TranslateOptions::default())
 }
 
-/// Translate with explicit physical-strategy options.
+/// [`translate`] with explicit physical-strategy options.
 pub fn translate_with(
     pipeline: &Pipeline,
     layout: &GraphLayout,
     options: TranslateOptions,
 ) -> Result<String, Unsupported> {
+    Ok(translate_pipeline(pipeline, layout, options, None)?.0)
+}
+
+/// Translate a pipeline parsed by [`sqlgraph_gremlin::parse_lifted`] into a
+/// statement template: the SQL with `?` for every lifted literal, and for
+/// each `?` in order the slot of the literal it binds. The template depends
+/// only on the pipeline's shape, the layout and the options.
+pub(crate) fn translate_template(
+    pipeline: &Pipeline,
+    layout: &GraphLayout,
+    options: TranslateOptions,
+) -> Result<(String, Vec<usize>), Unsupported> {
+    translate_pipeline(pipeline, layout, options, Some(Vec::new()))
+}
+
+fn translate_pipeline(
+    pipeline: &Pipeline,
+    layout: &GraphLayout,
+    options: TranslateOptions,
+    binds: Option<Vec<usize>>,
+) -> Result<(String, Vec<usize>), Unsupported> {
     let needs_path = pipeline_needs_path(&pipeline.pipes);
     let mut ctx = Ctx {
         layout,
@@ -158,6 +217,7 @@ pub fn translate_with(
         counter: 0,
         traversal_steps: count_traversal_steps(&pipeline.pipes),
         options,
+        binds,
     };
     // Trailing `.out/.in/.both × k (.dedup)? .count()` runs compress the
     // frontier to (vertex, multiplicity) after every hop — but only when no
@@ -192,7 +252,7 @@ pub fn translate_with(
         write!(sql, "{name} AS ({body})").expect("write to string");
     }
     write!(sql, " SELECT val FROM {}", ctx.cur).expect("write to string");
-    Ok(sql)
+    Ok((sql, ctx.binds.unwrap_or_default()))
 }
 
 fn pipeline_needs_path(pipes: &[Pipe]) -> bool {
@@ -530,13 +590,8 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
             let path = if ctx.path { ", ARRAY() AS path" } else { "" };
             let mut sql = format!("SELECT vid AS val{path} FROM va WHERE vid >= 0");
             if let Some((key, value)) = filter {
-                write!(
-                    sql,
-                    " AND JSON_VAL(attr, {}) = {}",
-                    sql_str(key),
-                    sql_json(value)?
-                )
-                .expect("write");
+                let value = ctx.value(value)?;
+                write!(sql, " AND JSON_VAL(attr, {}) = {value}", sql_str(key)).expect("write");
             }
             ctx.push_cte(sql);
             ctx.kind = Kind::Vertex;
@@ -548,11 +603,13 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
         }
         Pipe::VertexById(id) => {
             let path = if ctx.path { ", ARRAY() AS path" } else { "" };
+            let id = ctx.id(id);
             ctx.push_cte(format!("SELECT vid AS val{path} FROM va WHERE vid = {id}"));
             ctx.kind = Kind::Vertex;
         }
         Pipe::EdgeById(id) => {
             let path = if ctx.path { ", ARRAY() AS path" } else { "" };
+            let id = ctx.id(id);
             ctx.push_cte(format!("SELECT eid AS val{path} FROM ea WHERE eid = {id}"));
             ctx.kind = Kind::Edge;
         }
@@ -765,7 +822,7 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
                     "JSON_VAL(p.attr, {}) {} {}",
                     sql_str(key),
                     cmp_sql(*cmp),
-                    sql_json(v)?
+                    ctx.value(v)?
                 ),
             };
             // The attribute table is written first in textual order; the
@@ -809,13 +866,12 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
         }
         Pipe::Interval { key, lo, hi } => {
             let (table, id_col) = attr_join(ctx)?;
+            let (lo, hi) = (ctx.value(lo)?, ctx.value(hi)?);
             let sql = format!(
                 "SELECT v.* FROM {table} p, {cur} v WHERE v.val = p.{id_col} \
                  AND JSON_VAL(p.attr, {k}) >= {lo} AND JSON_VAL(p.attr, {k}) < {hi}",
                 cur = ctx.cur,
                 k = sql_str(key),
-                lo = sql_json(lo)?,
-                hi = sql_json(hi)?,
             );
             ctx.push_cte(sql);
         }
@@ -1228,6 +1284,41 @@ mod tests {
         .unwrap();
         assert!(!sql.contains(" AS m"), "{sql}");
         assert!(sql.contains("ea p"), "{sql}");
+    }
+
+    #[test]
+    fn template_is_the_inline_text_with_binds_lifted_out() {
+        for q in [
+            "g.v(5).out('knows')",
+            "g.e(3).outV.has('name', 'x')",
+            "g.V('uri', 'x').in('type').interval('age', 1.5, 30)",
+            // `loops < 3` emits the segment three times: one literal, three `?`.
+            "g.v(5).out.has('age', T.gt, 30).loop(2){it.loops < 3}.has('n', null)",
+            "g.v(1).copySplit(_().out('a').has('k', 1), _().both('b').has('k', true)).fairMerge",
+            "g.V.filter{it.age > 27}.has('age', 27)",
+        ] {
+            let (statement, lifted) = sqlgraph_gremlin::parse_lifted(q).unwrap();
+            let sqlgraph_gremlin::GremlinStatement::Query(pipeline) = &statement else {
+                panic!("{q} is a traversal");
+            };
+            let options = TranslateOptions::default();
+            let (template, slots) = translate_template(pipeline, &layout(), options).unwrap();
+            assert_eq!(template.matches('?').count(), slots.len(), "{template}");
+            let mut inline = String::new();
+            let mut pieces = template.split('?');
+            inline.push_str(pieces.next().unwrap());
+            for (piece, slot) in pieces.zip(&slots) {
+                inline.push_str(&sql_json(&lifted.literals[*slot]).unwrap());
+                inline.push_str(piece);
+            }
+            assert_eq!(inline, translate(pipeline, &layout()).unwrap(), "{q}");
+        }
+        let pipeline =
+            parse_query("g.v(5).out.has('age', T.gt, 30).loop(2){it.loops < 3}.has('n', 7)")
+                .unwrap();
+        let (_, slots) =
+            translate_template(&pipeline, &layout(), TranslateOptions::default()).unwrap();
+        assert_eq!(slots, [0, 1, 1, 1, 2]);
     }
 
     #[test]

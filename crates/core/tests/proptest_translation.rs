@@ -3,10 +3,11 @@
 //! oracle on every one.
 
 use proptest::prelude::*;
-use sqlgraph_core::{GraphData, SchemaConfig, SqlGraph};
+use sqlgraph_core::{GraphData, SchemaConfig, SqlGraph, TranslateOptions};
 use sqlgraph_gremlin::ast::{BackTarget, Closure, Cmp, GremlinStatement, Pipe, Pipeline};
 use sqlgraph_gremlin::{interp, Blueprints, Elem, MemGraph};
 use sqlgraph_json::Json;
+use sqlgraph_rel::sql::ast::Statement;
 use sqlgraph_rel::Value;
 
 /// One edge: `(eid, src, dst, label, props)`.
@@ -77,12 +78,12 @@ fn arb_pipe() -> impl Strategy<Value = Pipe> {
         (prop::sample::select(vec!["a", "b", "c"])).prop_map(|v| Pipe::Has {
             key: "name".to_string(),
             cmp: Cmp::Eq,
-            value: Some(Json::str(v)),
+            value: Some(Json::str(v).into()),
         }),
         (0i64..5).prop_map(|v| Pipe::Has {
             key: "age".to_string(),
             cmp: Cmp::Gt,
-            value: Some(Json::int(v)),
+            value: Some(Json::int(v).into()),
         }),
         Just(Pipe::Values("name".to_string())),
         Just(Pipe::Filter(Closure::Compare(
@@ -99,7 +100,7 @@ fn arb_pipe() -> impl Strategy<Value = Pipe> {
 fn arb_pipeline() -> impl Strategy<Value = Pipeline> {
     let start = prop_oneof![
         Just(Pipe::Vertices { filter: None }),
-        (1i64..8).prop_map(Pipe::VertexById),
+        (1i64..8).prop_map(|id| Pipe::VertexById(id.into())),
     ];
     (
         start,
@@ -113,6 +114,51 @@ fn arb_pipeline() -> impl Strategy<Value = Pipeline> {
             }
             Pipeline { pipes }
         })
+}
+
+/// Gremlin text of a generated pipeline (the pipes [`arb_pipe`] makes), so
+/// it can enter the store the way a client's query does: through the
+/// parser, which numbers the literals a template binds.
+fn gremlin_text(p: &Pipeline) -> String {
+    let labels = |ls: &[String]| {
+        let quoted: Vec<String> = ls.iter().map(|l| format!("'{l}'")).collect();
+        quoted.join(",")
+    };
+    let mut text = String::from("g");
+    for pipe in &p.pipes {
+        text.push('.');
+        text.push_str(&match pipe {
+            Pipe::Vertices { filter: None } => "V".to_string(),
+            Pipe::VertexById(id) => format!("v({})", id.value),
+            Pipe::Out(ls) => format!("out({})", labels(ls)),
+            Pipe::In(ls) => format!("in({})", labels(ls)),
+            Pipe::Both(ls) => format!("both({})", labels(ls)),
+            Pipe::Dedup => "dedup()".to_string(),
+            Pipe::Id => "id".to_string(),
+            Pipe::Range { lo, hi } => format!("range({lo},{hi})"),
+            Pipe::Has {
+                key, value: None, ..
+            } => format!("has('{key}')"),
+            Pipe::Has {
+                key,
+                cmp: Cmp::Eq,
+                value: Some(v),
+            } => format!("has('{key}',{})", v.value),
+            Pipe::Has {
+                key,
+                cmp: Cmp::Gt,
+                value: Some(v),
+            } => format!("has('{key}',T.gt,{})", v.value),
+            Pipe::Values(key) => format!("values('{key}')"),
+            Pipe::Filter(_) => "filter{it.age < 3}".to_string(),
+            Pipe::Back(BackTarget::Steps(n)) => format!("back({n})"),
+            Pipe::SimplePath => "simplePath".to_string(),
+            Pipe::Path => "path".to_string(),
+            Pipe::Count => "count()".to_string(),
+            other => unreachable!("arb_pipe does not generate {other:?}"),
+        });
+    }
+    text
 }
 
 /// Pipelines whose semantics depend on element kinds the generator cannot
@@ -187,6 +233,27 @@ proptest! {
             } else {
                 prop_assert_eq!(canon_rel(&rel), want, "translation diverged on {:?}\n{}", p, text);
             }
+
+            // The store runs the same translation as a template with the
+            // literals bound: same relation, row for row, and the same plan.
+            let gremlin = gremlin_text(&p);
+            let (stmt, binds) = sql.prepare_query(&gremlin, TranslateOptions::default()).unwrap();
+            let bound = sql.database().execute_statement(&stmt, &binds, None).unwrap();
+            prop_assert_eq!(
+                format!("{bound:?}"),
+                format!("{rel:?}"),
+                "template diverged from inline SQL on {}",
+                &gremlin
+            );
+            let Statement::Select(select) = &*stmt else {
+                return Err(TestCaseError::fail(format!("{gremlin} is not a SELECT")));
+            };
+            let plan_bound = sql
+                .database()
+                .execute_statement(&Statement::Explain(select.clone()), &binds, None)
+                .unwrap();
+            let plan_inline = sql.database().execute(&format!("EXPLAIN {text}")).unwrap();
+            prop_assert_eq!(plan_bound.strings(), plan_inline.strings(), "plans differ on {}", &gremlin);
         }
     }
 }

@@ -59,6 +59,28 @@ pub enum GremlinStatement {
     },
 }
 
+/// A scalar pipe argument a prepared traversal binds at run time instead
+/// of compiling into its statement: the id of `g.v(id)` / `g.e(id)`, the
+/// value of `g.V(k, v)` / `has(k, [cmp,] v)`, and the `interval` bounds.
+/// Everything else a pipe takes — labels, property keys, `range` and `loop`
+/// bounds, closures — decides the statement's shape and stays in the pipe.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lit<T = Json> {
+    /// The literal as written.
+    pub value: T,
+    /// Its position among the statement's lifted literals in text order, as
+    /// numbered by [`crate::parse_lifted`]. A pipeline built by hand has no
+    /// numbering (`From` gives 0); it can be interpreted and translated to
+    /// inline SQL, which read only `value`.
+    pub slot: usize,
+}
+
+impl<T> From<T> for Lit<T> {
+    fn from(value: T) -> Lit<T> {
+        Lit { value, slot: 0 }
+    }
+}
+
 /// An ordered chain of pipes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Pipeline {
@@ -115,14 +137,14 @@ pub enum Pipe {
     /// `g.V` (optionally `g.V('key','value')` — a GraphQuery start).
     Vertices {
         /// Key/value filter applied at the start (GraphQuery merge).
-        filter: Option<(String, Json)>,
+        filter: Option<(String, Lit)>,
     },
     /// `g.E`.
     Edges,
     /// `g.v(id)` — single-vertex start.
-    VertexById(i64),
+    VertexById(Lit<i64>),
     /// `g.e(id)` — single-edge start.
-    EdgeById(i64),
+    EdgeById(Lit<i64>),
 
     // -- transform pipes --
     /// `out(labels...)`: adjacent vertices along outgoing edges.
@@ -162,7 +184,7 @@ pub enum Pipe {
         /// Comparison (Eq for the two-argument form).
         cmp: Cmp,
         /// Value (None = existence check).
-        value: Option<Json>,
+        value: Option<Lit>,
     },
     /// `hasNot('key')`.
     HasNot {
@@ -176,9 +198,9 @@ pub enum Pipe {
         /// Property key.
         key: String,
         /// Inclusive low bound.
-        lo: Json,
+        lo: Lit,
         /// Exclusive high bound.
-        hi: Json,
+        hi: Lit,
     },
     /// `[lo..hi]` or `range(lo, hi)`: inclusive positional slice.
     Range {

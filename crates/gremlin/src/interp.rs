@@ -213,7 +213,7 @@ fn run_one_pipe<G: Blueprints + ?Sized>(
                     }
                 }
                 Some((key, value)) => {
-                    for v in graph.vertices_by_property(key, value) {
+                    for v in graph.vertices_by_property(key, &value.value) {
                         out.push(Traverser::start(Elem::Vertex(v)));
                     }
                 }
@@ -225,13 +225,13 @@ fn run_one_pipe<G: Blueprints + ?Sized>(
             }
         }
         Pipe::VertexById(id) => {
-            if graph.vertex_exists(*id) {
-                out.push(Traverser::start(Elem::Vertex(*id)));
+            if graph.vertex_exists(id.value) {
+                out.push(Traverser::start(Elem::Vertex(id.value)));
             }
         }
         Pipe::EdgeById(id) => {
-            if graph.edge_exists(*id) {
-                out.push(Traverser::start(Elem::Edge(*id)));
+            if graph.edge_exists(id.value) {
+                out.push(Traverser::start(Elem::Edge(id.value)));
             }
         }
 
@@ -354,7 +354,7 @@ fn run_one_pipe<G: Blueprints + ?Sized>(
                 let keep = match (value, prop) {
                     (None, p) => p.is_some(),
                     (Some(_), None) => false,
-                    (Some(want), Some(got)) => json_compare(&got, want)
+                    (Some(want), Some(got)) => json_compare(&got, &want.value)
                         .map(|o| cmp_matches(*cmp, o))
                         .unwrap_or(false),
                 };
@@ -382,8 +382,10 @@ fn run_one_pipe<G: Blueprints + ?Sized>(
                 let Some(got) = element_property(graph, &t.elem, key)? else {
                     continue;
                 };
-                let ge_lo = json_compare(&got, lo).is_some_and(|o| o != std::cmp::Ordering::Less);
-                let lt_hi = json_compare(&got, hi).is_some_and(|o| o == std::cmp::Ordering::Less);
+                let ge_lo =
+                    json_compare(&got, &lo.value).is_some_and(|o| o != std::cmp::Ordering::Less);
+                let lt_hi =
+                    json_compare(&got, &hi.value).is_some_and(|o| o == std::cmp::Ordering::Less);
                 if ge_lo && lt_hi {
                     out.push(t);
                 }

@@ -85,6 +85,43 @@ pub enum Tok {
     Eof,
 }
 
+/// Canonical text of a token: the same token always prints the same way
+/// whatever quotes, escapes or spacing the source used, and no two
+/// different tokens print alike (strings keep their quotes, floats their
+/// point). The shape key of a prepared traversal is built from these.
+impl fmt::Display for Tok {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Tok::Ident(s) => return f.write_str(s),
+            Tok::Int(v) => return write!(f, "{v}"),
+            Tok::Float(v) => return write!(f, "{v:?}"),
+            Tok::Str(s) => return write!(f, "{s:?}"),
+            Tok::Dot => ".",
+            Tok::LParen => "(",
+            Tok::RParen => ")",
+            Tok::LBrace => "{",
+            Tok::RBrace => "}",
+            Tok::LBracket => "[",
+            Tok::RBracket => "]",
+            Tok::Comma => ",",
+            Tok::Colon => ":",
+            Tok::DotDot => "..",
+            Tok::EqEq => "==",
+            Tok::Neq => "!=",
+            Tok::Lt => "<",
+            Tok::Lte => "<=",
+            Tok::Gt => ">",
+            Tok::Gte => ">=",
+            Tok::AndAnd => "&&",
+            Tok::OrOr => "||",
+            Tok::Bang => "!",
+            Tok::Underscore => "_",
+            Tok::Semicolon => ";",
+            Tok::Eof => "",
+        })
+    }
+}
+
 /// Tokenize a Gremlin query.
 pub fn tokenize(src: &str) -> Result<Vec<Token>, GremlinError> {
     let bytes = src.as_bytes();

@@ -33,4 +33,4 @@ pub use blueprints::{Blueprints, Direction, GraphError, GraphResult, GraphTransa
 pub use interp::Elem;
 pub use lex::GremlinError;
 pub use memgraph::MemGraph;
-pub use parse::{parse, parse_query};
+pub use parse::{parse, parse_lifted, parse_query, Lifted};

@@ -3,15 +3,11 @@
 use crate::ast::*;
 use crate::lex::{tokenize, GremlinError, Tok, Token};
 use sqlgraph_json::{Json, Number};
+use std::fmt::Write;
 
 /// Parse one Gremlin statement (query or CRUD operation).
 pub fn parse(src: &str) -> Result<GremlinStatement, GremlinError> {
-    let tokens = tokenize(src)?;
-    let mut p = Parser { tokens, pos: 0 };
-    let stmt = p.statement()?;
-    p.eat(&Tok::Semicolon);
-    p.expect_eof()?;
-    Ok(stmt)
+    Ok(Parser::run(src)?.0)
 }
 
 /// Parse a query; errors if the statement is a CRUD operation.
@@ -25,12 +21,87 @@ pub fn parse_query(src: &str) -> Result<Pipeline, GremlinError> {
     }
 }
 
+/// What a prepared traversal is looked up and bound by: the side tables
+/// [`parse_lifted`] returns beside the statement (see [`Lit`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Lifted {
+    /// The traversal's canonical token text with every lifted literal
+    /// replaced by its type tag (`?i ?f ?s ?b ?n`). Traversals with equal
+    /// shapes differ only in the values of their lifted literals, so one
+    /// translated statement serves them all. Empty for CRUD statements.
+    pub shape: String,
+    /// The lifted literals in text order: `literals[lit.slot]` is
+    /// `lit.value` for every [`Lit`] in the statement.
+    pub literals: Vec<Json>,
+}
+
+/// [`parse`], also returning the statement's shape and lifted literals.
+pub fn parse_lifted(src: &str) -> Result<(GremlinStatement, Lifted), GremlinError> {
+    let (statement, parser) = Parser::run(src)?;
+    let Parser { tokens, lifted, .. } = parser;
+    let literals: Vec<Json> = lifted
+        .iter()
+        .map(|&at| scalar(&tokens[at].kind).expect("only literal tokens are lifted"))
+        .collect();
+    let mut shape = String::new();
+    if matches!(statement, GremlinStatement::Query(_)) {
+        shape.reserve(2 * src.len());
+        let mut slots = lifted.iter().zip(&literals).peekable();
+        for (at, token) in tokens.iter().enumerate() {
+            match slots.next_if(|(&lifted_at, _)| lifted_at == at) {
+                Some((_, literal)) => shape.push_str(match literal {
+                    Json::Num(n) if n.is_int() => "?i",
+                    Json::Num(_) => "?f",
+                    Json::Str(_) => "?s",
+                    Json::Bool(_) => "?b",
+                    _ => "?n",
+                }),
+                None if matches!(token.kind, Tok::Semicolon | Tok::Eof) => continue,
+                None => write!(shape, "{}", token.kind).expect("write to string"),
+            }
+            shape.push(' ');
+        }
+    }
+    Ok((statement, Lifted { shape, literals }))
+}
+
+/// The scalar a literal token denotes.
+fn scalar(tok: &Tok) -> Option<Json> {
+    Some(match tok {
+        Tok::Int(v) => Json::int(*v),
+        Tok::Float(v) => Json::float(*v),
+        Tok::Str(s) => Json::Str(s.clone()),
+        Tok::Ident(name) => match name.as_str() {
+            "true" => Json::Bool(true),
+            "false" => Json::Bool(false),
+            "null" => Json::Null,
+            _ => return None,
+        },
+        _ => return None,
+    })
+}
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Token index of each lifted literal, in text order; a literal's slot
+    /// is its position here.
+    lifted: Vec<usize>,
 }
 
 impl Parser {
+    fn run(src: &str) -> Result<(GremlinStatement, Parser), GremlinError> {
+        let mut p = Parser {
+            tokens: tokenize(src)?,
+            pos: 0,
+            lifted: Vec::new(),
+        };
+        let stmt = p.statement()?;
+        p.eat(&Tok::Semicolon);
+        p.expect_eof()?;
+        Ok((stmt, p))
+    }
+
     fn peek(&self) -> &Tok {
         &self.tokens[self.pos].kind
     }
@@ -110,32 +181,34 @@ impl Parser {
     }
 
     fn literal(&mut self) -> Result<Json, GremlinError> {
-        match self.peek().clone() {
-            Tok::Int(v) => {
+        match scalar(self.peek()) {
+            Some(v) => {
                 self.advance();
-                Ok(Json::int(v))
+                Ok(v)
             }
-            Tok::Float(v) => {
-                self.advance();
-                Ok(Json::float(v))
-            }
-            Tok::Str(s) => {
-                self.advance();
-                Ok(Json::Str(s))
-            }
-            Tok::Ident(name) if name == "true" => {
-                self.advance();
-                Ok(Json::Bool(true))
-            }
-            Tok::Ident(name) if name == "false" => {
-                self.advance();
-                Ok(Json::Bool(false))
-            }
-            Tok::Ident(name) if name == "null" => {
-                self.advance();
-                Ok(Json::Null)
-            }
-            other => Err(self.err(format!("expected literal, found {other:?}"))),
+            None => Err(self.err(format!("expected literal, found {:?}", self.peek()))),
+        }
+    }
+
+    /// A literal in a bindable position (see [`Lit`]).
+    fn lifted(&mut self) -> Result<Lit, GremlinError> {
+        let at = self.pos;
+        let value = self.literal()?;
+        Ok(self.lift(at, value))
+    }
+
+    /// An element id in a bindable position.
+    fn lifted_id(&mut self) -> Result<Lit<i64>, GremlinError> {
+        let at = self.pos;
+        let value = self.int()?;
+        Ok(self.lift(at, value))
+    }
+
+    fn lift<T>(&mut self, at: usize, value: T) -> Lit<T> {
+        self.lifted.push(at);
+        Lit {
+            value,
+            slot: self.lifted.len() - 1,
         }
     }
 
@@ -209,12 +282,16 @@ impl Parser {
                     let value = self.literal()?;
                     self.expect(&Tok::RParen)?;
                     return match start {
-                        Pipe::VertexById(id) => {
-                            Ok(GremlinStatement::SetVertexProperty { id, key, value })
-                        }
-                        Pipe::EdgeById(id) => {
-                            Ok(GremlinStatement::SetEdgeProperty { id, key, value })
-                        }
+                        Pipe::VertexById(id) => Ok(GremlinStatement::SetVertexProperty {
+                            id: id.value,
+                            key,
+                            value,
+                        }),
+                        Pipe::EdgeById(id) => Ok(GremlinStatement::SetEdgeProperty {
+                            id: id.value,
+                            key,
+                            value,
+                        }),
                         _ => Err(self.err("setProperty requires g.v(id) or g.e(id)")),
                     };
                 }
@@ -300,8 +377,7 @@ impl Parser {
                     if !matches!(self.peek(), Tok::RParen) {
                         let key = self.string()?;
                         self.expect(&Tok::Comma)?;
-                        let value = self.literal()?;
-                        filter = Some((key, value));
+                        filter = Some((key, self.lifted()?));
                     }
                     self.expect(&Tok::RParen)?;
                 }
@@ -315,13 +391,13 @@ impl Parser {
             }
             "v" => {
                 self.expect(&Tok::LParen)?;
-                let id = self.int()?;
+                let id = self.lifted_id()?;
                 self.expect(&Tok::RParen)?;
                 Ok(Pipe::VertexById(id))
             }
             "e" => {
                 self.expect(&Tok::LParen)?;
-                let id = self.int()?;
+                let id = self.lifted_id()?;
                 self.expect(&Tok::RParen)?;
                 Ok(Pipe::EdgeById(id))
             }
@@ -475,9 +551,9 @@ impl Parser {
                             other => return Err(self.err(format!("unknown T.{other}"))),
                         };
                         self.expect(&Tok::Comma)?;
-                        (cmp, Some(self.literal()?))
+                        (cmp, Some(self.lifted()?))
                     } else {
-                        (Cmp::Eq, Some(self.literal()?))
+                        (Cmp::Eq, Some(self.lifted()?))
                     }
                 } else {
                     (Cmp::Eq, None)
@@ -496,9 +572,9 @@ impl Parser {
                 self.expect(&Tok::LParen)?;
                 let key = self.string()?;
                 self.expect(&Tok::Comma)?;
-                let lo = self.literal()?;
+                let lo = self.lifted()?;
                 self.expect(&Tok::Comma)?;
-                let hi = self.literal()?;
+                let hi = self.lifted()?;
                 self.expect(&Tok::RParen)?;
                 Pipe::Interval { key, lo, hi }
             }
@@ -867,6 +943,95 @@ mod tests {
     fn contains_closure() {
         let q = parse_query("g.V.filter{it.label.contains('en')}").unwrap();
         assert!(matches!(q.pipes[1], Pipe::Filter(Closure::Contains(_, _))));
+    }
+
+    #[test]
+    fn lifted_literals_are_numbered_in_text_order() {
+        let (statement, l) = parse_lifted(
+            "g.v(7).has('age', T.gt, 30).copySplit(_().interval('w', 0.5, 2), _().has('n', 'x'))",
+        )
+        .unwrap();
+        assert_eq!(
+            l.literals,
+            [
+                Json::int(7),
+                Json::int(30),
+                Json::float(0.5),
+                Json::int(2),
+                Json::str("x")
+            ]
+        );
+        let GremlinStatement::Query(q) = &statement else {
+            panic!()
+        };
+        assert_eq!(q.pipes[0], Pipe::VertexById(Lit { value: 7, slot: 0 }));
+        let Pipe::CopySplit(branches) = &q.pipes[2] else {
+            panic!()
+        };
+        assert!(matches!(
+            &branches[0].pipes[0],
+            Pipe::Interval {
+                lo: Lit { slot: 2, .. },
+                hi: Lit { slot: 3, .. },
+                ..
+            }
+        ));
+        assert!(matches!(
+            &branches[1].pipes[0],
+            Pipe::Has {
+                value: Some(Lit { slot: 4, .. }),
+                ..
+            }
+        ));
+        // `parse` is the same parse without the side tables.
+        assert_eq!(
+            parse("g.v(7).has('age', T.gt, 30)").unwrap(),
+            parse_lifted("g.v(7).has('age', T.gt, 30)").unwrap().0
+        );
+    }
+
+    #[test]
+    fn shape_keeps_everything_but_the_values_of_lifted_literals() {
+        let shape = |q: &str| parse_lifted(q).unwrap().1.shape;
+        assert_eq!(
+            shape("g.v(7).out('team')[0..9].has('age', T.gt, 30)"),
+            "g . v ( ?i ) . out ( \"team\" ) [ 0 .. 9 ] . has ( \"age\" , T . gt , ?i ) "
+        );
+        // Values, quoting, spacing and a trailing `;` are not shape.
+        assert_eq!(
+            shape("g.v(7).has('n','a')"),
+            shape("g.v( -8 ).has(\"n\", 'b\\'c');")
+        );
+        assert_eq!(shape("g.V('k', 1.5)"), shape("g.V('k', 0.25)"));
+        // Literal types, labels, keys, operators, bounds and closures are.
+        let distinct = [
+            "g.V.has('k', 1)",
+            "g.V.has('k', 1.0)",
+            "g.V.has('k', '1')",
+            "g.V.has('k', true)",
+            "g.V.has('k', null)",
+            "g.V.has('j', 1)",
+            "g.V.has('k', T.neq, 1)",
+            "g.V.has('k')",
+            "g.V.out('k')",
+            "g.V.out(\"j\")",
+            "g.V.out",
+            "g.V[0..1]",
+            "g.V[0..2]",
+            "g.V.range(0, 2)",
+            "g.V.out.loop(1){it.loops < 2}",
+            "g.V.out.loop(1){it.loops < 3}",
+            "g.V.filter{it.k == 1}",
+            "g.V.filter{it.k == 2}",
+            "g.V.filter{it.k.contains('a')}",
+            "g.V.filter{it.k.contains('b')}",
+        ];
+        let shapes: std::collections::BTreeSet<String> =
+            distinct.iter().map(|q| shape(q)).collect();
+        assert_eq!(shapes.len(), distinct.len());
+        // CRUD statements are not templates.
+        let (_, crud) = parse_lifted("g.v(1).setProperty('age', 30)").unwrap();
+        assert_eq!(crud.shape, "");
     }
 
     #[test]

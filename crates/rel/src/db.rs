@@ -20,6 +20,7 @@
 //! for subqueries) *before* taking the target's write lock, and
 //! checkpoints exclude commits via `commit_lock`.
 
+use crate::cache::ClockCache;
 use crate::checkpoint::{self, CheckpointReport, RecoveryReport};
 use crate::error::{Error, Result};
 use crate::exec::{run_select, Env, Relation, Row};
@@ -52,10 +53,9 @@ pub struct Database {
     tables: RwLock<FxHashMap<String, Arc<RwLock<Table>>>>,
     procedures: RwLock<FxHashMap<String, Arc<Procedure>>>,
     wal: Option<Mutex<Wal>>,
-    /// Prepared-statement cache: SQL text → parsed AST. Bounded with
-    /// second-chance (clock) eviction: hits set a used bit, and when the
-    /// cache is full an insert sweeps out entries whose bit is clear.
-    stmt_cache: RwLock<FxHashMap<String, CachedStmt>>,
+    /// Prepared-statement cache: SQL text → parsed AST, planned afresh on
+    /// every execution. Bounded by [`STMT_CACHE_CAP`].
+    stmt_cache: ClockCache<Arc<str>, Arc<Statement>>,
     /// Intra-query parallelism: 0 = auto (planner picks a DOP from table
     /// statistics), 1 = serial, n > 1 = pin every eligible operator to n.
     parallelism: std::sync::atomic::AtomicUsize,
@@ -87,45 +87,13 @@ pub struct Database {
     recovery: Option<RecoveryReport>,
 }
 
-/// One statement-cache entry. The used bit gives recently-hit entries a
-/// second chance during eviction.
-struct CachedStmt {
-    stmt: Arc<Statement>,
-    used: std::sync::atomic::AtomicBool,
-}
-
 /// Statement-cache capacity.
-const STMT_CACHE_CAP: usize = 4096;
+pub const STMT_CACHE_CAP: usize = 4096;
 
 /// Automatic vacuum cadence: reclaim dead row versions after this many
 /// commits (checkpoints also vacuum, so long-lived databases converge
 /// even with a quieter write load).
 const VACUUM_EVERY_COMMITS: u64 = 4096;
-
-/// Second-chance eviction: drop entries whose used bit is clear, clearing
-/// bits as we sweep, until the cache is at 3/4 capacity. A second pass
-/// (over now-cleared bits) guarantees progress even when every entry was
-/// recently hit.
-fn evict_unused(cache: &mut FxHashMap<String, CachedStmt>) {
-    let target = STMT_CACHE_CAP * 3 / 4;
-    for _ in 0..2 {
-        if cache.len() <= target {
-            return;
-        }
-        let mut excess = cache.len() - target;
-        cache.retain(|_, entry| {
-            if excess == 0 {
-                return true;
-            }
-            if entry.used.swap(false, std::sync::atomic::Ordering::Relaxed) {
-                true
-            } else {
-                excess -= 1;
-                false
-            }
-        });
-    }
-}
 
 /// Pinned DOP from `SQLGRAPH_TEST_DOP` (used by CI to force every
 /// eligible operator parallel); 0 = auto when unset or unparsable.
@@ -251,7 +219,7 @@ impl Database {
             tables: RwLock::new(FxHashMap::default()),
             procedures: RwLock::new(FxHashMap::default()),
             wal: None,
-            stmt_cache: RwLock::new(FxHashMap::default()),
+            stmt_cache: ClockCache::new(STMT_CACHE_CAP),
             parallelism: std::sync::atomic::AtomicUsize::new(env_test_dop()),
             commit_lock: RwLock::new(()),
             txns: TxnManager::with_oracle(oracle),
@@ -397,9 +365,8 @@ impl Database {
     /// transaction-control statements are never cached (rare, and DDL must
     /// observe catalog changes).
     pub(crate) fn parse_cached(&self, sql: &str) -> Result<Arc<Statement>> {
-        if let Some(entry) = self.stmt_cache.read().get(sql) {
-            entry.used.store(true, std::sync::atomic::Ordering::Relaxed);
-            return Ok(entry.stmt.clone());
+        if let Some(stmt) = self.stmt_cache.get(sql) {
+            return Ok(stmt);
         }
         let stmt = Arc::new(parse_statement(sql)?);
         let cacheable = matches!(
@@ -411,17 +378,7 @@ impl Database {
                 | Statement::Call { .. }
         );
         if cacheable {
-            let mut cache = self.stmt_cache.write();
-            if cache.len() >= STMT_CACHE_CAP {
-                evict_unused(&mut cache);
-            }
-            cache.insert(
-                sql.to_string(),
-                CachedStmt {
-                    stmt: stmt.clone(),
-                    used: std::sync::atomic::AtomicBool::new(false),
-                },
-            );
+            self.stmt_cache.insert(sql.into(), stmt.clone());
         }
         Ok(stmt)
     }
@@ -436,7 +393,7 @@ impl Database {
 
     /// Number of cached prepared statements (test hook).
     pub fn stmt_cache_len(&self) -> usize {
-        self.stmt_cache.read().len()
+        self.stmt_cache.len()
     }
 
     /// Open a database backed by the log rooted at `wal_path`: the latest
@@ -1023,11 +980,13 @@ impl Database {
                 }
                 let dropped = removed.is_some();
                 if let Some(handle) = removed {
-                    // Cached statements were planned against this table's
-                    // schema; a later CREATE TABLE under the same name
-                    // must not serve plans bound to the dropped
-                    // incarnation. Same for CSR entries built over it.
-                    self.stmt_cache.write().clear();
+                    // The cache holds parsed ASTs only, and every execution
+                    // plans its AST against the catalog of the moment, so
+                    // this flush is not needed for correctness; it keeps
+                    // statements over a dropped table from occupying the
+                    // cache. CSR entries were built from the table's rows
+                    // and must go.
+                    self.stmt_cache.clear();
                     self.invalidate_csr(&lower);
                     state.journal.redo.push(WalRecord::Ddl {
                         sql: format!("DROP TABLE IF EXISTS {lower}"),

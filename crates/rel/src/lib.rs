@@ -37,6 +37,7 @@
 //! ```
 
 pub mod batch;
+pub mod cache;
 pub mod checkpoint;
 pub mod csr;
 pub mod db;
@@ -73,6 +74,7 @@ const _: () = {
     sync_clean::<batch::ColVec>();
 };
 
+pub use cache::ClockCache;
 pub use checkpoint::{CheckpointReport, RecoveryReport};
 pub use db::{commit_many, Database, Txn};
 pub use error::{Error, Result};

@@ -3,8 +3,10 @@
 //! every execution, so it survives `set_parallelism` / `set_csr_enabled`
 //! and the replayed statement honours the new setting; CSR entries are
 //! derived data and are dropped (by the switch, `ANALYZE`, and every
-//! mutation).
+//! mutation). The statement cache itself is bounded: a full insert evicts
+//! one entry, never a sweep.
 
+use sqlgraph_rel::db::STMT_CACHE_CAP;
 use sqlgraph_rel::{Database, Value};
 
 fn primed_db() -> Database {
@@ -162,4 +164,24 @@ fn reconfigured_query_results_match() {
         .execute("SELECT k, COUNT(*) FROM t GROUP BY k ORDER BY k")
         .unwrap();
     assert_eq!(before.rows, after.rows);
+}
+
+#[test]
+fn full_statement_cache_evicts_one_entry_per_insert() {
+    let db = primed_db();
+    let mut last = db.stmt_cache_len();
+    for i in 0..STMT_CACHE_CAP + 1000 {
+        db.prepare(&format!("SELECT k FROM t WHERE id = {i}"))
+            .unwrap();
+        let len = db.stmt_cache_len();
+        assert!(len <= STMT_CACHE_CAP, "cache grew to {len}");
+        assert!(len >= last, "insert {i} evicted {} entries", last + 1 - len);
+        last = len;
+    }
+    assert_eq!(last, STMT_CACHE_CAP);
+    // Still a cache: a statement prepared again is not inserted again.
+    db.prepare("SELECT k FROM t WHERE id = 0").unwrap();
+    let rel = db.execute("SELECT k FROM t WHERE id = 7").unwrap();
+    assert_eq!(rel.scalar(), Some(&Value::Int(1)));
+    assert_eq!(db.stmt_cache_len(), STMT_CACHE_CAP);
 }
