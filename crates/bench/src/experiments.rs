@@ -1134,10 +1134,11 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
 /// concurrent client sockets grows (default 1/8/64/256/1024).
 ///
 /// Every client is a real TCP connection issuing §5.2 read operations as
-/// framed round trips; the server multiplexes them onto its bounded
-/// worker pool, so past the pool size the sweep measures queueing — the
-/// dispatcher's frame assembly and the pool's fairness — rather than
-/// engine parallelism. The total operation budget is fixed per row, so
+/// framed round trips; the server gives each its own blocking session
+/// thread but lets only a bounded number of statements execute at once,
+/// so past that bound the sweep measures the cost of many threads — the
+/// scheduler's fairness and the wait for an execution permit — rather
+/// than engine parallelism. The total operation budget is fixed per row, so
 /// high-connection rows measure many mostly-idle sockets (the LinkBench
 /// requester model) rather than proportionally more work.
 pub fn conn_sweep(cfg: &ReproConfig) -> String {
@@ -1156,7 +1157,7 @@ pub fn conn_sweep(cfg: &ReproConfig) -> String {
     let _ = writeln!(
         out,
         "Connection sweep — LinkBench reads over the wire protocol, one server\n\
-         scale: {} nodes, {} edges; ~{} total ops per row; {} worker threads",
+         scale: {} nodes, {} edges; ~{} total ops per row; {} execution permits",
         data.vertex_count(),
         data.edge_count(),
         total_ops,
@@ -1251,9 +1252,9 @@ pub fn conn_sweep(cfg: &ReproConfig) -> String {
     server.shutdown();
     let _ = writeln!(
         out,
-        "(every client is a real TCP socket; the server's worker pool is bounded, so\n\
-         rows past the pool size measure dispatcher/queueing behaviour, not engine\n\
-         parallelism)"
+        "(every client is a real TCP socket with its own server thread; execution\n\
+         permits are bounded, so rows past that bound measure scheduling and the wait\n\
+         for a permit, not engine parallelism)"
     );
     out
 }

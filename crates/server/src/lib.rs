@@ -10,10 +10,12 @@
 //!   (handshake, SQL/Gremlin queries, prepared statements,
 //!   begin/commit/rollback) and typed responses (result sets with a
 //!   binary value codec, structured error frames).
-//! * [`Server`] — accept thread + non-blocking dispatcher + bounded
-//!   worker pool; sessions with open transactions move to dedicated
-//!   threads so a transaction parked on the store's mutation lock can
-//!   never starve the pool that must serve its `COMMIT`.
+//! * [`Server`] — an accept thread and one blocking session thread per
+//!   connection; a request is read, executed and answered on that one
+//!   thread. A bounded number of execution permits, not the number of
+//!   sockets, limits how many autocommit statements run at once, and
+//!   frames inside a transaction take none, so the holder of the store's
+//!   mutation lock can always get its `COMMIT` served.
 //! * [`Client`] — a blocking connection used by tests and the
 //!   `repro -- conn-sweep` / `throughput-mixed` drivers.
 //!

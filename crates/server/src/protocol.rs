@@ -430,41 +430,57 @@ impl Response {
     /// Encode to a frame body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encode to a whole frame, length prefix and body in one buffer, so
+    /// the sender hands it to the socket in a single write. (A prefix
+    /// written on its own is a 4-byte segment; with Nagle's algorithm on,
+    /// the body then waits for the peer's delayed ACK of it.)
+    pub fn encode_frame(&self) -> Vec<u8> {
+        let mut out = vec![0u8; 4];
+        self.encode_into(&mut out);
+        let len = (out.len() - 4) as u32;
+        out[..4].copy_from_slice(&len.to_le_bytes());
+        out
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::HelloOk { session } => {
                 out.push(0x81);
-                put_u64(&mut out, *session);
+                put_u64(out, *session);
             }
             Response::ResultSet { stmts, rel } => {
                 out.push(0x82);
-                put_u64(&mut out, *stmts);
-                put_u32(&mut out, rel.columns.len() as u32);
+                put_u64(out, *stmts);
+                put_u32(out, rel.columns.len() as u32);
                 for col in &rel.columns {
-                    put_str(&mut out, col);
+                    put_str(out, col);
                 }
-                put_u32(&mut out, rel.rows.len() as u32);
+                put_u32(out, rel.rows.len() as u32);
                 for row in &rel.rows {
                     for v in row {
-                        put_value(&mut out, v);
+                        put_value(out, v);
                     }
                 }
             }
             Response::Error { code, aux, message } => {
                 out.push(0x83);
                 out.push(*code as u8);
-                put_u32(&mut out, *aux);
-                put_str(&mut out, message);
+                put_u32(out, *aux);
+                put_str(out, message);
             }
             Response::PrepareOk { stmt } => {
                 out.push(0x84);
-                put_u32(&mut out, *stmt);
+                put_u32(out, *stmt);
             }
             Response::Ok { stmts } => {
                 out.push(0x85);
-                put_u64(&mut out, *stmts);
+                put_u64(out, *stmts);
             }
         }
-        out
     }
 
     /// Decode a frame body.
@@ -550,14 +566,17 @@ impl Response {
 }
 
 // ---------------------------------------------------------------------
-// Blocking frame I/O (client side and tests; the server reads frames
-// non-blockingly in its dispatcher)
+// Blocking frame I/O (the client, the server's session threads and tests)
 // ---------------------------------------------------------------------
 
-/// Write one frame: length prefix + body.
+/// Write one frame: length prefix + body, in one write. Two writes would
+/// be two segments on a `TCP_NODELAY` socket, and a blocking reader woken
+/// by the prefix alone goes back to sleep to wait for the body.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(body.len() as u32).to_le_bytes())?;
-    w.write_all(body)
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)
 }
 
 /// Read one frame body, rejecting bodies over `max` bytes.
@@ -652,6 +671,9 @@ mod tests {
         ];
         for resp in resps {
             let body = resp.encode();
+            let mut frame = (body.len() as u32).to_le_bytes().to_vec();
+            frame.extend_from_slice(&body);
+            assert_eq!(resp.encode_frame(), frame);
             // `Relation` has no `PartialEq`; Debug strings are faithful.
             assert_eq!(
                 format!("{:?}", Response::decode(&body).unwrap()),

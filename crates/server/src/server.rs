@@ -1,45 +1,63 @@
-//! The wire-protocol server: accept thread + frame dispatcher + bounded
-//! worker pool, with dedicated session threads for open transactions.
+//! The wire-protocol server: an accept thread and one blocking session
+//! thread per connection.
 //!
 //! ## Threading model
 //!
-//! * **Accept thread** — non-blocking `accept` loop; hands sockets to the
-//!   dispatcher over a channel. Refuses connections over the cap.
-//! * **Dispatcher thread** — owns every connection's read half
-//!   (non-blocking). Each sweep it drains readable sockets into
-//!   per-connection buffers, cuts complete frames, and routes them: to the
-//!   session's transaction thread if one is open, otherwise onto the
-//!   bounded worker pool's MPMC queue. One frame per connection is in
-//!   flight at a time (later frames stay buffered — pipelining works, but
-//!   responses come back in order). The dispatcher also enforces frame
-//!   size limits and idle timeouts, and runs the graceful drain.
-//! * **Worker pool** — `workers` threads executing autocommit requests.
-//!   The pool is deliberately small (default ≲ the core count): hundreds
-//!   of sockets multiplex onto it, and the statements themselves can fan
-//!   out through `rel::parallel`'s morsel workers, so an oversized pool
-//!   would oversubscribe the machine.
-//! * **Transaction threads** — `BEGIN` moves the session onto a dedicated
-//!   thread that owns the `GraphTxn` until commit/rollback. At most one
-//!   graph transaction runs at a time (the store's mutation lock is
-//!   exclusive), so these threads mostly wait; they exist so a transaction
-//!   blocked on the mutation lock can never starve the worker pool that
-//!   must process the lock holder's `COMMIT`. Sessions queued on `BEGIN`
-//!   poll [`SqlGraph::try_transaction`] so shutdown can interrupt them.
+//! * **Accept thread** — blocking `accept`. It checks the connection cap
+//!   and registers the socket *before* the session starts, so the cap and
+//!   [`Server::active_connections`] are exact however fast sockets arrive,
+//!   then spawns the session.
+//! * **Session threads** — one per connection, and the only thread that
+//!   ever touches it: the socket, the handshake flag, the prepared
+//!   statements and the open `GraphTxn` are plain locals. The loop is
+//!   *read one frame → decode → `handle` → write the response in one
+//!   `write_all`*, all blocking, so a request crosses no queue and no
+//!   other thread. Responses come back in request order; pipelined frames
+//!   wait in the kernel's socket buffer. The socket's read timeout is the
+//!   idle timeout (the shorter transaction one while a transaction is
+//!   open), its write timeout bounds how long a client that stopped
+//!   reading can hold its own thread — and nobody else's.
+//! * **Execution permits** — threads scale with connections, execution
+//!   does not: outside a transaction a statement (`QuerySql`, `Execute`,
+//!   `QueryGremlin`, `Prepare`) runs holding one of `workers` permits.
+//!   The bound is deliberately small (default ≲ the core count): hundreds
+//!   of mostly parked sockets share it, and the statements themselves can
+//!   fan out through `rel::parallel`'s morsel workers, so more would
+//!   oversubscribe the machine and put every connection's result set in
+//!   memory at once. It is a counter rather than a worker pool because a
+//!   pool needs a queue and a hand-off each way, while a permit is taken
+//!   and returned by the thread that already holds the request.
+//!   `Hello`/`Ping`/`Close` and every frame inside an open transaction
+//!   take no permit: at most one graph transaction runs at a time (the
+//!   store's mutation lock is exclusive) and the permit holders may be
+//!   autocommit writers parked on that lock, so the lock holder's `COMMIT`
+//!   must never queue behind them.
+//! * **`BEGIN`** acquires the store transaction on the session's own
+//!   thread. It polls [`SqlGraph::try_transaction`] — the one retry loop in
+//!   this file — because the store has no timed acquire to block on and
+//!   both the acquire deadline and shutdown must be able to end the wait;
+//!   it never sleeps when the transaction is free.
 //!
-//! Dropping the [`Server`] (or calling [`Server::shutdown`]) drains:
-//! in-flight requests finish and their responses are flushed, open
-//! transactions roll back, then sockets close.
+//! ## Shutdown
+//!
+//! Dropping the [`Server`] (or calling [`Server::shutdown`]) drains by
+//! notification, not by timer: set the flag, wake `accept` with a
+//! throwaway connection, then `shutdown(Read)` every registered socket. A
+//! session parked in `read` sees end-of-stream, finds the flag, rolls its
+//! transaction back, says `ShuttingDown` and exits; a session in the
+//! middle of a request finishes it and flushes the response first. The
+//! caller waits on a condvar for the registry to empty, up to
+//! `drain_timeout`, then closes the stragglers' sockets and joins them.
 
-use crate::protocol::{ErrorCode, Request, Response, MAX_FRAME_DEFAULT, PROTO_VERSION};
-use parking_lot::Mutex;
+use crate::protocol::{read_frame, ErrorCode, Request, Response, MAX_FRAME_DEFAULT, PROTO_VERSION};
 use sqlgraph_core::{CoreError, GraphTxn, SqlGraph};
-use sqlgraph_rel::{Relation, Value};
+use sqlgraph_rel::Value;
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -48,7 +66,8 @@ use std::time::{Duration, Instant};
 pub struct ServerConfig {
     /// Address to bind (`127.0.0.1:0` picks a free port).
     pub bind: SocketAddr,
-    /// Worker-pool size for autocommit requests.
+    /// Execution permits: how many autocommit statements may run at once,
+    /// however many connections are open.
     pub workers: usize,
     /// Per-frame body size limit (both directions).
     pub max_frame: usize,
@@ -66,7 +85,7 @@ pub struct ServerConfig {
     /// Refuse sockets beyond this many concurrent connections.
     pub max_connections: usize,
     /// Refuse `BEGIN` beyond this many concurrently open transactions
-    /// (each costs a thread parked on the mutation lock).
+    /// (each is a session holding the store transaction or polling for it).
     pub max_txn_sessions: usize,
     /// Upper bound on the graceful drain at shutdown.
     pub drain_timeout: Duration,
@@ -92,68 +111,69 @@ impl Default for ServerConfig {
     }
 }
 
+/// How long one response write may block on a client that is not reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
+/// Pause between `try_transaction` attempts while `BEGIN` is contended.
+const BEGIN_RETRY: Duration = Duration::from_micros(200);
+/// Longest wait for a session to exit after `accept` itself failed.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
 /// Monotone counters exposed for tests and monitoring.
 #[derive(Debug, Default)]
 struct Stats {
     accepted: AtomicU64,
-    active: AtomicUsize,
     open_txns: AtomicUsize,
     frames: AtomicU64,
     proto_errors: AtomicU64,
     panics: AtomicU64,
 }
 
+/// A live connection as the accept thread registered it: the socket, so
+/// shutdown can wake its reader, and the session thread's handle, so
+/// shutdown can join it.
+type Registration = (Arc<TcpStream>, JoinHandle<()>);
+
 struct Shared {
     engine: Arc<SqlGraph>,
     cfg: ServerConfig,
     shutdown: AtomicBool,
     stats: Stats,
+    /// Free execution permits (`cfg.workers` at rest).
+    permits: Mutex<usize>,
+    permit_freed: Condvar,
+    /// Every live connection by session id; its length *is* the connection
+    /// count. Only the accept thread inserts (holding the lock across the
+    /// cap check and the spawn); a session's exit guard removes.
+    sessions: Mutex<HashMap<u64, Registration>>,
+    session_exited: Condvar,
 }
 
-/// Message to a session's transaction thread.
-enum TxnMsg {
-    Frame(Vec<u8>),
+/// Lock ignoring poison: both guarded values (a counter, a map of handles)
+/// are valid after every single update, and the callers include `Drop`s,
+/// which must not panic.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Mutable per-session state, shared by dispatcher / workers / txn thread.
-struct SessState {
-    hello: bool,
-    next_stmt: u32,
-    stmts: HashMap<u32, String>,
-    /// `Some` while an explicit transaction is open: frames route to the
-    /// transaction thread behind this sender.
-    txn: Option<mpsc::Sender<TxnMsg>>,
-}
+/// One of the `workers` execution permits, returned on drop.
+struct Permit<'a>(&'a Shared);
 
-/// One connection's session, shared across threads via `Arc`.
-struct Sess {
-    id: u64,
-    /// Write half (cloned handle; non-blocking like the read half).
-    wr: Mutex<TcpStream>,
-    state: Mutex<SessState>,
-    /// Exactly one request per connection is processed at a time.
-    in_flight: AtomicBool,
-    /// Set to close the connection once the in-flight request finishes.
-    kill: AtomicBool,
-}
-
-impl Sess {
-    /// Serialize and send a response; on write failure mark the
-    /// connection dead (the dispatcher reaps it).
-    fn reply(&self, resp: &Response) {
-        let body = resp.encode();
-        let mut wr = self.wr.lock();
-        if write_frame_nb(&mut wr, &body, Duration::from_secs(10)).is_err() {
-            self.kill.store(true, Ordering::Release);
-        }
+impl Shared {
+    /// Block until an execution permit is free and take it.
+    fn permit(&self) -> Permit<'_> {
+        let mut free = self
+            .permit_freed
+            .wait_while(lock(&self.permits), |free| *free == 0)
+            .unwrap_or_else(PoisonError::into_inner);
+        *free -= 1;
+        Permit(self)
     }
+}
 
-    fn reply_error(&self, code: ErrorCode, message: impl Into<String>) {
-        self.reply(&Response::Error {
-            code,
-            aux: 0,
-            message: message.into(),
-        });
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        *lock(&self.0.permits) += 1;
+        self.0.permit_freed.notify_one();
     }
 }
 
@@ -162,8 +182,6 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
@@ -176,47 +194,27 @@ impl Server {
     /// Bind and start serving.
     pub fn start(engine: Arc<SqlGraph>, cfg: ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(cfg.bind)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let shared = Arc::new(Shared {
             engine,
+            permits: Mutex::new(cfg.workers.max(1)),
             cfg,
             shutdown: AtomicBool::new(false),
             stats: Stats::default(),
+            permit_freed: Condvar::new(),
+            sessions: Mutex::new(HashMap::new()),
+            session_exited: Condvar::new(),
         });
-
-        let (conn_tx, conn_rx) = crossbeam::channel::unbounded::<TcpStream>();
-        let (job_tx, job_rx) = crossbeam::channel::unbounded::<Job>();
-
         let accept = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("sqlgraph-accept".into())
-                .spawn(move || accept_loop(&shared, listener, conn_tx))?
+                .spawn(move || accept_loop(&shared, listener))?
         };
-        let dispatcher = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("sqlgraph-dispatch".into())
-                .spawn(move || dispatch_loop(&shared, conn_rx, job_tx))?
-        };
-        let mut workers = Vec::new();
-        for i in 0..shared.cfg.workers.max(1) {
-            let shared = Arc::clone(&shared);
-            let rx = job_rx.clone();
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("sqlgraph-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, rx))?,
-            );
-        }
-        drop(job_rx);
         Ok(Server {
             shared,
             addr,
             accept: Some(accept),
-            dispatcher: Some(dispatcher),
-            workers,
         })
     }
 
@@ -225,14 +223,15 @@ impl Server {
         self.addr
     }
 
-    /// Size of the worker pool serving autocommit requests.
+    /// Number of execution permits: the bound on autocommit statements
+    /// running at once.
     pub fn worker_count(&self) -> usize {
-        self.workers.len()
+        self.shared.cfg.workers.max(1)
     }
 
     /// Currently open connections.
     pub fn active_connections(&self) -> usize {
-        self.shared.stats.active.load(Ordering::Acquire)
+        lock(&self.shared.sessions).len()
     }
 
     /// Currently open explicit transactions.
@@ -240,7 +239,7 @@ impl Server {
         self.shared.stats.open_txns.load(Ordering::Acquire)
     }
 
-    /// Total frames dispatched.
+    /// Total request frames read.
     pub fn frames_processed(&self) -> u64 {
         self.shared.stats.frames.load(Ordering::Acquire)
     }
@@ -264,18 +263,37 @@ impl Server {
     }
 
     fn shutdown_inner(&mut self) {
+        let Some(accept) = self.accept.take() else {
+            return; // already shut down
+        };
         self.shared.shutdown.store(true, Ordering::Release);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
+        // `accept` has no timeout; a throwaway connection makes it return
+        // and see the flag. Should the connect fail, leave the thread
+        // parked rather than hang here: it registers nothing once the flag
+        // is set.
+        if TcpStream::connect(self.addr).is_ok() {
+            let _ = accept.join();
         }
-        if let Some(h) = self.dispatcher.take() {
-            let _ = h.join();
+
+        // A reader parked in `read` returns 0 and finds the flag; a session
+        // mid-request finds it when it next comes round its loop.
+        let sessions = lock(&self.shared.sessions);
+        for (sock, _) in sessions.values() {
+            let _ = sock.shutdown(Shutdown::Read);
         }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        let (mut sessions, _) = self
+            .shared
+            .session_exited
+            .wait_timeout_while(sessions, self.shared.cfg.drain_timeout, |s| !s.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        // Past the drain bound: fail the stragglers' socket calls, then
+        // wait for whatever statement they are still executing.
+        let stragglers: Vec<Registration> = sessions.drain().map(|(_, reg)| reg).collect();
+        drop(sessions);
+        for (sock, session) in stragglers {
+            let _ = sock.shutdown(Shutdown::Both);
+            let _ = session.join();
         }
-        // Transaction threads are detached; the dispatcher's drain waited
-        // for open_txns to hit zero (bounded by drain_timeout).
     }
 }
 
@@ -289,650 +307,354 @@ impl Drop for Server {
 // Accept thread
 // ---------------------------------------------------------------------
 
-fn accept_loop(
-    shared: &Shared,
-    listener: TcpListener,
-    conn_tx: crossbeam::channel::Sender<TcpStream>,
-) {
-    while !shared.shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((sock, _)) => {
-                if shared.stats.active.load(Ordering::Acquire) >= shared.cfg.max_connections {
-                    drop(sock); // refuse: over the cap
-                    continue;
-                }
-                shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                if conn_tx.send(sock).is_err() {
-                    return;
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_micros(500));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Dispatcher
-// ---------------------------------------------------------------------
-
-struct Job {
-    sess: Arc<Sess>,
-    body: Vec<u8>,
-}
-
-struct Conn {
-    sock: TcpStream,
-    buf: Vec<u8>,
-    sess: Arc<Sess>,
-    last: Instant,
-    /// Client half-closed; reap once the in-flight request finishes.
-    eof: bool,
-}
-
-fn dispatch_loop(
-    shared: &Arc<Shared>,
-    conn_rx: crossbeam::channel::Receiver<TcpStream>,
-    job_tx: crossbeam::channel::Sender<Job>,
-) {
-    let mut conns: HashMap<u64, Conn> = HashMap::new();
+fn accept_loop(shared: &Arc<Shared>, listener: TcpListener) {
     let mut next_id: u64 = 1;
-    let mut scratch = vec![0u8; 64 * 1024];
-
     loop {
+        let accepted = listener.accept();
         if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let mut progressed = false;
-
-        // Adopt new connections.
-        while let Ok(sock) = conn_rx.try_recv() {
-            if sock.set_nonblocking(true).is_err() {
-                continue;
-            }
-            let Ok(wr) = sock.try_clone() else { continue };
-            let id = next_id;
-            next_id += 1;
-            let sess = Arc::new(Sess {
-                id,
-                wr: Mutex::new(wr),
-                state: Mutex::new(SessState {
-                    hello: false,
-                    next_stmt: 1,
-                    stmts: HashMap::new(),
-                    txn: None,
-                }),
-                in_flight: AtomicBool::new(false),
-                kill: AtomicBool::new(false),
-            });
-            shared.stats.active.fetch_add(1, Ordering::AcqRel);
-            conns.insert(
-                id,
-                Conn {
-                    sock,
-                    buf: Vec::new(),
-                    sess,
-                    last: Instant::now(),
-                    eof: false,
-                },
-            );
-            progressed = true;
-        }
-
-        let mut dead: Vec<u64> = Vec::new();
-        for (&id, conn) in conns.iter_mut() {
-            let in_flight = conn.sess.in_flight.load(Ordering::Acquire);
-            if conn.sess.kill.load(Ordering::Acquire) && !in_flight {
-                dead.push(id);
-                continue;
-            }
-
-            // Pull bytes. Cap buffering at one max frame plus headroom so a
-            // pipelining client cannot balloon memory.
-            if conn.buf.len() < shared.cfg.max_frame + 4 {
-                match conn.sock.read(&mut scratch) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        if !in_flight {
-                            dead.push(id);
-                            continue;
-                        }
-                    }
-                    Ok(n) => {
-                        conn.buf.extend_from_slice(&scratch[..n]);
-                        conn.last = Instant::now();
-                        progressed = true;
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
-                    Err(_) => {
-                        dead.push(id);
-                        continue;
-                    }
-                }
-            }
-
-            // Cut and route one frame if the session is free.
-            if !conn.sess.in_flight.load(Ordering::Acquire) && conn.buf.len() >= 4 {
-                let len = u32::from_le_bytes(conn.buf[..4].try_into().unwrap()) as usize;
-                if len > shared.cfg.max_frame {
-                    shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-                    conn.sess.reply_error(
-                        ErrorCode::TooLarge,
-                        format!(
-                            "frame of {len} bytes exceeds limit {}",
-                            shared.cfg.max_frame
-                        ),
-                    );
-                    dead.push(id);
-                    continue;
-                }
-                if conn.buf.len() >= 4 + len {
-                    let body: Vec<u8> = conn.buf.drain(..4 + len).skip(4).collect();
-                    conn.sess.in_flight.store(true, Ordering::Release);
-                    shared.stats.frames.fetch_add(1, Ordering::Relaxed);
-                    conn.last = Instant::now();
-                    progressed = true;
-                    route(&conn.sess, body, &job_tx);
-                }
-            }
-
-            // Idle reaping (transaction idleness is handled by the
-            // transaction thread's own recv timeout).
-            let has_txn = conn.sess.state.lock().txn.is_some();
-            if !in_flight && !has_txn && !conn.eof && conn.last.elapsed() > shared.cfg.idle_timeout
-            {
-                conn.sess.reply_error(ErrorCode::Timeout, "idle timeout");
-                dead.push(id);
-            }
-        }
-        for id in dead {
-            if let Some(conn) = conns.remove(&id) {
-                close_conn(shared, conn);
-            }
-        }
-
-        if !progressed {
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-
-    drain(shared, conns, job_tx);
-}
-
-/// Route one complete frame: transaction thread if the session has one,
-/// otherwise the worker pool.
-fn route(sess: &Arc<Sess>, body: Vec<u8>, job_tx: &crossbeam::channel::Sender<Job>) {
-    let st = sess.state.lock();
-    if let Some(tx) = &st.txn {
-        if tx.send(TxnMsg::Frame(body)).is_ok() {
             return;
         }
-        // The transaction thread already exited (idle timeout); it set
-        // `kill`, so just release the in-flight slot and let the reaper
-        // close the connection.
-        drop(st);
-        sess.in_flight.store(false, Ordering::Release);
-        sess.kill.store(true, Ordering::Release);
-        return;
-    }
-    drop(st);
-    let _ = job_tx.send(Job {
-        sess: Arc::clone(sess),
-        body,
-    });
-}
-
-fn close_conn(shared: &Shared, conn: Conn) {
-    // Dropping the transaction sender makes the session's transaction
-    // thread roll back and exit.
-    conn.sess.state.lock().txn = None;
-    shared.stats.active.fetch_sub(1, Ordering::AcqRel);
-    let _ = conn.sock.shutdown(std::net::Shutdown::Both);
-}
-
-/// Graceful drain: let in-flight requests finish and flush, roll back
-/// open transactions, then close every socket.
-fn drain(
-    shared: &Arc<Shared>,
-    mut conns: HashMap<u64, Conn>,
-    job_tx: crossbeam::channel::Sender<Job>,
-) {
-    let deadline = Instant::now() + shared.cfg.drain_timeout;
-
-    // Wait for in-flight autocommit requests (their responses flush from
-    // the worker threads). Keep `job_tx` alive until they finish so the
-    // workers' queue does not disconnect under them.
-    while Instant::now() < deadline
-        && conns
-            .values()
-            .any(|c| c.sess.in_flight.load(Ordering::Acquire))
-    {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-    drop(job_tx);
-
-    // Drop transaction senders: session threads observe the disconnect,
-    // roll back, and clear the open-transaction gauge.
-    for conn in conns.values() {
-        conn.sess.state.lock().txn = None;
-    }
-    while Instant::now() < deadline && shared.stats.open_txns.load(Ordering::Acquire) > 0 {
-        std::thread::sleep(Duration::from_micros(200));
-    }
-
-    for (_, conn) in conns.drain() {
-        conn.sess
-            .reply_error(ErrorCode::ShuttingDown, "server shutting down");
-        close_conn(shared, conn);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Worker pool (autocommit requests)
-// ---------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>, rx: crossbeam::channel::Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        let outcome = catch_unwind(AssertUnwindSafe(|| handle_autocommit(shared, &job)));
-        match outcome {
-            // `true` means a transaction thread took over the session and
-            // owns the in-flight slot now.
-            Ok(true) => {}
-            Ok(false) => job.sess.in_flight.store(false, Ordering::Release),
+        let mut sessions = lock(&shared.sessions);
+        let sock = match accepted {
+            Ok((sock, _)) if sessions.len() < shared.cfg.max_connections => Arc::new(sock),
+            Ok(_) => continue, // refuse: over the cap
             Err(_) => {
-                shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-                job.sess
-                    .reply_error(ErrorCode::Internal, "request handler panicked");
-                job.sess.kill.store(true, Ordering::Release);
-                job.sess.in_flight.store(false, Ordering::Release);
+                // Usually descriptor exhaustion, which a session exit
+                // cures: wait for one (bounded, the cause may be another).
+                let _ = shared.session_exited.wait_timeout(sessions, ACCEPT_BACKOFF);
+                continue;
             }
+        };
+        shared.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        let id = next_id;
+        next_id += 1;
+        let spawned = {
+            let shared = Arc::clone(shared);
+            let sock = Arc::clone(&sock);
+            std::thread::Builder::new()
+                .name("sqlgraph-session".into())
+                .spawn(move || session(&shared, id, &sock))
+        };
+        // The session cannot deregister before this insert: its exit guard
+        // needs the lock held here. A failed spawn refuses the connection.
+        if let Ok(handle) = spawned {
+            sessions.insert(id, (sock, handle));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Session threads
+// ---------------------------------------------------------------------
+
+/// Takes the session out of the registry on every exit path, a panic
+/// included, and wakes a shutdown waiting for the registry to empty.
+struct Registered<'a> {
+    shared: &'a Shared,
+    id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        // The entry holds this thread's own `JoinHandle`; dropping it here,
+        // as the thread's last act, leaves nothing a join could observe.
+        lock(&self.shared.sessions).remove(&self.id);
+        self.shared.session_exited.notify_all();
+    }
+}
+
+/// Gives back a slot in `open_txns` on drop.
+struct TxnSlot<'a>(&'a Shared);
+
+impl Drop for TxnSlot<'_> {
+    fn drop(&mut self) {
+        self.0.stats.open_txns.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+/// An open explicit transaction and its slot. The transaction comes (and
+/// so drops) first: the slot is given back once the rollback has released
+/// the store's mutation lock.
+type OpenTxn<'g> = Option<(GraphTxn<'g>, TxnSlot<'g>)>;
+
+/// One connection's state, owned by its session thread.
+struct Session<'g> {
+    id: u64,
+    hello: bool,
+    next_stmt: u32,
+    stmts: HashMap<u32, String>,
+    txn: OpenTxn<'g>,
+}
+
+/// A response and whether the connection closes after it.
+type Outcome = (Response, bool);
+const KEEP: bool = false;
+const CLOSE: bool = true;
+
+fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+    Response::Error {
+        code,
+        aux: 0,
+        message: message.into(),
+    }
+}
+
+fn shutting_down() -> Response {
+    error(ErrorCode::ShuttingDown, "server shutting down")
+}
+
+fn session(shared: &Shared, id: u64, sock: &TcpStream) {
+    let _registered = Registered { shared, id };
+    // A socket error ends the session; everything it held unwinds with it.
+    let _ = serve(shared, id, sock);
+}
+
+fn serve(shared: &Shared, id: u64, mut sock: &TcpStream) -> std::io::Result<()> {
+    // Responses go out whole and at once; without this a small one would
+    // wait on Nagle's algorithm for the client's delayed ACK.
+    sock.set_nodelay(true)?;
+    sock.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    sock.set_read_timeout(Some(shared.cfg.idle_timeout))?;
+    let mut sess = Session {
+        id,
+        hello: false,
+        next_stmt: 1,
+        stmts: HashMap::new(),
+        txn: None,
+    };
+
+    let goodbye = loop {
+        if shared.shutdown.load(Ordering::Acquire) {
+            break Some(shutting_down());
+        }
+        // Refuses a length prefix over the limit before allocating for it.
+        let body = match read_frame(&mut sock, shared.cfg.max_frame) {
+            Ok(body) => body,
+            Err(e) => {
+                break match e.kind() {
+                    // `read_frame`'s own error; a socket read never yields it.
+                    ErrorKind::InvalidData => {
+                        shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
+                        Some(error(ErrorCode::TooLarge, e.to_string()))
+                    }
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                        // In a transaction this is a stalled client holding
+                        // the mutation lock: roll back and kick it.
+                        let message = match sess.txn {
+                            Some(_) => "transaction idle timeout; rolled back",
+                            None => "idle timeout",
+                        };
+                        Some(error(ErrorCode::Timeout, message))
+                    }
+                    // End of stream: shutdown's wake-up call, or the client left.
+                    _ if shared.shutdown.load(Ordering::Acquire) => Some(shutting_down()),
+                    _ => None,
+                };
+            }
+        };
+        shared.stats.frames.fetch_add(1, Ordering::Relaxed);
+
+        let in_txn = sess.txn.is_some();
+        let handled = catch_unwind(AssertUnwindSafe(|| {
+            let (resp, close) = handle(shared, &mut sess, &body);
+            (resp.encode_frame(), close)
+        }));
+        let (frame, close) = handled.unwrap_or_else(|_| {
+            shared.stats.panics.fetch_add(1, Ordering::Relaxed);
+            let resp = error(ErrorCode::Internal, "request handler panicked");
+            (resp.encode_frame(), CLOSE)
+        });
+        sock.write_all(&frame)?;
+        if close {
+            break None;
+        }
+        if sess.txn.is_some() != in_txn {
+            let cfg = &shared.cfg;
+            let idle = if in_txn {
+                cfg.idle_timeout
+            } else {
+                cfg.txn_idle_timeout
+            };
+            sock.set_read_timeout(Some(idle))?;
+        }
+    };
+
+    // Roll back before the last word, so what it says is already true.
+    drop(sess);
+    if let Some(resp) = goodbye {
+        sock.write_all(&resp.encode_frame())?;
+    }
+    Ok(())
 }
 
 /// SQL text forms of the transaction-control frames, accepted through
 /// `QuerySql` for clients that speak plain SQL.
-enum SqlClass<'a> {
-    Begin,
-    Commit,
-    Rollback,
-    Other(&'a str),
-}
-
-fn classify(sql: &str) -> SqlClass<'_> {
+fn control_frame(sql: &str) -> Option<Request> {
     let t = sql.trim().trim_end_matches(';').trim();
-    if t.eq_ignore_ascii_case("begin") {
-        SqlClass::Begin
-    } else if t.eq_ignore_ascii_case("commit") {
-        SqlClass::Commit
-    } else if t.eq_ignore_ascii_case("rollback") {
-        SqlClass::Rollback
-    } else {
-        SqlClass::Other(sql)
-    }
+    [
+        ("begin", Request::Begin),
+        ("commit", Request::Commit),
+        ("rollback", Request::Rollback),
+    ]
+    .into_iter()
+    .find_map(|(word, req)| t.eq_ignore_ascii_case(word).then_some(req))
 }
 
-/// Handle one frame outside a transaction. Returns `true` when a
-/// transaction thread was spawned and now owns the session's in-flight
-/// slot.
-fn handle_autocommit(shared: &Arc<Shared>, job: &Job) -> bool {
-    let sess = &job.sess;
-    let req = match Request::decode(&job.body) {
+/// Handle one frame, inside the session's transaction or outside it.
+fn handle<'g>(shared: &'g Shared, sess: &mut Session<'g>, body: &[u8]) -> Outcome {
+    let mut req = match Request::decode(body) {
         Ok(req) => req,
         Err(e) => {
             shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-            sess.reply_error(ErrorCode::Protocol, e.to_string());
-            sess.kill.store(true, Ordering::Release);
-            return false;
+            return (error(ErrorCode::Protocol, e.to_string()), CLOSE);
         }
     };
 
     // Handshake gate.
-    if !sess.state.lock().hello {
-        let Request::Hello { proto, token } = &req else {
+    if !sess.hello {
+        let Request::Hello { proto, token } = req else {
             shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-            sess.reply_error(ErrorCode::Protocol, "handshake required before requests");
-            sess.kill.store(true, Ordering::Release);
-            return false;
+            let message = "handshake required before requests";
+            return (error(ErrorCode::Protocol, message), CLOSE);
         };
-        if *proto != PROTO_VERSION {
-            sess.reply_error(
-                ErrorCode::Auth,
-                format!("unsupported protocol version {proto}"),
-            );
-            sess.kill.store(true, Ordering::Release);
-            return false;
+        if proto != PROTO_VERSION {
+            let message = format!("unsupported protocol version {proto}");
+            return (error(ErrorCode::Auth, message), CLOSE);
         }
-        if *token != shared.cfg.auth_token {
-            sess.reply_error(ErrorCode::Auth, "bad token");
-            sess.kill.store(true, Ordering::Release);
-            return false;
+        if token != shared.cfg.auth_token {
+            return (error(ErrorCode::Auth, "bad token"), CLOSE);
         }
-        sess.state.lock().hello = true;
-        sess.reply(&Response::HelloOk { session: sess.id });
-        return false;
+        sess.hello = true;
+        return (Response::HelloOk { session: sess.id }, KEEP);
     }
 
-    match req {
-        Request::Hello { .. } => {
-            sess.reply_error(ErrorCode::Protocol, "duplicate handshake");
-            sess.kill.store(true, Ordering::Release);
-            false
+    if let Request::QuerySql { sql, .. } = &req {
+        if let Some(control) = control_frame(sql) {
+            req = control;
         }
+    }
+    match req {
+        Request::Hello { .. } => (error(ErrorCode::Protocol, "duplicate handshake"), CLOSE),
         Request::Ping => {
-            sess.reply(&Response::Ok { stmts: 0 });
-            false
+            let stmts = match &sess.txn {
+                Some((txn, _)) => txn.statements_executed(),
+                None => 0,
+            };
+            (Response::Ok { stmts }, KEEP)
         }
         Request::Close => {
-            sess.reply(&Response::Ok { stmts: 0 });
-            sess.kill.store(true, Ordering::Release);
-            false
+            if let Some((txn, _slot)) = sess.txn.take() {
+                txn.rollback();
+            }
+            (Response::Ok { stmts: 0 }, CLOSE)
         }
         Request::Prepare { sql } => {
+            let _permit = sess.txn.is_none().then(|| shared.permit());
             match shared.engine.database().prepare(&sql) {
                 Ok(()) => {
-                    let mut st = sess.state.lock();
-                    let id = st.next_stmt;
-                    st.next_stmt += 1;
-                    st.stmts.insert(id, sql);
-                    drop(st);
-                    sess.reply(&Response::PrepareOk { stmt: id });
+                    let stmt = sess.next_stmt;
+                    sess.next_stmt += 1;
+                    sess.stmts.insert(stmt, sql);
+                    (Response::PrepareOk { stmt }, KEEP)
                 }
-                Err(e) => sess.reply(&Response::from_rel_error(&e)),
+                Err(e) => (Response::from_rel_error(&e), KEEP),
             }
-            false
         }
-        Request::Begin => begin_txn(shared, sess),
-        Request::Commit | Request::Rollback => {
-            sess.reply_error(ErrorCode::Invalid, "no open transaction");
-            false
+        Request::Begin => begin(shared, sess),
+        Request::Commit => end_txn(sess, true),
+        Request::Rollback => end_txn(sess, false),
+        Request::QuerySql { sql, params } => {
+            statement(shared, &mut sess.txn, Stmt::Sql(&sql, &params))
         }
-        Request::QuerySql { sql, params } => match classify(&sql) {
-            SqlClass::Begin => begin_txn(shared, sess),
-            SqlClass::Commit | SqlClass::Rollback => {
-                sess.reply_error(ErrorCode::Invalid, "no open transaction");
-                false
-            }
-            SqlClass::Other(text) => {
-                run_sql_autocommit(shared, sess, text, &params);
-                false
+        Request::Execute { stmt, params } => match sess.stmts.get(&stmt) {
+            Some(sql) => statement(shared, &mut sess.txn, Stmt::Sql(sql, &params)),
+            None => {
+                let message = format!("unknown prepared statement {stmt}");
+                (error(ErrorCode::Invalid, message), KEEP)
             }
         },
-        Request::Execute { stmt, params } => {
-            let sql = sess.state.lock().stmts.get(&stmt).cloned();
-            match sql {
-                Some(text) => run_sql_autocommit(shared, sess, &text, &params),
-                None => sess.reply_error(
-                    ErrorCode::Invalid,
-                    format!("unknown prepared statement {stmt}"),
-                ),
-            }
-            false
-        }
         Request::QueryGremlin { gremlin } => {
-            match shared.engine.query(&gremlin) {
-                Ok(rel) => sess.reply(&Response::ResultSet { stmts: 1, rel }),
-                Err(e) => sess.reply(&Response::from_core_error(&e)),
-            }
-            false
+            statement(shared, &mut sess.txn, Stmt::Gremlin(&gremlin))
         }
     }
 }
 
-fn run_sql_autocommit(shared: &Arc<Shared>, sess: &Arc<Sess>, sql: &str, params: &[Value]) {
-    match shared.engine.database().execute_with_params(sql, params) {
-        Ok(rel) => sess.reply(&Response::ResultSet { stmts: 1, rel }),
-        Err(e) => sess.reply(&Response::from_rel_error(&e)),
+/// Reserve a transaction slot and acquire the store transaction, retrying
+/// so the acquire deadline and shutdown can interrupt the wait.
+fn begin<'g>(shared: &'g Shared, sess: &mut Session<'g>) -> Outcome {
+    if sess.txn.is_some() {
+        return (error(ErrorCode::Invalid, "transaction already open"), KEEP);
     }
-}
-
-// ---------------------------------------------------------------------
-// Transaction threads
-// ---------------------------------------------------------------------
-
-/// Reserve a transaction slot and move the session onto a dedicated
-/// thread. The worker's in-flight slot transfers to the new thread, which
-/// replies to the `BEGIN` once the store transaction is acquired.
-fn begin_txn(shared: &Arc<Shared>, sess: &Arc<Sess>) -> bool {
-    {
-        let st = sess.state.lock();
-        if st.txn.is_some() {
-            drop(st);
-            sess.reply_error(ErrorCode::Invalid, "transaction already open");
-            return false;
-        }
+    let cap = shared.cfg.max_txn_sessions;
+    let taken = shared.stats.open_txns.fetch_add(1, Ordering::AcqRel);
+    let slot = TxnSlot(shared);
+    if taken >= cap {
+        let message = format!("open-transaction limit ({cap}) reached");
+        return (error(ErrorCode::Busy, message), KEEP);
     }
-    let slots = &shared.stats.open_txns;
-    if slots.fetch_add(1, Ordering::AcqRel) >= shared.cfg.max_txn_sessions {
-        slots.fetch_sub(1, Ordering::AcqRel);
-        sess.reply_error(
-            ErrorCode::Busy,
-            format!(
-                "open-transaction limit ({}) reached",
-                shared.cfg.max_txn_sessions
-            ),
-        );
-        return false;
-    }
-    let (tx, rx) = mpsc::channel::<TxnMsg>();
-    sess.state.lock().txn = Some(tx);
-    let shared2 = Arc::clone(shared);
-    let sess2 = Arc::clone(sess);
-    let spawned = std::thread::Builder::new()
-        .name("sqlgraph-txn".into())
-        .spawn(move || txn_thread(&shared2, &sess2, rx))
-        .is_ok();
-    if !spawned {
-        sess.state.lock().txn = None;
-        slots.fetch_sub(1, Ordering::AcqRel);
-        sess.reply_error(ErrorCode::Busy, "could not spawn transaction thread");
-        return false;
-    }
-    true
-}
-
-/// Clears the session's transaction registration on every exit path,
-/// including panics (the `GraphTxn` itself rolls back via its own Drop).
-struct TxnGuard<'a> {
-    shared: &'a Shared,
-    sess: &'a Sess,
-}
-
-impl Drop for TxnGuard<'_> {
-    fn drop(&mut self) {
-        self.sess.state.lock().txn = None;
-        self.shared.stats.open_txns.fetch_sub(1, Ordering::AcqRel);
-        self.sess.in_flight.store(false, Ordering::Release);
-    }
-}
-
-fn txn_thread(shared: &Arc<Shared>, sess: &Arc<Sess>, rx: mpsc::Receiver<TxnMsg>) {
-    let guard = TxnGuard { shared, sess };
-    let outcome = catch_unwind(AssertUnwindSafe(|| txn_session(shared, sess, &rx)));
-    if outcome.is_err() {
-        shared.stats.panics.fetch_add(1, Ordering::Relaxed);
-        sess.reply_error(ErrorCode::Internal, "transaction handler panicked");
-        sess.kill.store(true, Ordering::Release);
-    }
-    drop(guard);
-}
-
-fn txn_session(shared: &Arc<Shared>, sess: &Arc<Sess>, rx: &mpsc::Receiver<TxnMsg>) {
-    // Acquire the store transaction, polling so shutdown can interrupt.
     let deadline = Instant::now() + shared.cfg.txn_acquire_timeout;
-    let mut txn: GraphTxn<'_> = loop {
+    loop {
         if shared.shutdown.load(Ordering::Acquire) {
-            sess.reply_error(ErrorCode::ShuttingDown, "server shutting down");
-            sess.kill.store(true, Ordering::Release);
-            return;
+            return (shutting_down(), CLOSE);
         }
-        if let Some(t) = shared.engine.try_transaction() {
-            break t;
+        if let Some(txn) = shared.engine.try_transaction() {
+            sess.txn = Some((txn, slot));
+            return (Response::Ok { stmts: 0 }, KEEP);
         }
         if Instant::now() > deadline {
-            sess.reply_error(
-                ErrorCode::Busy,
-                "timed out waiting for the store transaction",
-            );
-            return;
+            let message = "timed out waiting for the store transaction";
+            return (error(ErrorCode::Busy, message), KEEP);
         }
-        std::thread::sleep(Duration::from_micros(200));
-    };
-    sess.reply(&Response::Ok { stmts: 0 });
-    sess.in_flight.store(false, Ordering::Release);
-
-    loop {
-        match rx.recv_timeout(shared.cfg.txn_idle_timeout) {
-            Ok(TxnMsg::Frame(body)) => {
-                match txn_frame(shared, sess, txn, &body) {
-                    Some(t) => {
-                        txn = t;
-                        sess.in_flight.store(false, Ordering::Release);
-                    }
-                    None => return, // committed / rolled back / fatal
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                // Stalled client holding the mutation lock: roll back and
-                // kick the connection.
-                txn.rollback();
-                sess.reply_error(ErrorCode::Timeout, "transaction idle timeout; rolled back");
-                sess.kill.store(true, Ordering::Release);
-                return;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                // Connection closed or server draining: roll back.
-                txn.rollback();
-                return;
-            }
-        }
+        std::thread::sleep(BEGIN_RETRY);
     }
 }
 
-/// Handle one frame inside a transaction. Returns the transaction if it
-/// stays open, `None` if it ended (the guard in `txn_thread` clears the
-/// session registration; `in_flight` is cleared here on the ended paths).
-fn txn_frame<'g>(
-    shared: &Shared,
-    sess: &Sess,
-    txn: GraphTxn<'g>,
-    body: &[u8],
-) -> Option<GraphTxn<'g>> {
-    let req = match Request::decode(body) {
-        Ok(req) => req,
-        Err(e) => {
-            shared.stats.proto_errors.fetch_add(1, Ordering::Relaxed);
-            txn.rollback();
-            sess.reply_error(ErrorCode::Protocol, e.to_string());
-            sess.kill.store(true, Ordering::Release);
-            return None;
-        }
+/// `COMMIT` / `ROLLBACK`: the slot is back before the reply goes out.
+fn end_txn(sess: &mut Session<'_>, commit: bool) -> Outcome {
+    let Some((txn, _slot)) = sess.txn.take() else {
+        return (error(ErrorCode::Invalid, "no open transaction"), KEEP);
     };
-    match req {
-        Request::Hello { .. } => {
-            txn.rollback();
-            sess.reply_error(ErrorCode::Protocol, "duplicate handshake");
-            sess.kill.store(true, Ordering::Release);
-            None
-        }
-        Request::Ping => {
-            let stmts = txn.statements_executed();
-            sess.reply(&Response::Ok { stmts });
-            Some(txn)
-        }
-        Request::Close => {
-            txn.rollback();
-            sess.reply(&Response::Ok { stmts: 0 });
-            sess.kill.store(true, Ordering::Release);
-            None
-        }
-        Request::Begin => {
-            sess.reply_error(ErrorCode::Invalid, "transaction already open");
-            Some(txn)
-        }
-        Request::Commit => {
-            let stmts = txn.statements_executed();
-            match txn.commit() {
-                Ok(()) => sess.reply(&Response::Ok { stmts }),
-                Err(e) => sess.reply(&Response::from_core_error(&e)),
-            }
-            None
-        }
-        Request::Rollback => {
-            let stmts = txn.statements_executed();
-            txn.rollback();
-            sess.reply(&Response::Ok { stmts });
-            None
-        }
-        Request::Prepare { sql } => {
-            match shared.engine.database().prepare(&sql) {
-                Ok(()) => {
-                    let mut st = sess.state.lock();
-                    let id = st.next_stmt;
-                    st.next_stmt += 1;
-                    st.stmts.insert(id, sql);
-                    drop(st);
-                    sess.reply(&Response::PrepareOk { stmt: id });
-                }
-                Err(e) => sess.reply(&Response::from_rel_error(&e)),
-            }
-            Some(txn)
-        }
-        Request::QuerySql { sql, params } => match classify(&sql) {
-            SqlClass::Begin => {
-                sess.reply_error(ErrorCode::Invalid, "transaction already open");
-                Some(txn)
-            }
-            SqlClass::Commit => {
-                let stmts = txn.statements_executed();
-                match txn.commit() {
-                    Ok(()) => sess.reply(&Response::Ok { stmts }),
-                    Err(e) => sess.reply(&Response::from_core_error(&e)),
-                }
-                None
-            }
-            SqlClass::Rollback => {
-                let stmts = txn.statements_executed();
-                txn.rollback();
-                sess.reply(&Response::Ok { stmts });
-                None
-            }
-            SqlClass::Other(text) => txn_statement(sess, txn, |t| t.sql_with_params(text, &params)),
-        },
-        Request::Execute { stmt, params } => {
-            let sql = sess.state.lock().stmts.get(&stmt).cloned();
-            match sql {
-                Some(text) => txn_statement(sess, txn, |t| t.sql_with_params(&text, &params)),
-                None => {
-                    sess.reply_error(
-                        ErrorCode::Invalid,
-                        format!("unknown prepared statement {stmt}"),
-                    );
-                    Some(txn)
-                }
-            }
-        }
-        Request::QueryGremlin { gremlin } => txn_statement(sess, txn, |t| t.query(&gremlin)),
+    let stmts = txn.statements_executed();
+    if !commit {
+        txn.rollback();
+    } else if let Err(e) = txn.commit() {
+        return (Response::from_core_error(&e), KEEP);
     }
+    (Response::Ok { stmts }, KEEP)
 }
 
-/// Run one statement inside the transaction. Recoverable errors (bad SQL,
-/// missing vertex, …) leave the transaction open, matching in-process
-/// `GraphTxn` semantics; a first-updater-wins conflict aborts it — the
-/// snapshot can no longer commit, so the server rolls back and the client
-/// retries from `BEGIN`.
-fn txn_statement<'g>(
-    sess: &Sess,
-    mut txn: GraphTxn<'g>,
-    f: impl FnOnce(&mut GraphTxn<'g>) -> Result<Relation, CoreError>,
-) -> Option<GraphTxn<'g>> {
-    match f(&mut txn) {
+enum Stmt<'a> {
+    Sql(&'a str, &'a [Value]),
+    Gremlin(&'a str),
+}
+
+/// Run one statement: inside the session's transaction if it has one,
+/// otherwise in autocommit under an execution permit. In a transaction,
+/// recoverable errors (bad SQL, missing vertex, …) leave it open, matching
+/// in-process `GraphTxn` semantics; a first-updater-wins conflict aborts
+/// it — the snapshot can no longer commit, so the server rolls back and
+/// the client retries from `BEGIN`.
+fn statement<'g>(shared: &'g Shared, open: &mut OpenTxn<'g>, stmt: Stmt<'_>) -> Outcome {
+    let Some((txn, _)) = open else {
+        let _permit = shared.permit();
+        let db = shared.engine.database();
+        let result = match stmt {
+            Stmt::Sql(sql, params) => db.execute_with_params(sql, params).map_err(CoreError::from),
+            Stmt::Gremlin(gremlin) => shared.engine.query(gremlin),
+        };
+        return match result {
+            Ok(rel) => (Response::ResultSet { stmts: 1, rel }, KEEP),
+            Err(e) => (Response::from_core_error(&e), KEEP),
+        };
+    };
+    let result = match stmt {
+        Stmt::Sql(sql, params) => txn.sql_with_params(sql, params),
+        Stmt::Gremlin(gremlin) => txn.query(gremlin),
+    };
+    match result {
         Ok(rel) => {
             let stmts = txn.statements_executed();
-            sess.reply(&Response::ResultSet { stmts, rel });
-            Some(txn)
+            (Response::ResultSet { stmts, rel }, KEEP)
         }
         Err(e) => {
             let fatal = matches!(
@@ -943,42 +665,10 @@ fn txn_statement<'g>(
                         | sqlgraph_rel::Error::Wal(_)
                 )
             );
-            sess.reply(&Response::from_core_error(&e));
             if fatal {
-                txn.rollback();
-                None
-            } else {
-                Some(txn)
+                *open = None; // rolls back
             }
+            (Response::from_core_error(&e), KEEP)
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// Non-blocking write helper
-// ---------------------------------------------------------------------
-
-/// `write_frame` over a non-blocking socket: spin out `WouldBlock` with
-/// short sleeps until `timeout`.
-fn write_frame_nb(sock: &mut TcpStream, body: &[u8], timeout: Duration) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    let deadline = Instant::now() + timeout;
-    let mut off = 0;
-    while off < frame.len() {
-        match sock.write(&frame[off..]) {
-            Ok(0) => return Err(std::io::Error::new(ErrorKind::WriteZero, "socket closed")),
-            Ok(n) => off += n,
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if Instant::now() > deadline {
-                    return Err(std::io::Error::new(ErrorKind::TimedOut, "write timed out"));
-                }
-                std::thread::sleep(Duration::from_micros(50));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(())
 }

@@ -7,8 +7,8 @@ use sqlgraph_json::Json;
 use sqlgraph_rel::{Fault, FaultKind, SimFs, Value};
 use sqlgraph_server::{Client, ClientError, ErrorCode, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 fn small_graph() -> Arc<SqlGraph> {
     let graph = Arc::new(SqlGraph::new_in_memory());
@@ -207,4 +207,127 @@ fn connection_cap_refuses_excess_sockets_without_harming_existing_ones() {
         c.ping().unwrap();
     }
     server.shutdown();
+}
+
+#[test]
+fn connection_cap_holds_under_a_connect_burst() {
+    let graph = small_graph();
+    let cfg = ServerConfig {
+        max_connections: 4,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&graph), cfg).unwrap();
+    let addr = server.local_addr();
+
+    // 64 clients connect and handshake at the same instant. The cap is
+    // counted where the socket is accepted, so no burst can slip past it.
+    let burst = 64;
+    let barrier = Barrier::new(burst);
+    let done = AtomicBool::new(false);
+    let (survivors, peak) = std::thread::scope(|s| {
+        let watcher = s.spawn(|| {
+            let mut peak = 0;
+            while !done.load(Ordering::Acquire) {
+                peak = peak.max(server.active_connections());
+                std::thread::yield_now();
+            }
+            peak
+        });
+        let handles: Vec<_> = (0..burst)
+            .map(|_| {
+                s.spawn(|| {
+                    barrier.wait();
+                    Client::connect(addr).ok()
+                })
+            })
+            .collect();
+        let survivors: Vec<Client> = handles
+            .into_iter()
+            .filter_map(|h| h.join().unwrap())
+            .collect();
+        done.store(true, Ordering::Release);
+        (survivors, watcher.join().unwrap())
+    });
+
+    assert!(peak <= 4, "{peak} connections were active under a cap of 4");
+    assert!(server.active_connections() <= 4);
+    assert!(
+        (1..=4).contains(&survivors.len()),
+        "{} handshakes succeeded under a cap of 4",
+        survivors.len()
+    );
+    for mut c in survivors {
+        c.ping().unwrap();
+    }
+    server.shutdown();
+}
+
+#[test]
+fn contended_begin_times_out_with_busy() {
+    let graph = small_graph();
+    let cfg = ServerConfig {
+        txn_acquire_timeout: Duration::from_millis(100),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&graph), cfg).unwrap();
+    let mut holder = Client::connect(server.local_addr()).unwrap();
+    let mut waiter = Client::connect(server.local_addr()).unwrap();
+
+    holder.begin().unwrap();
+    let err = waiter.begin().unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::Busy), "got {err}");
+    // The refused session stays usable and the holder is undisturbed.
+    waiter.ping().unwrap();
+    holder.commit().unwrap();
+    waiter.begin().unwrap();
+    waiter.rollback().unwrap();
+    assert_eq!(server.open_transactions(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_interrupts_a_begin_waiting_on_the_store_transaction() {
+    let graph = small_graph();
+    let drain_timeout = Duration::from_secs(3);
+    let cfg = ServerConfig {
+        txn_acquire_timeout: Duration::from_secs(60),
+        txn_idle_timeout: Duration::from_secs(60),
+        drain_timeout,
+        ..ServerConfig::default()
+    };
+    let server = Server::start(Arc::clone(&graph), cfg).unwrap();
+    let addr = server.local_addr();
+
+    let mut holder = Client::connect(addr).unwrap();
+    holder.begin().unwrap();
+    holder
+        .query_gremlin("g.addVertex(['name':'provisional'])")
+        .unwrap();
+
+    let waiter = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        client.begin()
+    });
+    // The waiter's slot is counted from the moment its BEGIN is taken up,
+    // so two open transactions means it is parked behind the holder.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.open_transactions() < 2 {
+        assert!(Instant::now() < deadline, "second BEGIN never arrived");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let t0 = Instant::now();
+    server.shutdown();
+    assert!(
+        t0.elapsed() < drain_timeout,
+        "shutdown took {:?} with a session parked in BEGIN",
+        t0.elapsed()
+    );
+    let err = waiter.join().unwrap().unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::ShuttingDown), "got {err}");
+    assert_eq!(graph.database().txns().active_snapshots(), 0);
+    assert_eq!(
+        graph.query("g.V.count()").unwrap().rows,
+        vec![vec![Value::Int(50)]]
+    );
 }

@@ -102,6 +102,29 @@ fn truncated_frames_never_kill_the_server() {
         sock.write_all(&valid[..cut]).unwrap();
         drop(sock);
     }
+
+    // The opposite of a truncation: the whole exchange arrives, but one
+    // byte per segment. Frame assembly must not depend on how the bytes
+    // were cut up on the way.
+    let mut sock = TcpStream::connect(addr).unwrap();
+    sock.set_nodelay(true).unwrap();
+    for body in [&hello_body(), &valid] {
+        let mut frame = Vec::new();
+        protocol::write_frame(&mut frame, body).unwrap();
+        for byte in frame {
+            sock.write_all(&[byte]).unwrap();
+        }
+    }
+    assert!(read_response(&mut sock).is_some(), "handshake failed");
+    let answer = read_response(&mut sock).expect("dribbled query unanswered");
+    match protocol::Response::decode(&answer).unwrap() {
+        protocol::Response::ResultSet { rel, .. } => {
+            assert_eq!(rel.rows, vec![vec![Value::Int(1)]])
+        }
+        other => panic!("expected a result set, got {other:?}"),
+    }
+    drop(sock);
+
     assert_healthy(&mut control);
     wait_active(&server, 1); // only the control connection remains
     assert_eq!(server.worker_panics(), 0);
@@ -299,5 +322,131 @@ fn stalled_transaction_hits_idle_timeout_and_rolls_back() {
     let count = control.query_gremlin("g.V.count()").unwrap();
     assert_eq!(count.rows, vec![vec![Value::Int(5)]]);
     assert_eq!(graph.database().txns().active_snapshots(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let (_graph, server) = start_server();
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    // `send_raw` is two writes; without this each lockstep exchange below
+    // would sit out a delayed ACK between them.
+    sock.set_nodelay(true).unwrap();
+    send_raw(&mut sock, &hello_body()).unwrap();
+    read_response(&mut sock).unwrap();
+
+    let requests: Vec<Vec<u8>> = (0..200i64)
+        .map(|i| match i % 4 {
+            0 => Request::Ping,
+            1 => Request::QueryGremlin {
+                gremlin: format!("g.v({}).out('knows')", i % 5),
+            },
+            2 => Request::QuerySql {
+                sql: "SELECT no_such_column FROM va".into(),
+                params: vec![],
+            },
+            _ => Request::QuerySql {
+                sql: "SELECT vid FROM va WHERE vid = ?".into(),
+                params: vec![Value::Int(i % 6)],
+            },
+        })
+        .map(|req| req.encode())
+        .collect();
+
+    // Reference answers: one request, one response, in lockstep.
+    let expected: Vec<Vec<u8>> = requests
+        .iter()
+        .map(|body| {
+            send_raw(&mut sock, body).unwrap();
+            read_response(&mut sock).unwrap()
+        })
+        .collect();
+
+    // The same frames written back to back before any read: every one is
+    // answered, in request order, with the same bytes.
+    let mut stream = Vec::new();
+    for body in &requests {
+        protocol::write_frame(&mut stream, body).unwrap();
+    }
+    sock.write_all(&stream).unwrap();
+    for (i, want) in expected.iter().enumerate() {
+        let got = read_response(&mut sock).unwrap_or_else(|| panic!("response {i} missing"));
+        assert_eq!(&got, want, "response {i} out of order or different");
+    }
+    assert_eq!(server.worker_panics(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn idle_autocommit_session_gets_a_typed_timeout_then_eof() {
+    let graph = small_graph();
+    let cfg = ServerConfig {
+        idle_timeout: Duration::from_millis(200),
+        ..ServerConfig::default()
+    };
+    let server = Server::start(graph, cfg).unwrap();
+    let before = server.active_connections();
+
+    let mut sock = TcpStream::connect(server.local_addr()).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    send_raw(&mut sock, &hello_body()).unwrap();
+    read_response(&mut sock).unwrap();
+    // Say nothing: the server speaks next.
+    let frame = read_response(&mut sock).expect("expected a Timeout frame");
+    match protocol::Response::decode(&frame).unwrap() {
+        protocol::Response::Error { code, .. } => assert_eq!(code, ErrorCode::Timeout),
+        other => panic!("expected an error frame, got {other:?}"),
+    }
+    let mut rest = Vec::new();
+    assert_eq!(sock.read_to_end(&mut rest).unwrap(), 0, "expected EOF");
+    wait_active(&server, before);
+    server.shutdown();
+}
+
+#[test]
+fn a_client_that_stops_reading_does_not_delay_other_connections() {
+    let (_graph, server) = start_server();
+    let addr = server.local_addr();
+    let mut control = Client::connect(addr).unwrap();
+
+    // 4^6 rows of six integers: ~220 KB per response. Each stalled client
+    // asks for far more than loopback socket buffers hold and never
+    // reads, so the server ends up blocked writing to every one of them.
+    let big = Request::QuerySql {
+        sql: "SELECT a.vid, b.vid, c.vid, d.vid, e.vid, f.vid \
+              FROM va a, va b, va c, va d, va e, va f"
+            .into(),
+        params: vec![],
+    }
+    .encode();
+    let stalled: Vec<TcpStream> = (0..ServerConfig::default().workers + 1)
+        .map(|_| {
+            let mut sock = TcpStream::connect(addr).unwrap();
+            send_raw(&mut sock, &hello_body()).unwrap();
+            read_response(&mut sock).unwrap();
+            for _ in 0..150 {
+                send_raw(&mut sock, &big).unwrap();
+            }
+            sock
+        })
+        .collect();
+
+    let mut worst = Duration::ZERO;
+    for _ in 0..200 {
+        let t0 = Instant::now();
+        control.ping().unwrap();
+        worst = worst.max(t0.elapsed());
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    // A healthy ping takes well under a millisecond, one queued behind a
+    // blocked write the server's 10 s write timeout; one second tells them
+    // apart on any host.
+    assert!(
+        worst < Duration::from_secs(1),
+        "a ping waited {worst:?} behind clients that do not read"
+    );
+    assert_healthy(&mut control);
+    drop(stalled);
+    wait_active(&server, 1);
     server.shutdown();
 }
