@@ -9,10 +9,10 @@
 //!   table3   Table 3 (hash table characteristics)
 //!   table4   Table 4 (EA vs IPA+ISA neighbor lookups)
 //!   fig6     Figure 6 (long paths: OPA+OSA vs EA)
+//!   longpath CSR + factorized lists vs the row templates (Table 1 queries + dq15)
 //!   fig8     Figures 8a/8b/8d (DBpedia benchmark, 3 systems)
 //!   fig8c    Figure 8c substitute (scale sweep)
-//!   fig9     Figure 9 (LinkBench throughput)
-//!   throughput  §5.2 concurrency: ops/sec at 1/2/4/8 client threads
+//!   fig9     Figure 9 + §5.2 concurrency (LinkBench throughput, scaling, tails)
 //!   throughput-mixed  mixed read/write over the wire protocol: MVCC vs lock
 //!   conn-sweep  wire protocol: ops/sec + tails at 1/8/64/256/1024 sockets
 //!   shard-sweep hash-partitioned store: ops/sec at 1/2/4/8 shards
@@ -86,7 +86,6 @@ fn main() {
             "fig8" => experiments::fig8(config),
             "fig8c" => experiments::fig8c(config),
             "fig9" => experiments::fig9(config),
-            "throughput" => experiments::throughput(config),
             "throughput-mixed" => experiments::throughput_mixed(config),
             "conn-sweep" => experiments::conn_sweep(config),
             "shard-sweep" => experiments::shard_sweep(config),
@@ -110,7 +109,6 @@ fn main() {
             "fig8",
             "fig8c",
             "fig9",
-            "throughput",
             "throughput-mixed",
             "conn-sweep",
             "shard-sweep",
@@ -129,7 +127,7 @@ fn main() {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro <fig3|fig4|table3|table4|fig6|longpath|fig8|fig8c|fig9|throughput|throughput-mixed|conn-sweep|shard-sweep|table6|table7|sizes|recovery|all> \
+        "usage: repro <fig3|fig4|table3|table4|fig6|longpath|fig8|fig8c|fig9|throughput-mixed|conn-sweep|shard-sweep|table6|table7|sizes|recovery|all> \
          [--scale F] [--runs N] [--lb-ops N] [--shard-nodes N] [--quick]"
     );
 }

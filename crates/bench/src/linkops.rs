@@ -195,17 +195,27 @@ pub struct ShardedLinkOps<'g> {
     pub overhead: std::time::Duration,
 }
 
-impl LinkOps for ShardedLinkOps<'_> {
-    fn apply(&self, op: &Op) -> Result<bool, String> {
-        spin(self.overhead);
+impl ShardedLinkOps<'_> {
+    /// The one shard database a read routes to; `None` for a write.
+    fn read_db(&self, op: &Op) -> Option<&Database> {
         match op {
             Op::GetNode { id }
             | Op::CountLink { id, .. }
             | Op::MultigetLink { src: id, .. }
-            | Op::GetLinkList { id, .. } => read_op(self.graph.shard_for(*id).database(), op),
+            | Op::GetLinkList { id, .. } => Some(self.graph.shard_for(*id).database()),
+            _ => None,
+        }
+    }
+}
+
+impl LinkOps for ShardedLinkOps<'_> {
+    fn apply(&self, op: &Op) -> Result<bool, String> {
+        spin(self.overhead);
+        match self.read_db(op) {
+            Some(db) => read_op(db, op),
             // Blueprints impl of ShardedGraph routes through the sharded
             // stored procedures; reuse it for writes.
-            _ => <ShardedGraph as LinkOps>::apply(self.graph, op),
+            None => <ShardedGraph as LinkOps>::apply(self.graph, op),
         }
     }
 }
@@ -446,8 +456,14 @@ mod tests {
         let native = NativeGraph::new();
         data.load_blueprints(&native).unwrap();
 
+        let sharded = crate::setup::build_sharded(&data, 4);
+
         let sql_ops = SqlLinkOps {
             graph: &sql,
+            overhead: std::time::Duration::ZERO,
+        };
+        let sharded_ops = ShardedLinkOps {
+            graph: &sharded,
             overhead: std::time::Duration::ZERO,
         };
         let mut wl = Workload::new(11, 0, config.nodes, 8);
@@ -458,6 +474,23 @@ mod tests {
             // Write effectiveness must agree so the stores stay in sync.
             if op.is_write() {
                 assert_eq!(a, b, "write disagreement on {op:?}");
+            }
+            // The 4-shard store applies every write, and answers every
+            // read from the shard it routes to, as the unsharded one does.
+            let c = sharded_ops.apply(&op).unwrap();
+            assert_eq!(a, c, "sharded write diverged on {op:?}");
+            if let Some(shard) = sharded_ops.read_db(&op) {
+                let rows = |db: &Database| {
+                    let mut got = Vec::new();
+                    read_with(&op, |sql, params| {
+                        let rel = db.execute_with_params(sql, params).unwrap();
+                        got.clone_from(&rel.rows);
+                        Ok(rel)
+                    })
+                    .unwrap();
+                    got
+                };
+                assert_eq!(rows(sql.database()), rows(shard), "sharded read {op:?}");
             }
         }
         // Final edge counts agree.

@@ -27,9 +27,8 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, OnceLock};
-
-use crossbeam::channel::{unbounded, Sender};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 /// Rows per morsel. Small enough that a scan over a few tens of
 /// thousands of rows still fans out across every worker, large enough
@@ -43,7 +42,8 @@ pub const AUTO_PARALLEL_MIN_ROWS: usize = 8192;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Shared pool of detached worker threads blocking on an MPMC channel.
+/// Shared pool of detached worker threads blocking on one `mpsc` channel
+/// whose receiver they share behind a mutex.
 struct WorkerPool {
     sender: Sender<Job>,
     workers: usize,
@@ -61,14 +61,22 @@ fn pool() -> &'static WorkerPool {
     static POOL: OnceLock<WorkerPool> = OnceLock::new();
     POOL.get_or_init(|| {
         let workers = max_workers().saturating_sub(1).max(1);
-        let (sender, receiver) = unbounded::<Job>();
+        let (sender, receiver) = channel::<Job>();
+        let receiver = Arc::new(Mutex::new(receiver));
         for i in 0..workers {
-            let rx = receiver.clone();
+            let rx = Arc::clone(&receiver);
             std::thread::Builder::new()
                 .name(format!("rel-worker-{i}"))
                 .spawn(move || {
                     IN_POOL_WORKER.with(|f| f.set(true));
-                    while let Ok(job) = rx.recv() {
+                    loop {
+                        // Take the job in a `let` so the receiver's guard
+                        // drops before `job()` runs; a `while let` would
+                        // hold it across the body and run one job at a time.
+                        let next = rx.lock().expect("no job runs under the lock").recv();
+                        let Ok(job) = next else {
+                            break;
+                        };
                         job();
                     }
                 })

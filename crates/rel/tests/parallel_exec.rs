@@ -84,6 +84,110 @@ fn parallel_matches_serial_row_for_row() {
     db.set_parallelism(0);
 }
 
+const FACT_ROWS: i64 = 12_000;
+const DIM_ROWS: i64 = 600;
+
+/// `fact.k` and `fact.v` of fact row `i`.
+fn fact(i: i64) -> (i64, f64) {
+    ((i * 17) % DIM_ROWS, i as f64 * 0.003)
+}
+
+/// A fact table above the auto-parallel threshold and twelve morsels long,
+/// joined to a dim table: loaded with multi-row INSERTs so a debug build
+/// stays fast.
+fn build_fact_db() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v DOUBLE)")
+        .unwrap();
+    db.execute("CREATE TABLE dim (k INTEGER PRIMARY KEY, tag INTEGER)")
+        .unwrap();
+    for start in (0..FACT_ROWS).step_by(1_000) {
+        let rows: Vec<String> = (start..start + 1_000)
+            .map(|i| format!("({i}, {}, {:?})", fact(i).0, fact(i).1))
+            .collect();
+        db.execute(&format!("INSERT INTO fact VALUES {}", rows.join(", ")))
+            .unwrap();
+    }
+    let rows: Vec<String> = (0..DIM_ROWS).map(|k| format!("({k}, {})", k % 3)).collect();
+    db.execute(&format!("INSERT INTO dim VALUES {}", rows.join(", ")))
+        .unwrap();
+    db.execute("ANALYZE").unwrap();
+    db
+}
+
+#[test]
+fn multi_morsel_scan_agg_and_joins_match_the_formulas_at_every_dop() {
+    // A predicate-heavy scan + grouped aggregation: every group has partials
+    // in several morsels, so the merge order decides group order and the
+    // float SUM.
+    const SCAN_AGG: &str = "SELECT fact.k, COUNT(*), SUM(fact.v) FROM fact \
+                            WHERE fact.v > 1.0 AND fact.id % 3 = 0 GROUP BY fact.k";
+    // A hash join with no usable index. The planner builds on fact and
+    // probes with 200 dim rows, one morsel, so two more shapes put each
+    // join operator across morsels: the outer join takes the row engine's
+    // partitioned build over 8 666 fact rows, the self-join probes the
+    // columnar join with 4 000.
+    const JOIN: &str = "SELECT COUNT(*) FROM fact, dim \
+                        WHERE fact.k = dim.k AND dim.tag = 1 AND fact.v > 10.0";
+    const OUTER: &str = "SELECT COUNT(*), SUM(fact.v) FROM dim \
+                         LEFT OUTER JOIN fact ON fact.k = dim.k AND fact.v > 10.0";
+    const SELF: &str = "SELECT COUNT(*) FROM fact a, fact b \
+                        WHERE a.k = b.k AND a.v > 30.0 AND b.id % 3 = 0";
+    let db = build_fact_db();
+    assert!(FACT_ROWS as usize >= 10 * sqlgraph_rel::parallel::MORSEL_ROWS);
+    assert!(FACT_ROWS as usize > sqlgraph_rel::parallel::AUTO_PARALLEL_MIN_ROWS);
+
+    db.set_parallelism(1);
+    let queries = [SCAN_AGG, JOIN, OUTER, SELF];
+    let serial: Vec<_> = queries.iter().map(|q| db.execute(q).unwrap()).collect();
+    for dop in [2usize, 4, 8, 0] {
+        db.set_parallelism(dop);
+        for (q, want) in queries.iter().zip(&serial) {
+            assert_eq!(db.execute(q).unwrap().rows, want.rows, "dop {dop}: {q}");
+        }
+    }
+    db.set_parallelism(0);
+
+    let rows = || (0..FACT_ROWS).map(|i| (i, fact(i).0, fact(i).1));
+    let close = |got: &Value, want: f64| (got.as_f64().unwrap() - want).abs() <= 1e-9 * want;
+
+    // Groups in first-appearance row order, with their counts and sums.
+    let mut groups: Vec<(i64, i64, f64)> = Vec::new();
+    for (_, k, v) in rows().filter(|&(i, _, v)| v > 1.0 && i % 3 == 0) {
+        match groups.iter_mut().find(|g| g.0 == k) {
+            Some(g) => {
+                g.1 += 1;
+                g.2 += v;
+            }
+            None => groups.push((k, 1, v)),
+        }
+    }
+    assert_eq!(serial[0].rows.len(), groups.len());
+    for (row, &(k, n, sum)) in serial[0].rows.iter().zip(&groups) {
+        assert_eq!(row[0], Value::Int(k), "group order is first appearance");
+        assert_eq!(row[1], Value::Int(n), "count of group {k}");
+        assert!(close(&row[2], sum), "sum of group {k}: {:?}", row[2]);
+    }
+
+    let joined = rows().filter(|&(_, k, v)| k % 3 == 1 && v > 10.0).count();
+    assert_eq!(serial[1].scalar(), Some(&Value::Int(joined as i64)));
+
+    // Every dim key matches some fact row with v > 10, so no row is padded.
+    let matched: Vec<f64> = rows().filter(|r| r.2 > 10.0).map(|r| r.2).collect();
+    assert_eq!(serial[2].rows[0][0], Value::Int(matched.len() as i64));
+    assert!(close(&serial[2].rows[0][1], matched.iter().sum()));
+
+    let mut late_per_key = vec![0i64; DIM_ROWS as usize];
+    for (_, k, _) in rows().filter(|r| r.2 > 30.0) {
+        late_per_key[k as usize] += 1;
+    }
+    let pairs: i64 = rows()
+        .filter(|r| r.0 % 3 == 0)
+        .map(|r| late_per_key[r.1 as usize])
+        .sum();
+    assert_eq!(serial[3].scalar(), Some(&Value::Int(pairs)));
+}
+
 #[test]
 fn parallel_survives_concurrent_writes() {
     // Not a determinism check (writers race the scan) — a sanity check

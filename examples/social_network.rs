@@ -48,12 +48,12 @@ fn main() {
     let done = AtomicU64::new(0);
     println!("\nrunning {requesters} requesters x {ops_per_requester} ops...");
     let t0 = Instant::now();
-    let all_latencies = crossbeam::thread::scope(|scope| {
+    let all_latencies = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for r in 0..requesters {
             let g = &g;
             let done = &done;
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 let mut wl = Workload::new(42, r, config.nodes, 32);
                 let mut lat: HashMap<&'static str, (f64, usize)> = HashMap::new();
                 for _ in 0..ops_per_requester {
@@ -77,8 +77,7 @@ fn main() {
             }
         }
         merged
-    })
-    .unwrap();
+    });
     let elapsed = t0.elapsed().as_secs_f64();
     let total = done.load(Ordering::Relaxed);
     println!(

@@ -63,18 +63,17 @@ fn concurrent_linkbench_storm_preserves_invariants() {
     })
     .unwrap();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..8u64 {
             let g = &g;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut wl = Workload::new(13, r, config.nodes, 8);
                 for _ in 0..400 {
                     apply(g, &wl.next_op());
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let db = g.database();
     // Invariant 1: every EA edge's endpoints are live (non-negative vids).
@@ -149,10 +148,10 @@ fn parallel_queries_survive_concurrent_linkbench_storm() {
     .unwrap();
     g.database().set_parallelism(4);
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for r in 0..4u64 {
             let g = &g;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let mut wl = Workload::new(29, r, config.nodes, 8);
                 for _ in 0..300 {
                     apply(g, &wl.next_op());
@@ -161,7 +160,7 @@ fn parallel_queries_survive_concurrent_linkbench_storm() {
         }
         for _ in 0..4 {
             let g = &g;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..60 {
                     let db = g.database();
                     let groups = db
@@ -180,8 +179,7 @@ fn parallel_queries_survive_concurrent_linkbench_storm() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     g.database().set_parallelism(0);
 }
 
@@ -193,11 +191,11 @@ fn concurrent_readers_and_writers_make_progress() {
         let v = g.add_vertex([]).unwrap();
         g.add_edge(hub, v, "spoke", []).unwrap();
     }
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         // Writers keep adding spokes...
         for _ in 0..2 {
             let g = &g;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..100 {
                     let v = g.add_vertex([]).unwrap();
                     g.add_edge(hub, v, "spoke", []).unwrap();
@@ -207,7 +205,7 @@ fn concurrent_readers_and_writers_make_progress() {
         // ...while readers traverse.
         for _ in 0..4 {
             let g = &g;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..100 {
                     let n = g
                         .query("g.v(1).out('spoke').count()")
@@ -219,8 +217,7 @@ fn concurrent_readers_and_writers_make_progress() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let final_count = g
         .query("g.v(1).out('spoke').count()")
         .unwrap()
