@@ -1039,8 +1039,8 @@ impl ShardedGraph {
             let mut ta = sa.database().begin();
             let mut tb = sb.database().begin();
             ta.execute_with_params("DELETE FROM ea WHERE eid = ?", &[Value::Int(eid)])?;
-            sa.detach(&mut ta, &sa.layout(), true, src, &label, eid)?;
-            sb.detach(&mut tb, &sb.layout(), false, dst, &label, eid)?;
+            sa.detach(&mut ta, &sa.layout(), true, src, &label, eid, dst)?;
+            sb.detach(&mut tb, &sb.layout(), false, dst, &label, eid, src)?;
             let parts = if a < b { vec![ta, tb] } else { vec![tb, ta] };
             commit_many(parts)?;
             Ok(())
@@ -1094,6 +1094,7 @@ impl ShardedGraph {
                     *src,
                     label,
                     *eid,
+                    *dst,
                 )?;
                 let layout = self.shards[sb].layout();
                 self.shards[sb].detach(
@@ -1103,6 +1104,7 @@ impl ShardedGraph {
                     *dst,
                     label,
                     *eid,
+                    *src,
                 )?;
             }
             // Negative-ID tombstone on the owner (§4.5.2).
@@ -1181,8 +1183,8 @@ impl ShardedGraph {
                 }
             }
         }
-        // Every in-adjacency posting: eid → (shard, dst, label).
-        let mut postings: BTreeMap<i64, (usize, i64, String)> = BTreeMap::new();
+        // Every in-adjacency posting: eid → (shard, dst, label, src).
+        let mut postings: BTreeMap<i64, (usize, i64, String, i64)> = BTreeMap::new();
         for (i, s) in self.shards.iter().enumerate() {
             let layout = s.layout();
             let mut lists: Vec<(i64, String, i64)> = Vec::new(); // (dst, lbl, valid)
@@ -1195,8 +1197,8 @@ impl ShardedGraph {
                     let dst = r[0].as_int().unwrap_or(-1);
                     let lbl = r[1].as_str().unwrap_or("").to_string();
                     match (r[2].as_int(), r[3].as_int()) {
-                        (Some(eid), _) => {
-                            postings.insert(eid, (i, dst, lbl));
+                        (Some(eid), src) => {
+                            postings.insert(eid, (i, dst, lbl, src.unwrap_or(-1)));
                         }
                         (None, Some(valid)) if valid >= MV_BASE => lists.push((dst, lbl, valid)),
                         _ => {}
@@ -1204,16 +1206,17 @@ impl ShardedGraph {
                 }
             }
             if !lists.is_empty() {
-                let rel = s.database().execute("SELECT valid, eid FROM isa")?;
-                let mut members: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
+                let rel = s.database().execute("SELECT valid, eid, val FROM isa")?;
+                let mut members: BTreeMap<i64, Vec<(i64, i64)>> = BTreeMap::new();
                 for r in &rel.rows {
                     if let (Some(valid), Some(eid)) = (r[0].as_int(), r[1].as_int()) {
-                        members.entry(valid).or_default().push(eid);
+                        let src = r[2].as_int().unwrap_or(-1);
+                        members.entry(valid).or_default().push((eid, src));
                     }
                 }
                 for (dst, lbl, valid) in lists {
-                    for eid in members.get(&valid).cloned().unwrap_or_default() {
-                        postings.insert(eid, (i, dst, lbl.clone()));
+                    for (eid, src) in members.get(&valid).cloned().unwrap_or_default() {
+                        postings.insert(eid, (i, dst, lbl.clone(), src));
                     }
                 }
             }
@@ -1228,17 +1231,17 @@ impl ShardedGraph {
                 let s = &self.shards[owner];
                 s.retry_txn(|tx| {
                     tx.execute_with_params("DELETE FROM ea WHERE eid = ?", &[Value::Int(eid)])?;
-                    s.detach(tx, &s.layout(), true, src, lbl, eid)
+                    s.detach(tx, &s.layout(), true, src, lbl, eid, dst)
                 })?;
                 let sd = &self.shards[shard_of(dst, n)];
-                sd.retry_txn(|tx| sd.detach(tx, &sd.layout(), false, dst, lbl, eid))?;
+                sd.retry_txn(|tx| sd.detach(tx, &sd.layout(), false, dst, lbl, eid, src))?;
                 repairs += 1;
                 continue;
             }
             let target = shard_of(dst, n);
             let posted = postings
                 .get(&eid)
-                .is_some_and(|&(i, d, _)| i == target && d == dst);
+                .is_some_and(|&(i, d, _, _)| i == target && d == dst);
             if !posted {
                 let sd = &self.shards[target];
                 sd.retry_txn(|tx| sd.attach(tx, &sd.layout(), false, dst, lbl, eid, src))?;
@@ -1246,10 +1249,10 @@ impl ShardedGraph {
             }
         }
         // Rule 3 over postings without an EA row.
-        for (&eid, &(i, dst, ref lbl)) in &postings {
+        for (&eid, &(i, dst, ref lbl, src)) in &postings {
             if !ea.contains_key(&eid) {
                 let s = &self.shards[i];
-                s.retry_txn(|tx| s.detach(tx, &s.layout(), false, dst, lbl, eid))?;
+                s.retry_txn(|tx| s.detach(tx, &s.layout(), false, dst, lbl, eid, src))?;
                 repairs += 1;
             }
         }

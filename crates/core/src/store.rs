@@ -21,7 +21,7 @@ use sqlgraph_json::{Json, JsonObject};
 use sqlgraph_rel::expr::json_to_value;
 use sqlgraph_rel::sql::ast::Statement;
 use sqlgraph_rel::sql::parser::parse_statement_with_params;
-use sqlgraph_rel::{ClockCache, Database, Relation, TsOracle, Txn, Value};
+use sqlgraph_rel::{ClockCache, Database, Prepared, Relation, TsOracle, Txn, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -67,10 +67,11 @@ struct TemplateKey {
     options: TranslateOptions,
 }
 
-/// A translated, parsed traversal, ready to execute once bound.
+/// A translated, parsed traversal, ready to execute once bound; its
+/// statement's plans are cached with it.
 #[derive(Clone)]
 struct Template {
-    statement: Arc<Statement>,
+    prepared: Arc<Prepared>,
     /// `slots[i]` is the lifted literal that `?` number `i` binds.
     slots: Arc<[usize]>,
 }
@@ -477,7 +478,7 @@ impl SqlGraph {
         match &statement {
             GremlinStatement::Query(pipeline) => {
                 match self.prepared(pipeline, lifted, TranslateOptions::default()) {
-                    Ok((stmt, binds)) => Ok(self.db.execute_statement(&stmt, &binds, None)?),
+                    Ok((prepared, binds)) => Ok(self.db.execute_prepared(&prepared, &binds)?),
                     Err(CoreError::Unsupported(_)) => {
                         self.fallbacks.fetch_add(1, Ordering::Relaxed);
                         let elems = interp::eval(self, pipeline)?;
@@ -549,13 +550,13 @@ impl SqlGraph {
         gremlin: &str,
         options: TranslateOptions,
     ) -> Result<Relation, CoreError> {
-        let (stmt, binds) = self.prepare_query(gremlin, options)?;
-        Ok(self.db.execute_statement(&stmt, &binds, None)?)
+        let (prepared, binds) = self.prepared_query(gremlin, options)?;
+        Ok(self.db.execute_prepared(&prepared, &binds)?)
     }
 
     /// The statement a traversal executes as and the values bound to its
     /// `?` parameters — what [`SqlGraph::query`] hands to
-    /// [`Database::execute_statement`]. With the binds written in place of
+    /// [`Database::execute_prepared`]. With the binds written in place of
     /// the `?`s it is the statement [`SqlGraph::translate_query_with`]
     /// prints.
     pub fn prepare_query(
@@ -563,6 +564,15 @@ impl SqlGraph {
         gremlin: &str,
         options: TranslateOptions,
     ) -> Result<(Arc<Statement>, Vec<Value>), CoreError> {
+        let (prepared, binds) = self.prepared_query(gremlin, options)?;
+        Ok((prepared.statement().clone(), binds))
+    }
+
+    fn prepared_query(
+        &self,
+        gremlin: &str,
+        options: TranslateOptions,
+    ) -> Result<(Arc<Prepared>, Vec<Value>), CoreError> {
         match parse_lifted(gremlin)? {
             (GremlinStatement::Query(pipeline), lifted) => {
                 self.prepared(&pipeline, lifted, options)
@@ -573,16 +583,17 @@ impl SqlGraph {
 
     /// The one way a traversal becomes an executable statement: look its
     /// shape up in the template cache — on a miss translate it with `?` at
-    /// every lifted literal, parse that SQL once and cache the result —
-    /// then bind this traversal's literals. `lifted` is what
-    /// [`parse_lifted`] returned beside `pipeline`. Untranslatable
-    /// pipelines return [`CoreError::Unsupported`] and cache nothing.
+    /// every lifted literal, parse that SQL once and cache the result (its
+    /// plans are cached with it as it runs) — then bind this traversal's
+    /// literals. `lifted` is what [`parse_lifted`] returned beside
+    /// `pipeline`. Untranslatable pipelines return
+    /// [`CoreError::Unsupported`] and cache nothing.
     fn prepared(
         &self,
         pipeline: &Pipeline,
         lifted: Lifted,
         options: TranslateOptions,
-    ) -> Result<(Arc<Statement>, Vec<Value>), CoreError> {
+    ) -> Result<(Arc<Prepared>, Vec<Value>), CoreError> {
         let Lifted { shape, literals } = lifted;
         let key = TemplateKey { shape, options };
         let template = match self.templates.get(&key) {
@@ -605,7 +616,7 @@ impl SqlGraph {
                     )));
                 }
                 let template = Template {
-                    statement: Arc::new(statement),
+                    prepared: Arc::new(Prepared::new(statement)),
                     slots: slots.into(),
                 };
                 self.templates.insert(key, template.clone());
@@ -617,7 +628,7 @@ impl SqlGraph {
             .iter()
             .map(|&slot| json_to_value(&literals[slot]))
             .collect();
-        Ok((template.statement, binds))
+        Ok((template.prepared, binds))
     }
 
     /// Evaluate a Gremlin traversal with the step-at-a-time interpreter
@@ -882,7 +893,9 @@ impl SqlGraph {
         Ok(())
     }
 
-    /// Remove `eid` from one direction's adjacency tables.
+    /// Remove `eid` (which joins `vid` to `other`) from one direction's
+    /// adjacency tables.
+    #[allow(clippy::too_many_arguments)] // (txn, layout, direction, vid, label, eid, other) is the natural shape
     pub(crate) fn detach(
         &self,
         tx: &mut Txn<'_>,
@@ -891,6 +904,7 @@ impl SqlGraph {
         vid: i64,
         label: &str,
         eid: i64,
+        other: i64,
     ) -> sqlgraph_rel::Result<()> {
         let (pa, sa) = if out { ("opa", "osa") } else { ("ipa", "isa") };
         let col = if out {
@@ -907,11 +921,13 @@ impl SqlGraph {
         };
         let rowno = row[0].clone();
         if row[2].is_null() {
-            // Multi-valued list: remove this edge's entry.
+            // Multi-valued list: remove this edge's entry. Naming the
+            // other endpoint lets the `(valid, val)` index find it without
+            // walking the whole list.
             let valid = row[3].clone();
             tx.execute_with_params(
-                &format!("DELETE FROM {sa} WHERE valid = ? AND eid = ?"),
-                &[valid.clone(), Value::Int(eid)],
+                &format!("DELETE FROM {sa} WHERE valid = ? AND val = ? AND eid = ?"),
+                &[valid.clone(), Value::Int(other), Value::Int(eid)],
             )?;
             let left = tx
                 .execute_with_params(
@@ -966,8 +982,8 @@ impl SqlGraph {
         let (src, dst) = (row[0].as_int().unwrap_or(-1), row[1].as_int().unwrap_or(-1));
         let label = row[2].as_str().unwrap_or("").to_string();
         tx.execute_with_params("DELETE FROM ea WHERE eid = ?", &[Value::Int(eid)])?;
-        self.detach(tx, layout, true, src, &label, eid)?;
-        self.detach(tx, layout, false, dst, &label, eid)?;
+        self.detach(tx, layout, true, src, &label, eid, dst)?;
+        self.detach(tx, layout, false, dst, &label, eid, src)?;
         Ok(())
     }
 
@@ -984,8 +1000,10 @@ impl SqlGraph {
     }
 
     /// The §4.5.2 vertex-removal procedure inside `tx`: delete every
-    /// incident edge, then mark the vertex's own rows with the negative-ID
-    /// tombstone.
+    /// incident edge and detach it from the *other* endpoint's adjacency,
+    /// then mark the vertex's own rows with the negative-ID tombstone. The
+    /// vertex's own adjacency is not detached edge by edge — the tombstone
+    /// hides it, and [`SqlGraph::vacuum`] reclaims its lists.
     fn remove_vertex_in(
         &self,
         tx: &mut Txn<'_>,
@@ -1012,8 +1030,12 @@ impl SqlGraph {
         incident.dedup_by_key(|(e, ..)| *e);
         for (eid, src, dst, label) in incident {
             tx.execute_with_params("DELETE FROM ea WHERE eid = ?", &[Value::Int(eid)])?;
-            self.detach(tx, layout, true, src, &label, eid)?;
-            self.detach(tx, layout, false, dst, &label, eid)?;
+            if src != vid {
+                self.detach(tx, layout, true, src, &label, eid, dst)?;
+            }
+            if dst != vid {
+                self.detach(tx, layout, false, dst, &label, eid, src)?;
+            }
         }
         // Negative-ID marking (§4.5.2): cheap logical deletion of the
         // vertex's own rows; vacuum() removes them physically.
@@ -1300,10 +1322,10 @@ impl<'g> GraphTxn<'g> {
         let (statement, lifted) = parse_lifted(gremlin)?;
         match statement {
             GremlinStatement::Query(pipeline) => {
-                let (stmt, binds) =
+                let (prepared, binds) =
                     self.graph
                         .prepared(&pipeline, lifted, TranslateOptions::default())?;
-                Ok(self.txn.execute_statement(&stmt, &binds, None)?)
+                Ok(self.txn.execute_prepared(&prepared, &binds)?)
             }
             GremlinStatement::AddVertex { props } => {
                 let id = self.add_vertex(&props)?;

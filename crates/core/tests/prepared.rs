@@ -31,6 +31,15 @@ fn check(sql: &SqlGraph, query: &str) -> Relation {
     got
 }
 
+/// The join orders fresh planning picks for `query`: EXPLAIN's
+/// `join order:` notes, one per reordered core, in execution order.
+fn join_orders(sql: &SqlGraph, query: &str) -> Vec<String> {
+    let plan = sql.explain_query(query).unwrap().strings();
+    plan.into_iter()
+        .filter(|l| l.starts_with("join order:"))
+        .collect()
+}
+
 /// `check`, asserting the traversal was served from a cached template.
 fn check_hit(sql: &SqlGraph, query: &str) -> Relation {
     let (hits, misses, len) = sql.template_cache_stats();
@@ -148,6 +157,17 @@ fn corpus_cold_then_rebound_warm_matches_the_interpreter() {
             assert_eq!(hits1 + misses1, hits + misses + 1, "one lookup: {query}");
             let warm = rebound(query);
             if translatable {
+                // The rebound run reuses the cores' plans too — all of them
+                // unless its binds make planning order some join another
+                // way (EXPLAIN's join-order notes differ), which must
+                // re-plan that core.
+                let (plan_hits, replans) = sql.database().plan_cache_stats();
+                sql.query(&warm).unwrap();
+                let (plan_hits1, replans1) = sql.database().plan_cache_stats();
+                assert!(plan_hits1 > plan_hits, "{warm}: no plan reused");
+                if join_orders(&sql, query) == join_orders(&sql, &warm) {
+                    assert_eq!(replans1, replans, "{warm} re-planned");
+                }
                 check_hit(&sql, &warm);
                 assert_eq!(sql.fallback_count(), fallbacks);
             } else {

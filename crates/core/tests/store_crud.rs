@@ -307,6 +307,54 @@ fn vacuum_reclaims_orphaned_secondary_lists() {
     assert_eq!(out.strings(), ["lop"]);
 }
 
+/// Removing a vertex detaches each incident edge from the *other*
+/// endpoint: a hub with an N-entry in-list of one label lists N − 1 after
+/// one of its sources goes, and the hub's traversals agree. (The removed
+/// vertex's own lists are left to the tombstone and `vacuum`.)
+#[test]
+fn removing_a_source_shrinks_the_hubs_in_list_by_one() {
+    const N: i64 = 6;
+    let g = SqlGraph::new_in_memory();
+    let hub = g.add_vertex([("name", "hub".into())]).unwrap();
+    let sources: Vec<i64> = (0..N)
+        .map(|_| g.add_vertex([("name", "src".into())]).unwrap())
+        .collect();
+    for &s in &sources {
+        g.add_edge(s, hub, "follows", Vec::new()).unwrap();
+    }
+    let c = g.layout().in_column("follows");
+    let in_list = |g: &SqlGraph| {
+        g.database()
+            .execute_with_params(
+                &format!(
+                    "SELECT COUNT(*) FROM ipa p, isa s WHERE p.vid = ? AND s.valid = p.val{c} \
+                     AND p.lbl{c} = 'follows'"
+                ),
+                &[Value::Int(hub)],
+            )
+            .unwrap()
+            .int_column()
+    };
+    assert_eq!(in_list(&g), [N]);
+
+    g.query(&format!("g.removeVertex(g.v({}))", sources[0]))
+        .unwrap();
+    assert_eq!(in_list(&g), [N - 1]);
+    let expected: Vec<i64> = sources[1..].to_vec();
+    assert_eq!(
+        sorted_ints(&g.query(&format!("g.v({hub}).in('follows')")).unwrap()),
+        expected
+    );
+    assert_eq!(
+        g.query(&format!("g.v({hub}).inE('follows').count()"))
+            .unwrap()
+            .int_column(),
+        [N - 1]
+    );
+    g.vacuum().unwrap();
+    assert_eq!(in_list(&g), [N - 1]);
+}
+
 // ------------------------------------------------------ graph transactions --
 
 /// A multi-step graph transaction commits atomically: none of its

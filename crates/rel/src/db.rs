@@ -23,11 +23,12 @@
 use crate::cache::ClockCache;
 use crate::checkpoint::{self, CheckpointReport, RecoveryReport};
 use crate::error::{Error, Result};
-use crate::exec::{run_select, Env, Relation, Row};
+use crate::exec::{run_select, run_stmt, Env, Relation, Row};
 use crate::expr::{BinaryOp, Expr};
 use crate::hasher::FxHashMap;
 use crate::index::{IndexKey, IndexKind, KeyPart, RowId};
 use crate::io::{StdFs, Vfs};
+use crate::prepared::{Prepared, StmtPlans};
 use crate::schema::{Column, ColumnType, TableSchema};
 use crate::sql::ast::{self, Statement};
 use crate::sql::parse_statement;
@@ -53,9 +54,23 @@ pub struct Database {
     tables: RwLock<FxHashMap<String, Arc<RwLock<Table>>>>,
     procedures: RwLock<FxHashMap<String, Arc<Procedure>>>,
     wal: Option<Mutex<Wal>>,
-    /// Prepared-statement cache: SQL text → parsed AST, planned afresh on
-    /// every execution. Bounded by [`STMT_CACHE_CAP`].
-    stmt_cache: ClockCache<Arc<str>, Arc<Statement>>,
+    /// Prepared-statement cache: SQL text → parsed statement and the plans
+    /// of its SELECT cores (see [`crate::prepared`]). Bounded by
+    /// [`STMT_CACHE_CAP`]; a plan goes when its statement does.
+    stmt_cache: ClockCache<Arc<str>, Arc<Prepared>>,
+    /// Plan epoch: moves whenever something planning reads, other than the
+    /// statement, its binds and the join-order cardinalities, may have
+    /// changed — the catalog (CREATE/DROP TABLE, CREATE INDEX, their
+    /// rollback, every raw [`Database::write_table`] guard — bulk loads),
+    /// the CSR switch, and any table's [`crate::plan::table_epoch`] (an
+    /// engine write that runs `ANALYZE` or crosses the 2× drift or CSR size
+    /// line; see [`TableMut`]). Cached plans are keyed on it, so checking
+    /// one reads no table.
+    plan_epoch: std::sync::atomic::AtomicU64,
+    /// Cached-core executions served by a current plan, and those that had
+    /// to plan (first run, or a stale plan).
+    plan_hits: std::sync::atomic::AtomicU64,
+    plan_replans: std::sync::atomic::AtomicU64,
     /// Intra-query parallelism: 0 = auto (planner picks a DOP from table
     /// statistics), 1 = serial, n > 1 = pin every eligible operator to n.
     parallelism: std::sync::atomic::AtomicUsize,
@@ -85,6 +100,38 @@ pub struct Database {
     csr_builds: std::sync::atomic::AtomicU64,
     /// What recovery found, when this database was opened from a log.
     recovery: Option<RecoveryReport>,
+}
+
+/// The engine's write guard over a table: when it is dropped, having moved
+/// the table's [`crate::plan::table_epoch`] (stats installed, the live count
+/// across the 2× drift or CSR size line) moves the database's plan epoch —
+/// before the lock is released, so no planner reads the new table under
+/// the old epoch.
+struct TableMut<'db> {
+    db: &'db Database,
+    epoch: u64,
+    guard: TableWriteGuard,
+}
+
+impl std::ops::Deref for TableMut<'_> {
+    type Target = Table;
+    fn deref(&self) -> &Table {
+        &self.guard
+    }
+}
+
+impl std::ops::DerefMut for TableMut<'_> {
+    fn deref_mut(&mut self) -> &mut Table {
+        &mut self.guard
+    }
+}
+
+impl Drop for TableMut<'_> {
+    fn drop(&mut self) {
+        if crate::plan::table_epoch(&self.guard) != self.epoch {
+            self.db.plan_inputs_changed();
+        }
+    }
 }
 
 /// Statement-cache capacity.
@@ -220,6 +267,9 @@ impl Database {
             procedures: RwLock::new(FxHashMap::default()),
             wal: None,
             stmt_cache: ClockCache::new(STMT_CACHE_CAP),
+            plan_epoch: std::sync::atomic::AtomicU64::new(0),
+            plan_hits: std::sync::atomic::AtomicU64::new(0),
+            plan_replans: std::sync::atomic::AtomicU64::new(0),
             parallelism: std::sync::atomic::AtomicUsize::new(env_test_dop()),
             commit_lock: RwLock::new(()),
             txns: TxnManager::with_oracle(oracle),
@@ -250,10 +300,11 @@ impl Database {
     /// Toggle the CSR adjacency access path (on by default). When off, the
     /// planner falls back to row-at-a-time index nested-loop probes —
     /// byte-identical output, for A/B and differential testing. Drops every
-    /// cached CSR entry; cached statements are parsed ASTs and are planned
-    /// afresh on every execution, so they stay.
+    /// cached CSR entry; cached statements stay, and their plans — keyed on
+    /// this switch — re-plan on their next execution.
     pub fn set_csr_enabled(&self, on: bool) {
         self.csr.store(on, std::sync::atomic::Ordering::Relaxed);
+        self.plan_inputs_changed();
         self.csr_cache.write().clear();
     }
 
@@ -364,13 +415,13 @@ impl Database {
     /// Parse `sql`, consulting the prepared-statement cache first. DDL and
     /// transaction-control statements are never cached (rare, and DDL must
     /// observe catalog changes).
-    pub(crate) fn parse_cached(&self, sql: &str) -> Result<Arc<Statement>> {
-        if let Some(stmt) = self.stmt_cache.get(sql) {
-            return Ok(stmt);
+    pub(crate) fn parse_cached(&self, sql: &str) -> Result<Arc<Prepared>> {
+        if let Some(prepared) = self.stmt_cache.get(sql) {
+            return Ok(prepared);
         }
-        let stmt = Arc::new(parse_statement(sql)?);
+        let prepared = Arc::new(Prepared::new(parse_statement(sql)?));
         let cacheable = matches!(
-            &*stmt,
+            &**prepared.statement(),
             Statement::Select(_)
                 | Statement::Insert { .. }
                 | Statement::Update { .. }
@@ -378,9 +429,9 @@ impl Database {
                 | Statement::Call { .. }
         );
         if cacheable {
-            self.stmt_cache.insert(sql.into(), stmt.clone());
+            self.stmt_cache.insert(sql.into(), prepared.clone());
         }
-        Ok(stmt)
+        Ok(prepared)
     }
 
     /// Validate `sql` and warm the shared prepared-statement cache (the
@@ -394,6 +445,42 @@ impl Database {
     /// Number of cached prepared statements (test hook).
     pub fn stmt_cache_len(&self) -> usize {
         self.stmt_cache.len()
+    }
+
+    /// Plan-cache counters: `(hits, replans)`. Every execution of a SELECT
+    /// core of a prepared statement ([`Database::execute_prepared`], the
+    /// statement cache) counts once: a hit when its cached plan was
+    /// current, a re-plan when it had none yet or a stale one.
+    pub fn plan_cache_stats(&self) -> (u64, u64) {
+        (
+            self.plan_hits.load(std::sync::atomic::Ordering::Relaxed),
+            self.plan_replans.load(std::sync::atomic::Ordering::Relaxed),
+        )
+    }
+
+    pub(crate) fn count_plan(&self, hit: bool) {
+        let counter = match hit {
+            true => &self.plan_hits,
+            false => &self.plan_replans,
+        };
+        counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    /// The plan epoch (see the field docs). Planning reads it before it
+    /// reads anything else, so a change racing a plan leaves the plan keyed
+    /// on the older epoch.
+    pub(crate) fn plan_epoch(&self) -> u64 {
+        self.plan_epoch.load(std::sync::atomic::Ordering::Acquire)
+    }
+
+    /// Move the plan epoch — once the change it marks is visible, or while
+    /// the lock a planner would need to see it is still held. The release
+    /// half of this `AcqRel` pairs with [`Database::plan_epoch`]'s acquire:
+    /// a planner that reads the new epoch sees the change (e.g. the CSR
+    /// switch, stored before it).
+    fn plan_inputs_changed(&self) {
+        self.plan_epoch
+            .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
     }
 
     /// Open a database backed by the log rooted at `wal_path`: the latest
@@ -586,13 +673,13 @@ impl Database {
                         }
                     }
                     WalRecord::Insert { table, row_id, row } => {
-                        let mut t = self.write_table(table)?;
+                        let mut t = self.table_mut(table)?;
                         let new_id = t.insert(row.clone())?;
                         id_map.insert((table.clone(), *row_id), new_id);
                     }
                     WalRecord::Delete { table, row_id, .. } => {
                         let id = id_map.remove(&(table.clone(), *row_id)).unwrap_or(*row_id);
-                        let mut t = self.write_table(table)?;
+                        let mut t = self.table_mut(table)?;
                         t.delete(id).map_err(|e| {
                             Error::Wal(format!("replay delete {table}[{row_id}]: {e}"))
                         })?;
@@ -604,7 +691,7 @@ impl Database {
                             .get(&(table.clone(), *row_id))
                             .copied()
                             .unwrap_or(*row_id);
-                        let mut t = self.write_table(table)?;
+                        let mut t = self.table_mut(table)?;
                         t.update(id, new.clone()).map_err(|e| {
                             Error::Wal(format!("replay update {table}[{row_id}]: {e}"))
                         })?;
@@ -623,10 +710,13 @@ impl Database {
 
     /// Handle to a table's lock.
     fn table_handle(&self, name: &str) -> Result<Arc<RwLock<Table>>> {
-        let lower = name.to_ascii_lowercase();
-        self.tables
-            .read()
-            .get(&lower)
+        let tables = self.tables.read();
+        // Plans name tables in lower case already: skip the allocation.
+        let found = match name.bytes().any(|b| b.is_ascii_uppercase()) {
+            true => tables.get(&name.to_ascii_lowercase()),
+            false => tables.get(name),
+        };
+        found
             .cloned()
             .ok_or_else(|| Error::NotFound(format!("table '{name}'")))
     }
@@ -636,9 +726,26 @@ impl Database {
         Ok(self.table_handle(name)?.read_arc())
     }
 
-    /// Acquire a write lock on a table.
+    /// Acquire a write lock on a table, for writing it directly (bulk
+    /// loads): the guard can change anything the planner reads, so it moves
+    /// the plan epoch and every cached plan re-plans.
     pub fn write_table(&self, name: &str) -> Result<TableWriteGuard> {
-        Ok(self.table_handle(name)?.write_arc())
+        let guard = self.table_handle(name)?.write_arc();
+        // Planning reads the epoch before it takes this table's lock, which
+        // it cannot get until the guard is dropped.
+        self.plan_inputs_changed();
+        Ok(guard)
+    }
+
+    /// A write lock for the engine's own writers (DML, replay, rollback,
+    /// vacuum, ANALYZE); see [`TableMut`].
+    fn table_mut(&self, name: &str) -> Result<TableMut<'_>> {
+        let guard = self.table_handle(name)?.write_arc();
+        Ok(TableMut {
+            db: self,
+            epoch: crate::plan::table_epoch(&guard),
+            guard,
+        })
     }
 
     /// Names of all tables, sorted.
@@ -682,18 +789,36 @@ impl Database {
     }
 
     /// Parse and execute one statement with positional `?` parameters.
-    /// Parsed statements are cached by SQL text.
+    /// Statements are cached by SQL text, with their plans.
     pub fn execute_with_params(&self, sql: &str, params: &[Value]) -> Result<Relation> {
-        let stmt = self.parse_cached(sql)?;
-        self.execute_statement(&stmt, params, Some(sql))
+        let prepared = self.parse_cached(sql)?;
+        self.run_autocommit(prepared.statement(), prepared.plans(), params, Some(sql))
     }
 
-    /// Execute a pre-parsed statement in autocommit mode: reads run
-    /// lock-free against a fresh snapshot; writes run as a one-statement
-    /// MVCC transaction (begin, apply provisionally, commit).
+    /// Execute a prepared statement in autocommit mode with `params` bound
+    /// to its `?`s: each SELECT core runs its cached plan when that is
+    /// current and is planned (and cached) otherwise.
+    pub fn execute_prepared(&self, prepared: &Prepared, params: &[Value]) -> Result<Relation> {
+        self.run_autocommit(prepared.statement(), prepared.plans(), params, None)
+    }
+
+    /// Execute a pre-parsed statement in autocommit mode, planning it
+    /// afresh: reads run lock-free against a fresh snapshot; writes run as
+    /// a one-statement MVCC transaction (begin, apply provisionally,
+    /// commit).
     pub fn execute_statement(
         &self,
         stmt: &Statement,
+        params: &[Value],
+        sql_text: Option<&str>,
+    ) -> Result<Relation> {
+        self.run_autocommit(stmt, None, params, sql_text)
+    }
+
+    pub(crate) fn run_autocommit(
+        &self,
+        stmt: &Statement,
+        plans: Option<&StmtPlans>,
         params: &[Value],
         sql_text: Option<&str>,
     ) -> Result<Relation> {
@@ -705,7 +830,7 @@ impl Database {
                 journal: Journal::default(),
                 registered: true,
             };
-            let result = self.execute_in(stmt, params, sql_text, &mut state);
+            let result = self.execute_in(stmt, plans, params, sql_text, &mut state);
             self.release_state(state);
             return result;
         }
@@ -721,7 +846,7 @@ impl Database {
         )
         .then(|| self.commit_lock.read());
         let mut state = self.begin_state();
-        match self.execute_in(stmt, params, sql_text, &mut state) {
+        match self.execute_in(stmt, plans, params, sql_text, &mut state) {
             Ok(rel) => self.commit_state(state).map(|()| rel),
             Err(e) => {
                 self.rollback_state(state);
@@ -818,31 +943,35 @@ impl Database {
             // panicking beats silently corrupting state.
             match op {
                 UndoOp::Insert { table, row_id } => {
-                    self.write_table(&table)
+                    self.table_mut(&table)
                         .expect("table exists during rollback")
                         .rollback_insert(row_id, snap.token);
                 }
                 UndoOp::Delete { table, row_id } => {
-                    self.write_table(&table)
+                    self.table_mut(&table)
                         .expect("table exists during rollback")
                         .rollback_delete(row_id, snap.token);
                 }
                 UndoOp::Update { table, row_id } => {
-                    self.write_table(&table)
+                    self.table_mut(&table)
                         .expect("table exists during rollback")
                         .rollback_update(row_id, snap.token);
                 }
                 UndoOp::CreateTable { table } => {
                     self.tables.write().remove(&table);
+                    self.plan_inputs_changed();
                 }
                 UndoOp::CreateIndex { table, index } => {
                     let mut t = self
-                        .write_table(&table)
+                        .table_mut(&table)
                         .expect("table exists during rollback");
                     assert!(t.drop_index(&index), "undo create index");
+                    drop(t);
+                    self.plan_inputs_changed();
                 }
                 UndoOp::DropTable { table, handle } => {
                     self.tables.write().insert(table, handle);
+                    self.plan_inputs_changed();
                 }
             }
         }
@@ -866,7 +995,7 @@ impl Database {
         let watermark = self.txns.watermark();
         let mut pruned = 0;
         for name in self.table_names() {
-            if let Ok(mut t) = self.write_table(&name) {
+            if let Ok(mut t) = self.table_mut(&name) {
                 pruned += t.vacuum(watermark);
             }
         }
@@ -883,9 +1012,12 @@ impl Database {
         }
     }
 
+    /// Execute `stmt` inside `state`. With `plans` (a SELECT of a
+    /// [`Prepared`]), its cores run their cached plans.
     pub(crate) fn execute_in(
         &self,
         stmt: &Statement,
+        plans: Option<&StmtPlans>,
         params: &[Value],
         sql_text: Option<&str>,
         state: &mut TxnState,
@@ -894,9 +1026,10 @@ impl Database {
         match stmt {
             Statement::Select(select) => {
                 let env = Env::with_snap(self, params, snap);
-                run_select(&env, select)
+                run_stmt(&env, select, plans)
             }
             Statement::Explain(select) => {
+                // Plans afresh: EXPLAIN shows what planning does now.
                 let trace = std::cell::RefCell::new(Vec::new());
                 let mut env = Env::with_snap(self, params, snap);
                 env.trace = Some(&trace);
@@ -980,12 +1113,12 @@ impl Database {
                 }
                 let dropped = removed.is_some();
                 if let Some(handle) = removed {
-                    // The cache holds parsed ASTs only, and every execution
-                    // plans its AST against the catalog of the moment, so
-                    // this flush is not needed for correctness; it keeps
+                    // Cached plans re-plan on the new plan epoch, so the
+                    // flush is not needed for correctness; it keeps
                     // statements over a dropped table from occupying the
                     // cache. CSR entries were built from the table's rows
                     // and must go.
+                    self.plan_inputs_changed();
                     self.stmt_cache.clear();
                     self.invalidate_csr(&lower);
                     state.journal.redo.push(WalRecord::Ddl {
@@ -1037,7 +1170,7 @@ impl Database {
                 let mut rows = Vec::new();
                 for name in names {
                     {
-                        let mut t = self.write_table(&name)?;
+                        let mut t = self.table_mut(&name)?;
                         let stats = crate::stats::TableStats::analyze(&t);
                         let count = stats.row_count as i64;
                         t.set_stats(stats);
@@ -1086,7 +1219,7 @@ impl Database {
         };
 
         let token = state.snap.token;
-        let mut table = self.write_table(table_name)?;
+        let mut table = self.table_mut(table_name)?;
         let lower = table.schema.name.clone();
         // Map through the explicit column list if given.
         let mapping: Option<Vec<usize>> = match columns {
@@ -1168,7 +1301,7 @@ impl Database {
             })
             .collect::<Result<_>>()?;
 
-        let mut table = self.write_table(table_name)?;
+        let mut table = self.table_mut(table_name)?;
         let token = snap.token;
         let targets = find_target_rows(&table, compiled_filter.as_ref(), snap)?;
         let mut updated = 0i64;
@@ -1212,7 +1345,7 @@ impl Database {
         let compiled_filter = filter
             .map(|f| crate::exec::compile_table_expr(&env, &schema, f))
             .transpose()?;
-        let mut table = self.write_table(table_name)?;
+        let mut table = self.table_mut(table_name)?;
         let token = snap.token;
         let targets = find_target_rows(&table, compiled_filter.as_ref(), snap)?;
         let mut deleted = 0i64;
@@ -1284,6 +1417,7 @@ impl Database {
             }
         }
         tables.insert(lower, Arc::new(RwLock::new(table)));
+        self.plan_inputs_changed();
         Ok(true)
     }
 
@@ -1296,7 +1430,7 @@ impl Database {
         kind: IndexKind,
         if_not_exists: bool,
     ) -> Result<bool> {
-        let mut t = self.write_table(table)?;
+        let mut t = self.table_mut(table)?;
         let parts: Vec<KeyPart> = columns
             .iter()
             .map(|c| {
@@ -1318,6 +1452,7 @@ impl Database {
             return Err(Error::Schema(format!("index '{name}' already exists")));
         }
         t.create_index_with_parts(lname, parts, unique, kind)?;
+        self.plan_inputs_changed();
         Ok(true)
     }
 }
@@ -1368,20 +1503,37 @@ impl<'a> Txn<'a> {
 
     /// Execute a parameterized statement inside this transaction.
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<Relation> {
-        let stmt = self.db.parse_cached(sql)?;
-        self.execute_statement(&stmt, params, Some(sql))
+        let prepared = self.db.parse_cached(sql)?;
+        self.run(prepared.statement(), prepared.plans(), params, Some(sql))
     }
 
-    /// Execute a pre-parsed statement inside this transaction.
+    /// Execute a prepared statement inside this transaction (see
+    /// [`Database::execute_prepared`]).
+    pub fn execute_prepared(&mut self, prepared: &Prepared, params: &[Value]) -> Result<Relation> {
+        self.run(prepared.statement(), prepared.plans(), params, None)
+    }
+
+    /// Execute a pre-parsed statement inside this transaction, planning it
+    /// afresh.
     pub fn execute_statement(
         &mut self,
         stmt: &Statement,
         params: &[Value],
         sql_text: Option<&str>,
     ) -> Result<Relation> {
+        self.run(stmt, None, params, sql_text)
+    }
+
+    fn run(
+        &mut self,
+        stmt: &Statement,
+        plans: Option<&StmtPlans>,
+        params: &[Value],
+        sql_text: Option<&str>,
+    ) -> Result<Relation> {
         let state = self.state.as_mut().expect("transaction is open");
         self.stmts += 1;
-        self.db.execute_in(stmt, params, sql_text, state)
+        self.db.execute_in(stmt, plans, params, sql_text, state)
     }
 
     /// Commit: append the journal to the WAL with a fresh commit timestamp
@@ -1516,46 +1668,66 @@ pub fn commit_many(txns: Vec<Txn<'_>>) -> Result<()> {
     Ok(())
 }
 
-/// Row ids visible to `snap` and matching `filter` — point index lookup
-/// for `col = const` conjuncts where possible, otherwise a scan.
+/// Row ids visible to `snap` and matching `filter`: an index lookup when
+/// `col = const` conjuncts bind every column of a hash index (the widest
+/// such index), or else the first such conjunct's column has a
+/// single-column index; otherwise a scan.
 fn find_target_rows(table: &Table, filter: Option<&Expr>, snap: Snapshot) -> Result<Vec<RowId>> {
     let Some(filter) = filter else {
         return Ok(table.iter_snap(snap).map(|(id, _)| id).collect());
     };
-    // Try: filter contains conjunct Col(i) = Const and an index on [i].
-    let mut candidate: Option<(usize, Value)> = None;
+    // The `col = const` conjuncts, the first per column.
+    let mut bound: Vec<(usize, Value)> = Vec::new();
     visit_conjuncts_expr(filter, &mut |c| {
-        if candidate.is_some() {
-            return;
-        }
         if let Expr::Binary(BinaryOp::Eq, a, b) = c {
-            match (a.as_ref(), b.as_ref()) {
-                (Expr::Col(i), Expr::Const(v)) | (Expr::Const(v), Expr::Col(i)) => {
-                    candidate = Some((*i, v.clone()));
+            if let (Expr::Col(i), Expr::Const(v)) | (Expr::Const(v), Expr::Col(i)) =
+                (a.as_ref(), b.as_ref())
+            {
+                if bound.iter().all(|(col, _)| col != i) {
+                    bound.push((*i, v.clone()));
                 }
-                _ => {}
             }
         }
     });
-    if let Some((col, value)) = candidate {
-        if let Some(idx) = table.index_with_prefix(col) {
-            if idx.columns.len() == 1 {
-                let ids: Vec<RowId> = idx.lookup(&IndexKey(vec![value])).to_vec();
-                let mut out = Vec::with_capacity(ids.len());
-                for id in ids {
-                    // Postings cover every version in a chain; the full
-                    // filter re-check rejects versions that no longer
-                    // carry the probed key.
-                    let Some(row) = table.get_visible(id, snap) else {
-                        continue;
-                    };
-                    if filter.eval_bool(row)? {
-                        out.push(id);
-                    }
-                }
-                return Ok(out);
+    let value_of = |col: usize| bound.iter().find(|(c, _)| *c == col).map(|(_, v)| v);
+    let widest_hash = table
+        .indexes()
+        .iter()
+        .filter(|i| {
+            i.kind() == IndexKind::Hash
+                && !i.columns.is_empty()
+                && i.columns.iter().all(|&c| value_of(c).is_some())
+        })
+        .min_by_key(|i| std::cmp::Reverse(i.columns.len()));
+    let probe = match widest_hash {
+        Some(idx) => Some((
+            idx,
+            idx.columns.iter().filter_map(|&c| value_of(c)).collect(),
+        )),
+        None => bound.first().and_then(|(col, v)| {
+            let idx = table.index_with_prefix(*col)?;
+            (idx.columns.len() == 1).then(|| (idx, vec![v]))
+        }),
+    };
+    if let Some((idx, key)) = probe {
+        // `col = NULL` holds for no row.
+        if key.iter().any(|v| v.is_null()) {
+            return Ok(Vec::new());
+        }
+        let key = IndexKey(key.into_iter().cloned().collect());
+        let mut out = Vec::new();
+        for &id in idx.lookup(&key) {
+            // Postings cover every version in a chain; the full filter
+            // re-check rejects versions that no longer carry the probed
+            // key.
+            let Some(row) = table.get_visible(id, snap) else {
+                continue;
+            };
+            if filter.eval_bool(row)? {
+                out.push(id);
             }
         }
+        return Ok(out);
     }
     let mut out = Vec::new();
     for (id, row) in table.iter_snap(snap) {

@@ -2,10 +2,13 @@
 //!
 //! Planning lives in [`crate::plan`]: `plan_from` turns a FROM list + WHERE
 //! into an explicit [`plan::FromPlan`] operator tree (join order, access
-//! paths, pushdown, pruning — every decision). This module only *executes*:
-//! [`exec_from`] walks the finished plan step by step, [`run_aggregate`] /
-//! [`project`] shape the output, and set ops / ORDER BY / LIMIT compose on
-//! top. The executor makes no planning choices of its own.
+//! paths, pushdown, pruning — every decision), and [`Shape`] compiles the
+//! output stage. A core's plan comes from its prepared statement's cache
+//! when there is one ([`crate::prepared`]) and is bound to this execution's
+//! values. This module only *executes*: [`exec_from`] walks the bound plan
+//! step by step, [`run_aggregate`] / [`Shape::run`] shape the output, and
+//! set ops / ORDER BY / LIMIT compose on top. The executor makes no
+//! planning choices of its own.
 //!
 //! Execution is batch-at-a-time where the data allows: full scans emit
 //! columnar [`Batch`]es (one per morsel), filters flip selection vectors,
@@ -17,10 +20,11 @@
 use crate::batch::{self, Batch};
 use crate::db::Database;
 use crate::error::{Error, Result};
-use crate::expr::{self, BinaryOp, Expr};
+use crate::expr::{self, in_set, BinaryOp, Binds, Expr};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::IndexKey;
-use crate::plan::{self, Access, Attach, ProbePart, StepKind};
+use crate::plan::{self, Access, Attach, FromPlan, RelInput, Step, StepExec, StepKind};
+use crate::prepared::{self, CorePlan, CoreSlot, SetPlans, StmtPlans};
 use crate::sql::ast;
 use crate::storage::Table;
 use crate::txn::Snapshot;
@@ -189,36 +193,59 @@ impl<'a> Env<'a> {
     }
 }
 
-/// Run a full query.
+/// Run a full query, planning every core afresh.
 pub fn run_select(env: &Env<'_>, stmt: &ast::SelectStmt) -> Result<Relation> {
-    // Materialize CTEs in order; each sees the previous ones.
-    let mut env2 = Env {
-        db: env.db,
-        ctes: env.ctes.clone(),
-        params: env.params,
-        trace: env.trace,
-        snap: env.snap,
+    run_stmt(env, stmt, None)
+}
+
+/// Run a full query; with `plans`, each core's plan comes from (and goes
+/// to) its slot there.
+pub(crate) fn run_stmt(
+    env: &Env<'_>,
+    stmt: &ast::SelectStmt,
+    plans: Option<&StmtPlans>,
+) -> Result<Relation> {
+    // Materialize CTEs in order; each sees the previous ones. A statement
+    // without CTEs of its own (every CTE body of a translated traversal)
+    // runs in the enclosing environment.
+    let with_ctes;
+    let env2 = if stmt.ctes.is_empty() {
+        env
+    } else {
+        let mut inner = Env {
+            db: env.db,
+            ctes: env.ctes.clone(),
+            params: env.params,
+            trace: env.trace,
+            snap: env.snap,
+        };
+        for (i, (name, query)) in stmt.ctes.iter().enumerate() {
+            let rel = run_stmt(&inner, query, plans.map(|p| &p.ctes[i]))?;
+            inner.ctes.insert(name.to_ascii_lowercase(), Arc::new(rel));
+        }
+        with_ctes = inner;
+        &with_ctes
     };
-    for (name, query) in &stmt.ctes {
-        let rel = run_select(&env2, query)?;
-        env2.ctes.insert(name.to_ascii_lowercase(), Arc::new(rel));
-    }
+    let body_plans = plans.map(|p| &p.body);
     // A single-core body handles ORDER BY internally so sort keys may
     // reference input columns that are not projected; set-op bodies sort on
     // output columns only.
     let mut rel = match &stmt.body {
-        ast::SetExpr::Select(core) if !stmt.order_by.is_empty() => {
-            run_core(&env2, core, &stmt.order_by)?
-        }
+        ast::SetExpr::Select(core) if !stmt.order_by.is_empty() => run_core(
+            env2,
+            core,
+            &stmt.order_by,
+            body_plans.and_then(SetPlans::core),
+        )?,
         body => {
-            let mut rel = run_set_expr(&env2, body)?;
+            let mut rel = run_set_expr(env2, body, body_plans)?;
             if !stmt.order_by.is_empty() {
-                sort_relation(&env2, &mut rel, &stmt.order_by)?;
+                sort_relation(env2, &mut rel, &stmt.order_by)?;
             }
             rel
         }
     };
-    apply_limit_offset(&env2, &mut rel, stmt.limit.as_ref(), stmt.offset.as_ref())?;
+    apply_limit_offset(env2, &mut rel, stmt.limit.as_ref(), stmt.offset.as_ref())?;
     Ok(rel)
 }
 
@@ -229,9 +256,7 @@ fn apply_limit_offset(
     offset: Option<&ast::Expr>,
 ) -> Result<()> {
     let eval_n = |e: &ast::Expr| -> Result<usize> {
-        let scope = Scope::default();
-        let compiled = compile_expr(env, &scope, e)?;
-        compiled
+        compile_scalar(env, e)?
             .eval(&[])?
             .as_int()
             .filter(|n| *n >= 0)
@@ -266,14 +291,13 @@ fn sort_relation(env: &Env<'_>, rel: &mut Relation, keys: &[(ast::Expr, bool)]) 
                 table: Some(_),
                 name,
             } => compile_expr(
-                env,
                 &scope,
                 &ast::Expr::Column {
                     table: None,
                     name: name.clone(),
                 },
             )?,
-            other => compile_expr(env, &scope, other)?,
+            other => compile_bound(env, &scope, other)?,
         };
         compiled.push((ce, *desc));
     }
@@ -300,17 +324,21 @@ fn sort_relation(env: &Env<'_>, rel: &mut Relation, keys: &[(ast::Expr, bool)]) 
     Ok(())
 }
 
-fn run_set_expr(env: &Env<'_>, body: &ast::SetExpr) -> Result<Relation> {
+fn run_set_expr(env: &Env<'_>, body: &ast::SetExpr, plans: Option<&SetPlans>) -> Result<Relation> {
     match body {
-        ast::SetExpr::Select(core) => run_core(env, core, &[]),
+        ast::SetExpr::Select(core) => run_core(env, core, &[], plans.and_then(SetPlans::core)),
         ast::SetExpr::Op {
             op,
             all,
             left,
             right,
         } => {
-            let l = run_set_expr(env, left)?;
-            let r = run_set_expr(env, right)?;
+            let (lp, rp) = match plans {
+                Some(SetPlans::Op(l, r)) => (Some(&**l), Some(&**r)),
+                _ => (None, None),
+            };
+            let l = run_set_expr(env, left, lp)?;
+            let r = run_set_expr(env, right, rp)?;
             if l.columns.len() != r.columns.len() {
                 return Err(Error::Invalid(format!(
                     "set operands have different arities ({} vs {})",
@@ -375,61 +403,254 @@ fn dedup_rows(rows: &mut Vec<Row>) {
 // SELECT core
 // ---------------------------------------------------------------------------
 
+/// Run one SELECT core: run its derived tables, take its plan (from `slot`
+/// when it is current, else planned afresh), run its IN subqueries, bind,
+/// execute. Derived tables run before planning because the join order
+/// reads their sizes; each subquery runs once, whatever the plan's shape.
 fn run_core(
     env: &Env<'_>,
     core: &ast::SelectCore,
     order_by: &[(ast::Expr, bool)],
+    slot: Option<&CoreSlot>,
 ) -> Result<Relation> {
-    // 1. Plan the FROM pipeline (join order, access paths, predicate
-    //    pushdown, projection pruning), then execute the plan. Planning
-    //    makes every decision; execution only follows the IR.
-    let needs = crate::plan::collect_needs(core, order_by);
-    let mut fplan = crate::plan::plan_from(env, &core.from, core.filter.as_ref(), &needs)?;
-    let data = exec_from(env, &mut fplan)?;
-
-    // 2. Aggregate or plain projection. ORDER BY keys are computed as
-    //    hidden trailing columns so they may reference unprojected inputs.
-    let needs_agg = !core.group_by.is_empty()
-        || core.projections.iter().any(|p| match p {
-            ast::Projection::Expr { expr, .. } => contains_aggregate(expr),
-            _ => false,
-        });
-
-    let scope = &fplan.scope;
-    let mut rel = if needs_agg {
-        run_aggregate(env, scope, data, core, order_by)?
-    } else {
-        project(env, scope, data.into_rows(), &core.projections, order_by)?
+    let mut derived = Vec::new();
+    for (n, query) in prepared::core_derived(core).into_iter().enumerate() {
+        let rel = run_stmt(env, query, slot.map(|s| &s.derived[n]))?;
+        derived.push(Arc::new(rel));
+    }
+    let build = || plan_core(env, core, order_by, &derived);
+    let plan = match slot {
+        Some(slot) => slot.plan(env, &derived, build)?,
+        None => Arc::new(build()?),
     };
-
-    let visible = rel.columns.len();
-    if core.distinct {
-        // Deduplicate on the visible prefix, keeping the first occurrence.
-        let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-        rel.rows.retain(|r| seen.insert(r[..visible].to_vec()));
-    }
-    if !order_by.is_empty() {
-        let descs: Vec<bool> = order_by.iter().map(|(_, d)| *d).collect();
-        sort_rows_by_hidden(&mut rel.rows, visible, &descs);
-        for row in &mut rel.rows {
-            row.truncate(visible);
+    let sets = match slot {
+        Some(slot) if slot.subqueries.is_empty() => FxHashMap::default(),
+        _ => {
+            let queries = prepared::core_subqueries(core, order_by).into_iter();
+            let plans = (0..).map(|n| slot.map(|s| &s.subqueries[n]));
+            subquery_sets(env, queries.zip(plans))?
         }
-    }
+    };
+    let binds = Binds {
+        params: env.params,
+        sets,
+    };
+    let bound = plan.from.bind(&binds)?;
+    let from = bound.as_ref().unwrap_or(&plan.from);
+    let shape = plan.shape.bound(&binds)?;
+    let mut execs = vec![StepExec::default(); from.steps.len()];
+    let data = exec_from(env, from, &derived, &mut execs)?;
+    let rel = shape.run(env, data)?;
     if env.trace.is_some() {
         // EXPLAIN: render the physical operator tree that just ran.
-        let mut wrappers = Vec::new();
-        if !order_by.is_empty() {
-            wrappers.push(format!("Sort ({} keys)", order_by.len()));
-        }
-        if core.distinct {
-            wrappers.push("Distinct".to_string());
-        }
-        if needs_agg {
-            wrappers.push("Aggregate".to_string());
-        }
-        crate::plan::render_tree(env, &fplan, &wrappers);
+        plan::render_tree(env, from, &execs, &shape.wrappers());
     }
     Ok(rel)
+}
+
+/// Plan a SELECT core: the FROM pipeline (join order, access paths,
+/// predicate pushdown, projection pruning) and the output [`Shape`].
+/// Planning makes every decision; execution only follows the IR.
+fn plan_core(
+    env: &Env<'_>,
+    core: &ast::SelectCore,
+    order_by: &[(ast::Expr, bool)],
+    derived: &[Arc<Relation>],
+) -> Result<CorePlan> {
+    // Read before planning reads anything: a change racing this plan then
+    // leaves it keyed on the older epoch, to be re-planned.
+    let epoch = env.db.plan_epoch();
+    let needs = plan::collect_needs(core, order_by);
+    let mut guards = Vec::new();
+    let planned = plan::plan_from(
+        env,
+        &core.from,
+        core.filter.as_ref(),
+        &needs,
+        derived,
+        &mut guards,
+    )?;
+    let shape = Shape::compile(&planned.scope, core, order_by)?;
+    Ok(CorePlan {
+        from: planned.from,
+        shape: Arc::new(shape),
+        epoch,
+        guards,
+        order: planned.order,
+    })
+}
+
+/// Run each IN subquery once (with its plan slots, if any) and collect its
+/// result set under its id.
+fn subquery_sets<'q>(
+    env: &Env<'_>,
+    queries: impl IntoIterator<Item = (&'q ast::SelectStmt, Option<&'q StmtPlans>)>,
+) -> Result<FxHashMap<usize, Arc<FxHashSet<Value>>>> {
+    let mut sets = FxHashMap::default();
+    for (query, plans) in queries {
+        let rel = run_stmt(env, query, plans)?;
+        if rel.columns.len() != 1 {
+            return Err(Error::Invalid(
+                "IN subquery must return exactly one column".into(),
+            ));
+        }
+        let values = rel
+            .rows
+            .into_iter()
+            .map(|row| row.into_iter().next().expect("one column"));
+        sets.insert(prepared::subquery_id(query), in_set(values));
+    }
+    Ok(sets)
+}
+
+/// A SELECT core's output stage compiled against its FROM scope: the
+/// projection or aggregation, DISTINCT, and the ORDER BY keys, which are
+/// computed as hidden trailing columns so they may reference unprojected
+/// inputs.
+#[derive(Clone)]
+pub(crate) struct Shape {
+    /// Output column names.
+    names: Vec<String>,
+    kind: ShapeKind,
+    distinct: bool,
+    /// Per ORDER BY key: descending.
+    descs: Vec<bool>,
+    /// Width of the FROM rows.
+    width: usize,
+    /// Whether an expression holds a bind slot.
+    slots: bool,
+}
+
+#[derive(Clone)]
+enum ShapeKind {
+    /// Plain projection: one expression per output column, then the sort
+    /// keys.
+    Project(Vec<Expr>),
+    Aggregate(AggPlan),
+}
+
+/// A compiled aggregation: group keys, aggregate calls, and the output
+/// expressions over `input row ++ aggregate values` (sort keys last).
+#[derive(Clone)]
+struct AggPlan {
+    group: Vec<Expr>,
+    aggs: Vec<AggSpec>,
+    proj: Vec<Expr>,
+    having: Option<Expr>,
+}
+
+impl Shape {
+    fn compile(
+        scope: &Scope,
+        core: &ast::SelectCore,
+        order_by: &[(ast::Expr, bool)],
+    ) -> Result<Shape> {
+        let needs_agg = !core.group_by.is_empty()
+            || core.projections.iter().any(|p| match p {
+                ast::Projection::Expr { expr, .. } => contains_aggregate(expr),
+                _ => false,
+            });
+        let (names, kind) = if needs_agg {
+            let (names, agg) = compile_aggregate(scope, core, order_by)?;
+            (names, ShapeKind::Aggregate(agg))
+        } else {
+            let (names, mut exprs) = compile_projections(scope, &core.projections)?;
+            let visible = exprs.len();
+            for (key, _) in order_by {
+                let ke = compile_order_key(scope, key, &names, &exprs[..visible], None)?;
+                exprs.push(ke);
+            }
+            (names, ShapeKind::Project(exprs))
+        };
+        let mut shape = Shape {
+            names,
+            kind,
+            distinct: core.distinct,
+            descs: order_by.iter().map(|(_, d)| *d).collect(),
+            width: scope.width,
+            slots: false,
+        };
+        shape.slots = shape.exprs_mut().into_iter().any(|e| e.has_slots());
+        Ok(shape)
+    }
+
+    /// Every expression of the shape.
+    fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        match &mut self.kind {
+            ShapeKind::Project(exprs) => exprs.iter_mut().collect(),
+            ShapeKind::Aggregate(a) => a
+                .group
+                .iter_mut()
+                .chain(a.aggs.iter_mut().filter_map(|s| s.arg.as_mut()))
+                .chain(&mut a.proj)
+                .chain(&mut a.having)
+                .collect(),
+        }
+    }
+
+    /// This shape with its bind slots filled (itself when it has none).
+    fn bound(self: &Arc<Shape>, b: &Binds<'_>) -> Result<Arc<Shape>> {
+        if !self.slots {
+            return Ok(self.clone());
+        }
+        let mut shape = (**self).clone();
+        for e in shape.exprs_mut() {
+            *e = e.bind(b)?;
+        }
+        shape.slots = false;
+        Ok(Arc::new(shape))
+    }
+
+    /// Shape the FROM pipeline's output into the core's relation.
+    fn run(&self, env: &Env<'_>, data: Data) -> Result<Relation> {
+        let rows = match &self.kind {
+            ShapeKind::Aggregate(agg) => run_aggregate(env, self.width, data, agg)?,
+            ShapeKind::Project(exprs) => {
+                let rows = data.into_rows();
+                let mut out_rows = Vec::with_capacity(rows.len());
+                for row in &rows {
+                    let mut out = Vec::with_capacity(exprs.len());
+                    for e in exprs {
+                        out.push(e.eval(row)?);
+                    }
+                    out_rows.push(out);
+                }
+                out_rows
+            }
+        };
+        let mut rel = Relation {
+            columns: self.names.clone(),
+            rows,
+        };
+        let visible = rel.columns.len();
+        if self.distinct {
+            // Deduplicate on the visible prefix, keeping the first occurrence.
+            let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
+            rel.rows.retain(|r| seen.insert(r[..visible].to_vec()));
+        }
+        if !self.descs.is_empty() {
+            sort_rows_by_hidden(&mut rel.rows, visible, &self.descs);
+            for row in &mut rel.rows {
+                row.truncate(visible);
+            }
+        }
+        Ok(rel)
+    }
+
+    /// EXPLAIN's operators above the FROM tree, outermost first.
+    fn wrappers(&self) -> Vec<String> {
+        let mut wrappers = Vec::new();
+        if !self.descs.is_empty() {
+            wrappers.push(format!("Sort ({} keys)", self.descs.len()));
+        }
+        if self.distinct {
+            wrappers.push("Distinct".to_string());
+        }
+        if matches!(self.kind, ShapeKind::Aggregate(_)) {
+            wrappers.push("Aggregate".to_string());
+        }
+        wrappers
+    }
 }
 
 /// Stable sort by the hidden key columns appended after `visible`.
@@ -455,7 +676,6 @@ fn sort_rows_by_hidden(rows: &mut [Row], visible: usize, descs: &[bool]) {
 /// alias (reusing that projection's expression), a 1-based output position,
 /// or the input scope directly. `agg` is used for aggregate queries.
 fn compile_order_key(
-    env: &Env<'_>,
     scope: &Scope,
     key: &ast::Expr,
     names: &[String],
@@ -476,40 +696,12 @@ fn compile_order_key(
         }
     }
     match aggs {
-        Some(aggs) => compile_with_aggs(env, scope, key, aggs),
-        None => compile_expr(env, scope, key),
+        Some(aggs) => compile_with_aggs(scope, key, aggs),
+        None => compile_expr(scope, key),
     }
-}
-
-fn project(
-    env: &Env<'_>,
-    scope: &Scope,
-    rows: Vec<Row>,
-    projections: &[ast::Projection],
-    order_by: &[(ast::Expr, bool)],
-) -> Result<Relation> {
-    let (names, mut exprs) = compile_projections(env, scope, projections)?;
-    let visible = exprs.len();
-    for (key, _) in order_by {
-        let ke = compile_order_key(env, scope, key, &names, &exprs[..visible], None)?;
-        exprs.push(ke);
-    }
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for row in &rows {
-        let mut out = Vec::with_capacity(exprs.len());
-        for e in &exprs {
-            out.push(e.eval(row)?);
-        }
-        out_rows.push(out);
-    }
-    Ok(Relation {
-        columns: names,
-        rows: out_rows,
-    })
 }
 
 fn compile_projections(
-    env: &Env<'_>,
     scope: &Scope,
     projections: &[ast::Projection],
 ) -> Result<(Vec<String>, Vec<Expr>)> {
@@ -546,7 +738,7 @@ fn compile_projections(
                     })
                     .unwrap_or_else(|| format!("col{}", names.len()));
                 names.push(name.to_ascii_lowercase());
-                exprs.push(compile_expr(env, scope, expr)?);
+                exprs.push(compile_expr(scope, expr)?);
             }
         }
     }
@@ -580,6 +772,7 @@ impl AggFn {
     }
 }
 
+#[derive(Clone)]
 struct AggSpec {
     func: AggFn,
     arg: Option<Expr>,
@@ -614,12 +807,7 @@ fn contains_aggregate(e: &ast::Expr) -> bool {
 /// Compile an expression that may contain aggregate calls: each aggregate
 /// becomes a reference to a slot *after* the input row (the executor
 /// evaluates groups into `input_row ++ agg_values`).
-fn compile_with_aggs(
-    env: &Env<'_>,
-    scope: &Scope,
-    e: &ast::Expr,
-    aggs: &mut Vec<AggSpec>,
-) -> Result<Expr> {
+fn compile_with_aggs(scope: &Scope, e: &ast::Expr, aggs: &mut Vec<AggSpec>) -> Result<Expr> {
     match e {
         ast::Expr::CountStar => {
             aggs.push(AggSpec {
@@ -638,7 +826,7 @@ fn compile_with_aggs(
             if args.len() != 1 {
                 return Err(Error::Invalid(format!("{name} takes exactly one argument")));
             }
-            let arg = compile_expr(env, scope, &args[0])?;
+            let arg = compile_expr(scope, &args[0])?;
             aggs.push(AggSpec {
                 func,
                 arg: Some(arg),
@@ -648,29 +836,28 @@ fn compile_with_aggs(
         }
         ast::Expr::Unary(op, x) => Ok(Expr::Unary(
             *op,
-            Box::new(compile_with_aggs(env, scope, x, aggs)?),
+            Box::new(compile_with_aggs(scope, x, aggs)?),
         )),
         ast::Expr::Binary(op, l, r) => Ok(Expr::Binary(
             *op,
-            Box::new(compile_with_aggs(env, scope, l, aggs)?),
-            Box::new(compile_with_aggs(env, scope, r, aggs)?),
+            Box::new(compile_with_aggs(scope, l, aggs)?),
+            Box::new(compile_with_aggs(scope, r, aggs)?),
         )),
         // Aggregates inside other constructs are rare; compile without.
-        other => compile_expr(env, scope, other),
+        other => compile_expr(scope, other),
     }
 }
 
-fn run_aggregate(
-    env: &Env<'_>,
+/// Compile a core's aggregation: output names and the [`AggPlan`].
+fn compile_aggregate(
     scope: &Scope,
-    data: Data,
     core: &ast::SelectCore,
     order_by: &[(ast::Expr, bool)],
-) -> Result<Relation> {
-    let group_exprs: Vec<Expr> = core
+) -> Result<(Vec<String>, AggPlan)> {
+    let group: Vec<Expr> = core
         .group_by
         .iter()
-        .map(|e| compile_expr(env, scope, e))
+        .map(|e| compile_expr(scope, e))
         .collect::<Result<_>>()?;
 
     let mut aggs: Vec<AggSpec> = Vec::new();
@@ -687,7 +874,7 @@ fn run_aggregate(
                     })
                     .unwrap_or_else(|| format!("col{}", names.len()));
                 names.push(name.to_ascii_lowercase());
-                proj_exprs.push(compile_with_aggs(env, scope, expr, &mut aggs)?);
+                proj_exprs.push(compile_with_aggs(scope, expr, &mut aggs)?);
             }
             _ => {
                 return Err(Error::Invalid(
@@ -699,14 +886,31 @@ fn run_aggregate(
     let having = core
         .having
         .as_ref()
-        .map(|h| compile_with_aggs(env, scope, h, &mut aggs))
+        .map(|h| compile_with_aggs(scope, h, &mut aggs))
         .transpose()?;
     let visible = proj_exprs.len();
     for (key, _) in order_by {
         let snapshot = proj_exprs[..visible].to_vec();
-        let ke = compile_order_key(env, scope, key, &names, &snapshot, Some(&mut aggs))?;
+        let ke = compile_order_key(scope, key, &names, &snapshot, Some(&mut aggs))?;
         proj_exprs.push(ke);
     }
+    let agg = AggPlan {
+        group,
+        aggs,
+        proj: proj_exprs,
+        having,
+    };
+    Ok((names, agg))
+}
+
+/// Aggregate `data` (rows of `width` columns) per `agg` into output rows.
+fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Result<Vec<Row>> {
+    let AggPlan {
+        group: group_exprs,
+        aggs,
+        proj: proj_exprs,
+        having,
+    } = agg;
 
     // Factorized COUNT(*): a count-only scalar aggregate over a factored
     // input needs just the leaf count plus the first path as the group
@@ -722,26 +926,23 @@ fn run_aggregate(
             env.note(|| format!("aggregate (factorized count, {n} paths)"));
             let mut extended: Row = f
                 .first_path_row()
-                .unwrap_or_else(|| vec![Value::Null; scope.width]);
-            for _ in &aggs {
+                .unwrap_or_else(|| vec![Value::Null; width]);
+            for _ in aggs {
                 extended.push(Value::Int(n as i64));
             }
             let mut out_rows = Vec::new();
-            let passes = match &having {
+            let passes = match having {
                 Some(h) => h.eval_bool(&extended)?,
                 None => true,
             };
             if passes {
                 let mut out = Vec::with_capacity(proj_exprs.len());
-                for e in &proj_exprs {
+                for e in proj_exprs {
                     out.push(e.eval(&extended)?);
                 }
                 out_rows.push(out);
             }
-            return Ok(Relation {
-                columns: names,
-                rows: out_rows,
-            });
+            return Ok(out_rows);
         }
     }
 
@@ -801,7 +1002,7 @@ fn run_aggregate(
         // aggregate arguments, HAVING, and projection inputs — are cloned;
         // everything else flattens as NULL at full row width.
         Data::Factor(f) => {
-            let mut mask = vec![false; scope.width];
+            let mut mask = vec![false; width];
             let mut need = |e: &Expr| {
                 e.visit_columns(&mut |c| {
                     if c < mask.len() {
@@ -809,18 +1010,18 @@ fn run_aggregate(
                     }
                 })
             };
-            for g in &group_exprs {
+            for g in group_exprs {
                 need(g);
             }
-            for s in &aggs {
+            for s in aggs {
                 if let Some(a) = &s.arg {
                     need(a);
                 }
             }
-            if let Some(h) = &having {
+            if let Some(h) = having {
                 need(h);
             }
-            for p in &proj_exprs {
+            for p in proj_exprs {
                 need(p);
             }
             AggInput::Rows(f.flatten(Some(&mask)))
@@ -828,8 +1029,8 @@ fn run_aggregate(
     };
 
     let input_ref = &input;
-    let group_ref = &group_exprs;
-    let aggs_ref = &aggs;
+    let group_ref = group_exprs;
+    let aggs_ref = aggs;
     let partials = crate::parallel::ordered_map(
         dop,
         total,
@@ -896,7 +1097,7 @@ fn run_aggregate(
             match map.entry(pg.key.clone()) {
                 std::collections::hash_map::Entry::Occupied(e) => {
                     let dst = &mut merged[*e.get()];
-                    for ((acc, part), spec) in dst.accs.iter_mut().zip(pg.accs).zip(&aggs) {
+                    for ((acc, part), spec) in dst.accs.iter_mut().zip(pg.accs).zip(aggs) {
                         acc.merge(spec, part);
                     }
                 }
@@ -920,31 +1121,28 @@ fn run_aggregate(
     for pg in merged {
         // Representative row: first of group, or all-NULL for empty input.
         let mut extended: Row = if pg.rep == usize::MAX {
-            vec![Value::Null; scope.width]
+            vec![Value::Null; width]
         } else {
             match input_ref {
                 AggInput::Rows(rows) => rows[pg.rep].clone(),
                 AggInput::Batch { b, .. } => b.cols.iter().map(|c| c.value_at(pg.rep)).collect(),
             }
         };
-        for (acc, spec) in pg.accs.into_iter().zip(&aggs) {
+        for (acc, spec) in pg.accs.into_iter().zip(aggs) {
             extended.push(acc.finish(spec));
         }
-        if let Some(h) = &having {
+        if let Some(h) = having {
             if !h.eval_bool(&extended)? {
                 continue;
             }
         }
         let mut out = Vec::with_capacity(proj_exprs.len());
-        for e in &proj_exprs {
+        for e in proj_exprs {
             out.push(e.eval(&extended)?);
         }
         out_rows.push(out);
     }
-    Ok(Relation {
-        columns: names,
-        rows: out_rows,
-    })
+    Ok(out_rows)
 }
 
 /// One group's partial aggregation state within a morsel (or, after the
@@ -1341,12 +1539,18 @@ enum Produced {
     Done(Data),
 }
 
-/// Execute a planned FROM pipeline.
-fn exec_from(env: &Env<'_>, plan: &mut plan::FromPlan) -> Result<Data> {
+/// Execute a bound FROM pipeline over its `derived` tables, recording what
+/// each step observed in `execs` (one per step).
+fn exec_from(
+    env: &Env<'_>,
+    plan: &FromPlan,
+    derived: &[Arc<Relation>],
+    execs: &mut [StepExec],
+) -> Result<Data> {
     let mut data = Data::Rows(vec![Vec::new()]); // identity row
-    for step in &mut plan.steps {
+    for (step, x) in plan.steps.iter().zip(execs) {
         let was_factor = matches!(&data, Data::Factor(_));
-        data = exec_step(env, step, data)?;
+        data = exec_step(env, step, x, derived, data)?;
         for p in &step.after {
             data = filter_data(env, data, p)?;
         }
@@ -1354,11 +1558,11 @@ fn exec_from(env: &Env<'_>, plan: &mut plan::FromPlan) -> Result<Data> {
         // factorized runs in list mode; the step that materializes a
         // factored input back to rows is the flatten point.
         if matches!(&data, Data::Factor(_)) {
-            step.exec.list_out = Some(true);
+            x.list_out = Some(true);
         } else if was_factor {
-            step.exec.list_out = Some(false);
+            x.list_out = Some(false);
         }
-        step.exec.actual = Some(data.len());
+        x.actual = Some(data.len());
     }
     for p in &plan.residual {
         data = filter_data(env, data, p)?;
@@ -1379,9 +1583,15 @@ fn find_index<'t>(t: &'t Table, name: &str) -> Result<&'t crate::index::Index> {
 /// Execute one step: produce the unit's rows per [`plan::StepKind`] /
 /// [`plan::Access`], then combine with the accumulated rows per
 /// [`plan::Attach`].
-fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
+fn exec_step(
+    env: &Env<'_>,
+    step: &Step,
+    x: &mut StepExec,
+    derived: &[Arc<Relation>],
+    left: Data,
+) -> Result<Data> {
     let mut left = Some(left);
-    let produced = match &mut step.kind {
+    let produced = match &step.kind {
         StepKind::Scan {
             table,
             keep,
@@ -1401,10 +1611,7 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     for l in lrows {
                         let mut key = Vec::with_capacity(parts.len());
                         for p in parts.iter() {
-                            let v = match p {
-                                ProbePart::Const(v) => v.clone(),
-                                ProbePart::Probe(e) => e.eval(&l)?,
-                            };
+                            let v = p.eval(&l)?;
                             if v.is_null() {
                                 break;
                             }
@@ -1434,7 +1641,7 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     // the expansion is appended as an offset-delimited
                     // level instead of materializing one row per match.
                     let entry = env.db.csr_for(t, table, index, keep, env.snap)?;
-                    step.exec.csr_groups = Some(entry.group_count());
+                    x.csr_groups = Some(entry.group_count());
                     let ldata = left.take().expect("left consumed once");
                     let mut offsets: Vec<u32> = vec![0];
                     let mut cols: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
@@ -1451,7 +1658,7 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     // only reads the last level's columns (each leaf then
                     // owns its key); otherwise flatten first.
                     let mut f = match ldata {
-                        Data::Factor(f) if f.try_each_leaf([&*part], &mut expand)? => f,
+                        Data::Factor(f) if f.try_each_leaf([part], &mut expand)? => f,
                         other => {
                             let base = other.into_rows();
                             for l in &base {
@@ -1471,9 +1678,9 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     });
                     Produced::Done(Data::Factor(f))
                 }
-                Access::Point { index, key, .. } => {
+                Access::Point { index, key } => {
                     let idx = find_index(t, index)?;
-                    let probe = IndexKey(key.clone());
+                    let probe = IndexKey(key.iter().map(|e| e.eval(&[])).collect::<Result<_>>()?);
                     let mut scanned: Vec<Row> = idx
                         .lookup(&probe)
                         .iter()
@@ -1486,14 +1693,19 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     for p in locals.iter() {
                         let before = scanned.len();
                         scanned = filter_rows(scanned, p)?;
-                        step.exec.local_counts.push((before, scanned.len()));
+                        x.local_counts.push((before, scanned.len()));
                     }
                     Produced::Right(Data::Rows(scanned))
                 }
                 Access::Range { index, lo, hi } => {
                     let idx = find_index(t, index)?;
-                    let lo_key = lo.as_ref().map(|v| IndexKey(vec![v.clone()]));
-                    let hi_key = hi.as_ref().map(|v| IndexKey(vec![v.clone()]));
+                    let bound = |e: &Option<Expr>| -> Result<Option<IndexKey>> {
+                        Ok(match e {
+                            Some(e) => Some(IndexKey(vec![e.eval(&[])?])),
+                            None => None,
+                        })
+                    };
+                    let (lo_key, hi_key) = (bound(lo)?, bound(hi)?);
                     let ids = idx.range(lo_key.as_ref(), hi_key.as_ref())?;
                     let mut scanned: Vec<Row> = ids
                         .iter()
@@ -1508,11 +1720,11 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                         })
                         .collect();
                     // EXPLAIN's range-scan count is rows before locals.
-                    step.exec.scan_rows = Some(scanned.len());
+                    x.scan_rows = Some(scanned.len());
                     for p in locals.iter() {
                         let before = scanned.len();
                         scanned = filter_rows(scanned, p)?;
-                        step.exec.local_counts.push((before, scanned.len()));
+                        x.local_counts.push((before, scanned.len()));
                     }
                     Produced::Right(Data::Rows(scanned))
                 }
@@ -1528,8 +1740,8 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     let snap = env.snap;
                     let live = t.len();
                     let dop = env.db.dop_for(live);
-                    step.exec.scan_rows = Some(live);
-                    step.exec.scan_dop = Some(dop);
+                    x.scan_rows = Some(live);
+                    x.scan_dop = Some(dop);
                     let specs: Vec<Option<batch::PredSpec>> =
                         locals.iter().map(batch::compile_spec).collect();
                     let keep_ref: &[usize] = keep;
@@ -1563,13 +1775,43 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
                     }
                     if !locals.is_empty() {
                         let total: usize = batches.iter().map(Batch::selected).sum();
-                        step.exec.local_counts.push((live, total));
+                        x.local_counts.push((live, total));
                     }
                     Produced::Right(Data::Batches(batches))
                 }
             }
         }
-        StepKind::Rel { rel, .. } => Produced::Right(Data::Rows(std::mem::take(&mut rel.rows))),
+        StepKind::Rel { input, pushed } => {
+            let rel: &Relation = match input {
+                RelInput::Cte(name) => env
+                    .ctes
+                    .get(name)
+                    .ok_or_else(|| Error::NotFound(format!("CTE '{name}'")))?,
+                RelInput::Derived(n) => &derived[*n],
+            };
+            // The first pushed filter picks the rows copied out of the
+            // shared relation; the rest filter the copy.
+            let mut rows = match pushed.first() {
+                None => rel.rows.clone(),
+                Some(p) => {
+                    let mut kept = Vec::new();
+                    for row in &rel.rows {
+                        if p.eval_bool(row)? {
+                            kept.push(row.clone());
+                        }
+                    }
+                    x.local_counts.push((rel.rows.len(), kept.len()));
+                    kept
+                }
+            };
+            for p in pushed.iter().skip(1) {
+                let before = rows.len();
+                rows = filter_rows(rows, p)?;
+                x.local_counts.push((before, rows.len()));
+            }
+            x.scan_rows = Some(rows.len());
+            Produced::Right(Data::Rows(rows))
+        }
         StepKind::LateralValues {
             rows: compiled_rows,
             arity,
@@ -1648,9 +1890,13 @@ fn exec_step(env: &Env<'_>, step: &mut plan::Step, left: Data) -> Result<Data> {
     };
     match produced {
         Produced::Done(data) => Ok(data),
-        Produced::Right(right) => {
-            exec_attach(env, step, left.take().expect("left consumed once"), right)
-        }
+        Produced::Right(right) => exec_attach(
+            env,
+            step,
+            x,
+            left.take().expect("left consumed once"),
+            right,
+        ),
     }
 }
 
@@ -1684,13 +1930,19 @@ fn emit_matches<C: IntoIterator<Item = Value>>(
 }
 
 /// Combine the accumulated rows with a step's produced unit rows.
-fn exec_attach(env: &Env<'_>, step: &mut plan::Step, left: Data, right: Data) -> Result<Data> {
+fn exec_attach(
+    env: &Env<'_>,
+    step: &Step,
+    x: &mut StepExec,
+    left: Data,
+    right: Data,
+) -> Result<Data> {
     let outer = step.outer.as_ref();
     match &step.attach {
         Attach::Hash { lkey, rkey } => {
             let dop = env.db.dop_for(right.len().max(left.len()));
-            step.exec.join_rows = Some(right.len());
-            step.exec.join_dop = Some(dop);
+            x.join_rows = Some(right.len());
+            x.join_dop = Some(dop);
             // Columnar fast path: both sides batched and both keys bare
             // columns — join on the column vectors directly. (Batches have
             // no row to pad, so an outer step joins rows.)
@@ -1733,8 +1985,8 @@ fn exec_attach(env: &Env<'_>, step: &mut plan::Step, left: Data, right: Data) ->
             let rrows = right.into_rows();
             let lrows = left.into_rows();
             let dop = env.db.dop_for(lrows.len());
-            step.exec.join_rows = Some(rrows.len());
-            step.exec.join_dop = Some(dop);
+            x.join_rows = Some(rrows.len());
+            x.join_dop = Some(dop);
             let left_ref = &lrows;
             let right_ref = &rrows;
             let chunks = crate::parallel::ordered_map(
@@ -2192,13 +2444,14 @@ fn filter_rows_par(env: &Env<'_>, rows: Vec<Row>, predicate: &Expr) -> Result<Ve
 // ---------------------------------------------------------------------------
 
 /// Compile an expression with no columns in scope (INSERT VALUES rows,
-/// CALL arguments, LIMIT/OFFSET).
+/// CALL arguments, LIMIT/OFFSET), bound to `env`'s values.
 pub fn compile_scalar(env: &Env<'_>, e: &ast::Expr) -> Result<Expr> {
-    compile_expr(env, &Scope::default(), e)
+    compile_bound(env, &Scope::default(), e)
 }
 
 /// Compile an expression against a single table's columns (UPDATE/DELETE
-/// predicates and assignments). The table is addressable by its own name.
+/// predicates and assignments), bound to `env`'s values. The table is
+/// addressable by its own name.
 pub fn compile_table_expr(
     env: &Env<'_>,
     schema: &crate::schema::TableSchema,
@@ -2209,37 +2462,45 @@ pub fn compile_table_expr(
         &schema.name,
         schema.columns.iter().map(|c| c.name.clone()).collect(),
     );
-    compile_expr(env, &scope, e)
+    compile_bound(env, &scope, e)
 }
 
-/// Compile a name-based expression against `scope`. Parameters are inlined
-/// as constants; IN-subqueries are materialized into sets.
-pub(crate) fn compile_expr(env: &Env<'_>, scope: &Scope, e: &ast::Expr) -> Result<Expr> {
+/// Compile `e` for immediate use: its IN subqueries run now (once each)
+/// and every bind slot is filled.
+fn compile_bound(env: &Env<'_>, scope: &Scope, e: &ast::Expr) -> Result<Expr> {
+    let compiled = compile_expr(scope, e)?;
+    let mut queries = Vec::new();
+    prepared::expr_subqueries(e, &mut queries);
+    let binds = Binds {
+        params: env.params,
+        sets: subquery_sets(env, queries.into_iter().map(|q| (q, None)))?,
+    };
+    compiled.bind(&binds)
+}
+
+/// Compile a name-based expression against `scope`. Parameters become bind
+/// slots ([`Expr::Param`]), and so does an IN subquery's result set
+/// ([`Expr::InSubquery`], keyed by [`prepared::subquery_id`]): compiling
+/// reads no execution's values and runs nothing.
+pub(crate) fn compile_expr(scope: &Scope, e: &ast::Expr) -> Result<Expr> {
     Ok(match e {
         ast::Expr::Literal(v) => Expr::Const(v.clone()),
-        ast::Expr::Param(i) => Expr::Const(
-            env.params
-                .get(*i)
-                .cloned()
-                .ok_or_else(|| Error::Invalid(format!("missing parameter ${}", i + 1)))?,
-        ),
+        ast::Expr::Param(i) => Expr::Param(*i),
         ast::Expr::Column { table, name } => Expr::Col(scope.resolve(table.as_deref(), name)?),
-        ast::Expr::Unary(op, x) => Expr::Unary(*op, Box::new(compile_expr(env, scope, x)?)),
+        ast::Expr::Unary(op, x) => Expr::Unary(*op, Box::new(compile_expr(scope, x)?)),
         ast::Expr::Binary(op, l, r) => Expr::Binary(
             *op,
-            Box::new(compile_expr(env, scope, l)?),
-            Box::new(compile_expr(env, scope, r)?),
+            Box::new(compile_expr(scope, l)?),
+            Box::new(compile_expr(scope, r)?),
         ),
-        ast::Expr::IsNull(x, negated) => {
-            Expr::IsNull(Box::new(compile_expr(env, scope, x)?), *negated)
-        }
+        ast::Expr::IsNull(x, negated) => Expr::IsNull(Box::new(compile_expr(scope, x)?), *negated),
         ast::Expr::Like {
             expr,
             pattern,
             negated,
         } => Expr::Like {
-            expr: Box::new(compile_expr(env, scope, expr)?),
-            pattern: Box::new(compile_expr(env, scope, pattern)?),
+            expr: Box::new(compile_expr(scope, expr)?),
+            pattern: Box::new(compile_expr(scope, pattern)?),
             negated: *negated,
         },
         ast::Expr::InList {
@@ -2247,30 +2508,35 @@ pub(crate) fn compile_expr(env: &Env<'_>, scope: &Scope, e: &ast::Expr) -> Resul
             list,
             negated,
         } => {
-            let scrutinee = compile_expr(env, scope, expr)?;
+            let scrutinee = Box::new(compile_expr(scope, expr)?);
             let compiled: Vec<Expr> = list
                 .iter()
-                .map(|i| compile_expr(env, scope, i))
+                .map(|i| compile_expr(scope, i))
                 .collect::<Result<_>>()?;
             if compiled.iter().all(|c| matches!(c, Expr::Const(_))) {
-                let mut set = FxHashSet::default();
-                for c in compiled {
-                    if let Expr::Const(v) = c {
-                        if !v.is_null() {
-                            set.insert(v);
-                        }
-                    }
-                }
+                let values = compiled.into_iter().map(|c| match c {
+                    Expr::Const(v) => v,
+                    _ => unreachable!("checked constant"),
+                });
                 Expr::InSet {
-                    expr: Box::new(scrutinee),
-                    set: Arc::new(set),
+                    expr: scrutinee,
+                    set: in_set(values),
+                    negated: *negated,
+                }
+            } else if compiled
+                .iter()
+                .all(|c| matches!(c, Expr::Const(_) | Expr::Param(_)))
+            {
+                Expr::InParams {
+                    expr: scrutinee,
+                    list: compiled,
                     negated: *negated,
                 }
             } else {
                 // Non-constant list: desugar to an OR chain.
                 let mut acc: Option<Expr> = None;
                 for c in compiled {
-                    let eq = Expr::Binary(BinaryOp::Eq, Box::new(scrutinee.clone()), Box::new(c));
+                    let eq = Expr::Binary(BinaryOp::Eq, scrutinee.clone(), Box::new(c));
                     acc = Some(match acc {
                         None => eq,
                         Some(prev) => Expr::Binary(BinaryOp::Or, Box::new(prev), Box::new(eq)),
@@ -2288,35 +2554,20 @@ pub(crate) fn compile_expr(env: &Env<'_>, scope: &Scope, e: &ast::Expr) -> Resul
             expr,
             query,
             negated,
-        } => {
-            let rel = run_select(env, query)?;
-            if rel.columns.len() != 1 {
-                return Err(Error::Invalid(
-                    "IN subquery must return exactly one column".into(),
-                ));
-            }
-            let mut set = FxHashSet::default();
-            for row in rel.rows {
-                let v = row.into_iter().next().expect("one column");
-                if !v.is_null() {
-                    set.insert(v);
-                }
-            }
-            Expr::InSet {
-                expr: Box::new(compile_expr(env, scope, expr)?),
-                set: Arc::new(set),
-                negated: *negated,
-            }
-        }
+        } => Expr::InSubquery {
+            expr: Box::new(compile_expr(scope, expr)?),
+            query: prepared::subquery_id(query),
+            negated: *negated,
+        },
         ast::Expr::Between {
             expr,
             lo,
             hi,
             negated,
         } => {
-            let x = compile_expr(env, scope, expr)?;
-            let lo = compile_expr(env, scope, lo)?;
-            let hi = compile_expr(env, scope, hi)?;
+            let x = compile_expr(scope, expr)?;
+            let lo = compile_expr(scope, lo)?;
+            let hi = compile_expr(scope, hi)?;
             let ge = Expr::Binary(BinaryOp::Ge, Box::new(x.clone()), Box::new(lo));
             let le = Expr::Binary(BinaryOp::Le, Box::new(x), Box::new(hi));
             let and = Expr::Binary(BinaryOp::And, Box::new(ge), Box::new(le));
@@ -2345,15 +2596,15 @@ pub(crate) fn compile_expr(env: &Env<'_>, scope: &Scope, e: &ast::Expr) -> Resul
                 .ok_or_else(|| Error::NotFound(format!("function '{name}'")))?;
             let compiled: Vec<Expr> = args
                 .iter()
-                .map(|a| compile_expr(env, scope, a))
+                .map(|a| compile_expr(scope, a))
                 .collect::<Result<_>>()?;
             Expr::Call(func, compiled)
         }
         ast::Expr::CountStar => return Err(Error::Invalid("COUNT(*) is not allowed here".into())),
-        ast::Expr::Cast(x, ty) => Expr::Cast(Box::new(compile_expr(env, scope, x)?), *ty),
+        ast::Expr::Cast(x, ty) => Expr::Cast(Box::new(compile_expr(scope, x)?), *ty),
         ast::Expr::Subscript(x, i) => Expr::Subscript(
-            Box::new(compile_expr(env, scope, x)?),
-            Box::new(compile_expr(env, scope, i)?),
+            Box::new(compile_expr(scope, x)?),
+            Box::new(compile_expr(scope, i)?),
         ),
     })
 }

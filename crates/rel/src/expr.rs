@@ -6,7 +6,7 @@
 //! row. Evaluation is row-at-a-time.
 
 use crate::error::{Error, Result};
-use crate::hasher::FxHashSet;
+use crate::hasher::{FxHashMap, FxHashSet};
 use crate::value::{CastType, Value};
 use sqlgraph_json::Json;
 use std::cmp::Ordering;
@@ -145,9 +145,131 @@ pub enum Expr {
     Cast(Box<Expr>, CastType),
     /// Array subscript `e[i]`, 0-based.
     Subscript(Box<Expr>, Box<Expr>),
+    /// A bind slot: the `?` parameter with this 0-based index. Plans are
+    /// compiled with slots so they outlive one execution's values;
+    /// [`Expr::bind`] fills them.
+    Param(usize),
+    /// A bind slot for `e IN (v, ?, …)` whose list holds parameters:
+    /// [`Expr::bind`] turns it into the [`Expr::InSet`] that inline values
+    /// compile to.
+    InParams {
+        /// Scrutinee.
+        expr: Box<Expr>,
+        /// Constants and [`Expr::Param`]s.
+        list: Vec<Expr>,
+        /// True for NOT IN.
+        negated: bool,
+    },
+    /// A bind slot for `e IN (SELECT …)`: the uncorrelated subquery runs
+    /// once per execution and [`Expr::bind`] installs its result as an
+    /// [`Expr::InSet`].
+    InSubquery {
+        /// Scrutinee.
+        expr: Box<Expr>,
+        /// Which subquery: [`Binds::sets`] is keyed by this id.
+        query: usize,
+        /// True for NOT IN.
+        negated: bool,
+    },
+}
+
+/// What one execution fills a plan's bind slots with.
+pub(crate) struct Binds<'a> {
+    /// Positional parameter values.
+    pub(crate) params: &'a [Value],
+    /// The result set of each IN subquery, by subquery id.
+    pub(crate) sets: FxHashMap<usize, Arc<FxHashSet<Value>>>,
+}
+
+/// The membership set `IN` compiles to: NULLs can never match, so they are
+/// left out.
+pub(crate) fn in_set(values: impl IntoIterator<Item = Value>) -> Arc<FxHashSet<Value>> {
+    Arc::new(values.into_iter().filter(|v| !v.is_null()).collect())
 }
 
 impl Expr {
+    /// Whether the expression holds a bind slot ([`Expr::Param`],
+    /// [`Expr::InParams`], [`Expr::InSubquery`]).
+    pub(crate) fn has_slots(&self) -> bool {
+        match self {
+            Expr::Param(_) | Expr::InParams { .. } | Expr::InSubquery { .. } => true,
+            Expr::Const(_) | Expr::Col(_) => false,
+            Expr::Unary(_, e) | Expr::IsNull(e, _) | Expr::Cast(e, _) => e.has_slots(),
+            Expr::Binary(_, l, r) | Expr::Subscript(l, r) => l.has_slots() || r.has_slots(),
+            Expr::Like { expr, pattern, .. } => expr.has_slots() || pattern.has_slots(),
+            Expr::InSet { expr, .. } => expr.has_slots(),
+            Expr::Call(_, args) => args.iter().any(Expr::has_slots),
+        }
+    }
+
+    /// A copy with every bind slot filled from `b`: the expression planning
+    /// would have compiled had the values been written inline.
+    pub(crate) fn bind(&self, b: &Binds<'_>) -> Result<Expr> {
+        let bx = |e: &Expr| e.bind(b).map(Box::new);
+        Ok(match self {
+            Expr::Const(_) | Expr::Col(_) => self.clone(),
+            Expr::Param(i) => Expr::Const(
+                b.params
+                    .get(*i)
+                    .cloned()
+                    .ok_or_else(|| Error::Invalid(format!("missing parameter ${}", i + 1)))?,
+            ),
+            Expr::InParams {
+                expr,
+                list,
+                negated,
+            } => {
+                let mut values = Vec::with_capacity(list.len());
+                for item in list {
+                    match item.bind(b)? {
+                        Expr::Const(v) => values.push(v),
+                        other => unreachable!("IN list slot holds {other:?}"),
+                    }
+                }
+                Expr::InSet {
+                    expr: bx(expr)?,
+                    set: in_set(values),
+                    negated: *negated,
+                }
+            }
+            Expr::InSubquery {
+                expr,
+                query,
+                negated,
+            } => Expr::InSet {
+                expr: bx(expr)?,
+                set: b
+                    .sets
+                    .get(query)
+                    .cloned()
+                    .ok_or_else(|| Error::Invalid("IN subquery was not evaluated".into()))?,
+                negated: *negated,
+            },
+            Expr::Unary(op, e) => Expr::Unary(*op, bx(e)?),
+            Expr::Binary(op, l, r) => Expr::Binary(*op, bx(l)?, bx(r)?),
+            Expr::IsNull(e, negated) => Expr::IsNull(bx(e)?, *negated),
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => Expr::Like {
+                expr: bx(expr)?,
+                pattern: bx(pattern)?,
+                negated: *negated,
+            },
+            Expr::InSet { expr, set, negated } => Expr::InSet {
+                expr: bx(expr)?,
+                set: set.clone(),
+                negated: *negated,
+            },
+            Expr::Call(f, args) => {
+                Expr::Call(*f, args.iter().map(|a| a.bind(b)).collect::<Result<_>>()?)
+            }
+            Expr::Cast(e, ty) => Expr::Cast(bx(e)?, *ty),
+            Expr::Subscript(e, i) => Expr::Subscript(bx(e)?, bx(i)?),
+        })
+    }
+
     /// Evaluate against a flattened row.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {
@@ -199,6 +321,9 @@ impl Expr {
                 Ok(Value::Bool(found != *negated))
             }
             Expr::Call(func, args) => eval_call(*func, args, row),
+            Expr::Param(_) | Expr::InParams { .. } | Expr::InSubquery { .. } => Err(
+                Error::Invalid("evaluating an unbound plan (bind it first)".into()),
+            ),
             Expr::Cast(e, ty) => e.eval(row)?.cast(*ty),
             Expr::Subscript(e, i) => {
                 let v = e.eval(row)?;
@@ -223,7 +348,7 @@ impl Expr {
     /// Visit all column offsets referenced by the expression.
     pub fn visit_columns(&self, f: &mut impl FnMut(usize)) {
         match self {
-            Expr::Const(_) => {}
+            Expr::Const(_) | Expr::Param(_) => {}
             Expr::Col(i) => f(*i),
             Expr::Unary(_, e) | Expr::IsNull(e, _) | Expr::Cast(e, _) => e.visit_columns(f),
             Expr::Binary(_, l, r) | Expr::Subscript(l, r) => {
@@ -234,7 +359,10 @@ impl Expr {
                 expr.visit_columns(f);
                 pattern.visit_columns(f);
             }
-            Expr::InSet { expr, .. } => expr.visit_columns(f),
+            // IN lists of binds hold no columns.
+            Expr::InSet { expr, .. }
+            | Expr::InParams { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.visit_columns(f),
             Expr::Call(_, args) => {
                 for a in args {
                     a.visit_columns(f);
@@ -247,7 +375,7 @@ impl Expr {
     /// expressions onto a join's combined row layout).
     pub fn shift_columns(&mut self, delta: usize) {
         match self {
-            Expr::Const(_) => {}
+            Expr::Const(_) | Expr::Param(_) => {}
             Expr::Col(i) => *i += delta,
             Expr::Unary(_, e) | Expr::IsNull(e, _) | Expr::Cast(e, _) => e.shift_columns(delta),
             Expr::Binary(_, l, r) | Expr::Subscript(l, r) => {
@@ -258,7 +386,9 @@ impl Expr {
                 expr.shift_columns(delta);
                 pattern.shift_columns(delta);
             }
-            Expr::InSet { expr, .. } => expr.shift_columns(delta),
+            Expr::InSet { expr, .. }
+            | Expr::InParams { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.shift_columns(delta),
             Expr::Call(_, args) => {
                 for a in args {
                     a.shift_columns(delta);
@@ -272,7 +402,7 @@ impl Expr {
     /// predicate from the combined join layout down onto the bare table row).
     pub fn map_columns(&mut self, f: &mut impl FnMut(usize) -> usize) {
         match self {
-            Expr::Const(_) => {}
+            Expr::Const(_) | Expr::Param(_) => {}
             Expr::Col(i) => *i = f(*i),
             Expr::Unary(_, e) | Expr::IsNull(e, _) | Expr::Cast(e, _) => e.map_columns(f),
             Expr::Binary(_, l, r) | Expr::Subscript(l, r) => {
@@ -283,7 +413,9 @@ impl Expr {
                 expr.map_columns(f);
                 pattern.map_columns(f);
             }
-            Expr::InSet { expr, .. } => expr.map_columns(f),
+            Expr::InSet { expr, .. }
+            | Expr::InParams { expr, .. }
+            | Expr::InSubquery { expr, .. } => expr.map_columns(f),
             Expr::Call(_, args) => {
                 for a in args {
                     a.map_columns(f);

@@ -49,6 +49,7 @@ pub mod index;
 pub mod io;
 pub mod parallel;
 pub mod plan;
+pub mod prepared;
 pub mod schema;
 pub mod sql;
 pub mod stats;
@@ -72,6 +73,8 @@ const _: () = {
     sync_clean::<stats::TableStats>();
     sync_clean::<batch::Batch>();
     sync_clean::<batch::ColVec>();
+    // One prepared statement's plans serve every thread that runs it.
+    sync_clean::<prepared::Prepared>();
 };
 
 pub use cache::ClockCache;
@@ -80,6 +83,7 @@ pub use db::{commit_many, Database, Txn};
 pub use error::{Error, Result};
 pub use exec::Relation;
 pub use io::{Fault, FaultKind, SimFs, StdFs, Vfs};
+pub use prepared::Prepared;
 pub use schema::{Column, ColumnType, TableSchema};
 pub use stats::TableStats;
 pub use txn::{Session, Snapshot, TsOracle};

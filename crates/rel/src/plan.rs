@@ -13,6 +13,14 @@
 //! ([`flatten_joins`]), so this one pipeline plans every FROM clause; no join
 //! runs before planning ends.
 //!
+//! A plan is a function of the statement, not of one execution: `?`s compile
+//! to bind slots ([`Expr::Param`]), an IN subquery to a slot its result fills
+//! ([`Expr::InSubquery`]), and CTEs and derived tables are referenced
+//! ([`RelInput`]) rather than copied in — their pushed filters run at
+//! execution. [`FromPlan::bind`] makes the executable copy. What planning
+//! did read that can change while the statement does not is recorded
+//! ([`Guard`], [`OrderModel`]) so a cached plan can be checked against it.
+//!
 //! The planning pass mirrors the retired in-line planner *decision for
 //! decision* — the same conjunct-retirement order, the same compile-attempt
 //! semantics (a conjunct that fails to compile against the current scope is
@@ -21,32 +29,36 @@
 //! results are byte-identical to the seed engine's.
 
 use crate::error::{Error, Result};
-use crate::exec::{compile_expr, filter_rows, run_select, Env, Relation, Scope, TableFunc};
-use crate::expr::{BinaryOp, Expr};
+use crate::exec::{compile_expr, Env, Relation, Scope, TableFunc};
+use crate::expr::{BinaryOp, Binds, Expr};
 use crate::hasher::{FxHashMap, FxHashSet};
+use crate::index::KeyPart;
 use crate::sql::ast;
+use crate::stats::{ndv_with_default, TableStats};
+use crate::storage::Table;
 use crate::value::Value;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // The physical plan IR
 // ---------------------------------------------------------------------------
 
-/// A fully-planned FROM pipeline: an ordered list of attach steps, the final
-/// name-resolution scope (restored to textual order), and residual filters
-/// that run after the last attach.
+/// A fully-planned FROM pipeline: an ordered list of attach steps and
+/// residual filters that run after the last attach.
 pub(crate) struct FromPlan {
-    /// Attach steps in execution order (post join-reorder).
-    pub(crate) steps: Vec<Step>,
-    /// Final scope, entries in textual order (offsets point at the physical
-    /// row layout, which follows execution order).
-    pub(crate) scope: Scope,
+    /// Attach steps in execution order (post join-reorder). Shared between
+    /// a cached plan and its bound copies where a step has no bind slot.
+    pub(crate) steps: Vec<Arc<Step>>,
     /// Conjuncts that resolve only against the full scope, compiled, in
     /// original conjunct order.
     pub(crate) residual: Vec<Expr>,
+    /// Whether a step or residual conjunct holds a bind slot.
+    slots: bool,
 }
 
 /// One unit attachment: produce the unit's rows ([`StepKind`]) and combine
 /// them with the rows accumulated so far ([`Attach`]).
+#[derive(Clone)]
 pub(crate) struct Step {
     /// Display label (the unit's alias).
     pub(crate) label: String,
@@ -59,9 +71,8 @@ pub(crate) struct Step {
     /// Ready conjuncts applied to the combined rows right after the attach
     /// (combined layout), in conjunct order.
     pub(crate) after: Vec<Expr>,
-    /// Execution-time observations, filled by the executor and read by the
-    /// EXPLAIN renderer.
-    pub(crate) exec: StepExec,
+    /// Whether an expression of the step holds a bind slot.
+    slots: bool,
 }
 
 /// The null-supplying half of a LEFT OUTER JOIN step. The join key ([`Access`]
@@ -70,6 +81,7 @@ pub(crate) struct Step {
 /// is `on`. An accumulated row that no unit row joins with comes out once,
 /// padded with `width` NULLs — so a WHERE conjunct that reads this unit can
 /// only ever run after the step, never inside it.
+#[derive(Clone)]
 pub(crate) struct Outer {
     /// ON conjuncts that are neither the join key nor pushed into the scan,
     /// checked per candidate pair (combined layout), in ON order.
@@ -78,13 +90,14 @@ pub(crate) struct Outer {
     pub(crate) width: usize,
 }
 
-/// Cardinalities and DOPs observed while executing a [`Step`].
+/// Cardinalities and DOPs observed while executing a [`Step`]. One per step
+/// per execution, beside the plan: a plan is never written while it runs.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct StepExec {
     /// Combined rows after the attach and `after` filters.
     pub(crate) actual: Option<usize>,
     /// Rows seen by the scan (live table rows for full scans, matched rows
-    /// for range scans).
+    /// for range scans, rows after pushdown for relations).
     pub(crate) scan_rows: Option<usize>,
     /// Morsel DOP used by a full scan.
     pub(crate) scan_dop: Option<usize>,
@@ -103,6 +116,7 @@ pub(crate) struct StepExec {
 }
 
 /// How a step produces its unit rows.
+#[derive(Clone)]
 pub(crate) enum StepKind {
     /// Base-table scan (pruned to `keep` columns) with a chosen access path
     /// and fused local filters (unit layout).
@@ -113,16 +127,10 @@ pub(crate) enum StepKind {
         access: Access,
         locals: Vec<Expr>,
     },
-    /// Pre-materialized relation (CTE clone or derived table — a subquery is
-    /// a statement of its own, run to completion before this one plans),
-    /// with plan-time pushdown already applied. `pushed` records per-filter
-    /// (before, after) counts and `rows` the final cardinality, both for
-    /// EXPLAIN.
-    Rel {
-        rel: Relation,
-        pushed: Vec<(usize, usize)>,
-        rows: usize,
-    },
+    /// A materialized relation — a CTE's, or a derived table's (a subquery
+    /// is a statement of its own, run to completion before this one plans).
+    /// The `pushed` filters (unit layout) run as its rows are copied out.
+    Rel { input: RelInput, pushed: Vec<Expr> },
     /// Lateral `TABLE (VALUES ...)`: value expressions compiled against the
     /// *prior* scope, evaluated once per accumulated row.
     LateralValues { rows: Vec<Vec<Expr>>, arity: usize },
@@ -134,14 +142,25 @@ pub(crate) enum StepKind {
     },
 }
 
-/// Access path of a base-table scan.
+/// Where a [`StepKind::Rel`] step's rows come from.
+#[derive(Clone)]
+pub(crate) enum RelInput {
+    /// The CTE of this (lower-cased) name in the executing environment.
+    Cte(String),
+    /// The `n`-th derived table of the FROM list, in FROM order (run per
+    /// execution, before the plan is fetched or built).
+    Derived(usize),
+}
+
+/// Access path of a base-table scan. Key expressions that come before the
+/// scan — a probe part that is a constant, a point key, a range bound — are
+/// constants or bind slots.
+#[derive(Clone)]
 pub(crate) enum Access {
-    /// Index nested-loop join: per accumulated row, build a key from
-    /// `parts` and probe `index`. Consumes the left side inside the scan.
-    Probe {
-        index: String,
-        parts: Vec<ProbePart>,
-    },
+    /// Index nested-loop join: per accumulated row, evaluate `parts`
+    /// (combined layout) into a key and probe `index`. Consumes the left
+    /// side inside the scan.
+    Probe { index: String, parts: Vec<Expr> },
     /// Compressed adjacency probe: like `Probe`, but through a cached CSR
     /// entry ([`crate::csr::CsrEntry`]) built lazily from the index — an
     /// O(1) group lookup plus a dense range copy per accumulated row, with
@@ -153,32 +172,22 @@ pub(crate) enum Access {
         part: Expr,
     },
     /// Constant-key index lookup.
-    Point {
-        index: String,
-        key: Vec<Value>,
-        parts: usize,
-    },
+    Point { index: String, key: Vec<Expr> },
     /// Single-part B-tree range scan (inclusive bounds; exact predicates
     /// remain in `locals`).
     Range {
         index: String,
-        lo: Option<Value>,
-        hi: Option<Value>,
+        lo: Option<Expr>,
+        hi: Option<Expr>,
     },
     /// Full (morsel-parallel) scan.
     Full,
 }
 
-/// One component of an index-probe key.
-pub(crate) enum ProbePart {
-    Const(Value),
-    /// Expression over already-attached columns (combined layout).
-    Probe(Expr),
-}
-
 /// How the unit rows combine with the accumulated rows. The same three join
 /// strategies serve comma units, inner JOIN operands and — with
 /// [`Step::outer`] set — LEFT OUTER JOIN operands.
+#[derive(Clone)]
 pub(crate) enum Attach {
     /// Handled inside the scan ([`Access::Probe`]).
     Probe,
@@ -188,6 +197,153 @@ pub(crate) enum Attach {
     Cross,
     /// Lateral flatten (one unit row set per accumulated row).
     Flatten,
+}
+
+// ---------------------------------------------------------------------------
+// Binding
+// ---------------------------------------------------------------------------
+
+impl FromPlan {
+    fn new(steps: Vec<Arc<Step>>, residual: Vec<Expr>) -> FromPlan {
+        let slots = steps.iter().any(|s| s.slots) || residual.iter().any(Expr::has_slots);
+        FromPlan {
+            steps,
+            residual,
+            slots,
+        }
+    }
+
+    /// The executable copy of this plan for one execution, with its bind
+    /// slots filled from `b` — `None` when it has none and runs as it is.
+    /// Steps without a slot are shared, not copied.
+    pub(crate) fn bind(&self, b: &Binds<'_>) -> Result<Option<FromPlan>> {
+        if !self.slots {
+            return Ok(None);
+        }
+        let steps = self
+            .steps
+            .iter()
+            .map(|s| match s.slots {
+                true => s.bind(b).map(Arc::new),
+                false => Ok(s.clone()),
+            })
+            .collect::<Result<_>>()?;
+        let residual = self
+            .residual
+            .iter()
+            .map(|e| e.bind(b))
+            .collect::<Result<_>>()?;
+        Ok(Some(FromPlan::new(steps, residual)))
+    }
+}
+
+impl Step {
+    fn new(
+        label: String,
+        est: Option<f64>,
+        kind: StepKind,
+        attach: Attach,
+        outer: Option<Outer>,
+        after: Vec<Expr>,
+    ) -> Step {
+        let mut step = Step {
+            label,
+            est,
+            kind,
+            attach,
+            outer,
+            after,
+            slots: false,
+        };
+        step.slots = step.exprs_mut().into_iter().any(|e| e.has_slots());
+        step
+    }
+
+    /// Every expression of the step.
+    fn exprs_mut(&mut self) -> Vec<&mut Expr> {
+        let mut out: Vec<&mut Expr> = Vec::new();
+        match &mut self.kind {
+            StepKind::Scan { access, locals, .. } => {
+                out.extend(locals);
+                match access {
+                    Access::Probe { parts, .. } => out.extend(parts),
+                    Access::Csr { part, .. } => out.push(part),
+                    Access::Point { key, .. } => out.extend(key),
+                    Access::Range { lo, hi, .. } => out.extend(lo.iter_mut().chain(hi)),
+                    Access::Full => {}
+                }
+            }
+            StepKind::Rel { pushed, .. } => out.extend(pushed),
+            StepKind::LateralValues { rows, .. } => out.extend(rows.iter_mut().flatten()),
+            StepKind::LateralFunc { args, .. } => out.extend(args),
+        }
+        if let Attach::Hash { lkey, rkey } = &mut self.attach {
+            out.extend([lkey, rkey]);
+        }
+        out.extend(self.outer.iter_mut().flat_map(|o| &mut o.on));
+        out.extend(&mut self.after);
+        out
+    }
+
+    fn bind(&self, b: &Binds<'_>) -> Result<Step> {
+        let mut step = self.clone();
+        for e in step.exprs_mut() {
+            *e = e.bind(b)?;
+        }
+        step.slots = false;
+        Ok(step)
+    }
+}
+
+// ---------------------------------------------------------------------------
+// What a plan read
+// ---------------------------------------------------------------------------
+
+/// Minimum live rows before the planner routes a probe through the CSR
+/// adjacency cache: below this the O(table) lazy build cannot beat plain
+/// index nested-loop probes even with perfect reuse.
+const CSR_MIN_ROWS: usize = 256;
+
+/// What planning reads of one base table's *data*, as a number that moves
+/// when it does: the table's [`Table::stats_epoch`], and which side of the
+/// CSR size rule ([`csr_eligible`]) its live count is on. (Its catalog is
+/// covered by the plan epoch directly; its cardinalities by the join-order
+/// check.) A change moves the database's plan epoch.
+pub(crate) fn table_epoch(t: &Table) -> u64 {
+    t.stats_epoch() << 1 | u64::from(t.len() >= CSR_MIN_ROWS)
+}
+
+/// A fact about one bind value that a planning decision depended on.
+pub(crate) enum Guard {
+    /// Parameter `i` was (not) NULL: a NULL bound is no range bound.
+    Null(usize, bool),
+    /// Parameter `i` had this value: it named a JSON member, and the member
+    /// picks the functional index.
+    Value(usize, Option<Value>),
+}
+
+impl Guard {
+    /// Whether `params` satisfy the fact.
+    pub(crate) fn holds(&self, params: &[Value]) -> bool {
+        match self {
+            Guard::Null(i, null) => params.get(*i).is_some_and(Value::is_null) == *null,
+            Guard::Value(i, v) => params.get(*i) == v.as_ref(),
+        }
+    }
+}
+
+/// Whether parameter `i` is NULL, recorded in `guards`.
+fn param_is_null(env: &Env<'_>, guards: &mut Vec<Guard>, i: usize) -> bool {
+    let null = env.params.get(i).is_some_and(Value::is_null);
+    guards.push(Guard::Null(i, null));
+    null
+}
+
+/// Parameter `i`'s value, recorded in `guards`.
+fn param_value<'e>(env: &Env<'e>, guards: &mut Vec<Guard>, i: usize) -> Option<&'e Value> {
+    let v = env.params.get(i);
+    guards.push(Guard::Value(i, v.cloned()));
+    v
 }
 
 // ---------------------------------------------------------------------------
@@ -342,8 +498,9 @@ struct Unit<'q> {
 enum Source<'q> {
     /// Base table or CTE reference (lower-cased name).
     Named(String),
-    /// Derived table, materialized eagerly.
-    Derived(Relation),
+    /// The `n`-th derived table of the FROM list, materialized before
+    /// planning.
+    Derived(usize),
     /// Lateral VALUES rows (expressions compiled later, against the
     /// accumulated scope).
     Lateral {
@@ -363,9 +520,9 @@ enum Source<'q> {
 /// is planned like a comma unit. An inner join's ON conjuncts go to
 /// `conjuncts`: they are equivalent to WHERE conjuncts, and the optimizer
 /// may use them for any unit. A LEFT OUTER JOIN's stay with its right
-/// operand ([`Unit::outer_on`]).
+/// operand ([`Unit::outer_on`]). Derived tables are numbered in the order
+/// met, the order [`crate::prepared::core_derived`] lists them in.
 fn flatten_joins<'q>(
-    env: &Env<'_>,
     item: &'q ast::FromItem,
     units: &mut Vec<Unit<'q>>,
     conjuncts: &mut Vec<&'q ast::Expr>,
@@ -393,8 +550,8 @@ fn flatten_joins<'q>(
                         .into(),
                 ));
             }
-            flatten_joins(env, left, units, conjuncts)?;
-            flatten_joins(env, right, units, conjuncts)?;
+            flatten_joins(left, units, conjuncts)?;
+            flatten_joins(right, units, conjuncts)?;
             match kind {
                 ast::JoinKind::Inner => collect_conjuncts(on, conjuncts),
                 ast::JoinKind::LeftOuter => {
@@ -409,8 +566,12 @@ fn flatten_joins<'q>(
             alias.clone().unwrap_or_else(|| name.clone()),
             Source::Named(name.to_ascii_lowercase()),
         ),
-        ast::FromItem::Subquery { query, alias } => {
-            (alias.clone(), Source::Derived(run_select(env, query)?))
+        ast::FromItem::Subquery { alias, .. } => {
+            let n = units
+                .iter()
+                .filter(|u| matches!(u.src, Source::Derived(_)))
+                .count();
+            (alias.clone(), Source::Derived(n))
         }
         ast::FromItem::LateralValues {
             rows,
@@ -463,6 +624,11 @@ fn visit_conjuncts(e: &Expr, f: &mut impl FnMut(&Expr)) {
     } else {
         f(e);
     }
+}
+
+/// A value known before any row is read: a literal or a bind slot.
+fn is_constant(e: &Expr) -> bool {
+    matches!(e, Expr::Const(_) | Expr::Param(_))
 }
 
 /// If `on` includes a conjunct `expr_l = expr_r` where `expr_l` touches only
@@ -529,32 +695,77 @@ struct PlannedUnit {
     est: Option<f64>,
 }
 
-/// Planning facts for one FROM unit, gathered without executing it.
+/// The inputs of the greedy join order over a FROM list's movable prefix,
+/// resolved against the catalog once — which key part each estimate reads
+/// the ndv of, which join keys are indexed — so that deriving the order
+/// again reads only counts: live rows, CTE and derived-table sizes,
+/// distinct keys. A cached plan keeps its model and the order it gave.
+pub(crate) struct OrderModel {
+    /// The movable prefix of the unit list, in textual order.
+    units: Vec<UnitModel>,
+    edges: Vec<EdgeModel>,
+}
+
+/// One unit of an [`OrderModel`].
+struct UnitModel {
+    rows: RowSource,
+    /// Key expressions the estimates read, resolved to this unit's key
+    /// parts (`None` when not a plain or `JSON_VAL` column of a table).
+    keys: Vec<Option<KeyPart>>,
+    /// Per key: it is the whole key of a single-part index.
+    indexed: Vec<bool>,
+    /// The unit's single-unit conjuncts, in conjunct order.
+    sels: Vec<Sel>,
+}
+
+/// Where a unit's cardinality comes from.
+enum RowSource {
+    /// A base table (lower-cased name): its live count.
+    Table(String),
+    /// A CTE of the environment: its row count.
+    Cte(String),
+    /// The `n`-th derived table: its row count.
+    Derived(usize),
+}
+
+/// The selectivity estimate of one single-unit conjunct.
+enum Sel {
+    /// `key = constant`: 1 / ndv of key number `n`.
+    Eq(usize),
+    /// Any other predicate: the classic 0.3.
+    Guess,
+}
+
+/// An equi-join conjunct linking two units: `keys[a_key]` of unit `a` and
+/// `keys[b_key]` of unit `b`.
+struct EdgeModel {
+    a: usize,
+    b: usize,
+    a_key: usize,
+    b_key: usize,
+}
+
+/// The counts an [`OrderModel`] reads for one unit, as of now.
 struct UnitFacts {
-    /// The unit's alias (lower-cased).
-    alias: String,
     /// Unfiltered cardinality.
     rows: f64,
     /// Cardinality after single-unit constant predicates.
     est: f64,
-    /// Statistics (base tables only): stored `ANALYZE` stats or index-seeded.
-    stats: Option<crate::stats::TableStats>,
-    /// Lower-cased column name → position (base tables only).
-    col_index: FxHashMap<String, usize>,
-    /// Key parts covered by a single-part index (base tables only).
-    indexed_parts: Vec<crate::index::KeyPart>,
-    /// Live row count at planning time (base tables only; caps ndv).
-    live: usize,
+    /// Per key, its ndv estimate; `None` without statistics (anything but
+    /// an existing base table) — the estimates fall back to a tenth of the
+    /// rows then.
+    ndv: Option<Vec<Option<usize>>>,
 }
 
-/// An equi-join conjunct linking two units, with its estimated selectivity.
-struct JoinEdge {
-    a: usize,
-    b: usize,
-    sel: f64,
-    /// The `a`/`b`-side key is a single-part-indexed key of that unit.
-    a_indexed: bool,
-    b_indexed: bool,
+impl UnitFacts {
+    /// Distinct-value estimate of key `n`. Falls back to the System-R
+    /// tenth-of-the-rows default when no statistic applies.
+    fn side_ndv(&self, n: usize) -> f64 {
+        match self.ndv.as_ref().and_then(|ndv| ndv[n]) {
+            Some(ndv) => ndv as f64,
+            None => (self.rows / 10.0).max(1.0),
+        }
+    }
 }
 
 /// Collect the set of alias qualifiers in `e` into `out`. Returns `false`
@@ -587,24 +798,29 @@ fn expr_aliases(e: &ast::Expr, out: &mut FxHashSet<String>) -> bool {
     }
 }
 
-/// A constant operand from the planner's point of view (parameters are
-/// inlined as constants at compile time).
+/// The single alias `e` reads, if it reads exactly one.
+fn single_alias(e: &ast::Expr) -> Option<String> {
+    let mut aliases = FxHashSet::default();
+    if !expr_aliases(e, &mut aliases) || aliases.len() != 1 {
+        return None;
+    }
+    aliases.into_iter().next()
+}
+
+/// A constant operand from the planner's point of view (parameters bind
+/// to constants).
 fn is_const_operand(e: &ast::Expr) -> bool {
     matches!(e, ast::Expr::Literal(_) | ast::Expr::Param(_))
 }
 
-/// Resolve an AST expression to an index key part of `facts`' table: a
+/// Resolve an AST expression to an index key part of `schema`'s table: a
 /// qualified bare column or `JSON_VAL(col, 'member')` over one.
-fn ast_key_part(facts: &UnitFacts, e: &ast::Expr) -> Option<crate::index::KeyPart> {
-    use crate::index::KeyPart;
+fn ast_key_part(schema: &crate::schema::TableSchema, e: &ast::Expr) -> Option<KeyPart> {
     match e {
         ast::Expr::Column {
             table: Some(_),
             name,
-        } => facts
-            .col_index
-            .get(&name.to_ascii_lowercase())
-            .map(|&c| KeyPart::Column(c)),
+        } => schema.column_index(name).map(KeyPart::Column),
         ast::Expr::Call { name, args, .. } if name.eq_ignore_ascii_case("JSON_VAL") => {
             match (args.first(), args.get(1)) {
                 (
@@ -613,10 +829,9 @@ fn ast_key_part(facts: &UnitFacts, e: &ast::Expr) -> Option<crate::index::KeyPar
                         name: col,
                     }),
                     Some(ast::Expr::Literal(Value::Str(member))),
-                ) => facts
-                    .col_index
-                    .get(&col.to_ascii_lowercase())
-                    .map(|&c| KeyPart::JsonKey(c, member.to_string())),
+                ) => schema
+                    .column_index(col)
+                    .map(|c| KeyPart::JsonKey(c, member.to_string())),
                 _ => None,
             }
         }
@@ -624,172 +839,251 @@ fn ast_key_part(facts: &UnitFacts, e: &ast::Expr) -> Option<crate::index::KeyPar
     }
 }
 
-/// Distinct-value estimate for one side of a join conjunct. Falls back to
-/// the System-R tenth-of-the-rows default when no statistic applies.
-fn side_ndv(facts: &UnitFacts, e: &ast::Expr) -> f64 {
-    if let (Some(part), Some(stats)) = (ast_key_part(facts, e), facts.stats.as_ref()) {
-        return stats.ndv_or_default(&part, facts.live) as f64;
-    }
-    (facts.rows / 10.0).max(1.0)
-}
-
-/// Selectivity of a single-unit conjunct: `key = const` uses 1/ndv, any
-/// other recognized predicate the classic 0.3 guess.
-fn conjunct_selectivity(facts: &UnitFacts, c: &ast::Expr) -> f64 {
-    if let ast::Expr::Binary(BinaryOp::Eq, a, b) = c {
-        let key = if is_const_operand(b) {
-            Some(a)
-        } else if is_const_operand(a) {
-            Some(b)
-        } else {
-            None
+impl OrderModel {
+    /// Resolve the model of `units` (the movable prefix) against the
+    /// catalog; never executes a unit (base tables are inspected under a
+    /// briefly-held read lock, one at a time).
+    fn new<'q>(env: &Env<'_>, units: &[Unit<'q>], pending: &[Option<&'q ast::Expr>]) -> OrderModel {
+        let aliases: Vec<String> = units.iter().map(|u| u.alias.to_ascii_lowercase()).collect();
+        // Key expressions per unit, resolved below.
+        let mut keys: Vec<Vec<&'q ast::Expr>> = vec![Vec::new(); units.len()];
+        let mut key = |unit: usize, e: &'q ast::Expr| {
+            keys[unit].push(e);
+            keys[unit].len() - 1
         };
-        if let Some(key) = key {
-            if let (Some(part), Some(stats)) = (ast_key_part(facts, key), facts.stats.as_ref()) {
-                return stats.eq_selectivity(&part, facts.live);
-            }
-            return 1.0 / (facts.rows / 10.0).max(1.0);
-        }
-    }
-    0.3
-}
-
-/// Gather planning facts for every unit; estimates never execute a unit
-/// (base tables are inspected under a briefly-held read lock).
-fn gather_unit_facts(
-    env: &Env<'_>,
-    units: &[Unit<'_>],
-    pending: &[Option<&ast::Expr>],
-) -> Vec<UnitFacts> {
-    // A unit the planner knows only a row count for.
-    let opaque = |unit: &Unit<'_>, rows: usize| UnitFacts {
-        alias: unit.alias.to_ascii_lowercase(),
-        rows: rows as f64,
-        est: rows as f64,
-        stats: None,
-        col_index: FxHashMap::default(),
-        indexed_parts: Vec::new(),
-        live: 0,
-    };
-    let mut all: Vec<UnitFacts> = units
-        .iter()
-        .map(|unit| match &unit.src {
-            Source::Named(name) => {
-                if let Some(cte) = env.ctes.get(name) {
-                    return opaque(unit, cte.rows.len());
+        let mut sels: Vec<Vec<Sel>> = (0..units.len()).map(|_| Vec::new()).collect();
+        for (unit, alias) in aliases.iter().enumerate() {
+            for c in pending.iter().flatten().copied() {
+                if single_alias(c).as_ref() != Some(alias) {
+                    continue;
                 }
-                // Missing table: the attach step will surface the error;
-                // give the planner a neutral placeholder.
-                let Ok(t) = env.db.read_table(name) else {
-                    return opaque(unit, 1);
+                sels[unit].push(match c {
+                    ast::Expr::Binary(BinaryOp::Eq, a, b) if is_const_operand(b) => {
+                        Sel::Eq(key(unit, a))
+                    }
+                    ast::Expr::Binary(BinaryOp::Eq, a, b) if is_const_operand(a) => {
+                        Sel::Eq(key(unit, b))
+                    }
+                    _ => Sel::Guess,
+                });
+            }
+        }
+        let owner_of = |alias: &str| aliases.iter().position(|a| a == alias);
+        let mut edges = Vec::new();
+        for c in pending.iter().flatten().copied() {
+            let ast::Expr::Binary(BinaryOp::Eq, l, r) = c else {
+                continue;
+            };
+            let (Some(la), Some(ra)) = (single_alias(l), single_alias(r)) else {
+                continue;
+            };
+            let (Some(a), Some(b)) = (owner_of(&la), owner_of(&ra)) else {
+                continue;
+            };
+            if a != b {
+                let (a_key, b_key) = (key(a, l), key(b, r));
+                edges.push(EdgeModel { a, b, a_key, b_key });
+            }
+        }
+        let units = units
+            .iter()
+            .zip(keys)
+            .zip(sels)
+            .map(|((unit, exprs), sels)| {
+                let rows = match &unit.src {
+                    Source::Named(name) if env.ctes.contains_key(name) => {
+                        RowSource::Cte(name.clone())
+                    }
+                    Source::Named(name) => RowSource::Table(name.clone()),
+                    Source::Derived(n) => RowSource::Derived(*n),
+                    Source::Lateral { .. } | Source::LateralFn { .. } => {
+                        unreachable!("laterals end the movable prefix")
+                    }
                 };
-                let live = t.len();
-                // Analyzed stats whose recorded row count has drifted >2×
-                // from the live table mislead more than they help; fall
-                // back to seeded stats.
-                let stats = t
-                    .stats()
-                    .filter(|s| !s.is_stale(live))
-                    .cloned()
-                    .unwrap_or_else(|| crate::stats::TableStats::seed(&t));
-                UnitFacts {
-                    stats: Some(stats),
-                    col_index: t
-                        .schema
-                        .columns
+                let table = match &rows {
+                    RowSource::Table(name) => env.db.read_table(name).ok(),
+                    _ => None,
+                };
+                let (keys, indexed) = match table {
+                    Some(t) => exprs
                         .iter()
-                        .enumerate()
-                        .map(|(i, c)| (c.name.clone(), i))
-                        .collect(),
-                    indexed_parts: t
-                        .indexes()
-                        .iter()
-                        .filter(|i| i.parts.len() == 1)
-                        .map(|i| i.parts[0].clone())
-                        .collect(),
-                    live,
-                    ..opaque(unit, live)
+                        .map(|e| {
+                            let part = ast_key_part(&t.schema, e);
+                            let indexed = part.as_ref().is_some_and(|p| {
+                                t.indexes()
+                                    .iter()
+                                    .any(|i| i.parts.len() == 1 && i.parts[0] == *p)
+                            });
+                            (part, indexed)
+                        })
+                        .unzip(),
+                    None => (vec![None; exprs.len()], vec![false; exprs.len()]),
+                };
+                UnitModel {
+                    rows,
+                    keys,
+                    indexed,
+                    sels,
+                }
+            })
+            .collect();
+        OrderModel { units, edges }
+    }
+
+    /// The counts the estimates read, as of now. Nothing is cloned: a base
+    /// table's ndv per key comes from its fresh analyzed stats, or else from
+    /// its single-part indexes (what [`TableStats::seed`] would report).
+    fn facts(&self, env: &Env<'_>, derived: &[Arc<Relation>]) -> Vec<UnitFacts> {
+        self.units
+            .iter()
+            .map(|unit| {
+                let (rows, ndv) = match &unit.rows {
+                    RowSource::Cte(name) => (env.ctes.get(name).map_or(0, |r| r.rows.len()), None),
+                    RowSource::Derived(n) => (derived[*n].rows.len(), None),
+                    RowSource::Table(name) => match env.db.read_table(name) {
+                        Ok(t) => {
+                            let live = t.len();
+                            let stats = t.stats().filter(|s| !s.is_stale(live));
+                            let ndv = unit
+                                .keys
+                                .iter()
+                                .map(|part| {
+                                    let part = part.as_ref()?;
+                                    let known = match stats {
+                                        Some(s) => s.ndv_for_part(part),
+                                        None => TableStats::seeded_ndv(&t, part),
+                                    };
+                                    Some(ndv_with_default(known, live))
+                                })
+                                .collect();
+                            (live, Some(ndv))
+                        }
+                        // Missing table: the attach step will surface the
+                        // error; give the planner a neutral placeholder.
+                        Err(_) => (1, None),
+                    },
+                };
+                let mut facts = UnitFacts {
+                    rows: rows as f64,
+                    est: 0.0,
+                    ndv,
+                };
+                // Single-unit constant predicates: `key = const` uses 1/ndv,
+                // any other recognized predicate the classic 0.3 guess.
+                let mut sel = 1.0;
+                for s in &unit.sels {
+                    sel *= match s {
+                        Sel::Eq(n) => 1.0 / facts.side_ndv(*n),
+                        Sel::Guess => 0.3,
+                    };
+                }
+                facts.est = facts.rows * sel;
+                facts
+            })
+            .collect()
+    }
+
+    /// Greedy smallest-first order over the model's units. Starts from the
+    /// unit with the smallest filtered estimate, then repeatedly attaches
+    /// the unit minimizing the estimated intermediate result — penalizing
+    /// cross joins, mildly preferring index-probe attachments.
+    fn order(&self, env: &Env<'_>, derived: &[Arc<Relation>]) -> Vec<PlannedUnit> {
+        let facts = self.facts(env, derived);
+        let prefix = facts.len();
+        // (a, b, selectivity, a's key indexed, b's key indexed)
+        let edges: Vec<(usize, usize, f64, bool, bool)> = self
+            .edges
+            .iter()
+            .map(|e| {
+                let ndv = facts[e.a]
+                    .side_ndv(e.a_key)
+                    .max(facts[e.b].side_ndv(e.b_key));
+                let indexed = |u: usize, k: usize| self.units[u].indexed[k];
+                (
+                    e.a,
+                    e.b,
+                    1.0 / ndv,
+                    indexed(e.a, e.a_key),
+                    indexed(e.b, e.b_key),
+                )
+            })
+            .collect();
+
+        let mut order: Vec<PlannedUnit> = Vec::with_capacity(prefix);
+        let mut used = vec![false; prefix];
+        let first = (0..prefix)
+            .min_by(|&i, &j| facts[i].est.total_cmp(&facts[j].est))
+            .expect("prefix >= 2");
+        used[first] = true;
+        let mut cur = facts[first].est;
+        order.push(PlannedUnit {
+            idx: first,
+            est: Some(cur),
+        });
+
+        while order.len() < prefix {
+            let mut best: Option<(usize, f64, f64)> = None; // (unit, cost, result rows)
+            for j in 0..prefix {
+                if used[j] {
+                    continue;
+                }
+                let mut sel = 1.0;
+                let mut connected = false;
+                let mut probes_index = false;
+                for &(a, b, edge_sel, a_indexed, b_indexed) in &edges {
+                    let (other, j_side_indexed) = if a == j {
+                        (b, a_indexed)
+                    } else if b == j {
+                        (a, b_indexed)
+                    } else {
+                        continue;
+                    };
+                    if !used[other] {
+                        continue;
+                    }
+                    connected = true;
+                    sel *= edge_sel;
+                    probes_index |= j_side_indexed;
+                }
+                let result = cur * facts[j].est * sel;
+                let mut cost = result;
+                if !connected {
+                    cost *= CROSS_JOIN_PENALTY;
+                } else if probes_index && facts[j].ndv.is_some() {
+                    cost *= INDEX_JOIN_BONUS;
+                }
+                if best.as_ref().is_none_or(|(_, bc, _)| cost < *bc) {
+                    best = Some((j, cost, result));
                 }
             }
-            Source::Derived(rel) => opaque(unit, rel.rows.len()),
-            Source::Lateral { .. } | Source::LateralFn { .. } => opaque(unit, 1),
-        })
-        .collect();
-
-    // Apply single-unit constant predicates to the estimates.
-    for facts in &mut all {
-        let mut sel = 1.0;
-        for c in pending.iter().flatten() {
-            let mut aliases = FxHashSet::default();
-            if expr_aliases(c, &mut aliases) && aliases.len() == 1 && aliases.contains(&facts.alias)
-            {
-                sel *= conjunct_selectivity(facts, c);
-            }
+            let (j, _, result) = best.expect("unused unit remains");
+            used[j] = true;
+            cur = result;
+            order.push(PlannedUnit {
+                idx: j,
+                est: Some(cur),
+            });
         }
-        facts.est = facts.rows * sel;
+        order
     }
-    all
+
+    /// The order the current counts give, as unit indexes — what a cached
+    /// plan compares with the order it was built in.
+    pub(crate) fn current(&self, env: &Env<'_>, derived: &[Arc<Relation>]) -> Vec<usize> {
+        self.order(env, derived).iter().map(|p| p.idx).collect()
+    }
 }
 
-/// Extract equi-join edges between reorderable units from the pending
-/// conjuncts.
-fn extract_join_edges(
-    facts: &[UnitFacts],
-    pending: &[Option<&ast::Expr>],
-    prefix: usize,
-) -> Vec<JoinEdge> {
-    let owner_of =
-        |alias: &str| -> Option<usize> { facts[..prefix].iter().position(|f| f.alias == alias) };
-    let mut edges = Vec::new();
-    for c in pending.iter().flatten() {
-        let ast::Expr::Binary(BinaryOp::Eq, l, r) = c else {
-            continue;
-        };
-        let mut la = FxHashSet::default();
-        let mut ra = FxHashSet::default();
-        if !expr_aliases(l, &mut la) || !expr_aliases(r, &mut ra) {
-            continue;
-        }
-        if la.len() != 1 || ra.len() != 1 {
-            continue;
-        }
-        let (la, ra) = (
-            la.iter().next().expect("len checked").clone(),
-            ra.iter().next().expect("len checked").clone(),
-        );
-        let (Some(a), Some(b)) = (owner_of(&la), owner_of(&ra)) else {
-            continue;
-        };
-        if a == b {
-            continue;
-        }
-        let sel = 1.0 / side_ndv(&facts[a], l).max(side_ndv(&facts[b], r));
-        let a_indexed =
-            ast_key_part(&facts[a], l).is_some_and(|p| facts[a].indexed_parts.contains(&p));
-        let b_indexed =
-            ast_key_part(&facts[b], r).is_some_and(|p| facts[b].indexed_parts.contains(&p));
-        edges.push(JoinEdge {
-            a,
-            b,
-            sel,
-            a_indexed,
-            b_indexed,
-        });
-    }
-    edges
-}
-
-/// Greedy smallest-first join ordering over the maximal leading run of
-/// movable units. Starts from the unit with the smallest filtered
-/// estimate, then repeatedly attaches the unit minimizing the estimated
-/// intermediate result — penalizing cross joins, mildly preferring
-/// index-probe attachments. Units at or after the first lateral or outer
-/// unit keep their textual positions.
+/// Pick the attachment order: the greedy order ([`OrderModel::order`]) over
+/// the maximal leading run of movable units; units at or after the first
+/// lateral or outer unit keep their textual positions. Returns the model
+/// too when there was an order to choose.
 fn plan_join_order(
     env: &Env<'_>,
     units: &[Unit<'_>],
     pending: &[Option<&ast::Expr>],
-) -> Vec<PlannedUnit> {
+    derived: &[Arc<Relation>],
+) -> (Vec<PlannedUnit>, Option<OrderModel>) {
     // A lateral unit reads earlier units' columns, and an outer join does
     // not commute with what precedes it: neither moves, nor does anything
     // after it.
@@ -800,98 +1094,57 @@ fn plan_join_order(
                 || matches!(u.src, Source::Lateral { .. } | Source::LateralFn { .. })
         })
         .unwrap_or(units.len());
+    let textual = |range: std::ops::Range<usize>| range.map(|idx| PlannedUnit { idx, est: None });
     if prefix < 2 {
-        return (0..units.len())
-            .map(|idx| PlannedUnit { idx, est: None })
-            .collect();
+        return (textual(0..units.len()).collect(), None);
     }
-    let facts = gather_unit_facts(env, units, pending);
-    let edges = extract_join_edges(&facts, pending, prefix);
-
-    let mut order: Vec<PlannedUnit> = Vec::with_capacity(units.len());
-    let mut used = vec![false; prefix];
-    let first = (0..prefix)
-        .min_by(|&i, &j| facts[i].est.total_cmp(&facts[j].est))
-        .expect("prefix >= 2");
-    used[first] = true;
-    let mut cur = facts[first].est;
-    order.push(PlannedUnit {
-        idx: first,
-        est: Some(cur),
-    });
-
-    while order.len() < prefix {
-        let mut best: Option<(usize, f64, f64)> = None; // (unit, cost, result rows)
-        for j in 0..prefix {
-            if used[j] {
-                continue;
-            }
-            let mut sel = 1.0;
-            let mut connected = false;
-            let mut probes_index = false;
-            for e in &edges {
-                let (other, j_side_indexed) = if e.a == j {
-                    (e.b, e.a_indexed)
-                } else if e.b == j {
-                    (e.a, e.b_indexed)
-                } else {
-                    continue;
-                };
-                if !used[other] {
-                    continue;
-                }
-                connected = true;
-                sel *= e.sel;
-                probes_index |= j_side_indexed;
-            }
-            let result = cur * facts[j].est * sel;
-            let mut cost = result;
-            if !connected {
-                cost *= CROSS_JOIN_PENALTY;
-            } else if probes_index && facts[j].stats.is_some() {
-                cost *= INDEX_JOIN_BONUS;
-            }
-            if best.as_ref().is_none_or(|(_, bc, _)| cost < *bc) {
-                best = Some((j, cost, result));
-            }
-        }
-        let (j, _, result) = best.expect("unused unit remains");
-        used[j] = true;
-        cur = result;
-        order.push(PlannedUnit {
-            idx: j,
-            est: Some(cur),
-        });
-    }
+    let model = OrderModel::new(env, &units[..prefix], pending);
+    let mut order = model.order(env, derived);
     // The immovable suffix attaches in textual order.
-    order.extend((prefix..units.len()).map(|idx| PlannedUnit { idx, est: None }));
-    order
+    order.extend(textual(prefix..units.len()));
+    (order, Some(model))
 }
 
 // ---------------------------------------------------------------------------
 // The planning pass
 // ---------------------------------------------------------------------------
 
-/// Plan a FROM list + WHERE clause into a [`FromPlan`]. Performs every
-/// planning decision (join order, access paths, pushdown, hash keys) and
-/// compiles every predicate; the executor only follows the plan.
+/// A planned FROM list.
+pub(crate) struct Planned {
+    pub(crate) from: FromPlan,
+    /// Final scope, entries in textual order (offsets point at the physical
+    /// row layout, which follows execution order): what the SELECT list and
+    /// the rest of the core compile against.
+    pub(crate) scope: Scope,
+    /// When units were ordered by cost: the model and the order it gave
+    /// (unit indexes of the movable prefix).
+    pub(crate) order: Option<(OrderModel, Vec<usize>)>,
+}
+
+/// Plan a FROM list + WHERE clause. Performs every planning decision (join
+/// order, access paths, pushdown, hash keys) and compiles every predicate;
+/// the executor only follows the plan. `derived` are the FROM list's
+/// derived tables, already run (planning reads their sizes); each bind
+/// value a decision looks at is recorded in `guards`.
 pub(crate) fn plan_from(
     env: &Env<'_>,
     from: &[ast::FromItem],
     filter: Option<&ast::Expr>,
     needs: &Needs,
-) -> Result<FromPlan> {
+    derived: &[Arc<Relation>],
+    guards: &mut Vec<Guard>,
+) -> Result<Planned> {
     // Table-less SELECT: no steps; the WHERE (if any) gates the identity row.
     if from.is_empty() {
         let scope = Scope::default();
         let residual = match filter {
-            Some(f) => vec![compile_expr(env, &scope, f)?],
+            Some(f) => vec![compile_expr(&scope, f)?],
             None => Vec::new(),
         };
-        return Ok(FromPlan {
-            steps: Vec::new(),
+        return Ok(Planned {
+            from: FromPlan::new(Vec::new(), residual),
             scope,
-            residual,
+            order: None,
         });
     }
 
@@ -901,7 +1154,7 @@ pub(crate) fn plan_from(
     let mut units: Vec<Unit<'_>> = Vec::with_capacity(from.len());
     let mut conjuncts: Vec<&ast::Expr> = Vec::new();
     for item in from {
-        flatten_joins(env, item, &mut units, &mut conjuncts)?;
+        flatten_joins(item, &mut units, &mut conjuncts)?;
     }
 
     // Phase 2: split WHERE into conjuncts (kept as AST; compiled when their
@@ -913,7 +1166,7 @@ pub(crate) fn plan_from(
     let mut pending: Vec<Option<&ast::Expr>> = conjuncts.into_iter().map(Some).collect();
 
     // Phase 3: pick an attachment order.
-    let planned = plan_join_order(env, &units, &pending);
+    let (planned, model) = plan_join_order(env, &units, &pending, derived);
     if planned.iter().enumerate().any(|(pos, p)| pos != p.idx) {
         env.note(|| {
             let names: Vec<&str> = planned
@@ -923,11 +1176,15 @@ pub(crate) fn plan_from(
             format!("join order: {} (reordered)", names.join(", "))
         });
     }
+    let order = model.map(|m| {
+        let prefix = planned.iter().take(m.units.len()).map(|p| p.idx).collect();
+        (m, prefix)
+    });
 
     // Phase 4: plan each attach step in execution order.
     let mut scope = Scope::default();
     let mut slots: Vec<Option<Unit<'_>>> = units.into_iter().map(Some).collect();
-    let mut steps: Vec<Step> = Vec::with_capacity(slots.len());
+    let mut steps: Vec<Arc<Step>> = Vec::with_capacity(slots.len());
 
     for p in &planned {
         let Unit {
@@ -958,7 +1215,7 @@ pub(crate) fn plan_from(
                 for vr in value_rows {
                     let mut cr = Vec::with_capacity(vr.len());
                     for e in vr {
-                        cr.push(compile_expr(env, &scope, e)?);
+                        cr.push(compile_expr(&scope, e)?);
                     }
                     compiled_rows.push(cr);
                 }
@@ -985,7 +1242,7 @@ pub(crate) fn plan_from(
                 }
                 let compiled: Vec<Expr> = args
                     .iter()
-                    .map(|e| compile_expr(env, &scope, e))
+                    .map(|e| compile_expr(&scope, e))
                     .collect::<Result<_>>()?;
                 let arity = columns.len();
                 scope.push(&alias, columns);
@@ -998,10 +1255,18 @@ pub(crate) fn plan_from(
                     Attach::Flatten,
                 )
             }
-            Source::Derived(rel) => plan_rel_step(env, &mut scope, rel, &alias, usable)?,
+            Source::Derived(n) => {
+                let columns = derived[n].columns.clone();
+                plan_rel_step(&mut scope, RelInput::Derived(n), columns, &alias, usable)
+            }
             Source::Named(name) => match env.ctes.get(&name) {
-                Some(cte) => plan_rel_step(env, &mut scope, (**cte).clone(), &alias, usable)?,
-                None => plan_base_table(env, &mut scope, &name, &alias, usable, needs, is_outer)?,
+                Some(cte) => {
+                    let columns = cte.columns.clone();
+                    plan_rel_step(&mut scope, RelInput::Cte(name), columns, &alias, usable)
+                }
+                None => plan_base_table(
+                    env, &mut scope, &name, &alias, usable, needs, is_outer, guards,
+                )?,
             },
         };
         // What the unit did not use of its ON clause is checked per
@@ -1011,7 +1276,7 @@ pub(crate) fn plan_from(
                 on: unused
                     .into_iter()
                     .flatten()
-                    .map(|c| compile_expr(env, &scope, c))
+                    .map(|c| compile_expr(&scope, c))
                     .collect::<Result<_>>()?,
                 width: scope.width - before_width,
             }),
@@ -1023,7 +1288,7 @@ pub(crate) fn plan_from(
         let mut after = Vec::new();
         for slot in pending.iter_mut() {
             let Some(c) = slot else { continue };
-            if let Ok(compiled) = compile_expr(env, &scope, c) {
+            if let Ok(compiled) = compile_expr(&scope, c) {
                 let mut max_col = 0;
                 let mut any = false;
                 compiled.visit_columns(&mut |i| {
@@ -1038,15 +1303,9 @@ pub(crate) fn plan_from(
             // Compile failures reference columns not yet in scope; retry
             // after the next unit extends it.
         }
-        steps.push(Step {
-            label: alias,
-            est: p.est,
-            kind,
-            attach,
-            outer,
-            after,
-            exec: StepExec::default(),
-        });
+        steps.push(Arc::new(Step::new(
+            alias, p.est, kind, attach, outer, after,
+        )));
     }
 
     // Each step pushed one scope entry. Restore the entries to textual order
@@ -1065,37 +1324,30 @@ pub(crate) fn plan_from(
     // resolution error.
     let mut residual = Vec::new();
     for c in pending.into_iter().flatten() {
-        residual.push(compile_expr(env, &scope, c)?);
+        residual.push(compile_expr(&scope, c)?);
     }
-    Ok(FromPlan {
-        steps,
+    Ok(Planned {
+        from: FromPlan::new(steps, residual),
         scope,
-        residual,
+        order,
     })
 }
 
-/// Plan the attachment of a pre-materialized relation: push its alias,
-/// apply plan-time pushdown (the relation's rows exist already), pick the
-/// hash key.
+/// Plan the attachment of a materialized relation with `columns`: push its
+/// alias, take the filters to push into it, pick the hash key.
 fn plan_rel_step(
-    env: &Env<'_>,
     scope: &mut Scope,
-    mut rel: Relation,
+    input: RelInput,
+    columns: Vec<String>,
     alias: &str,
     pending: &mut [Option<&ast::Expr>],
-) -> Result<(StepKind, Attach)> {
+) -> (StepKind, Attach) {
     let before_width = scope.width;
-    let arity = rel.columns.len();
-    scope.push(alias, rel.columns.clone());
-    let mut pushed = Vec::new();
-    for p in &take_locals(env, scope, before_width, arity, pending) {
-        let before = rel.rows.len();
-        rel.rows = filter_rows(std::mem::take(&mut rel.rows), p)?;
-        pushed.push((before, rel.rows.len()));
-    }
-    let rows = rel.rows.len();
-    let attach = pick_attach(env, scope, before_width, pending);
-    Ok((StepKind::Rel { rel, pushed, rows }, attach))
+    let arity = columns.len();
+    scope.push(alias, columns);
+    let pushed = take_locals(scope, before_width, arity, pending);
+    let attach = pick_attach(scope, before_width, pending);
+    (StepKind::Rel { input, pushed }, attach)
 }
 
 /// Take every pending conjunct local to the unit at `before_width` and
@@ -1103,7 +1355,6 @@ fn plan_rel_step(
 /// The executor evaluates these predicates inside the scan (fused
 /// scan + filter) instead of materializing unfiltered rows first.
 fn take_locals(
-    env: &Env<'_>,
     scope: &Scope,
     before_width: usize,
     arity: usize,
@@ -1112,7 +1363,7 @@ fn take_locals(
     let mut out = Vec::new();
     for slot in pending.iter_mut() {
         let Some(c) = slot else { continue };
-        let Ok(compiled) = compile_expr(env, scope, c) else {
+        let Ok(compiled) = compile_expr(scope, c) else {
             continue;
         };
         let mut any = false;
@@ -1136,15 +1387,10 @@ fn take_locals(
 
 /// Pick the attach strategy for the unit just pushed at `before_width`:
 /// hash join on the first usable pending equi conjunct, else cross product.
-fn pick_attach(
-    env: &Env<'_>,
-    scope: &Scope,
-    before_width: usize,
-    pending: &mut [Option<&ast::Expr>],
-) -> Attach {
+fn pick_attach(scope: &Scope, before_width: usize, pending: &mut [Option<&ast::Expr>]) -> Attach {
     for slot in pending.iter_mut() {
         let Some(c) = slot else { continue };
-        let Ok(compiled) = compile_expr(env, scope, c) else {
+        let Ok(compiled) = compile_expr(scope, c) else {
             continue;
         };
         if let Some((lkey, rkey)) = find_equi_split(&compiled, before_width) {
@@ -1166,11 +1412,6 @@ fn pick_attach(
     Attach::Cross
 }
 
-/// Minimum live rows before the planner routes a probe through the CSR
-/// adjacency cache: below this the O(table) lazy build cannot beat plain
-/// index nested-loop probes even with perfect reuse.
-const CSR_MIN_ROWS: usize = 256;
-
 /// Whether a probe-side index nested-loop scan should go through the CSR
 /// compressed-adjacency path instead: the scan must be adjacency-shaped —
 /// a single probed key part over a non-unique hash index (unique indexes
@@ -1180,15 +1421,14 @@ const CSR_MIN_ROWS: usize = 256;
 /// accumulated row, which the list representation has no element for.
 fn csr_eligible(
     env: &Env<'_>,
-    table: &crate::storage::Table,
+    table: &Table,
     idx: &crate::index::Index,
-    parts: &[ProbePart],
+    single_probe: bool,
     outer: bool,
 ) -> bool {
     env.db.csr_enabled()
         && !outer
-        && parts.len() == 1
-        && matches!(parts[0], ProbePart::Probe(_))
+        && single_probe
         && !idx.unique
         && idx.kind() == crate::index::IndexKind::Hash
         && table.len() >= CSR_MIN_ROWS
@@ -1197,7 +1437,7 @@ fn csr_eligible(
 /// Estimated average rows per probe group, for EXPLAIN: analyzed (fresh)
 /// statistics when available, otherwise the index's exact distinct-key
 /// count.
-fn csr_est_fanout(table: &crate::storage::Table, idx: &crate::index::Index) -> f64 {
+fn csr_est_fanout(table: &Table, idx: &crate::index::Index) -> f64 {
     let live = table.len();
     match table.stats().filter(|s| !s.is_stale(live)) {
         Some(s) => s.avg_fanout(&idx.parts[0], live),
@@ -1209,6 +1449,7 @@ fn csr_est_fanout(table: &crate::storage::Table, idx: &crate::index::Index) -> f
 /// (the same strategy ladder the in-line executor used), scoop local
 /// filters, and pick the join strategy — all from `pending`, the conjuncts
 /// this unit may use (for an `outer` unit, its own ON clause).
+#[allow(clippy::too_many_arguments)] // one unit's whole planning context
 fn plan_base_table(
     env: &Env<'_>,
     scope: &mut Scope,
@@ -1217,9 +1458,10 @@ fn plan_base_table(
     pending: &mut [Option<&ast::Expr>],
     needs: &Needs,
     outer: bool,
+    guards: &mut Vec<Guard>,
 ) -> Result<(StepKind, Attach)> {
     let guard = env.db.read_table(name)?;
-    let table: &crate::storage::Table = &guard;
+    let table: &Table = &guard;
     let all_names: Vec<String> = table
         .schema
         .columns
@@ -1236,36 +1478,38 @@ fn plan_base_table(
     scope.push(alias, col_names);
     let arity = keep.len();
 
-    // Gather, for this unit: constant equality pairs (key part -> const)
-    // and probe equality pairs (key part -> left-side key expression).
-    // A key part is a plain column or `JSON_VAL(json_col, 'member')` — the
-    // latter matches functional indexes.
-    use crate::index::KeyPart;
-    let as_key_part = |e: &Expr| -> Option<KeyPart> {
+    // Gather, for this unit: constant equality pairs (key part -> constant
+    // or bind slot) and probe equality pairs (key part -> left-side key
+    // expression). A key part is a plain column or `JSON_VAL(json_col,
+    // 'member')` — the latter matches functional indexes; a member that is
+    // a bind slot is looked at (and guarded).
+    let in_unit = |idx: usize| idx >= before_width && idx < before_width + arity;
+    let as_key_part = |e: &Expr, guards: &mut Vec<Guard>| -> Option<KeyPart> {
         match e {
-            Expr::Col(idx) if *idx >= before_width && *idx < before_width + arity => {
-                // Map the pruned position back to the original column.
-                Some(KeyPart::Column(keep[*idx - before_width]))
-            }
+            // Map the pruned position back to the original column.
+            Expr::Col(idx) if in_unit(*idx) => Some(KeyPart::Column(keep[*idx - before_width])),
             Expr::Call(crate::expr::Func::JsonVal, args) => match (args.first(), args.get(1)) {
-                (Some(Expr::Col(idx)), Some(Expr::Const(Value::Str(member))))
-                    if *idx >= before_width && *idx < before_width + arity =>
-                {
-                    Some(KeyPart::JsonKey(
-                        keep[*idx - before_width],
-                        member.to_string(),
-                    ))
+                (Some(Expr::Col(idx)), Some(member)) if in_unit(*idx) => {
+                    let member = match member {
+                        Expr::Const(Value::Str(m)) => m.to_string(),
+                        Expr::Param(i) => match param_value(env, guards, *i) {
+                            Some(Value::Str(m)) => m.to_string(),
+                            _ => return None,
+                        },
+                        _ => return None,
+                    };
+                    Some(KeyPart::JsonKey(keep[*idx - before_width], member))
                 }
                 _ => None,
             },
             _ => None,
         }
     };
-    let mut const_eq: Vec<(KeyPart, Value, usize)> = Vec::new();
+    let mut const_eq: Vec<(KeyPart, Expr, usize)> = Vec::new();
     let mut probe_eq: Vec<(KeyPart, Expr, usize)> = Vec::new();
     for (i, slot) in pending.iter().enumerate() {
         let Some(c) = slot else { continue };
-        let Ok(compiled) = compile_expr(env, scope, c) else {
+        let Ok(compiled) = compile_expr(scope, c) else {
             continue;
         };
         // Only consider plain equality conjuncts.
@@ -1281,13 +1525,13 @@ fn plan_base_table(
             });
             ok
         };
-        let (part, other) = match (as_key_part(a), as_key_part(b)) {
+        let (part, other) = match (as_key_part(a, guards), as_key_part(b, guards)) {
             (Some(p), None) if is_bound(b) => (p, (**b).clone()),
             (None, Some(p)) if is_bound(a) => (p, (**a).clone()),
             _ => continue,
         };
-        if let Expr::Const(v) = &other {
-            const_eq.push((part, v.clone(), i));
+        if is_constant(&other) {
+            const_eq.push((part, other, i));
         } else {
             probe_eq.push((part, other, i));
         }
@@ -1295,7 +1539,8 @@ fn plan_base_table(
 
     // Strategy 1: index nested loop. Find an index whose key parts are all
     // covered by probe/const pairs, preferring indexes that use a probe.
-    let mut best: Option<(&crate::index::Index, Vec<ProbePart>, Vec<usize>)> = None;
+    // (index, key part expressions, conjuncts used, uses a probe)
+    let mut best: Option<(&crate::index::Index, Vec<Expr>, Vec<usize>, bool)> = None;
     for idx in table.indexes() {
         let mut parts = Vec::with_capacity(idx.parts.len());
         let mut used = Vec::new();
@@ -1303,11 +1548,11 @@ fn plan_base_table(
         let mut uses_probe = false;
         for part in &idx.parts {
             if let Some((_, key_expr, pi)) = probe_eq.iter().find(|(pp, _, _)| pp == part) {
-                parts.push(ProbePart::Probe(key_expr.clone()));
+                parts.push(key_expr.clone());
                 used.push(*pi);
                 uses_probe = true;
             } else if let Some((_, v, pi)) = const_eq.iter().find(|(cp, _, _)| cp == part) {
-                parts.push(ProbePart::Const(v.clone()));
+                parts.push(v.clone());
                 used.push(*pi);
             } else {
                 ok = false;
@@ -1319,34 +1564,27 @@ fn plan_base_table(
         }
         let better = match &best {
             None => true,
-            Some((bidx, _, _)) => {
+            Some((bidx, _, _, b_probe)) => {
                 // Prefer probe-using, then longer keys, then unique.
-                let b_probe = bidx
-                    .parts
-                    .iter()
-                    .any(|p| probe_eq.iter().any(|(pp, _, _)| pp == p));
                 (uses_probe && !b_probe)
-                    || (uses_probe == b_probe && idx.parts.len() > bidx.parts.len())
+                    || (uses_probe == *b_probe && idx.parts.len() > bidx.parts.len())
             }
         };
         if better {
-            best = Some((idx, parts, used));
+            best = Some((idx, parts, used, uses_probe));
         }
     }
 
-    if let Some((idx, parts, used)) = best {
-        let uses_probe = parts.iter().any(|p| matches!(p, ProbePart::Probe(_)));
+    if let Some((idx, mut parts, used, uses_probe)) = best {
         for pi in &used {
             pending[*pi] = None;
         }
         if uses_probe {
-            let access = if csr_eligible(env, table, idx, &parts, outer) {
-                let Some(ProbePart::Probe(part)) = parts.into_iter().next() else {
-                    unreachable!("eligibility requires a single probe part")
-                };
+            let single_probe = parts.len() == 1;
+            let access = if csr_eligible(env, table, idx, single_probe, outer) {
                 Access::Csr {
                     index: idx.name.clone(),
-                    part,
+                    part: parts.pop().expect("one probe part"),
                 }
             } else {
                 Access::Probe {
@@ -1365,27 +1603,15 @@ fn plan_base_table(
             ));
         }
         // Const-only index: point scan, then join the scanned rows.
-        let key: Vec<Value> = parts
-            .iter()
-            .map(|p| match p {
-                ProbePart::Const(v) => v.clone(),
-                ProbePart::Probe(_) => unreachable!("no probes in const-only path"),
-            })
-            .collect();
-        let n_parts = parts.len();
         let index = idx.name.clone();
         drop(guard);
-        let locals = take_locals(env, scope, before_width, arity, pending);
-        let attach = pick_attach(env, scope, before_width, pending);
+        let locals = take_locals(scope, before_width, arity, pending);
+        let attach = pick_attach(scope, before_width, pending);
         return Ok((
             StepKind::Scan {
                 table: name.to_string(),
                 keep,
-                access: Access::Point {
-                    index,
-                    key,
-                    parts: n_parts,
-                },
+                access: Access::Point { index, key: parts },
                 locals,
             },
             attach,
@@ -1398,35 +1624,39 @@ fn plan_base_table(
     // filtered exactly.
     let mut range_access: Option<Access> = None;
     {
-        let mut lo: Option<(KeyPart, Value)> = None;
-        let mut hi: Option<(KeyPart, Value)> = None;
+        let mut lo: Option<(KeyPart, Expr)> = None;
+        let mut hi: Option<(KeyPart, Expr)> = None;
         for slot in pending.iter() {
             let Some(c) = slot else { continue };
-            let Ok(compiled) = compile_expr(env, scope, c) else {
+            let Ok(compiled) = compile_expr(scope, c) else {
                 continue;
             };
             // BETWEEN desugars to `a AND b` inside one conjunct: split at
             // the compiled level too.
             visit_conjuncts(&compiled, &mut |leaf| {
                 let Expr::Binary(op, a, b) = leaf else { return };
-                // Normalize to `part OP const`.
-                let (part, value, op) =
-                    match (as_key_part(a), b.as_ref(), as_key_part(b), a.as_ref()) {
-                        (Some(p), Expr::Const(v), _, _) => (p, v.clone(), *op),
-                        (_, _, Some(p), Expr::Const(v)) => {
-                            // Flip: const OP part becomes part OP' const.
-                            let flipped = match *op {
-                                BinaryOp::Lt => BinaryOp::Gt,
-                                BinaryOp::Le => BinaryOp::Ge,
-                                BinaryOp::Gt => BinaryOp::Lt,
-                                BinaryOp::Ge => BinaryOp::Le,
-                                other => other,
-                            };
-                            (p, v.clone(), flipped)
-                        }
-                        _ => return,
-                    };
-                if value.is_null() {
+                // Normalize to `part OP constant`.
+                let (part, value, op) = match (as_key_part(a, guards), as_key_part(b, guards)) {
+                    (Some(p), _) if is_constant(b) => (p, (**b).clone(), *op),
+                    (_, Some(p)) if is_constant(a) => {
+                        // Flip: constant OP part becomes part OP' constant.
+                        let flipped = match *op {
+                            BinaryOp::Lt => BinaryOp::Gt,
+                            BinaryOp::Le => BinaryOp::Ge,
+                            BinaryOp::Gt => BinaryOp::Lt,
+                            BinaryOp::Ge => BinaryOp::Le,
+                            other => other,
+                        };
+                        (p, (**a).clone(), flipped)
+                    }
+                    _ => return,
+                };
+                let null = match &value {
+                    Expr::Param(i) => param_is_null(env, guards, *i),
+                    Expr::Const(v) => v.is_null(),
+                    _ => unreachable!("a constant operand"),
+                };
+                if null {
                     return;
                 }
                 match op {
@@ -1453,24 +1683,20 @@ fn plan_base_table(
                     && i.kind() == crate::index::IndexKind::BTree
             });
             if let Some(idx) = found {
+                let bound =
+                    |b: Option<(KeyPart, Expr)>| b.filter(|(p, _)| *p == part).map(|(_, v)| v);
                 range_access = Some(Access::Range {
                     index: idx.name.clone(),
-                    lo: lo
-                        .as_ref()
-                        .filter(|(p, _)| *p == part)
-                        .map(|(_, v)| v.clone()),
-                    hi: hi
-                        .as_ref()
-                        .filter(|(p, _)| *p == part)
-                        .map(|(_, v)| v.clone()),
+                    lo: bound(lo),
+                    hi: bound(hi),
                 });
             }
         }
     }
     drop(guard);
     if let Some(access) = range_access {
-        let locals = take_locals(env, scope, before_width, arity, pending);
-        let attach = pick_attach(env, scope, before_width, pending);
+        let locals = take_locals(scope, before_width, arity, pending);
+        let attach = pick_attach(scope, before_width, pending);
         return Ok((
             StepKind::Scan {
                 table: name.to_string(),
@@ -1483,8 +1709,8 @@ fn plan_base_table(
     }
 
     // Strategy 3: full scan fused with the unit's pushed-down predicates.
-    let locals = take_locals(env, scope, before_width, arity, pending);
-    let attach = pick_attach(env, scope, before_width, pending);
+    let locals = take_locals(scope, before_width, arity, pending);
+    let attach = pick_attach(scope, before_width, pending);
     Ok((
         StepKind::Scan {
             table: name.to_string(),
@@ -1500,13 +1726,14 @@ fn plan_base_table(
 // EXPLAIN rendering
 // ---------------------------------------------------------------------------
 
-/// Render the physical operator tree (the IR that actually ran) into the
-/// trace: outer `wrappers` (Sort/Distinct/Aggregate, outermost first), then
-/// the left-deep join tree. Each fact is stated once, on the node it
-/// belongs to: access path, pushed-filter row counts and scan DOP on the
-/// source line; join kind, build/right rows and join DOP on the join line;
-/// `estimated … actual` on the topmost line of the step.
-pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, wrappers: &[String]) {
+/// Render the physical operator tree (the IR that actually ran, with what
+/// each step observed in `execs`) into the trace: outer `wrappers`
+/// (Sort/Distinct/Aggregate, outermost first), then the left-deep join
+/// tree. Each fact is stated once, on the node it belongs to: access path,
+/// pushed-filter row counts and scan DOP on the source line; join kind,
+/// build/right rows and join DOP on the join line; `estimated … actual` on
+/// the topmost line of the step.
+pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, execs: &[StepExec], wrappers: &[String]) {
     let mut lines: Vec<String> = vec!["plan:".to_string()];
     let mut depth = 1usize;
     for w in wrappers {
@@ -1524,7 +1751,14 @@ pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, wrappers: &[String]) {
     if plan.steps.is_empty() {
         lines.push(format!("{}Values (1 row)", "  ".repeat(depth)));
     } else {
-        tree_into(env, &plan.steps, plan.steps.len() - 1, depth, &mut lines);
+        tree_into(
+            env,
+            &plan.steps,
+            execs,
+            plan.steps.len() - 1,
+            depth,
+            &mut lines,
+        );
     }
     for line in lines {
         env.note(|| line);
@@ -1532,9 +1766,16 @@ pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, wrappers: &[String]) {
 }
 
 /// Recursive left-deep tree render of `steps[..=i]`.
-fn tree_into(env: &Env<'_>, steps: &[Step], i: usize, depth: usize, out: &mut Vec<String>) {
+fn tree_into(
+    env: &Env<'_>,
+    steps: &[Arc<Step>],
+    execs: &[StepExec],
+    i: usize,
+    depth: usize,
+    out: &mut Vec<String>,
+) {
     let step = &steps[i];
-    let x = &step.exec;
+    let x = &execs[i];
     let top = out.len();
     let mut depth = depth;
     if !step.after.is_empty() {
@@ -1546,7 +1787,7 @@ fn tree_into(env: &Env<'_>, steps: &[Step], i: usize, depth: usize, out: &mut Ve
         depth += 1;
     }
     let pad = "  ".repeat(depth);
-    let source = source_label(env, step);
+    let source = source_label(env, step, x);
     let outer = outer_note(step);
     let join = match &step.attach {
         Attach::Hash { .. } => Some(format!(
@@ -1570,11 +1811,11 @@ fn tree_into(env: &Env<'_>, steps: &[Step], i: usize, depth: usize, out: &mut Ve
         out.push(format!("{pad}{source}"));
     } else if let Some(join) = join {
         out.push(format!("{pad}{join}"));
-        tree_into(env, steps, i - 1, depth + 1, out);
+        tree_into(env, steps, execs, i - 1, depth + 1, out);
         out.push(format!("{pad}  {source}"));
     } else {
         out.push(format!("{pad}{source}"));
-        tree_into(env, steps, i - 1, depth + 1, out);
+        tree_into(env, steps, execs, i - 1, depth + 1, out);
     }
     let mode = match x.list_out {
         Some(true) => " (list)",
@@ -1601,8 +1842,7 @@ fn outer_note(step: &Step) -> String {
 }
 
 /// One-line description of a step's row source.
-fn source_label(env: &Env<'_>, step: &Step) -> String {
-    let x = &step.exec;
+fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
     match &step.kind {
         StepKind::Scan {
             table,
@@ -1628,9 +1868,10 @@ fn source_label(env: &Env<'_>, step: &Step) -> String {
                     fanout.unwrap_or(0.0)
                 )
             }
-            Access::Point { index, parts, .. } => format!(
-                "Scan {} [{table}] (index {index}, point, {parts} key parts{})",
+            Access::Point { index, key } => format!(
+                "Scan {} [{table}] (index {index}, point, {} key parts{})",
                 step.label,
+                key.len(),
                 filters_suffix(locals.len(), &x.local_counts)
             ),
             Access::Range { index, .. } => format!(
@@ -1648,10 +1889,11 @@ fn source_label(env: &Env<'_>, step: &Step) -> String {
                 filters_suffix(locals.len(), &x.local_counts)
             ),
         },
-        StepKind::Rel { rows, pushed, .. } => format!(
-            "Rel {} ({rows} rows{})",
+        StepKind::Rel { pushed, .. } => format!(
+            "Rel {} ({} rows{})",
             step.label,
-            filters_suffix(pushed.len(), pushed)
+            x.scan_rows.unwrap_or_default(),
+            filters_suffix(pushed.len(), &x.local_counts)
         ),
         StepKind::LateralValues { rows, arity } => {
             format!("Values {} ({} rows, {arity} cols)", step.label, rows.len())

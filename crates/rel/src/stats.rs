@@ -125,9 +125,19 @@ impl TableStats {
     /// Ndv with the System-R style default for unknown keys (1/10 of the
     /// rows), capped to `live_rows` and floored at 1.
     pub fn ndv_or_default(&self, part: &KeyPart, live_rows: usize) -> usize {
-        self.ndv_for_part(part)
-            .unwrap_or_else(|| (live_rows / 10).max(1))
-            .clamp(1, live_rows.max(1))
+        ndv_with_default(self.ndv_for_part(part), live_rows)
+    }
+
+    /// What [`TableStats::seed`]`(table).ndv_for_part(part)` returns,
+    /// without building the stats: the largest distinct-key count among
+    /// the single-part indexes over `part`.
+    pub(crate) fn seeded_ndv(table: &Table, part: &KeyPart) -> Option<usize> {
+        table
+            .indexes()
+            .iter()
+            .filter(|i| i.parts.len() == 1 && i.parts[0] == *part)
+            .map(|i| i.distinct_keys())
+            .max()
     }
 
     /// Estimated selectivity of `part = constant`.
@@ -159,6 +169,13 @@ impl TableStats {
         }
         live_rows > self.row_count * 2 || live_rows * 2 < self.row_count
     }
+}
+
+/// An ndv estimate with the System-R default for an unknown key (1/10 of
+/// the rows), capped to `live_rows` and floored at 1.
+pub(crate) fn ndv_with_default(ndv: Option<usize>, live_rows: usize) -> usize {
+    ndv.unwrap_or_else(|| (live_rows / 10).max(1))
+        .clamp(1, live_rows.max(1))
 }
 
 #[cfg(test)]
@@ -205,6 +222,10 @@ mod tests {
         assert_eq!(s.row_count, 100);
         assert_eq!(s.ndv_for_part(&KeyPart::Column(0)), Some(100));
         assert_eq!(s.ndv_for_part(&KeyPart::Column(1)), None);
+        // The planner's per-part read agrees without building the stats.
+        for part in [KeyPart::Column(0), KeyPart::Column(1)] {
+            assert_eq!(TableStats::seeded_ndv(&t, &part), s.ndv_for_part(&part));
+        }
         // Unknown keys get the 1/10 default.
         assert_eq!(s.ndv_or_default(&KeyPart::Column(1), 100), 10);
     }

@@ -152,6 +152,8 @@ pub struct Table {
     /// invalidated on mutation — stats go stale, the planner compensates by
     /// capping ndv at the live row count.
     stats: Option<crate::stats::TableStats>,
+    /// Installs of `stats` so far (see [`Table::stats_epoch`]).
+    stats_installs: u64,
     /// Physical-content counter: bumped on every mutation of the version
     /// slab or indexes (inserts, deletes, updates, MVCC stamps/rollbacks,
     /// vacuum pruning, index DDL) and on `ANALYZE`. Derived caches (the CSR
@@ -174,6 +176,7 @@ impl Table {
             indexes: Vec::new(),
             live: 0,
             stats: None,
+            stats_installs: 0,
             version: std::sync::atomic::AtomicU64::new(0),
             last_commit_ts: std::sync::atomic::AtomicU64::new(0),
         }
@@ -206,6 +209,7 @@ impl Table {
             indexes: Vec::new(),
             live,
             stats: None,
+            stats_installs: 0,
             version: std::sync::atomic::AtomicU64::new(0),
             last_commit_ts: std::sync::atomic::AtomicU64::new(0),
         })
@@ -216,7 +220,17 @@ impl Table {
     /// derived caches built from the pre-analyze table must be rebuilt.
     pub fn set_stats(&mut self, stats: crate::stats::TableStats) {
         self.stats = Some(stats);
+        self.stats_installs += 1;
         self.bump_version();
+    }
+
+    /// Which statistics the planner reads for this table, as a number that
+    /// changes when they do: every `ANALYZE` moves it, and so does the live
+    /// count crossing the 2× drift line past which analyzed stats are
+    /// ignored ([`crate::stats::TableStats::is_stale`]).
+    pub fn stats_epoch(&self) -> u64 {
+        let stale = self.stats.as_ref().is_some_and(|s| s.is_stale(self.live));
+        self.stats_installs << 1 | u64::from(stale)
     }
 
     /// Current physical-content version (see the field docs).

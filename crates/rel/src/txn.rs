@@ -311,8 +311,8 @@ impl<'a> Session<'a> {
 
     /// [`Session::execute`] with positional `?` parameters.
     pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<Relation> {
-        let stmt = self.db.parse_cached(sql)?;
-        match &*stmt {
+        let prepared = self.db.parse_cached(sql)?;
+        match &**prepared.statement() {
             Statement::Begin => {
                 if self.state.is_some() {
                     return Err(Error::Invalid(
@@ -333,9 +333,13 @@ impl<'a> Session<'a> {
                 }
                 None => Err(Error::Invalid("ROLLBACK: no open transaction".into())),
             },
-            _ => match &mut self.state {
-                Some(st) => self.db.execute_in(&stmt, params, Some(sql), st),
-                None => self.db.execute_statement(&stmt, params, Some(sql)),
+            stmt => match &mut self.state {
+                Some(st) => self
+                    .db
+                    .execute_in(stmt, prepared.plans(), params, Some(sql), st),
+                None => self
+                    .db
+                    .run_autocommit(stmt, prepared.plans(), params, Some(sql)),
             },
         }
     }

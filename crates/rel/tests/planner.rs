@@ -351,6 +351,40 @@ fn left_outer_join_is_planned_like_any_other_unit() {
     );
 }
 
+/// An uncorrelated `IN (SELECT …)` runs once per execution of the statement
+/// — not once per attempt to compile the conjunct holding it, of which the
+/// planner makes several (key gathering, pushdown, hash-key picking, the
+/// after-step sweep). EXPLAIN shows every run of the subquery's scan.
+#[test]
+fn in_subquery_runs_once_per_statement() {
+    let db = Database::new();
+    for ddl in [
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)",
+        "CREATE TABLE w (id INTEGER PRIMARY KEY, z INTEGER)",
+        "CREATE TABLE u (y INTEGER)",
+        "INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)",
+        "INSERT INTO w VALUES (1, 10), (2, 25), (3, 30)",
+        "INSERT INTO u VALUES (10), (30)",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    for (sql, want) in [
+        (
+            "SELECT a.x FROM t a, w b WHERE a.id = b.id AND b.z IN (SELECT y FROM u) ORDER BY a.x",
+            vec![10, 30],
+        ),
+        (
+            "SELECT a.x FROM t a WHERE a.x IN (SELECT y FROM u) ORDER BY a.x",
+            vec![10, 30],
+        ),
+    ] {
+        let plan = plan_of(&db, sql);
+        let scans = plan.lines().filter(|l| l.contains("Scan u [u]")).count();
+        assert_eq!(scans, 1, "the subquery ran {scans} times:\n{plan}");
+        assert_eq!(db.execute(sql).unwrap().int_column(), want, "{sql}");
+    }
+}
+
 #[test]
 fn leading_scan_is_not_reported_as_a_cross_join() {
     let db = Database::new();

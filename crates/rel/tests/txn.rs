@@ -13,6 +13,8 @@
 //! * differential check: the same serial workload produces byte-identical
 //!   state (values *and* physical row ids) under autocommit MVCC,
 //!   explicit `BEGIN`/`COMMIT` sessions and closure transactions,
+//! * UPDATE/DELETE target lookup through a composite index, own provisional
+//!   rows included,
 //! * first-updater-wins conflicts and vacuum's watermark discipline.
 
 use std::path::PathBuf;
@@ -341,6 +343,86 @@ fn serial_runs_are_identical_across_transaction_modes() {
 
     assert_eq!(autocommit, session_txns, "session transactions diverged");
     assert_eq!(autocommit, closure_txns, "closure transactions diverged");
+}
+
+// ------------------------------------------------------ DML target lookup --
+
+/// UPDATE/DELETE find their rows through the widest hash index whose
+/// columns the `col = const` conjuncts all bind — here `(valid, val)`
+/// beside the single-column index on `valid` — and hit exactly the rows
+/// the whole predicate selects: committed rows and the transaction's own
+/// provisional inserts alike. A NULL bind matches nothing.
+#[test]
+fn dml_targets_through_the_widest_bound_hash_index() {
+    let db = Database::new();
+    for ddl in [
+        "CREATE TABLE sa (valid INTEGER, eid INTEGER, val INTEGER)",
+        "CREATE INDEX sa_valid ON sa (valid)",
+        "CREATE INDEX sa_valid_val ON sa (valid, val)",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    // Lists 7 and 8, each (eid, val) = (i, i % 3) for i in 0..30.
+    for valid in [7, 8] {
+        for i in 0..30 {
+            db.execute_with_params(
+                "INSERT INTO sa VALUES (?, ?, ?)",
+                &[Value::Int(valid), Value::Int(i), Value::Int(i % 3)],
+            )
+            .unwrap();
+        }
+    }
+    let ints = |v: &[i64]| v.iter().map(|&i| Value::Int(i)).collect::<Vec<_>>();
+    let mut txn = db.begin();
+    txn.execute_with_params("INSERT INTO sa VALUES (?, ?, ?)", &ints(&[7, 100, 1]))
+        .unwrap();
+    // valid 7, val 1: eids 1, 4, …, 28 and the transaction's own 100.
+    let update = "UPDATE sa SET eid = eid + 1000 WHERE valid = ? AND val = ?";
+    assert_eq!(
+        int(&txn.execute_with_params(update, &ints(&[7, 1])).unwrap()),
+        11
+    );
+    let delete = "DELETE FROM sa WHERE valid = ? AND val = ? AND eid = ?";
+    for eid in [1100, 1004] {
+        assert_eq!(
+            int(&txn
+                .execute_with_params(delete, &ints(&[7, 1, eid]))
+                .unwrap()),
+            1,
+            "eid {eid}"
+        );
+    }
+    for null in 0..3 {
+        let mut params = ints(&[7, 1, 1001]);
+        params[null] = Value::Null;
+        assert_eq!(
+            int(&txn.execute_with_params(delete, &params).unwrap()),
+            0,
+            "NULL in bind {null}"
+        );
+    }
+    // Only `valid` bound: the single-column index serves it.
+    assert_eq!(
+        int(&txn
+            .execute("DELETE FROM sa WHERE valid = 8 AND eid < 5")
+            .unwrap()),
+        5
+    );
+    txn.commit().unwrap();
+
+    let eids = |sql: &str| db.execute(sql).unwrap().int_column();
+    let want: Vec<i64> = (0..30)
+        .filter(|i| i % 3 == 1 && *i != 4)
+        .map(|i| i + 1000)
+        .collect();
+    assert_eq!(
+        eids("SELECT eid FROM sa WHERE valid = 7 AND val = 1 ORDER BY eid"),
+        want
+    );
+    assert_eq!(eids("SELECT COUNT(*) FROM sa WHERE valid = 7"), [29]);
+    assert_eq!(eids("SELECT eid FROM sa WHERE valid = 8 ORDER BY eid"), {
+        (5..30).collect::<Vec<i64>>()
+    });
 }
 
 // --------------------------------------------------- conflicts and vacuum --
