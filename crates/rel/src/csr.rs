@@ -7,7 +7,7 @@
 //! range copy — no per-probe hashing over postings, no visibility re-checks,
 //! no `key_of` re-validation. Integer columns (the common case: neighbor
 //! vertex ids in the OPA/IPA adjacency tables) are stored delta-encoded and
-//! null-suppressed ([`crate::batch::PackedIntVec`]) with per-group restarts.
+//! null-suppressed ([`PackedIntVec`]) with per-group restarts.
 //!
 //! **Byte identity.** The builder filters postings exactly the way
 //! `Access::Probe` execution does — `get_visible(rid, snap)` then an
@@ -22,7 +22,6 @@
 //! readers build private entries against their own snapshot instead (see
 //! `Database::csr_for`).
 
-use crate::batch::{PackedIntVec, PackedIntWriter};
 use crate::error::{Error, Result};
 use crate::hasher::FxHashMap;
 use crate::storage::Table;
@@ -203,6 +202,254 @@ impl CsrEntry {
             })
             .sum();
         cols + self.offsets.len() * 4 + self.groups.len() * std::mem::size_of::<(Value, u32)>()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Packed integer vectors (CSR neighbor storage)
+// ---------------------------------------------------------------------------
+
+#[inline]
+fn bit(nulls: &Option<Vec<u64>>, i: usize) -> bool {
+    match nulls {
+        Some(words) => (words[i / 64] >> (i % 64)) & 1 == 1,
+        None => false,
+    }
+}
+
+#[inline]
+fn set_bit(nulls: &mut Option<Vec<u64>>, len: usize, i: usize) {
+    let words = nulls.get_or_insert_with(|| vec![0u64; len.div_ceil(64)]);
+    if words.len() < len.div_ceil(64) {
+        words.resize(len.div_ceil(64), 0);
+    }
+    words[i / 64] |= 1 << (i % 64);
+}
+
+#[inline]
+fn zigzag_encode(v: i64) -> u64 {
+    ((v << 1) ^ (v >> 63)) as u64
+}
+
+#[inline]
+fn zigzag_decode(u: u64) -> i64 {
+    ((u >> 1) as i64) ^ -((u & 1) as i64)
+}
+
+/// A delta-encoded, null-suppressed integer vector with per-group restarts —
+/// the compressed neighbor storage behind the CSR adjacency cache.
+///
+/// Values are stored as zigzag-varint deltas against the previous non-null
+/// value *within the same group*; the delta base resets to 0 at every group
+/// boundary so any group can be decoded independently given its logical
+/// element range and without touching earlier groups' bytes. Nulls occupy a
+/// bit in the bitmap but carry **no** payload bytes (null suppression).
+#[derive(Debug, Clone)]
+pub struct PackedIntVec {
+    /// Zigzag-varint encoded deltas of the non-null elements, group by group.
+    data: Vec<u8>,
+    /// Null bitmap over *logical* element positions (None = no nulls).
+    nulls: Option<Vec<u64>>,
+    /// Total logical element count.
+    len: usize,
+    /// Byte offset in `data` where each group's encoding begins.
+    group_starts: Vec<u32>,
+}
+
+impl PackedIntVec {
+    /// Logical element count.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the vector holds no elements.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Number of encoded groups.
+    pub fn group_count(&self) -> usize {
+        self.group_starts.len()
+    }
+
+    /// Heap footprint of the encoding in bytes (payload + bitmap + starts).
+    pub fn encoded_bytes(&self) -> usize {
+        self.data.len()
+            + self.nulls.as_ref().map_or(0, |w| w.len() * 8)
+            + self.group_starts.len() * 4
+    }
+
+    /// Decode group `g`, whose elements occupy logical positions
+    /// `lo..hi`, invoking `f` once per element in order (`None` = NULL).
+    pub fn for_each_in_group(
+        &self,
+        g: usize,
+        lo: usize,
+        hi: usize,
+        mut f: impl FnMut(Option<i64>),
+    ) {
+        let mut pos = self.group_starts[g] as usize;
+        let mut prev: i64 = 0;
+        for i in lo..hi {
+            if bit(&self.nulls, i) {
+                f(None);
+                continue;
+            }
+            // Unrolled LEB128 varint decode.
+            let mut shift = 0u32;
+            let mut raw = 0u64;
+            loop {
+                let b = self.data[pos];
+                pos += 1;
+                raw |= u64::from(b & 0x7f) << shift;
+                if b & 0x80 == 0 {
+                    break;
+                }
+                shift += 7;
+            }
+            let v = prev.wrapping_add(zigzag_decode(raw));
+            prev = v;
+            f(Some(v));
+        }
+    }
+}
+
+/// Incremental writer for [`PackedIntVec`]. Call [`PackedIntWriter::begin_group`]
+/// at each group boundary, then [`PackedIntWriter::push`] the group's elements.
+#[derive(Debug, Default)]
+pub struct PackedIntWriter {
+    data: Vec<u8>,
+    nulls: Option<Vec<u64>>,
+    len: usize,
+    group_starts: Vec<u32>,
+    prev: i64,
+}
+
+impl PackedIntWriter {
+    /// Fresh writer with no groups.
+    pub fn new() -> PackedIntWriter {
+        PackedIntWriter::default()
+    }
+
+    /// Start a new group: records the byte restart point and resets the
+    /// delta base, so the group decodes independently.
+    pub fn begin_group(&mut self) {
+        self.group_starts.push(self.data.len() as u32);
+        self.prev = 0;
+    }
+
+    /// Append one element to the current group (`None` = NULL, no payload).
+    pub fn push(&mut self, v: Option<i64>) {
+        match v {
+            None => {
+                set_bit(&mut self.nulls, self.len + 1, self.len);
+                self.len += 1;
+            }
+            Some(v) => {
+                let mut raw = zigzag_encode(v.wrapping_sub(self.prev));
+                self.prev = v;
+                loop {
+                    let byte = (raw & 0x7f) as u8;
+                    raw >>= 7;
+                    if raw == 0 {
+                        self.data.push(byte);
+                        break;
+                    }
+                    self.data.push(byte | 0x80);
+                }
+                self.len += 1;
+            }
+        }
+    }
+
+    /// Seal the encoding.
+    pub fn finish(mut self) -> PackedIntVec {
+        if let Some(words) = &mut self.nulls {
+            words.resize(self.len.div_ceil(64), 0);
+        }
+        PackedIntVec {
+            data: self.data,
+            nulls: self.nulls,
+            len: self.len,
+            group_starts: self.group_starts,
+        }
+    }
+}
+
+#[cfg(test)]
+mod packed_tests {
+    use super::*;
+
+    #[test]
+    fn packed_roundtrip_with_nulls_and_groups() {
+        let groups: Vec<Vec<Option<i64>>> = vec![
+            vec![Some(5), Some(7), None, Some(6)],
+            vec![],
+            vec![None, None],
+            vec![Some(-3), Some(i64::MAX), Some(i64::MIN), Some(0)],
+            vec![Some(1_000_000_000_000), Some(1_000_000_000_001)],
+        ];
+        let mut w = PackedIntWriter::new();
+        for g in &groups {
+            w.begin_group();
+            for &x in g {
+                w.push(x);
+            }
+        }
+        let packed = w.finish();
+        assert_eq!(packed.group_count(), groups.len());
+        assert_eq!(packed.len(), groups.iter().map(Vec::len).sum::<usize>());
+        let mut lo = 0;
+        for (gi, g) in groups.iter().enumerate() {
+            let hi = lo + g.len();
+            let mut got = Vec::new();
+            packed.for_each_in_group(gi, lo, hi, |x| got.push(x));
+            assert_eq!(&got, g, "group {gi}");
+            lo = hi;
+        }
+    }
+
+    #[test]
+    fn packed_groups_decode_independently() {
+        // Decoding a later group must not depend on having decoded earlier
+        // ones: the delta base restarts per group.
+        let mut w = PackedIntWriter::new();
+        w.begin_group();
+        for i in 0..100 {
+            w.push(Some(i * 17));
+        }
+        w.begin_group();
+        w.push(Some(42));
+        w.push(Some(43));
+        let packed = w.finish();
+        let mut got = Vec::new();
+        packed.for_each_in_group(1, 100, 102, |x| got.push(x));
+        assert_eq!(got, vec![Some(42), Some(43)]);
+    }
+
+    #[test]
+    fn packed_delta_encoding_compresses_sorted_runs() {
+        // Sorted neighbor ids with small gaps should take ~1 byte each.
+        let mut w = PackedIntWriter::new();
+        w.begin_group();
+        for i in 0..1000i64 {
+            w.push(Some(5_000_000 + i * 3));
+        }
+        let packed = w.finish();
+        // First value pays full varint width; the rest are 1-byte deltas.
+        assert!(
+            packed.encoded_bytes() < 1024 + 16,
+            "expected ~1 byte/elem, got {}",
+            packed.encoded_bytes()
+        );
+        // Nulls are suppressed: a null carries bitmap bits but no payload.
+        let mut w = PackedIntWriter::new();
+        w.begin_group();
+        for i in 0..64 {
+            w.push(if i % 2 == 0 { Some(i) } else { None });
+        }
+        let with_nulls = w.finish();
+        assert!(with_nulls.encoded_bytes() <= 32 + 8 + 4);
     }
 }
 

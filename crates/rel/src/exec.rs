@@ -10,14 +10,13 @@
 //! set ops / ORDER BY / LIMIT compose on top. The executor makes no
 //! planning choices of its own.
 //!
-//! Execution is batch-at-a-time where the data allows: full scans emit
-//! columnar [`Batch`]es (one per morsel), filters flip selection vectors,
-//! and hash joins with bare-column keys build on the key columns directly.
-//! Converting a batch to rows reproduces the row engine's output exactly,
-//! so every operator can fall back to materialized `Vec<Row>` processing —
-//! and the two representations are byte-identical end to end, at any DOP.
+//! Data flows between steps as materialized rows, or — once a CSR step has
+//! expanded adjacency lists — as a factorized [`Factored`] intermediate
+//! that flattens to exactly the rows the row engine would have produced.
+//! Morsel-parallel operators (full scans, filters, joins, aggregation)
+//! concatenate their outputs in morsel order, so results are byte-identical
+//! at any DOP.
 
-use crate::batch::{self, Batch};
 use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::expr::{self, in_set, BinaryOp, Binds, Expr};
@@ -955,47 +954,8 @@ fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Resu
     let dop = env.db.dop_for(total);
     env.note(|| format!("aggregate ({total} rows, dop {dop})"));
 
-    // Columnar fast path: when the input is still batched and every group
-    // key and aggregate argument is a bare column reference, fold straight
-    // over the compacted column vectors without materializing rows.
-    // `Batch::compact` re-chunks the live rows densely from index zero, so
-    // the morsel decomposition (and thus the float fold order) is identical
-    // to the materialized-row path.
-    enum AggInput {
-        Rows(Vec<Row>),
-        Batch {
-            b: Batch,
-            gcols: Vec<usize>,
-            acols: Vec<Option<usize>>,
-        },
-    }
-    let input = match data {
-        Data::Batches(bs) => {
-            let gcols: Option<Vec<usize>> = group_exprs
-                .iter()
-                .map(|g| match g {
-                    Expr::Col(c) => Some(*c),
-                    _ => None,
-                })
-                .collect();
-            let acols: Option<Vec<Option<usize>>> = aggs
-                .iter()
-                .map(|s| match &s.arg {
-                    None => Some(None),
-                    Some(Expr::Col(c)) => Some(Some(*c)),
-                    Some(_) => None,
-                })
-                .collect();
-            match (gcols, acols) {
-                (Some(gcols), Some(acols)) => AggInput::Batch {
-                    b: Batch::compact(&bs),
-                    gcols,
-                    acols,
-                },
-                _ => AggInput::Rows(Data::Batches(bs).into_rows()),
-            }
-        }
-        Data::Rows(rows) => AggInput::Rows(rows),
+    let rows = match data {
+        Data::Rows(rows) => rows,
         // Aggregation merges are a row-semantics operator: flatten here
         // (the count-only fast path above already handled the list case).
         // Only the columns the aggregation actually reads — group keys,
@@ -1024,13 +984,10 @@ fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Resu
             for p in proj_exprs {
                 need(p);
             }
-            AggInput::Rows(f.flatten(Some(&mask)))
+            f.flatten(Some(&mask))
         }
     };
 
-    let input_ref = &input;
-    let group_ref = group_exprs;
-    let aggs_ref = aggs;
     let partials = crate::parallel::ordered_map(
         dop,
         total,
@@ -1039,18 +996,10 @@ fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Resu
             let mut map: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
             let mut local: Vec<PartialGroup> = Vec::new();
             for i in range {
-                let mut key = Vec::with_capacity(group_ref.len());
-                match input_ref {
-                    AggInput::Rows(rows) => {
-                        for g in group_ref {
-                            key.push(g.eval(&rows[i])?);
-                        }
-                    }
-                    AggInput::Batch { b, gcols, .. } => {
-                        for &c in gcols {
-                            key.push(b.cols[c].value_at(i));
-                        }
-                    }
+                let row = &rows[i];
+                let mut key = Vec::with_capacity(group_exprs.len());
+                for g in group_exprs {
+                    key.push(g.eval(row)?);
                 }
                 let gi = match map.entry(key) {
                     std::collections::hash_map::Entry::Occupied(e) => *e.get(),
@@ -1058,29 +1007,15 @@ fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Resu
                         let gi = local.len();
                         local.push(PartialGroup {
                             key: e.key().clone(),
-                            accs: aggs_ref.iter().map(AggAcc::new).collect(),
+                            accs: aggs.iter().map(AggAcc::new).collect(),
                             rep: i,
                         });
                         e.insert(gi);
                         gi
                     }
                 };
-                let g = &mut local[gi];
-                match input_ref {
-                    AggInput::Rows(rows) => {
-                        for (acc, spec) in g.accs.iter_mut().zip(aggs_ref) {
-                            acc.update(spec, &rows[i])?;
-                        }
-                    }
-                    AggInput::Batch { b, acols, .. } => {
-                        for ((acc, spec), ac) in g.accs.iter_mut().zip(aggs_ref.iter()).zip(acols) {
-                            let v = match ac {
-                                Some(c) => b.cols[*c].value_at(i),
-                                None => Value::Null,
-                            };
-                            acc.update_value(spec, v)?;
-                        }
-                    }
+                for (acc, spec) in local[gi].accs.iter_mut().zip(aggs) {
+                    acc.update(spec, row)?;
                 }
             }
             Ok(local)
@@ -1123,10 +1058,7 @@ fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Resu
         let mut extended: Row = if pg.rep == usize::MAX {
             vec![Value::Null; width]
         } else {
-            match input_ref {
-                AggInput::Rows(rows) => rows[pg.rep].clone(),
-                AggInput::Batch { b, .. } => b.cols.iter().map(|c| c.value_at(pg.rep)).collect(),
-            }
+            rows[pg.rep].clone()
         };
         for (acc, spec) in pg.accs.into_iter().zip(aggs) {
             extended.push(acc.finish(spec));
@@ -1188,18 +1120,12 @@ impl AggAcc {
         }
     }
 
+    /// Fold one input row into the accumulator.
     fn update(&mut self, spec: &AggSpec, row: &Row) -> Result<()> {
         let v = match &spec.arg {
             None => Value::Null,
             Some(arg) => arg.eval(row)?,
         };
-        self.update_value(spec, v)
-    }
-
-    /// Fold one already-evaluated argument value into the accumulator (the
-    /// columnar path reads values straight out of column vectors instead of
-    /// evaluating an expression against a materialized row).
-    fn update_value(&mut self, spec: &AggSpec, v: Value) -> Result<()> {
         match self {
             AggAcc::CountStar(n) => *n += 1,
             AggAcc::Count(n) => {
@@ -1336,17 +1262,10 @@ impl AggAcc {
 // planned, and records observed cardinalities into each step's
 // [`plan::StepExec`] for EXPLAIN.
 
-/// Intermediate data flowing between plan steps: materialized rows, or
-/// columnar batches while a scan's output stays columnar (full scans, and
-/// hash joins whose inputs are both batched). Converting batches to rows
-/// reproduces the row engine's output exactly, so every operator may fall
-/// back to the row representation at any point.
+/// Intermediate data flowing between plan steps.
 pub(crate) enum Data {
+    /// Materialized rows, one `Vec<Value>` each.
     Rows(Vec<Row>),
-    /// Invariant: never an empty vec — a scan with zero morsels still
-    /// contributes one zero-length batch so `Batch::compact` can learn the
-    /// width downstream.
-    Batches(Vec<Batch>),
     /// List-based (factorized) representation produced by CSR adjacency
     /// expansion: base rows plus one offset-delimited expansion level per
     /// CSR step. Flattening reproduces the row engine's nested-loop output
@@ -1507,11 +1426,10 @@ impl Factored {
 }
 
 impl Data {
-    /// Live row count (honoring selection vectors; leaf paths for factors).
+    /// Logical row count (leaf paths for factors).
     fn len(&self) -> usize {
         match self {
             Data::Rows(r) => r.len(),
-            Data::Batches(bs) => bs.iter().map(Batch::selected).sum(),
             Data::Factor(f) => f.leaf_count(),
         }
     }
@@ -1520,7 +1438,6 @@ impl Data {
     fn into_rows(self) -> Vec<Row> {
         match self {
             Data::Rows(r) => r,
-            Data::Batches(bs) => bs.iter().flat_map(Batch::to_rows).collect(),
             Data::Factor(f) => f.flatten(None),
         }
     }
@@ -1535,7 +1452,7 @@ impl Data {
 /// unit's rows to the attach phase; `Done` consumed the accumulated rows
 /// already (index probes and laterals combine while producing).
 enum Produced {
-    Right(Data),
+    Right(Vec<Row>),
     Done(Data),
 }
 
@@ -1695,7 +1612,7 @@ fn exec_step(
                         scanned = filter_rows(scanned, p)?;
                         x.local_counts.push((before, scanned.len()));
                     }
-                    Produced::Right(Data::Rows(scanned))
+                    Produced::Right(scanned)
                 }
                 Access::Range { index, lo, hi } => {
                     let idx = find_index(t, index)?;
@@ -1726,58 +1643,56 @@ fn exec_step(
                         scanned = filter_rows(scanned, p)?;
                         x.local_counts.push((before, scanned.len()));
                     }
-                    Produced::Right(Data::Rows(scanned))
+                    Produced::Right(scanned)
                 }
                 Access::Full => {
                     // Full scan fused with the pushed-down predicates, split
                     // into morsels when the table is large enough (or
-                    // parallelism is pinned). Morsels cover disjoint slab
-                    // ranges and outputs concatenate in slab order, so the
-                    // result is identical at every DOP. One columnar batch
-                    // per morsel; filters flip the selection vector
-                    // (vectorized where the predicate shape allows) instead
-                    // of materializing rows.
+                    // parallelism is pinned). Each morsel copies the kept
+                    // columns of its slab range's visible versions and keeps
+                    // the rows every local passes. Morsels cover disjoint
+                    // slab ranges and outputs concatenate in slab order, so
+                    // the result is identical at every DOP.
                     let snap = env.snap;
                     let live = t.len();
                     let dop = env.db.dop_for(live);
                     x.scan_rows = Some(live);
                     x.scan_dop = Some(dop);
-                    let specs: Vec<Option<batch::PredSpec>> =
-                        locals.iter().map(batch::compile_spec).collect();
-                    let keep_ref: &[usize] = keep;
-                    let locals_ref: &[Expr] = locals;
-                    let specs_ref = &specs;
                     let chunks = crate::parallel::ordered_map(
                         dop,
                         t.slots().len(),
                         crate::parallel::MORSEL_ROWS,
-                        |range| -> Result<Batch> {
-                            let mut b = t.batch_range(range, keep_ref, snap);
-                            if !locals_ref.is_empty() {
-                                let mut sel: Vec<u32> = (0..b.len as u32).collect();
-                                for (p, spec) in locals_ref.iter().zip(specs_ref) {
-                                    sel = match spec.as_ref().and_then(|s| s.try_apply(&b, &sel)) {
-                                        Some(s) => s,
-                                        None => generic_batch_filter(&b, &sel, p)?,
-                                    };
+                        |range| -> Result<Vec<Row>> {
+                            let mut out = Vec::new();
+                            // A rejected row's buffer is reused for the next.
+                            let mut row: Row = Vec::with_capacity(keep.len());
+                            'slots: for slot in &t.slots()[range] {
+                                let Some(r) = slot.visible(snap) else {
+                                    continue;
+                                };
+                                row.clear();
+                                row.extend(keep.iter().map(|&i| r[i].clone()));
+                                for p in locals.iter() {
+                                    if !p.eval_bool(&row)? {
+                                        continue 'slots;
+                                    }
                                 }
-                                b.sel = Some(sel);
+                                out.push(std::mem::replace(
+                                    &mut row,
+                                    Vec::with_capacity(keep.len()),
+                                ));
                             }
-                            Ok(b)
+                            Ok(out)
                         },
                     );
-                    let mut batches = Vec::with_capacity(chunks.len().max(1));
-                    for c in chunks {
-                        batches.push(c?);
-                    }
-                    if batches.is_empty() {
-                        batches.push(t.batch_range(0..0, keep, snap));
+                    let mut scanned = Vec::new();
+                    for chunk in chunks {
+                        scanned.extend(chunk?);
                     }
                     if !locals.is_empty() {
-                        let total: usize = batches.iter().map(Batch::selected).sum();
-                        x.local_counts.push((live, total));
+                        x.local_counts.push((live, scanned.len()));
                     }
-                    Produced::Right(Data::Batches(batches))
+                    Produced::Right(scanned)
                 }
             }
         }
@@ -1810,7 +1725,7 @@ fn exec_step(
                 x.local_counts.push((before, rows.len()));
             }
             x.scan_rows = Some(rows.len());
-            Produced::Right(Data::Rows(rows))
+            Produced::Right(rows)
         }
         StepKind::LateralValues {
             rows: compiled_rows,
@@ -1935,23 +1850,14 @@ fn exec_attach(
     step: &Step,
     x: &mut StepExec,
     left: Data,
-    right: Data,
+    rrows: Vec<Row>,
 ) -> Result<Data> {
     let outer = step.outer.as_ref();
     match &step.attach {
         Attach::Hash { lkey, rkey } => {
-            let dop = env.db.dop_for(right.len().max(left.len()));
-            x.join_rows = Some(right.len());
+            let dop = env.db.dop_for(rrows.len().max(left.len()));
+            x.join_rows = Some(rrows.len());
             x.join_dop = Some(dop);
-            // Columnar fast path: both sides batched and both keys bare
-            // columns — join on the column vectors directly. (Batches have
-            // no row to pad, so an outer step joins rows.)
-            if let (Data::Batches(lb), Data::Batches(rb), Expr::Col(lc), Expr::Col(rc), None) =
-                (&left, &right, lkey, rkey, outer)
-            {
-                return batch_hash_join(dop, lb, rb, *lc, *rc);
-            }
-            let rrows = right.into_rows();
             let lrows = left.into_rows();
             if dop <= 1 {
                 // Serial build in row order, probe in row order.
@@ -1978,11 +1884,9 @@ fn exec_attach(
         }
         Attach::Cross => {
             if left.is_identity() {
-                // Leading unit: crossing the identity row is a passthrough
-                // (this keeps columnar scans columnar).
-                return Ok(right);
+                // Leading unit: crossing the identity row is a passthrough.
+                return Ok(Data::Rows(rrows));
             }
-            let rrows = right.into_rows();
             let lrows = left.into_rows();
             let dop = env.db.dop_for(lrows.len());
             x.join_rows = Some(rrows.len());
@@ -2014,122 +1918,12 @@ fn exec_attach(
     }
 }
 
-/// Hash join over columnar inputs. The build side (right/unit) is hashed
-/// serially in row order; the probe side fans out over MORSEL_ROWS chunks
-/// whose outputs concatenate in order — so match lists and output order are
-/// exactly the serial row join's at any DOP. Keys go through a typed `i64`
-/// map when both key columns are integer vectors (`Value` hashing and
-/// equality agree with `i64`'s there, and never equate `Int` with `Double`,
-/// matching the row engine); anything else uses `Value` keys.
-fn batch_hash_join(dop: usize, lb: &[Batch], rb: &[Batch], lc: usize, rc: usize) -> Result<Data> {
-    use crate::batch::ColVec;
-    let lbat = Batch::compact(lb);
-    let rbat = Batch::compact(rb);
-
-    enum KeyMap {
-        Int(FxHashMap<i64, Vec<u32>>),
-        Val(FxHashMap<Value, Vec<u32>>),
-    }
-    let map = match (&lbat.cols[lc], &rbat.cols[rc]) {
-        (ColVec::Int { .. }, ColVec::Int { vals, .. }) => {
-            let mut m: FxHashMap<i64, Vec<u32>> = FxHashMap::default();
-            for (i, v) in vals.iter().enumerate() {
-                if !rbat.cols[rc].is_null(i) {
-                    m.entry(*v).or_default().push(i as u32);
-                }
-            }
-            KeyMap::Int(m)
-        }
-        _ => {
-            let mut m: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-            for i in 0..rbat.len {
-                let k = rbat.cols[rc].value_at(i);
-                if !k.is_null() {
-                    m.entry(k).or_default().push(i as u32);
-                }
-            }
-            KeyMap::Val(m)
-        }
-    };
-
-    let map_ref = &map;
-    let lbat_ref = &lbat;
-    let pair_chunks = crate::parallel::ordered_map(
-        dop,
-        lbat.len,
-        crate::parallel::MORSEL_ROWS,
-        |range| -> Vec<(u32, u32)> {
-            let mut pairs = Vec::new();
-            for i in range {
-                let cands = match map_ref {
-                    KeyMap::Int(m) => {
-                        if lbat_ref.cols[lc].is_null(i) {
-                            continue;
-                        }
-                        let ColVec::Int { vals, .. } = &lbat_ref.cols[lc] else {
-                            unreachable!("typed map implies Int probe column");
-                        };
-                        m.get(&vals[i])
-                    }
-                    KeyMap::Val(m) => {
-                        let k = lbat_ref.cols[lc].value_at(i);
-                        if k.is_null() {
-                            continue;
-                        }
-                        m.get(&k)
-                    }
-                };
-                if let Some(cands) = cands {
-                    for &r in cands {
-                        pairs.push((i as u32, r));
-                    }
-                }
-            }
-            pairs
-        },
-    );
-    let mut li = Vec::new();
-    let mut ri = Vec::new();
-    for chunk in pair_chunks {
-        for (l, r) in chunk {
-            li.push(l);
-            ri.push(r);
-        }
-    }
-    let mut cols = Vec::with_capacity(lbat.cols.len() + rbat.cols.len());
-    for c in &lbat.cols {
-        cols.push(c.gather(&li));
-    }
-    for c in &rbat.cols {
-        cols.push(c.gather(&ri));
-    }
-    let len = li.len();
-    Ok(Data::Batches(vec![Batch {
-        cols,
-        len,
-        sel: None,
-    }]))
-}
-
 /// Apply one compiled predicate to intermediate data. Rows filter through
-/// the morsel-parallel row filter; batches flip their selection vectors in
-/// place (vectorized where the predicate shape allows) without
-/// materializing.
+/// the morsel-parallel row filter; a factor filters its leaves list-wise
+/// when it can.
 fn filter_data(env: &Env<'_>, data: Data, p: &Expr) -> Result<Data> {
     match data {
         Data::Rows(rows) => Ok(Data::Rows(filter_rows_par(env, rows, p)?)),
-        Data::Batches(mut bs) => {
-            let spec = batch::compile_spec(p);
-            for b in &mut bs {
-                let sel: Vec<u32> = b.live().map(|i| i as u32).collect();
-                let new = match spec.as_ref().and_then(|s| s.try_apply(b, &sel)) {
-                    Some(s) => s,
-                    None => generic_batch_filter(b, &sel, p)?,
-                };
-                b.sel = Some(new);
-            }
-            Ok(Data::Batches(bs))
-        }
         Data::Factor(mut f) => {
             // A predicate that only reads the last level's columns filters
             // leaf elements list-wise (each leaf is exactly one flattened
@@ -2169,20 +1963,6 @@ fn filter_data(env: &Env<'_>, data: Data, p: &Expr) -> Result<Data> {
             Ok(Data::Factor(f))
         }
     }
-}
-
-/// Scalar fallback for predicates without a columnar fast path: evaluate
-/// against a scratch row per selected index.
-fn generic_batch_filter(b: &Batch, sel: &[u32], p: &Expr) -> Result<Vec<u32>> {
-    let mut out = Vec::with_capacity(sel.len());
-    let mut buf: Row = Vec::new();
-    for &i in sel {
-        b.read_row(i as usize, &mut buf);
-        if p.eval_bool(&buf)? {
-            out.push(i);
-        }
-    }
-    Ok(out)
 }
 
 /// Built-in lateral table functions.

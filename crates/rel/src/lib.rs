@@ -36,7 +36,6 @@
 //! assert_eq!(rel.strings(), ["marko"]);
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod checkpoint;
 pub mod csr;
@@ -71,8 +70,6 @@ const _: () = {
     sync_clean::<expr::Expr>();
     sync_clean::<exec::Relation>();
     sync_clean::<stats::TableStats>();
-    sync_clean::<batch::Batch>();
-    sync_clean::<batch::ColVec>();
     // One prepared statement's plans serve every thread that runs it.
     sync_clean::<prepared::Prepared>();
 };

@@ -289,41 +289,6 @@ impl Table {
         &self.rows
     }
 
-    /// Materialize the rows of slab range `range` visible to `snap`
-    /// (pruned to `keep` columns, in `keep` order) as one columnar batch —
-    /// the batch engine's scan primitive. Visits slots in slab order, so
-    /// concatenating the batches of consecutive ranges reproduces a serial
-    /// scan exactly.
-    pub fn batch_range(
-        &self,
-        range: std::ops::Range<usize>,
-        keep: &[usize],
-        snap: Snapshot,
-    ) -> crate::batch::Batch {
-        let mut builders: Vec<crate::batch::ColBuilder> = keep
-            .iter()
-            .map(|_| crate::batch::ColBuilder::new())
-            .collect();
-        let mut len = 0usize;
-        for slot in &self.rows[range] {
-            let Some(r) = slot.visible(snap) else {
-                continue;
-            };
-            for (b, &i) in builders.iter_mut().zip(keep) {
-                b.push(&r[i]);
-            }
-            len += 1;
-        }
-        crate::batch::Batch {
-            cols: builders
-                .into_iter()
-                .map(crate::batch::ColBuilder::finish)
-                .collect(),
-            len,
-            sel: None,
-        }
-    }
-
     /// Iterate `(RowId, row)` over rows in the all-committed view.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value])> {
         self.iter_snap(Snapshot::latest())

@@ -92,18 +92,37 @@ fn fact(i: i64) -> (i64, f64) {
     ((i * 17) % DIM_ROWS, i as f64 * 0.003)
 }
 
+/// `fact.x` (NULL every fifth row, else NaN every seventh) and `fact.s` of
+/// fact row `i`.
+fn fact_xs(i: i64) -> (Option<f64>, String) {
+    let x = match i {
+        _ if i % 5 == 0 => None,
+        _ if i % 7 == 0 => Some(f64::NAN),
+        _ => Some((i % 100) as f64),
+    };
+    (x, format!("s{:04}", (i * 7) % 1000))
+}
+
 /// A fact table above the auto-parallel threshold and twelve morsels long,
 /// joined to a dim table: loaded with multi-row INSERTs so a debug build
 /// stays fast.
 fn build_fact_db() -> Database {
     let db = Database::new();
-    db.execute("CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v DOUBLE)")
+    db.execute("CREATE TABLE fact (id INTEGER PRIMARY KEY, k INTEGER, v DOUBLE, x DOUBLE, s TEXT)")
         .unwrap();
     db.execute("CREATE TABLE dim (k INTEGER PRIMARY KEY, tag INTEGER)")
         .unwrap();
     for start in (0..FACT_ROWS).step_by(1_000) {
         let rows: Vec<String> = (start..start + 1_000)
-            .map(|i| format!("({i}, {}, {:?})", fact(i).0, fact(i).1))
+            .map(|i| {
+                let (x, s) = fact_xs(i);
+                let x = match x {
+                    None => "NULL".to_string(),
+                    Some(x) if x.is_nan() => "0.0 / 0.0".to_string(),
+                    Some(x) => format!("{x:?}"),
+                };
+                format!("({i}, {}, {:?}, {x}, '{s}')", fact(i).0, fact(i).1)
+            })
             .collect();
         db.execute(&format!("INSERT INTO fact VALUES {}", rows.join(", ")))
             .unwrap();
@@ -124,21 +143,42 @@ fn multi_morsel_scan_agg_and_joins_match_the_formulas_at_every_dop() {
                             WHERE fact.v > 1.0 AND fact.id % 3 = 0 GROUP BY fact.k";
     // A hash join with no usable index. The planner builds on fact and
     // probes with 200 dim rows, one morsel, so two more shapes put each
-    // join operator across morsels: the outer join takes the row engine's
-    // partitioned build over 8 666 fact rows, the self-join probes the
-    // columnar join with 4 000.
+    // join operator across morsels: the outer join takes the partitioned
+    // build over 8 666 fact rows, the self-join probes with 4 000.
     const JOIN: &str = "SELECT COUNT(*) FROM fact, dim \
                         WHERE fact.k = dim.k AND dim.tag = 1 AND fact.v > 10.0";
     const OUTER: &str = "SELECT COUNT(*), SUM(fact.v) FROM dim \
                          LEFT OUTER JOIN fact ON fact.k = dim.k AND fact.v > 10.0";
     const SELF: &str = "SELECT COUNT(*) FROM fact a, fact b \
                         WHERE a.k = b.k AND a.v > 30.0 AND b.id % 3 = 0";
+    // One pushed filter per predicate shape the full scan evaluates, each
+    // paired with the ids it must keep: modulo (by zero, NULL, too), NULL
+    // tests, an Int column against a Double constant, a Double column
+    // holding NaN (every comparison with NaN is false), string order.
+    type Keep = fn(i64) -> bool;
+    let filters: [(&str, Keep); 8] = [
+        ("fact.id % 7 = 3", |i| i % 7 == 3),
+        ("fact.id % 0 = 0", |_| false),
+        ("fact.x IS NULL", |i| fact_xs(i).0.is_none()),
+        ("fact.x IS NOT NULL", |i| fact_xs(i).0.is_some()),
+        ("fact.k >= 299.5", |i| fact(i).0 >= 300),
+        ("fact.x > 50.0", |i| fact_xs(i).0.is_some_and(|x| x > 50.0)),
+        ("fact.x <> 10.0", |i| {
+            fact_xs(i).0.is_some_and(|x| x != 10.0 && !x.is_nan())
+        }),
+        ("fact.s < 's0100'", |i| fact_xs(i).1.as_str() < "s0100"),
+    ];
+    let filter_sql: Vec<String> = filters
+        .iter()
+        .map(|(p, _)| format!("SELECT fact.id FROM fact WHERE {p}"))
+        .collect();
     let db = build_fact_db();
     assert!(FACT_ROWS as usize >= 10 * sqlgraph_rel::parallel::MORSEL_ROWS);
     assert!(FACT_ROWS as usize > sqlgraph_rel::parallel::AUTO_PARALLEL_MIN_ROWS);
 
     db.set_parallelism(1);
-    let queries = [SCAN_AGG, JOIN, OUTER, SELF];
+    let mut queries = vec![SCAN_AGG, JOIN, OUTER, SELF];
+    queries.extend(filter_sql.iter().map(String::as_str));
     let serial: Vec<_> = queries.iter().map(|q| db.execute(q).unwrap()).collect();
     for dop in [2usize, 4, 8, 0] {
         db.set_parallelism(dop);
@@ -186,6 +226,18 @@ fn multi_morsel_scan_agg_and_joins_match_the_formulas_at_every_dop() {
         .map(|r| late_per_key[r.1 as usize])
         .sum();
     assert_eq!(serial[3].scalar(), Some(&Value::Int(pairs)));
+
+    for ((p, keep), (sql, got)) in filters.iter().zip(filter_sql.iter().zip(&serial[4..])) {
+        let want: Vec<i64> = (0..FACT_ROWS).filter(|&i| keep(i)).collect();
+        assert_eq!(got.int_column(), want, "{p}");
+        let plan = plan_of(&db, sql);
+        let pushed = format!("(full, {FACT_ROWS} rows, ");
+        let counted = format!("1 pushed filters: {FACT_ROWS} -> {} rows", want.len());
+        assert!(
+            plan.contains(&pushed) && plan.contains(&counted),
+            "{p}:\n{plan}"
+        );
+    }
 }
 
 #[test]

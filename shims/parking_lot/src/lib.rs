@@ -58,10 +58,15 @@ pub struct RawRwLock {
     cond: Condvar,
 }
 
+/// Changed only under `RawRwLock::state`. A thread counts itself in
+/// `waiters` before it parks on the condvar and out after it wakes, so an
+/// unlock that sees `waiters == 0` has nobody to wake and skips the
+/// `notify_all` (a futex syscall even with no one waiting).
 #[derive(Default)]
 struct LockState {
     readers: usize,
     writer: bool,
+    waiters: usize,
 }
 
 impl RawRwLock {
@@ -72,10 +77,21 @@ impl RawRwLock {
         }
     }
 
+    /// Park on the condvar, counted in `waiters` while parked.
+    fn park<'a>(
+        &self,
+        mut s: std::sync::MutexGuard<'a, LockState>,
+    ) -> std::sync::MutexGuard<'a, LockState> {
+        s.waiters += 1;
+        s = self.cond.wait(s).unwrap_or_else(|p| p.into_inner());
+        s.waiters -= 1;
+        s
+    }
+
     fn lock_shared(&self) {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         while s.writer {
-            s = self.cond.wait(s).unwrap_or_else(|p| p.into_inner());
+            s = self.park(s);
         }
         s.readers += 1;
     }
@@ -83,7 +99,7 @@ impl RawRwLock {
     fn unlock_shared(&self) {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         s.readers -= 1;
-        if s.readers == 0 {
+        if s.readers == 0 && s.waiters > 0 {
             self.cond.notify_all();
         }
     }
@@ -91,7 +107,7 @@ impl RawRwLock {
     fn lock_exclusive(&self) {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         while s.writer || s.readers > 0 {
-            s = self.cond.wait(s).unwrap_or_else(|p| p.into_inner());
+            s = self.park(s);
         }
         s.writer = true;
     }
@@ -109,7 +125,9 @@ impl RawRwLock {
     fn unlock_exclusive(&self) {
         let mut s = self.state.lock().unwrap_or_else(|p| p.into_inner());
         s.writer = false;
-        self.cond.notify_all();
+        if s.waiters > 0 {
+            self.cond.notify_all();
+        }
     }
 }
 
@@ -353,6 +371,49 @@ mod tests {
         w.push('y');
         drop(w);
         assert_eq!(&*lock.read(), "xy");
+    }
+
+    /// Block until `n` threads are parked on `lock`'s condvar.
+    fn wait_parked<T>(lock: &RwLock<T>, n: usize) {
+        while lock.raw.state.lock().unwrap().waiters < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn parked_writer_and_reader_both_wake() {
+        // Unlock notifies only when a waiter is recorded, so a parked thread
+        // that was not counted would sleep forever: run the scenario on its
+        // own thread and fail if it has not finished within 10 s.
+        let (done, finished) = std::sync::mpsc::channel();
+        let scenario = std::thread::spawn(move || {
+            let lock = Arc::new(RwLock::new(0i64));
+            // A writer parked behind two readers wakes when the last leaves.
+            let (r1, r2) = (lock.read_arc(), lock.read_arc());
+            let writer = {
+                let lock = Arc::clone(&lock);
+                std::thread::spawn(move || *lock.write() += 1)
+            };
+            wait_parked(&lock, 1);
+            drop(r1);
+            drop(r2);
+            writer.join().unwrap();
+            // A reader parked behind a writer wakes when the writer leaves.
+            let mut w = lock.write_arc();
+            let reader = {
+                let lock = Arc::clone(&lock);
+                std::thread::spawn(move || *lock.read())
+            };
+            wait_parked(&lock, 1);
+            *w += 1;
+            drop(w);
+            done.send(reader.join().unwrap()).unwrap();
+        });
+        let seen = finished
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("a parked thread never woke");
+        scenario.join().unwrap();
+        assert_eq!(seen, 2);
     }
 
     #[test]
