@@ -15,7 +15,6 @@
 //!   fig9     Figure 9 + §5.2 concurrency (LinkBench throughput, scaling, tails)
 //!   throughput-mixed  mixed read/write over the wire protocol: MVCC vs lock
 //!   conn-sweep  wire protocol: ops/sec + tails at 1/8/64/256/1024 sockets
-//!   shard-sweep hash-partitioned store: ops/sec at 1/2/4/8 shards
 //!   table6   Table 6 (per-op latency, mid scale)
 //!   table7   Table 7 (per-op latency, largest scale)
 //!   sizes    §5.1 storage footprints
@@ -58,13 +57,6 @@ fn main() {
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| die("--lb-ops needs an integer"));
             }
-            "--shard-nodes" => {
-                i += 1;
-                config.shard_nodes = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--shard-nodes needs an integer"));
-            }
             name if !name.starts_with('-') => experiment = name.to_string(),
             other => die(&format!("unknown flag {other}")),
         }
@@ -88,7 +80,6 @@ fn main() {
             "fig9" => experiments::fig9(config),
             "throughput-mixed" => experiments::throughput_mixed(config),
             "conn-sweep" => experiments::conn_sweep(config),
-            "shard-sweep" => experiments::shard_sweep(config),
             "table6" => experiments::table67(config, false),
             "table7" => experiments::table67(config, true),
             "sizes" => experiments::sizes(config),
@@ -111,7 +102,6 @@ fn main() {
             "fig9",
             "throughput-mixed",
             "conn-sweep",
-            "shard-sweep",
             "table6",
             "table7",
             "sizes",
@@ -127,8 +117,8 @@ fn main() {
 
 fn print_usage() {
     eprintln!(
-        "usage: repro <fig3|fig4|table3|table4|fig6|longpath|fig8|fig8c|fig9|throughput-mixed|conn-sweep|shard-sweep|table6|table7|sizes|recovery|all> \
-         [--scale F] [--runs N] [--lb-ops N] [--shard-nodes N] [--quick]"
+        "usage: repro <fig3|fig4|table3|table4|fig6|longpath|fig8|fig8c|fig9|throughput-mixed|conn-sweep|table6|table7|sizes|recovery|all> \
+         [--scale F] [--runs N] [--lb-ops N] [--quick]"
     );
 }
 

@@ -2,10 +2,8 @@
 //! system, and returns a printable report. The `repro` binary is a thin
 //! dispatcher over these.
 
-use crate::linkops::{spin, LinkOps, RemoteMixedOps, ShardedLinkOps, SqlLinkOps};
-use crate::setup::{
-    build_kvgraph, build_nativegraph, build_sharded, build_sqlgraph, to_graph_data,
-};
+use crate::linkops::{spin, LinkOps, RemoteMixedOps, SqlLinkOps};
+use crate::setup::{build_kvgraph, build_nativegraph, build_sqlgraph, to_graph_data};
 use crate::timing::{mean_time, ms, LatencyStats};
 use sqlgraph_baselines::RemoteGraph;
 use sqlgraph_core::alt::{JsonAdjacency, ShreddedAttrs};
@@ -44,9 +42,6 @@ pub struct ReproConfig {
     pub call_overhead_us: u64,
     /// Client counts for the connection-scalability sweep (`conn-sweep`).
     pub conn_counts: Vec<usize>,
-    /// LinkBench graph size (node count) for the shard-count sweep — the
-    /// headline claim is made at 1M+ nodes.
-    pub shard_nodes: usize,
 }
 
 impl Default for ReproConfig {
@@ -59,7 +54,6 @@ impl Default for ReproConfig {
             lb_requesters: vec![1, 10, 100],
             call_overhead_us: 20,
             conn_counts: vec![1, 8, 64, 256, 1024],
-            shard_nodes: 1_000_000,
         }
     }
 }
@@ -75,7 +69,6 @@ impl ReproConfig {
             lb_requesters: vec![1, 4],
             call_overhead_us: 20,
             conn_counts: vec![1, 8, 64],
-            shard_nodes: 2_000,
         }
     }
 
@@ -732,126 +725,6 @@ fn tail_columns(all: &LatencyStats) -> String {
         ms(all.percentile(95.0)),
         ms(all.percentile(99.0))
     )
-}
-
-/// Throughput of one store under `requesters` threads with the read/write
-/// balance pinned to `write_permille` (the within-class mix stays Table 6).
-fn run_pinned_mix<S: LinkOps>(
-    store: &S,
-    nodes: usize,
-    requesters: usize,
-    ops_per_requester: usize,
-    seed: u64,
-    write_permille: u32,
-) -> (f64, LatencyStats) {
-    let collected: Mutex<LatencyStats> = Mutex::new(LatencyStats::default());
-    let start = Instant::now();
-    std::thread::scope(|scope| {
-        for r in 0..requesters {
-            let collected = &collected;
-            scope.spawn(move || {
-                let mut wl = Workload::new(seed, r as u64, nodes, 32);
-                let mut local = LatencyStats::default();
-                for _ in 0..ops_per_requester {
-                    let op = wl.next_op_mixed(write_permille);
-                    let t0 = Instant::now();
-                    let _ = store.apply(&op);
-                    local.record(t0.elapsed());
-                }
-                collected.lock().expect("no poisoning").merge(&local);
-            });
-        }
-    });
-    let elapsed = start.elapsed().as_secs_f64().max(1e-9);
-    let total_ops = requesters * ops_per_requester;
-    (
-        total_ops as f64 / elapsed,
-        collected.into_inner().expect("no poisoning"),
-    )
-}
-
-/// Shard-count sweep: LinkBench throughput against the hash-partitioned
-/// store at N = 1/2/4/8 shards, read-only and 10%-write mixes.
-///
-/// Every LinkBench read keys on one node id and routes to exactly one
-/// shard, so the sweep measures what partitioning buys under concurrent
-/// point reads: N independent snapshot registries, commit locks, and
-/// WAL/commit mutexes instead of one of each, plus smaller (more
-/// cache-resident) per-shard tables. The headline claim is the `vs N=1`
-/// column of the read row at 4 shards on a 1M+ node graph.
-pub fn shard_sweep(cfg: &ReproConfig) -> String {
-    let mut out = String::new();
-    let nodes = cfg.shard_nodes;
-    let data = linkbench::generate(&LinkBenchConfig::with_nodes(nodes));
-    // 16 closed-loop requesters — enough pressure that the single store's
-    // serialization points (snapshot registry, commit mutex) convoy.
-    let threads = 16usize;
-    let ops_each = cfg.lb_ops.max(100) * 10;
-    let _ = writeln!(
-        out,
-        "Shard-count sweep — LinkBench against the hash-partitioned store\n\
-         scale: {} nodes, {} edges; {} threads, {} ops each; no per-call overhead",
-        data.vertex_count(),
-        data.edge_count(),
-        threads,
-        ops_each
-    );
-    let _ = writeln!(
-        out,
-        "{:<8} {:<7} {:>12} {:>10} {:>9} {:>9} {:>9}",
-        "shards", "mix", "ops/sec", "vs N=1", "p50 ms", "p95 ms", "p99 ms"
-    );
-    let mut read_base = 0.0f64;
-    let mut mixed_base = 0.0f64;
-    let mut read_at_4 = 0.0f64;
-    for &n in &[1usize, 2, 4, 8] {
-        // Fresh store per shard count so earlier mutations don't skew
-        // later cells.
-        let g = build_sharded(&data, n);
-        let ops = ShardedLinkOps {
-            graph: &g,
-            overhead: Duration::ZERO,
-        };
-        let (read_tput, read_lat) = run_pinned_mix(&ops, nodes, threads, ops_each, 17, 0);
-        if n == 1 {
-            read_base = read_tput;
-        }
-        if n == 4 {
-            read_at_4 = read_tput;
-        }
-        let _ = writeln!(
-            out,
-            "{:<8} {:<7} {:>12.0} {:>9.2}x {}",
-            n,
-            "read",
-            read_tput,
-            read_tput / read_base.max(1e-9),
-            tail_columns(&read_lat)
-        );
-        let (mixed_tput, mixed_lat) = run_pinned_mix(&ops, nodes, threads, ops_each, 19, 100);
-        if n == 1 {
-            mixed_base = mixed_tput;
-        }
-        let _ = writeln!(
-            out,
-            "{:<8} {:<7} {:>12.0} {:>9.2}x {}",
-            n,
-            "mixed",
-            mixed_tput,
-            mixed_tput / mixed_base.max(1e-9),
-            tail_columns(&mixed_lat)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "(headline: 4-shard read throughput is {:.1}x the single-shard store; \
-         {} cores available here)",
-        read_at_4 / read_base.max(1e-9),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-    out
 }
 
 /// The lock baseline of the mixed run: a readers/writer lock that serves

@@ -8,7 +8,7 @@
 //! one indexed SQL statement, writes run as the multi-table stored
 //! procedures.
 
-use sqlgraph_core::{GraphTxn, ShardedGraph, SqlGraph};
+use sqlgraph_core::{GraphTxn, SqlGraph};
 use sqlgraph_datagen::linkbench::Op;
 use sqlgraph_gremlin::{Blueprints, Direction};
 use sqlgraph_json::Json;
@@ -177,46 +177,6 @@ impl LinkOps for SqlLinkOps<'_> {
             return <SqlGraph as LinkOps>::apply(self.graph, op);
         }
         read_op(self.graph.database(), op)
-    }
-}
-
-/// Set-oriented LinkBench driver over the hash-partitioned store.
-///
-/// Every LinkBench read keys on a single node id, and an out-edge's `EA`
-/// row lives on its source's shard — so each read routes to exactly one
-/// shard's database and runs the same single indexed statement
-/// [`SqlLinkOps`] issues. Writes go through the sharded graph procedures
-/// (cross-shard links commit two-shard atomically under the shared
-/// timestamp oracle).
-pub struct ShardedLinkOps<'g> {
-    /// The partitioned store.
-    pub graph: &'g ShardedGraph,
-    /// One round trip per operation.
-    pub overhead: std::time::Duration,
-}
-
-impl ShardedLinkOps<'_> {
-    /// The one shard database a read routes to; `None` for a write.
-    fn read_db(&self, op: &Op) -> Option<&Database> {
-        match op {
-            Op::GetNode { id }
-            | Op::CountLink { id, .. }
-            | Op::MultigetLink { src: id, .. }
-            | Op::GetLinkList { id, .. } => Some(self.graph.shard_for(*id).database()),
-            _ => None,
-        }
-    }
-}
-
-impl LinkOps for ShardedLinkOps<'_> {
-    fn apply(&self, op: &Op) -> Result<bool, String> {
-        spin(self.overhead);
-        match self.read_db(op) {
-            Some(db) => read_op(db, op),
-            // Blueprints impl of ShardedGraph routes through the sharded
-            // stored procedures; reuse it for writes.
-            None => <ShardedGraph as LinkOps>::apply(self.graph, op),
-        }
     }
 }
 
@@ -456,14 +416,8 @@ mod tests {
         let native = NativeGraph::new();
         data.load_blueprints(&native).unwrap();
 
-        let sharded = crate::setup::build_sharded(&data, 4);
-
         let sql_ops = SqlLinkOps {
             graph: &sql,
-            overhead: std::time::Duration::ZERO,
-        };
-        let sharded_ops = ShardedLinkOps {
-            graph: &sharded,
             overhead: std::time::Duration::ZERO,
         };
         let mut wl = Workload::new(11, 0, config.nodes, 8);
@@ -474,23 +428,6 @@ mod tests {
             // Write effectiveness must agree so the stores stay in sync.
             if op.is_write() {
                 assert_eq!(a, b, "write disagreement on {op:?}");
-            }
-            // The 4-shard store applies every write, and answers every
-            // read from the shard it routes to, as the unsharded one does.
-            let c = sharded_ops.apply(&op).unwrap();
-            assert_eq!(a, c, "sharded write diverged on {op:?}");
-            if let Some(shard) = sharded_ops.read_db(&op) {
-                let rows = |db: &Database| {
-                    let mut got = Vec::new();
-                    read_with(&op, |sql, params| {
-                        let rel = db.execute_with_params(sql, params).unwrap();
-                        got.clone_from(&rel.rows);
-                        Ok(rel)
-                    })
-                    .unwrap();
-                    got
-                };
-                assert_eq!(rows(sql.database()), rows(shard), "sharded read {op:?}");
             }
         }
         // Final edge counts agree.

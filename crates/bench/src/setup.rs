@@ -1,7 +1,7 @@
 //! Store construction from generated datasets.
 
 use sqlgraph_baselines::{KvGraph, NativeGraph};
-use sqlgraph_core::{GraphData, SchemaConfig, ShardedGraph, SqlGraph};
+use sqlgraph_core::{GraphData, SchemaConfig, SqlGraph};
 use sqlgraph_datagen::Dataset;
 
 /// Convert a generated dataset into SQLGraph's bulk-load form.
@@ -36,22 +36,6 @@ pub fn build_sqlgraph(data: &Dataset) -> SqlGraph {
     ] {
         g.create_vertex_property_index(key).expect("property index");
     }
-    g
-}
-
-/// Build a hash-partitioned SQLGraph store with `shards` inner databases.
-/// Same schema width as [`build_sqlgraph`]; the §3.2 coloring is computed
-/// once from the full data so every shard lays labels out identically.
-pub fn build_sharded(data: &Dataset, shards: usize) -> ShardedGraph {
-    let g = ShardedGraph::with_config(
-        shards,
-        SchemaConfig {
-            out_buckets: 16,
-            in_buckets: 16,
-        },
-    )
-    .expect("schema");
-    g.bulk_load(&to_graph_data(data)).expect("bulk load");
     g
 }
 

@@ -132,7 +132,8 @@ mod tests {
     #[test]
     fn percentile_of_merged_shards_matches_global() {
         // Per-thread accumulators merged into one must yield the same
-        // tail as recording globally — the shard sweep relies on this.
+        // tail as recording globally — `run_linkbench` (fig9, table6/7)
+        // and `conn-sweep` merge per-thread stats this way.
         let mut a = LatencyStats::default();
         let mut b = LatencyStats::default();
         let mut global = LatencyStats::default();

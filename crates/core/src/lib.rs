@@ -33,7 +33,6 @@
 pub mod alt;
 pub mod layout;
 pub mod schema;
-pub mod shard;
 pub mod store;
 pub mod translate;
 
@@ -45,12 +44,10 @@ const _: () = {
     const fn sync_clean<T: Send + Sync>() {}
     sync_clean::<store::SqlGraph>();
     sync_clean::<store::GraphData>();
-    sync_clean::<shard::ShardedGraph>();
 };
 
 pub use layout::{color_labels, ColorMap, GraphLayout, LayoutStats};
 pub use schema::{deleted_id, SchemaConfig, MV_BASE};
-pub use shard::{shard_of, ShardedGraph};
 pub use store::{props_to_json, value_to_json, GraphData, GraphTxn, SqlGraph};
 pub use translate::{translate, translate_with, AdjacencyStrategy, TranslateOptions, Unsupported};
 

@@ -21,7 +21,7 @@ use sqlgraph_json::{Json, JsonObject};
 use sqlgraph_rel::expr::json_to_value;
 use sqlgraph_rel::sql::ast::Statement;
 use sqlgraph_rel::sql::parser::parse_statement_with_params;
-use sqlgraph_rel::{ClockCache, Database, Prepared, Relation, TsOracle, Txn, Value};
+use sqlgraph_rel::{ClockCache, Database, Prepared, Relation, Txn, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
@@ -125,18 +125,6 @@ impl SqlGraph {
         Ok(SqlGraph::from_db(db, config))
     }
 
-    /// [`SqlGraph::with_config`] whose commit timestamps come from a shared
-    /// oracle. Used by [`crate::shard::ShardedGraph`] so all shards draw
-    /// from one monotone clock (the cross-shard atomic-commit requirement).
-    pub fn with_config_oracle(
-        config: SchemaConfig,
-        oracle: Arc<TsOracle>,
-    ) -> Result<SqlGraph, CoreError> {
-        let db = Database::new_with_oracle(oracle);
-        create_tables(&db, &config)?;
-        Ok(SqlGraph::from_db(db, config))
-    }
-
     /// Open (or create) a WAL-backed store at `wal_path`. Existing data is
     /// recovered by replay; id counters resume past the recovered maxima.
     pub fn open(wal_path: impl AsRef<Path>, config: SchemaConfig) -> Result<SqlGraph, CoreError> {
@@ -151,19 +139,6 @@ impl SqlGraph {
         vfs: std::sync::Arc<dyn sqlgraph_rel::Vfs>,
     ) -> Result<SqlGraph, CoreError> {
         SqlGraph::from_recovered(Database::open_with_vfs(wal_path, vfs)?, config)
-    }
-
-    /// [`SqlGraph::open_with_vfs`] with a shared commit-timestamp oracle.
-    pub fn open_with_vfs_oracle(
-        wal_path: impl AsRef<Path>,
-        config: SchemaConfig,
-        vfs: std::sync::Arc<dyn sqlgraph_rel::Vfs>,
-        oracle: Arc<TsOracle>,
-    ) -> Result<SqlGraph, CoreError> {
-        SqlGraph::from_recovered(
-            Database::open_with_vfs_oracle(wal_path, vfs, oracle)?,
-            config,
-        )
     }
 
     fn from_recovered(db: Database, config: SchemaConfig) -> Result<SqlGraph, CoreError> {
@@ -281,73 +256,43 @@ impl SqlGraph {
     /// Bulk loading bypasses the WAL (standard bulk-import semantics); use
     /// it on a fresh store.
     pub fn bulk_load(&self, data: &GraphData) -> Result<(), CoreError> {
-        let layout = layout_for(&self.config, [data]);
-        self.bulk_load_with_layout(data, &layout, None)
-    }
-
-    /// [`SqlGraph::bulk_load`] with a pre-computed layout, optionally
-    /// restricted to one hash partition.
-    ///
-    /// `part = Some((n, me))` loads only this shard's slice of `data`:
-    /// vertex rows whose vid hashes to `me` under [`crate::shard::shard_of`],
-    /// EA rows owned by their *source* vertex, out-adjacency for owned
-    /// sources, and in-adjacency for owned targets. The layout must be
-    /// computed from the full graph (via [`layout_for`]) so every shard
-    /// colors labels identically.
-    pub(crate) fn bulk_load_with_layout(
-        &self,
-        data: &GraphData,
-        layout: &GraphLayout,
-        part: Option<(usize, usize)>,
-    ) -> Result<(), CoreError> {
-        let owns = |vid: i64| match part {
-            None => true,
-            Some((n, me)) => crate::shard::shard_of(vid, n) == me,
-        };
-        // 1. This partition's adjacency, grouped by vertex and label.
+        let layout = layout_for(&self.config, data);
+        // 1. Adjacency, grouped by vertex and label.
         let mut out_adj: AdjacencyMap<'_> = AdjacencyMap::new();
         let mut in_adj: AdjacencyMap<'_> = AdjacencyMap::new();
         for (eid, src, dst, label, _) in &data.edges {
-            if owns(*src) {
-                out_adj
-                    .entry(*src)
-                    .or_default()
-                    .entry(label)
-                    .or_default()
-                    .push((*eid, *dst));
-            }
-            if owns(*dst) {
-                in_adj
-                    .entry(*dst)
-                    .or_default()
-                    .entry(label)
-                    .or_default()
-                    .push((*eid, *src));
-            }
+            out_adj
+                .entry(*src)
+                .or_default()
+                .entry(label)
+                .or_default()
+                .push((*eid, *dst));
+            in_adj
+                .entry(*dst)
+                .or_default()
+                .entry(label)
+                .or_default()
+                .push((*eid, *src));
         }
 
         // 2. Write VA.
         {
             let mut va = self.db.write_table("va")?;
             for (vid, props) in &data.vertices {
-                if owns(*vid) {
-                    va.insert(vec![Value::Int(*vid), Value::json(props_to_json(props))])?;
-                }
+                va.insert(vec![Value::Int(*vid), Value::json(props_to_json(props))])?;
             }
         }
-        // 3. Write EA (placed on the source vertex's partition).
+        // 3. Write EA.
         {
             let mut ea = self.db.write_table("ea")?;
             for (eid, src, dst, label, props) in &data.edges {
-                if owns(*src) {
-                    ea.insert(vec![
-                        Value::Int(*eid),
-                        Value::Int(*src),
-                        Value::Int(*dst),
-                        Value::str(label),
-                        Value::json(props_to_json(props)),
-                    ])?;
-                }
+                ea.insert(vec![
+                    Value::Int(*eid),
+                    Value::Int(*src),
+                    Value::Int(*dst),
+                    Value::str(label),
+                    Value::json(props_to_json(props)),
+                ])?;
             }
         }
         // 4. Shred adjacency, collecting Table 3 stats.
@@ -366,10 +311,10 @@ impl SqlGraph {
                 .unwrap_or(0),
             ..LayoutStats::default()
         };
-        self.shred_direction(layout, &out_adj, true, data.vertices.len(), &mut stats_out)?;
-        self.shred_direction(layout, &in_adj, false, data.vertices.len(), &mut stats_in)?;
+        self.shred_direction(&layout, &out_adj, true, data.vertices.len(), &mut stats_out)?;
+        self.shred_direction(&layout, &in_adj, false, data.vertices.len(), &mut stats_in)?;
 
-        // 5. Counters (from the full graph, so shard loads agree) and layout.
+        // 5. Counters and layout.
         let max_vid = data.vertices.iter().map(|(v, _)| *v).max().unwrap_or(0);
         let max_eid = data.edges.iter().map(|(e, ..)| *e).max().unwrap_or(0);
         self.next_vid.fetch_max(max_vid + 1, Ordering::SeqCst);
@@ -380,7 +325,7 @@ impl SqlGraph {
             // that missed holds from reading the layout to inserting its
             // template, so none built on the old layout lands afterwards.
             let mut current = self.layout.write();
-            *current = Arc::new(layout.clone());
+            *current = Arc::new(layout);
             self.templates.clear();
         }
         *self.load_stats.write() = Some((stats_out, stats_in));
@@ -604,7 +549,7 @@ impl SqlGraph {
             None => {
                 self.template_misses.fetch_add(1, Ordering::Relaxed);
                 // Held from reading the layout to inserting the template:
-                // see `bulk_load_with_layout`.
+                // see `bulk_load`.
                 let layout = self.layout.read();
                 let (sql, slots) = translate_template(pipeline, &layout, options)
                     .map_err(|u| CoreError::Unsupported(u.reason))?;
@@ -1162,34 +1107,15 @@ impl SqlGraph {
         let rel = tx.execute_with_params("SELECT vid FROM va WHERE vid = ?", &[Value::Int(vid)])?;
         Ok(!rel.rows.is_empty())
     }
-
-    /// Where this store's vertex-id counter stands (for shard-global
-    /// allocation: the sharded layer takes the max across shards).
-    pub(crate) fn next_vid_hint(&self) -> i64 {
-        self.next_vid.load(Ordering::SeqCst)
-    }
-
-    /// Where this store's edge-id counter stands.
-    pub(crate) fn next_eid_hint(&self) -> i64 {
-        self.next_eid.load(Ordering::SeqCst)
-    }
 }
 
-/// Compute the §3.2 coloring layout for the union of one or more graphs'
-/// per-vertex label sets. Shards pass every partition's data so the
-/// coloring — and therefore the bucket each label hashes to — is identical
-/// on all shards.
-pub(crate) fn layout_for<'a>(
-    config: &SchemaConfig,
-    datasets: impl IntoIterator<Item = &'a GraphData>,
-) -> GraphLayout {
-    let mut out_labels: BTreeMap<i64, BTreeSet<&'a str>> = BTreeMap::new();
-    let mut in_labels: BTreeMap<i64, BTreeSet<&'a str>> = BTreeMap::new();
-    for data in datasets {
-        for (_, src, dst, label, _) in &data.edges {
-            out_labels.entry(*src).or_default().insert(label);
-            in_labels.entry(*dst).or_default().insert(label);
-        }
+/// Compute the §3.2 coloring layout from a graph's per-vertex label sets.
+fn layout_for(config: &SchemaConfig, data: &GraphData) -> GraphLayout {
+    let mut out_labels: BTreeMap<i64, BTreeSet<&str>> = BTreeMap::new();
+    let mut in_labels: BTreeMap<i64, BTreeSet<&str>> = BTreeMap::new();
+    for (_, src, dst, label, _) in &data.edges {
+        out_labels.entry(*src).or_default().insert(label);
+        in_labels.entry(*dst).or_default().insert(label);
     }
     GraphLayout {
         out: color_labels(

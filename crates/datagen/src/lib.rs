@@ -49,27 +49,6 @@ impl Dataset {
         self.edges.len()
     }
 
-    /// Split into `n` partition datasets by `hash(vid)` (the store's VID
-    /// partitioner, passed in so this crate stays placement-agnostic). A
-    /// vertex goes to its owner's partition; an edge goes to its *source's*
-    /// partition and, when different, is duplicated into its *target's* —
-    /// each side of a cross-partition edge needs the edge to build its
-    /// local adjacency half.
-    pub fn partition(&self, n: usize, hash: impl Fn(i64) -> usize) -> Vec<Dataset> {
-        let mut parts = vec![Dataset::default(); n.max(1)];
-        for v in &self.vertices {
-            parts[hash(v.0)].vertices.push(v.clone());
-        }
-        for e in &self.edges {
-            let (src_part, dst_part) = (hash(e.1), hash(e.2));
-            parts[src_part].edges.push(e.clone());
-            if dst_part != src_part {
-                parts[dst_part].edges.push(e.clone());
-            }
-        }
-        parts
-    }
-
     /// Load into any Blueprints store, asserting the store assigns the same
     /// dense ids (true for all stores in this workspace when fresh).
     pub fn load_blueprints<G: Blueprints + ?Sized>(&self, g: &G) -> GraphResult<()> {
@@ -89,26 +68,6 @@ impl Dataset {
 mod tests {
     use super::*;
     use sqlgraph_gremlin::MemGraph;
-
-    #[test]
-    fn partition_covers_vertices_once_and_edges_per_endpoint() {
-        let mut data = Dataset::default();
-        for vid in 1..=10i64 {
-            data.vertices.push((vid, vec![]));
-        }
-        // Edge 1 is intra-partition under `vid % 3`, edge 2 crosses.
-        data.edges.push((1, 3, 6, "x".into(), vec![]));
-        data.edges.push((2, 1, 2, "y".into(), vec![]));
-        let parts = data.partition(3, |vid| (vid % 3) as usize);
-        assert_eq!(parts.len(), 3);
-        let vids: usize = parts.iter().map(|p| p.vertex_count()).sum();
-        assert_eq!(vids, 10, "every vertex in exactly one partition");
-        let edges: usize = parts.iter().map(|p| p.edge_count()).sum();
-        assert_eq!(edges, 3, "cross-partition edge duplicated to both sides");
-        assert!(parts[0].edges.iter().any(|e| e.0 == 1));
-        assert!(parts[1].edges.iter().any(|e| e.0 == 2));
-        assert!(parts[2].edges.iter().any(|e| e.0 == 2));
-    }
 
     #[test]
     fn load_into_memgraph() {

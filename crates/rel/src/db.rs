@@ -33,7 +33,7 @@ use crate::schema::{Column, ColumnType, TableSchema};
 use crate::sql::ast::{self, Statement};
 use crate::sql::parse_statement;
 use crate::storage::Table;
-use crate::txn::{Snapshot, TsOracle, TxnManager};
+use crate::txn::{Snapshot, TxnManager};
 use crate::value::Value;
 use crate::wal::{segment_path, Wal, WalRecord};
 use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
@@ -251,17 +251,8 @@ impl TxnState {
 }
 
 impl Database {
-    /// A fresh in-memory database (no durability) with a private
-    /// commit-timestamp oracle.
+    /// A fresh in-memory database (no durability).
     pub fn new() -> Database {
-        Database::new_with_oracle(Arc::new(TsOracle::new()))
-    }
-
-    /// A fresh in-memory database drawing commit timestamps from `oracle`.
-    /// Sharded deployments hand one oracle to every shard so cross-shard
-    /// commits carry a single globally ordered timestamp (see
-    /// [`commit_many`]).
-    pub fn new_with_oracle(oracle: Arc<TsOracle>) -> Database {
         Database {
             tables: RwLock::new(FxHashMap::default()),
             procedures: RwLock::new(FxHashMap::default()),
@@ -272,7 +263,7 @@ impl Database {
             plan_replans: std::sync::atomic::AtomicU64::new(0),
             parallelism: std::sync::atomic::AtomicUsize::new(env_test_dop()),
             commit_lock: RwLock::new(()),
-            txns: TxnManager::with_oracle(oracle),
+            txns: TxnManager::new(),
             commits_since_vacuum: std::sync::atomic::AtomicU64::new(0),
             csr: std::sync::atomic::AtomicBool::new(true),
             csr_cache: RwLock::new(FxHashMap::default()),
@@ -284,12 +275,6 @@ impl Database {
     /// The MVCC transaction manager (clock, active snapshots, watermark).
     pub fn txns(&self) -> &TxnManager {
         &self.txns
-    }
-
-    /// The commit-timestamp oracle this database allocates from (share it
-    /// via [`Database::new_with_oracle`] to coordinate several databases).
-    pub fn timestamp_oracle(&self) -> Arc<TsOracle> {
-        self.txns.oracle().clone()
     }
 
     /// Whether the CSR adjacency access path is enabled.
@@ -494,21 +479,9 @@ impl Database {
     /// [`Database::open`] over an explicit file-system layer — the entry
     /// point for deterministic crash testing with [`crate::io::SimFs`].
     pub fn open_with_vfs(wal_path: impl AsRef<Path>, vfs: Arc<dyn Vfs>) -> Result<Database> {
-        Database::open_with_vfs_oracle(wal_path, vfs, Arc::new(TsOracle::new()))
-    }
-
-    /// [`Database::open_with_vfs`] drawing commit timestamps from a shared
-    /// `oracle`. Recovery ratchets the oracle past every replayed commit,
-    /// so opening N shards against one oracle leaves it beyond the newest
-    /// commit any shard has seen.
-    pub fn open_with_vfs_oracle(
-        wal_path: impl AsRef<Path>,
-        vfs: Arc<dyn Vfs>,
-        oracle: Arc<TsOracle>,
-    ) -> Result<Database> {
         let base = wal_path.as_ref().to_path_buf();
         let mut report = RecoveryReport::default();
-        let mut db = Database::new_with_oracle(oracle);
+        let mut db = Database::new();
 
         // 1. Snapshot, if a checkpoint was ever taken. A stray temp file
         //    from an interrupted checkpoint is ignored (and cleaned up).
@@ -888,7 +861,7 @@ impl Database {
     }
 
     /// Commit protocol: serialize on the transaction manager, reserve a
-    /// fresh timestamp from the oracle, append redo + `Commit{ts}` to the
+    /// fresh timestamp from its allocator, append redo + `Commit{ts}` to the
     /// WAL, stamp every provisional version with `ts` (shared table guards
     /// — stamps are atomics), and advance the applied clock *last* so any
     /// snapshot at the new clock value observes the commit in full.
@@ -1558,114 +1531,6 @@ impl Drop for Txn<'_> {
             self.db.rollback_state(state);
         }
     }
-}
-
-/// Commit several open transactions — each on its own [`Database`] — as one
-/// atomic unit carrying a single commit timestamp. The sharded store's
-/// two-shard commit path: a cross-shard edge insert journals on the source
-/// shard (EA + out-adjacency) and the target shard (in-adjacency), and both
-/// must become visible at the same instant of the shared clock.
-///
-/// Requirements:
-/// * every participating database must share one [`TsOracle`] (databases
-///   constructed via [`Database::new_with_oracle`] /
-///   [`Database::open_with_vfs_oracle`]); otherwise every transaction is
-///   rolled back and an error returned,
-/// * concurrent callers must pass their participants in a single global
-///   order (e.g. ascending shard index) — commit locks are taken in the
-///   order given, and inconsistent orders can deadlock.
-///
-/// Failure semantics match [`Txn::commit`]: if any WAL append fails, every
-/// participant's in-memory state is rolled back and the caller gets an
-/// error, but WALs appended *before* the failing one retain the commit —
-/// durably indeterminate until reconciliation at the next open (the sharded
-/// store repairs such torn cross-shard commits from the source shard's EA).
-pub fn commit_many(txns: Vec<Txn<'_>>) -> Result<()> {
-    // Strip inert participants: nothing journaled means nothing to commit.
-    let mut parts: Vec<(&Database, TxnState)> = Vec::new();
-    for mut txn in txns {
-        let state = txn.state.take().expect("transaction is open");
-        if state.is_empty() {
-            txn.db.release_state(state);
-        } else {
-            parts.push((txn.db, state));
-        }
-    }
-    if parts.is_empty() {
-        return Ok(());
-    }
-    if parts.len() == 1 {
-        let (db, state) = parts.pop().expect("one participant");
-        return db.commit_state(state);
-    }
-    let oracle = parts[0].0.txns.oracle().clone();
-    if parts
-        .iter()
-        .any(|(db, _)| !Arc::ptr_eq(db.txns.oracle(), &oracle))
-    {
-        for (db, state) in parts {
-            db.rollback_state(state);
-        }
-        return Err(Error::Invalid(
-            "commit_many: participating databases do not share a timestamp oracle".into(),
-        ));
-    }
-    {
-        // Lock phase, in caller order: checkpoint exclusion then commit
-        // serialization per participant, mirroring the single-db protocol.
-        let _commit_guards: Vec<_> = parts
-            .iter()
-            .map(|(db, _)| db.commit_lock.read_recursive())
-            .collect();
-        let serials: Vec<_> = parts
-            .iter()
-            .map(|(db, _)| db.txns.commit_mutex.lock())
-            .collect();
-        let ts = oracle.allocate();
-        // WAL appends in caller order. A failure after earlier appends
-        // leaves those shards' logs carrying the commit — repaired by
-        // reconciliation on reopen; the in-memory state rolls back whole.
-        let mut failed = None;
-        for (db, state) in &parts {
-            if state.journal.redo.is_empty() {
-                continue;
-            }
-            if let Some(wal) = &db.wal {
-                if let Err(e) = wal.lock().append_commit(&state.journal.redo, ts) {
-                    failed = Some(e);
-                    break;
-                }
-            }
-        }
-        if let Some(e) = failed {
-            drop(serials);
-            for (db, state) in parts {
-                db.rollback_state(state);
-            }
-            return Err(e);
-        }
-        // Stamp every provisional version everywhere, then advance each
-        // participant's applied clock: a reader on any shard either sees
-        // the whole commit (its clock reached `ts`) or none of it.
-        for (db, state) in &parts {
-            let token = state.snap.token;
-            for op in &state.journal.undo {
-                if let Some((table, row_id)) = op.dml_target() {
-                    if let Ok(t) = db.read_table(table) {
-                        t.stamp_commit(row_id, token, ts);
-                    }
-                }
-            }
-        }
-        for (db, _) in &parts {
-            db.txns.advance_clock(ts);
-        }
-    }
-    for (db, state) in parts {
-        db.release_state(state);
-        db.maybe_vacuum();
-    }
-    Ok(())
 }
 
 /// Row ids visible to `snap` and matching `filter`: an index lookup when

@@ -76,12 +76,12 @@ const _: () = {
 
 pub use cache::ClockCache;
 pub use checkpoint::{CheckpointReport, RecoveryReport};
-pub use db::{commit_many, Database, Txn};
+pub use db::{Database, Txn};
 pub use error::{Error, Result};
 pub use exec::Relation;
 pub use io::{Fault, FaultKind, SimFs, StdFs, Vfs};
 pub use prepared::Prepared;
 pub use schema::{Column, ColumnType, TableSchema};
 pub use stats::TableStats;
-pub use txn::{Session, Snapshot, TsOracle};
+pub use txn::{Session, Snapshot};
 pub use value::Value;

@@ -145,7 +145,7 @@ impl Latch {
 /// Panics in any worker are re-raised on the calling thread **after**
 /// every worker has finished, so no task is left running with borrows
 /// into a unwound stack frame.
-pub fn run_scoped<F>(dop: usize, task: F)
+fn run_scoped<F>(dop: usize, task: F)
 where
     F: Fn(usize) + Send + Sync,
 {

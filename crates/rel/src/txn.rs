@@ -4,7 +4,8 @@
 //! graph-native stores — rests on the relational engine letting readers
 //! proceed while writers commit. This module supplies that engine layer:
 //!
-//! * a global **commit clock** (`u64` timestamps, 0 = "always committed"),
+//! * a **commit clock** (`u64` timestamps, 0 = "always committed"), owned
+//!   by the database's [`TxnManager`] together with its allocator,
 //! * per-transaction **snapshots** (`ts` = last commit visible, `token` =
 //!   this transaction's provisional-write marker),
 //! * the **visibility predicate** every read path evaluates against a row
@@ -24,12 +25,13 @@
 //!
 //! ## Commit protocol
 //!
-//! Commits serialize on a single mutex: reserve `ts = clock + 1`, append
-//! the redo records + `Commit{ts}` to the WAL, stamp every provisional
-//! version to `ts`, and only then advance the clock. Snapshots read the
-//! clock *first*, so a snapshot either predates a commit entirely (its
-//! versions still carry markers or a larger `ts` — invisible either way)
-//! or postdates it entirely (fully stamped). Readers never block.
+//! Commits serialize on a single mutex: reserve the next timestamp `ts`,
+//! append the redo records + `Commit{ts}` to the WAL, stamp every
+//! provisional version to `ts`, and only then advance the applied clock.
+//! Snapshots read the applied clock *first*, so a snapshot either predates
+//! a commit entirely (its versions still carry markers or a larger `ts` —
+//! invisible either way) or postdates it entirely (fully stamped). Readers
+//! never block.
 
 use crate::db::{Database, TxnState};
 use crate::error::{Error, Result};
@@ -39,7 +41,6 @@ use crate::value::Value;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// High bit marking a provisional (uncommitted) stamp: `TXN_BIT | token`.
 pub const TXN_BIT: u64 = 1 << 63;
@@ -110,54 +111,22 @@ impl Snapshot {
     }
 }
 
-/// A monotone commit-timestamp allocator, shareable across databases.
+/// The per-database transaction state: commit-timestamp allocator,
+/// applied-commit clock, token allocator, active-snapshot registry, and the
+/// commit serialization point.
 ///
-/// A single database owns a private oracle; a sharded deployment hands one
-/// oracle to every shard so cross-shard commits carry one globally ordered
-/// timestamp. The oracle only *allocates*; each database keeps its own
-/// `applied` clock (the last timestamp it has fully stamped), so readers on
-/// one shard never wait on commits happening on another. Allocation holes —
-/// timestamps reserved by commits that later failed — are harmless: replay
-/// and visibility only care about the stamps actually written.
-#[derive(Debug, Default)]
-pub struct TsOracle {
-    /// Last allocated timestamp.
-    next: AtomicU64,
-}
-
-impl TsOracle {
-    /// A fresh oracle at 0.
-    pub fn new() -> TsOracle {
-        TsOracle::default()
-    }
-
-    /// Reserve the next commit timestamp (strictly increasing, never 0).
-    pub fn allocate(&self) -> u64 {
-        self.next.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// Ratchet the allocator to at least `ts` (recovery path: replayed
-    /// commits must never collide with future allocations).
-    pub fn ratchet(&self, ts: u64) {
-        self.next.fetch_max(ts, Ordering::AcqRel);
-    }
-
-    /// Last allocated timestamp.
-    pub fn last(&self) -> u64 {
-        self.next.load(Ordering::Acquire)
-    }
-}
-
-/// The per-database transaction state: applied-commit clock, token
-/// allocator, active-snapshot registry, and the commit serialization point.
-/// Timestamps come from a [`TsOracle`] that may be shared between databases.
+/// Allocation and the applied clock are separate: a commit reserves its
+/// timestamp under `commit_mutex`, appends to the WAL, stamps its versions
+/// and only then advances `applied`. Allocation holes — timestamps reserved
+/// by commits that later failed — are harmless: replay and visibility only
+/// care about the stamps actually written.
 #[derive(Debug)]
 pub struct TxnManager {
-    /// Commit-timestamp allocator (shared across shards when sharded).
-    oracle: Arc<TsOracle>,
-    /// Last commit timestamp fully stamped *in this database*. Advanced
-    /// *after* a commit is stamped, so any snapshot taken at the new value
-    /// sees all of it. Always ≤ the oracle's last allocation.
+    /// Last allocated commit timestamp.
+    allocated: AtomicU64,
+    /// Last commit timestamp fully stamped. Advanced *after* a commit is
+    /// stamped, so any snapshot taken at the new value sees all of it.
+    /// Always ≤ `allocated`.
     applied: AtomicU64,
     /// Next write token (starts at 1; 0 is the read-only token).
     next_token: AtomicU64,
@@ -176,15 +145,10 @@ impl Default for TxnManager {
 }
 
 impl TxnManager {
-    /// A fresh manager at clock 0 with a private oracle.
+    /// A fresh manager at clock 0.
     pub fn new() -> TxnManager {
-        TxnManager::with_oracle(Arc::new(TsOracle::new()))
-    }
-
-    /// A fresh manager drawing timestamps from `oracle`.
-    pub fn with_oracle(oracle: Arc<TsOracle>) -> TxnManager {
         TxnManager {
-            oracle,
+            allocated: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             next_token: AtomicU64::new(1),
             active: Mutex::new(BTreeMap::new()),
@@ -192,32 +156,27 @@ impl TxnManager {
         }
     }
 
-    /// The timestamp oracle this manager allocates from.
-    pub fn oracle(&self) -> &Arc<TsOracle> {
-        &self.oracle
-    }
-
-    /// Current applied-commit clock (this database's last stamped commit).
+    /// Current applied-commit clock (the last stamped commit).
     pub fn now(&self) -> u64 {
         self.applied.load(Ordering::Acquire)
     }
 
-    /// Reserve a commit timestamp (caller holds `commit_mutex`).
+    /// Reserve the next commit timestamp — strictly increasing, never 0
+    /// (caller holds `commit_mutex`).
     pub(crate) fn allocate_ts(&self) -> u64 {
-        self.oracle.allocate()
+        self.allocated.fetch_add(1, Ordering::AcqRel) + 1
     }
 
-    /// Advance the applied clock to `ts` (commit path). `fetch_max` rather
-    /// than a store: a shared oracle means another shard may have allocated
-    /// past us, and a multi-shard commit advances each participant.
+    /// Advance the applied clock to `ts` (commit path, last step).
     pub(crate) fn advance_clock(&self, ts: u64) {
         self.applied.fetch_max(ts, Ordering::AcqRel);
     }
 
-    /// Ratchet the clock *and* the oracle up to at least `ts` (recovery).
+    /// Ratchet the clock *and* the allocator up to at least `ts` (recovery:
+    /// replayed commits must never collide with future allocations).
     pub(crate) fn restore_clock(&self, ts: u64) {
         self.applied.fetch_max(ts, Ordering::AcqRel);
-        self.oracle.ratchet(ts);
+        self.allocated.fetch_max(ts, Ordering::AcqRel);
     }
 
     /// Begin a writing transaction: fresh token, snapshot registered in the
