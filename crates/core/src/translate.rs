@@ -149,7 +149,7 @@ impl<'a> Ctx<'a> {
         }
     }
 
-    fn value(&mut self, lit: &Lit) -> Result<String, Unsupported> {
+    fn json_literal(&mut self, lit: &Lit) -> Result<String, Unsupported> {
         let inline = sql_json(&lit.value)?;
         Ok(self.literal(lit.slot, inline))
     }
@@ -590,7 +590,7 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
             let path = if ctx.path { ", ARRAY() AS path" } else { "" };
             let mut sql = format!("SELECT vid AS val{path} FROM va WHERE vid >= 0");
             if let Some((key, value)) = filter {
-                let value = ctx.value(value)?;
+                let value = ctx.json_literal(value)?;
                 write!(sql, " AND JSON_VAL(attr, {}) = {value}", sql_str(key)).expect("write");
             }
             ctx.push_cte(sql);
@@ -822,7 +822,7 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
                     "JSON_VAL(p.attr, {}) {} {}",
                     sql_str(key),
                     cmp_sql(*cmp),
-                    ctx.value(v)?
+                    ctx.json_literal(v)?
                 ),
             };
             // The attribute table is written first in textual order; the
@@ -866,7 +866,7 @@ fn translate_one(ctx: &mut Ctx<'_>, pipe: &Pipe) -> Result<(), Unsupported> {
         }
         Pipe::Interval { key, lo, hi } => {
             let (table, id_col) = attr_join(ctx)?;
-            let (lo, hi) = (ctx.value(lo)?, ctx.value(hi)?);
+            let (lo, hi) = (ctx.json_literal(lo)?, ctx.json_literal(hi)?);
             let sql = format!(
                 "SELECT v.* FROM {table} p, {cur} v WHERE v.val = p.{id_col} \
                  AND JSON_VAL(p.attr, {k}) >= {lo} AND JSON_VAL(p.attr, {k}) < {hi}",

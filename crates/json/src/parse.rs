@@ -37,7 +37,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
         depth: 0,
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after JSON value"));
@@ -101,7 +101,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    fn parse_value(&mut self) -> Result<Json, ParseError> {
         if self.depth >= MAX_DEPTH {
             return Err(self.err("maximum nesting depth exceeded"));
         }
@@ -143,7 +143,7 @@ impl<'a> Parser<'a> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.parse_value()?;
             obj.insert(key, value);
             self.skip_ws();
             match self.bump() {
@@ -171,7 +171,7 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.parse_value()?);
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,

@@ -2,11 +2,11 @@
 //!
 //! A snapshot serializes the complete catalog — every table's schema,
 //! indexes, and row slab (tombstones included, so physical [`RowId`]s and
-//! scan order survive byte-for-byte) — into a single checksummed,
-//! length-prefixed file. It is written to a temp file, fsynced, and
-//! atomically installed with a rename, then the WAL rotates to a fresh
-//! segment. Recovery becomes snapshot-load + tail-segment replay: O(delta
-//! since last checkpoint) instead of O(history).
+//! scan order survive byte-for-byte) — into one file of [`crate::codec`]
+//! checksummed records: a header, then one per table. It is written to a
+//! temp file, fsynced, and atomically installed with a rename, then the WAL
+//! rotates to a fresh segment. Recovery becomes snapshot-load + tail-segment
+//! replay: O(delta since last checkpoint) instead of O(history).
 //!
 //! Snapshot generation `g` means "the state at the start of WAL segment
 //! `g`": recovery loads the snapshot and replays segments `g, g+1, …` in
@@ -15,19 +15,18 @@
 //!
 //! [`RowId`]: crate::index::RowId
 
+use crate::codec::{put_record, put_str, put_u32, put_u64, put_values, Cursor};
 use crate::error::{Error, Result};
 use crate::index::{IndexKind, KeyPart};
 use crate::io::Vfs;
 use crate::schema::{Column, ColumnType, TableSchema};
 use crate::storage::Table;
-use crate::value::Value;
-use crate::wal::{fletcher32, get_row, get_str, get_u32, get_u64, get_u8, put_row, put_str};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::path::{Path, PathBuf};
 
 const MAGIC: &str = "SQLGSNAP";
-// Version 2 added the MVCC commit clock to the header.
-const VERSION: u32 = 2;
+// Version 2 added the MVCC commit clock to the header; version 3 is the
+// little-endian `crate::codec` encoding, with no footer record.
+const VERSION: u32 = 3;
 
 /// Snapshot file path for the log rooted at `base`.
 pub fn snapshot_path(base: &Path) -> PathBuf {
@@ -90,29 +89,6 @@ pub struct Snapshot {
     pub bytes: u64,
 }
 
-fn put_record(out: &mut BytesMut, payload: &BytesMut) {
-    out.put_u32(payload.len() as u32);
-    out.put_u32(fletcher32(payload));
-    out.extend_from_slice(payload);
-}
-
-fn next_record(buf: &mut Bytes) -> Result<Bytes> {
-    if buf.remaining() < 8 {
-        return Err(Error::Wal("snapshot: truncated record header".into()));
-    }
-    let len = (&buf[0..4]).get_u32() as usize;
-    let checksum = (&buf[4..8]).get_u32();
-    if buf.remaining() < 8 + len {
-        return Err(Error::Wal("snapshot: truncated record body".into()));
-    }
-    let payload = buf.slice(8..8 + len);
-    if fletcher32(&payload) != checksum {
-        return Err(Error::Wal("snapshot: checksum mismatch".into()));
-    }
-    buf.advance(8 + len);
-    Ok(payload)
-}
-
 fn column_type_tag(ty: ColumnType) -> u8 {
     match ty {
         ColumnType::Integer => 0,
@@ -132,140 +108,119 @@ fn column_type_from(tag: u8) -> Result<ColumnType> {
         3 => ColumnType::Json,
         4 => ColumnType::Boolean,
         5 => ColumnType::Any,
-        other => return Err(Error::Wal(format!("snapshot: bad column type {other}"))),
+        other => return Err(Error::Wal(format!("bad column type {other}"))),
     })
 }
 
-fn encode_table(table: &Table) -> BytesMut {
-    let mut p = BytesMut::new();
-    put_str(&mut p, &table.schema.name);
-    p.put_u32(table.schema.columns.len() as u32);
+fn encode_table(table: &Table, p: &mut Vec<u8>) {
+    put_str(p, &table.schema.name);
+    put_u32(p, table.schema.columns.len() as u32);
     for col in &table.schema.columns {
-        put_str(&mut p, &col.name);
-        p.put_u8(column_type_tag(col.ty));
-    }
-    let indexes = table.indexes();
-    p.put_u32(indexes.len() as u32);
-    for idx in indexes {
-        put_str(&mut p, &idx.name);
-        p.put_u8(idx.unique as u8);
-        p.put_u8(match idx.kind() {
-            IndexKind::Hash => 0,
-            IndexKind::BTree => 1,
-        });
-        p.put_u32(idx.parts.len() as u32);
-        for part in &idx.parts {
-            match part {
-                KeyPart::Column(c) => {
-                    p.put_u8(0);
-                    p.put_u32(*c as u32);
-                }
-                KeyPart::JsonKey(c, key) => {
-                    p.put_u8(1);
-                    p.put_u32(*c as u32);
-                    put_str(&mut p, key);
-                }
-            }
-        }
+        put_str(p, &col.name);
+        p.push(column_type_tag(col.ty));
     }
     let slots = table.slots();
-    p.put_u64_le(slots.len() as u64);
+    put_u32(p, slots.len() as u32);
     // Serialize each chain's committed-live version; a chain holding only
     // provisional (uncommitted) versions snapshots as a tombstone — its
     // transaction either commits into the fresh WAL segment or vanishes.
     let latest = crate::txn::Snapshot::latest();
     for slot in slots {
         match slot.visible(latest) {
-            None => p.put_u8(0),
+            None => p.push(0),
             Some(row) => {
-                p.put_u8(1);
-                put_row(&mut p, row);
+                p.push(1);
+                put_values(p, row);
             }
         }
     }
-    p
+    let indexes = table.indexes();
+    put_u32(p, indexes.len() as u32);
+    for idx in indexes {
+        put_str(p, &idx.name);
+        p.push(idx.unique as u8);
+        p.push(match idx.kind() {
+            IndexKind::Hash => 0,
+            IndexKind::BTree => 1,
+        });
+        put_u32(p, idx.parts.len() as u32);
+        for part in &idx.parts {
+            match part {
+                KeyPart::Column(c) => {
+                    p.push(0);
+                    put_u32(p, *c as u32);
+                }
+                KeyPart::JsonKey(c, key) => {
+                    p.push(1);
+                    put_u32(p, *c as u32);
+                    put_str(p, key);
+                }
+            }
+        }
+    }
 }
 
-fn decode_table(payload: Bytes) -> Result<Table> {
-    let mut buf = payload;
-    let name = get_str(&mut buf)?;
-    let ncols = get_u32(&mut buf)? as usize;
-    let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        let cname = get_str(&mut buf)?;
-        let ty = column_type_from(get_u8(&mut buf)?)?;
-        columns.push(Column { name: cname, ty });
-    }
-    let schema = TableSchema::new(name, columns)?;
-    struct IndexMeta {
-        name: String,
-        unique: bool,
-        kind: IndexKind,
-        parts: Vec<KeyPart>,
-    }
-    let nindexes = get_u32(&mut buf)? as usize;
-    let mut index_meta = Vec::with_capacity(nindexes);
-    for _ in 0..nindexes {
-        let iname = get_str(&mut buf)?;
-        let unique = get_u8(&mut buf)? != 0;
-        let kind = match get_u8(&mut buf)? {
-            0 => IndexKind::Hash,
-            1 => IndexKind::BTree,
-            other => return Err(Error::Wal(format!("snapshot: bad index kind {other}"))),
-        };
-        let nparts = get_u32(&mut buf)? as usize;
-        let mut parts = Vec::with_capacity(nparts);
-        for _ in 0..nparts {
-            let tag = get_u8(&mut buf)?;
-            let col = get_u32(&mut buf)? as usize;
-            parts.push(match tag {
-                0 => KeyPart::Column(col),
-                1 => KeyPart::JsonKey(col, get_str(&mut buf)?),
-                other => return Err(Error::Wal(format!("snapshot: bad key part {other}"))),
-            });
-        }
-        index_meta.push(IndexMeta {
-            name: iname,
-            unique,
-            kind,
-            parts,
+fn decode_table(payload: &[u8]) -> Result<Table> {
+    let mut c = Cursor::new(payload);
+    let name = c.str()?.to_string();
+    let columns = (0..c.count()?)
+        .map(|_| {
+            let name = c.str()?.to_string();
+            let ty = column_type_from(c.u8()?)?;
+            Ok(Column { name, ty })
+        })
+        .collect::<Result<_>>()?;
+    let nslots = c.count()?;
+    let mut slots = Vec::with_capacity(nslots);
+    for _ in 0..nslots {
+        slots.push(match c.u8()? {
+            0 => None,
+            1 => Some(c.values()?),
+            other => return Err(Error::Wal(format!("bad slot tag {other}"))),
         });
     }
-    let nslots = get_u64(&mut buf)? as usize;
-    let mut slots: Vec<Option<Vec<Value>>> = Vec::with_capacity(nslots.min(1 << 20));
-    for _ in 0..nslots {
-        match get_u8(&mut buf)? {
-            0 => slots.push(None),
-            1 => slots.push(Some(get_row(&mut buf)?)),
-            other => return Err(Error::Wal(format!("snapshot: bad slot tag {other}"))),
-        }
+    let mut table = Table::from_slots(TableSchema::new(name, columns)?, slots)?;
+    for _ in 0..c.count()? {
+        let name = c.str()?.to_string();
+        let unique = c.u8()? != 0;
+        let kind = match c.u8()? {
+            0 => IndexKind::Hash,
+            1 => IndexKind::BTree,
+            other => return Err(Error::Wal(format!("bad index kind {other}"))),
+        };
+        let parts = (0..c.count()?)
+            .map(|_| {
+                let tag = c.u8()?;
+                let col = c.u32()? as usize;
+                match tag {
+                    0 => Ok(KeyPart::Column(col)),
+                    1 => Ok(KeyPart::JsonKey(col, c.str()?.to_string())),
+                    other => Err(Error::Wal(format!("bad key part {other}"))),
+                }
+            })
+            .collect::<Result<_>>()?;
+        table.create_index_with_parts(name, parts, unique, kind)?;
     }
-    let mut table = Table::from_slots(schema, slots)?;
-    for meta in index_meta {
-        table.create_index_with_parts(meta.name, meta.parts, meta.unique, meta.kind)?;
-    }
+    c.finish()?;
     Ok(table)
 }
 
 /// Serialize `tables` into snapshot bytes anchored at generation `gen`,
-/// with the MVCC commit clock standing at `clock`.
+/// with the MVCC commit clock standing at `clock`: a header record, then
+/// one record per table.
 pub(crate) fn encode_snapshot(gen: u64, clock: u64, tables: &[&Table]) -> Vec<u8> {
-    let mut out = BytesMut::new();
-    let mut header = BytesMut::new();
-    put_str(&mut header, MAGIC);
-    header.put_u32(VERSION);
-    header.put_u64_le(gen);
-    header.put_u64_le(clock);
-    header.put_u32(tables.len() as u32);
-    put_record(&mut out, &header);
+    let mut out = Vec::new();
+    put_record(&mut out, |h| {
+        put_str(h, MAGIC);
+        put_u32(h, VERSION);
+        put_u64(h, gen);
+        put_u64(h, clock);
+        put_u32(h, tables.len() as u32);
+    });
     for table in tables {
-        let payload = encode_table(table);
-        put_record(&mut out, &payload);
+        put_record(&mut out, |p| encode_table(table, p));
     }
-    let mut footer = BytesMut::new();
-    put_str(&mut footer, "END");
-    put_record(&mut out, &footer);
-    out.to_vec()
+    out
 }
 
 /// Stage snapshot bytes at the temp path, fsync, and atomically install
@@ -294,45 +249,41 @@ pub(crate) fn install_snapshot(vfs: &dyn Vfs, base: &Path, bytes: &[u8]) -> Resu
 /// resurrect an old state.
 pub(crate) fn load_snapshot(vfs: &dyn Vfs, base: &Path) -> Result<Option<Snapshot>> {
     let path = snapshot_path(base);
-    let data = match vfs.read(&path) {
-        Ok(Some(d)) => d,
+    let snapshot = match vfs.read(&path) {
+        Ok(Some(data)) => decode_snapshot(&data),
         Ok(None) => return Ok(None),
-        Err(e) => {
-            return Err(Error::Wal(format!(
-                "snapshot: read {}: {e}",
-                path.display()
-            )))
-        }
+        Err(e) => Err(Error::Wal(format!("read: {e}"))),
     };
-    let bytes = data.len() as u64;
-    let mut buf = Bytes::from(data);
-    let mut header = next_record(&mut buf)?;
-    if get_str(&mut header)? != MAGIC {
-        return Err(Error::Wal("snapshot: bad magic".into()));
+    snapshot.map(Some).map_err(|e| match e {
+        Error::Wal(m) => Error::Wal(format!("snapshot {}: {m}", path.display())),
+        e => e,
+    })
+}
+
+fn decode_snapshot(data: &[u8]) -> Result<Snapshot> {
+    let mut c = Cursor::new(data);
+    let mut header = Cursor::new(c.record()?);
+    if header.str()? != MAGIC {
+        return Err(Error::Wal("bad magic".into()));
     }
-    let version = get_u32(&mut header)?;
+    let version = header.u32()?;
     if version != VERSION {
-        return Err(Error::Wal(format!(
-            "snapshot: unsupported version {version}"
-        )));
+        return Err(Error::Wal(format!("unsupported version {version}")));
     }
-    let gen = get_u64(&mut header)?;
-    let clock = get_u64(&mut header)?;
-    let ntables = get_u32(&mut header)? as usize;
-    let mut tables = Vec::with_capacity(ntables);
-    for _ in 0..ntables {
-        tables.push(decode_table(next_record(&mut buf)?)?);
-    }
-    let mut footer = next_record(&mut buf)?;
-    if get_str(&mut footer)? != "END" {
-        return Err(Error::Wal("snapshot: missing footer".into()));
-    }
-    Ok(Some(Snapshot {
+    let gen = header.u64()?;
+    let clock = header.u64()?;
+    let ntables = header.u32()?;
+    header.finish()?;
+    let tables = (0..ntables)
+        .map(|_| decode_table(c.record()?))
+        .collect::<Result<Vec<_>>>()?;
+    c.finish()?;
+    Ok(Snapshot {
         gen,
         clock,
         tables,
-        bytes,
-    }))
+        bytes: data.len() as u64,
+    })
 }
 
 #[cfg(test)]
@@ -403,17 +354,34 @@ mod tests {
         assert_eq!(hits, [3], "functional index rebuilt and backfilled");
     }
 
+    /// Every bit flip (low and high bit of every byte) and every truncation
+    /// of a snapshot is an error, never a panic or a silently wrong state.
     #[test]
     fn missing_snapshot_is_none_corrupt_is_error() {
         let fs = SimFs::new();
         let base = Path::new("/db.wal");
         assert!(load_snapshot(&fs, base).unwrap().is_none());
         let t = sample_table();
-        let mut bytes = encode_snapshot(1, 0, &[&t]);
+        let bytes = encode_snapshot(1, 0, &[&t]);
         install_snapshot(&fs, base, &bytes).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0x40;
-        fs.install(&snapshot_path(base), bytes);
-        assert!(load_snapshot(&fs, base).is_err());
+        assert!(load_snapshot(&fs, base).unwrap().is_some());
+        for i in 0..bytes.len() {
+            for mask in [0x01u8, 0x80] {
+                let mut corrupt = bytes.clone();
+                corrupt[i] ^= mask;
+                fs.install(&snapshot_path(base), corrupt);
+                assert!(
+                    load_snapshot(&fs, base).is_err(),
+                    "flip at byte {i} (mask {mask:#x}) must not load"
+                );
+            }
+        }
+        for len in 0..bytes.len() {
+            fs.install(&snapshot_path(base), bytes[..len].to_vec());
+            assert!(
+                load_snapshot(&fs, base).is_err(),
+                "truncation to {len} bytes must not load"
+            );
+        }
     }
 }

@@ -5,6 +5,7 @@
 //! form where column references are offsets into the executor's flattened
 //! row. Evaluation is row-at-a-time.
 
+use crate::codec::MAX_DEPTH;
 use crate::error::{Error, Result};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::value::{CastType, Value};
@@ -702,7 +703,9 @@ fn eval_call(func: Func, args: &[Expr], row: &[Value]) -> Result<Value> {
             for a in args {
                 out.push(a.eval(row)?);
             }
-            Ok(Value::array(out))
+            let array = Value::array(out);
+            check_depth(func, array.depth())?;
+            Ok(array)
         }
         Func::IsSimplePath => {
             need(1)?;
@@ -741,6 +744,7 @@ fn eval_call(func: Func, args: &[Expr], row: &[Value]) -> Result<Value> {
             match arr {
                 Value::Null => Ok(Value::Null),
                 Value::Array(a) => {
+                    check_depth(func, 1 + item.depth())?;
                     let mut out = Vec::with_capacity(a.len() + 1);
                     out.extend(a.iter().cloned());
                     out.push(item);
@@ -753,6 +757,17 @@ fn eval_call(func: Func, args: &[Expr], row: &[Value]) -> Result<Value> {
             }
         }
     }
+}
+
+/// Refuse to build an array nested deeper than the codec can decode, so
+/// every value a query returns can be logged and sent over the wire.
+fn check_depth(func: Func, depth: usize) -> Result<()> {
+    if depth > MAX_DEPTH {
+        return Err(Error::Type(format!(
+            "{func:?} would nest arrays {depth} deep; the limit is {MAX_DEPTH}"
+        )));
+    }
+    Ok(())
 }
 
 /// SQL LIKE matcher: `%` = any run, `_` = any single character.

@@ -38,6 +38,7 @@
 
 pub mod cache;
 pub mod checkpoint;
+pub mod codec;
 pub mod csr;
 pub mod db;
 pub mod error;

@@ -1,5 +1,6 @@
 //! Table schemas and column metadata.
 
+use crate::codec::MAX_DEPTH;
 use crate::error::{Error, Result};
 use crate::value::Value;
 
@@ -125,6 +126,13 @@ impl TableSchema {
                     ty = col.ty,
                 )));
             }
+            // A row the WAL could not decode would end replay at its commit.
+            if value.depth() > MAX_DEPTH {
+                return Err(Error::Type(format!(
+                    "column '{}.{}' cannot store arrays nested past {MAX_DEPTH}",
+                    self.name, col.name
+                )));
+            }
         }
         Ok(())
     }
@@ -197,6 +205,17 @@ mod tests {
 
         let mut nulls = vec![Value::Null, Value::Null, Value::Null];
         s.check_row(&mut nulls).unwrap();
+    }
+
+    #[test]
+    fn check_row_rejects_arrays_the_wal_cannot_decode() {
+        let mut any = schema();
+        any.columns.iter_mut().for_each(|c| c.ty = ColumnType::Any);
+        let nested = |depth| (0..depth).fold(Value::Int(1), |v, _| Value::array(vec![v]));
+        any.check_row(&mut [Value::Null, Value::Null, nested(MAX_DEPTH)])
+            .unwrap();
+        let err = any.check_row(&mut [Value::Null, Value::Null, nested(MAX_DEPTH + 1)]);
+        assert!(matches!(err, Err(Error::Type(_))), "{err:?}");
     }
 
     #[test]

@@ -108,6 +108,16 @@ impl Value {
         }
     }
 
+    /// How many arrays deep the value nests: 0 for a scalar or a JSON
+    /// document (encoded as text), 1 + the deepest element for an array.
+    /// [`crate::codec`] decodes at most [`crate::codec::MAX_DEPTH`].
+    pub fn depth(&self) -> usize {
+        match self {
+            Value::Array(items) => 1 + items.iter().map(Value::depth).max().unwrap_or(0),
+            _ => 0,
+        }
+    }
+
     /// Short type name for error messages.
     pub fn type_name(&self) -> &'static str {
         match self {

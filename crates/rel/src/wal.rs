@@ -17,17 +17,15 @@
 //! recovery is snapshot-load + tail-segment replay instead of a full
 //! history scan.
 //!
-//! Format per record:
-//! ```text
-//! [u32 len][u32 checksum][payload: op u8, ...]
-//! ```
+//! Each record is one [`crate::codec`] record frame
+//! (`len:u32 | fletcher32:u32 | payload`, little-endian) whose payload is
+//! an op byte followed by the op's fields in the codec's encoding.
 
+use crate::codec::{put_record, put_str, put_u64, put_values, CodecError, Cursor};
 use crate::error::{Error, Result};
 use crate::index::RowId;
 use crate::io::{Vfs, VfsFile};
 use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use sqlgraph_json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -198,7 +196,7 @@ impl Wal {
                 "log poisoned by an earlier append failure; reopen the database to recover".into(),
             ));
         }
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         for r in records {
             encode_record(r, &mut buf);
         }
@@ -232,33 +230,16 @@ impl Wal {
             Ok(None) => return Ok(SegmentScan::default()),
             Err(e) => return Err(Error::Wal(format!("open for replay: {e}"))),
         };
-        let file_len = data.len() as u64;
-        let mut buf = Bytes::from(data);
         let mut scan = SegmentScan {
-            file_len,
+            file_len: data.len() as u64,
             ..SegmentScan::default()
         };
-        let mut offset = 0u64;
+        let mut c = Cursor::new(&data);
         let mut pending: Vec<WalRecord> = Vec::new();
-        while buf.remaining() >= 8 {
-            let len = (&buf[0..4]).get_u32() as usize;
-            let checksum = (&buf[4..8]).get_u32();
-            if buf.remaining() < 8 + len {
-                break; // torn tail
-            }
-            let payload = buf.slice(8..8 + len);
-            if fletcher32(&payload) != checksum {
-                break; // corrupt record
-            }
-            let record = match decode_record(&mut payload.clone()) {
-                Ok(r) => r,
-                Err(_) => break,
-            };
-            buf.advance(8 + len);
-            offset += 8 + len as u64;
+        while let Ok(record) = c.record().and_then(decode_record) {
             if let WalRecord::Commit { ts } = record {
                 scan.commits.push((ts, std::mem::take(&mut pending)));
-                scan.valid_len = offset;
+                scan.valid_len = c.pos() as u64;
             } else {
                 pending.push(record);
             }
@@ -275,20 +256,19 @@ impl Wal {
     }
 }
 
-fn encode_record(r: &WalRecord, out: &mut BytesMut) {
-    let mut payload = BytesMut::new();
-    match r {
+fn encode_record(r: &WalRecord, out: &mut Vec<u8>) {
+    put_record(out, |p| match r {
         WalRecord::Insert { table, row_id, row } => {
-            payload.put_u8(0);
-            put_str(&mut payload, table);
-            payload.put_u64_le(*row_id as u64);
-            put_row(&mut payload, row);
+            p.push(0);
+            put_str(p, table);
+            put_u64(p, *row_id as u64);
+            put_values(p, row);
         }
         WalRecord::Delete { table, row_id, row } => {
-            payload.put_u8(1);
-            put_str(&mut payload, table);
-            payload.put_u64_le(*row_id as u64);
-            put_row(&mut payload, row);
+            p.push(1);
+            put_str(p, table);
+            put_u64(p, *row_id as u64);
+            put_values(p, row);
         }
         WalRecord::Update {
             table,
@@ -296,185 +276,50 @@ fn encode_record(r: &WalRecord, out: &mut BytesMut) {
             old,
             new,
         } => {
-            payload.put_u8(2);
-            put_str(&mut payload, table);
-            payload.put_u64_le(*row_id as u64);
-            put_row(&mut payload, old);
-            put_row(&mut payload, new);
+            p.push(2);
+            put_str(p, table);
+            put_u64(p, *row_id as u64);
+            put_values(p, old);
+            put_values(p, new);
         }
         WalRecord::Ddl { sql } => {
-            payload.put_u8(3);
-            put_str(&mut payload, sql);
+            p.push(3);
+            put_str(p, sql);
         }
         WalRecord::Commit { ts } => {
-            payload.put_u8(4);
-            payload.put_u64_le(*ts);
+            p.push(4);
+            put_u64(p, *ts);
         }
-    }
-    out.put_u32(payload.len() as u32);
-    out.put_u32(fletcher32(&payload));
-    out.extend_from_slice(&payload);
+    });
 }
 
-fn decode_record(buf: &mut Bytes) -> Result<WalRecord> {
-    let op = get_u8(buf)?;
-    if op == 4 {
-        return Ok(WalRecord::Commit { ts: get_u64(buf)? });
-    }
-    let table = get_str(buf)?;
-    Ok(match op {
+fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, CodecError> {
+    let mut c = Cursor::new(payload);
+    let record = match c.u8()? {
         0 => WalRecord::Insert {
-            table,
-            row_id: get_u64(buf)? as RowId,
-            row: get_row(buf)?,
+            table: c.str()?.to_string(),
+            row_id: c.u64()? as RowId,
+            row: c.values()?,
         },
         1 => WalRecord::Delete {
-            table,
-            row_id: get_u64(buf)? as RowId,
-            row: get_row(buf)?,
+            table: c.str()?.to_string(),
+            row_id: c.u64()? as RowId,
+            row: c.values()?,
         },
         2 => WalRecord::Update {
-            table,
-            row_id: get_u64(buf)? as RowId,
-            old: get_row(buf)?,
-            new: get_row(buf)?,
+            table: c.str()?.to_string(),
+            row_id: c.u64()? as RowId,
+            old: c.values()?,
+            new: c.values()?,
         },
-        3 => WalRecord::Ddl { sql: table },
-        other => return Err(Error::Wal(format!("unknown WAL op {other}"))),
-    })
-}
-
-pub(crate) fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-pub(crate) fn put_row(buf: &mut BytesMut, row: &[Value]) {
-    buf.put_u32(row.len() as u32);
-    for v in row {
-        put_value(buf, v);
-    }
-}
-
-pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            buf.put_i64_le(*i);
-        }
-        Value::Double(f) => {
-            buf.put_u8(3);
-            buf.put_f64_le(*f);
-        }
-        Value::Str(s) => {
-            buf.put_u8(4);
-            put_str(buf, s);
-        }
-        Value::Json(j) => {
-            buf.put_u8(5);
-            put_str(buf, &j.to_string());
-        }
-        Value::Array(items) => {
-            buf.put_u8(6);
-            buf.put_u32(items.len() as u32);
-            for item in items.iter() {
-                put_value(buf, item);
-            }
-        }
-    }
-}
-
-pub(crate) fn get_u8(buf: &mut Bytes) -> Result<u8> {
-    if buf.remaining() < 1 {
-        return Err(Error::Wal("truncated record".into()));
-    }
-    Ok(buf.get_u8())
-}
-
-pub(crate) fn get_u32(buf: &mut Bytes) -> Result<u32> {
-    if buf.remaining() < 4 {
-        return Err(Error::Wal("truncated record".into()));
-    }
-    Ok(buf.get_u32())
-}
-
-pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    if buf.remaining() < 8 {
-        return Err(Error::Wal("truncated record".into()));
-    }
-    Ok(buf.get_u64_le())
-}
-
-pub(crate) fn get_str(buf: &mut Bytes) -> Result<String> {
-    let len = get_u32(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(Error::Wal("truncated string".into()));
-    }
-    let bytes = buf.split_to(len);
-    String::from_utf8(bytes.to_vec()).map_err(|_| Error::Wal("invalid UTF-8".into()))
-}
-
-pub(crate) fn get_row(buf: &mut Bytes) -> Result<Vec<Value>> {
-    let n = get_u32(buf)? as usize;
-    let mut row = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        row.push(get_value(buf)?);
-    }
-    Ok(row)
-}
-
-pub(crate) fn get_value(buf: &mut Bytes) -> Result<Value> {
-    Ok(match get_u8(buf)? {
-        0 => Value::Null,
-        1 => Value::Bool(get_u8(buf)? != 0),
-        2 => {
-            if buf.remaining() < 8 {
-                return Err(Error::Wal("truncated int".into()));
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(Error::Wal("truncated double".into()));
-            }
-            Value::Double(buf.get_f64_le())
-        }
-        4 => Value::str(get_str(buf)?),
-        5 => {
-            let text = get_str(buf)?;
-            let json: Json = sqlgraph_json::parse(&text)
-                .map_err(|e| Error::Wal(format!("bad JSON in WAL: {e}")))?;
-            Value::json(json)
-        }
-        6 => {
-            let n = get_u32(buf)? as usize;
-            let mut items = Vec::with_capacity(n.min(1024));
-            for _ in 0..n {
-                items.push(get_value(buf)?);
-            }
-            Value::array(items)
-        }
-        other => return Err(Error::Wal(format!("unknown value tag {other}"))),
-    })
-}
-
-/// Fletcher-32 checksum — cheap and detects torn/garbled tails.
-pub(crate) fn fletcher32(data: &[u8]) -> u32 {
-    let (mut a, mut b) = (0u32, 0u32);
-    for chunk in data.chunks(359) {
-        for &byte in chunk {
-            a += byte as u32;
-            b += a;
-        }
-        a %= 65535;
-        b %= 65535;
-    }
-    (b << 16) | a
+        3 => WalRecord::Ddl {
+            sql: c.str()?.to_string(),
+        },
+        4 => WalRecord::Commit { ts: c.u64()? },
+        op => return Err(c.err(&format!("unknown WAL op {op}"))),
+    };
+    c.finish()?;
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -589,7 +434,7 @@ mod tests {
         // Append an intact record with no commit marker (simulating a crash
         // that persisted only part of the next transaction's batch).
         {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             encode_record(&sample_records()[0], &mut buf);
             let mut f = std::fs::OpenOptions::new()
                 .append(true)

@@ -2,18 +2,12 @@
 //!
 //! ## Frame grammar
 //!
+//! `str`, `value` and `values` are [`sqlgraph_rel::codec`]'s encoding, the
+//! one the WAL and the checkpoint use; decoding shares its guards.
+//!
 //! ```text
 //! frame    := len:u32le body              (len = body length in bytes)
 //! body     := opcode:u8 payload
-//! str      := len:u32le utf8-bytes
-//! value    := 0x00                        NULL
-//!           | 0x01 b:u8                   BOOL (0/1)
-//!           | 0x02 i:i64le                INT
-//!           | 0x03 bits:u64le             DOUBLE (f64 bit pattern)
-//!           | 0x04 s:str                  STRING
-//!           | 0x05 s:str                  JSON (compact rendering)
-//!           | 0x06 n:u32le value*n        ARRAY
-//! values   := n:u32le value*n
 //! ```
 //!
 //! Requests (client → server):
@@ -48,9 +42,9 @@
 //! [`ErrorCode`]).
 
 use sqlgraph_core::CoreError;
+use sqlgraph_rel::codec::{put_str, put_u32, put_u64, put_value, put_values, CodecError, Cursor};
 use sqlgraph_rel::{Error as RelError, Relation, Value};
 use std::io::{Read, Write};
-use std::sync::Arc;
 
 /// Default cap on one frame's body (both sides enforce it).
 pub const MAX_FRAME_DEFAULT: usize = 4 << 20;
@@ -188,166 +182,9 @@ impl std::fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-// ---------------------------------------------------------------------
-// Primitive encoding
-// ---------------------------------------------------------------------
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => out.push(0),
-        Value::Bool(b) => {
-            out.push(1);
-            out.push(*b as u8);
-        }
-        Value::Int(i) => {
-            out.push(2);
-            out.extend_from_slice(&i.to_le_bytes());
-        }
-        Value::Double(d) => {
-            out.push(3);
-            out.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(4);
-            put_str(out, s);
-        }
-        Value::Json(j) => {
-            out.push(5);
-            put_str(out, &j.to_string());
-        }
-        Value::Array(items) => {
-            out.push(6);
-            put_u32(out, items.len() as u32);
-            for item in items.iter() {
-                put_value(out, item);
-            }
-        }
-    }
-}
-
-fn put_values(out: &mut Vec<u8>, vals: &[Value]) {
-    put_u32(out, vals.len() as u32);
-    for v in vals {
-        put_value(out, v);
-    }
-}
-
-/// Bounds-checked reader over a frame body.
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(buf: &'a [u8]) -> Cursor<'a> {
-        Cursor { buf, pos: 0 }
-    }
-
-    fn err<T>(&self, what: &str) -> Result<T, DecodeError> {
-        Err(DecodeError(format!("{what} at byte {}", self.pos)))
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.buf.len() - self.pos < n {
-            return self.err("truncated");
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn str(&mut self) -> Result<&'a str, DecodeError> {
-        let len = self.u32()? as usize;
-        if self.buf.len() - self.pos < len {
-            return self.err("truncated string");
-        }
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map_err(|_| DecodeError(format!("invalid utf-8 string ending at byte {}", self.pos)))
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, DecodeError> {
-        if depth > 32 {
-            return self.err("value nesting too deep");
-        }
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Bool(self.u8()? != 0),
-            2 => Value::Int(self.i64()?),
-            3 => Value::Double(f64::from_bits(self.u64()?)),
-            4 => Value::str(self.str()?),
-            5 => {
-                let text = self.str()?;
-                let json = sqlgraph_json::parse(text)
-                    .map_err(|e| DecodeError(format!("bad json value: {e:?}")))?;
-                Value::json(json)
-            }
-            6 => {
-                let n = self.u32()? as usize;
-                // A count can't exceed the remaining bytes (each element
-                // is ≥ 1 byte) — reject before allocating.
-                if n > self.buf.len() - self.pos {
-                    return self.err("array count exceeds frame");
-                }
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.value(depth + 1)?);
-                }
-                Value::Array(Arc::new(items))
-            }
-            t => return Err(DecodeError(format!("unknown value tag {t}"))),
-        })
-    }
-
-    fn values(&mut self) -> Result<Vec<Value>, DecodeError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return self.err("value count exceeds frame");
-        }
-        let mut vals = Vec::with_capacity(n);
-        for _ in 0..n {
-            vals.push(self.value(0)?);
-        }
-        Ok(vals)
-    }
-
-    fn finish(&self) -> Result<(), DecodeError> {
-        if self.pos != self.buf.len() {
-            return Err(DecodeError(format!(
-                "{} trailing bytes after frame payload",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
+impl From<CodecError> for DecodeError {
+    fn from(e: CodecError) -> DecodeError {
+        DecodeError(e.0)
     }
 }
 
@@ -490,23 +327,20 @@ impl Response {
             0x81 => Response::HelloOk { session: c.u64()? },
             0x82 => {
                 let stmts = c.u64()?;
-                let ncols = c.u32()? as usize;
-                if ncols > body.len() {
-                    return c.err("column count exceeds frame");
-                }
-                let mut columns = Vec::with_capacity(ncols);
-                for _ in 0..ncols {
-                    columns.push(c.str()?.to_string());
-                }
+                let ncols = c.count()?;
+                let columns = (0..ncols)
+                    .map(|_| Ok(c.str()?.to_string()))
+                    .collect::<Result<_, DecodeError>>()?;
+                // Not `count()`: a zero-column row encodes to no bytes.
                 let nrows = c.u32()? as usize;
                 if nrows > body.len() {
-                    return c.err("row count exceeds frame");
+                    return Err(c.err("row count exceeds frame").into());
                 }
                 let mut rows = Vec::with_capacity(nrows);
                 for _ in 0..nrows {
                     let mut row = Vec::with_capacity(ncols);
                     for _ in 0..ncols {
-                        row.push(c.value(0)?);
+                        row.push(c.value()?);
                     }
                     rows.push(row);
                 }
@@ -598,6 +432,7 @@ pub fn read_frame(r: &mut impl Read, max: usize) -> std::io::Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     fn sample_values() -> Vec<Value> {
         vec![

@@ -6,7 +6,8 @@
 
 use sqlgraph_core::{GraphData, SqlGraph};
 use sqlgraph_json::Json;
-use sqlgraph_rel::{Relation, Value};
+use sqlgraph_rel::codec::MAX_DEPTH;
+use sqlgraph_rel::{Error as RelError, Relation, Value};
 use sqlgraph_server::{Client, ErrorCode, Server};
 use std::sync::Arc;
 
@@ -245,6 +246,28 @@ fn sql_errors_reconstruct_the_engine_error() {
             .unwrap_or_else(|| panic!("no rel error for {sql}: {remote}"));
         assert_eq!(rebuilt, local, "error diverged on {sql}");
     }
+    server.shutdown();
+}
+
+/// An array the codec cannot decode is never built: nesting `ARRAY(…)` one
+/// level past the bound is the same typed error embedded and over the
+/// socket, and at the bound the row comes back the same both ways.
+#[test]
+fn nested_arrays_at_the_codec_bound_agree_over_socket() {
+    let (graph, server) = figure2_server();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let nested = |depth: usize| format!("SELECT {}1{}", "ARRAY(".repeat(depth), ")".repeat(depth));
+    let at_bound = nested(MAX_DEPTH);
+    let local = graph.database().execute(&at_bound).unwrap();
+    let remote = client.query_sql(&at_bound).unwrap();
+    assert_eq!(local.rows[0][0].depth(), MAX_DEPTH);
+    assert_eq!(canon(&remote), canon(&local));
+    assert_eq!(remote.columns, local.columns);
+    let past = nested(MAX_DEPTH + 1);
+    let local = graph.database().execute(&past).unwrap_err();
+    assert!(matches!(local, RelError::Type(_)), "{local}");
+    let remote = client.query_sql(&past).unwrap_err();
+    assert_eq!(remote.as_rel_error(), Some(local));
     server.shutdown();
 }
 
