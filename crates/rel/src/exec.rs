@@ -20,7 +20,7 @@
 use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::expr::{self, in_set, BinaryOp, Binds, Expr};
-use crate::hasher::{FxHashMap, FxHashSet};
+use crate::hasher::{FxHashMap, FxHashSet, FxHasher};
 use crate::index::IndexKey;
 use crate::plan::{self, Access, Attach, FromPlan, RelInput, Step, StepExec, StepKind};
 use crate::prepared::{self, CorePlan, CoreSlot, SetPlans, StmtPlans};
@@ -28,6 +28,8 @@ use crate::sql::ast;
 use crate::storage::Table;
 use crate::txn::Snapshot;
 use crate::value::Value;
+use std::hash::{Hash, Hasher};
+use std::slice;
 use std::sync::Arc;
 
 /// An executor row.
@@ -345,38 +347,40 @@ fn run_set_expr(env: &Env<'_>, body: &ast::SetExpr, plans: Option<&SetPlans>) ->
                     r.columns.len()
                 )));
             }
+            let width = l.columns.len();
             let mut out = Relation {
-                columns: l.columns.clone(),
+                columns: l.columns,
                 rows: Vec::new(),
             };
-            match op {
-                ast::SetOp::Union => {
-                    out.rows = l.rows;
-                    out.rows.extend(r.rows);
-                    if !*all {
-                        dedup_rows(&mut out.rows);
-                    }
+            if *op == ast::SetOp::Union {
+                out.rows = l.rows;
+                out.rows.extend(r.rows);
+                if !*all {
+                    dedup_rows(&mut out.rows, width);
                 }
-                ast::SetOp::Intersect => {
-                    let rset: FxHashSet<&Row> = r.rows.iter().collect();
-                    let mut seen: FxHashSet<Row> = FxHashSet::default();
-                    for row in l.rows {
-                        // Membership checks on borrowed rows; clone only the
-                        // distinct rows actually emitted.
-                        if rset.contains(&row) && !seen.contains(&row) {
-                            seen.insert(row.clone());
+                return Ok(out);
+            }
+            // The right operand's rows move into the table as its first
+            // groups.
+            let mut table = GroupTable::new(width);
+            for mut row in r.rows {
+                table.insert_hashed(hash_key(&row), &mut row);
+            }
+            if *op == ast::SetOp::Intersect {
+                let mut emitted = vec![false; table.len()];
+                for row in l.rows {
+                    if let Some(g) = table.find(&row) {
+                        if !std::mem::replace(&mut emitted[g], true) {
                             out.rows.push(row);
                         }
                     }
                 }
-                ast::SetOp::Except => {
-                    let rset: FxHashSet<&Row> = r.rows.iter().collect();
-                    let mut seen: FxHashSet<Row> = FxHashSet::default();
-                    for row in l.rows {
-                        if !rset.contains(&row) && !seen.contains(&row) {
-                            seen.insert(row.clone());
-                            out.rows.push(row);
-                        }
+            } else {
+                // EXCEPT: a left row that opens a new group is in neither the
+                // right operand nor the rows emitted before it.
+                for row in l.rows {
+                    if table.insert(&row).1 {
+                        out.rows.push(row);
                     }
                 }
             }
@@ -385,17 +389,10 @@ fn run_set_expr(env: &Env<'_>, body: &ast::SetExpr, plans: Option<&SetPlans>) ->
     }
 }
 
-fn dedup_rows(rows: &mut Vec<Row>) {
-    let mut seen: FxHashSet<Row> = FxHashSet::default();
-    rows.retain(|r| {
-        // Check first so duplicate rows are dropped without cloning.
-        if seen.contains(r) {
-            false
-        } else {
-            seen.insert(r.clone());
-            true
-        }
-    });
+/// Keep the first of each set of equal rows (`width` columns each).
+fn dedup_rows(rows: &mut Vec<Row>, width: usize) {
+    let mut seen = GroupTable::new(width);
+    rows.retain(|r| seen.insert(r).1);
 }
 
 // ---------------------------------------------------------------------------
@@ -624,8 +621,8 @@ impl Shape {
         let visible = rel.columns.len();
         if self.distinct {
             // Deduplicate on the visible prefix, keeping the first occurrence.
-            let mut seen: FxHashSet<Vec<Value>> = FxHashSet::default();
-            rel.rows.retain(|r| seen.insert(r[..visible].to_vec()));
+            let mut seen = GroupTable::new(visible);
+            rel.rows.retain(|r| seen.insert(&r[..visible]).1);
         }
         if !self.descs.is_empty() {
             sort_rows_by_hidden(&mut rel.rows, visible, &self.descs);
@@ -742,6 +739,131 @@ fn compile_projections(
         }
     }
     Ok((names, exprs))
+}
+
+// ---------------------------------------------------------------------------
+// Grouping table
+// ---------------------------------------------------------------------------
+
+/// End of a [`GroupTable`] collision chain or a [`JoinTable`] key chain.
+const NONE: u32 = u32::MAX;
+
+/// A group or entry number as stored in a chain.
+fn to_id(n: usize) -> u32 {
+    u32::try_from(n)
+        .ok()
+        .filter(|&id| id != NONE)
+        .expect("fewer than 2^32 - 1 groups or entries")
+}
+
+/// The hash a [`GroupTable`] files `key` under.
+fn hash_key(key: &[Value]) -> u64 {
+    let mut h = FxHasher::default();
+    for v in key {
+        v.hash(&mut h);
+    }
+    h.finish()
+}
+
+/// The hash table behind GROUP BY, DISTINCT, set-op dedup and hash-join
+/// builds. Keys of `width` values are numbered `0, 1, …` in first-appearance
+/// order and stored back to back in one arena, so a new group allocates
+/// nothing of its own. A key is found through a key-hash → newest-group map
+/// plus, per group, the next older group with the same hash. Keys compare
+/// by `Value`'s `Eq`/`Hash`: `Int(3)` and `Double(3.0)` are one key, and
+/// NULL is a key like any other. A zero-width table — a keyless aggregate —
+/// holds at most the empty key and never builds the map.
+struct GroupTable {
+    width: usize,
+    len: usize,
+    /// Group `g`'s key is `keys[g * width..(g + 1) * width]`.
+    keys: Vec<Value>,
+    /// Per group: its key's hash, and the next older group with that hash
+    /// (`NONE` at the end of the chain).
+    hashes: Vec<u64>,
+    older: Vec<u32>,
+    newest: FxHashMap<u64, u32>,
+}
+
+impl GroupTable {
+    fn new(width: usize) -> GroupTable {
+        GroupTable {
+            width,
+            len: 0,
+            keys: Vec::new(),
+            hashes: Vec::new(),
+            older: Vec::new(),
+            newest: FxHashMap::default(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The group of `key`, if it has one.
+    fn find(&self, key: &[Value]) -> Option<usize> {
+        self.find_hashed(hash_key(key), key)
+    }
+
+    fn find_hashed(&self, hash: u64, key: &[Value]) -> Option<usize> {
+        debug_assert_eq!(key.len(), self.width);
+        if self.width == 0 {
+            return (self.len > 0).then_some(0);
+        }
+        let mut g = *self.newest.get(&hash)?;
+        while g != NONE {
+            let at = g as usize * self.width;
+            if self.keys[at..at + self.width] == *key {
+                return Some(g as usize);
+            }
+            g = self.older[g as usize];
+        }
+        None
+    }
+
+    /// The group of `key` and whether it is new; a new key is cloned in.
+    fn insert(&mut self, key: &[Value]) -> (usize, bool) {
+        let hash = hash_key(key);
+        match self.find_hashed(hash, key) {
+            Some(g) => (g, false),
+            None => (self.push(hash, key.iter().cloned()), true),
+        }
+    }
+
+    /// [`GroupTable::insert`] for a key that hashes to `hash`; a new key's
+    /// values are moved in, leaving NULLs behind.
+    fn insert_hashed(&mut self, hash: u64, key: &mut [Value]) -> (usize, bool) {
+        match self.find_hashed(hash, key) {
+            Some(g) => (g, false),
+            None => (self.push(hash, key.iter_mut().map(std::mem::take)), true),
+        }
+    }
+
+    /// Add a group for an absent key.
+    fn push(&mut self, hash: u64, key: impl Iterator<Item = Value>) -> usize {
+        let g = self.len;
+        self.len += 1;
+        if self.width > 0 {
+            self.keys.extend(key);
+            self.hashes.push(hash);
+            let older = self.newest.insert(hash, to_id(g));
+            self.older.push(older.unwrap_or(NONE));
+        }
+        g
+    }
+
+    /// Insert `other`'s keys in its group order, moving them, and call
+    /// `each(group, new)` for each: the group the key has here, and whether
+    /// that group is new.
+    fn absorb(&mut self, mut other: GroupTable, mut each: impl FnMut(usize, bool)) {
+        let w = other.width;
+        for j in 0..other.len {
+            let hash = if w == 0 { 0 } else { other.hashes[j] };
+            let (g, new) = self.insert_hashed(hash, &mut other.keys[j * w..(j + 1) * w]);
+            each(g, new);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -902,46 +1024,69 @@ fn compile_aggregate(
     Ok((names, agg))
 }
 
+impl AggPlan {
+    /// Which of the `width` input columns the aggregation reads: group
+    /// keys, aggregate arguments, HAVING and the output expressions.
+    fn columns(&self, width: usize) -> Vec<bool> {
+        let mut read = vec![false; width];
+        let args = self.aggs.iter().filter_map(|s| s.arg.as_ref());
+        for e in self
+            .group
+            .iter()
+            .chain(args)
+            .chain(&self.proj)
+            .chain(&self.having)
+        {
+            e.visit_columns(&mut |c| {
+                if c < width {
+                    read[c] = true;
+                }
+            });
+        }
+        read
+    }
+
+    /// A group's output row from its representative row extended with its
+    /// aggregate values, or `None` when HAVING rejects the group.
+    fn output(&self, extended: &[Value]) -> Result<Option<Row>> {
+        if let Some(h) = &self.having {
+            if !h.eval_bool(extended)? {
+                return Ok(None);
+            }
+        }
+        let row: Result<Row> = self.proj.iter().map(|e| e.eval(extended)).collect();
+        row.map(Some)
+    }
+}
+
 /// Aggregate `data` (rows of `width` columns) per `agg` into output rows.
 fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Result<Vec<Row>> {
-    let AggPlan {
-        group: group_exprs,
-        aggs,
-        proj: proj_exprs,
-        having,
-    } = agg;
+    // Only a factor's leaf reader needs to know which columns are read.
+    let read = match &data {
+        Data::Factor(_) => agg.columns(width),
+        Data::Rows(_) => Vec::new(),
+    };
+    let mut extended: Row = Vec::with_capacity(width + agg.aggs.len());
 
     // Factorized COUNT(*): a count-only scalar aggregate over a factored
     // input needs just the leaf count plus the first path as the group
     // representative — the expansion lists are never flattened.
     if let Data::Factor(f) = &data {
-        if group_exprs.is_empty()
-            && !aggs.is_empty()
-            && aggs
+        if agg.group.is_empty()
+            && !agg.aggs.is_empty()
+            && agg
+                .aggs
                 .iter()
                 .all(|s| s.func == AggFn::CountStar && !s.distinct)
         {
             let n = f.leaf_count();
             env.note(|| format!("aggregate (factorized count, {n} paths)"));
-            let mut extended: Row = f
-                .first_path_row()
-                .unwrap_or_else(|| vec![Value::Null; width]);
-            for _ in aggs {
-                extended.push(Value::Int(n as i64));
+            match n {
+                0 => extended.resize(width, Value::Null),
+                _ => extended.extend_from_slice(LeafReader::new(f, &read).read(0)),
             }
-            let mut out_rows = Vec::new();
-            let passes = match having {
-                Some(h) => h.eval_bool(&extended)?,
-                None => true,
-            };
-            if passes {
-                let mut out = Vec::with_capacity(proj_exprs.len());
-                for e in proj_exprs {
-                    out.push(e.eval(&extended)?);
-                }
-                out_rows.push(out);
-            }
-            return Ok(out_rows);
+            extended.extend(agg.aggs.iter().map(|_| Value::Int(n as i64)));
+            return Ok(agg.output(&extended)?.into_iter().collect());
         }
     }
 
@@ -949,142 +1094,117 @@ fn run_aggregate(env: &Env<'_>, width: usize, data: Data, agg: &AggPlan) -> Resu
     // then merge partials in morsel order. The decomposition depends only
     // on input size — never on the DOP — so serial and parallel runs fold
     // the same values in the same order and agree bit-for-bit even on
-    // float accumulations.
+    // float accumulations. A factor's leaves are read in place.
     let total = data.len();
     let dop = env.db.dop_for(total);
-    env.note(|| format!("aggregate ({total} rows, dop {dop})"));
-
-    let rows = match data {
-        Data::Rows(rows) => rows,
-        // Aggregation merges are a row-semantics operator: flatten here
-        // (the count-only fast path above already handled the list case).
-        // Only the columns the aggregation actually reads — group keys,
-        // aggregate arguments, HAVING, and projection inputs — are cloned;
-        // everything else flattens as NULL at full row width.
-        Data::Factor(f) => {
-            let mut mask = vec![false; width];
-            let mut need = |e: &Expr| {
-                e.visit_columns(&mut |c| {
-                    if c < mask.len() {
-                        mask[c] = true;
-                    }
-                })
-            };
-            for g in group_exprs {
-                need(g);
-            }
-            for s in aggs {
-                if let Some(a) = &s.arg {
-                    need(a);
-                }
-            }
-            if let Some(h) = having {
-                need(h);
-            }
-            for p in proj_exprs {
-                need(p);
-            }
-            f.flatten(Some(&mask))
-        }
-    };
-
     let partials = crate::parallel::ordered_map(
         dop,
         total,
         crate::parallel::MORSEL_ROWS,
-        |range| -> Result<Vec<PartialGroup>> {
-            let mut map: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-            let mut local: Vec<PartialGroup> = Vec::new();
+        |range| -> Result<Groups> {
+            let mut groups = Groups::new(agg.group.len());
+            let mut key = Vec::with_capacity(agg.group.len());
+            let mut rows = data.reader(&read);
             for i in range {
-                let row = &rows[i];
-                let mut key = Vec::with_capacity(group_exprs.len());
-                for g in group_exprs {
-                    key.push(g.eval(row)?);
-                }
-                let gi = match map.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        let gi = local.len();
-                        local.push(PartialGroup {
-                            key: e.key().clone(),
-                            accs: aggs.iter().map(AggAcc::new).collect(),
-                            rep: i,
-                        });
-                        e.insert(gi);
-                        gi
-                    }
-                };
-                for (acc, spec) in local[gi].accs.iter_mut().zip(aggs) {
-                    acc.update(spec, row)?;
-                }
+                groups.fold(agg, &mut key, i, rows.read(i))?;
             }
-            Ok(local)
+            Ok(groups)
         },
     );
 
     // Merge in morsel order: group order is first appearance across the
     // morsel sequence (= first appearance in row order), the representative
     // row is the earliest morsel's (= the group's first row).
-    let mut map: FxHashMap<Vec<Value>, usize> = FxHashMap::default();
-    let mut merged: Vec<PartialGroup> = Vec::new();
-    for chunk in partials {
-        for pg in chunk? {
-            match map.entry(pg.key.clone()) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    let dst = &mut merged[*e.get()];
-                    for ((acc, part), spec) in dst.accs.iter_mut().zip(pg.accs).zip(aggs) {
-                        acc.merge(spec, part);
-                    }
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(merged.len());
-                    merged.push(pg);
-                }
-            }
-        }
+    let mut partials = partials.into_iter();
+    let mut merged = match partials.next() {
+        Some(first) => first?,
+        None => Groups::new(agg.group.len()),
+    };
+    for later in partials {
+        merged.merge(later?, &agg.aggs);
     }
     // A scalar aggregate over zero rows still yields one group.
-    if merged.is_empty() && group_exprs.is_empty() {
-        merged.push(PartialGroup {
-            key: Vec::new(),
-            accs: aggs.iter().map(AggAcc::new).collect(),
-            rep: usize::MAX,
-        });
+    if merged.reps.is_empty() && agg.group.is_empty() {
+        merged.reps.push(usize::MAX);
+        merged.accs.extend(agg.aggs.iter().map(AggAcc::new));
     }
+    let groups = merged.reps.len();
+    env.note(|| format!("aggregate ({total} rows -> {groups} groups, dop {dop})"));
 
-    let mut out_rows = Vec::with_capacity(merged.len());
-    for pg in merged {
+    let mut rows = data.reader(&read);
+    let mut accs = merged.accs.into_iter();
+    let mut out_rows = Vec::with_capacity(groups);
+    for rep in merged.reps {
         // Representative row: first of group, or all-NULL for empty input.
-        let mut extended: Row = if pg.rep == usize::MAX {
-            vec![Value::Null; width]
-        } else {
-            rows[pg.rep].clone()
-        };
-        for (acc, spec) in pg.accs.into_iter().zip(aggs) {
-            extended.push(acc.finish(spec));
+        extended.clear();
+        match rep {
+            usize::MAX => extended.resize(width, Value::Null),
+            _ => extended.extend_from_slice(rows.read(rep)),
         }
-        if let Some(h) = having {
-            if !h.eval_bool(&extended)? {
-                continue;
-            }
-        }
-        let mut out = Vec::with_capacity(proj_exprs.len());
-        for e in proj_exprs {
-            out.push(e.eval(&extended)?);
-        }
-        out_rows.push(out);
+        let values = accs.by_ref().take(agg.aggs.len()).zip(&agg.aggs);
+        extended.extend(values.map(|(acc, spec)| acc.finish(spec)));
+        out_rows.extend(agg.output(&extended)?);
     }
     Ok(out_rows)
 }
 
-/// One group's partial aggregation state within a morsel (or, after the
-/// merge, globally): group key, one accumulator per aggregate, and the
-/// index of the group's first row (its representative — projections may
-/// reference non-grouped columns).
-struct PartialGroup {
-    key: Vec<Value>,
+/// Grouped aggregation state over one morsel of input (or, merged, over
+/// all of it): the group keys, each group's representative — the index of
+/// its first input row, since projections may read non-grouped columns —
+/// and each group's accumulators, one per aggregate, back to back.
+struct Groups {
+    keys: GroupTable,
+    reps: Vec<usize>,
     accs: Vec<AggAcc>,
-    rep: usize,
+}
+
+impl Groups {
+    fn new(width: usize) -> Groups {
+        Groups {
+            keys: GroupTable::new(width),
+            reps: Vec::new(),
+            accs: Vec::new(),
+        }
+    }
+
+    /// Fold input row `i` into its group; `key` is scratch space.
+    fn fold(&mut self, agg: &AggPlan, key: &mut Vec<Value>, i: usize, row: &[Value]) -> Result<()> {
+        key.clear();
+        for g in &agg.group {
+            key.push(g.eval(row)?);
+        }
+        let (g, new) = self.keys.insert_hashed(hash_key(key), key);
+        if new {
+            self.reps.push(i);
+            self.accs.extend(agg.aggs.iter().map(AggAcc::new));
+        }
+        let n = agg.aggs.len();
+        for (acc, spec) in self.accs[g * n..(g + 1) * n].iter_mut().zip(&agg.aggs) {
+            acc.update(spec, row)?;
+        }
+        Ok(())
+    }
+
+    /// Merge a later morsel's groups in, in their order, moving their keys
+    /// and accumulators.
+    fn merge(&mut self, later: Groups, aggs: &[AggSpec]) {
+        let n = aggs.len();
+        let mut reps = later.reps.into_iter();
+        let mut accs = later.accs.into_iter();
+        self.keys.absorb(later.keys, |g, new| {
+            let rep = reps.next().expect("one representative per group");
+            let part = accs.by_ref().take(n);
+            if new {
+                self.reps.push(rep);
+                self.accs.extend(part);
+            } else {
+                let dst = self.accs[g * n..(g + 1) * n].iter_mut();
+                for ((acc, p), spec) in dst.zip(part).zip(aggs) {
+                    acc.merge(spec, p);
+                }
+            }
+        });
+    }
 }
 
 /// A mergeable aggregate accumulator. Serial and parallel aggregation both
@@ -1121,7 +1241,7 @@ impl AggAcc {
     }
 
     /// Fold one input row into the accumulator.
-    fn update(&mut self, spec: &AggSpec, row: &Row) -> Result<()> {
+    fn update(&mut self, spec: &AggSpec, row: &[Value]) -> Result<()> {
         let v = match &spec.arg {
             None => Value::Null,
             Some(arg) => arg.eval(row)?,
@@ -1320,37 +1440,18 @@ impl Factored {
 
     /// Depth-first flatten: for each base row in order, expand each level's
     /// elements in order — byte-identical to the nested index-probe loops
-    /// the plan would otherwise run. With a `mask`, only the marked columns
-    /// are cloned and the rest come out as `NULL`: consumers that provably
-    /// never read the unmarked columns (aggregation reads group keys,
-    /// aggregate arguments, HAVING, and projection inputs only) get rows of
-    /// the full width — column indices stay valid — without paying for the
-    /// dead values. Row count and order do not depend on the mask.
-    fn flatten(self, mask: Option<&[bool]>) -> Vec<Row> {
-        // `prefix.len()` on entry to a level is that level's first absolute
-        // column index, so the mask indexes directly.
-        fn rec(
-            levels: &[Level],
-            parent: usize,
-            prefix: &mut Row,
-            mask: Option<&[bool]>,
-            out: &mut Vec<Row>,
-        ) {
+    /// the plan would otherwise run.
+    fn flatten(self) -> Vec<Row> {
+        fn rec(levels: &[Level], parent: usize, prefix: &mut Row, out: &mut Vec<Row>) {
             let (lv, rest) = levels.split_first().expect("levels never empty here");
             let (lo, hi) = (lv.offsets[parent] as usize, lv.offsets[parent + 1] as usize);
             let w = prefix.len();
             for e in lo..hi {
-                for (c, col) in lv.cols.iter().enumerate() {
-                    prefix.push(if mask.is_none_or(|m| m[w + c]) {
-                        col[e].clone()
-                    } else {
-                        Value::Null
-                    });
-                }
+                prefix.extend(lv.cols.iter().map(|col| col[e].clone()));
                 if rest.is_empty() {
                     out.push(prefix.clone());
                 } else {
-                    rec(rest, e, prefix, mask, out);
+                    rec(rest, e, prefix, out);
                 }
                 prefix.truncate(w);
             }
@@ -1359,14 +1460,8 @@ impl Factored {
         let mut prefix: Row = Vec::new();
         for (b, row) in self.base.iter().enumerate() {
             prefix.clear();
-            prefix.extend(row.iter().enumerate().map(|(c, v)| {
-                if mask.is_none_or(|m| m[c]) {
-                    v.clone()
-                } else {
-                    Value::Null
-                }
-            }));
-            rec(&self.levels, b, &mut prefix, mask, &mut out);
+            prefix.extend_from_slice(row);
+            rec(&self.levels, b, &mut prefix, &mut out);
         }
         out
     }
@@ -1400,28 +1495,98 @@ impl Factored {
         }
         Ok(true)
     }
+}
 
-    /// The first flattened row (the aggregate representative) without
-    /// materializing the rest, or `None` when there are no leaves.
-    fn first_path_row(&self) -> Option<Row> {
-        if self.leaf_count() == 0 {
-            return None;
+/// See [`Data::reader`].
+enum RowReader<'d> {
+    Rows(&'d [Row]),
+    Leaves(LeafReader<'d>),
+}
+
+impl RowReader<'_> {
+    fn read(&mut self, i: usize) -> &[Value] {
+        match self {
+            RowReader::Rows(rows) => &rows[i],
+            RowReader::Leaves(leaves) => leaves.read(i),
         }
-        // Walk ancestor indices from the first leaf up: the parent of
-        // element `e` is the last offset entry at or below `e`.
-        let mut elem = vec![0usize; self.levels.len()];
-        let mut idx = 0usize;
-        for (d, lv) in self.levels.iter().enumerate().rev() {
-            elem[d] = idx;
-            idx = lv.offsets.partition_point(|&o| o as usize <= idx) - 1;
+    }
+}
+
+/// Reads a factor's flattened rows one leaf at a time without flattening
+/// it: each leaf's row is assembled in one full-width scratch row in which
+/// only the columns marked in `read` are written — the rest stay NULL —
+/// and only at the depths whose element changed since the previous read.
+struct LeafReader<'f> {
+    f: &'f Factored,
+    /// Per depth (0: the base rows, `d + 1`: level `d`): its first column in
+    /// a flattened row, and which of its columns to write.
+    cols: Vec<(usize, Vec<usize>)>,
+    /// The current leaf's element at each depth; the leaf itself is last.
+    path: Vec<usize>,
+    /// The element at each depth whose columns `row` holds (`usize::MAX`:
+    /// none yet).
+    written: Vec<usize>,
+    row: Row,
+}
+
+impl<'f> LeafReader<'f> {
+    fn new(f: &'f Factored, read: &[bool]) -> LeafReader<'f> {
+        let widths = std::iter::once(f.base_width).chain(f.levels.iter().map(|l| l.cols.len()));
+        let mut start = 0;
+        let cols: Vec<_> = widths
+            .map(|w| {
+                let first = start;
+                start += w;
+                (first, (0..w).filter(|c| read[first + c]).collect())
+            })
+            .collect();
+        LeafReader {
+            f,
+            path: vec![0; cols.len()],
+            written: vec![usize::MAX; cols.len()],
+            cols,
+            row: vec![Value::Null; read.len()],
         }
-        let mut row = self.base[idx].clone();
-        for (lv, &e) in self.levels.iter().zip(&elem) {
-            for col in &lv.cols {
-                row.push(col[e].clone());
+    }
+
+    /// Leaf `leaf`'s flattened row. A later leaf than the previous read is
+    /// reached by walking the level offsets forward, any other by binary
+    /// search: the parent of element `e` is the last offset at or below `e`.
+    fn read(&mut self, leaf: usize) -> &[Value] {
+        let last = self.path.len() - 1;
+        let forward = self.written[last] != usize::MAX && leaf >= self.path[last];
+        self.path[last] = leaf;
+        for d in (1..=last).rev() {
+            let offsets = &self.f.levels[d - 1].offsets;
+            let e = self.path[d];
+            let parent = if forward {
+                let mut p = self.path[d - 1];
+                while offsets[p + 1] as usize <= e {
+                    p += 1;
+                }
+                if p == self.path[d - 1] {
+                    break; // nothing above this depth moved either
+                }
+                p
+            } else {
+                offsets.partition_point(|&o| o as usize <= e) - 1
+            };
+            self.path[d - 1] = parent;
+        }
+        for (d, (first, cols)) in self.cols.iter().enumerate() {
+            let e = self.path[d];
+            if self.written[d] == e {
+                continue;
+            }
+            self.written[d] = e;
+            for &c in cols {
+                self.row[first + c] = match d {
+                    0 => self.f.base[e][c].clone(),
+                    _ => self.f.levels[d - 1].cols[c][e].clone(),
+                };
             }
         }
-        Some(row)
+        &self.row
     }
 }
 
@@ -1438,7 +1603,16 @@ impl Data {
     fn into_rows(self) -> Vec<Row> {
         match self {
             Data::Rows(r) => r,
-            Data::Factor(f) => f.flatten(None),
+            Data::Factor(f) => f.flatten(),
+        }
+    }
+
+    /// Logical rows by index, without materializing: a factor's leaves are
+    /// read in place, with only the columns marked in `read` written.
+    fn reader<'d>(&'d self, read: &[bool]) -> RowReader<'d> {
+        match self {
+            Data::Rows(rows) => RowReader::Rows(rows),
+            Data::Factor(f) => RowReader::Leaves(LeafReader::new(f, read)),
         }
     }
 
@@ -1861,18 +2035,18 @@ fn exec_attach(
             let lrows = left.into_rows();
             if dop <= 1 {
                 // Serial build in row order, probe in row order.
-                let mut table: FxHashMap<Value, Vec<&Row>> = FxHashMap::default();
-                for r in &rrows {
+                let mut table = JoinTable::new();
+                for (i, r) in rrows.iter().enumerate() {
                     let k = rkey.eval(r)?;
                     if !k.is_null() {
-                        table.entry(k).or_default().push(r);
+                        table.push(hash_key(slice::from_ref(&k)), k, i);
                     }
                 }
                 let mut out = Vec::new();
                 for l in lrows {
                     let k = lkey.eval(&l)?;
-                    let cands = table.get(&k).filter(|_| !k.is_null());
-                    let cands = cands.into_iter().flatten().map(|r| r.iter().cloned());
+                    let cands = table.matches(hash_key(slice::from_ref(&k)), &k);
+                    let cands = cands.map(|i| rrows[i].iter().cloned());
                     emit_matches(outer, &l, cands, &mut out)?;
                 }
                 Ok(Data::Rows(out))
@@ -1947,7 +2121,7 @@ fn filter_data(env: &Env<'_>, data: Data, p: &Expr) -> Result<Data> {
                 Ok(())
             })?;
             if !listwise {
-                return Ok(Data::Rows(filter_rows_par(env, f.flatten(None), p)?));
+                return Ok(Data::Rows(filter_rows_par(env, f.flatten(), p)?));
             }
             let last = f.levels.last_mut().expect("factor levels never empty");
             let mut kept = 0usize;
@@ -2083,12 +2257,59 @@ impl TableFunc {
     }
 }
 
+/// A hash join's build side: its distinct non-NULL keys in a one-column
+/// [`GroupTable`] and, per key, the chain of build rows that carry it, in
+/// build order.
+struct JoinTable {
+    keys: GroupTable,
+    /// Per key group: its first and last entry.
+    ends: Vec<(u32, u32)>,
+    /// Per entry: its build row, and the next entry of its key (`NONE` at
+    /// the end of the chain).
+    entries: Vec<(u32, u32)>,
+}
+
+impl JoinTable {
+    fn new() -> JoinTable {
+        JoinTable {
+            keys: GroupTable::new(1),
+            ends: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+
+    /// Append build row `row`, whose non-NULL key `key` hashes to `hash`.
+    fn push(&mut self, hash: u64, key: Value, row: usize) {
+        let e = to_id(self.entries.len());
+        self.entries.push((to_id(row), NONE));
+        match self.keys.insert_hashed(hash, &mut [key]) {
+            (_, true) => self.ends.push((e, e)),
+            (g, false) => {
+                let last = std::mem::replace(&mut self.ends[g].1, e);
+                self.entries[last as usize].1 = e;
+            }
+        }
+    }
+
+    /// The build rows whose key equals `key` (which hashes to `hash`), in
+    /// build order; none for NULL.
+    fn matches(&self, hash: u64, key: &Value) -> impl Iterator<Item = usize> + '_ {
+        let first = match key {
+            Value::Null => None,
+            _ => self.keys.find_hashed(hash, slice::from_ref(key)),
+        };
+        let next = |&e: &u32| Some(self.entries[e as usize].1).filter(|&n| n != NONE);
+        std::iter::successors(first.map(|g| self.ends[g].0), next)
+            .map(|e| self.entries[e as usize].0 as usize)
+    }
+}
+
 /// Partitioned parallel hash join.
 ///
 /// Build pass 1 splits the build side into morsels; each worker hashes its
 /// morsel's keys into `dop` partition buckets. Pass 2 gives each worker
-/// whole partitions; it assembles that partition's hash table by scanning
-/// the morsel buckets **in morsel order**, so every key's candidate list
+/// whole partitions; it assembles that partition's [`JoinTable`] by
+/// scanning the morsel buckets **in morsel order**, so every key's chain
 /// holds build-row indexes in exactly the order the serial build would
 /// produce. The probe pass then splits the probe side into morsels and
 /// concatenates outputs in morsel order — making the join's output
@@ -2101,51 +2322,43 @@ fn parallel_hash_join(
     rkey: &Expr,
     outer: Option<&plan::Outer>,
 ) -> Result<Vec<Row>> {
-    use crate::hasher::FxHasher;
-    use std::hash::{Hash, Hasher};
-
     let parts = dop;
-    let part_of = |v: &Value| -> usize {
-        let mut h = FxHasher::default();
-        v.hash(&mut h);
-        (h.finish() as usize) % parts
-    };
+    type Bucket = Vec<(u64, Value, usize)>;
 
-    // Pass 1: per-morsel, per-partition (key, build row index) buckets.
+    // Pass 1: per-morsel, per-partition (hash, key, build row) buckets.
     let morsel_buckets = crate::parallel::ordered_map(
         dop,
         build_rows.len(),
         crate::parallel::MORSEL_ROWS,
-        |range| -> Result<Vec<Vec<(Value, u32)>>> {
-            let mut buckets: Vec<Vec<(Value, u32)>> = vec![Vec::new(); parts];
+        |range| -> Result<Vec<Bucket>> {
+            let mut buckets: Vec<Bucket> = vec![Vec::new(); parts];
             for i in range {
                 let k = rkey.eval(&build_rows[i])?;
                 if !k.is_null() {
-                    let p = part_of(&k);
-                    buckets[p].push((k, i as u32));
+                    let h = hash_key(slice::from_ref(&k));
+                    buckets[h as usize % parts].push((h, k, i));
                 }
             }
             Ok(buckets)
         },
     );
-    let mut checked: Vec<Vec<Vec<(Value, u32)>>> = Vec::with_capacity(morsel_buckets.len());
+    let mut checked: Vec<Vec<Bucket>> = Vec::with_capacity(morsel_buckets.len());
     for b in morsel_buckets {
         checked.push(b?);
     }
 
-    // Pass 2: one hash table per partition, filled in morsel order.
+    // Pass 2: one table per partition, filled in morsel order.
     let checked_ref = &checked;
-    let tables: Vec<FxHashMap<Value, Vec<u32>>> =
-        crate::parallel::ordered_map(dop, parts, 1, |range| {
-            let p = range.start;
-            let mut table: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-            for morsel in checked_ref {
-                for (k, i) in &morsel[p] {
-                    table.entry(k.clone()).or_default().push(*i);
-                }
+    let tables: Vec<JoinTable> = crate::parallel::ordered_map(dop, parts, 1, |range| {
+        let p = range.start;
+        let mut table = JoinTable::new();
+        for morsel in checked_ref {
+            for (h, k, i) in &morsel[p] {
+                table.push(*h, k.clone(), *i);
             }
-            table
-        });
+        }
+        table
+    });
 
     // Probe pass: morsels over the probe side, outputs in morsel order.
     let tables_ref = &tables;
@@ -2157,11 +2370,9 @@ fn parallel_hash_join(
             let mut out = Vec::new();
             for l in &probe_rows[range] {
                 let k = lkey.eval(l)?;
-                let cands = tables_ref[part_of(&k)].get(&k).filter(|_| !k.is_null());
-                let cands = cands
-                    .into_iter()
-                    .flatten()
-                    .map(|&i| build_rows[i as usize].iter().cloned());
+                let h = hash_key(slice::from_ref(&k));
+                let cands = tables_ref[h as usize % parts].matches(h, &k);
+                let cands = cands.map(|i| build_rows[i].iter().cloned());
                 emit_matches(outer, l, cands, &mut out)?;
             }
             Ok(out)
@@ -2387,4 +2598,103 @@ pub(crate) fn compile_expr(scope: &Scope, e: &ast::Expr) -> Result<Expr> {
             Box::new(compile_expr(scope, i)?),
         ),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn key(vals: &[i64]) -> Vec<Value> {
+        vals.iter().map(|&v| Value::Int(v)).collect()
+    }
+
+    #[test]
+    fn group_table_numbers_keys_in_first_appearance_order() {
+        let mut t = GroupTable::new(1);
+        let got: Vec<(usize, bool)> = [5, 3, 5, 9, 3]
+            .iter()
+            .map(|&k| t.insert(&key(&[k])))
+            .collect();
+        assert_eq!(
+            got,
+            [(0, true), (1, true), (0, false), (2, true), (1, false)]
+        );
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.find(&key(&[9])), Some(2));
+        assert_eq!(t.find(&key(&[4])), None);
+    }
+
+    #[test]
+    fn group_table_keys_follow_value_equality() {
+        let mut t = GroupTable::new(1);
+        assert_eq!(t.insert(&[Value::Int(3)]), (0, true));
+        assert_eq!(t.insert(&[Value::Double(3.0)]), (0, false));
+        assert_eq!(t.insert(&[Value::Double(3.5)]), (1, true));
+        assert_eq!(t.insert(&[Value::str("3")]), (2, true));
+        // NULL is a key like any other.
+        assert_eq!(t.insert(&[Value::Null]), (3, true));
+        assert_eq!(t.insert(&[Value::Null]), (3, false));
+        assert_eq!(t.find(&[Value::Null]), Some(3));
+        assert_eq!(t.find(&[Value::Double(3.0)]), Some(0));
+    }
+
+    #[test]
+    fn group_table_multi_column_keys() {
+        let mut t = GroupTable::new(2);
+        assert_eq!(t.insert(&key(&[1, 2])), (0, true));
+        assert_eq!(t.insert(&key(&[2, 1])), (1, true));
+        assert_eq!(t.insert(&key(&[1, 2])), (0, false));
+        assert_eq!(t.insert(&[Value::Null, Value::Int(1)]), (2, true));
+        assert_eq!(t.insert(&[Value::Int(1), Value::Null]), (3, true));
+        assert_eq!(t.insert(&[Value::Null, Value::Int(1)]), (2, false));
+        assert_eq!(t.find(&key(&[1, 1])), None);
+        assert_eq!(t.len(), 4);
+    }
+
+    #[test]
+    fn group_table_without_key_columns_has_one_group_and_no_map() {
+        let mut t = GroupTable::new(0);
+        assert_eq!(t.find(&[]), None);
+        assert_eq!(t.insert(&[]), (0, true));
+        assert_eq!(t.insert_hashed(0, &mut []), (0, false));
+        assert_eq!(t.find(&[]), Some(0));
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.newest.capacity(), 0);
+        assert!(t.keys.is_empty() && t.hashes.is_empty() && t.older.is_empty());
+    }
+
+    #[test]
+    fn group_table_chains_distinct_keys_on_one_hash() {
+        let mut t = GroupTable::new(1);
+        for (k, g) in [(1, 0), (2, 1), (3, 2)] {
+            assert_eq!(t.insert_hashed(7, &mut key(&[k])), (g, true));
+        }
+        assert_eq!(t.insert_hashed(7, &mut key(&[1])), (0, false));
+        assert_eq!(t.insert_hashed(7, &mut key(&[2])), (1, false));
+        assert_eq!(t.find_hashed(7, &key(&[3])), Some(2));
+        assert_eq!(t.find_hashed(7, &key(&[4])), None);
+        assert_eq!(t.newest.len(), 1, "one hash, one map entry");
+        // A new key's values are moved in.
+        let mut k = [Value::str("x")];
+        assert_eq!(t.insert_hashed(8, &mut k), (3, true));
+        assert!(k[0].is_null());
+        assert_eq!(t.find_hashed(8, &[Value::str("x")]), Some(3));
+    }
+
+    #[test]
+    fn group_table_absorb_keeps_first_appearance_order() {
+        let mut a = GroupTable::new(1);
+        let mut b = GroupTable::new(1);
+        for k in [4, 2] {
+            a.insert(&key(&[k]));
+        }
+        for k in [2, 7, 4, 8] {
+            b.insert(&key(&[k]));
+        }
+        let mut seen = Vec::new();
+        a.absorb(b, |g, new| seen.push((g, new)));
+        assert_eq!(seen, [(1, false), (2, true), (0, false), (3, true)]);
+        let order: Vec<Option<usize>> = [4, 2, 7, 8].iter().map(|&k| a.find(&key(&[k]))).collect();
+        assert_eq!(order, [Some(0), Some(1), Some(2), Some(3)]);
+    }
 }

@@ -4,8 +4,9 @@
 //! Every test runs the same SQL with the CSR path enabled and disabled and
 //! requires identical rows in identical order — multi-hop chains extend the
 //! factored representation level by level, so these cover level extension,
-//! list-wise after-filters, the flatten points (projection, ORDER BY,
-//! aggregation), and zero-kept-column expansions.
+//! list-wise after-filters, the flatten points (projection, ORDER BY),
+//! aggregation reading the factor in place (over enough leaves that
+//! per-morsel partial groups merge), and zero-kept-column expansions.
 
 use sqlgraph_rel::{Database, Value};
 
@@ -134,7 +135,7 @@ fn aggregates_over_factors_match() {
         "SELECT COUNT(*) FROM seed s, adj a1, adj a2 \
          WHERE s.sid = a1.src AND a1.dst = a2.src",
     );
-    // ... grouped aggregation (flattens at the aggregate) ...
+    // ... grouped aggregation (reads the factor in place) ...
     assert_csr_identical(
         &db,
         "SELECT a2.dst, COUNT(*), SUM(a2.w) FROM seed s, adj a1, adj a2 \
@@ -171,6 +172,91 @@ fn csr_results_identical_across_dop() {
         db.set_parallelism(dop);
         let parallel = db.execute(sql).unwrap();
         assert_eq!(serial.rows, parallel.rows, "csr diverged at dop {dop}");
+    }
+    db.set_parallelism(0);
+}
+
+/// A two-hop fixture whose factor has more than three morsels of leaves, so
+/// grouped aggregation over it merges per-morsel partials: every source of
+/// `adj` is a seed, 600 edges fan out 20 per source, and `x` is a DOUBLE
+/// (NULL on every 11th edge) whose sums depend on the order they are added
+/// in.
+fn multi_morsel_db() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE seed (sid INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute(
+        "CREATE TABLE adj (id INTEGER PRIMARY KEY, src INTEGER, dst INTEGER, \
+         w INTEGER, x DOUBLE, tag TEXT)",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX adj_src ON adj (src)").unwrap();
+    for i in 0..30 {
+        db.execute_with_params("INSERT INTO seed VALUES (?)", &[Value::Int(i)])
+            .unwrap();
+    }
+    for i in 0..600i64 {
+        let x = if i % 11 == 0 {
+            Value::Null
+        } else {
+            Value::Double(i as f64 * 0.1 + 1.0 / 3.0)
+        };
+        db.execute_with_params(
+            "INSERT INTO adj VALUES (?, ?, ?, ?, ?, ?)",
+            &[
+                Value::Int(i),
+                Value::Int(i % 30),
+                Value::Int((i * 7) % 30),
+                Value::Int(i % 5),
+                x,
+                Value::str(["a", "b", "c"][(i % 3) as usize]),
+            ],
+        )
+        .unwrap();
+    }
+    db.execute("ANALYZE").unwrap();
+    db
+}
+
+#[test]
+fn grouped_aggregates_over_a_multi_morsel_factor_match_at_every_dop() {
+    let db = multi_morsel_db();
+    let hops = "FROM seed s, adj a1, adj a2 WHERE s.sid = a1.src AND a1.dst = a2.src";
+    let leaves = db.execute(&format!("SELECT COUNT(*) {hops}")).unwrap();
+    let leaves = leaves.scalar().and_then(Value::as_int).unwrap() as usize;
+    assert!(
+        leaves >= 3 * sqlgraph_rel::parallel::MORSEL_ROWS,
+        "{leaves} leaves"
+    );
+    let queries = [
+        // Float SUM/AVG, one argument from an earlier level.
+        format!("SELECT a2.dst, SUM(a2.x), AVG(a1.x), COUNT(*) {hops} GROUP BY a2.dst"),
+        // COUNT(DISTINCT), MIN/MAX.
+        format!(
+            "SELECT a2.tag, COUNT(DISTINCT a1.dst), MIN(a2.x), MAX(a1.w), MAX(a2.tag) \
+             {hops} GROUP BY a2.tag"
+        ),
+        // A two-column key: a base column and a leaf column.
+        format!("SELECT s.sid, a2.w, COUNT(a2.x), SUM(a2.w) {hops} GROUP BY s.sid, a2.w"),
+        // HAVING.
+        format!("SELECT a2.dst, COUNT(*) {hops} GROUP BY a2.dst HAVING SUM(a2.x) > 1000"),
+        // Non-grouped projected columns come from each group's first row.
+        format!("SELECT a2.dst, a1.id, s.sid, a2.id, COUNT(*) {hops} GROUP BY a2.dst"),
+        // Scalar aggregates over the whole factor.
+        format!("SELECT SUM(a2.x), AVG(a1.x), COUNT(DISTINCT a2.dst), COUNT(a1.x) {hops}"),
+        // Empty input, grouped and scalar.
+        format!("SELECT a2.dst, SUM(a2.x) {hops} AND a2.w > 100 GROUP BY a2.dst"),
+        format!("SELECT SUM(a2.x), COUNT(*), MIN(a2.w), s.sid {hops} AND a2.w > 100"),
+    ];
+    for sql in &queries {
+        db.set_parallelism(1);
+        let serial = db.execute(sql).unwrap();
+        for dop in [1usize, 2, 4, 8] {
+            db.set_parallelism(dop);
+            assert_csr_identical(&db, sql);
+            let csr = db.execute(sql).unwrap();
+            assert_eq!(csr.rows, serial.rows, "dop {dop} diverged on: {sql}");
+        }
     }
     db.set_parallelism(0);
 }
