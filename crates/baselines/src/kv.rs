@@ -7,9 +7,10 @@
 //! operation on top of this store becomes one or more key probes or range
 //! scans.
 
-use parking_lot::RwLock;
+use crate::unpoison;
 use std::collections::BTreeMap;
 use std::ops::Bound;
+use std::sync::RwLock;
 
 /// Byte-key ordered store.
 #[derive(Debug, Default)]
@@ -25,27 +26,27 @@ impl KvStore {
 
     /// Point lookup.
     pub fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
-        self.map.read().get(key).cloned()
+        unpoison(self.map.read()).get(key).cloned()
     }
 
     /// True if the key exists.
     pub fn contains(&self, key: &[u8]) -> bool {
-        self.map.read().contains_key(key)
+        unpoison(self.map.read()).contains_key(key)
     }
 
     /// Insert or replace.
     pub fn put(&self, key: Vec<u8>, value: Vec<u8>) {
-        self.map.write().insert(key, value);
+        unpoison(self.map.write()).insert(key, value);
     }
 
     /// Delete; returns true if the key existed.
     pub fn delete(&self, key: &[u8]) -> bool {
-        self.map.write().remove(key).is_some()
+        unpoison(self.map.write()).remove(key).is_some()
     }
 
     /// All `(key, value)` pairs whose key starts with `prefix`, in order.
     pub fn scan_prefix(&self, prefix: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let map = self.map.read();
+        let map = unpoison(self.map.read());
         map.range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, v)| (k.clone(), v.clone()))
@@ -54,7 +55,7 @@ impl KvStore {
 
     /// Keys with `prefix`, values discarded (adjacency scans).
     pub fn scan_keys(&self, prefix: &[u8]) -> Vec<Vec<u8>> {
-        let map = self.map.read();
+        let map = unpoison(self.map.read());
         map.range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
             .map(|(k, _)| k.clone())
@@ -63,7 +64,7 @@ impl KvStore {
 
     /// Delete every key with `prefix`; returns how many were removed.
     pub fn delete_prefix(&self, prefix: &[u8]) -> usize {
-        let mut map = self.map.write();
+        let mut map = unpoison(self.map.write());
         let keys: Vec<Vec<u8>> = map
             .range::<[u8], _>((Bound::Included(prefix), Bound::Unbounded))
             .take_while(|(k, _)| k.starts_with(prefix))
@@ -78,18 +79,17 @@ impl KvStore {
 
     /// Number of keys.
     pub fn len(&self) -> usize {
-        self.map.read().len()
+        unpoison(self.map.read()).len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.map.read().is_empty()
+        unpoison(self.map.read()).is_empty()
     }
 
     /// Approximate bytes held (for the disk-size comparison).
     pub fn approx_bytes(&self) -> usize {
-        self.map
-            .read()
+        unpoison(self.map.read())
             .iter()
             .map(|(k, v)| k.len() + v.len() + 16)
             .sum()

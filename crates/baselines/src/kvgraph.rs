@@ -12,10 +12,11 @@
 //! its concurrent update throughput in the LinkBench experiments.
 
 use crate::kv::{decode_i64, encode_i64, KvStore};
-use parking_lot::Mutex;
+use crate::unpoison;
 use sqlgraph_gremlin::blueprints::{Blueprints, Direction, GraphError, GraphResult};
 use sqlgraph_json::{parse as parse_json, Json, JsonObject};
 use std::sync::atomic::{AtomicI64, Ordering};
+use std::sync::Mutex;
 
 /// Key space prefixes.
 const P_VERTEX: u8 = b'v';
@@ -211,7 +212,7 @@ impl Blueprints for KvGraph {
     }
 
     fn add_vertex(&self, props: &[(String, Json)]) -> GraphResult<i64> {
-        let _guard = self.write_lock.lock();
+        let _guard = unpoison(self.write_lock.lock());
         let id = self.next_vid.fetch_add(1, Ordering::SeqCst);
         self.store_doc(Self::vertex_key(id), &props_doc(props));
         for (k, v) in props {
@@ -227,7 +228,7 @@ impl Blueprints for KvGraph {
         label: &str,
         props: &[(String, Json)],
     ) -> GraphResult<i64> {
-        let _guard = self.write_lock.lock();
+        let _guard = unpoison(self.write_lock.lock());
         if !self.vertex_exists(src) {
             return Err(GraphError::new(format!("no vertex {src}")));
         }
@@ -248,7 +249,7 @@ impl Blueprints for KvGraph {
     }
 
     fn remove_vertex(&self, v: i64) -> GraphResult<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = unpoison(self.write_lock.lock());
         let Some(doc) = self.load_doc(&Self::vertex_key(v)) else {
             return Err(GraphError::new(format!("no vertex {v}")));
         };
@@ -277,12 +278,12 @@ impl Blueprints for KvGraph {
     }
 
     fn remove_edge(&self, e: i64) -> GraphResult<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = unpoison(self.write_lock.lock());
         self.remove_edge_locked(e)
     }
 
     fn set_vertex_property(&self, v: i64, key: &str, value: &Json) -> GraphResult<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = unpoison(self.write_lock.lock());
         let Some(mut doc) = self.load_doc(&Self::vertex_key(v)) else {
             return Err(GraphError::new(format!("no vertex {v}")));
         };
@@ -298,7 +299,7 @@ impl Blueprints for KvGraph {
     }
 
     fn set_edge_property(&self, e: i64, key: &str, value: &Json) -> GraphResult<()> {
-        let _guard = self.write_lock.lock();
+        let _guard = unpoison(self.write_lock.lock());
         let Some(mut doc) = self.edge_doc(e) else {
             return Err(GraphError::new(format!("no edge {e}")));
         };

@@ -21,6 +21,12 @@ pub mod kvgraph;
 pub mod nativegraph;
 pub mod remote;
 
+/// Take a lock whatever a panicking holder left behind, so one panicked
+/// call does not wedge a store's later callers.
+fn unpoison<G>(locked: std::sync::LockResult<G>) -> G {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use kv::KvStore;
 pub use kvgraph::KvGraph;
 pub use nativegraph::NativeGraph;

@@ -9,10 +9,11 @@
 //! Concurrency mirrors the era's behaviour for the LinkBench shape: one
 //! store-wide RwLock — concurrent readers scale, writers serialize.
 
-use parking_lot::RwLock;
+use crate::unpoison;
 use sqlgraph_gremlin::blueprints::{Blueprints, Direction, GraphError, GraphResult};
 use sqlgraph_json::Json;
 use std::collections::HashMap;
+use std::sync::RwLock;
 
 type EdgePtr = Option<usize>;
 
@@ -137,7 +138,7 @@ impl NativeGraph {
 
     /// Approximate storage footprint in bytes.
     pub fn approx_bytes(&self) -> usize {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let vbytes: usize = inner
             .vertices
             .iter()
@@ -168,7 +169,7 @@ impl NativeGraph {
 
 impl Blueprints for NativeGraph {
     fn vertex_ids(&self) -> Vec<i64> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         inner
             .vertices
             .iter()
@@ -178,7 +179,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn edge_ids(&self) -> Vec<i64> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         inner
             .edges
             .iter()
@@ -188,21 +189,19 @@ impl Blueprints for NativeGraph {
     }
 
     fn vertex_exists(&self, v: i64) -> bool {
-        self.inner.read().vertex(v).is_some()
+        unpoison(self.inner.read()).vertex(v).is_some()
     }
 
     fn edge_exists(&self, e: i64) -> bool {
         e >= 1
-            && self
-                .inner
-                .read()
+            && unpoison(self.inner.read())
                 .edges
                 .get(e as usize - 1)
                 .is_some_and(Option::is_some)
     }
 
     fn edges_of(&self, v: i64, dir: Direction, labels: &[String]) -> Vec<i64> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let Some(rec) = inner.vertex(v) else {
             return Vec::new();
         };
@@ -235,14 +234,13 @@ impl Blueprints for NativeGraph {
     }
 
     fn edge_label(&self, e: i64) -> Option<String> {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let rec = inner.edges.get(e as usize - 1)?.as_ref()?;
         inner.labels.get(rec.label as usize).cloned()
     }
 
     fn edge_source(&self, e: i64) -> Option<i64> {
-        self.inner
-            .read()
+        unpoison(self.inner.read())
             .edges
             .get(e as usize - 1)?
             .as_ref()
@@ -250,8 +248,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn edge_target(&self, e: i64) -> Option<i64> {
-        self.inner
-            .read()
+        unpoison(self.inner.read())
             .edges
             .get(e as usize - 1)?
             .as_ref()
@@ -259,12 +256,15 @@ impl Blueprints for NativeGraph {
     }
 
     fn vertex_property(&self, v: i64, key: &str) -> Option<Json> {
-        self.inner.read().vertex(v)?.props.get(key).cloned()
+        unpoison(self.inner.read())
+            .vertex(v)?
+            .props
+            .get(key)
+            .cloned()
     }
 
     fn edge_property(&self, e: i64, key: &str) -> Option<Json> {
-        self.inner
-            .read()
+        unpoison(self.inner.read())
             .edges
             .get(e as usize - 1)?
             .as_ref()?
@@ -274,8 +274,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn vertices_by_property(&self, key: &str, value: &Json) -> Vec<i64> {
-        self.inner
-            .read()
+        unpoison(self.inner.read())
             .prop_index
             .get(&(key.to_string(), value.to_string()))
             .cloned()
@@ -283,7 +282,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn add_vertex(&self, props: &[(String, Json)]) -> GraphResult<i64> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         inner.vertices.push(Some(VertexRec {
             first_out: None,
             first_in: None,
@@ -303,7 +302,7 @@ impl Blueprints for NativeGraph {
         label: &str,
         props: &[(String, Json)],
     ) -> GraphResult<i64> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         if inner.vertex(src).is_none() {
             return Err(GraphError::new(format!("no vertex {src}")));
         }
@@ -340,7 +339,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn remove_vertex(&self, v: i64) -> GraphResult<()> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         let Some(rec) = inner.vertex(v).cloned() else {
             return Err(GraphError::new(format!("no vertex {v}")));
         };
@@ -371,7 +370,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn remove_edge(&self, e: i64) -> GraphResult<()> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         if e < 1 || inner.edges.get(e as usize - 1).is_none_or(Option::is_none) {
             return Err(GraphError::new(format!("no edge {e}")));
         }
@@ -380,7 +379,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn set_vertex_property(&self, v: i64, key: &str, value: &Json) -> GraphResult<()> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         if inner.vertex(v).is_none() {
             return Err(GraphError::new(format!("no vertex {v}")));
         }
@@ -397,7 +396,7 @@ impl Blueprints for NativeGraph {
     }
 
     fn set_edge_property(&self, e: i64, key: &str, value: &Json) -> GraphResult<()> {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         let Some(Some(rec)) = inner.edges.get_mut(e as usize - 1) else {
             return Err(GraphError::new(format!("no edge {e}")));
         };

@@ -734,13 +734,14 @@ fn tail_columns(all: &LatencyStats) -> String {
 /// transactions — the discipline of a non-versioned store, kept in the
 /// harness so the engine carries no such mode.
 ///
-/// Neither readers/writer lock at hand can stand in. Holds here last whole
-/// round trips and every client asks again at once: the workspace's
-/// `parking_lot` stand-in admits readers until none is left, so the writer
-/// never ran (2–3 wr/s measured), and `std`'s lets the releasing writer
-/// take the lock back before a woken reader moves, so the readers never
-/// finished. In arrival order each waiting reader gets one request in
-/// between two write transactions.
+/// A general-purpose readers/writer lock cannot stand in (EXPERIMENTS.md,
+/// *throughput-mixed*, has the runs). Holds here last whole round trips and
+/// every client asks again at once: a reader-preferring lock admitted
+/// readers until none was left, so the writer never ran (2–3 wr/s
+/// measured), and `std`'s lets the releasing writer take the lock back
+/// before a woken reader moves, so the readers never finished. In arrival
+/// order each waiting reader gets one request in between two write
+/// transactions.
 #[derive(Default)]
 struct FifoRwLock {
     state: Mutex<FifoState>,

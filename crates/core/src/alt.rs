@@ -14,6 +14,7 @@
 use crate::layout::{color_labels, ColorMap, LayoutStats};
 use crate::store::GraphData;
 use sqlgraph_json::Json;
+use sqlgraph_rel::storage::Table;
 use sqlgraph_rel::{Database, Relation, Result, Value};
 use std::collections::BTreeMap;
 
@@ -73,37 +74,38 @@ impl JsonAdjacency {
                 .push((*eid, *src));
         }
         for (table, adj) in [("jout", &out_adj), ("jin", &in_adj)] {
-            let mut t = self.db.write_table(table)?;
-            for (vid, labels) in adj {
-                let mut doc = sqlgraph_json::JsonObject::new();
-                for (label, entries) in labels {
-                    let items: Vec<Json> = entries
-                        .iter()
-                        .map(|(eid, val)| {
-                            let mut o = sqlgraph_json::JsonObject::new();
-                            o.insert("eid", Json::int(*eid));
-                            o.insert("val", Json::int(*val));
-                            Json::Object(o)
-                        })
-                        .collect();
-                    doc.insert(label.to_string(), Json::Array(items));
+            self.db.write_table(table, |t| {
+                for (vid, labels) in adj {
+                    let mut doc = sqlgraph_json::JsonObject::new();
+                    for (label, entries) in labels {
+                        let items: Vec<Json> = entries
+                            .iter()
+                            .map(|(eid, val)| {
+                                let mut o = sqlgraph_json::JsonObject::new();
+                                o.insert("eid", Json::int(*eid));
+                                o.insert("val", Json::int(*val));
+                                Json::Object(o)
+                            })
+                            .collect();
+                        doc.insert(label.to_string(), Json::Array(items));
+                    }
+                    t.insert(vec![
+                        Value::Int(*vid),
+                        Value::str(Json::Object(doc).to_string()),
+                    ])?;
                 }
-                t.insert(vec![
-                    Value::Int(*vid),
-                    Value::str(Json::Object(doc).to_string()),
-                ])?;
-            }
+                Ok(())
+            })?;
         }
-        {
-            let mut va = self.db.write_table("va")?;
+        self.db.write_table("va", |va| {
             for (vid, props) in &data.vertices {
                 va.insert(vec![
                     Value::Int(*vid),
                     Value::json(crate::store::props_to_json(props)),
                 ])?;
             }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// SQL for a k-hop traversal from the vertices matched by
@@ -236,11 +238,8 @@ impl ShreddedAttrs {
 
         let mut next_rowno = 1i64;
         let mut next_ref = 1i64;
-        {
-            let mut vah = db.write_table("vah")?;
-            let mut lst = db.write_table("lst")?;
-            let mut mvt = db.write_table("mvt")?;
-            let arity = 3 + 3 * buckets;
+        let arity = 3 + 3 * buckets;
+        let mut shred = |vah: &mut Table, lst: &mut Table, mvt: &mut Table| {
             for (vid, props) in vertices {
                 let mut rows: Vec<Vec<Value>> = vec![new_row(arity, next_rowno, *vid, false)];
                 next_rowno += 1;
@@ -292,7 +291,14 @@ impl ShreddedAttrs {
                     vah.insert(row)?;
                 }
             }
-        }
+            Ok(())
+        };
+        // All three tables are written under their locks at once.
+        db.write_table("vah", |vah| {
+            db.write_table("lst", |lst| {
+                db.write_table("mvt", |mvt| shred(vah, lst, mvt))
+            })
+        })?;
         Ok(ShreddedAttrs {
             db,
             colors,

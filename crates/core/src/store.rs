@@ -11,7 +11,6 @@ use crate::layout::{color_labels, GraphLayout, LayoutStats};
 use crate::schema::{create_tables, deleted_id, SchemaConfig, MV_BASE};
 use crate::translate::{translate_template, translate_with, TranslateOptions};
 use crate::CoreError;
-use parking_lot::{RwLock, RwLockWriteGuard};
 use sqlgraph_gremlin::ast::{GremlinStatement, Pipeline};
 use sqlgraph_gremlin::blueprints::{
     Blueprints, Direction, GraphError, GraphResult, GraphTransaction,
@@ -21,11 +20,12 @@ use sqlgraph_json::{Json, JsonObject};
 use sqlgraph_rel::expr::json_to_value;
 use sqlgraph_rel::sql::ast::Statement;
 use sqlgraph_rel::sql::parser::parse_statement_with_params;
+use sqlgraph_rel::storage::Table;
 use sqlgraph_rel::{ClockCache, Database, Prepared, Relation, Txn, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, LockResult, PoisonError, RwLock, RwLockWriteGuard, TryLockError};
 
 /// Per-vertex adjacency grouped by label: vid → label → [(eid, other)].
 type AdjacencyMap<'a> = BTreeMap<i64, BTreeMap<&'a str, Vec<(i64, i64)>>>;
@@ -36,6 +36,14 @@ type AdjacencyMap<'a> = BTreeMap<i64, BTreeMap<&'a str, Vec<(i64, i64)>>>;
 /// absorbs transient hot-row collisions (e.g. two edges migrating the same
 /// adjacency triad single→multi).
 const TXN_RETRIES: usize = 16;
+
+/// Take a lock whatever a panicking holder left behind: the store's locks
+/// guard no state an unwind can tear (the mutation lock guards nothing; the
+/// layout and load stats are replaced whole), so a panicked transaction
+/// does not wedge later callers.
+fn unpoison<G>(locked: LockResult<G>) -> G {
+    locked.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// One vertex for bulk loading: `(vertex id, properties)`.
 pub type VertexSpec = (i64, Vec<(String, Json)>);
@@ -154,7 +162,7 @@ impl SqlGraph {
     /// open to the snapshot plus the post-checkpoint tail. Graph mutations
     /// are excluded while the snapshot is cut.
     pub fn checkpoint(&self) -> Result<sqlgraph_rel::CheckpointReport, CoreError> {
-        let _exclusive = self.mutation_lock.write();
+        let _exclusive = unpoison(self.mutation_lock.write());
         Ok(self.db.checkpoint()?)
     }
 
@@ -222,7 +230,7 @@ impl SqlGraph {
 
     /// The current physical layout.
     pub fn layout(&self) -> Arc<GraphLayout> {
-        self.layout.read().clone()
+        unpoison(self.layout.read()).clone()
     }
 
     /// Number of queries that used the interpreter fallback.
@@ -243,7 +251,7 @@ impl SqlGraph {
 
     /// Layout statistics from the last bulk load (out, in) — Table 3.
     pub fn load_stats(&self) -> Option<(LayoutStats, LayoutStats)> {
-        self.load_stats.read().clone()
+        unpoison(self.load_stats.read()).clone()
     }
 
     // ------------------------------------------------------------------
@@ -276,15 +284,14 @@ impl SqlGraph {
         }
 
         // 2. Write VA.
-        {
-            let mut va = self.db.write_table("va")?;
+        self.db.write_table("va", |va| {
             for (vid, props) in &data.vertices {
                 va.insert(vec![Value::Int(*vid), Value::json(props_to_json(props))])?;
             }
-        }
+            Ok(())
+        })?;
         // 3. Write EA.
-        {
-            let mut ea = self.db.write_table("ea")?;
+        self.db.write_table("ea", |ea| {
             for (eid, src, dst, label, props) in &data.edges {
                 ea.insert(vec![
                     Value::Int(*eid),
@@ -294,7 +301,8 @@ impl SqlGraph {
                     Value::json(props_to_json(props)),
                 ])?;
             }
-        }
+            Ok(())
+        })?;
         // 4. Shred adjacency, collecting Table 3 stats.
         let mut stats_out = LayoutStats {
             hashed_labels: layout.out.labels(),
@@ -324,11 +332,11 @@ impl SqlGraph {
             // assignment. Cleared under the layout lock, which a `prepared`
             // that missed holds from reading the layout to inserting its
             // template, so none built on the old layout lands afterwards.
-            let mut current = self.layout.write();
+            let mut current = unpoison(self.layout.write());
             *current = Arc::new(layout);
             self.templates.clear();
         }
-        *self.load_stats.write() = Some((stats_out, stats_in));
+        *unpoison(self.load_stats.write()) = Some((stats_out, stats_in));
         Ok(())
     }
 
@@ -347,8 +355,6 @@ impl SqlGraph {
         };
         let (pa, sa) = if out { ("opa", "osa") } else { ("ipa", "isa") };
         let arity = 3 + 3 * buckets;
-        let mut pa_table = self.db.write_table(pa)?;
-        let mut sa_table = self.db.write_table(sa)?;
         let empty_row = |rowno: i64, vid: i64, spill: bool| {
             let mut row = vec![Value::Null; arity];
             row[0] = Value::Int(rowno);
@@ -356,55 +362,63 @@ impl SqlGraph {
             row[2] = Value::Int(spill as i64);
             row
         };
-        for (&vid, labels) in adj {
-            let mut rows: Vec<Vec<Value>> = vec![empty_row(
-                self.next_rowno.fetch_add(1, Ordering::Relaxed),
-                vid,
-                false,
-            )];
-            for (label, entries) in labels {
-                let col = if out {
-                    layout.out_column(label)
-                } else {
-                    layout.in_column(label)
-                };
-                let (lbl_i, eid_i, val_i) = (3 + 3 * col, 4 + 3 * col, 5 + 3 * col);
-                // First row whose triad is free; else a new spill row.
-                let row_idx = match rows.iter().position(|r| r[lbl_i].is_null()) {
-                    Some(i) => i,
-                    None => {
-                        rows.push(empty_row(
-                            self.next_rowno.fetch_add(1, Ordering::Relaxed),
-                            vid,
-                            true,
-                        ));
-                        rows.len() - 1
-                    }
-                };
-                let row = &mut rows[row_idx];
-                row[lbl_i] = Value::str(*label);
-                if entries.len() == 1 {
-                    row[eid_i] = Value::Int(entries[0].0);
-                    row[val_i] = Value::Int(entries[0].1);
-                } else {
-                    let valid = MV_BASE + self.next_valid.fetch_add(1, Ordering::Relaxed);
-                    row[val_i] = Value::Int(valid);
-                    for (eid, other) in entries {
-                        sa_table.insert(vec![
-                            Value::Int(valid),
-                            Value::Int(*eid),
-                            Value::Int(*other),
-                        ])?;
-                        stats.multi_value_rows += 1;
+        // Both tables are written under their locks at once, `pa` first.
+        let mut shred = |pa_table: &mut Table, sa_table: &mut Table| {
+            for (&vid, labels) in adj {
+                let mut rows: Vec<Vec<Value>> = vec![empty_row(
+                    self.next_rowno.fetch_add(1, Ordering::Relaxed),
+                    vid,
+                    false,
+                )];
+                for (label, entries) in labels {
+                    let col = if out {
+                        layout.out_column(label)
+                    } else {
+                        layout.in_column(label)
+                    };
+                    let (lbl_i, eid_i, val_i) = (3 + 3 * col, 4 + 3 * col, 5 + 3 * col);
+                    // First row whose triad is free; else a new spill row.
+                    let row_idx = match rows.iter().position(|r| r[lbl_i].is_null()) {
+                        Some(i) => i,
+                        None => {
+                            rows.push(empty_row(
+                                self.next_rowno.fetch_add(1, Ordering::Relaxed),
+                                vid,
+                                true,
+                            ));
+                            rows.len() - 1
+                        }
+                    };
+                    let row = &mut rows[row_idx];
+                    row[lbl_i] = Value::str(*label);
+                    if entries.len() == 1 {
+                        row[eid_i] = Value::Int(entries[0].0);
+                        row[val_i] = Value::Int(entries[0].1);
+                    } else {
+                        let valid = MV_BASE + self.next_valid.fetch_add(1, Ordering::Relaxed);
+                        row[val_i] = Value::Int(valid);
+                        for (eid, other) in entries {
+                            sa_table.insert(vec![
+                                Value::Int(valid),
+                                Value::Int(*eid),
+                                Value::Int(*other),
+                            ])?;
+                            stats.multi_value_rows += 1;
+                        }
                     }
                 }
+                stats.primary_rows += 1;
+                stats.spill_rows += rows.len() - 1;
+                for row in rows {
+                    pa_table.insert(row)?;
+                }
             }
-            stats.primary_rows += 1;
-            stats.spill_rows += rows.len() - 1;
-            for row in rows {
-                pa_table.insert(row)?;
-            }
-        }
+            Ok(())
+        };
+        self.db.write_table(pa, |pa_table| {
+            self.db
+                .write_table(sa, |sa_table| shred(pa_table, sa_table))
+        })?;
         // Vertices with no adjacency in this direction get their primary
         // row lazily from attach(); nothing to write for them here.
         let _ = total_vertices;
@@ -550,7 +564,7 @@ impl SqlGraph {
                 self.template_misses.fetch_add(1, Ordering::Relaxed);
                 // Held from reading the layout to inserting the template:
                 // see `bulk_load`.
-                let layout = self.layout.read();
+                let layout = unpoison(self.layout.read());
                 let (sql, slots) = translate_template(pipeline, &layout, options)
                     .map_err(|u| CoreError::Unsupported(u.reason))?;
                 let (statement, params) = parse_statement_with_params(&sql)?;
@@ -627,7 +641,7 @@ impl SqlGraph {
     /// lock-free *reads* — queries on other threads still run against
     /// their own snapshots.
     pub fn transaction(&self) -> GraphTxn<'_> {
-        let exclusive = self.mutation_lock.write();
+        let exclusive = unpoison(self.mutation_lock.write());
         GraphTxn {
             txn: self.db.begin(),
             layout: self.layout(),
@@ -642,7 +656,11 @@ impl SqlGraph {
     /// of parking in `transaction()`, so a shutdown request can interrupt
     /// a `BEGIN` that is queued behind a long-lived transaction.
     pub fn try_transaction(&self) -> Option<GraphTxn<'_>> {
-        let exclusive = self.mutation_lock.try_write()?;
+        let exclusive = match self.mutation_lock.try_write() {
+            Ok(exclusive) => exclusive,
+            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
+            Err(TryLockError::WouldBlock) => return None,
+        };
         Some(GraphTxn {
             txn: self.db.begin(),
             layout: self.layout(),
@@ -662,7 +680,7 @@ impl SqlGraph {
     }
 
     fn add_vertex_props(&self, props: &[(String, Json)]) -> Result<i64, CoreError> {
-        let _shared = self.mutation_lock.read();
+        let _shared = unpoison(self.mutation_lock.read());
         let vid = self.next_vid.fetch_add(1, Ordering::SeqCst);
         let attr = Value::json(props_to_json(props));
         self.retry_txn(|tx| self.add_vertex_in(tx, vid, &attr))?;
@@ -711,7 +729,7 @@ impl SqlGraph {
         label: &str,
         props: &[(String, Json)],
     ) -> Result<i64, CoreError> {
-        let _shared = self.mutation_lock.read();
+        let _shared = unpoison(self.mutation_lock.read());
         for v in [src, dst] {
             if !self.vertex_exists_internal(v)? {
                 return Err(CoreError::Graph(GraphError::new(format!("no vertex {v}"))));
@@ -904,7 +922,7 @@ impl SqlGraph {
     }
 
     fn remove_edge_impl(&self, eid: i64) -> Result<(), CoreError> {
-        let _shared = self.mutation_lock.read();
+        let _shared = unpoison(self.mutation_lock.read());
         let layout = self.layout();
         self.retry_txn(|tx| self.remove_edge_in(tx, &layout, eid))?;
         Ok(())
@@ -933,7 +951,7 @@ impl SqlGraph {
     }
 
     fn remove_vertex_impl(&self, vid: i64) -> Result<(), CoreError> {
-        let _exclusive = self.mutation_lock.write();
+        let _exclusive = unpoison(self.mutation_lock.write());
         if !self.vertex_exists_internal(vid)? {
             return Err(CoreError::Graph(GraphError::new(format!(
                 "no vertex {vid}"
@@ -999,12 +1017,12 @@ impl SqlGraph {
     }
 
     fn set_vertex_property_impl(&self, vid: i64, key: &str, value: &Json) -> Result<(), CoreError> {
-        let _shared = self.mutation_lock.read();
+        let _shared = unpoison(self.mutation_lock.read());
         self.retry_txn(|tx| Self::set_property_in(tx, "va", "vid", vid, key, value))
     }
 
     fn set_edge_property_impl(&self, eid: i64, key: &str, value: &Json) -> Result<(), CoreError> {
-        let _shared = self.mutation_lock.read();
+        let _shared = unpoison(self.mutation_lock.read());
         self.retry_txn(|tx| Self::set_property_in(tx, "ea", "eid", eid, key, value))
     }
 
@@ -1070,7 +1088,7 @@ impl SqlGraph {
 
     /// Offline cleanup (§4.5.2): physically remove rows marked deleted.
     pub fn vacuum(&self) -> Result<usize, CoreError> {
-        let _exclusive = self.mutation_lock.write();
+        let _exclusive = unpoison(self.mutation_lock.write());
         let mut removed = 0usize;
         for table in ["va", "opa", "ipa"] {
             let rel = self

@@ -229,6 +229,47 @@ fn wal_backed_store_recovers() {
     std::fs::remove_file(&path).unwrap();
 }
 
+/// A panic while a lock is held must not wedge the store: a graph
+/// transaction (which holds the mutation lock exclusively) and a raw table
+/// write both unwind mid-flight. Afterwards mutations, queries and
+/// checkpoints run as before, and the panicked transaction is rolled back.
+#[test]
+fn a_panic_under_a_lock_leaves_the_store_usable() {
+    let fs = std::sync::Arc::new(sqlgraph_rel::SimFs::new());
+    let g = SqlGraph::open_with_vfs("poison.wal", SchemaConfig::default(), fs).unwrap();
+    let a = g.add_vertex([("name", "a".into())]).unwrap();
+    std::thread::scope(|s| {
+        let in_txn = s.spawn(|| {
+            let mut tx = g.transaction();
+            tx.add_vertex(&[("name".into(), "ghost".into())]).unwrap();
+            panic!("panic inside a graph transaction");
+        });
+        assert!(in_txn.join().is_err());
+        let in_write = s.spawn(|| {
+            g.database()
+                .write_table("va", |_va| -> sqlgraph_rel::Result<()> {
+                    panic!("panic under a table write lock")
+                })
+        });
+        assert!(in_write.join().is_err());
+    });
+    let b = g.add_vertex([("name", "b".into())]).unwrap();
+    g.add_edge(a, b, "knows", []).unwrap();
+    let out = g.query(&format!("g.v({a}).out('knows')")).unwrap();
+    assert_eq!(out.int_column(), [b]);
+    assert_eq!(
+        g.query("g.V.has('name', 'ghost').count()")
+            .unwrap()
+            .scalar(),
+        Some(&Value::Int(0))
+    );
+    assert_eq!(
+        g.query("g.V.count()").unwrap().scalar(),
+        Some(&Value::Int(2))
+    );
+    g.checkpoint().unwrap();
+}
+
 #[test]
 fn translation_is_used_not_fallback() {
     let g = sample();

@@ -4,12 +4,12 @@
 //! only.
 
 use crate::blueprints::{Blueprints, Direction, GraphError, GraphResult};
-use parking_lot_free_mutex::Mutex;
 use sqlgraph_json::Json;
 use std::collections::HashMap;
+use unpoisoned::Mutex;
 
 /// Tiny std-Mutex wrapper so this crate stays dependency-free.
-mod parking_lot_free_mutex {
+mod unpoisoned {
     /// `std::sync::Mutex` with poisoning folded away (lock poisoning on a
     /// panicking test thread should not cascade).
     #[derive(Debug, Default)]

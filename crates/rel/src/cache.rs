@@ -8,10 +8,11 @@
 //! own a large parsed statement) is dropped only after the lock is released.
 
 use crate::hasher::FxHashMap;
-use parking_lot::RwLock;
+use crate::unpoison;
 use std::borrow::Borrow;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::RwLock;
 
 /// See the module documentation. `V` is returned by clone, so it should be
 /// an `Arc` (or a few of them); `K` is stored twice (index and ring).
@@ -55,7 +56,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        let inner = self.inner.read();
+        let inner = unpoison(self.inner.read());
         let slot = &inner.ring[*inner.index.get(key)?];
         slot.used.store(true, Ordering::Relaxed);
         Some(slot.value.clone())
@@ -65,7 +66,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
     /// the cache is full. An entry already present under `key` is kept
     /// (two threads that missed together computed the same value).
     pub fn insert(&self, key: K, value: V) {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         if inner.index.contains_key(&key) {
             return;
         }
@@ -98,7 +99,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
 
     /// Number of cached entries.
     pub fn len(&self) -> usize {
-        self.inner.read().ring.len()
+        unpoison(self.inner.read()).ring.len()
     }
 
     /// Whether the cache holds nothing.
@@ -108,7 +109,7 @@ impl<K: Hash + Eq + Clone, V: Clone> ClockCache<K, V> {
 
     /// Drop every entry (after releasing the lock).
     pub fn clear(&self) {
-        let mut inner = self.inner.write();
+        let mut inner = unpoison(self.inner.write());
         let index = std::mem::take(&mut inner.index);
         let ring = std::mem::take(&mut inner.ring);
         inner.hand = 0;

@@ -4,10 +4,12 @@
 //! Concurrency model: MVCC with snapshot isolation (see [`crate::txn`]).
 //! Every statement — and every multi-statement transaction begun with
 //! [`Database::begin`] — reads through a snapshot of the commit clock, so
-//! readers take only brief shared table guards and never block on writers.
-//! Writers install *provisional* row versions under their transaction
-//! token, holding a table's write lock only while applying one statement's
-//! mutations to that table; write-write races fail fast with
+//! readers take only brief shared table locks and never wait for a
+//! transaction to commit: a reader waits only for one statement's apply to
+//! a table whose write lock is held or queued. Writers install
+//! *provisional* row versions under their transaction token, holding a
+//! table's write lock only while applying one statement's mutations to
+//! that table; write-write races fail fast with
 //! [`Error::TxnConflict`] (first-updater-wins). Commits serialize on the
 //! transaction manager: redo records are appended to the WAL with the
 //! commit timestamp, provisional versions are stamped, and the clock
@@ -18,7 +20,10 @@
 //! Two residual locking rules keep the rare multi-lock paths safe: a
 //! write statement compiles its expressions (which may read other tables
 //! for subqueries) *before* taking the target's write lock, and
-//! checkpoints exclude commits via `commit_lock`.
+//! checkpoints exclude commits via `commit_lock`. No thread takes a lock it
+//! already holds: `std`'s `RwLock` queues a new reader behind a waiting
+//! writer, so a second shared acquisition can deadlock (DESIGN.md, *Lock
+//! inventory*).
 
 use crate::cache::ClockCache;
 use crate::checkpoint::{self, CheckpointReport, RecoveryReport};
@@ -34,17 +39,11 @@ use crate::sql::ast::{self, Statement};
 use crate::sql::parse_statement;
 use crate::storage::Table;
 use crate::txn::{Snapshot, TxnManager};
+use crate::unpoison;
 use crate::value::Value;
 use crate::wal::{segment_path, Wal, WalRecord};
-use parking_lot::lock_api::{ArcRwLockReadGuard, ArcRwLockWriteGuard};
-use parking_lot::{Mutex, RawRwLock, RwLock};
 use std::path::Path;
-use std::sync::Arc;
-
-/// Read guard over a table.
-pub type TableReadGuard = ArcRwLockReadGuard<RawRwLock, Table>;
-/// Write guard over a table.
-pub type TableWriteGuard = ArcRwLockWriteGuard<RawRwLock, Table>;
+use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
 /// A stored procedure: runs inside the caller's transaction.
 pub type Procedure = dyn Fn(&mut Txn<'_>, &[Value]) -> Result<Relation> + Send + Sync;
@@ -61,11 +60,11 @@ pub struct Database {
     /// Plan epoch: moves whenever something planning reads, other than the
     /// statement, its binds and the join-order cardinalities, may have
     /// changed — the catalog (CREATE/DROP TABLE, CREATE INDEX, their
-    /// rollback, every raw [`Database::write_table`] guard — bulk loads),
-    /// the CSR switch, and any table's [`crate::plan::table_epoch`] (an
-    /// engine write that runs `ANALYZE` or crosses the 2× drift or CSR size
-    /// line; see [`TableMut`]). Cached plans are keyed on it, so checking
-    /// one reads no table.
+    /// rollback, every raw [`Database::write_table`] — bulk loads), the CSR
+    /// switch, and any table's [`crate::plan::table_epoch`] (an engine write
+    /// that runs `ANALYZE` or crosses the 2× drift or CSR size line; see
+    /// `Database::table_mut`). Cached plans are keyed on it, so checking one
+    /// reads no table.
     plan_epoch: std::sync::atomic::AtomicU64,
     /// Cached-core executions served by a current plan, and those that had
     /// to plan (first run, or a stale plan).
@@ -102,38 +101,6 @@ pub struct Database {
     recovery: Option<RecoveryReport>,
 }
 
-/// The engine's write guard over a table: when it is dropped, having moved
-/// the table's [`crate::plan::table_epoch`] (stats installed, the live count
-/// across the 2× drift or CSR size line) moves the database's plan epoch —
-/// before the lock is released, so no planner reads the new table under
-/// the old epoch.
-struct TableMut<'db> {
-    db: &'db Database,
-    epoch: u64,
-    guard: TableWriteGuard,
-}
-
-impl std::ops::Deref for TableMut<'_> {
-    type Target = Table;
-    fn deref(&self) -> &Table {
-        &self.guard
-    }
-}
-
-impl std::ops::DerefMut for TableMut<'_> {
-    fn deref_mut(&mut self) -> &mut Table {
-        &mut self.guard
-    }
-}
-
-impl Drop for TableMut<'_> {
-    fn drop(&mut self) {
-        if crate::plan::table_epoch(&self.guard) != self.epoch {
-            self.db.plan_inputs_changed();
-        }
-    }
-}
-
 /// Statement-cache capacity.
 pub const STMT_CACHE_CAP: usize = 4096;
 
@@ -158,7 +125,7 @@ fn env_test_dop() -> usize {
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("tables", &self.tables.read().keys().collect::<Vec<_>>())
+            .field("tables", &self.table_names())
             .field("wal", &self.wal.is_some())
             .finish()
     }
@@ -290,12 +257,12 @@ impl Database {
     pub fn set_csr_enabled(&self, on: bool) {
         self.csr.store(on, std::sync::atomic::Ordering::Relaxed);
         self.plan_inputs_changed();
-        self.csr_cache.write().clear();
+        unpoison(self.csr_cache.write()).clear();
     }
 
     /// Number of cached CSR adjacency entries (test hook).
     pub fn csr_cache_len(&self) -> usize {
-        self.csr_cache.read().len()
+        unpoison(self.csr_cache.read()).len()
     }
 
     /// Total CSR entries built since startup, cached or private (test hook:
@@ -310,12 +277,11 @@ impl Database {
     /// derived from the old table contents must not linger.
     pub fn invalidate_csr(&self, table: &str) {
         let lower = table.to_ascii_lowercase();
-        self.csr_cache.write().retain(|k, _| k.table != lower);
+        unpoison(self.csr_cache.write()).retain(|k, _| k.table != lower);
     }
 
     /// Fetch or build the CSR entry for (`table`, `index`, `keep`) as seen
-    /// by `snap`, where `t` is the already-acquired read guard over
-    /// `table`.
+    /// by `snap`, where `t` is `table`, read under its lock.
     ///
     /// Cache discipline (the MVCC contract):
     /// * Only read-only snapshots (`token == 0`) touch the shared cache.
@@ -343,18 +309,18 @@ impl Database {
             index: index.to_string(),
             keep: keep.to_vec(),
         };
-        // The caller holds the table's read guard, so the content version
+        // The caller holds the table's read lock, so the content version
         // cannot change while we validate, build, or publish.
         let version = t.content_version();
         let cacheable = snap.token == 0 && snap.ts >= t.last_commit_ts();
         if snap.token == 0 {
-            let hit = self.csr_cache.read().get(&key).cloned();
+            let hit = unpoison(self.csr_cache.read()).get(&key).cloned();
             if let Some(entry) = hit {
                 if entry.built_version == version && cacheable {
                     return Ok(entry);
                 }
                 // Stale: evict so the cache length reflects reality.
-                let mut cache = self.csr_cache.write();
+                let mut cache = unpoison(self.csr_cache.write());
                 if cache.get(&key).is_some_and(|e| e.built_version != version) {
                     cache.remove(&key);
                 }
@@ -364,7 +330,7 @@ impl Database {
         self.csr_builds
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if cacheable {
-            self.csr_cache.write().insert(key, entry.clone());
+            unpoison(self.csr_cache.write()).insert(key, entry.clone());
         }
         Ok(entry)
     }
@@ -491,7 +457,7 @@ impl Database {
             report.snapshot_tables = snap.tables.len();
             start_gen = snap.gen;
             db.txns.restore_clock(snap.clock);
-            let mut tables = db.tables.write();
+            let mut tables = unpoison(db.tables.write());
             for t in snap.tables {
                 tables.insert(t.schema.name.clone(), Arc::new(RwLock::new(t)));
             }
@@ -551,7 +517,7 @@ impl Database {
     /// Turn on fsync-per-commit durability (off by default for benchmarks).
     pub fn set_sync_on_commit(&self, sync: bool) {
         if let Some(wal) = &self.wal {
-            wal.lock().sync_on_commit = sync;
+            unpoison(wal.lock()).sync_on_commit = sync;
         }
     }
 
@@ -569,12 +535,12 @@ impl Database {
         // latest-committed versions anyway, and a trimmed slab is cheaper
         // to serialize.
         self.vacuum();
-        let _commit = self.commit_lock.write();
+        let _commit = unpoison(self.commit_lock.write());
         let wal_slot = self
             .wal
             .as_ref()
             .ok_or_else(|| Error::Invalid("checkpoint: in-memory database has no WAL".into()))?;
-        let mut wal = wal_slot.lock();
+        let mut wal = unpoison(wal_slot.lock());
         let vfs = wal.vfs();
         let base = wal.base().to_path_buf();
         let old_gen = wal.gen();
@@ -588,12 +554,15 @@ impl Database {
             .map_err(|e| Error::Wal(format!("checkpoint: open segment {new_gen}: {e}")))?;
 
         // Serialize a consistent image: the exclusive commit lock keeps
-        // every writer out, and read guards cover concurrent readers.
+        // every writer out, and read locks, taken in name order, cover
+        // concurrent readers.
         let names = self.table_names();
-        let guards: Vec<TableReadGuard> = names
+        let handles: Vec<Arc<RwLock<Table>>> = names
             .iter()
-            .map(|n| self.read_table(n))
+            .map(|n| self.table_handle(n))
             .collect::<Result<_>>()?;
+        let guards: Vec<RwLockReadGuard<'_, Table>> =
+            handles.iter().map(|h| unpoison(h.read())).collect();
         let refs: Vec<&Table> = guards.iter().map(|g| &**g).collect();
         let bytes = checkpoint::encode_snapshot(new_gen, self.txns.now(), &refs);
         let written = checkpoint::install_snapshot(vfs.as_ref(), &base, &bytes)?;
@@ -646,14 +615,12 @@ impl Database {
                         }
                     }
                     WalRecord::Insert { table, row_id, row } => {
-                        let mut t = self.table_mut(table)?;
-                        let new_id = t.insert(row.clone())?;
+                        let new_id = self.table_mut(table, |t| t.insert(row.clone()))?;
                         id_map.insert((table.clone(), *row_id), new_id);
                     }
                     WalRecord::Delete { table, row_id, .. } => {
                         let id = id_map.remove(&(table.clone(), *row_id)).unwrap_or(*row_id);
-                        let mut t = self.table_mut(table)?;
-                        t.delete(id).map_err(|e| {
+                        self.table_mut(table, |t| t.delete(id)).map_err(|e| {
                             Error::Wal(format!("replay delete {table}[{row_id}]: {e}"))
                         })?;
                     }
@@ -664,10 +631,10 @@ impl Database {
                             .get(&(table.clone(), *row_id))
                             .copied()
                             .unwrap_or(*row_id);
-                        let mut t = self.table_mut(table)?;
-                        t.update(id, new.clone()).map_err(|e| {
-                            Error::Wal(format!("replay update {table}[{row_id}]: {e}"))
-                        })?;
+                        self.table_mut(table, |t| t.update(id, new.clone()))
+                            .map_err(|e| {
+                                Error::Wal(format!("replay update {table}[{row_id}]: {e}"))
+                            })?;
                     }
                     // Commit markers are consumed by the segment scanner;
                     // tolerate one appearing in a group defensively.
@@ -681,9 +648,10 @@ impl Database {
 
     // ---- catalog ----
 
-    /// Handle to a table's lock.
+    /// Handle to a table's lock. The catalog lock is released before the
+    /// caller takes the table's, so no thread holds both.
     fn table_handle(&self, name: &str) -> Result<Arc<RwLock<Table>>> {
-        let tables = self.tables.read();
+        let tables = unpoison(self.tables.read());
         // Plans name tables in lower case already: skip the allocation.
         let found = match name.bytes().any(|b| b.is_ascii_uppercase()) {
             true => tables.get(&name.to_ascii_lowercase()),
@@ -694,43 +662,52 @@ impl Database {
             .ok_or_else(|| Error::NotFound(format!("table '{name}'")))
     }
 
-    /// Acquire a read lock on a table.
-    pub fn read_table(&self, name: &str) -> Result<TableReadGuard> {
-        Ok(self.table_handle(name)?.read_arc())
+    /// Run `f` on a table under its read lock.
+    pub fn read_table<R>(&self, name: &str, f: impl FnOnce(&Table) -> Result<R>) -> Result<R> {
+        let handle = self.table_handle(name)?;
+        let table = unpoison(handle.read());
+        f(&table)
     }
 
-    /// Acquire a write lock on a table, for writing it directly (bulk
-    /// loads): the guard can change anything the planner reads, so it moves
-    /// the plan epoch and every cached plan re-plans.
-    pub fn write_table(&self, name: &str) -> Result<TableWriteGuard> {
-        let guard = self.table_handle(name)?.write_arc();
+    /// Run `f` on a table under its write lock, for writing it directly
+    /// (bulk loads): `f` can change anything the planner reads, so this
+    /// moves the plan epoch and every cached plan re-plans.
+    pub fn write_table<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> Result<R>) -> Result<R> {
+        let handle = self.table_handle(name)?;
+        let mut table = unpoison(handle.write());
         // Planning reads the epoch before it takes this table's lock, which
-        // it cannot get until the guard is dropped.
+        // it cannot get until `f` returns.
         self.plan_inputs_changed();
-        Ok(guard)
+        f(&mut table)
     }
 
-    /// A write lock for the engine's own writers (DML, replay, rollback,
-    /// vacuum, ANALYZE); see [`TableMut`].
-    fn table_mut(&self, name: &str) -> Result<TableMut<'_>> {
-        let guard = self.table_handle(name)?.write_arc();
-        Ok(TableMut {
-            db: self,
-            epoch: crate::plan::table_epoch(&guard),
-            guard,
-        })
+    /// [`Database::write_table`] for the engine's own writers (DML, replay,
+    /// rollback, vacuum, ANALYZE, CREATE INDEX): the plan epoch moves only
+    /// if `f` moved the table's [`crate::plan::table_epoch`] (stats
+    /// installed, the live count across the 2× drift or CSR size line) —
+    /// and before the lock is released, so no planner reads the new table
+    /// under the old epoch.
+    fn table_mut<R>(&self, name: &str, f: impl FnOnce(&mut Table) -> Result<R>) -> Result<R> {
+        let handle = self.table_handle(name)?;
+        let mut table = unpoison(handle.write());
+        let epoch = crate::plan::table_epoch(&table);
+        let result = f(&mut table);
+        if crate::plan::table_epoch(&table) != epoch {
+            self.plan_inputs_changed();
+        }
+        result
     }
 
     /// Names of all tables, sorted.
     pub fn table_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.tables.read().keys().cloned().collect();
+        let mut names: Vec<String> = unpoison(self.tables.read()).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Live row count of a table.
     pub fn table_len(&self, name: &str) -> Result<usize> {
-        Ok(self.read_table(name)?.len())
+        self.read_table(name, |t| Ok(t.len()))
     }
 
     /// Rough in-memory footprint of all row data in bytes — the analogue of
@@ -738,20 +715,19 @@ impl Database {
     pub fn estimated_bytes(&self) -> usize {
         let mut total = 0;
         for name in self.table_names() {
-            if let Ok(t) = self.read_table(&name) {
-                for (_, row) in t.iter() {
-                    total += row.iter().map(value_bytes).sum::<usize>();
-                }
-            }
+            let bytes = self.read_table(&name, |t| {
+                Ok(t.iter()
+                    .map(|(_, row)| row.iter().map(value_bytes).sum::<usize>())
+                    .sum::<usize>())
+            });
+            total += bytes.unwrap_or(0);
         }
         total
     }
 
     /// Register a stored procedure under `name` (case-insensitive).
     pub fn register_procedure(&self, name: impl Into<String>, proc: Arc<Procedure>) {
-        self.procedures
-            .write()
-            .insert(name.into().to_ascii_lowercase(), proc);
+        unpoison(self.procedures.write()).insert(name.into().to_ascii_lowercase(), proc);
     }
 
     // ---- statement execution ----
@@ -811,16 +787,18 @@ impl Database {
         // the commit lock shared across application + commit — a
         // checkpoint can then never snapshot a catalog state whose DDL
         // commit lands in the post-snapshot segment (or gets rolled back).
-        let _ddl_guard = matches!(
+        // The commit runs under this same guard: taking the lock shared a
+        // second time would queue behind a waiting checkpoint.
+        let ddl_guard = matches!(
             stmt,
             Statement::CreateTable { .. }
                 | Statement::CreateIndex { .. }
                 | Statement::DropTable { .. }
         )
-        .then(|| self.commit_lock.read());
+        .then(|| unpoison(self.commit_lock.read()));
         let mut state = self.begin_state();
         match self.execute_in(stmt, plans, params, sql_text, &mut state) {
-            Ok(rel) => self.commit_state(state).map(|()| rel),
+            Ok(rel) => self.commit_under(state, ddl_guard).map(|()| rel),
             Err(e) => {
                 self.rollback_state(state);
                 Err(e)
@@ -866,24 +844,30 @@ impl Database {
     /// — stamps are atomics), and advance the applied clock *last* so any
     /// snapshot at the new clock value observes the commit in full.
     pub(crate) fn commit_state(&self, state: TxnState) -> Result<()> {
+        self.commit_under(state, None)
+    }
+
+    /// [`Database::commit_state`] under `held`, the commit lock's shared
+    /// guard when the caller already holds one (autocommit DDL); it is
+    /// taken here only when there is none.
+    fn commit_under(&self, state: TxnState, held: Option<RwLockReadGuard<'_, ()>>) -> Result<()> {
         if state.is_empty() {
             self.release_state(state);
             return Ok(());
         }
         {
-            // `read_recursive` because autocommit DDL already holds this
-            // lock shared; a queued checkpoint writer must not wedge us.
-            let commit_guard = self.commit_lock.read_recursive();
-            let serial = self.txns.commit_mutex.lock();
+            let _commit = held.unwrap_or_else(|| unpoison(self.commit_lock.read()));
+            let serial = unpoison(self.txns.commit_mutex.lock());
             let ts = self.txns.allocate_ts();
             if let (Some(wal), false) = (&self.wal, state.journal.redo.is_empty()) {
-                if let Err(e) = wal.lock().append_commit(&state.journal.redo, ts) {
+                if let Err(e) = unpoison(wal.lock()).append_commit(&state.journal.redo, ts) {
                     // A failed commit must not leave its mutations visible:
                     // the caller got an error, so the in-memory state rolls
-                    // back. (The WAL may still hold the transaction — an
-                    // errored commit is indeterminate until the next open.)
+                    // back — still under the commit lock, so no checkpoint
+                    // cuts between the failed append and the rollback. (The
+                    // WAL may still hold the transaction — an errored
+                    // commit is indeterminate until the next open.)
                     drop(serial);
-                    drop(commit_guard);
                     self.rollback_state(state);
                     return Err(e);
                 }
@@ -893,9 +877,10 @@ impl Database {
                 if let Some((table, row_id)) = op.dml_target() {
                     // The table can be gone if this transaction also
                     // dropped it; its versions are unreachable then.
-                    if let Ok(t) = self.read_table(table) {
+                    let _ = self.read_table(table, |t| {
                         t.stamp_commit(row_id, token, ts);
-                    }
+                        Ok(())
+                    });
                 }
             }
             self.txns.advance_clock(ts);
@@ -916,34 +901,39 @@ impl Database {
             // panicking beats silently corrupting state.
             match op {
                 UndoOp::Insert { table, row_id } => {
-                    self.table_mut(&table)
-                        .expect("table exists during rollback")
-                        .rollback_insert(row_id, snap.token);
+                    self.table_mut(&table, |t| {
+                        t.rollback_insert(row_id, snap.token);
+                        Ok(())
+                    })
+                    .expect("table exists during rollback");
                 }
                 UndoOp::Delete { table, row_id } => {
-                    self.table_mut(&table)
-                        .expect("table exists during rollback")
-                        .rollback_delete(row_id, snap.token);
+                    self.table_mut(&table, |t| {
+                        t.rollback_delete(row_id, snap.token);
+                        Ok(())
+                    })
+                    .expect("table exists during rollback");
                 }
                 UndoOp::Update { table, row_id } => {
-                    self.table_mut(&table)
-                        .expect("table exists during rollback")
-                        .rollback_update(row_id, snap.token);
+                    self.table_mut(&table, |t| {
+                        t.rollback_update(row_id, snap.token);
+                        Ok(())
+                    })
+                    .expect("table exists during rollback");
                 }
                 UndoOp::CreateTable { table } => {
-                    self.tables.write().remove(&table);
+                    unpoison(self.tables.write()).remove(&table);
                     self.plan_inputs_changed();
                 }
                 UndoOp::CreateIndex { table, index } => {
-                    let mut t = self
-                        .table_mut(&table)
+                    let dropped = self
+                        .table_mut(&table, |t| Ok(t.drop_index(&index)))
                         .expect("table exists during rollback");
-                    assert!(t.drop_index(&index), "undo create index");
-                    drop(t);
+                    assert!(dropped, "undo create index");
                     self.plan_inputs_changed();
                 }
                 UndoOp::DropTable { table, handle } => {
-                    self.tables.write().insert(table, handle);
+                    unpoison(self.tables.write()).insert(table, handle);
                     self.plan_inputs_changed();
                 }
             }
@@ -968,9 +958,9 @@ impl Database {
         let watermark = self.txns.watermark();
         let mut pruned = 0;
         for name in self.table_names() {
-            if let Ok(mut t) = self.table_mut(&name) {
-                pruned += t.vacuum(watermark);
-            }
+            pruned += self
+                .table_mut(&name, |t| Ok(t.vacuum(watermark)))
+                .unwrap_or(0);
         }
         pruned
     }
@@ -1080,7 +1070,7 @@ impl Database {
             }
             Statement::DropTable { name, if_exists } => {
                 let lower = name.to_ascii_lowercase();
-                let removed = self.tables.write().remove(&lower);
+                let removed = unpoison(self.tables.write()).remove(&lower);
                 if removed.is_none() && !*if_exists {
                     return Err(Error::NotFound(format!("table '{name}'")));
                 }
@@ -1105,9 +1095,7 @@ impl Database {
                 Ok(count_relation(dropped as i64))
             }
             Statement::Call { name, args } => {
-                let proc = self
-                    .procedures
-                    .read()
+                let proc = unpoison(self.procedures.read())
                     .get(&name.to_ascii_lowercase())
                     .cloned()
                     .ok_or_else(|| Error::NotFound(format!("procedure '{name}'")))?;
@@ -1142,13 +1130,13 @@ impl Database {
                 };
                 let mut rows = Vec::new();
                 for name in names {
-                    {
-                        let mut t = self.table_mut(&name)?;
-                        let stats = crate::stats::TableStats::analyze(&t);
+                    let count = self.table_mut(&name, |t| {
+                        let stats = crate::stats::TableStats::analyze(t);
                         let count = stats.row_count as i64;
                         t.set_stats(stats);
-                        rows.push(vec![Value::str(name.clone()), Value::Int(count)]);
-                    }
+                        Ok(count)
+                    })?;
+                    rows.push(vec![Value::str(name.clone()), Value::Int(count)]);
                     // Fresh statistics mark a reload/bulk-change boundary:
                     // drop any CSR adjacency entries built from the old
                     // table contents (set_stats also bumped the content
@@ -1192,55 +1180,57 @@ impl Database {
         };
 
         let token = state.snap.token;
-        let mut table = self.table_mut(table_name)?;
-        let lower = table.schema.name.clone();
-        // Map through the explicit column list if given.
-        let mapping: Option<Vec<usize>> = match columns {
-            None => None,
-            Some(cols) => Some(
-                cols.iter()
-                    .map(|c| {
-                        table
-                            .schema
-                            .column_index(c)
-                            .ok_or_else(|| Error::NotFound(format!("column '{c}'")))
-                    })
-                    .collect::<Result<_>>()?,
-            ),
-        };
-        let arity = table.schema.arity();
-        let mut inserted = 0i64;
-        for src in source_rows {
-            let full = match &mapping {
-                None => src,
-                Some(map) => {
-                    if src.len() != map.len() {
-                        return Err(Error::Schema(format!(
-                            "INSERT provides {} values for {} columns",
-                            src.len(),
-                            map.len()
-                        )));
-                    }
-                    let mut full = vec![Value::Null; arity];
-                    for (v, &target) in src.into_iter().zip(map) {
-                        full[target] = v;
-                    }
-                    full
-                }
+        let inserted = self.table_mut(table_name, |table| {
+            let lower = table.schema.name.clone();
+            // Map through the explicit column list if given.
+            let mapping: Option<Vec<usize>> = match columns {
+                None => None,
+                Some(cols) => Some(
+                    cols.iter()
+                        .map(|c| {
+                            table
+                                .schema
+                                .column_index(c)
+                                .ok_or_else(|| Error::NotFound(format!("column '{c}'")))
+                        })
+                        .collect::<Result<_>>()?,
+                ),
             };
-            let row_image = full.clone();
-            let row_id = table.mvcc_insert(full, token)?;
-            state.journal.undo.push(UndoOp::Insert {
-                table: lower.clone(),
-                row_id,
-            });
-            state.journal.redo.push(WalRecord::Insert {
-                table: lower.clone(),
-                row_id,
-                row: row_image,
-            });
-            inserted += 1;
-        }
+            let arity = table.schema.arity();
+            let mut inserted = 0i64;
+            for src in source_rows {
+                let full = match &mapping {
+                    None => src,
+                    Some(map) => {
+                        if src.len() != map.len() {
+                            return Err(Error::Schema(format!(
+                                "INSERT provides {} values for {} columns",
+                                src.len(),
+                                map.len()
+                            )));
+                        }
+                        let mut full = vec![Value::Null; arity];
+                        for (v, &target) in src.into_iter().zip(map) {
+                            full[target] = v;
+                        }
+                        full
+                    }
+                };
+                let row_image = full.clone();
+                let row_id = table.mvcc_insert(full, token)?;
+                state.journal.undo.push(UndoOp::Insert {
+                    table: lower.clone(),
+                    row_id,
+                });
+                state.journal.redo.push(WalRecord::Insert {
+                    table: lower.clone(),
+                    row_id,
+                    row: row_image,
+                });
+                inserted += 1;
+            }
+            Ok(inserted)
+        })?;
         Ok(count_relation(inserted))
     }
 
@@ -1254,12 +1244,12 @@ impl Database {
     ) -> Result<Relation> {
         let snap = state.snap;
         let env = Env::with_snap(self, params, snap);
-        // Compile against a schema clone under a brief read guard, so
+        // Compile against a schema clone under a brief read lock, so
         // subquery evaluation never runs while this statement holds a
         // write lock: two concurrent writers cannot deadlock on inverted
         // table orders, and a statement whose subquery reads its own
         // target table cannot wedge itself.
-        let schema = self.read_table(table_name)?.schema.clone();
+        let schema = self.read_table(table_name, |t| Ok(t.schema.clone()))?;
         let lower = schema.name.clone();
         let compiled_filter = filter
             .map(|f| crate::exec::compile_table_expr(&env, &schema, f))
@@ -1274,32 +1264,34 @@ impl Database {
             })
             .collect::<Result<_>>()?;
 
-        let mut table = self.table_mut(table_name)?;
         let token = snap.token;
-        let targets = find_target_rows(&table, compiled_filter.as_ref(), snap)?;
-        let mut updated = 0i64;
-        for row_id in targets {
-            let old: Row = table
-                .get_visible(row_id, snap)
-                .expect("target visible under write lock")
-                .to_vec();
-            let mut new = old.clone();
-            for (idx, e) in &compiled_assignments {
-                new[*idx] = e.eval(&old)?;
+        let updated = self.table_mut(table_name, |table| {
+            let targets = find_target_rows(table, compiled_filter.as_ref(), snap)?;
+            let mut updated = 0i64;
+            for row_id in targets {
+                let old: Row = table
+                    .get_visible(row_id, snap)
+                    .expect("target visible under write lock")
+                    .to_vec();
+                let mut new = old.clone();
+                for (idx, e) in &compiled_assignments {
+                    new[*idx] = e.eval(&old)?;
+                }
+                table.mvcc_update(row_id, new.clone(), token, snap)?;
+                state.journal.undo.push(UndoOp::Update {
+                    table: lower.clone(),
+                    row_id,
+                });
+                state.journal.redo.push(WalRecord::Update {
+                    table: lower.clone(),
+                    row_id,
+                    old,
+                    new,
+                });
+                updated += 1;
             }
-            table.mvcc_update(row_id, new.clone(), token, snap)?;
-            state.journal.undo.push(UndoOp::Update {
-                table: lower.clone(),
-                row_id,
-            });
-            state.journal.redo.push(WalRecord::Update {
-                table: lower.clone(),
-                row_id,
-                old,
-                new,
-            });
-            updated += 1;
-        }
+            Ok(updated)
+        })?;
         Ok(count_relation(updated))
     }
 
@@ -1313,32 +1305,34 @@ impl Database {
         let snap = state.snap;
         let env = Env::with_snap(self, params, snap);
         // Sources before the target's write lock — see exec_update.
-        let schema = self.read_table(table_name)?.schema.clone();
+        let schema = self.read_table(table_name, |t| Ok(t.schema.clone()))?;
         let lower = schema.name.clone();
         let compiled_filter = filter
             .map(|f| crate::exec::compile_table_expr(&env, &schema, f))
             .transpose()?;
-        let mut table = self.table_mut(table_name)?;
         let token = snap.token;
-        let targets = find_target_rows(&table, compiled_filter.as_ref(), snap)?;
-        let mut deleted = 0i64;
-        for row_id in targets {
-            let row: Row = table
-                .get_visible(row_id, snap)
-                .expect("target visible under write lock")
-                .to_vec();
-            table.mvcc_delete(row_id, token, snap)?;
-            state.journal.undo.push(UndoOp::Delete {
-                table: lower.clone(),
-                row_id,
-            });
-            state.journal.redo.push(WalRecord::Delete {
-                table: lower.clone(),
-                row_id,
-                row,
-            });
-            deleted += 1;
-        }
+        let deleted = self.table_mut(table_name, |table| {
+            let targets = find_target_rows(table, compiled_filter.as_ref(), snap)?;
+            let mut deleted = 0i64;
+            for row_id in targets {
+                let row: Row = table
+                    .get_visible(row_id, snap)
+                    .expect("target visible under write lock")
+                    .to_vec();
+                table.mvcc_delete(row_id, token, snap)?;
+                state.journal.undo.push(UndoOp::Delete {
+                    table: lower.clone(),
+                    row_id,
+                });
+                state.journal.redo.push(WalRecord::Delete {
+                    table: lower.clone(),
+                    row_id,
+                    row,
+                });
+                deleted += 1;
+            }
+            Ok(deleted)
+        })?;
         Ok(count_relation(deleted))
     }
 
@@ -1366,7 +1360,7 @@ impl Database {
         if_not_exists: bool,
     ) -> Result<bool> {
         let lower = name.to_ascii_lowercase();
-        let mut tables = self.tables.write();
+        let mut tables = unpoison(self.tables.write());
         if tables.contains_key(&lower) {
             if if_not_exists {
                 return Ok(false);
@@ -1403,30 +1397,31 @@ impl Database {
         kind: IndexKind,
         if_not_exists: bool,
     ) -> Result<bool> {
-        let mut t = self.table_mut(table)?;
-        let parts: Vec<KeyPart> = columns
-            .iter()
-            .map(|c| {
-                let pos = t
-                    .schema
-                    .column_index(&c.column)
-                    .ok_or_else(|| Error::NotFound(format!("column '{}'", c.column)))?;
-                Ok(match &c.json_key {
-                    Some(member) => KeyPart::JsonKey(pos, member.clone()),
-                    None => KeyPart::Column(pos),
+        self.table_mut(table, |t| {
+            let parts: Vec<KeyPart> = columns
+                .iter()
+                .map(|c| {
+                    let pos = t
+                        .schema
+                        .column_index(&c.column)
+                        .ok_or_else(|| Error::NotFound(format!("column '{}'", c.column)))?;
+                    Ok(match &c.json_key {
+                        Some(member) => KeyPart::JsonKey(pos, member.clone()),
+                        None => KeyPart::Column(pos),
+                    })
                 })
-            })
-            .collect::<Result<_>>()?;
-        let lname = name.to_ascii_lowercase();
-        if t.indexes().iter().any(|i| i.name == lname) {
-            if if_not_exists {
-                return Ok(false);
+                .collect::<Result<_>>()?;
+            let lname = name.to_ascii_lowercase();
+            if t.indexes().iter().any(|i| i.name == lname) {
+                if if_not_exists {
+                    return Ok(false);
+                }
+                return Err(Error::Schema(format!("index '{name}' already exists")));
             }
-            return Err(Error::Schema(format!("index '{name}' already exists")));
-        }
-        t.create_index_with_parts(lname, parts, unique, kind)?;
-        self.plan_inputs_changed();
-        Ok(true)
+            t.create_index_with_parts(lname, parts, unique, kind)?;
+            self.plan_inputs_changed();
+            Ok(true)
+        })
     }
 }
 

@@ -1689,186 +1689,188 @@ fn exec_step(
             access,
             locals,
         } => {
-            let guard = env.db.read_table(table)?;
-            let t: &Table = &guard;
-            match access {
-                Access::Probe { index, parts } => {
-                    // Index nested-loop join: build a key per accumulated
-                    // row, probe, and emit combined rows directly.
-                    let idx = find_index(t, index)?;
-                    let keep: &[usize] = keep;
-                    let lrows = left.take().expect("left consumed once").into_rows();
-                    let mut out = Vec::new();
-                    for l in lrows {
-                        let mut key = Vec::with_capacity(parts.len());
-                        for p in parts.iter() {
-                            let v = p.eval(&l)?;
-                            if v.is_null() {
-                                break;
-                            }
-                            key.push(v);
-                        }
-                        // A NULL key part equals nothing: no candidates.
-                        let probe = (key.len() == parts.len()).then_some(IndexKey(key));
-                        let cands = probe.iter().flat_map(|probe| {
-                            idx.lookup(probe).iter().filter_map(move |&rid| {
-                                // A posting covers every version of a chain;
-                                // re-check the key against the visible version
-                                // (older versions may carry a different key).
-                                let row = t.get_visible(rid, env.snap)?;
-                                (idx.key_of(row) == *probe)
-                                    .then(move || keep.iter().map(move |&i| row[i].clone()))
-                            })
-                        });
-                        emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
-                    }
-                    Produced::Done(Data::Rows(out))
-                }
-                Access::Csr { index, part } => {
-                    // CSR adjacency expansion: probe keys resolve through a
-                    // compressed per-key grouping of the index's postings
-                    // (cached across statements when the snapshot allows —
-                    // see `Database::csr_for`). Output stays factorized:
-                    // the expansion is appended as an offset-delimited
-                    // level instead of materializing one row per match.
-                    let entry = env.db.csr_for(t, table, index, keep, env.snap)?;
-                    x.csr_groups = Some(entry.group_count());
-                    let ldata = left.take().expect("left consumed once");
-                    let mut offsets: Vec<u32> = vec![0];
-                    let mut cols: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
-                    let mut total = 0usize;
-                    let mut expand = |l: &Row| -> Result<()> {
-                        let key = part.eval(l)?;
-                        if !key.is_null() {
-                            total += entry.expand_into(&key, &mut cols);
-                        }
-                        offsets.push(total as u32);
-                        Ok(())
-                    };
-                    // A factored input extends in place when the probe key
-                    // only reads the last level's columns (each leaf then
-                    // owns its key); otherwise flatten first.
-                    let mut f = match ldata {
-                        Data::Factor(f) if f.try_each_leaf([part], &mut expand)? => f,
-                        other => {
-                            let base = other.into_rows();
-                            for l in &base {
-                                expand(l)?;
-                            }
-                            Factored {
-                                base_width: base.first().map_or(0, Vec::len),
-                                base,
-                                levels: Vec::new(),
-                            }
-                        }
-                    };
-                    f.levels.push(Level {
-                        offsets,
-                        cols,
-                        len: total,
-                    });
-                    Produced::Done(Data::Factor(f))
-                }
-                Access::Point { index, key } => {
-                    let idx = find_index(t, index)?;
-                    let probe = IndexKey(key.iter().map(|e| e.eval(&[])).collect::<Result<_>>()?);
-                    let mut scanned: Vec<Row> = idx
-                        .lookup(&probe)
-                        .iter()
-                        .filter_map(|&rid| {
-                            let row = t.get_visible(rid, env.snap)?;
-                            (idx.key_of(row) == probe)
-                                .then(|| keep.iter().map(|&i| row[i].clone()).collect())
-                        })
-                        .collect();
-                    for p in locals.iter() {
-                        let before = scanned.len();
-                        scanned = filter_rows(scanned, p)?;
-                        x.local_counts.push((before, scanned.len()));
-                    }
-                    Produced::Right(scanned)
-                }
-                Access::Range { index, lo, hi } => {
-                    let idx = find_index(t, index)?;
-                    let bound = |e: &Option<Expr>| -> Result<Option<IndexKey>> {
-                        Ok(match e {
-                            Some(e) => Some(IndexKey(vec![e.eval(&[])?])),
-                            None => None,
-                        })
-                    };
-                    let (lo_key, hi_key) = (bound(lo)?, bound(hi)?);
-                    let ids = idx.range(lo_key.as_ref(), hi_key.as_ref())?;
-                    let mut scanned: Vec<Row> = ids
-                        .iter()
-                        .filter_map(|&rid| {
-                            let row = t.get_visible(rid, env.snap)?;
-                            // Re-check bounds against the visible version's
-                            // key (postings cover the whole chain).
-                            let k = idx.key_of(row);
-                            let in_lo = lo_key.as_ref().is_none_or(|lo| &k >= lo);
-                            let in_hi = hi_key.as_ref().is_none_or(|hi| &k <= hi);
-                            (in_lo && in_hi).then(|| keep.iter().map(|&i| row[i].clone()).collect())
-                        })
-                        .collect();
-                    // EXPLAIN's range-scan count is rows before locals.
-                    x.scan_rows = Some(scanned.len());
-                    for p in locals.iter() {
-                        let before = scanned.len();
-                        scanned = filter_rows(scanned, p)?;
-                        x.local_counts.push((before, scanned.len()));
-                    }
-                    Produced::Right(scanned)
-                }
-                Access::Full => {
-                    // Full scan fused with the pushed-down predicates, split
-                    // into morsels when the table is large enough (or
-                    // parallelism is pinned). Each morsel copies the kept
-                    // columns of its slab range's visible versions and keeps
-                    // the rows every local passes. Morsels cover disjoint
-                    // slab ranges and outputs concatenate in slab order, so
-                    // the result is identical at every DOP.
-                    let snap = env.snap;
-                    let live = t.len();
-                    let dop = env.db.dop_for(live);
-                    x.scan_rows = Some(live);
-                    x.scan_dop = Some(dop);
-                    let chunks = crate::parallel::ordered_map(
-                        dop,
-                        t.slots().len(),
-                        crate::parallel::MORSEL_ROWS,
-                        |range| -> Result<Vec<Row>> {
-                            let mut out = Vec::new();
-                            // A rejected row's buffer is reused for the next.
-                            let mut row: Row = Vec::with_capacity(keep.len());
-                            'slots: for slot in &t.slots()[range] {
-                                let Some(r) = slot.visible(snap) else {
-                                    continue;
-                                };
-                                row.clear();
-                                row.extend(keep.iter().map(|&i| r[i].clone()));
-                                for p in locals.iter() {
-                                    if !p.eval_bool(&row)? {
-                                        continue 'slots;
-                                    }
+            env.db.read_table(table, |t| {
+                Ok(match access {
+                    Access::Probe { index, parts } => {
+                        // Index nested-loop join: build a key per accumulated
+                        // row, probe, and emit combined rows directly.
+                        let idx = find_index(t, index)?;
+                        let keep: &[usize] = keep;
+                        let lrows = left.take().expect("left consumed once").into_rows();
+                        let mut out = Vec::new();
+                        for l in lrows {
+                            let mut key = Vec::with_capacity(parts.len());
+                            for p in parts.iter() {
+                                let v = p.eval(&l)?;
+                                if v.is_null() {
+                                    break;
                                 }
-                                out.push(std::mem::replace(
-                                    &mut row,
-                                    Vec::with_capacity(keep.len()),
-                                ));
+                                key.push(v);
                             }
-                            Ok(out)
-                        },
-                    );
-                    let mut scanned = Vec::new();
-                    for chunk in chunks {
-                        scanned.extend(chunk?);
+                            // A NULL key part equals nothing: no candidates.
+                            let probe = (key.len() == parts.len()).then_some(IndexKey(key));
+                            let cands = probe.iter().flat_map(|probe| {
+                                idx.lookup(probe).iter().filter_map(move |&rid| {
+                                    // A posting covers every version of a chain;
+                                    // re-check the key against the visible version
+                                    // (older versions may carry a different key).
+                                    let row = t.get_visible(rid, env.snap)?;
+                                    (idx.key_of(row) == *probe)
+                                        .then(move || keep.iter().map(move |&i| row[i].clone()))
+                                })
+                            });
+                            emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
+                        }
+                        Produced::Done(Data::Rows(out))
                     }
-                    if !locals.is_empty() {
-                        x.local_counts.push((live, scanned.len()));
+                    Access::Csr { index, part } => {
+                        // CSR adjacency expansion: probe keys resolve through a
+                        // compressed per-key grouping of the index's postings
+                        // (cached across statements when the snapshot allows —
+                        // see `Database::csr_for`). Output stays factorized:
+                        // the expansion is appended as an offset-delimited
+                        // level instead of materializing one row per match.
+                        let entry = env.db.csr_for(t, table, index, keep, env.snap)?;
+                        x.csr_groups = Some(entry.group_count());
+                        let ldata = left.take().expect("left consumed once");
+                        let mut offsets: Vec<u32> = vec![0];
+                        let mut cols: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
+                        let mut total = 0usize;
+                        let mut expand = |l: &Row| -> Result<()> {
+                            let key = part.eval(l)?;
+                            if !key.is_null() {
+                                total += entry.expand_into(&key, &mut cols);
+                            }
+                            offsets.push(total as u32);
+                            Ok(())
+                        };
+                        // A factored input extends in place when the probe key
+                        // only reads the last level's columns (each leaf then
+                        // owns its key); otherwise flatten first.
+                        let mut f = match ldata {
+                            Data::Factor(f) if f.try_each_leaf([part], &mut expand)? => f,
+                            other => {
+                                let base = other.into_rows();
+                                for l in &base {
+                                    expand(l)?;
+                                }
+                                Factored {
+                                    base_width: base.first().map_or(0, Vec::len),
+                                    base,
+                                    levels: Vec::new(),
+                                }
+                            }
+                        };
+                        f.levels.push(Level {
+                            offsets,
+                            cols,
+                            len: total,
+                        });
+                        Produced::Done(Data::Factor(f))
                     }
-                    Produced::Right(scanned)
-                }
-            }
+                    Access::Point { index, key } => {
+                        let idx = find_index(t, index)?;
+                        let probe =
+                            IndexKey(key.iter().map(|e| e.eval(&[])).collect::<Result<_>>()?);
+                        let mut scanned: Vec<Row> = idx
+                            .lookup(&probe)
+                            .iter()
+                            .filter_map(|&rid| {
+                                let row = t.get_visible(rid, env.snap)?;
+                                (idx.key_of(row) == probe)
+                                    .then(|| keep.iter().map(|&i| row[i].clone()).collect())
+                            })
+                            .collect();
+                        for p in locals.iter() {
+                            let before = scanned.len();
+                            scanned = filter_rows(scanned, p)?;
+                            x.local_counts.push((before, scanned.len()));
+                        }
+                        Produced::Right(scanned)
+                    }
+                    Access::Range { index, lo, hi } => {
+                        let idx = find_index(t, index)?;
+                        let bound = |e: &Option<Expr>| -> Result<Option<IndexKey>> {
+                            Ok(match e {
+                                Some(e) => Some(IndexKey(vec![e.eval(&[])?])),
+                                None => None,
+                            })
+                        };
+                        let (lo_key, hi_key) = (bound(lo)?, bound(hi)?);
+                        let ids = idx.range(lo_key.as_ref(), hi_key.as_ref())?;
+                        let mut scanned: Vec<Row> = ids
+                            .iter()
+                            .filter_map(|&rid| {
+                                let row = t.get_visible(rid, env.snap)?;
+                                // Re-check bounds against the visible version's
+                                // key (postings cover the whole chain).
+                                let k = idx.key_of(row);
+                                let in_lo = lo_key.as_ref().is_none_or(|lo| &k >= lo);
+                                let in_hi = hi_key.as_ref().is_none_or(|hi| &k <= hi);
+                                (in_lo && in_hi)
+                                    .then(|| keep.iter().map(|&i| row[i].clone()).collect())
+                            })
+                            .collect();
+                        // EXPLAIN's range-scan count is rows before locals.
+                        x.scan_rows = Some(scanned.len());
+                        for p in locals.iter() {
+                            let before = scanned.len();
+                            scanned = filter_rows(scanned, p)?;
+                            x.local_counts.push((before, scanned.len()));
+                        }
+                        Produced::Right(scanned)
+                    }
+                    Access::Full => {
+                        // Full scan fused with the pushed-down predicates, split
+                        // into morsels when the table is large enough (or
+                        // parallelism is pinned). Each morsel copies the kept
+                        // columns of its slab range's visible versions and keeps
+                        // the rows every local passes. Morsels cover disjoint
+                        // slab ranges and outputs concatenate in slab order, so
+                        // the result is identical at every DOP.
+                        let snap = env.snap;
+                        let live = t.len();
+                        let dop = env.db.dop_for(live);
+                        x.scan_rows = Some(live);
+                        x.scan_dop = Some(dop);
+                        let chunks = crate::parallel::ordered_map(
+                            dop,
+                            t.slots().len(),
+                            crate::parallel::MORSEL_ROWS,
+                            |range| -> Result<Vec<Row>> {
+                                let mut out = Vec::new();
+                                // A rejected row's buffer is reused for the next.
+                                let mut row: Row = Vec::with_capacity(keep.len());
+                                'slots: for slot in &t.slots()[range] {
+                                    let Some(r) = slot.visible(snap) else {
+                                        continue;
+                                    };
+                                    row.clear();
+                                    row.extend(keep.iter().map(|&i| r[i].clone()));
+                                    for p in locals.iter() {
+                                        if !p.eval_bool(&row)? {
+                                            continue 'slots;
+                                        }
+                                    }
+                                    out.push(std::mem::replace(
+                                        &mut row,
+                                        Vec::with_capacity(keep.len()),
+                                    ));
+                                }
+                                Ok(out)
+                            },
+                        );
+                        let mut scanned = Vec::new();
+                        for chunk in chunks {
+                            scanned.extend(chunk?);
+                        }
+                        if !locals.is_empty() {
+                            x.local_counts.push((live, scanned.len()));
+                        }
+                        Produced::Right(scanned)
+                    }
+                })
+            })?
         }
         StepKind::Rel { input, pushed } => {
             let rel: &Relation = match input {

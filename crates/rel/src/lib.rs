@@ -75,6 +75,13 @@ const _: () = {
     sync_clean::<prepared::Prepared>();
 };
 
+/// Take a `std::sync` lock whatever a panicking holder left behind: every
+/// engine lock folds poisoning away, so one panicked statement (the
+/// server's `catch_unwind` survives it) does not wedge later callers.
+fn unpoison<G>(locked: std::sync::LockResult<G>) -> G {
+    locked.unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 pub use cache::ClockCache;
 pub use checkpoint::{CheckpointReport, RecoveryReport};
 pub use db::{Database, Txn};

@@ -900,12 +900,8 @@ impl OrderModel {
                         unreachable!("laterals end the movable prefix")
                     }
                 };
-                let table = match &rows {
-                    RowSource::Table(name) => env.db.read_table(name).ok(),
-                    _ => None,
-                };
-                let (keys, indexed) = match table {
-                    Some(t) => exprs
+                let resolve = |t: &Table| {
+                    Ok(exprs
                         .iter()
                         .map(|e| {
                             let part = ast_key_part(&t.schema, e);
@@ -916,9 +912,14 @@ impl OrderModel {
                             });
                             (part, indexed)
                         })
-                        .unzip(),
-                    None => (vec![None; exprs.len()], vec![false; exprs.len()]),
+                        .unzip())
                 };
+                let resolved = match &rows {
+                    RowSource::Table(name) => env.db.read_table(name, resolve).ok(),
+                    _ => None,
+                };
+                let (keys, indexed) =
+                    resolved.unwrap_or_else(|| (vec![None; exprs.len()], vec![false; exprs.len()]));
                 UnitModel {
                     rows,
                     keys,
@@ -940,8 +941,9 @@ impl OrderModel {
                 let (rows, ndv) = match &unit.rows {
                     RowSource::Cte(name) => (env.ctes.get(name).map_or(0, |r| r.rows.len()), None),
                     RowSource::Derived(n) => (derived[*n].rows.len(), None),
-                    RowSource::Table(name) => match env.db.read_table(name) {
-                        Ok(t) => {
+                    RowSource::Table(name) => env
+                        .db
+                        .read_table(name, |t| {
                             let live = t.len();
                             let stats = t.stats().filter(|s| !s.is_stale(live));
                             let ndv = unit
@@ -951,17 +953,16 @@ impl OrderModel {
                                     let part = part.as_ref()?;
                                     let known = match stats {
                                         Some(s) => s.ndv_for_part(part),
-                                        None => TableStats::seeded_ndv(&t, part),
+                                        None => TableStats::seeded_ndv(t, part),
                                     };
                                     Some(ndv_with_default(known, live))
                                 })
                                 .collect();
-                            (live, Some(ndv))
-                        }
+                            Ok((live, Some(ndv)))
+                        })
                         // Missing table: the attach step will surface the
                         // error; give the planner a neutral placeholder.
-                        Err(_) => (1, None),
-                    },
+                        .unwrap_or((1, None)),
                 };
                 let mut facts = UnitFacts {
                     rows: rows as f64,
@@ -1264,9 +1265,11 @@ pub(crate) fn plan_from(
                     let columns = cte.columns.clone();
                     plan_rel_step(&mut scope, RelInput::Cte(name), columns, &alias, usable)
                 }
-                None => plan_base_table(
-                    env, &mut scope, &name, &alias, usable, needs, is_outer, guards,
-                )?,
+                None => env.db.read_table(&name, |table| {
+                    plan_base_table(
+                        env, table, &mut scope, &name, &alias, usable, needs, is_outer, guards,
+                    )
+                })?,
             },
         };
         // What the unit did not use of its ON clause is checked per
@@ -1445,13 +1448,15 @@ fn csr_est_fanout(table: &Table, idx: &crate::index::Index) -> f64 {
     }
 }
 
-/// Plan a base-table attach: choose index probe / point / range / full scan
+/// Plan a base-table attach over `table`, read under its lock: choose index
+/// probe / point / range / full scan
 /// (the same strategy ladder the in-line executor used), scoop local
 /// filters, and pick the join strategy — all from `pending`, the conjuncts
 /// this unit may use (for an `outer` unit, its own ON clause).
 #[allow(clippy::too_many_arguments)] // one unit's whole planning context
 fn plan_base_table(
     env: &Env<'_>,
+    table: &Table,
     scope: &mut Scope,
     name: &str,
     alias: &str,
@@ -1460,8 +1465,6 @@ fn plan_base_table(
     outer: bool,
     guards: &mut Vec<Guard>,
 ) -> Result<(StepKind, Attach)> {
-    let guard = env.db.read_table(name)?;
-    let table: &Table = &guard;
     let all_names: Vec<String> = table
         .schema
         .columns
@@ -1604,7 +1607,6 @@ fn plan_base_table(
         }
         // Const-only index: point scan, then join the scanned rows.
         let index = idx.name.clone();
-        drop(guard);
         let locals = take_locals(scope, before_width, arity, pending);
         let attach = pick_attach(scope, before_width, pending);
         return Ok((
@@ -1693,7 +1695,6 @@ fn plan_base_table(
             }
         }
     }
-    drop(guard);
     if let Some(access) = range_access {
         let locals = take_locals(scope, before_width, arity, pending);
         let attach = pick_attach(scope, before_width, pending);
@@ -1857,15 +1858,15 @@ fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
                 parts.len()
             ),
             Access::Csr { index, .. } => {
-                let fanout = env.db.read_table(table).ok().and_then(|t| {
-                    let idx = t.indexes().iter().find(|i| &i.name == index)?;
-                    Some(csr_est_fanout(&t, idx))
+                let fanout = env.db.read_table(table, |t| {
+                    let idx = t.indexes().iter().find(|i| &i.name == index);
+                    Ok(idx.map(|idx| csr_est_fanout(t, idx)))
                 });
                 format!(
                     "CsrExpand {} [{table}] (index {index}, {} groups, est fanout {:.1})",
                     step.label,
                     x.csr_groups.unwrap_or_default(),
-                    fanout.unwrap_or(0.0)
+                    fanout.ok().flatten().unwrap_or(0.0)
                 )
             }
             Access::Point { index, key } => format!(

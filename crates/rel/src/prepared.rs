@@ -33,7 +33,8 @@ use crate::error::Result;
 use crate::exec::{Env, Relation, Shape};
 use crate::plan::{FromPlan, Guard, OrderModel};
 use crate::sql::ast::{self, Statement};
-use std::sync::{Arc, PoisonError, RwLock};
+use crate::unpoison;
+use std::sync::{Arc, RwLock};
 
 /// A parsed statement and the plans of its SELECT cores — the unit
 /// `Database`'s statement cache and `core`'s traversal templates hold.
@@ -166,11 +167,7 @@ impl CoreSlot {
         derived: &[Arc<Relation>],
         build: impl FnOnce() -> Result<CorePlan>,
     ) -> Result<Arc<CorePlan>> {
-        let cached = self
-            .plan
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
+        let cached = unpoison(self.plan.read()).clone();
         if let Some(plan) = cached {
             if plan.is_current(env, derived) {
                 env.db.count_plan(true);
@@ -179,7 +176,7 @@ impl CoreSlot {
         }
         env.db.count_plan(false);
         let plan = Arc::new(build()?);
-        *self.plan.write().unwrap_or_else(PoisonError::into_inner) = Some(plan.clone());
+        *unpoison(self.plan.write()) = Some(plan.clone());
         Ok(plan)
     }
 }

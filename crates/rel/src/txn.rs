@@ -37,10 +37,11 @@ use crate::db::{Database, TxnState};
 use crate::error::{Error, Result};
 use crate::exec::Relation;
 use crate::sql::ast::Statement;
+use crate::unpoison;
 use crate::value::Value;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// High bit marking a provisional (uncommitted) stamp: `TXN_BIT | token`.
 pub const TXN_BIT: u64 = 1 << 63;
@@ -194,7 +195,7 @@ impl TxnManager {
     fn register(&self, token: u64) -> Snapshot {
         // Read the clock under the registry lock so the watermark can never
         // pass a timestamp that is about to be registered.
-        let mut active = self.active.lock();
+        let mut active = unpoison(self.active.lock());
         let ts = self.now();
         *active.entry(ts).or_insert(0) += 1;
         Snapshot { ts, token }
@@ -203,7 +204,7 @@ impl TxnManager {
     /// Release a snapshot previously returned by [`TxnManager::begin`] /
     /// [`TxnManager::read_snapshot`].
     pub fn release(&self, snap: Snapshot) {
-        let mut active = self.active.lock();
+        let mut active = unpoison(self.active.lock());
         if let Some(n) = active.get_mut(&snap.ts) {
             *n -= 1;
             if *n == 0 {
@@ -217,13 +218,13 @@ impl TxnManager {
     /// or below the watermark is invisible to every present and future
     /// snapshot (`end > ts` fails for all of them) and can be reclaimed.
     pub fn watermark(&self) -> u64 {
-        let active = self.active.lock();
+        let active = unpoison(self.active.lock());
         active.keys().next().copied().unwrap_or_else(|| self.now())
     }
 
     /// Number of registered active snapshots (test/introspection hook).
     pub fn active_snapshots(&self) -> usize {
-        self.active.lock().values().sum()
+        unpoison(self.active.lock()).values().sum()
     }
 }
 

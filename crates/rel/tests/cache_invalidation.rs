@@ -267,15 +267,17 @@ fn plan_cache_replans_on_each_planning_input_change() {
             "bulk load",
             |_| {},
             |db| {
-                let mut t = db.write_table("adj").unwrap();
-                for i in 400..500i64 {
-                    t.insert(vec![
-                        Value::Int(i),
-                        Value::Int(i % 20),
-                        Value::Int(1000 + i),
-                    ])
-                    .unwrap();
-                }
+                db.write_table("adj", |t| {
+                    for i in 400..500i64 {
+                        t.insert(vec![
+                            Value::Int(i),
+                            Value::Int(i % 20),
+                            Value::Int(1000 + i),
+                        ])?;
+                    }
+                    Ok(())
+                })
+                .unwrap();
             },
         ),
     ];

@@ -49,8 +49,11 @@ fn dump(db: &Database) -> State {
     db.table_names()
         .into_iter()
         .map(|name| {
-            let t = db.read_table(&name).unwrap();
-            let rows = t.iter().map(|(id, r)| (id, r.to_vec())).collect();
+            let rows = db
+                .read_table(&name, |t| {
+                    Ok(t.iter().map(|(id, r)| (id, r.to_vec())).collect())
+                })
+                .unwrap();
             (name, rows)
         })
         .collect()
@@ -550,8 +553,11 @@ fn replay_resolves_duplicate_row_images_by_physical_id() {
         .unwrap();
     }
     let db = Database::open_with_vfs(&base, Arc::new(fs.clone())).unwrap();
-    let t = db.read_table("t").unwrap();
-    let rows: Vec<(usize, Vec<Value>)> = t.iter().map(|(id, r)| (id, r.to_vec())).collect();
+    let rows: Vec<(usize, Vec<Value>)> = db
+        .read_table("t", |t| {
+            Ok(t.iter().map(|(id, r)| (id, r.to_vec())).collect())
+        })
+        .unwrap();
     assert_eq!(
         rows,
         vec![
@@ -582,10 +588,13 @@ fn duplicate_rows_survive_crash_in_order() {
     }
     fs.recover();
     let db = Database::open_with_vfs(&base, Arc::new(fs.clone())).unwrap();
-    let t = db.read_table("t").unwrap();
-    let ids: Vec<usize> = t.iter().map(|(id, _)| id).collect();
-    assert_eq!(ids, vec![0, 1, 2]);
-    assert!(t.iter().all(|(_, r)| r[1] == Value::str("dup")));
+    db.read_table("t", |t| {
+        let ids: Vec<usize> = t.iter().map(|(id, _)| id).collect();
+        assert_eq!(ids, vec![0, 1, 2]);
+        assert!(t.iter().all(|(_, r)| r[1] == Value::str("dup")));
+        Ok(())
+    })
+    .unwrap();
 }
 
 /// Bit-flip every byte of a multi-commit log. Recovery must never panic,

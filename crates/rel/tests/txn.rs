@@ -45,8 +45,11 @@ fn dump(db: &Database) -> PhysicalState {
     db.table_names()
         .into_iter()
         .map(|name| {
-            let t = db.read_table(&name).unwrap();
-            let rows = t.iter().map(|(id, r)| (id, r.to_vec())).collect();
+            let rows = db
+                .read_table(&name, |t| {
+                    Ok(t.iter().map(|(id, r)| (id, r.to_vec())).collect())
+                })
+                .unwrap();
             (name, rows)
         })
         .collect()
@@ -104,6 +107,70 @@ fn cross_table_write_statements_do_not_deadlock() {
             "lost update on {t}"
         );
     }
+}
+
+/// Autocommit DDL holds the commit lock shared from catalog change through
+/// commit, and a checkpoint takes it exclusively. A thread that took the
+/// shared side a second time would wedge behind a queued checkpoint on a
+/// lock that makes new readers wait for a waiting writer. Workers race
+/// CREATE TABLE / CREATE INDEX / INSERT / DROP TABLE commits against a
+/// checkpoint loop on a WAL-backed database, under the watchdog.
+#[test]
+fn autocommit_ddl_and_checkpoints_do_not_deadlock() {
+    const ROUNDS: i64 = 150;
+    let fs = SimFs::new();
+    let base = PathBuf::from("ddl.wal");
+    let db = Arc::new(Database::open_with_vfs(&base, Arc::new(fs.clone())).unwrap());
+    let stop = Arc::new(AtomicBool::new(false));
+    let (done_tx, done_rx) = mpsc::channel();
+    let workers = dop().max(2);
+    let mut handles = Vec::new();
+    for w in 0..workers {
+        let (db, done) = (Arc::clone(&db), done_tx.clone());
+        handles.push(std::thread::spawn(move || {
+            let t = format!("ddl{w}");
+            for i in 0..ROUNDS {
+                db.execute(&format!("CREATE TABLE {t} (id INTEGER, v INTEGER)"))
+                    .unwrap();
+                db.execute(&format!("CREATE INDEX {t}_id ON {t} (id)"))
+                    .unwrap();
+                db.execute_with_params(
+                    &format!("INSERT INTO {t} VALUES (?, ?)"),
+                    &[Value::Int(i), Value::Int(w as i64)],
+                )
+                .unwrap();
+                db.execute(&format!("DROP TABLE {t}")).unwrap();
+            }
+            let _ = done.send(());
+        }));
+    }
+    {
+        let (db, stop, done) = (Arc::clone(&db), Arc::clone(&stop), done_tx.clone());
+        handles.push(std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                db.checkpoint().unwrap();
+            }
+            let _ = done.send(());
+        }));
+    }
+    for _ in 0..workers {
+        done_rx
+            .recv_timeout(Duration::from_secs(120))
+            .expect("autocommit DDL deadlocked against a checkpoint");
+    }
+    stop.store(true, Ordering::Relaxed);
+    done_rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("checkpoint loop did not finish");
+    for h in handles {
+        h.join().unwrap();
+    }
+    let db = Arc::into_inner(db).expect("every worker has exited");
+    db.execute("CREATE TABLE after (id INTEGER)").unwrap();
+    drop(db);
+    // Every DDL commit is on a checkpoint or in the tail after it.
+    let db = Database::open_with_vfs(&base, Arc::new(fs)).unwrap();
+    assert_eq!(db.table_names(), ["after"]);
 }
 
 // -------------------------------------------------- plan-cache eviction --
