@@ -61,8 +61,6 @@ pub struct CsrEntry {
     elems: usize,
     /// `Table::content_version` at build time.
     pub built_version: u64,
-    /// Snapshot timestamp the entry was built under.
-    pub built_ts: u64,
 }
 
 impl CsrEntry {
@@ -144,7 +142,6 @@ impl CsrEntry {
             cols,
             elems: elems as usize,
             built_version: t.content_version(),
-            built_ts: snap.ts,
         })
     }
 
@@ -156,14 +153,6 @@ impl CsrEntry {
     /// Total stored elements across all groups.
     pub fn elem_count(&self) -> usize {
         self.elems
-    }
-
-    /// Number of elements under `key` (0 when absent).
-    pub fn fanout(&self, key: &Value) -> usize {
-        match self.groups.get(key) {
-            Some(&g) => (self.offsets[g as usize + 1] - self.offsets[g as usize]) as usize,
-            None => 0,
-        }
     }
 
     /// Append the elements under `key` to `out` (one `Vec<Value>` per kept

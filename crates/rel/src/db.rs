@@ -1,5 +1,5 @@
-//! The `Database` facade: catalog, statement execution, transactions,
-//! stored procedures, and WAL-backed recovery.
+//! The `Database` facade: catalog, statement execution, transactions and
+//! WAL-backed recovery.
 //!
 //! Concurrency model: MVCC with snapshot isolation (see [`crate::txn`]).
 //! Every statement — and every multi-statement transaction begun with
@@ -45,13 +45,9 @@ use crate::wal::{segment_path, Wal, WalRecord};
 use std::path::Path;
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
 
-/// A stored procedure: runs inside the caller's transaction.
-pub type Procedure = dyn Fn(&mut Txn<'_>, &[Value]) -> Result<Relation> + Send + Sync;
-
 /// An embedded relational database.
 pub struct Database {
     tables: RwLock<FxHashMap<String, Arc<RwLock<Table>>>>,
-    procedures: RwLock<FxHashMap<String, Arc<Procedure>>>,
     wal: Option<Mutex<Wal>>,
     /// Prepared-statement cache: SQL text → parsed statement and the plans
     /// of its SELECT cores (see [`crate::prepared`]). Bounded by
@@ -182,36 +178,16 @@ struct Journal {
 }
 
 /// The execution state of one open transaction: its MVCC snapshot (which
-/// also carries the provisional-write token) and its undo/redo journal.
-/// Owned by a [`Txn`] handle or a [`crate::txn::Session`].
+/// also carries the provisional-write token), held in the active-snapshot
+/// set until it is released exactly once, and its undo/redo journal.
+/// Owned by a [`Txn`] handle or by one autocommit statement.
 #[derive(Debug)]
-pub struct TxnState {
-    pub(crate) snap: Snapshot,
+struct TxnState {
+    snap: Snapshot,
     journal: Journal,
-    /// Whether `snap` is registered in the active-snapshot set (and so
-    /// must be released exactly once).
-    registered: bool,
-}
-
-impl Default for TxnState {
-    /// An inert placeholder (used by `std::mem::take` when a stored
-    /// procedure temporarily adopts a statement's state): unregistered,
-    /// empty journal, all-committed snapshot.
-    fn default() -> TxnState {
-        TxnState {
-            snap: Snapshot::latest(),
-            journal: Journal::default(),
-            registered: false,
-        }
-    }
 }
 
 impl TxnState {
-    /// The transaction's snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        self.snap
-    }
-
     fn is_empty(&self) -> bool {
         self.journal.undo.is_empty() && self.journal.redo.is_empty()
     }
@@ -222,7 +198,6 @@ impl Database {
     pub fn new() -> Database {
         Database {
             tables: RwLock::new(FxHashMap::default()),
-            procedures: RwLock::new(FxHashMap::default()),
             wal: None,
             stmt_cache: ClockCache::new(STMT_CACHE_CAP),
             plan_epoch: std::sync::atomic::AtomicU64::new(0),
@@ -363,10 +338,10 @@ impl Database {
         }
     }
 
-    /// Parse `sql`, consulting the prepared-statement cache first. DDL and
-    /// transaction-control statements are never cached (rare, and DDL must
-    /// observe catalog changes).
-    pub(crate) fn parse_cached(&self, sql: &str) -> Result<Arc<Prepared>> {
+    /// Parse `sql`, consulting the prepared-statement cache first. DDL,
+    /// EXPLAIN and ANALYZE are never cached (rare, and DDL must observe
+    /// catalog changes).
+    fn parse_cached(&self, sql: &str) -> Result<Arc<Prepared>> {
         if let Some(prepared) = self.stmt_cache.get(sql) {
             return Ok(prepared);
         }
@@ -377,7 +352,6 @@ impl Database {
                 | Statement::Insert { .. }
                 | Statement::Update { .. }
                 | Statement::Delete { .. }
-                | Statement::Call { .. }
         );
         if cacheable {
             self.stmt_cache.insert(sql.into(), prepared.clone());
@@ -725,11 +699,6 @@ impl Database {
         total
     }
 
-    /// Register a stored procedure under `name` (case-insensitive).
-    pub fn register_procedure(&self, name: impl Into<String>, proc: Arc<Procedure>) {
-        unpoison(self.procedures.write()).insert(name.into().to_ascii_lowercase(), proc);
-    }
-
     // ---- statement execution ----
 
     /// Parse and execute one statement in auto-commit mode.
@@ -764,7 +733,7 @@ impl Database {
         self.run_autocommit(stmt, None, params, sql_text)
     }
 
-    pub(crate) fn run_autocommit(
+    fn run_autocommit(
         &self,
         stmt: &Statement,
         plans: Option<&StmtPlans>,
@@ -772,12 +741,11 @@ impl Database {
         sql_text: Option<&str>,
     ) -> Result<Relation> {
         if matches!(stmt, Statement::Select(_) | Statement::Explain(_)) {
-            // Read-only fast path: a registered read snapshot (token 0),
+            // Read-only fast path: an active read snapshot (token 0),
             // nothing to journal, nothing to commit.
             let mut state = TxnState {
                 snap: self.txns.read_snapshot(),
                 journal: Journal::default(),
-                registered: true,
             };
             let result = self.execute_in(stmt, plans, params, sql_text, &mut state);
             self.release_state(state);
@@ -830,11 +798,10 @@ impl Database {
         }
     }
 
-    pub(crate) fn begin_state(&self) -> TxnState {
+    fn begin_state(&self) -> TxnState {
         TxnState {
             snap: self.txns.begin(),
             journal: Journal::default(),
-            registered: true,
         }
     }
 
@@ -842,14 +809,9 @@ impl Database {
     /// fresh timestamp from its allocator, append redo + `Commit{ts}` to the
     /// WAL, stamp every provisional version with `ts` (shared table guards
     /// — stamps are atomics), and advance the applied clock *last* so any
-    /// snapshot at the new clock value observes the commit in full.
-    pub(crate) fn commit_state(&self, state: TxnState) -> Result<()> {
-        self.commit_under(state, None)
-    }
-
-    /// [`Database::commit_state`] under `held`, the commit lock's shared
-    /// guard when the caller already holds one (autocommit DDL); it is
-    /// taken here only when there is none.
+    /// snapshot at the new clock value observes the commit in full. `held`
+    /// is the commit lock's shared guard when the caller already holds one
+    /// (autocommit DDL); it is taken here only when there is none.
     fn commit_under(&self, state: TxnState, held: Option<RwLockReadGuard<'_, ()>>) -> Result<()> {
         if state.is_empty() {
             self.release_state(state);
@@ -890,12 +852,8 @@ impl Database {
         Ok(())
     }
 
-    pub(crate) fn rollback_state(&self, state: TxnState) {
-        let TxnState {
-            snap,
-            journal,
-            registered,
-        } = state;
+    fn rollback_state(&self, state: TxnState) {
+        let TxnState { snap, journal } = state;
         for op in journal.undo.into_iter().rev() {
             // Rollback must not fail; violations here indicate a bug, and
             // panicking beats silently corrupting state.
@@ -938,15 +896,11 @@ impl Database {
                 }
             }
         }
-        if registered {
-            self.txns.release(snap);
-        }
+        self.txns.release(snap);
     }
 
     fn release_state(&self, state: TxnState) {
-        if state.registered {
-            self.txns.release(state.snap);
-        }
+        self.txns.release(state.snap);
     }
 
     /// Reclaim row versions no active (or future) snapshot can see — those
@@ -977,7 +931,7 @@ impl Database {
 
     /// Execute `stmt` inside `state`. With `plans` (a SELECT of a
     /// [`Prepared`]), its cores run their cached plans.
-    pub(crate) fn execute_in(
+    fn execute_in(
         &self,
         stmt: &Statement,
         plans: Option<&StmtPlans>,
@@ -1037,7 +991,7 @@ impl Database {
                         table: name.to_ascii_lowercase(),
                     });
                 }
-                Ok(count_relation(created as i64))
+                Ok(Relation::count(created as i64))
             }
             Statement::CreateIndex {
                 name,
@@ -1066,7 +1020,7 @@ impl Database {
                         index: name.to_ascii_lowercase(),
                     });
                 }
-                Ok(count_relation(created as i64))
+                Ok(Relation::count(created as i64))
             }
             Statement::DropTable { name, if_exists } => {
                 let lower = name.to_ascii_lowercase();
@@ -1092,35 +1046,8 @@ impl Database {
                         handle,
                     });
                 }
-                Ok(count_relation(dropped as i64))
+                Ok(Relation::count(dropped as i64))
             }
-            Statement::Call { name, args } => {
-                let proc = unpoison(self.procedures.read())
-                    .get(&name.to_ascii_lowercase())
-                    .cloned()
-                    .ok_or_else(|| Error::NotFound(format!("procedure '{name}'")))?;
-                let env = Env::with_snap(self, params, snap);
-                let empty_scope_args: Vec<Value> = args
-                    .iter()
-                    .map(|a| crate::exec::compile_scalar(&env, a).and_then(|e| e.eval(&[])))
-                    .collect::<Result<_>>()?;
-                // The procedure adopts this statement's transaction state
-                // (snapshot + journal) for the duration of the call; an
-                // inert placeholder stands in until it returns.
-                let mut txn = Txn {
-                    db: self,
-                    stmts: 0,
-                    state: Some(std::mem::take(state)),
-                };
-                let result = proc(&mut txn, &empty_scope_args);
-                *state = txn.state.take().expect("procedure kept the txn open");
-                result
-            }
-            Statement::Begin | Statement::Commit | Statement::Rollback => Err(Error::Invalid(
-                "BEGIN/COMMIT/ROLLBACK control a session transaction; \
-                 use txn::Session or Database::begin"
-                    .into(),
-            )),
             Statement::Analyze { table } => {
                 // Full-scan statistics collection; not journaled or WAL'd —
                 // stats are derived state, rebuilt by re-running ANALYZE.
@@ -1231,7 +1158,7 @@ impl Database {
             }
             Ok(inserted)
         })?;
-        Ok(count_relation(inserted))
+        Ok(Relation::count(inserted))
     }
 
     fn exec_update(
@@ -1292,7 +1219,7 @@ impl Database {
             }
             Ok(updated)
         })?;
-        Ok(count_relation(updated))
+        Ok(Relation::count(updated))
     }
 
     fn exec_delete(
@@ -1333,7 +1260,7 @@ impl Database {
             }
             Ok(deleted)
         })?;
-        Ok(count_relation(deleted))
+        Ok(Relation::count(deleted))
     }
 
     /// Programmatic table creation.
@@ -1436,32 +1363,17 @@ impl Default for Database {
 /// [`Txn::commit`] rolls the transaction back.
 pub struct Txn<'a> {
     db: &'a Database,
-    /// `Some` while the transaction is open; taken by commit/rollback (and
-    /// by the stored-procedure trampoline, which puts it back).
+    /// `Some` while the transaction is open; taken by commit/rollback.
     state: Option<TxnState>,
     /// Statements executed through this handle — benchmarks use the count
     /// to charge one client round trip per statement.
     stmts: u64,
 }
 
-impl<'a> Txn<'a> {
-    /// The underlying database (for catalog inspection and procedures).
-    pub fn db(&self) -> &'a Database {
-        self.db
-    }
-
-    /// The transaction's snapshot.
-    pub fn snapshot(&self) -> Snapshot {
-        self.state().snap
-    }
-
+impl Txn<'_> {
     /// How many statements have executed through this handle.
     pub fn statements_executed(&self) -> u64 {
         self.stmts
-    }
-
-    fn state(&self) -> &TxnState {
-        self.state.as_ref().expect("transaction is open")
     }
 
     /// Execute a statement inside this transaction.
@@ -1481,17 +1393,6 @@ impl<'a> Txn<'a> {
         self.run(prepared.statement(), prepared.plans(), params, None)
     }
 
-    /// Execute a pre-parsed statement inside this transaction, planning it
-    /// afresh.
-    pub fn execute_statement(
-        &mut self,
-        stmt: &Statement,
-        params: &[Value],
-        sql_text: Option<&str>,
-    ) -> Result<Relation> {
-        self.run(stmt, None, params, sql_text)
-    }
-
     fn run(
         &mut self,
         stmt: &Statement,
@@ -1508,7 +1409,7 @@ impl<'a> Txn<'a> {
     /// and make every provisional version visible. Consumes the handle.
     pub fn commit(mut self) -> Result<()> {
         let state = self.state.take().expect("transaction is open");
-        self.db.commit_state(state)
+        self.db.commit_under(state, None)
     }
 
     /// Roll back every change made through this handle. Consumes it.
@@ -1604,13 +1505,6 @@ fn visit_conjuncts_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
         visit_conjuncts_expr(r, f);
     } else {
         f(e);
-    }
-}
-
-fn count_relation(n: i64) -> Relation {
-    Relation {
-        columns: vec!["count".into()],
-        rows: vec![vec![Value::Int(n)]],
     }
 }
 

@@ -2437,7 +2437,7 @@ fn filter_rows_par(env: &Env<'_>, rows: Vec<Row>, predicate: &Expr) -> Result<Ve
 // ---------------------------------------------------------------------------
 
 /// Compile an expression with no columns in scope (INSERT VALUES rows,
-/// CALL arguments, LIMIT/OFFSET), bound to `env`'s values.
+/// LIMIT/OFFSET), bound to `env`'s values.
 pub fn compile_scalar(env: &Env<'_>, e: &ast::Expr) -> Result<Expr> {
     compile_bound(env, &Scope::default(), e)
 }

@@ -372,32 +372,6 @@ impl Expr {
         }
     }
 
-    /// Rewrite column offsets through `map` (planner uses this to shift
-    /// expressions onto a join's combined row layout).
-    pub fn shift_columns(&mut self, delta: usize) {
-        match self {
-            Expr::Const(_) | Expr::Param(_) => {}
-            Expr::Col(i) => *i += delta,
-            Expr::Unary(_, e) | Expr::IsNull(e, _) | Expr::Cast(e, _) => e.shift_columns(delta),
-            Expr::Binary(_, l, r) | Expr::Subscript(l, r) => {
-                l.shift_columns(delta);
-                r.shift_columns(delta);
-            }
-            Expr::Like { expr, pattern, .. } => {
-                expr.shift_columns(delta);
-                pattern.shift_columns(delta);
-            }
-            Expr::InSet { expr, .. }
-            | Expr::InParams { expr, .. }
-            | Expr::InSubquery { expr, .. } => expr.shift_columns(delta),
-            Expr::Call(_, args) => {
-                for a in args {
-                    a.shift_columns(delta);
-                }
-            }
-        }
-    }
-
     /// Rewrite every column offset through `f` — used to re-base a compiled
     /// expression onto a different row layout (e.g. pushing a scan-local
     /// predicate from the combined join layout down onto the bare table row).

@@ -13,13 +13,10 @@
 //!   columns,
 //! * MVCC snapshot-isolation transactions: lock-free snapshot reads over
 //!   row version chains, multi-statement transactions via
-//!   [`Database::begin`] / SQL `BEGIN`/`COMMIT`/`ROLLBACK` (see
-//!   [`txn::Session`]), first-updater-wins conflict detection, and
-//!   watermark-driven vacuum,
+//!   [`Database::begin`] / [`Database::transaction`], first-updater-wins
+//!   conflict detection, and watermark-driven vacuum,
 //! * DML atomicity (undo journal) and durability (checksummed WAL with
-//!   commit timestamps + replay recovery),
-//! * stored procedures (registered Rust closures) for the multi-table graph
-//!   update operations.
+//!   commit timestamps + replay recovery).
 //!
 //! # Example
 //!
@@ -91,5 +88,5 @@ pub use io::{Fault, FaultKind, SimFs, StdFs, Vfs};
 pub use prepared::Prepared;
 pub use schema::{Column, ColumnType, TableSchema};
 pub use stats::TableStats;
-pub use txn::{Session, Snapshot};
+pub use txn::Snapshot;
 pub use value::Value;

@@ -68,13 +68,6 @@ pub enum Statement {
         /// Suppress the missing-table error.
         if_exists: bool,
     },
-    /// `CALL proc(args)` — invoke a registered stored procedure.
-    Call {
-        /// Procedure name.
-        name: String,
-        /// Argument expressions (evaluated against an empty row).
-        args: Vec<Expr>,
-    },
     /// `EXPLAIN SELECT ...` — run the query, returning the executor's
     /// access-path decisions instead of the rows.
     Explain(SelectStmt),
@@ -84,13 +77,6 @@ pub enum Statement {
         /// Target table; `None` analyzes every table.
         table: Option<String>,
     },
-    /// `BEGIN [TRANSACTION]` — open a session transaction (see
-    /// [`crate::txn::Session`]).
-    Begin,
-    /// `COMMIT` — commit the open session transaction.
-    Commit,
-    /// `ROLLBACK` — roll back the open session transaction.
-    Rollback,
 }
 
 /// One index key definition.

@@ -238,9 +238,6 @@ impl Parser {
         if self.eat_keyword("DROP") {
             return self.drop_stmt();
         }
-        if self.eat_keyword("CALL") {
-            return self.call_stmt();
-        }
         if self.eat_keyword("EXPLAIN") {
             return Ok(Statement::Explain(self.select_stmt()?));
         }
@@ -251,18 +248,6 @@ impl Parser {
                 None
             };
             return Ok(Statement::Analyze { table });
-        }
-        if self.eat_keyword("BEGIN") {
-            let _ = self.eat_keyword("TRANSACTION") || self.eat_keyword("WORK");
-            return Ok(Statement::Begin);
-        }
-        if self.eat_keyword("COMMIT") {
-            let _ = self.eat_keyword("TRANSACTION") || self.eat_keyword("WORK");
-            return Ok(Statement::Commit);
-        }
-        if self.eat_keyword("ROLLBACK") {
-            let _ = self.eat_keyword("TRANSACTION") || self.eat_keyword("WORK");
-            return Ok(Statement::Rollback);
         }
         Err(self.err("expected a statement"))
     }
@@ -445,20 +430,6 @@ impl Parser {
         };
         let name = self.ident()?;
         Ok(Statement::DropTable { name, if_exists })
-    }
-
-    fn call_stmt(&mut self) -> Result<Statement> {
-        let name = self.ident()?;
-        self.expect_symbol(Symbol::LParen)?;
-        let mut args = Vec::new();
-        if !self.at_symbol(Symbol::RParen) {
-            args.push(self.expr()?);
-            while self.eat_symbol(Symbol::Comma) {
-                args.push(self.expr()?);
-            }
-        }
-        self.expect_symbol(Symbol::RParen)?;
-        Ok(Statement::Call { name, args })
     }
 
     // ---- queries ----
@@ -1114,10 +1085,6 @@ mod tests {
                 if_exists: true,
                 ..
             }
-        ));
-        assert!(matches!(
-            parse_statement("CALL add_vertex(1, '{}')").unwrap(),
-            Statement::Call { ref args, .. } if args.len() == 2
         ));
     }
 

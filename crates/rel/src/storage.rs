@@ -9,7 +9,7 @@
 //!
 //! Two mutation APIs coexist:
 //!
-//! * the **destructive** API (`insert`/`delete`/`update`/`undelete`) edits
+//! * the **destructive** API (`insert`/`delete`/`update`) edits
 //!   chains as single committed versions — WAL replay, checkpoint restore,
 //!   and bulk load run single-threaded with no snapshots active, so they
 //!   need no history;
@@ -412,24 +412,6 @@ impl Table {
         Ok(newest.row.into_vec())
     }
 
-    /// Re-insert a previously deleted row at its original id (recovery
-    /// path). The slot must currently be a tombstone.
-    pub fn undelete(&mut self, id: RowId, row: Vec<Value>) -> Result<()> {
-        if id >= self.rows.len() {
-            return Err(Error::Invalid(format!("row {id} out of range")));
-        }
-        if !self.rows[id].versions.is_empty() {
-            return Err(Error::Invalid(format!("row {id} is live; cannot undelete")));
-        }
-        for idx in &mut self.indexes {
-            idx.insert(&row, id)?;
-        }
-        self.rows[id].versions = vec![Version::committed(row.into_boxed_slice())];
-        self.live += 1;
-        self.bump_version();
-        Ok(())
-    }
-
     // ------------------------------------------------------------------
     // MVCC API: provisional versions under a transaction token, with
     // first-updater-wins conflict detection. Callers hold the table's
@@ -754,11 +736,6 @@ impl Table {
         false
     }
 
-    /// Find an index whose key columns are exactly `columns` (order matters).
-    pub fn index_on(&self, columns: &[usize]) -> Option<&Index> {
-        self.indexes.iter().find(|i| i.columns == columns)
-    }
-
     /// Find an index whose *first* key column is `column` and that can serve
     /// point lookups on a prefix. Used by the planner for single-column
     /// equality predicates.
@@ -881,20 +858,6 @@ mod tests {
             t.index_lookup("t_pk", &IndexKey(vec![Value::Int(2)]))
                 .unwrap(),
             [b]
-        );
-    }
-
-    #[test]
-    fn undelete_restores_row() {
-        let mut t = table();
-        let a = t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
-        let row = t.delete(a).unwrap();
-        t.undelete(a, row).unwrap();
-        assert_eq!(t.get(a).unwrap()[0], Value::Int(1));
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-                .unwrap(),
-            [a]
         );
     }
 

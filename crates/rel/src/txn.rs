@@ -12,8 +12,7 @@
 //!   version's `begin`/`end` stamps,
 //! * the **active-snapshot registry** whose minimum drives the vacuum
 //!   watermark (versions dead to every present and future snapshot are
-//!   reclaimable),
-//! * a SQL [`Session`] exposing `BEGIN` / `COMMIT` / `ROLLBACK`.
+//!   reclaimable).
 //!
 //! ## Version stamps
 //!
@@ -33,12 +32,7 @@
 //! invisible either way) or postdates it entirely (fully stamped). Readers
 //! never block.
 
-use crate::db::{Database, TxnState};
-use crate::error::{Error, Result};
-use crate::exec::Relation;
-use crate::sql::ast::Statement;
 use crate::unpoison;
-use crate::value::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -225,91 +219,6 @@ impl TxnManager {
     /// Number of registered active snapshots (test/introspection hook).
     pub fn active_snapshots(&self) -> usize {
         unpoison(self.active.lock()).values().sum()
-    }
-}
-
-/// A SQL session: autocommit by default, with `BEGIN` / `COMMIT` /
-/// `ROLLBACK` controlling an explicit snapshot-isolation transaction.
-/// Dropping a session with an open transaction rolls it back.
-///
-/// ```
-/// use sqlgraph_rel::{Database, Session};
-///
-/// let db = Database::new();
-/// db.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)").unwrap();
-/// let mut s = Session::new(&db);
-/// s.execute("BEGIN").unwrap();
-/// s.execute("INSERT INTO t VALUES (1, 10)").unwrap();
-/// s.execute("COMMIT").unwrap();
-/// ```
-pub struct Session<'a> {
-    db: &'a Database,
-    state: Option<TxnState>,
-}
-
-impl<'a> Session<'a> {
-    /// A new session in autocommit mode.
-    pub fn new(db: &'a Database) -> Session<'a> {
-        Session { db, state: None }
-    }
-
-    /// The underlying database.
-    pub fn db(&self) -> &'a Database {
-        self.db
-    }
-
-    /// Whether an explicit transaction is open.
-    pub fn in_transaction(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Execute one statement; `BEGIN` / `COMMIT` / `ROLLBACK` switch the
-    /// session between autocommit and an explicit transaction.
-    pub fn execute(&mut self, sql: &str) -> Result<Relation> {
-        self.execute_with_params(sql, &[])
-    }
-
-    /// [`Session::execute`] with positional `?` parameters.
-    pub fn execute_with_params(&mut self, sql: &str, params: &[Value]) -> Result<Relation> {
-        let prepared = self.db.parse_cached(sql)?;
-        match &**prepared.statement() {
-            Statement::Begin => {
-                if self.state.is_some() {
-                    return Err(Error::Invalid(
-                        "BEGIN: a transaction is already open".into(),
-                    ));
-                }
-                self.state = Some(self.db.begin_state());
-                Ok(Relation::count(0))
-            }
-            Statement::Commit => match self.state.take() {
-                Some(st) => self.db.commit_state(st).map(|()| Relation::count(0)),
-                None => Err(Error::Invalid("COMMIT: no open transaction".into())),
-            },
-            Statement::Rollback => match self.state.take() {
-                Some(st) => {
-                    self.db.rollback_state(st);
-                    Ok(Relation::count(0))
-                }
-                None => Err(Error::Invalid("ROLLBACK: no open transaction".into())),
-            },
-            stmt => match &mut self.state {
-                Some(st) => self
-                    .db
-                    .execute_in(stmt, prepared.plans(), params, Some(sql), st),
-                None => self
-                    .db
-                    .run_autocommit(stmt, prepared.plans(), params, Some(sql)),
-            },
-        }
-    }
-}
-
-impl Drop for Session<'_> {
-    fn drop(&mut self) {
-        if let Some(st) = self.state.take() {
-            self.db.rollback_state(st);
-        }
     }
 }
 

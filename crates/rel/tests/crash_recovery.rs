@@ -753,14 +753,12 @@ fn uncommitted_transactions_are_invisible_after_crash() {
     db.execute("INSERT INTO t VALUES (1)").unwrap();
 
     // Two in-flight transactions with executed-but-uncommitted writes:
-    // a handle transaction updating the committed row and inserting, and
-    // a SQL session sitting inside BEGIN.
+    // one updating the committed row and inserting, one only inserting.
     let mut open_txn = db.begin();
     open_txn.execute("UPDATE t SET a = 99 WHERE a = 1").unwrap();
     open_txn.execute("INSERT INTO t VALUES (100)").unwrap();
-    let mut open_session = sqlgraph_rel::Session::new(&db);
-    open_session.execute("BEGIN").unwrap();
-    open_session.execute("INSERT INTO t VALUES (200)").unwrap();
+    let mut second_txn = db.begin();
+    second_txn.execute("INSERT INTO t VALUES (200)").unwrap();
 
     // A concurrent autocommit transaction commits while both are open.
     db.execute("INSERT INTO t VALUES (2)").unwrap();
@@ -768,7 +766,7 @@ fn uncommitted_transactions_are_invisible_after_crash() {
     // Crash with the transactions still open. A real crash never runs
     // rollback, so the handles are forgotten, not dropped.
     std::mem::forget(open_txn);
-    std::mem::forget(open_session);
+    std::mem::forget(second_txn);
     std::mem::forget(db);
     fs.recover();
 

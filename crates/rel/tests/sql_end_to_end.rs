@@ -321,27 +321,34 @@ fn transactions_commit_and_rollback() {
     assert_eq!(rel.strings(), ["ripple"]);
 }
 
+/// SQL text has no transaction control and no stored procedures: a
+/// transaction is a `Txn` handle (`Database::begin` / `transaction`), and
+/// `BEGIN` / `COMMIT` / `ROLLBACK` / `CALL` are parse errors wherever
+/// they are executed.
 #[test]
-fn stored_procedures_share_the_transaction() {
+fn transaction_control_and_call_are_not_sql() {
     let db = db_with_people();
-    db.register_procedure(
-        "add_pair",
-        std::sync::Arc::new(|tx: &mut sqlgraph_rel::Txn<'_>, args: &[Value]| {
-            let a = args[0].clone();
-            tx.execute_with_params(
-                "INSERT INTO people VALUES (?, 'proc', 0)",
-                std::slice::from_ref(&a),
-            )?;
-            // Second insert intentionally violates the PK when a == 1.
-            tx.execute_with_params(
-                "INSERT INTO people VALUES (?, 'proc2', 0)",
-                &[Value::Int(1)],
-            )
-        }),
-    );
-    // Failure path: both inserts rolled back.
-    assert!(db.execute("CALL add_pair(50)").is_err());
-    assert_eq!(db.table_len("people").unwrap(), 4);
+    let texts = ["BEGIN", "COMMIT", "ROLLBACK", "CALL p(1)"];
+    for sql in texts {
+        let err = db.execute(sql).unwrap_err();
+        assert!(
+            matches!(err, sqlgraph_rel::Error::Parse { .. }),
+            "{sql}: {err:?}"
+        );
+    }
+    let mut tx = db.begin();
+    tx.execute("INSERT INTO people VALUES (5, 'ripple', 1)")
+        .unwrap();
+    for sql in texts {
+        let err = tx.execute(sql).unwrap_err();
+        assert!(
+            matches!(err, sqlgraph_rel::Error::Parse { .. }),
+            "{sql}: {err:?}"
+        );
+    }
+    // A refused statement leaves the transaction open and intact.
+    tx.commit().unwrap();
+    assert_eq!(db.table_len("people").unwrap(), 5);
 }
 
 #[test]

@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use sqlgraph_rel::{Database, Error, Session, SimFs, Value};
+use sqlgraph_rel::{Database, Error, SimFs, Value};
 
 /// Worker count for the hammer, pinned by CI via `SQLGRAPH_TEST_DOP`.
 fn dop() -> usize {
@@ -364,7 +364,7 @@ const CORPUS_DDL: &str = "CREATE TABLE kv (k INTEGER, tag TEXT, v INTEGER)";
 
 /// The same serial workload must leave byte-identical state — physical
 /// row ids included — whether statements autocommit under MVCC, run in
-/// explicit `BEGIN`/`COMMIT` sessions, or run in closure transactions.
+/// explicit `begin`/`commit` handles, or run in closure transactions.
 /// Transaction scope must change *nothing* about serial execution.
 #[test]
 fn serial_runs_are_identical_across_transaction_modes() {
@@ -380,16 +380,15 @@ fn serial_runs_are_identical_across_transaction_modes() {
         }
         dump(&db)
     };
-    let session_txns = {
+    let handle_txns = {
         let db = Database::new();
         db.execute(CORPUS_DDL).unwrap();
-        let mut sess = Session::new(&db);
         for g in &groups {
-            sess.execute("BEGIN").unwrap();
+            let mut tx = db.begin();
             for s in g {
-                sess.execute(s).unwrap();
+                tx.execute(s).unwrap();
             }
-            sess.execute("COMMIT").unwrap();
+            tx.commit().unwrap();
         }
         dump(&db)
     };
@@ -408,7 +407,7 @@ fn serial_runs_are_identical_across_transaction_modes() {
         dump(&db)
     };
 
-    assert_eq!(autocommit, session_txns, "session transactions diverged");
+    assert_eq!(autocommit, handle_txns, "handle transactions diverged");
     assert_eq!(autocommit, closure_txns, "closure transactions diverged");
 }
 

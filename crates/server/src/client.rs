@@ -10,7 +10,8 @@
 //! use to compare remote against in-process execution.
 
 use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Request, Response, MAX_FRAME_DEFAULT, PROTO_VERSION,
+    control_request, read_frame, write_frame, ErrorCode, Request, Response, MAX_FRAME_DEFAULT,
+    PROTO_VERSION,
 };
 use sqlgraph_rel::{Relation, Value};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -144,8 +145,9 @@ impl Client {
         self.last_stmts
     }
 
-    /// True while `begin` has succeeded and no commit/rollback has ended
-    /// the transaction (server-side aborts also clear it).
+    /// True while `begin` (or `BEGIN` text through `query_sql`) has
+    /// succeeded and no commit/rollback has ended the transaction
+    /// (server-side aborts also clear it).
     pub fn in_transaction(&self) -> bool {
         self.in_txn
     }
@@ -155,8 +157,14 @@ impl Client {
         self.query_sql_with_params(sql, &[])
     }
 
-    /// Run one parameterized SQL statement.
+    /// Run one parameterized SQL statement. Transaction-control text
+    /// (`BEGIN`, `COMMIT WORK;`, …) runs as [`Client::begin`] /
+    /// [`Client::commit`] / [`Client::rollback`] and returns no rows.
     pub fn query_sql_with_params(&mut self, sql: &str, params: &[Value]) -> Result<Relation> {
+        if let Some(control) = control_request(sql) {
+            self.control(&control)?;
+            return Ok(Relation::new(Vec::new(), Vec::new()));
+        }
         let resp = self.roundtrip(&Request::QuerySql {
             sql: sql.to_string(),
             params: params.to_vec(),
@@ -194,34 +202,31 @@ impl Client {
     /// Open an explicit transaction. Until `commit`/`rollback`, every
     /// statement on this connection runs inside it.
     pub fn begin(&mut self) -> Result<()> {
-        match self.roundtrip(&Request::Begin)? {
-            Response::Ok { stmts } => {
-                self.last_stmts = stmts;
-                self.in_txn = true;
-                Ok(())
-            }
-            other => Err(unexpected(&other)),
-        }
+        self.control(&Request::Begin).map(|_| ())
     }
 
     /// Commit the open transaction.
     pub fn commit(&mut self) -> Result<u64> {
-        self.in_txn = false;
-        match self.roundtrip(&Request::Commit)? {
-            Response::Ok { stmts } => {
-                self.last_stmts = stmts;
-                Ok(stmts)
-            }
-            other => Err(unexpected(&other)),
-        }
+        self.control(&Request::Commit)
     }
 
     /// Roll back the open transaction.
     pub fn rollback(&mut self) -> Result<u64> {
-        self.in_txn = false;
-        match self.roundtrip(&Request::Rollback)? {
+        self.control(&Request::Rollback)
+    }
+
+    /// Send `Begin`, `Commit` or `Rollback`; returns the statement count
+    /// the server reports. A commit or rollback ends the transaction
+    /// client-side even when the server refuses it.
+    fn control(&mut self, req: &Request) -> Result<u64> {
+        let opens = *req == Request::Begin;
+        if !opens {
+            self.in_txn = false;
+        }
+        match self.roundtrip(req)? {
             Response::Ok { stmts } => {
                 self.last_stmts = stmts;
+                self.in_txn = opens;
                 Ok(stmts)
             }
             other => Err(unexpected(&other)),
@@ -249,12 +254,6 @@ impl Client {
             Response::ResultSet { stmts, rel } => {
                 self.last_stmts = stmts;
                 Ok(rel)
-            }
-            Response::Ok { stmts } => {
-                // Transaction-control SQL text ("COMMIT" via query_sql).
-                self.last_stmts = stmts;
-                self.in_txn = false;
-                Ok(Relation::new(Vec::new(), Vec::new()))
             }
             other => Err(unexpected(&other)),
         }

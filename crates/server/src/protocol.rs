@@ -263,6 +263,29 @@ impl Request {
     }
 }
 
+/// The transaction-control frame a SQL text stands for: `BEGIN`, `COMMIT`
+/// or `ROLLBACK`, optionally followed by `TRANSACTION` or `WORK`, in any
+/// case, with an optional trailing `;`. The engine's SQL has no
+/// transaction control, so this is where such text is recognised: the
+/// server answers a `QuerySql` carrying it as the frame, and the client
+/// sends the frame instead.
+pub(crate) fn control_request(sql: &str) -> Option<Request> {
+    let mut words = sql
+        .trim_end()
+        .trim_end_matches(';')
+        .split_ascii_whitespace();
+    let verb = words.next()?;
+    let req = [
+        ("begin", Request::Begin),
+        ("commit", Request::Commit),
+        ("rollback", Request::Rollback),
+    ]
+    .into_iter()
+    .find_map(|(word, req)| verb.eq_ignore_ascii_case(word).then_some(req))?;
+    let noise = |w: &str| w.eq_ignore_ascii_case("transaction") || w.eq_ignore_ascii_case("work");
+    (words.next().is_none_or(noise) && words.next().is_none()).then_some(req)
+}
+
 impl Response {
     /// Encode to a frame body (no length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -479,6 +502,32 @@ mod tests {
             let back = Request::decode(&body).unwrap();
             // NaN != NaN under PartialEq; compare debug renderings.
             assert_eq!(format!("{back:?}"), format!("{req:?}"));
+        }
+    }
+
+    #[test]
+    fn control_text_maps_to_frames() {
+        for (sql, req) in [
+            ("BEGIN", Request::Begin),
+            ("  begin transaction ;", Request::Begin),
+            ("Commit Work;", Request::Commit),
+            ("commit", Request::Commit),
+            ("ROLLBACK\tTRANSACTION", Request::Rollback),
+            ("rollback work", Request::Rollback),
+        ] {
+            assert_eq!(control_request(sql), Some(req), "{sql}");
+        }
+        for sql in [
+            "",
+            ";",
+            "BEGINNING",
+            "BEGIN WORK TRANSACTION",
+            "COMMIT NOW",
+            "ROLLBACK TO s1",
+            "SELECT 1",
+            "END",
+        ] {
+            assert_eq!(control_request(sql), None, "{sql}");
         }
     }
 

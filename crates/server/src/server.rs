@@ -49,7 +49,9 @@
 //! caller waits on a condvar for the registry to empty, up to
 //! `drain_timeout`, then closes the stragglers' sockets and joins them.
 
-use crate::protocol::{read_frame, ErrorCode, Request, Response, MAX_FRAME_DEFAULT, PROTO_VERSION};
+use crate::protocol::{
+    control_request, read_frame, ErrorCode, Request, Response, MAX_FRAME_DEFAULT, PROTO_VERSION,
+};
 use sqlgraph_core::{CoreError, GraphTxn, SqlGraph};
 use sqlgraph_rel::Value;
 use std::collections::HashMap;
@@ -487,19 +489,6 @@ fn serve(shared: &Shared, id: u64, mut sock: &TcpStream) -> std::io::Result<()> 
     Ok(())
 }
 
-/// SQL text forms of the transaction-control frames, accepted through
-/// `QuerySql` for clients that speak plain SQL.
-fn control_frame(sql: &str) -> Option<Request> {
-    let t = sql.trim().trim_end_matches(';').trim();
-    [
-        ("begin", Request::Begin),
-        ("commit", Request::Commit),
-        ("rollback", Request::Rollback),
-    ]
-    .into_iter()
-    .find_map(|(word, req)| t.eq_ignore_ascii_case(word).then_some(req))
-}
-
 /// Handle one frame, inside the session's transaction or outside it.
 fn handle<'g>(shared: &'g Shared, sess: &mut Session<'g>, body: &[u8]) -> Outcome {
     let mut req = match Request::decode(body) {
@@ -528,8 +517,10 @@ fn handle<'g>(shared: &'g Shared, sess: &mut Session<'g>, body: &[u8]) -> Outcom
         return (Response::HelloOk { session: sess.id }, KEEP);
     }
 
+    // SQL text forms of the transaction-control frames, for clients that
+    // speak plain SQL.
     if let Request::QuerySql { sql, .. } = &req {
-        if let Some(control) = control_frame(sql) {
+        if let Some(control) = control_request(sql) {
             req = control;
         }
     }

@@ -8,7 +8,9 @@ use sqlgraph_core::{GraphData, SqlGraph};
 use sqlgraph_json::Json;
 use sqlgraph_rel::codec::MAX_DEPTH;
 use sqlgraph_rel::{Error as RelError, Relation, Value};
-use sqlgraph_server::{Client, ErrorCode, Server};
+use sqlgraph_server::protocol::{read_frame, write_frame, MAX_FRAME_DEFAULT, PROTO_VERSION};
+use sqlgraph_server::{Client, ErrorCode, Request, Response, Server};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 /// Canonical rendering of a result multiset for comparison.
@@ -318,6 +320,62 @@ fn gremlin_crud_inside_remote_transaction() {
         ),
         ["s:lop", "s:ripple"]
     );
+    server.shutdown();
+}
+
+/// SQL-text transaction control through `query_sql` is the `begin` /
+/// `commit` / `rollback` frames in every accepted spelling: the client
+/// tracks the transaction it opens, a second session sees nothing until
+/// the commit, and a rollback discards. A raw frame client sending the
+/// text gets the same from the server.
+#[test]
+fn text_transaction_control_matches_the_frames() {
+    let (_graph, server) = figure2_server();
+    let mut txn_client = Client::connect(server.local_addr()).unwrap();
+    let mut other = Client::connect(server.local_addr()).unwrap();
+    other
+        .query_sql("CREATE TABLE kv (k INTEGER PRIMARY KEY)")
+        .unwrap();
+    let count = |c: &mut Client| canon(&c.query_sql("SELECT COUNT(*) FROM kv").unwrap());
+
+    txn_client.query_sql("BEGIN").unwrap();
+    assert!(txn_client.in_transaction());
+    txn_client.query_sql("INSERT INTO kv VALUES (1)").unwrap();
+    assert_eq!(count(&mut txn_client), ["i:1"]);
+    assert_eq!(count(&mut other), ["i:0"], "uncommitted row leaked");
+    txn_client.query_sql("commit work;").unwrap();
+    assert!(!txn_client.in_transaction());
+    assert_eq!(count(&mut other), ["i:1"]);
+
+    txn_client.query_sql("Begin Transaction").unwrap();
+    assert!(txn_client.in_transaction());
+    txn_client.query_sql("INSERT INTO kv VALUES (2)").unwrap();
+    txn_client.query_sql("ROLLBACK TRANSACTION").unwrap();
+    assert!(!txn_client.in_transaction());
+    assert_eq!(count(&mut txn_client), ["i:1"], "rolled-back row survived");
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    let mut ask = |req: Request| {
+        write_frame(&mut raw, &req.encode()).unwrap();
+        Response::decode(&read_frame(&mut raw, MAX_FRAME_DEFAULT).unwrap()).unwrap()
+    };
+    let sql = |text: &str| Request::QuerySql {
+        sql: text.into(),
+        params: Vec::new(),
+    };
+    let hello = ask(Request::Hello {
+        proto: PROTO_VERSION,
+        token: String::new(),
+    });
+    assert!(matches!(hello, Response::HelloOk { .. }), "{hello:?}");
+    assert!(matches!(ask(sql("begin work")), Response::Ok { stmts: 0 }));
+    let insert = ask(sql("INSERT INTO kv VALUES (3)"));
+    assert!(
+        matches!(insert, Response::ResultSet { stmts: 1, .. }),
+        "{insert:?}"
+    );
+    assert!(matches!(ask(sql("ROLLBACK;")), Response::Ok { stmts: 1 }));
+    assert_eq!(count(&mut other), ["i:1"]);
     server.shutdown();
 }
 
