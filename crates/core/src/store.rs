@@ -892,15 +892,12 @@ impl SqlGraph {
                 &format!("DELETE FROM {sa} WHERE valid = ? AND val = ? AND eid = ?"),
                 &[valid.clone(), Value::Int(other), Value::Int(eid)],
             )?;
-            let left = tx
-                .execute_with_params(
-                    &format!("SELECT COUNT(*) FROM {sa} WHERE valid = ?"),
-                    &[valid],
-                )?
-                .scalar()
-                .and_then(Value::as_int)
-                .unwrap_or(0);
-            if left == 0 {
+            // An existence probe: the scan stops at the first entry left.
+            let left = tx.execute_with_params(
+                &format!("SELECT 1 FROM {sa} WHERE valid = ? LIMIT 1"),
+                &[valid],
+            )?;
+            if left.rows.is_empty() {
                 tx.execute_with_params(
                     &format!(
                         "UPDATE {pa} SET lbl{col} = NULL, eid{col} = NULL, val{col} = NULL \

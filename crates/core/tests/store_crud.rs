@@ -497,3 +497,50 @@ fn graph_transaction_reads_its_own_writes() {
         .int_column()
         .contains(&v));
 }
+
+/// The LinkBench reads and `detach`'s list-emptiness probe copy only the
+/// columns they return: the index consumes `vid`/`inv`/`lbl`/`valid`, and
+/// EXPLAIN's `Scan` line counts the rest.
+#[test]
+fn linkbench_reads_copy_only_the_columns_they_return() {
+    let g = sample();
+    let db = g.database();
+    let i = |n: i64| Value::Int(n);
+    let reads: [(&str, Vec<Value>, &str); 6] = [
+        ("SELECT attr FROM va WHERE vid = ?", vec![i(1)], "1/2 cols"),
+        (
+            "SELECT COUNT(*) FROM ea WHERE inv = ? AND lbl = ?",
+            vec![i(1), "knows".into()],
+            "0/5 cols",
+        ),
+        (
+            "SELECT eid, outv FROM ea WHERE inv = ? AND lbl = ? AND outv IN (?, ?, ?)",
+            vec![i(1), "knows".into(), i(0), i(1), i(2)],
+            "2/5 cols",
+        ),
+        (
+            "SELECT eid, outv, attr FROM ea WHERE inv = ? AND lbl = ?",
+            vec![i(1), "knows".into()],
+            "3/5 cols",
+        ),
+        (
+            "SELECT eid FROM ea WHERE inv = ? AND outv = ? AND lbl = ?",
+            vec![i(1), i(0), "knows".into()],
+            "2/5 cols",
+        ),
+        (
+            "SELECT 1 FROM isa WHERE valid = ? LIMIT 1",
+            vec![i(1)],
+            "0/3 cols",
+        ),
+    ];
+    for (sql, params, cols) in reads {
+        let plan = db
+            .execute_with_params(&format!("EXPLAIN {sql}"), &params)
+            .unwrap()
+            .strings()
+            .join("\n");
+        assert!(plan.contains("point, "), "{sql}: {plan}");
+        assert!(plan.contains(cols), "{sql}: want {cols}\n{plan}");
+    }
+}

@@ -5,15 +5,15 @@
 //! entry stores the *visible* matching rows' kept columns contiguously, so
 //! an index-nested-loop probe becomes an O(1) group lookup plus a dense
 //! range copy — no per-probe hashing over postings, no visibility re-checks,
-//! no `key_of` re-validation. Integer columns (the common case: neighbor
+//! no key re-validation. Integer columns (the common case: neighbor
 //! vertex ids in the OPA/IPA adjacency tables) are stored delta-encoded and
 //! null-suppressed ([`PackedIntVec`]) with per-group restarts.
 //!
 //! **Byte identity.** The builder filters postings exactly the way
-//! `Access::Probe` execution does — `get_visible(rid, snap)` then an
-//! `Index::key_of` re-check — and keeps the postings' order, so expanding a
-//! probe key through a CSR entry yields the same rows in the same order the
-//! row engine's index nested-loop join would produce.
+//! `Access::Probe` execution does — `Table::get_posted(rid, snap, …)` with
+//! an `Index::key_matches` re-check — and keeps the postings' order, so
+//! expanding a probe key through a CSR entry yields the same rows in the
+//! same order the row engine's index nested-loop join would produce.
 //!
 //! **MVCC validity.** An entry records the table's content version at build
 //! time. The cache in [`crate::db::Database`] serves an entry only to
@@ -90,15 +90,11 @@ impl CsrEntry {
             }
             let before = elems;
             for &rid in rids {
-                let Some(row) = t.get_visible(rid, snap) else {
+                // A chain's visible version may carry a different key than
+                // an older one that posts it; re-check like the probe path.
+                let Some(row) = t.get_posted(rid, snap, |row| idx.key_matches(row, &key.0)) else {
                     continue;
                 };
-                // Postings may cover non-current versions of a chain whose
-                // visible version carries a different key; re-check like the
-                // probe path does.
-                if idx.key_of(row) != *key {
-                    continue;
-                }
                 for (ci, &col) in keep.iter().enumerate() {
                     raw[ci].push(row[col].clone());
                 }
@@ -496,7 +492,7 @@ mod tests {
                 let Some(row) = t.get_visible(rid, snap) else {
                     continue;
                 };
-                if idx.key_of(row) != probe {
+                if !idx.key_matches(row, &probe.0) {
                     continue;
                 }
                 want_dst.push(row[2].clone());

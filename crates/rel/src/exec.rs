@@ -119,6 +119,13 @@ impl Scope {
         });
     }
 
+    /// Remove the last entry pushed.
+    pub(crate) fn pop(&mut self) {
+        if let Some(e) = self.entries.pop() {
+            self.width = e.offset;
+        }
+    }
+
     /// Resolve a possibly-qualified column to a flat offset.
     fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
         let lname = name.to_ascii_lowercase();
@@ -228,16 +235,29 @@ pub(crate) fn run_stmt(
         &with_ctes
     };
     let body_plans = plans.map(|p| &p.body);
+    // An invalid LIMIT/OFFSET is reported after the body has run, as if it
+    // were applied to the finished relation.
+    let bounds = limit_bounds(env2, stmt.limit.as_ref(), stmt.offset.as_ref());
     // A single-core body handles ORDER BY internally so sort keys may
     // reference input columns that are not projected; set-op bodies sort on
-    // output columns only.
+    // output columns only. An unsorted core may stop reading after the
+    // rows LIMIT keeps.
     let mut rel = match &stmt.body {
-        ast::SetExpr::Select(core) if !stmt.order_by.is_empty() => run_core(
-            env2,
-            core,
-            &stmt.order_by,
-            body_plans.and_then(SetPlans::core),
-        )?,
+        ast::SetExpr::Select(core) => {
+            let cap = match &bounds {
+                Ok((offset, Some(limit))) if stmt.order_by.is_empty() => {
+                    offset.saturating_add(*limit)
+                }
+                _ => usize::MAX,
+            };
+            run_core(
+                env2,
+                core,
+                &stmt.order_by,
+                body_plans.and_then(SetPlans::core),
+                cap,
+            )?
+        }
         body => {
             let mut rel = run_set_expr(env2, body, body_plans)?;
             if !stmt.order_by.is_empty() {
@@ -246,16 +266,20 @@ pub(crate) fn run_stmt(
             rel
         }
     };
-    apply_limit_offset(env2, &mut rel, stmt.limit.as_ref(), stmt.offset.as_ref())?;
+    let (offset, limit) = bounds?;
+    rel.rows.drain(..offset.min(rel.rows.len()));
+    if let Some(limit) = limit {
+        rel.rows.truncate(limit);
+    }
     Ok(rel)
 }
 
-fn apply_limit_offset(
+/// A statement's `(OFFSET, LIMIT)` row counts (0 and `None` when absent).
+fn limit_bounds(
     env: &Env<'_>,
-    rel: &mut Relation,
     limit: Option<&ast::Expr>,
     offset: Option<&ast::Expr>,
-) -> Result<()> {
+) -> Result<(usize, Option<usize>)> {
     let eval_n = |e: &ast::Expr| -> Result<usize> {
         compile_scalar(env, e)?
             .eval(&[])?
@@ -264,15 +288,8 @@ fn apply_limit_offset(
             .map(|n| n as usize)
             .ok_or_else(|| Error::Invalid("LIMIT/OFFSET must be a non-negative integer".into()))
     };
-    if let Some(off) = offset {
-        let n = eval_n(off)?.min(rel.rows.len());
-        rel.rows.drain(..n);
-    }
-    if let Some(lim) = limit {
-        let n = eval_n(lim)?;
-        rel.rows.truncate(n);
-    }
-    Ok(())
+    let offset = offset.map(eval_n).transpose()?.unwrap_or(0);
+    Ok((offset, limit.map(eval_n).transpose()?))
 }
 
 fn sort_relation(env: &Env<'_>, rel: &mut Relation, keys: &[(ast::Expr, bool)]) -> Result<()> {
@@ -327,7 +344,9 @@ fn sort_relation(env: &Env<'_>, rel: &mut Relation, keys: &[(ast::Expr, bool)]) 
 
 fn run_set_expr(env: &Env<'_>, body: &ast::SetExpr, plans: Option<&SetPlans>) -> Result<Relation> {
     match body {
-        ast::SetExpr::Select(core) => run_core(env, core, &[], plans.and_then(SetPlans::core)),
+        ast::SetExpr::Select(core) => {
+            run_core(env, core, &[], plans.and_then(SetPlans::core), usize::MAX)
+        }
         ast::SetExpr::Op {
             op,
             all,
@@ -403,11 +422,14 @@ fn dedup_rows(rows: &mut Vec<Row>, width: usize) {
 /// when it is current, else planned afresh), run its IN subqueries, bind,
 /// execute. Derived tables run before planning because the join order
 /// reads their sizes; each subquery runs once, whatever the plan's shape.
+/// Only the first `cap` output rows are wanted: a core whose output rows
+/// are its FROM rows in order stops its FROM there.
 fn run_core(
     env: &Env<'_>,
     core: &ast::SelectCore,
     order_by: &[(ast::Expr, bool)],
     slot: Option<&CoreSlot>,
+    cap: usize,
 ) -> Result<Relation> {
     let mut derived = Vec::new();
     for (n, query) in prepared::core_derived(core).into_iter().enumerate() {
@@ -435,7 +457,8 @@ fn run_core(
     let from = bound.as_ref().unwrap_or(&plan.from);
     let shape = plan.shape.bound(&binds)?;
     let mut execs = vec![StepExec::default(); from.steps.len()];
-    let data = exec_from(env, from, &derived, &mut execs)?;
+    let cap = if shape.streams() { cap } else { usize::MAX };
+    let data = exec_from(env, from, &derived, &mut execs, cap)?;
     let rel = shape.run(env, data)?;
     if env.trace.is_some() {
         // EXPLAIN: render the physical operator tree that just ran.
@@ -631,6 +654,12 @@ impl Shape {
             }
         }
         Ok(rel)
+    }
+
+    /// Whether output row `i` is the projection of FROM row `i`: no
+    /// aggregate, DISTINCT or sort.
+    fn streams(&self) -> bool {
+        matches!(self.kind, ShapeKind::Project(_)) && !self.distinct && self.descs.is_empty()
     }
 
     /// EXPLAIN's operators above the FROM tree, outermost first.
@@ -1631,17 +1660,22 @@ enum Produced {
 }
 
 /// Execute a bound FROM pipeline over its `derived` tables, recording what
-/// each step observed in `execs` (one per step).
+/// each step observed in `execs` (one per step). Only the first `cap` rows
+/// are wanted: a pipeline of one unfiltered step reads no further.
 fn exec_from(
     env: &Env<'_>,
     plan: &FromPlan,
     derived: &[Arc<Relation>],
     execs: &mut [StepExec],
+    cap: usize,
 ) -> Result<Data> {
+    let one_step =
+        plan.steps.len() == 1 && plan.steps[0].after.is_empty() && plan.residual.is_empty();
+    let cap = if one_step { cap } else { usize::MAX };
     let mut data = Data::Rows(vec![Vec::new()]); // identity row
     for (step, x) in plan.steps.iter().zip(execs) {
         let was_factor = matches!(&data, Data::Factor(_));
-        data = exec_step(env, step, x, derived, data)?;
+        data = exec_step(env, step, x, derived, data, cap)?;
         for p in &step.after {
             data = filter_data(env, data, p)?;
         }
@@ -1671,15 +1705,50 @@ fn find_index<'t>(t: &'t Table, name: &str) -> Result<&'t crate::index::Index> {
         .ok_or_else(|| Error::NotFound(format!("index '{name}'")))
 }
 
+/// Copy the kept columns of each candidate version into a unit row and
+/// keep the rows every local passes, in candidate order, stopping once
+/// `cap` rows are kept. `counts[i]` gathers local `i`'s rows in and out.
+fn scan_rows<'r>(
+    cands: impl Iterator<Item = &'r [Value]>,
+    keep: &[usize],
+    locals: &[Expr],
+    cap: usize,
+    counts: &mut [(usize, usize)],
+) -> Result<Vec<Row>> {
+    let mut out = Vec::new();
+    if cap == 0 {
+        return Ok(out);
+    }
+    // A rejected row's buffer is reused for the next.
+    let mut row: Row = Vec::with_capacity(keep.len());
+    'rows: for r in cands {
+        row.clear();
+        row.extend(keep.iter().map(|&i| r[i].clone()));
+        for (p, c) in locals.iter().zip(counts.iter_mut()) {
+            c.0 += 1;
+            if !p.eval_bool(&row)? {
+                continue 'rows;
+            }
+            c.1 += 1;
+        }
+        out.push(std::mem::replace(&mut row, Vec::with_capacity(keep.len())));
+        if out.len() >= cap {
+            break;
+        }
+    }
+    Ok(out)
+}
+
 /// Execute one step: produce the unit's rows per [`plan::StepKind`] /
 /// [`plan::Access`], then combine with the accumulated rows per
-/// [`plan::Attach`].
+/// [`plan::Attach`]. A scan stops after `cap` rows.
 fn exec_step(
     env: &Env<'_>,
     step: &Step,
     x: &mut StepExec,
     derived: &[Arc<Relation>],
     left: Data,
+    cap: usize,
 ) -> Result<Data> {
     let mut left = Some(left);
     let produced = match &step.kind {
@@ -1711,12 +1780,12 @@ fn exec_step(
                             let probe = (key.len() == parts.len()).then_some(IndexKey(key));
                             let cands = probe.iter().flat_map(|probe| {
                                 idx.lookup(probe).iter().filter_map(move |&rid| {
-                                    // A posting covers every version of a chain;
-                                    // re-check the key against the visible version
-                                    // (older versions may carry a different key).
-                                    let row = t.get_visible(rid, env.snap)?;
-                                    (idx.key_of(row) == *probe)
-                                        .then(move || keep.iter().map(move |&i| row[i].clone()))
+                                    // Older versions of a chain may carry a
+                                    // different key than the visible one.
+                                    let row = t.get_posted(rid, env.snap, |row| {
+                                        idx.key_matches(row, &probe.0)
+                                    })?;
+                                    Some(keep.iter().map(move |&i| row[i].clone()))
                                 })
                             });
                             emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
@@ -1772,21 +1841,11 @@ fn exec_step(
                         let idx = find_index(t, index)?;
                         let probe =
                             IndexKey(key.iter().map(|e| e.eval(&[])).collect::<Result<_>>()?);
-                        let mut scanned: Vec<Row> = idx
-                            .lookup(&probe)
-                            .iter()
-                            .filter_map(|&rid| {
-                                let row = t.get_visible(rid, env.snap)?;
-                                (idx.key_of(row) == probe)
-                                    .then(|| keep.iter().map(|&i| row[i].clone()).collect())
-                            })
-                            .collect();
-                        for p in locals.iter() {
-                            let before = scanned.len();
-                            scanned = filter_rows(scanned, p)?;
-                            x.local_counts.push((before, scanned.len()));
-                        }
-                        Produced::Right(scanned)
+                        let cands = idx.lookup(&probe).iter().filter_map(|&rid| {
+                            t.get_posted(rid, env.snap, |row| idx.key_matches(row, &probe.0))
+                        });
+                        x.local_counts = vec![(0, 0); locals.len()];
+                        Produced::Right(scan_rows(cands, keep, locals, cap, &mut x.local_counts)?)
                     }
                     Access::Range { index, lo, hi } => {
                         let idx = find_index(t, index)?;
@@ -1797,27 +1856,23 @@ fn exec_step(
                             })
                         };
                         let (lo_key, hi_key) = (bound(lo)?, bound(hi)?);
-                        let ids = idx.range(lo_key.as_ref(), hi_key.as_ref())?;
-                        let mut scanned: Vec<Row> = ids
+                        let entries = idx.range(lo_key.as_ref(), hi_key.as_ref())?;
+                        let mut in_range = 0;
+                        let cands = entries
                             .iter()
-                            .filter_map(|&rid| {
-                                let row = t.get_visible(rid, env.snap)?;
-                                // Re-check bounds against the visible version's
-                                // key (postings cover the whole chain).
-                                let k = idx.key_of(row);
-                                let in_lo = lo_key.as_ref().is_none_or(|lo| &k >= lo);
-                                let in_hi = hi_key.as_ref().is_none_or(|hi| &k <= hi);
-                                (in_lo && in_hi)
-                                    .then(|| keep.iter().map(|&i| row[i].clone()).collect())
+                            .flat_map(|(key, rids)| {
+                                rids.iter().filter_map(|&rid| {
+                                    // A chain is posted under every key its
+                                    // versions carry: keep it under its visible
+                                    // version's.
+                                    t.get_posted(rid, env.snap, |row| idx.key_matches(row, &key.0))
+                                })
                             })
-                            .collect();
+                            .inspect(|_| in_range += 1);
+                        x.local_counts = vec![(0, 0); locals.len()];
+                        let scanned = scan_rows(cands, keep, locals, cap, &mut x.local_counts)?;
                         // EXPLAIN's range-scan count is rows before locals.
-                        x.scan_rows = Some(scanned.len());
-                        for p in locals.iter() {
-                            let before = scanned.len();
-                            scanned = filter_rows(scanned, p)?;
-                            x.local_counts.push((before, scanned.len()));
-                        }
+                        x.scan_rows = Some(in_range);
                         Produced::Right(scanned)
                     }
                     Access::Full => {
@@ -1827,36 +1882,29 @@ fn exec_step(
                         // columns of its slab range's visible versions and keeps
                         // the rows every local passes. Morsels cover disjoint
                         // slab ranges and outputs concatenate in slab order, so
-                        // the result is identical at every DOP.
+                        // the result is identical at every DOP. A capped scan
+                        // runs its morsels in order on one worker, each taking
+                        // only what the cap has left.
                         let snap = env.snap;
                         let live = t.len();
-                        let dop = env.db.dop_for(live);
+                        let dop = if cap == usize::MAX {
+                            env.db.dop_for(live)
+                        } else {
+                            1
+                        };
                         x.scan_rows = Some(live);
                         x.scan_dop = Some(dop);
+                        let kept = std::sync::atomic::AtomicUsize::new(0);
                         let chunks = crate::parallel::ordered_map(
                             dop,
                             t.slots().len(),
                             crate::parallel::MORSEL_ROWS,
                             |range| -> Result<Vec<Row>> {
-                                let mut out = Vec::new();
-                                // A rejected row's buffer is reused for the next.
-                                let mut row: Row = Vec::with_capacity(keep.len());
-                                'slots: for slot in &t.slots()[range] {
-                                    let Some(r) = slot.visible(snap) else {
-                                        continue;
-                                    };
-                                    row.clear();
-                                    row.extend(keep.iter().map(|&i| r[i].clone()));
-                                    for p in locals.iter() {
-                                        if !p.eval_bool(&row)? {
-                                            continue 'slots;
-                                        }
-                                    }
-                                    out.push(std::mem::replace(
-                                        &mut row,
-                                        Vec::with_capacity(keep.len()),
-                                    ));
-                                }
+                                let left = cap - kept.load(std::sync::atomic::Ordering::Relaxed);
+                                let cands = t.slots()[range].iter().filter_map(|s| s.visible(snap));
+                                let mut counts = vec![(0, 0); locals.len()];
+                                let out = scan_rows(cands, keep, locals, left, &mut counts)?;
+                                kept.fetch_add(out.len(), std::sync::atomic::Ordering::Relaxed);
                                 Ok(out)
                             },
                         );

@@ -68,6 +68,15 @@ impl KeyPart {
         }
     }
 
+    /// Whether this part of `row` equals `key` — a plain column is compared
+    /// in place, with no clone.
+    fn matches(&self, row: &[Value], key: &Value) -> bool {
+        match self {
+            KeyPart::Column(c) => row[*c] == *key,
+            KeyPart::JsonKey(..) => self.extract(row) == *key,
+        }
+    }
+
     /// Evaluate against a full table row.
     pub fn extract(&self, row: &[Value]) -> Value {
         match self {
@@ -148,6 +157,12 @@ impl Index {
         IndexKey(self.parts.iter().map(|p| p.extract(row)).collect())
     }
 
+    /// Whether `row`'s key equals `key`, compared part by part without
+    /// building an [`IndexKey`].
+    pub(crate) fn key_matches(&self, row: &[Value], key: &[Value]) -> bool {
+        self.parts.len() == key.len() && self.parts.iter().zip(key).all(|(p, k)| p.matches(row, k))
+    }
+
     /// Insert `row_id` under the key extracted from `row`.
     /// Unique violations report the index name.
     pub fn insert(&mut self, row: &[Value], row_id: RowId) -> Result<()> {
@@ -218,9 +233,16 @@ impl Index {
         }
     }
 
-    /// Row IDs with keys in `[lo, hi]` (inclusive bounds; `None` = open).
-    /// Only meaningful for B-tree indexes; hash indexes return an error.
-    pub fn range(&self, lo: Option<&IndexKey>, hi: Option<&IndexKey>) -> Result<Vec<RowId>> {
+    /// The `(key, postings)` entries with keys in `[lo, hi]` (inclusive
+    /// bounds; `None` = open), in key order. A chain whose versions carry
+    /// several keys in range is posted under each: readers keep a row only
+    /// under the key its visible version carries. Only B-tree indexes serve
+    /// ranges; hash indexes return an error.
+    pub fn range(
+        &self,
+        lo: Option<&IndexKey>,
+        hi: Option<&IndexKey>,
+    ) -> Result<Vec<(&IndexKey, &[RowId])>> {
         let m = match &self.map {
             Map::BTree(m) => m,
             Map::Hash(_) => {
@@ -230,14 +252,17 @@ impl Index {
                 )))
             }
         };
+        if let (Some(lo), Some(hi)) = (lo, hi) {
+            if lo > hi {
+                return Ok(Vec::new());
+            }
+        }
         use std::ops::Bound;
         let lo = lo.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
         let hi = hi.map_or(Bound::Unbounded, |k| Bound::Included(k.clone()));
-        let mut out = Vec::new();
-        for ids in m.range((lo, hi)).map(|(_, ids)| ids) {
-            out.extend_from_slice(ids);
-        }
-        Ok(out)
+        Ok(m.range((lo, hi))
+            .map(|(k, ids)| (k, ids.as_slice()))
+            .collect())
     }
 
     /// Number of distinct keys.
@@ -306,6 +331,15 @@ mod tests {
         assert!(idx.lookup(&IndexKey(vec![Value::Int(1)])).is_empty());
     }
 
+    /// The row ids of a range scan, in order.
+    fn range_ids(idx: &Index, lo: Option<&IndexKey>, hi: Option<&IndexKey>) -> Vec<RowId> {
+        let entries = idx.range(lo, hi).unwrap();
+        entries
+            .iter()
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect()
+    }
+
     #[test]
     fn btree_range() {
         let mut idx = Index::new("b", vec![0], false, IndexKind::BTree);
@@ -314,10 +348,12 @@ mod tests {
         }
         let lo = IndexKey(vec![Value::Int(15)]);
         let hi = IndexKey(vec![Value::Int(35)]);
-        assert_eq!(idx.range(Some(&lo), Some(&hi)).unwrap(), [1, 2]);
-        assert_eq!(idx.range(None, Some(&lo)).unwrap(), [0]);
-        assert_eq!(idx.range(Some(&hi), None).unwrap(), [3]);
-        assert_eq!(idx.range(None, None).unwrap().len(), 4);
+        assert_eq!(range_ids(&idx, Some(&lo), Some(&hi)), [1, 2]);
+        assert_eq!(range_ids(&idx, None, Some(&lo)), [0]);
+        assert_eq!(range_ids(&idx, Some(&hi), None), [3]);
+        assert_eq!(range_ids(&idx, None, None).len(), 4);
+        // An empty interval is empty, not a panic.
+        assert!(range_ids(&idx, Some(&hi), Some(&lo)).is_empty());
     }
 
     #[test]
@@ -333,6 +369,6 @@ mod tests {
         idx.insert(&[Value::Int(1)], 1).unwrap();
         idx.insert(&[Value::Null], 2).unwrap();
         // Total order: NULL < numbers < strings.
-        assert_eq!(idx.range(None, None).unwrap(), [2, 1, 0]);
+        assert_eq!(range_ids(&idx, None, None), [2, 1, 0]);
     }
 }

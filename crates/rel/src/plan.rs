@@ -351,30 +351,41 @@ fn param_value<'e>(env: &Env<'e>, guards: &mut Vec<Guard>, i: usize) -> Option<&
 // ---------------------------------------------------------------------------
 
 /// Projection-pruning analysis of a SELECT core: which columns of each
-/// FROM alias the statement can reference.
+/// FROM alias the statement can reference, and how often.
+///
+/// An unqualified name counts as a reference to the column of that name of
+/// every FROM alias that has one: a superset of what resolution will pick,
+/// so pruning to it is always safe.
 #[derive(Debug, Default)]
 pub(crate) struct Needs {
-    /// Qualified references per (lower-cased) alias.
-    per_alias: FxHashMap<String, FxHashSet<String>>,
+    /// Qualified references per (lower-cased) alias and column.
+    per_alias: FxHashMap<String, FxHashMap<String, usize>>,
+    /// Unqualified references per (lower-cased) name.
+    bare: FxHashMap<String, usize>,
     /// Aliases that need every column (`t.*`).
     all_for: FxHashSet<String>,
-    /// An unqualified reference or bare `*` appeared: pruning is unsafe.
+    /// A bare `*` appeared: every alias needs every column.
     disable: bool,
 }
 
 impl Needs {
+    /// How many references `alias.column` may receive.
+    fn refs(&self, alias: &str, column: &str) -> usize {
+        let qualified = self.per_alias.get(alias).and_then(|m| m.get(column));
+        qualified.copied().unwrap_or(0) + self.bare.get(column).copied().unwrap_or(0)
+    }
+
     /// Pruned column list for `alias` given the table's full column list,
     /// or `None` when pruning is not applicable.
     fn pruned(&self, alias: &str, columns: &[String]) -> Option<Vec<usize>> {
         if self.disable || self.all_for.contains(alias) {
             return None;
         }
-        let wanted = self.per_alias.get(alias)?;
         Some(
             columns
                 .iter()
                 .enumerate()
-                .filter(|(_, c)| wanted.contains(*c))
+                .filter(|(_, c)| self.refs(alias, c) > 0)
                 .map(|(i, _)| i)
                 .collect(),
         )
@@ -438,17 +449,13 @@ fn collect_from_needs(item: &ast::FromItem, needs: &mut Needs) {
 
 fn collect_expr_needs(e: &ast::Expr, needs: &mut Needs) {
     match e {
-        ast::Expr::Column {
-            table: Some(t),
-            name,
-        } => {
-            needs
-                .per_alias
-                .entry(t.to_ascii_lowercase())
-                .or_default()
-                .insert(name.to_ascii_lowercase());
+        ast::Expr::Column { table, name } => {
+            let refs = match table {
+                Some(t) => needs.per_alias.entry(t.to_ascii_lowercase()).or_default(),
+                None => &mut needs.bare,
+            };
+            *refs.entry(name.to_ascii_lowercase()).or_default() += 1;
         }
-        ast::Expr::Column { table: None, .. } => needs.disable = true,
         ast::Expr::Literal(_) | ast::Expr::Param(_) | ast::Expr::CountStar => {}
         ast::Expr::Unary(_, x) | ast::Expr::IsNull(x, _) | ast::Expr::Cast(x, _) => {
             collect_expr_needs(x, needs)
@@ -1473,9 +1480,10 @@ fn plan_base_table(
         .collect();
     // Projection pruning: materialize only the columns the statement can
     // reference. `keep` maps pruned position -> original position.
-    let keep: Vec<usize> = needs
-        .pruned(&alias.to_ascii_lowercase(), &all_names)
-        .unwrap_or_else(|| (0..all_names.len()).collect());
+    let lower_alias = alias.to_ascii_lowercase();
+    let pruned = needs.pruned(&lower_alias, &all_names);
+    let prunable = pruned.is_some();
+    let keep: Vec<usize> = pruned.unwrap_or_else(|| (0..all_names.len()).collect());
     let col_names: Vec<String> = keep.iter().map(|&i| all_names[i].clone()).collect();
     let before_width = scope.width;
     scope.push(alias, col_names);
@@ -1579,9 +1587,27 @@ fn plan_base_table(
     }
 
     if let Some((idx, mut parts, used, uses_probe)) = best {
+        // A column read only by the equalities the index consumes is not
+        // copied: the index lookup and its key re-check decide them.
+        let mut consumed = Needs::default();
         for pi in &used {
-            pending[*pi] = None;
+            if let Some(c) = pending[*pi].take() {
+                collect_expr_needs(c, &mut consumed);
+            }
         }
+        let keep: Vec<usize> = if prunable {
+            keep.into_iter()
+                .filter(|&c| {
+                    let name = &all_names[c];
+                    needs.refs(&lower_alias, name) > consumed.refs(&lower_alias, name)
+                })
+                .collect()
+        } else {
+            keep
+        };
+        let arity = keep.len();
+        scope.pop();
+        scope.push(alias, keep.iter().map(|&i| all_names[i].clone()).collect());
         if uses_probe {
             let single_probe = parts.len() == 1;
             let access = if csr_eligible(env, table, idx, single_probe, outer) {
@@ -1842,7 +1868,8 @@ fn outer_note(step: &Step) -> String {
     }
 }
 
-/// One-line description of a step's row source.
+/// One-line description of a step's row source. A `Scan` states how many
+/// of the table's columns it copies per row ([`scan_cols`]).
 fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
     match &step.kind {
         StepKind::Scan {
@@ -1870,22 +1897,24 @@ fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
                 )
             }
             Access::Point { index, key } => format!(
-                "Scan {} [{table}] (index {index}, point, {} key parts{})",
+                "Scan {} [{table}] (index {index}, point, {} key parts, {}{})",
                 step.label,
                 key.len(),
+                scan_cols(env, table, keep),
                 filters_suffix(locals.len(), &x.local_counts)
             ),
             Access::Range { index, .. } => format!(
-                "Scan {} [{table}] (index {index}, range, {} rows{})",
+                "Scan {} [{table}] (index {index}, range, {} rows, {}{})",
                 step.label,
                 x.scan_rows.unwrap_or_default(),
+                scan_cols(env, table, keep),
                 filters_suffix(locals.len(), &x.local_counts)
             ),
             Access::Full => format!(
-                "Scan {} [{table}] (full, {} rows, {} cols, dop {}{})",
+                "Scan {} [{table}] (full, {} rows, {}, dop {}{})",
                 step.label,
                 x.scan_rows.unwrap_or_default(),
-                keep.len(),
+                scan_cols(env, table, keep),
                 x.scan_dop.unwrap_or(1),
                 filters_suffix(locals.len(), &x.local_counts)
             ),
@@ -1903,6 +1932,12 @@ fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
             format!("Call {} ({func:?}, {arity} cols)", step.label)
         }
     }
+}
+
+/// `k/n cols`: a scan copies `k` of `table`'s `n` columns per row.
+fn scan_cols(env: &Env<'_>, table: &str, keep: &[usize]) -> String {
+    let arity = env.db.read_table(table, |t| Ok(t.schema.arity()));
+    format!("{}/{} cols", keep.len(), arity.unwrap_or_default())
 }
 
 /// `, N pushed filters: before -> after[ -> after…] rows`. `counts` holds one

@@ -18,9 +18,12 @@
 //!   provisional versions stamped by a transaction token, enforcing
 //!   first-updater-wins at write time.
 //!
-//! Index postings cover the union of keys across every version of a chain
-//! (deduplicated per chain), so a reader at any snapshot finds its version
-//! through the index; read paths re-check visibility and key match.
+//! A chain's index postings are exactly the distinct keys of its versions:
+//! every mutation adds the keys a new version brings and drops the keys no
+//! surviving version carries (`unindex_unless_shared`). So a reader at any
+//! snapshot finds its version through the index, and read paths re-check
+//! visibility and — for chains of more than one version only — the key
+//! ([`Table::get_posted`]).
 
 use crate::error::{Error, Result};
 use crate::index::{Index, IndexKey, IndexKind, KeyPart, RowId};
@@ -80,17 +83,40 @@ impl Version {
 }
 
 /// A row's version chain, oldest → newest. Empty = tombstone.
-#[derive(Debug, Default)]
-pub struct Slot {
-    versions: Vec<Version>,
+///
+/// A chain of exactly one version — nearly every row that is not being
+/// rewritten — lives inline in its slab slot, so reading it touches one
+/// slab entry and no heap vector; longer chains spill to a `Vec`. Every
+/// mutation keeps that normal form: `Many` never holds exactly one version.
+#[derive(Debug)]
+pub struct Slot(Chain);
+
+#[derive(Debug)]
+enum Chain {
+    One(Version),
+    Many(Vec<Version>),
+}
+
+impl Default for Slot {
+    fn default() -> Slot {
+        Slot(Chain::Many(Vec::new()))
+    }
 }
 
 impl Slot {
+    /// The chain `vs`, in normal form.
+    fn from_versions(mut vs: Vec<Version>) -> Slot {
+        match vs.len() {
+            1 => Slot(Chain::One(vs.pop().expect("one version"))),
+            _ => Slot(Chain::Many(vs)),
+        }
+    }
+
     /// The version `snap` sees, if any. At most one version of a chain is
     /// visible to a given snapshot; scan newest-first since recent
     /// snapshots want recent versions.
     pub fn visible(&self, snap: Snapshot) -> Option<&[Value]> {
-        self.versions
+        self.versions()
             .iter()
             .rev()
             .find(|v| v.visible(snap))
@@ -99,11 +125,46 @@ impl Slot {
 
     /// All versions, oldest → newest.
     pub fn versions(&self) -> &[Version] {
-        &self.versions
+        match &self.0 {
+            Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
     }
 
     fn latest(&self) -> Option<&Version> {
-        self.versions.last()
+        self.versions().last()
+    }
+
+    /// Append `v` as the newest version.
+    fn push(&mut self, v: Version) {
+        *self = match std::mem::take(self).0 {
+            Chain::One(old) => Slot(Chain::Many(vec![old, v])),
+            Chain::Many(mut vs) => {
+                vs.push(v);
+                Slot::from_versions(vs)
+            }
+        };
+    }
+
+    /// Remove and return the newest version.
+    fn pop(&mut self) -> Option<Version> {
+        match std::mem::take(self).0 {
+            Chain::One(v) => Some(v),
+            Chain::Many(mut vs) => {
+                let v = vs.pop();
+                *self = Slot::from_versions(vs);
+                v
+            }
+        }
+    }
+
+    /// Empty the chain (a tombstone), returning its versions oldest →
+    /// newest.
+    fn take(&mut self) -> Vec<Version> {
+        match std::mem::take(self).0 {
+            Chain::One(v) => vec![v],
+            Chain::Many(vs) => vs,
+        }
     }
 }
 
@@ -196,9 +257,7 @@ impl Table {
                 None => rows.push(Slot::default()),
                 Some(mut row) => {
                     schema.check_row(&mut row)?;
-                    rows.push(Slot {
-                        versions: vec![Version::committed(row.into_boxed_slice())],
-                    });
+                    rows.push(Slot(Chain::One(Version::committed(row.into_boxed_slice()))));
                     live += 1;
                 }
             }
@@ -282,6 +341,28 @@ impl Table {
         self.rows.get(id).and_then(|s| s.visible(snap))
     }
 
+    /// The version of row `id` that `snap` sees, if `matches` accepts it.
+    /// Index reads reach row `id` through a posting under some key and pass
+    /// `matches` to re-check that key against the version. A one-version
+    /// chain skips the re-check: a chain's postings are exactly its
+    /// versions' keys, so its only version carries every key that posts it.
+    pub(crate) fn get_posted(
+        &self,
+        id: RowId,
+        snap: Snapshot,
+        matches: impl FnOnce(&[Value]) -> bool,
+    ) -> Option<&[Value]> {
+        match &self.rows.get(id)?.0 {
+            Chain::One(v) => v.visible(snap).then(|| v.row()),
+            Chain::Many(vs) => vs
+                .iter()
+                .rev()
+                .find(|v| v.visible(snap))
+                .map(Version::row)
+                .filter(|row| matches(row)),
+        }
+    }
+
     /// Raw slab access for morsel-parallel scans: slot `i` is row id `i`'s
     /// version chain. Workers slice disjoint ranges of this slab so a
     /// parallel scan visits rows in exactly `iter()`'s order.
@@ -323,9 +404,8 @@ impl Table {
                 return Err(e);
             }
         }
-        self.rows.push(Slot {
-            versions: vec![Version::committed(row.into_boxed_slice())],
-        });
+        self.rows
+            .push(Slot(Chain::One(Version::committed(row.into_boxed_slice()))));
         self.live += 1;
         self.bump_version();
         Ok(id)
@@ -337,16 +417,15 @@ impl Table {
         if id >= self.rows.len() {
             return Err(Error::Invalid(format!("row {id} out of range")));
         }
-        let mut versions = std::mem::take(&mut self.rows[id].versions);
+        let mut versions = self.rows[id].take();
         if versions.is_empty() {
             return Err(Error::Invalid(format!("row {id} already deleted")));
         }
         for v in &versions {
-            for i in 0..self.indexes.len() {
-                let key = self.indexes[i].key_of(v.row());
+            for idx in &mut self.indexes {
                 // Postings are deduplicated per chain; removing a key twice
                 // is a no-op.
-                self.indexes[i].remove_key(&key, id);
+                idx.remove(v.row(), id);
             }
         }
         let newest = versions.pop().expect("chain checked non-empty");
@@ -376,7 +455,7 @@ impl Table {
             .iter()
             .map(|idx| {
                 let mut keys: Vec<IndexKey> = self.rows[id]
-                    .versions
+                    .versions()
                     .iter()
                     .map(|v| idx.key_of(v.row()))
                     .collect();
@@ -403,11 +482,12 @@ impl Table {
                 return Err(e);
             }
         }
-        let mut versions = std::mem::replace(
-            &mut self.rows[id].versions,
-            vec![Version::committed(new_row.into_boxed_slice())],
-        );
-        let newest = versions.pop().expect("liveness checked above");
+        let newest = std::mem::replace(
+            &mut self.rows[id],
+            Slot(Chain::One(Version::committed(new_row.into_boxed_slice()))),
+        )
+        .pop()
+        .expect("liveness checked above");
         self.bump_version();
         Ok(newest.row.into_vec())
     }
@@ -430,7 +510,7 @@ impl Table {
         let own = txn::marker(token);
         for &rid in idx.lookup(key) {
             for v in self.rows[rid].versions() {
-                if idx.key_of(v.row()) != *key {
+                if !idx.key_matches(v.row(), &key.0) {
                     continue;
                 }
                 let e = v.end();
@@ -473,9 +553,10 @@ impl Table {
             let key = idx.key_of(&row);
             idx.add(key, id);
         }
-        self.rows.push(Slot {
-            versions: vec![Version::provisional(row.into_boxed_slice(), token)],
-        });
+        self.rows.push(Slot(Chain::One(Version::provisional(
+            row.into_boxed_slice(),
+            token,
+        ))));
         self.live += 1;
         self.bump_version();
         Ok(id)
@@ -519,7 +600,7 @@ impl Table {
                     continue;
                 }
                 let new_key = self.indexes[i].key_of(&new_row);
-                if self.indexes[i].key_of(v.row()) == new_key {
+                if self.indexes[i].key_matches(v.row(), &new_key.0) {
                     continue;
                 }
                 self.check_unique_mvcc(i, &new_key, token)?;
@@ -533,21 +614,19 @@ impl Table {
             .filter_map(|(i, idx)| {
                 let key = idx.key_of(&new_row);
                 let covered = self.rows[id]
-                    .versions
+                    .versions()
                     .iter()
-                    .any(|v| idx.key_of(v.row()) == key);
+                    .any(|v| idx.key_matches(v.row(), &key.0));
                 (!covered).then_some((i, key))
             })
             .collect();
         let own = txn::marker(token);
         let slot = &mut self.rows[id];
-        slot.versions
-            .last()
+        slot.latest()
             .expect("liveness checked above")
             .end
             .store(own, Ordering::Release);
-        slot.versions
-            .push(Version::provisional(new_row.into_boxed_slice(), token));
+        slot.push(Version::provisional(new_row.into_boxed_slice(), token));
         for (i, key) in to_add {
             self.indexes[i].add(key, id);
         }
@@ -558,7 +637,6 @@ impl Table {
     /// Undo a provisional insert: pop the version and drop its postings.
     pub fn rollback_insert(&mut self, id: RowId, token: u64) {
         let v = self.rows[id]
-            .versions
             .pop()
             .expect("rollback insert: version exists");
         debug_assert_eq!(v.begin(), txn::marker(token));
@@ -570,8 +648,7 @@ impl Table {
     /// Undo a provisional delete: clear the marker back to live.
     pub fn rollback_delete(&mut self, id: RowId, token: u64) {
         let v = self.rows[id]
-            .versions
-            .last()
+            .latest()
             .expect("rollback delete: version exists");
         debug_assert_eq!(v.end(), txn::marker(token));
         v.end.store(txn::TS_INF, Ordering::Release);
@@ -583,14 +660,12 @@ impl Table {
     /// postings, revive the predecessor.
     pub fn rollback_update(&mut self, id: RowId, token: u64) {
         let v = self.rows[id]
-            .versions
             .pop()
             .expect("rollback update: successor exists");
         debug_assert_eq!(v.begin(), txn::marker(token));
         self.unindex_unless_shared(id, v.row());
         let prev = self.rows[id]
-            .versions
-            .last()
+            .latest()
             .expect("rollback update: predecessor exists");
         debug_assert_eq!(prev.end(), txn::marker(token));
         prev.end.store(txn::TS_INF, Ordering::Release);
@@ -607,7 +682,7 @@ impl Table {
         let Some(slot) = self.rows.get(id) else {
             return;
         };
-        for v in &slot.versions {
+        for v in slot.versions() {
             if v.begin.load(Ordering::Acquire) == own {
                 v.begin.store(ts, Ordering::Release);
             }
@@ -624,24 +699,18 @@ impl Table {
     pub fn vacuum(&mut self, watermark: u64) -> usize {
         let mut pruned = 0;
         for id in 0..self.rows.len() {
-            let has_dead = self.rows[id].versions.iter().any(|v| {
+            let dead = |v: &Version| {
                 let e = v.end();
                 e != txn::TS_INF && !txn::is_marker(e) && e <= watermark
-            });
-            if !has_dead {
+            };
+            if !self.rows[id].versions().iter().any(dead) {
                 continue;
             }
-            let mut removed: Vec<Box<[Value]>> = Vec::new();
-            self.rows[id].versions.retain_mut(|v| {
-                let e = v.end();
-                let dead = e != txn::TS_INF && !txn::is_marker(e) && e <= watermark;
-                if dead {
-                    removed.push(std::mem::take(&mut v.row));
-                }
-                !dead
-            });
-            for row in &removed {
-                self.unindex_unless_shared(id, row);
+            let (removed, kept): (Vec<Version>, Vec<Version>) =
+                self.rows[id].take().into_iter().partition(dead);
+            self.rows[id] = Slot::from_versions(kept);
+            for v in &removed {
+                self.unindex_unless_shared(id, v.row());
             }
             pruned += removed.len();
         }
@@ -657,9 +726,9 @@ impl Table {
         for i in 0..self.indexes.len() {
             let key = self.indexes[i].key_of(row);
             let shared = self.rows[id]
-                .versions
+                .versions()
                 .iter()
-                .any(|v| self.indexes[i].key_of(v.row()) == key);
+                .any(|v| self.indexes[i].key_matches(v.row(), &key.0));
             if !shared {
                 self.indexes[i].remove_key(&key, id);
             }
@@ -706,7 +775,7 @@ impl Table {
         let mut idx = Index::with_parts(name, parts, unique, kind);
         for (id, slot) in self.rows.iter().enumerate() {
             let mut seen: Vec<IndexKey> = Vec::new();
-            for v in slot.versions.iter().rev() {
+            for v in slot.versions().iter().rev() {
                 let key = idx.key_of(v.row());
                 if seen.contains(&key) {
                     continue;
@@ -1045,6 +1114,68 @@ mod tests {
             .index_lookup("t_pk", &IndexKey(vec![Value::Int(9)]))
             .unwrap()
             .is_empty());
+    }
+
+    fn inline(t: &Table, id: RowId) -> bool {
+        matches!(t.slots()[id].0, Chain::One(_))
+    }
+
+    #[test]
+    fn one_version_chains_live_inline() {
+        let mut t = table();
+        let id = t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        assert!(inline(&t, id));
+        t.mvcc_update(id, vec![Value::Int(2), Value::str("b")], 1, snap(0, 1))
+            .unwrap();
+        assert!(!inline(&t, id));
+        t.rollback_update(id, 1);
+        assert!(inline(&t, id), "a pop back to one version moves it inline");
+        t.mvcc_update(id, vec![Value::Int(2), Value::str("b")], 2, snap(0, 2))
+            .unwrap();
+        t.stamp_commit(id, 2, 3);
+        assert_eq!(t.vacuum(3), 1);
+        assert!(inline(&t, id), "so does a vacuum");
+        assert_eq!(t.get(id).unwrap()[1], Value::str("b"));
+        let b = t.mvcc_insert(vec![Value::Int(5), Value::Null], 4).unwrap();
+        assert!(inline(&t, b));
+        t.rollback_insert(b, 4);
+        assert!(t.slots()[b].versions().is_empty());
+        t.update(id, vec![Value::Int(3), Value::str("c")]).unwrap();
+        assert!(inline(&t, id));
+        t.delete(id).unwrap();
+        assert!(t.slots()[id].versions().is_empty());
+    }
+
+    #[test]
+    fn only_multi_version_chains_recheck_the_posted_key() {
+        let mut t = table();
+        let id = t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        let latest = Snapshot::latest();
+        // One version: its only posting is its own key, so no re-check.
+        assert!(t.get_posted(id, latest, |_| false).is_some());
+        t.mvcc_update(id, vec![Value::Int(2), Value::str("b")], 1, snap(0, 1))
+            .unwrap();
+        assert_eq!(
+            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
+                .unwrap(),
+            [id]
+        );
+        assert_eq!(
+            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(2)]))
+                .unwrap(),
+            [id]
+        );
+        assert!(t.get_posted(id, snap(0, 1), |_| false).is_none());
+        let idx = &t.indexes()[0];
+        let seen = t.get_posted(id, snap(0, 1), |row| idx.key_matches(row, &[Value::Int(2)]));
+        assert_eq!(seen.unwrap()[1], Value::str("b"));
+        assert!(t
+            .get_posted(id, snap(0, 1), |row| idx.key_matches(row, &[Value::Int(1)]))
+            .is_none());
+        // Another snapshot sees the old version of the same chain.
+        let old = t.get_posted(id, snap(0, 9), |row| idx.key_matches(row, &[Value::Int(1)]));
+        assert_eq!(old.unwrap()[1], Value::str("a"));
+        assert!(t.get_posted(99, latest, |_| true).is_none());
     }
 
     #[test]

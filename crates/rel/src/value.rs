@@ -164,7 +164,9 @@ impl Value {
     /// * `NULL` is the smallest value. With `ASC` (the default) NULLs come
     ///   first; `DESC` reverses the whole ordering, so NULLs come last.
     /// * Mixed types rank `NULL < BOOLEAN < numbers < TEXT < JSON < ARRAY`.
-    /// * `Int` and `Double` compare numerically (`1 < 1.5 < 2`); `-0.0`
+    /// * `Int` and `Double` compare numerically (`1 < 1.5 < 2`) and
+    ///   exactly: an `Int` past 2^53 is not rounded to a `Double` first, so
+    ///   equality stays transitive (hash-index postings rely on it); `-0.0`
     ///   equals `0.0`; `NaN` compares greater than every other number and
     ///   equal to itself, so sorts never panic and ties stay stable.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
@@ -185,13 +187,12 @@ impl Value {
             (Value::Str(a), Value::Str(b)) => a.as_ref().cmp(b.as_ref()),
             (Value::Json(a), Value::Json(b)) => a.total_cmp(b),
             (Value::Array(a), Value::Array(b)) => cmp_arrays(a, b),
-            (a, b) if rank(a) == 2 && rank(b) == 2 => {
-                let (x, y) = (a.as_f64().unwrap(), b.as_f64().unwrap());
-                match x.partial_cmp(&y) {
-                    Some(o) => o,
-                    None => y.is_nan().cmp(&x.is_nan()).reverse(),
-                }
-            }
+            (Value::Double(x), Value::Double(y)) => match x.partial_cmp(y) {
+                Some(o) => o,
+                None => y.is_nan().cmp(&x.is_nan()).reverse(),
+            },
+            (Value::Int(a), Value::Double(b)) => cmp_int_double(*a, *b),
+            (Value::Double(a), Value::Int(b)) => cmp_int_double(*b, *a).reverse(),
             (a, b) => rank(a).cmp(&rank(b)),
         }
     }
@@ -255,6 +256,23 @@ pub enum CastType {
     Text,
     /// Boolean.
     Boolean,
+}
+
+/// `a` against `b` without rounding `a` to an `f64`; `NaN` is greater than
+/// every number.
+fn cmp_int_double(a: i64, b: f64) -> Ordering {
+    // 2^63, exact as an f64: every i64 is below it and at or above its
+    // negation.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if b.is_nan() || b >= TWO_63 {
+        return Ordering::Less;
+    }
+    if b < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = b.trunc();
+    a.cmp(&(whole as i64))
+        .then_with(|| 0.0.partial_cmp(&(b - whole)).expect("finite fraction"))
 }
 
 fn cmp_arrays(a: &[Value], b: &[Value]) -> Ordering {
@@ -404,6 +422,40 @@ mod tests {
         assert_eq!(
             Value::Int(3).sql_cmp(&Value::Double(3.5)),
             Some(Ordering::Less)
+        );
+    }
+
+    #[test]
+    fn mixed_numbers_compare_exactly_past_2_pow_53() {
+        let big = 1i64 << 53;
+        let (a, b, c) = (
+            Value::Int(big + 1),
+            Value::Double(big as f64),
+            Value::Int(big),
+        );
+        // Rounding `big + 1` to an f64 would make a == b == c but a != c.
+        assert_eq!(b, c);
+        assert_ne!(a, b);
+        assert_eq!(a.total_cmp(&b), Ordering::Greater);
+        assert_eq!(b.total_cmp(&a), Ordering::Less);
+        assert_eq!(h(&b), h(&c));
+        assert_eq!(
+            Value::Int(-3).total_cmp(&Value::Double(-3.5)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::Int(0), Value::Double(-0.0));
+        assert_eq!(
+            Value::Int(i64::MAX).total_cmp(&Value::Double(f64::INFINITY)),
+            Ordering::Less
+        );
+        assert_eq!(
+            Value::Int(i64::MIN).total_cmp(&Value::Double(f64::NEG_INFINITY)),
+            Ordering::Greater
+        );
+        assert_eq!(Value::Int(i64::MIN), Value::Double(i64::MIN as f64));
+        assert_eq!(
+            Value::Int(i64::MAX).total_cmp(&Value::Double(f64::NAN)),
+            Ordering::Less
         );
     }
 

@@ -334,7 +334,7 @@ fn left_outer_join_is_planned_like_any_other_unit() {
     // The preserved side's WHERE conjunct reaches its scan: one primary-key
     // lookup, not a filter over a join of every row of `a`.
     assert!(
-        plan.contains("Scan a [a] (index a_pk_id, point, 1 key parts)"),
+        plan.contains("Scan a [a] (index a_pk_id, point, 1 key parts, 2/2 cols)"),
         "{plan}"
     );
     assert!(
@@ -393,4 +393,245 @@ fn leading_scan_is_not_reported_as_a_cross_join() {
     db.execute("INSERT INTO a VALUES (1, 10), (2, 20)").unwrap();
     let plan = plan_of(&db, "SELECT a.x FROM a WHERE a.id = 2");
     assert!(!plan.to_lowercase().contains("cross"), "{plan}");
+}
+
+/// `va` and `opa` share the column name `vid`; every other name is one
+/// table's. Parallelism is pinned to `dop`.
+fn pruning_fixture(dop: usize) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE va (vid INTEGER PRIMARY KEY, name TEXT, age INTEGER)")
+        .unwrap();
+    db.execute(
+        "CREATE TABLE opa (rowno INTEGER PRIMARY KEY, vid INTEGER, lbl TEXT, eid INTEGER, \
+         val INTEGER)",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX opa_vid ON opa (vid)").unwrap();
+    for v in 0..40i64 {
+        db.execute_with_params(
+            "INSERT INTO va VALUES (?, ?, ?)",
+            &[
+                Value::Int(v),
+                Value::str(format!("n{}", v % 7)),
+                Value::Int(20 + v % 30),
+            ],
+        )
+        .unwrap();
+    }
+    for r in 0..300i64 {
+        db.execute_with_params(
+            "INSERT INTO opa VALUES (?, ?, ?, ?, ?)",
+            &[
+                Value::Int(r),
+                Value::Int(r % 40),
+                Value::str(format!("l{}", r % 3)),
+                Value::Int(1000 + r),
+                Value::Int(r % 50),
+            ],
+        )
+        .unwrap();
+    }
+    db.set_parallelism(dop);
+    db
+}
+
+/// Both spellings return the same rows in the same order.
+fn same_rows(db: &Database, unqualified: &str, qualified: &str) {
+    let got = db.execute(unqualified).unwrap();
+    let want = db.execute(qualified).unwrap();
+    assert_eq!(got.rows, want.rows, "{unqualified}");
+    assert!(!got.rows.is_empty(), "{unqualified}");
+}
+
+#[test]
+fn unqualified_names_prune_a_single_table() {
+    for dop in [1, 4] {
+        let db = pruning_fixture(dop);
+        // The index consumes `vid = 3`: only the projected columns are copied.
+        let sql = "SELECT lbl, eid FROM opa WHERE vid = 3";
+        same_rows(
+            &db,
+            sql,
+            "SELECT opa.lbl, opa.eid FROM opa WHERE opa.vid = 3",
+        );
+        let plan = plan_of(&db, sql);
+        assert!(
+            plan.contains("Scan opa [opa] (index opa_vid, point, 1 key parts, 2/5 cols)"),
+            "{plan}"
+        );
+        // A full scan keeps its filter column.
+        let sql = "SELECT rowno, lbl FROM opa WHERE val < 10";
+        same_rows(
+            &db,
+            sql,
+            "SELECT opa.rowno, opa.lbl FROM opa WHERE opa.val < 10",
+        );
+        assert!(
+            plan_of(&db, sql).contains("3/5 cols"),
+            "{}",
+            plan_of(&db, sql)
+        );
+        // A count through the index copies nothing.
+        let sql = "SELECT COUNT(*) FROM opa WHERE vid = 3";
+        same_rows(&db, sql, "SELECT COUNT(*) FROM opa WHERE opa.vid = 3");
+        assert!(
+            plan_of(&db, sql).contains("0/5 cols"),
+            "{}",
+            plan_of(&db, sql)
+        );
+        // A column the index consumes but the output also reads is kept.
+        let sql = "SELECT vid, eid FROM opa WHERE vid = 3";
+        same_rows(
+            &db,
+            sql,
+            "SELECT opa.vid, opa.eid FROM opa WHERE opa.vid = 3",
+        );
+        assert!(
+            plan_of(&db, sql).contains("2/5 cols"),
+            "{}",
+            plan_of(&db, sql)
+        );
+    }
+}
+
+#[test]
+fn unqualified_names_prune_tables_that_share_a_name() {
+    for dop in [1, 4] {
+        let db = pruning_fixture(dop);
+        // Unqualified names in WHERE, ON, GROUP BY and HAVING, ORDER BY by
+        // output alias; `vid` is the shared name, so it stays qualified.
+        let unqualified = "SELECT name, lbl, COUNT(*) AS n, SUM(val) AS s \
+             FROM va JOIN opa ON va.vid = opa.vid AND eid > 1010 \
+             WHERE age > 25 AND val < 40 \
+             GROUP BY name, lbl HAVING COUNT(*) > 1 ORDER BY n DESC, name, lbl";
+        let qualified = "SELECT va.name, opa.lbl, COUNT(*) AS n, SUM(opa.val) AS s \
+             FROM va JOIN opa ON va.vid = opa.vid AND opa.eid > 1010 \
+             WHERE va.age > 25 AND opa.val < 40 \
+             GROUP BY va.name, opa.lbl HAVING COUNT(*) > 1 ORDER BY n DESC, name, lbl";
+        same_rows(&db, unqualified, qualified);
+        for sql in [unqualified, qualified] {
+            let plan = plan_of(&db, sql);
+            assert!(
+                plan.contains("Scan va [va] (full, 40 rows, 3/3 cols"),
+                "{plan}"
+            );
+        }
+        // A plain join, unqualified projection and filter.
+        same_rows(
+            &db,
+            "SELECT name, eid FROM va, opa WHERE va.vid = opa.vid AND lbl = 'l1' AND age < 30 \
+             ORDER BY eid",
+            "SELECT va.name, opa.eid FROM va, opa \
+             WHERE va.vid = opa.vid AND opa.lbl = 'l1' AND va.age < 30 ORDER BY opa.eid",
+        );
+        // The shared name stays ambiguous unqualified.
+        let err = db
+            .execute("SELECT vid FROM va, opa WHERE va.vid = opa.vid")
+            .unwrap_err();
+        assert!(err.to_string().contains("ambiguous"), "{err}");
+    }
+}
+
+#[test]
+fn select_star_keeps_every_column() {
+    for dop in [1, 4] {
+        let db = pruning_fixture(dop);
+        for sql in [
+            "SELECT * FROM opa WHERE vid = 3",
+            "SELECT opa.* FROM opa WHERE vid = 3",
+        ] {
+            let rel = db.execute(sql).unwrap();
+            let want = db
+                .execute("SELECT rowno, vid, lbl, eid, val FROM opa WHERE vid = 3")
+                .unwrap();
+            assert_eq!(rel.rows, want.rows, "{sql}");
+            assert!(
+                plan_of(&db, sql).contains("5/5 cols"),
+                "{}",
+                plan_of(&db, sql)
+            );
+        }
+        let plan = plan_of(&db, "SELECT * FROM va WHERE age > 40");
+        assert!(plan.contains("3/3 cols"), "{plan}");
+    }
+}
+
+#[test]
+fn unknown_unqualified_names_still_error() {
+    let db = pruning_fixture(1);
+    for sql in [
+        "SELECT nosuch FROM opa WHERE vid = 3",
+        "SELECT lbl FROM opa WHERE nosuch = 1",
+        "SELECT lbl FROM opa WHERE vid = 3 AND nosuch = 1",
+        "SELECT lbl FROM opa ORDER BY nosuch",
+        "SELECT lbl, COUNT(*) FROM opa GROUP BY nosuch",
+        "SELECT name FROM va JOIN opa ON va.vid = opa.vid AND nosuch = 1",
+    ] {
+        let err = db.execute(sql).unwrap_err();
+        assert!(err.to_string().contains("nosuch"), "{sql}: {err}");
+    }
+}
+
+#[test]
+fn limit_stops_a_one_step_scan_at_exactly_the_truncated_rows() {
+    for dop in [1, 4] {
+        let db = Database::new();
+        db.execute("CREATE TABLE lst (valid INTEGER, eid INTEGER, val INTEGER)")
+            .unwrap();
+        db.execute("CREATE INDEX lst_valid ON lst (valid)").unwrap();
+        db.execute("CREATE INDEX lst_val ON lst (val) USING BTREE")
+            .unwrap();
+        // A 1 000-row list (valid = 7) among other lists, with some entries
+        // deleted and some rewritten so the postings hold older versions.
+        for i in 0..1500i64 {
+            let valid = if i % 3 == 2 { i % 5 } else { 7 };
+            db.execute_with_params(
+                "INSERT INTO lst VALUES (?, ?, ?)",
+                &[Value::Int(valid), Value::Int(i), Value::Int(i % 997)],
+            )
+            .unwrap();
+        }
+        db.execute("DELETE FROM lst WHERE eid >= 300 AND eid < 310")
+            .unwrap();
+        db.execute("UPDATE lst SET val = val + 1 WHERE eid >= 600 AND eid < 640")
+            .unwrap();
+        db.set_parallelism(dop);
+        let list = db
+            .execute("SELECT COUNT(*) FROM lst WHERE valid = 7")
+            .unwrap();
+        assert_eq!(list.scalar(), Some(&Value::Int(993)));
+        for sql in [
+            "SELECT eid, val FROM lst WHERE valid = 7",
+            "SELECT eid FROM lst WHERE valid = 7 AND val > 100",
+            "SELECT eid, valid FROM lst WHERE val >= 10 AND val <= 900",
+            "SELECT eid FROM lst WHERE eid + 0 > 5",
+            "SELECT val, eid FROM lst",
+        ] {
+            let all = db.execute(sql).unwrap().rows;
+            for limit in [0usize, 1, 2, 7, 500, 992, 993, 994, 2000] {
+                for offset in [0usize, 1, 9, 500, 993, 5000] {
+                    let want: Vec<_> = all.iter().skip(offset).take(limit).cloned().collect();
+                    let lit = db
+                        .execute(&format!("{sql} LIMIT {limit} OFFSET {offset}"))
+                        .unwrap();
+                    assert_eq!(lit.rows, want, "{sql} LIMIT {limit} OFFSET {offset}");
+                    let bound = db
+                        .execute_with_params(
+                            &format!("{sql} LIMIT ? OFFSET ?"),
+                            &[Value::Int(limit as i64), Value::Int(offset as i64)],
+                        )
+                        .unwrap();
+                    assert_eq!(bound.rows, want, "{sql} LIMIT ? OFFSET ?");
+                }
+            }
+        }
+        // The existence probe reads one row and copies no column.
+        let plan = plan_of(&db, "SELECT 1 FROM lst WHERE valid = 7 LIMIT 1");
+        assert!(
+            plan.contains("(index lst_valid, point, 1 key parts, 0/3 cols) [actual 1]"),
+            "{plan}"
+        );
+        // An invalid LIMIT still fails after the scan's rows are known.
+        assert!(db.execute("SELECT eid FROM lst LIMIT -1").is_err());
+    }
 }
