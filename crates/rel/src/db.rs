@@ -18,8 +18,8 @@
 //! watermark.
 //!
 //! Two residual locking rules keep the rare multi-lock paths safe: a
-//! write statement compiles its expressions (which may read other tables
-//! for subqueries) *before* taking the target's write lock, and
+//! write statement runs its subqueries and its `INSERT … SELECT` source
+//! (which may read other tables) *before* taking the target's write lock, and
 //! checkpoints exclude commits via `commit_lock`. No thread takes a lock it
 //! already holds: `std`'s `RwLock` queues a new reader behind a waiting
 //! writer, so a second shared acquisition can deadlock (DESIGN.md, *Lock
@@ -28,12 +28,12 @@
 use crate::cache::ClockCache;
 use crate::checkpoint::{self, CheckpointReport, RecoveryReport};
 use crate::error::{Error, Result};
-use crate::exec::{run_select, run_stmt, Env, Relation, Row};
-use crate::expr::{BinaryOp, Expr};
+use crate::exec::{run_select, run_stmt, subquery_sets, Env, Relation, Row};
+use crate::expr::{BinaryOp, Binds, Expr};
 use crate::hasher::FxHashMap;
 use crate::index::{IndexKey, IndexKind, KeyPart, RowId};
 use crate::io::{StdFs, Vfs};
-use crate::prepared::{Prepared, StmtPlans};
+use crate::prepared::{self, DmlPlan, DmlSlot, InsertInto, Plans, Prepared, Target};
 use crate::schema::{Column, ColumnType, TableSchema};
 use crate::sql::ast::{self, Statement};
 use crate::sql::parse_statement;
@@ -43,7 +43,7 @@ use crate::unpoison;
 use crate::value::Value;
 use crate::wal::{segment_path, Wal, WalRecord};
 use std::path::Path;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard};
 
 /// An embedded relational database.
 pub struct Database {
@@ -736,7 +736,7 @@ impl Database {
     fn run_autocommit(
         &self,
         stmt: &Statement,
-        plans: Option<&StmtPlans>,
+        plans: Option<&Plans>,
         params: &[Value],
         sql_text: Option<&str>,
     ) -> Result<Relation> {
@@ -929,12 +929,13 @@ impl Database {
         }
     }
 
-    /// Execute `stmt` inside `state`. With `plans` (a SELECT of a
-    /// [`Prepared`]), its cores run their cached plans.
+    /// Execute `stmt` inside `state`. With `plans` (those of a
+    /// [`Prepared`]), a SELECT's cores run their cached plans and a DML
+    /// statement its cached compiled target.
     fn execute_in(
         &self,
         stmt: &Statement,
-        plans: Option<&StmtPlans>,
+        plans: Option<&Plans>,
         params: &[Value],
         sql_text: Option<&str>,
         state: &mut TxnState,
@@ -943,7 +944,7 @@ impl Database {
         match stmt {
             Statement::Select(select) => {
                 let env = Env::with_snap(self, params, snap);
-                run_stmt(&env, select, plans)
+                run_stmt(&env, select, plans.and_then(Plans::select))
             }
             Statement::Explain(select) => {
                 // Plans afresh: EXPLAIN shows what planning does now.
@@ -962,18 +963,8 @@ impl Database {
                     rows,
                 })
             }
-            Statement::Insert {
-                table,
-                columns,
-                source,
-            } => self.exec_insert(table, columns.as_deref(), source, params, state),
-            Statement::Update {
-                table,
-                assignments,
-                filter,
-            } => self.exec_update(table, assignments, filter.as_ref(), params, state),
-            Statement::Delete { table, filter } => {
-                self.exec_delete(table, filter.as_ref(), params, state)
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                self.exec_dml(stmt, plans.and_then(Plans::dml), params, state)
             }
             Statement::CreateTable {
                 name,
@@ -1081,52 +1072,95 @@ impl Database {
 
     // ---- DML ----
 
-    fn exec_insert(
+    /// Run an INSERT, UPDATE or DELETE: its compiled target (from `slot`
+    /// while current, else compiled afresh), then its IN subqueries and an
+    /// `INSERT … SELECT`'s source — all before the target's write lock, so
+    /// two writers cannot deadlock on inverted table orders and a statement
+    /// reading its own target cannot wedge itself — then the write.
+    fn exec_dml(
         &self,
-        table_name: &str,
-        columns: Option<&[String]>,
-        source: &ast::InsertSource,
+        stmt: &Statement,
+        slot: Option<&DmlSlot>,
         params: &[Value],
         state: &mut TxnState,
     ) -> Result<Relation> {
-        let env = Env::with_snap(self, params, state.snap);
-        // Materialize the source rows *before* locking the target table.
-        let source_rows: Vec<Row> = match source {
-            ast::InsertSource::Values(rows) => {
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut values = Vec::with_capacity(row.len());
-                    for e in row {
-                        values.push(crate::exec::compile_scalar(&env, e)?.eval(&[])?);
-                    }
-                    out.push(values);
-                }
-                out
-            }
-            ast::InsertSource::Select(query) => run_select(&env, query)?.rows,
+        let compile = || DmlPlan::compile(self, stmt);
+        let plan = match slot {
+            Some(slot) => slot.plan(self, compile)?,
+            None => Arc::new(compile()?),
         };
-
-        let token = state.snap.token;
-        let inserted = self.table_mut(table_name, |table| {
-            let lower = table.schema.name.clone();
-            // Map through the explicit column list if given.
-            let mapping: Option<Vec<usize>> = match columns {
-                None => None,
-                Some(cols) => Some(
-                    cols.iter()
-                        .map(|c| {
-                            table
-                                .schema
-                                .column_index(c)
-                                .ok_or_else(|| Error::NotFound(format!("column '{c}'")))
-                        })
+        let env = Env::with_snap(self, params, state.snap);
+        let sets = match slot {
+            Some(slot) if slot.subqueries.is_empty() => FxHashMap::default(),
+            _ => {
+                let queries = prepared::dml_subqueries(stmt).into_iter();
+                let plans = (0..).map(|n| slot.map(|s| &s.subqueries[n]));
+                subquery_sets(&env, queries.zip(plans))?
+            }
+        };
+        let binds = Binds { params, sets };
+        match &plan.target {
+            Target::Insert { values, into } => {
+                let Statement::Insert {
+                    table,
+                    columns,
+                    source,
+                } = stmt
+                else {
+                    unreachable!("an INSERT plan comes from an INSERT");
+                };
+                let rows = match source {
+                    ast::InsertSource::Select(query) => {
+                        run_stmt(&env, query, slot.and_then(|s| s.source.as_ref()))?.rows
+                    }
+                    ast::InsertSource::Values(_) => values
+                        .iter()
+                        .map(|row| row.iter().map(|e| e.bound(&binds)?.eval(&[])).collect())
                         .collect::<Result<_>>()?,
-                ),
+                };
+                self.exec_insert(table, columns.as_deref(), into, rows, state)
+            }
+            Target::Update {
+                table,
+                filter,
+                assignments,
+            } => {
+                let filter = filter.as_ref().map(|f| f.bound(&binds)).transpose()?;
+                let assignments: Vec<(usize, std::borrow::Cow<'_, Expr>)> = assignments
+                    .iter()
+                    .map(|(col, e)| Ok((*col, e.bound(&binds)?)))
+                    .collect::<Result<_>>()?;
+                self.exec_update(table, filter.as_deref(), &assignments, state)
+            }
+            Target::Delete { table, filter } => {
+                let filter = filter.as_ref().map(|f| f.bound(&binds)).transpose()?;
+                self.exec_delete(table, filter.as_deref(), state)
+            }
+        }
+    }
+
+    /// Insert `rows` into `table`, through `columns` when the statement
+    /// lists them; `into` caches their resolution against the table.
+    fn exec_insert(
+        &self,
+        table: &str,
+        columns: Option<&[String]>,
+        into: &OnceLock<InsertInto>,
+        rows: Vec<Row>,
+        state: &mut TxnState,
+    ) -> Result<Relation> {
+        let token = state.snap.token;
+        let inserted = self.table_mut(table, |t| {
+            let into = match into.get() {
+                Some(into) => into,
+                None => {
+                    let resolved = InsertInto::resolve(&t.schema, columns)?;
+                    into.get_or_init(|| resolved)
+                }
             };
-            let arity = table.schema.arity();
             let mut inserted = 0i64;
-            for src in source_rows {
-                let full = match &mapping {
+            for src in rows {
+                let full = match &into.mapping {
                     None => src,
                     Some(map) => {
                         if src.len() != map.len() {
@@ -1136,7 +1170,7 @@ impl Database {
                                 map.len()
                             )));
                         }
-                        let mut full = vec![Value::Null; arity];
+                        let mut full = vec![Value::Null; into.arity];
                         for (v, &target) in src.into_iter().zip(map) {
                             full[target] = v;
                         }
@@ -1144,13 +1178,13 @@ impl Database {
                     }
                 };
                 let row_image = full.clone();
-                let row_id = table.mvcc_insert(full, token)?;
+                let row_id = t.mvcc_insert(full, token)?;
                 state.journal.undo.push(UndoOp::Insert {
-                    table: lower.clone(),
+                    table: into.table.clone(),
                     row_id,
                 });
                 state.journal.redo.push(WalRecord::Insert {
-                    table: lower.clone(),
+                    table: into.table.clone(),
                     row_id,
                     row: row_image,
                 });
@@ -1163,54 +1197,31 @@ impl Database {
 
     fn exec_update(
         &self,
-        table_name: &str,
-        assignments: &[(String, ast::Expr)],
-        filter: Option<&ast::Expr>,
-        params: &[Value],
+        table: &str,
+        filter: Option<&Expr>,
+        assignments: &[(usize, std::borrow::Cow<'_, Expr>)],
         state: &mut TxnState,
     ) -> Result<Relation> {
         let snap = state.snap;
-        let env = Env::with_snap(self, params, snap);
-        // Compile against a schema clone under a brief read lock, so
-        // subquery evaluation never runs while this statement holds a
-        // write lock: two concurrent writers cannot deadlock on inverted
-        // table orders, and a statement whose subquery reads its own
-        // target table cannot wedge itself.
-        let schema = self.read_table(table_name, |t| Ok(t.schema.clone()))?;
-        let lower = schema.name.clone();
-        let compiled_filter = filter
-            .map(|f| crate::exec::compile_table_expr(&env, &schema, f))
-            .transpose()?;
-        let compiled_assignments: Vec<(usize, Expr)> = assignments
-            .iter()
-            .map(|(col, e)| {
-                let idx = schema
-                    .column_index(col)
-                    .ok_or_else(|| Error::NotFound(format!("column '{col}'")))?;
-                Ok((idx, crate::exec::compile_table_expr(&env, &schema, e)?))
-            })
-            .collect::<Result<_>>()?;
-
-        let token = snap.token;
-        let updated = self.table_mut(table_name, |table| {
-            let targets = find_target_rows(table, compiled_filter.as_ref(), snap)?;
+        let updated = self.table_mut(table, |t| {
+            let targets = find_target_rows(t, filter, snap)?;
             let mut updated = 0i64;
             for row_id in targets {
-                let old: Row = table
+                let old: Row = t
                     .get_visible(row_id, snap)
                     .expect("target visible under write lock")
                     .to_vec();
                 let mut new = old.clone();
-                for (idx, e) in &compiled_assignments {
+                for (idx, e) in assignments {
                     new[*idx] = e.eval(&old)?;
                 }
-                table.mvcc_update(row_id, new.clone(), token, snap)?;
+                t.mvcc_update(row_id, new.clone(), snap.token, snap)?;
                 state.journal.undo.push(UndoOp::Update {
-                    table: lower.clone(),
+                    table: table.to_string(),
                     row_id,
                 });
                 state.journal.redo.push(WalRecord::Update {
-                    table: lower.clone(),
+                    table: table.to_string(),
                     row_id,
                     old,
                     new,
@@ -1224,35 +1235,26 @@ impl Database {
 
     fn exec_delete(
         &self,
-        table_name: &str,
-        filter: Option<&ast::Expr>,
-        params: &[Value],
+        table: &str,
+        filter: Option<&Expr>,
         state: &mut TxnState,
     ) -> Result<Relation> {
         let snap = state.snap;
-        let env = Env::with_snap(self, params, snap);
-        // Sources before the target's write lock — see exec_update.
-        let schema = self.read_table(table_name, |t| Ok(t.schema.clone()))?;
-        let lower = schema.name.clone();
-        let compiled_filter = filter
-            .map(|f| crate::exec::compile_table_expr(&env, &schema, f))
-            .transpose()?;
-        let token = snap.token;
-        let deleted = self.table_mut(table_name, |table| {
-            let targets = find_target_rows(table, compiled_filter.as_ref(), snap)?;
+        let deleted = self.table_mut(table, |t| {
+            let targets = find_target_rows(t, filter, snap)?;
             let mut deleted = 0i64;
             for row_id in targets {
-                let row: Row = table
+                let row: Row = t
                     .get_visible(row_id, snap)
                     .expect("target visible under write lock")
                     .to_vec();
-                table.mvcc_delete(row_id, token, snap)?;
+                t.mvcc_delete(row_id, snap.token, snap)?;
                 state.journal.undo.push(UndoOp::Delete {
-                    table: lower.clone(),
+                    table: table.to_string(),
                     row_id,
                 });
                 state.journal.redo.push(WalRecord::Delete {
-                    table: lower.clone(),
+                    table: table.to_string(),
                     row_id,
                     row,
                 });
@@ -1396,7 +1398,7 @@ impl Txn<'_> {
     fn run(
         &mut self,
         stmt: &Statement,
-        plans: Option<&StmtPlans>,
+        plans: Option<&Plans>,
         params: &[Value],
         sql_text: Option<&str>,
     ) -> Result<Relation> {

@@ -501,7 +501,7 @@ fn plan_core(
 
 /// Run each IN subquery once (with its plan slots, if any) and collect its
 /// result set under its id.
-fn subquery_sets<'q>(
+pub(crate) fn subquery_sets<'q>(
     env: &Env<'_>,
     queries: impl IntoIterator<Item = (&'q ast::SelectStmt, Option<&'q StmtPlans>)>,
 ) -> Result<FxHashMap<usize, Arc<FxHashSet<Value>>>> {
@@ -543,9 +543,33 @@ pub(crate) struct Shape {
 #[derive(Clone)]
 enum ShapeKind {
     /// Plain projection: one expression per output column, then the sort
-    /// keys.
-    Project(Vec<Expr>),
+    /// keys, and how its rows reuse the FROM rows.
+    Project(Vec<Expr>, Reuse),
     Aggregate(AggPlan),
+}
+
+/// How a plain projection makes its rows out of the FROM rows it is handed.
+#[derive(Clone)]
+enum Reuse {
+    /// The expressions are exactly `Col(0)`, …, `Col(k - 1)`: the FROM rows,
+    /// cut to their first `k` values, are the output rows.
+    Prefix(usize),
+    /// Anything else: each output row is evaluated into a new one.
+    Evaluate,
+}
+
+impl Reuse {
+    fn of(exprs: &[Expr], width: usize) -> Reuse {
+        let prefix = exprs.len() <= width
+            && exprs
+                .iter()
+                .enumerate()
+                .all(|(i, e)| matches!(e, Expr::Col(c) if *c == i));
+        match prefix {
+            true => Reuse::Prefix(exprs.len()),
+            false => Reuse::Evaluate,
+        }
+    }
 }
 
 /// A compiled aggregation: group keys, aggregate calls, and the output
@@ -579,7 +603,8 @@ impl Shape {
                 let ke = compile_order_key(scope, key, &names, &exprs[..visible], None)?;
                 exprs.push(ke);
             }
-            (names, ShapeKind::Project(exprs))
+            let reuse = Reuse::of(&exprs, scope.width);
+            (names, ShapeKind::Project(exprs, reuse))
         };
         let mut shape = Shape {
             names,
@@ -596,7 +621,7 @@ impl Shape {
     /// Every expression of the shape.
     fn exprs_mut(&mut self) -> Vec<&mut Expr> {
         match &mut self.kind {
-            ShapeKind::Project(exprs) => exprs.iter_mut().collect(),
+            ShapeKind::Project(exprs, _) => exprs.iter_mut().collect(),
             ShapeKind::Aggregate(a) => a
                 .group
                 .iter_mut()
@@ -624,17 +649,27 @@ impl Shape {
     fn run(&self, env: &Env<'_>, data: Data) -> Result<Relation> {
         let rows = match &self.kind {
             ShapeKind::Aggregate(agg) => run_aggregate(env, self.width, data, agg)?,
-            ShapeKind::Project(exprs) => {
-                let rows = data.into_rows();
-                let mut out_rows = Vec::with_capacity(rows.len());
-                for row in &rows {
-                    let mut out = Vec::with_capacity(exprs.len());
-                    for e in exprs {
-                        out.push(e.eval(row)?);
+            ShapeKind::Project(exprs, reuse) => {
+                let mut rows = data.into_rows();
+                match reuse {
+                    Reuse::Prefix(k) => {
+                        if *k < self.width {
+                            rows.iter_mut().for_each(|row| row.truncate(*k));
+                        }
+                        rows
                     }
-                    out_rows.push(out);
+                    Reuse::Evaluate => {
+                        let mut out_rows = Vec::with_capacity(rows.len());
+                        for row in &rows {
+                            let mut out = Vec::with_capacity(exprs.len());
+                            for e in exprs {
+                                out.push(e.eval(row)?);
+                            }
+                            out_rows.push(out);
+                        }
+                        out_rows
+                    }
                 }
-                out_rows
             }
         };
         let mut rel = Relation {
@@ -659,7 +694,7 @@ impl Shape {
     /// Whether output row `i` is the projection of FROM row `i`: no
     /// aggregate, DISTINCT or sort.
     fn streams(&self) -> bool {
-        matches!(self.kind, ShapeKind::Project(_)) && !self.distinct && self.descs.is_empty()
+        matches!(self.kind, ShapeKind::Project(..)) && !self.distinct && self.descs.is_empty()
     }
 
     /// EXPLAIN's operators above the FROM tree, outermost first.
@@ -2484,26 +2519,10 @@ fn filter_rows_par(env: &Env<'_>, rows: Vec<Row>, predicate: &Expr) -> Result<Ve
 // Expression compilation
 // ---------------------------------------------------------------------------
 
-/// Compile an expression with no columns in scope (INSERT VALUES rows,
-/// LIMIT/OFFSET), bound to `env`'s values.
-pub fn compile_scalar(env: &Env<'_>, e: &ast::Expr) -> Result<Expr> {
+/// Compile an expression with no columns in scope (LIMIT/OFFSET), bound
+/// to `env`'s values.
+fn compile_scalar(env: &Env<'_>, e: &ast::Expr) -> Result<Expr> {
     compile_bound(env, &Scope::default(), e)
-}
-
-/// Compile an expression against a single table's columns (UPDATE/DELETE
-/// predicates and assignments), bound to `env`'s values. The table is
-/// addressable by its own name.
-pub fn compile_table_expr(
-    env: &Env<'_>,
-    schema: &crate::schema::TableSchema,
-    e: &ast::Expr,
-) -> Result<Expr> {
-    let mut scope = Scope::default();
-    scope.push(
-        &schema.name,
-        schema.columns.iter().map(|c| c.name.clone()).collect(),
-    );
-    compile_bound(env, &scope, e)
 }
 
 /// Compile `e` for immediate use: its IN subqueries run now (once each)

@@ -271,6 +271,14 @@ impl Expr {
         })
     }
 
+    /// [`Expr::bind`], borrowing the expression itself when it has no slot.
+    pub(crate) fn bound(&self, b: &Binds<'_>) -> Result<std::borrow::Cow<'_, Expr>> {
+        Ok(match self.has_slots() {
+            true => std::borrow::Cow::Owned(self.bind(b)?),
+            false => std::borrow::Cow::Borrowed(self),
+        })
+    }
+
     /// Evaluate against a flattened row.
     pub fn eval(&self, row: &[Value]) -> Result<Value> {
         match self {

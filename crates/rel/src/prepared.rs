@@ -1,5 +1,6 @@
 //! Prepared statements: a parsed statement plus the physical plan of each
-//! of its SELECT cores, planned on first execution and bound on every one.
+//! of its SELECT cores — or, for INSERT, UPDATE and DELETE, its compiled
+//! target — made on first execution and bound on every one.
 //!
 //! The paper compiles a traversal into one SQL statement so that the
 //! relational optimizer sees the whole traversal once; DB2 prepares that
@@ -28,28 +29,40 @@
 //! Any mismatch re-plans the core in place, so a cached plan only ever runs
 //! where planning afresh would build the same plan. EXPLAIN always plans
 //! afresh. Parallelism is not in the key: DOP is chosen at execution.
+//!
+//! A DML statement has one [`DmlSlot`] instead: its target table's name,
+//! its filter and assignments (UPDATE, DELETE) or column mapping and VALUES
+//! rows (INSERT), compiled against the table's columns with the same bind
+//! slots, and checked against the plan epoch alone — every DDL that could
+//! move a column moves it. Which rows it writes is still decided per
+//! execution, by `find_target_rows` in [`crate::db`].
 
-use crate::error::Result;
-use crate::exec::{Env, Relation, Shape};
+use crate::db::Database;
+use crate::error::{Error, Result};
+use crate::exec::{compile_expr, Env, Relation, Scope, Shape};
+use crate::expr::Expr;
 use crate::plan::{FromPlan, Guard, OrderModel};
+use crate::schema::TableSchema;
 use crate::sql::ast::{self, Statement};
 use crate::unpoison;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
-/// A parsed statement and the plans of its SELECT cores — the unit
-/// `Database`'s statement cache and `core`'s traversal templates hold.
+/// A parsed statement and its plan slots — the unit `Database`'s statement
+/// cache and `core`'s traversal templates hold.
 pub struct Prepared {
     statement: Arc<Statement>,
-    /// Plan slots, for a SELECT.
-    plans: Option<StmtPlans>,
+    plans: Option<Plans>,
 }
 
 impl Prepared {
-    /// Prepare `statement`. Its cores are planned by their first execution
+    /// Prepare `statement`. Its plans are made by its first execution
     /// ([`crate::Database::execute_prepared`]).
     pub fn new(statement: Statement) -> Prepared {
         let plans = match &statement {
-            Statement::Select(select) => Some(StmtPlans::new(select)),
+            Statement::Select(select) => Some(Plans::Select(StmtPlans::new(select))),
+            Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
+                Some(Plans::Dml(DmlSlot::new(&statement)))
+            }
             _ => None,
         };
         Prepared {
@@ -63,8 +76,30 @@ impl Prepared {
         &self.statement
     }
 
-    pub(crate) fn plans(&self) -> Option<&StmtPlans> {
+    pub(crate) fn plans(&self) -> Option<&Plans> {
         self.plans.as_ref()
+    }
+}
+
+/// The plan slots of a prepared statement, by kind.
+pub(crate) enum Plans {
+    Select(StmtPlans),
+    Dml(DmlSlot),
+}
+
+impl Plans {
+    pub(crate) fn select(&self) -> Option<&StmtPlans> {
+        match self {
+            Plans::Select(plans) => Some(plans),
+            Plans::Dml(_) => None,
+        }
+    }
+
+    pub(crate) fn dml(&self) -> Option<&DmlSlot> {
+        match self {
+            Plans::Dml(slot) => Some(slot),
+            Plans::Select(_) => None,
+        }
     }
 }
 
@@ -179,6 +214,201 @@ impl CoreSlot {
         *unpoison(self.plan.write()) = Some(plan.clone());
         Ok(plan)
     }
+}
+
+/// One DML statement's compiled target, and the slots of the statements
+/// nested in it.
+pub(crate) struct DmlSlot {
+    /// As [`CoreSlot`]'s: read on every execution, swapped on a recompile.
+    plan: RwLock<Option<Arc<DmlPlan>>>,
+    /// One per IN subquery, in [`dml_subqueries`] order.
+    pub(crate) subqueries: Vec<StmtPlans>,
+    /// An `INSERT … SELECT`'s source.
+    pub(crate) source: Option<StmtPlans>,
+}
+
+/// A DML statement compiled against its target table's columns, with bind
+/// slots for parameters and IN-subquery results.
+pub(crate) struct DmlPlan {
+    pub(crate) target: Target,
+    /// The database's plan epoch, read before compiling began.
+    epoch: u64,
+}
+
+/// What a [`DmlPlan`] does to its table.
+pub(crate) enum Target {
+    Insert {
+        /// The VALUES rows (none for `INSERT … SELECT`).
+        values: Vec<Vec<Expr>>,
+        /// The table's columns, resolved by the first execution that gets
+        /// as far as writing.
+        into: OnceLock<InsertInto>,
+    },
+    Update {
+        /// The table's lower-cased name.
+        table: String,
+        filter: Option<Expr>,
+        /// `(column, value)` per assignment, in statement order.
+        assignments: Vec<(usize, Expr)>,
+    },
+    Delete {
+        table: String,
+        filter: Option<Expr>,
+    },
+}
+
+/// Where an INSERT's source values go. It is resolved under the table's
+/// write lock, after the source rows are made, so a failing source is
+/// reported before an unknown table or column.
+pub(crate) struct InsertInto {
+    /// The table's lower-cased name.
+    pub(crate) table: String,
+    /// The table column of each value of a source row, when the statement
+    /// lists columns.
+    pub(crate) mapping: Option<Vec<usize>>,
+    /// The table's column count.
+    pub(crate) arity: usize,
+}
+
+impl InsertInto {
+    pub(crate) fn resolve(schema: &TableSchema, columns: Option<&[String]>) -> Result<InsertInto> {
+        let mapping = columns
+            .map(|cols| cols.iter().map(|c| column(schema, c)).collect())
+            .transpose()?;
+        Ok(InsertInto {
+            table: schema.name.clone(),
+            mapping,
+            arity: schema.arity(),
+        })
+    }
+}
+
+impl DmlSlot {
+    fn new(stmt: &Statement) -> DmlSlot {
+        let source = match stmt {
+            Statement::Insert {
+                source: ast::InsertSource::Select(query),
+                ..
+            } => Some(StmtPlans::new(query)),
+            _ => None,
+        };
+        DmlSlot {
+            plan: RwLock::new(None),
+            subqueries: dml_subqueries(stmt)
+                .into_iter()
+                .map(StmtPlans::new)
+                .collect(),
+            source,
+        }
+    }
+
+    /// The statement's plan for this execution: the cached one while the
+    /// plan epoch has not moved, else a fresh one from `build`, which
+    /// replaces it.
+    pub(crate) fn plan(
+        &self,
+        db: &Database,
+        build: impl FnOnce() -> Result<DmlPlan>,
+    ) -> Result<Arc<DmlPlan>> {
+        let cached = unpoison(self.plan.read()).clone();
+        if let Some(plan) = cached {
+            if plan.epoch == db.plan_epoch() {
+                return Ok(plan);
+            }
+        }
+        let plan = Arc::new(build()?);
+        *unpoison(self.plan.write()) = Some(plan.clone());
+        Ok(plan)
+    }
+}
+
+impl DmlPlan {
+    /// Compile `stmt`, an INSERT, UPDATE or DELETE. An UPDATE or DELETE
+    /// compiles against its table's columns as they are now, in statement
+    /// order — the filter, then each assignment's column and value — so the
+    /// first unknown one is the one reported. An INSERT compiles only its
+    /// VALUES here; its table and columns resolve at the write
+    /// ([`InsertInto`]).
+    pub(crate) fn compile(db: &Database, stmt: &Statement) -> Result<DmlPlan> {
+        let epoch = db.plan_epoch();
+        let target = match stmt {
+            Statement::Insert { source, .. } => {
+                let values = match source {
+                    ast::InsertSource::Values(rows) => {
+                        let none = Scope::default();
+                        rows.iter()
+                            .map(|row| row.iter().map(|e| compile_expr(&none, e)).collect())
+                            .collect::<Result<_>>()?
+                    }
+                    ast::InsertSource::Select(_) => Vec::new(),
+                };
+                Target::Insert {
+                    values,
+                    into: OnceLock::new(),
+                }
+            }
+            Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
+                db.read_table(table, |t| {
+                    // The table is addressable by its own name.
+                    let mut scope = Scope::default();
+                    let names = t.schema.columns.iter().map(|c| c.name.clone());
+                    scope.push(&t.schema.name, names.collect());
+                    let filter = filter
+                        .as_ref()
+                        .map(|f| compile_expr(&scope, f))
+                        .transpose()?;
+                    let table = t.schema.name.clone();
+                    Ok(match stmt {
+                        Statement::Update { assignments, .. } => Target::Update {
+                            table,
+                            filter,
+                            assignments: assignments
+                                .iter()
+                                .map(|(c, e)| Ok((column(&t.schema, c)?, compile_expr(&scope, e)?)))
+                                .collect::<Result<_>>()?,
+                        },
+                        _ => Target::Delete { table, filter },
+                    })
+                })?
+            }
+            _ => unreachable!("DmlPlan::compile takes INSERT, UPDATE or DELETE"),
+        };
+        Ok(DmlPlan { target, epoch })
+    }
+}
+
+fn column(schema: &TableSchema, name: &str) -> Result<usize> {
+    schema
+        .column_index(name)
+        .ok_or_else(|| Error::NotFound(format!("column '{name}'")))
+}
+
+/// A DML statement's IN subqueries in a fixed order: the filter's, then
+/// each assignment's, or each VALUES row's in turn.
+pub(crate) fn dml_subqueries(stmt: &Statement) -> Vec<&ast::SelectStmt> {
+    let mut out = Vec::new();
+    match stmt {
+        Statement::Update {
+            assignments,
+            filter,
+            ..
+        } => {
+            let exprs = filter.iter().chain(assignments.iter().map(|(_, e)| e));
+            exprs.for_each(|e| expr_subqueries(e, &mut out));
+        }
+        Statement::Delete { filter, .. } => {
+            filter.iter().for_each(|e| expr_subqueries(e, &mut out));
+        }
+        Statement::Insert {
+            source: ast::InsertSource::Values(rows),
+            ..
+        } => rows
+            .iter()
+            .flatten()
+            .for_each(|e| expr_subqueries(e, &mut out)),
+        _ => {}
+    }
+    out
 }
 
 /// The identity of an IN subquery within its statement: the address of its

@@ -80,6 +80,13 @@ impl Version {
     pub fn visible(&self, snap: Snapshot) -> bool {
         snap.sees(self.begin(), self.end())
     }
+
+    /// Whether no snapshot at or after `watermark` sees this version: it
+    /// has a committed end no later than that.
+    fn dead(&self, watermark: u64) -> bool {
+        let e = self.end();
+        e != txn::TS_INF && !txn::is_marker(e) && e <= watermark
+    }
 }
 
 /// A row's version chain, oldest → newest. Empty = tombstone.
@@ -226,6 +233,12 @@ pub struct Table {
     /// no in-flight ones, so caches built under one such snapshot can be
     /// served to any other.
     last_commit_ts: std::sync::atomic::AtomicU64,
+    /// Rows whose newest version `mvcc_update`/`mvcc_delete` end-stamped
+    /// since the last vacuum, or that a vacuum left with a version still
+    /// ending (a marker, or an end above its watermark); unsorted, with
+    /// repeats. Only these chains can hold a version a vacuum reclaims, so
+    /// [`Table::vacuum`] visits them and nothing else.
+    ending: Vec<RowId>,
 }
 
 impl Table {
@@ -240,6 +253,7 @@ impl Table {
             stats_installs: 0,
             version: std::sync::atomic::AtomicU64::new(0),
             last_commit_ts: std::sync::atomic::AtomicU64::new(0),
+            ending: Vec::new(),
         }
     }
 
@@ -271,6 +285,7 @@ impl Table {
             stats_installs: 0,
             version: std::sync::atomic::AtomicU64::new(0),
             last_commit_ts: std::sync::atomic::AtomicU64::new(0),
+            ending: Vec::new(),
         })
     }
 
@@ -541,16 +556,17 @@ impl Table {
         Ok(())
     }
 
-    /// Insert a provisional row version for transaction `token`.
+    /// Insert a provisional row version for transaction `token`. Each
+    /// index's key is built once: checked if the index is unique, then
+    /// posted.
     pub fn mvcc_insert(&mut self, mut row: Vec<Value>, token: u64) -> Result<RowId> {
         self.schema.check_row(&mut row)?;
-        for i in 0..self.indexes.len() {
-            let key = self.indexes[i].key_of(&row);
-            self.check_unique_mvcc(i, &key, token)?;
+        let keys: Vec<IndexKey> = self.indexes.iter().map(|idx| idx.key_of(&row)).collect();
+        for (i, key) in keys.iter().enumerate() {
+            self.check_unique_mvcc(i, key, token)?;
         }
         let id = self.rows.len();
-        for idx in &mut self.indexes {
-            let key = idx.key_of(&row);
+        for (idx, key) in self.indexes.iter_mut().zip(keys) {
             idx.add(key, id);
         }
         self.rows.push(Slot(Chain::One(Version::provisional(
@@ -573,6 +589,7 @@ impl Table {
             .ok_or_else(|| Error::Invalid(format!("row {id} not live")))?;
         check_write(v, token, snap)?;
         v.end.store(txn::marker(token), Ordering::Release);
+        self.ending.push(id);
         self.live -= 1;
         self.bump_version();
         Ok(())
@@ -630,6 +647,7 @@ impl Table {
         for (i, key) in to_add {
             self.indexes[i].add(key, id);
         }
+        self.ending.push(id);
         self.bump_version();
         Ok(())
     }
@@ -696,28 +714,44 @@ impl Table {
 
     /// Reclaim versions invisible to every present and future snapshot:
     /// committed `end <= watermark`. Returns the number pruned.
+    ///
+    /// Only a version that was end-stamped can be reclaimed, and every end
+    /// stamp is made by `mvcc_update`/`mvcc_delete`, which list the row. So
+    /// this visits the listed rows, in row order, and keeps listed those
+    /// that still hold a version with an end (a marker, or a timestamp
+    /// above `watermark`); a rolled-back stamp leaves the list here.
     pub fn vacuum(&mut self, watermark: u64) -> usize {
+        let dead = |v: &Version| v.dead(watermark);
+        let mut ending = std::mem::take(&mut self.ending);
+        ending.sort_unstable();
+        ending.dedup();
         let mut pruned = 0;
-        for id in 0..self.rows.len() {
-            let dead = |v: &Version| {
-                let e = v.end();
-                e != txn::TS_INF && !txn::is_marker(e) && e <= watermark
-            };
-            if !self.rows[id].versions().iter().any(dead) {
-                continue;
+        ending.retain(|&id| {
+            if self.rows[id].versions().iter().any(dead) {
+                pruned += self.prune(id, dead);
             }
-            let (removed, kept): (Vec<Version>, Vec<Version>) =
-                self.rows[id].take().into_iter().partition(dead);
-            self.rows[id] = Slot::from_versions(kept);
-            for v in &removed {
-                self.unindex_unless_shared(id, v.row());
-            }
-            pruned += removed.len();
-        }
+            self.rows[id]
+                .versions()
+                .iter()
+                .any(|v| v.end() != txn::TS_INF)
+        });
+        self.ending = ending;
         if pruned > 0 {
             self.bump_version();
         }
         pruned
+    }
+
+    /// Remove row `id`'s versions that `dead` accepts, and the postings no
+    /// survivor shares. Returns how many went.
+    fn prune(&mut self, id: RowId, dead: impl Fn(&Version) -> bool) -> usize {
+        let (removed, kept): (Vec<Version>, Vec<Version>) =
+            self.rows[id].take().into_iter().partition(dead);
+        self.rows[id] = Slot::from_versions(kept);
+        for v in &removed {
+            self.unindex_unless_shared(id, v.row());
+        }
+        removed.len()
     }
 
     /// Drop row `id`'s postings for `row`'s keys, unless another surviving
@@ -1114,6 +1148,43 @@ mod tests {
             .index_lookup("t_pk", &IndexKey(vec![Value::Int(9)]))
             .unwrap()
             .is_empty());
+    }
+
+    #[test]
+    fn vacuum_keeps_listed_only_rows_with_a_pending_end() {
+        let mut t = table();
+        let a = t.insert(vec![Value::Int(1), Value::str("a")]).unwrap();
+        let b = t.insert(vec![Value::Int(2), Value::str("b")]).unwrap();
+        let c = t.insert(vec![Value::Int(3), Value::str("c")]).unwrap();
+        assert!(t.ending.is_empty(), "a plain insert ends no version");
+        // A committed update; a delete and an update rolled back; then a
+        // committed delete.
+        t.mvcc_update(a, vec![Value::Int(4), Value::str("a1")], 1, snap(0, 1))
+            .unwrap();
+        t.stamp_commit(a, 1, 2);
+        t.mvcc_delete(b, 2, snap(2, 2)).unwrap();
+        t.rollback_delete(b, 2);
+        t.mvcc_update(c, vec![Value::Int(5), Value::str("c1")], 3, snap(2, 3))
+            .unwrap();
+        t.rollback_update(c, 3);
+        t.mvcc_delete(c, 4, snap(2, 4)).unwrap();
+        t.stamp_commit(c, 4, 5);
+        assert_eq!(t.ending, [a, b, c, c]);
+        // Nothing is dead at 1, but the rolled-back `b` leaves the list.
+        assert_eq!(t.vacuum(1), 0);
+        assert_eq!(t.ending, [a, c]);
+        // At 5 `a`'s old version and `c`'s last one go, and so does the list.
+        assert_eq!(t.vacuum(5), 2);
+        assert!(t.ending.is_empty());
+        // An open writer's marker keeps its row listed until it rolls back.
+        t.mvcc_update(a, vec![Value::Int(6), Value::str("a2")], 6, snap(5, 6))
+            .unwrap();
+        assert_eq!(t.vacuum(5), 0);
+        assert_eq!(t.ending, [a]);
+        t.rollback_update(a, 6);
+        assert_eq!(t.vacuum(5), 0);
+        assert!(t.ending.is_empty());
+        assert_eq!(t.get(a).unwrap()[1], Value::str("a1"));
     }
 
     fn inline(t: &Table, id: RowId) -> bool {

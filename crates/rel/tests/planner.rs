@@ -635,3 +635,159 @@ fn limit_stops_a_one_step_scan_at_exactly_the_truncated_rows() {
         assert!(db.execute("SELECT eid FROM lst LIMIT -1").is_err());
     }
 }
+
+/// `p` mixes INTEGER, DOUBLE and TEXT columns, `q` is a partial match for
+/// `p.a`, and `seed`/`adj` are big enough for the CSR access path.
+/// Parallelism is pinned to `dop`.
+fn projection_fixture(dop: usize) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE p (a INTEGER, b DOUBLE, c TEXT, d INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO p VALUES (1, 1.5, 'x', 10), (2, 2, 'y', 20), (3, 3.25, 'x', 30), (2, 2, 'y', 40)")
+        .unwrap();
+    db.execute("CREATE TABLE q (a INTEGER, e DOUBLE)").unwrap();
+    db.execute("INSERT INTO q VALUES (1, 0.5), (3, 7)").unwrap();
+    db.execute("CREATE TABLE seed (sid INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("CREATE TABLE adj (id INTEGER PRIMARY KEY, src INTEGER, dst INTEGER)")
+        .unwrap();
+    db.execute("CREATE INDEX adj_src ON adj (src)").unwrap();
+    for s in 0..4i64 {
+        db.execute_with_params("INSERT INTO seed VALUES (?)", &[Value::Int(s)])
+            .unwrap();
+    }
+    for i in 0..420i64 {
+        db.execute_with_params(
+            "INSERT INTO adj VALUES (?, ?, ?)",
+            &[Value::Int(i), Value::Int(i % 30), Value::Int((i * 7) % 30)],
+        )
+        .unwrap();
+    }
+    db.execute("ANALYZE").unwrap();
+    db.set_parallelism(dop);
+    db
+}
+
+/// Rows with each value's variant spelled out, so `Int(2)` and
+/// `Double(2.0)` differ.
+fn exact(rows: &[Vec<Value>]) -> Vec<String> {
+    rows.iter().map(|r| format!("{r:?}")).collect()
+}
+
+fn expect_rows(db: &Database, sql: &str, want: Vec<Vec<Value>>) {
+    let got = db.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    assert_eq!(exact(&got.rows), exact(&want), "{sql}");
+}
+
+#[test]
+fn plain_column_projections_return_the_stored_values() {
+    let (i, d, s) = (Value::Int, Value::Double, Value::str);
+    for dop in [1, 4] {
+        let db = projection_fixture(dop);
+        let all = vec![
+            vec![i(1), d(1.5), s("x"), i(10)],
+            vec![i(2), d(2.0), s("y"), i(20)],
+            vec![i(3), d(3.25), s("x"), i(30)],
+            vec![i(2), d(2.0), s("y"), i(40)],
+        ];
+        // Identity: the scan's rows are the output rows.
+        expect_rows(&db, "SELECT a, b, c, d FROM p", all.clone());
+        expect_rows(&db, "SELECT * FROM p", all.clone());
+        // A permutation of the scanned columns.
+        let permuted = all
+            .iter()
+            .map(|r| vec![r[2].clone(), r[0].clone(), r[1].clone()])
+            .collect();
+        expect_rows(&db, "SELECT c, a, b FROM p", permuted);
+        // A prefix: the local filter's column is scanned, not returned.
+        expect_rows(
+            &db,
+            "SELECT a, b FROM p WHERE d > 15",
+            vec![vec![i(2), d(2.0)], vec![i(3), d(3.25)], vec![i(2), d(2.0)]],
+        );
+        // A hidden ORDER BY key after a permutation.
+        expect_rows(
+            &db,
+            "SELECT c, a FROM p ORDER BY d DESC",
+            vec![
+                vec![s("y"), i(2)],
+                vec![s("x"), i(3)],
+                vec![s("y"), i(2)],
+                vec![s("x"), i(1)],
+            ],
+        );
+        expect_rows(
+            &db,
+            "SELECT DISTINCT c, b FROM p",
+            vec![
+                vec![s("x"), d(1.5)],
+                vec![s("y"), d(2.0)],
+                vec![s("x"), d(3.25)],
+            ],
+        );
+        // NULL padding of unmatched LEFT JOIN rows.
+        expect_rows(
+            &db,
+            "SELECT p.d, q.e, p.b FROM p LEFT JOIN q ON p.a = q.a",
+            vec![
+                vec![i(10), d(0.5), d(1.5)],
+                vec![i(20), Value::Null, d(2.0)],
+                vec![i(30), d(7.0), d(3.25)],
+                vec![i(40), Value::Null, d(2.0)],
+            ],
+        );
+    }
+}
+
+#[test]
+fn computed_and_repeated_columns_are_evaluated() {
+    let (i, d, s) = (Value::Int, Value::Double, Value::str);
+    for dop in [1, 4] {
+        let db = projection_fixture(dop);
+        expect_rows(
+            &db,
+            "SELECT a, a FROM p WHERE d < 25",
+            vec![vec![i(1), i(1)], vec![i(2), i(2)]],
+        );
+        expect_rows(
+            &db,
+            "SELECT a + 1, b, c, b * 2 FROM p WHERE d >= 30",
+            vec![
+                vec![i(4), d(3.25), s("x"), d(6.5)],
+                vec![i(3), d(2.0), s("y"), d(4.0)],
+            ],
+        );
+        // An ORDER BY key that is also projected repeats the column.
+        expect_rows(
+            &db,
+            "SELECT d, a FROM p ORDER BY d DESC",
+            vec![
+                vec![i(40), i(2)],
+                vec![i(30), i(3)],
+                vec![i(20), i(2)],
+                vec![i(10), i(1)],
+            ],
+        );
+    }
+}
+
+#[test]
+fn a_factorized_input_flattens_into_a_plain_projection() {
+    for dop in [1, 4] {
+        let db = projection_fixture(dop);
+        let sql = "SELECT a.dst, s.sid FROM seed s, adj a WHERE s.sid = a.src AND s.sid < 2";
+        let plan = plan_of(&db, sql);
+        assert!(
+            plan.contains("CsrExpand a [adj]") && plan.contains("(list)"),
+            "{plan}"
+        );
+        let want = (0..2i64)
+            .flat_map(|sid| {
+                (0..420i64)
+                    .filter(move |n| n % 30 == sid)
+                    .map(move |n| vec![Value::Int((n * 7) % 30), Value::Int(sid)])
+            })
+            .collect();
+        expect_rows(&db, sql, want);
+    }
+}

@@ -9,9 +9,12 @@
 //!   full scan with the same predicate returns, at every open snapshot.
 //! * An index read returns the numeric variant the column stores, whatever
 //!   variant the probe value has.
+//! * Each vacuum prunes exactly the versions a walk over every chain finds
+//!   ended at or below its watermark, and leaves the rest as they were.
 
 use proptest::prelude::*;
 use sqlgraph_rel::index::IndexKey;
+use sqlgraph_rel::txn::{is_marker, TS_INF};
 use sqlgraph_rel::{Database, Relation, Txn, Value};
 use std::cmp::Ordering;
 
@@ -161,6 +164,37 @@ fn check_postings(db: &Database) -> Result<(), TestCaseError> {
     .map_err(|e| TestCaseError::fail(e.to_string()))
 }
 
+/// Vacuum `t` at `watermark`, against the walk over every chain it must
+/// equal: the versions with a committed end at or below the watermark go,
+/// every other version stays as it was, in order.
+fn check_vacuum(db: &Database, watermark: u64) -> Result<(), TestCaseError> {
+    let dead = |end: u64| end != TS_INF && !is_marker(end) && end <= watermark;
+    db.write_table("t", |t| {
+        let chains = |t: &sqlgraph_rel::storage::Table| -> Vec<Vec<(u64, u64, Vec<Value>)>> {
+            t.slots()
+                .iter()
+                .map(|s| {
+                    s.versions()
+                        .iter()
+                        .map(|v| (v.begin(), v.end(), v.row().to_vec()))
+                        .collect()
+                })
+                .collect()
+        };
+        let before = chains(t);
+        let want: usize = before.iter().flatten().filter(|v| dead(v.1)).count();
+        let survivors: Vec<Vec<_>> = before
+            .into_iter()
+            .map(|c| c.into_iter().filter(|v| !dead(v.1)).collect())
+            .collect();
+        let pruned = t.vacuum(watermark);
+        assert_eq!(pruned, want, "pruned at watermark {watermark}");
+        assert_eq!(chains(t), survivors, "chains after vacuum at {watermark}");
+        Ok(())
+    })
+    .map_err(|e| TestCaseError::fail(e.to_string()))
+}
+
 /// Each index read against the same predicate spelled so no index serves
 /// it (`+ 0`), as `txn` (or autocommit) sees the table.
 fn check_reads(
@@ -234,8 +268,7 @@ proptest! {
                 Op::Rollback { tx } if tx < open.len() => open.remove(tx).rollback(),
                 Op::Commit { .. } | Op::Rollback { .. } => {}
                 Op::Vacuum { quarter } => {
-                    let watermark = db.txns().watermark() * quarter / 4;
-                    db.write_table("t", |t| Ok(t.vacuum(watermark))).unwrap();
+                    check_vacuum(&db, db.txns().watermark() * quarter / 4)?;
                 }
             }
             check_postings(&db)?;
