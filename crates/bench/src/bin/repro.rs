@@ -17,7 +17,7 @@
 //!   conn-sweep  wire protocol: ops/sec + tails at 1/8/64/256/1024 sockets
 //!   table6   Table 6 (per-op latency, mid scale)
 //!   table7   Table 7 (per-op latency, largest scale)
-//!   sizes    §5.1 storage footprints
+//!   sizes    §5.1 storage footprints + the heap by table and structure
 //!   recovery Durability: cold WAL replay vs snapshot + tail reopen latency
 //!   all      everything above
 //! ```

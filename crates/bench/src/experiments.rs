@@ -1213,10 +1213,14 @@ pub fn table67(cfg: &ReproConfig, large: bool) -> String {
 // §5.1 — storage footprint comparison
 // ---------------------------------------------------------------------------
 
-/// Approximate storage footprints for the DBpedia-like graph.
+/// Approximate storage footprints for the DBpedia-like graph, then the
+/// SQLGraph heap by table and structure for that store and for the
+/// LinkBench store `perf` loads, each beside the VmRSS growth of its load.
 pub fn sizes(cfg: &ReproConfig) -> String {
     let g = cfg.dbpedia();
+    let rss_before = vm_rss();
     let sql = build_sqlgraph(&g.data);
+    let sql_rss = rss_before.zip(vm_rss()).map(|(a, b)| b as f64 - a as f64);
     let kv = build_kvgraph(&g.data);
     let native = build_nativegraph(&g.data);
     let mut out = String::new();
@@ -1235,7 +1239,75 @@ pub fn sizes(cfg: &ReproConfig) -> String {
         "(paper: SQLGraph 66GB < Neo4j 98GB < Titan 301GB on DBpedia — redundancy \
          is cheaper than KV blow-up)"
     );
+    drop((kv, native));
+    let title = format!(
+        "SQLGraph heap — DBpedia store ({} vertices, {} edges)",
+        g.data.vertex_count(),
+        g.data.edge_count()
+    );
+    heap_report(&mut out, &title, &sql, sql_rss);
+    drop(sql);
+
+    // The LinkBench store `perf` loads (50 000 nodes at full scale).
+    let nodes = ((50_000.0 * cfg.scale) as usize).max(500);
+    let data = linkbench::generate(&LinkBenchConfig::with_nodes(nodes));
+    let graph_data = to_graph_data(&data);
+    let lb = SqlGraph::with_config(sqlgraph_core::SchemaConfig {
+        out_buckets: 16,
+        in_buckets: 16,
+    })
+    .expect("schema");
+    let rss_before = vm_rss();
+    lb.bulk_load(&graph_data).expect("bulk load");
+    let lb_rss = rss_before.zip(vm_rss()).map(|(a, b)| b as f64 - a as f64);
+    let title = format!(
+        "SQLGraph heap — LinkBench store ({} nodes, {} links)",
+        data.vertex_count(),
+        data.edge_count()
+    );
+    heap_report(&mut out, &title, &lb, lb_rss);
     out
+}
+
+/// The store's heap by table and structure, beside how much the process's
+/// resident set grew while it was built (`rss_delta`, bytes).
+fn heap_report(out: &mut String, title: &str, graph: &SqlGraph, rss_delta: Option<f64>) {
+    let fp = graph.database().footprint();
+    let mib = |b: f64| b / (1024.0 * 1024.0);
+    let _ = writeln!(out, "\n{title}");
+    let _ = write!(out, "{fp}");
+    match rss_delta {
+        Some(delta) if mib(delta) >= fp.total().mib() => {
+            let _ = writeln!(
+                out,
+                "VmRSS grew {:.1} MiB over the load; the heap above is {:.1} MiB; \
+                 unexplained {:.1} MiB",
+                mib(delta),
+                fp.total().mib(),
+                mib(delta) - fp.total().mib()
+            );
+        }
+        Some(delta) => {
+            let _ = writeln!(
+                out,
+                "VmRSS grew {:.1} MiB over the load, less than the heap above: the \
+                 load reused memory freed earlier in this process (run `repro sizes` \
+                 on its own to attribute RSS)",
+                mib(delta)
+            );
+        }
+        None => {
+            let _ = writeln!(out, "(VmRSS not available: no /proc/self/status)");
+        }
+    }
+}
+
+/// The process's resident set in bytes, where `/proc/self/status` exists.
+fn vm_rss() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kb: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
 }
 
 // ---------------------------------------------------------------------------

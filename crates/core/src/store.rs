@@ -22,7 +22,7 @@ use sqlgraph_rel::sql::ast::Statement;
 use sqlgraph_rel::sql::parser::parse_statement_with_params;
 use sqlgraph_rel::storage::Table;
 use sqlgraph_rel::{ClockCache, Database, Prepared, Relation, Txn, Value};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, LockResult, PoisonError, RwLock, RwLockWriteGuard, TryLockError};
@@ -290,14 +290,21 @@ impl SqlGraph {
             }
             Ok(())
         })?;
-        // 3. Write EA.
+        // 3. Write EA. Every row and triad carrying a label shares that
+        // label's one string.
+        let mut label_values: HashMap<&str, Value> = HashMap::new();
+        for (.., label, _) in &data.edges {
+            label_values
+                .entry(label.as_str())
+                .or_insert_with(|| Value::str(label));
+        }
         self.db.write_table("ea", |ea| {
             for (eid, src, dst, label, props) in &data.edges {
                 ea.insert(vec![
                     Value::Int(*eid),
                     Value::Int(*src),
                     Value::Int(*dst),
-                    Value::str(label),
+                    label_values[label.as_str()].clone(),
                     Value::json(props_to_json(props)),
                 ])?;
             }
@@ -319,8 +326,8 @@ impl SqlGraph {
                 .unwrap_or(0),
             ..LayoutStats::default()
         };
-        self.shred_direction(&layout, &out_adj, true, data.vertices.len(), &mut stats_out)?;
-        self.shred_direction(&layout, &in_adj, false, data.vertices.len(), &mut stats_in)?;
+        self.shred_direction(&layout, &out_adj, &label_values, true, &mut stats_out)?;
+        self.shred_direction(&layout, &in_adj, &label_values, false, &mut stats_in)?;
 
         // 5. Counters and layout.
         let max_vid = data.vertices.iter().map(|(v, _)| *v).max().unwrap_or(0);
@@ -344,8 +351,8 @@ impl SqlGraph {
         &self,
         layout: &GraphLayout,
         adj: &AdjacencyMap<'_>,
+        label_values: &HashMap<&str, Value>,
         out: bool,
-        total_vertices: usize,
         stats: &mut LayoutStats,
     ) -> Result<(), CoreError> {
         let buckets = if out {
@@ -390,7 +397,7 @@ impl SqlGraph {
                         }
                     };
                     let row = &mut rows[row_idx];
-                    row[lbl_i] = Value::str(*label);
+                    row[lbl_i] = label_values[*label].clone();
                     if entries.len() == 1 {
                         row[eid_i] = Value::Int(entries[0].0);
                         row[val_i] = Value::Int(entries[0].1);
@@ -421,7 +428,6 @@ impl SqlGraph {
         })?;
         // Vertices with no adjacency in this direction get their primary
         // row lazily from attach(); nothing to write for them here.
-        let _ = total_vertices;
         Ok(())
     }
 

@@ -30,6 +30,11 @@ impl JsonObject {
         self.entries.is_empty()
     }
 
+    /// Number of entries the object holds without reallocating.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
     /// Value for `key`, if present.
     pub fn get(&self, key: &str) -> Option<&Json> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, v)| v)

@@ -348,9 +348,7 @@ mod tests {
         let orig: Vec<_> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, orig, "physical row ids preserved");
         assert_eq!(r.indexes().len(), 2);
-        let hits = r
-            .index_lookup("t_name", &crate::index::IndexKey(vec![Value::str("n3")]))
-            .unwrap();
+        let hits = r.index_lookup("t_name", &[Value::str("n3")]).unwrap();
         assert_eq!(hits, [3], "functional index rebuilt and backfilled");
     }
 

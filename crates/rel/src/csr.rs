@@ -83,7 +83,7 @@ impl CsrEntry {
         let mut raw: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
         let mut elems: u32 = 0;
         for (key, rids) in idx.entries() {
-            let kv = &key.0[0];
+            let kv = &key[0];
             if kv.is_null() {
                 // Probes skip NULL keys, so NULL groups can never be read.
                 continue;
@@ -92,7 +92,7 @@ impl CsrEntry {
             for &rid in rids {
                 // A chain's visible version may carry a different key than
                 // an older one that posts it; re-check like the probe path.
-                let Some(row) = t.get_posted(rid, snap, |row| idx.key_matches(row, &key.0)) else {
+                let Some(row) = t.get_posted(rid, snap, |row| idx.key_matches(row, key)) else {
                     continue;
                 };
                 for (ci, &col) in keep.iter().enumerate() {
@@ -485,14 +485,14 @@ mod tests {
             let key = Value::Int(src);
             // Reference: the probe path over postings.
             let idx = t.indexes().iter().find(|i| i.name == "adj_src").unwrap();
-            let probe = crate::index::IndexKey(vec![key.clone()]);
+            let probe = std::slice::from_ref(&key);
             let mut want_dst = Vec::new();
             let mut want_lbl = Vec::new();
-            for &rid in idx.lookup(&probe) {
+            for &rid in idx.lookup(probe) {
                 let Some(row) = t.get_visible(rid, snap) else {
                     continue;
                 };
-                if !idx.key_matches(row, &probe.0) {
+                if !idx.key_matches(row, probe) {
                     continue;
                 }
                 want_dst.push(row[2].clone());

@@ -31,7 +31,7 @@ use crate::error::{Error, Result};
 use crate::exec::{run_select, run_stmt, subquery_sets, Env, Relation, Row};
 use crate::expr::{BinaryOp, Binds, Expr};
 use crate::hasher::FxHashMap;
-use crate::index::{IndexKey, IndexKind, KeyPart, RowId};
+use crate::index::{with_key, IndexKind, KeyPart, RowId};
 use crate::io::{StdFs, Vfs};
 use crate::prepared::{self, DmlPlan, DmlSlot, InsertInto, Plans, Prepared, Target};
 use crate::schema::{Column, ColumnType, TableSchema};
@@ -697,6 +697,22 @@ impl Database {
             total += bytes.unwrap_or(0);
         }
         total
+    }
+
+    /// The heap the tables hold, by table and structure: slab, row
+    /// payloads, each index, and the shared string / JSON payloads counted
+    /// once per distinct `Arc` (see [`crate::footprint`]).
+    pub fn footprint(&self) -> crate::Footprint {
+        let mut payloads = crate::footprint::Payloads::default();
+        let tables = self
+            .table_names()
+            .into_iter()
+            .filter_map(|name| {
+                self.read_table(&name, |t| Ok(t.footprint(&mut payloads)))
+                    .ok()
+            })
+            .collect();
+        crate::Footprint { tables }
     }
 
     // ---- statement execution ----
@@ -1477,20 +1493,25 @@ fn find_target_rows(table: &Table, filter: Option<&Expr>, snap: Snapshot) -> Res
         if key.iter().any(|v| v.is_null()) {
             return Ok(Vec::new());
         }
-        let key = IndexKey(key.into_iter().cloned().collect());
-        let mut out = Vec::new();
-        for &id in idx.lookup(&key) {
-            // Postings cover every version in a chain; the full filter
-            // re-check rejects versions that no longer carry the probed
-            // key.
-            let Some(row) = table.get_visible(id, snap) else {
-                continue;
-            };
-            if filter.eval_bool(row)? {
-                out.push(id);
-            }
-        }
-        return Ok(out);
+        return with_key(
+            key.len(),
+            |i| Ok(key[i].clone()),
+            |key| {
+                let mut out = Vec::new();
+                for &id in idx.lookup(key) {
+                    // Postings cover every version in a chain; the full filter
+                    // re-check rejects versions that no longer carry the probed
+                    // key.
+                    let Some(row) = table.get_visible(id, snap) else {
+                        continue;
+                    };
+                    if filter.eval_bool(row)? {
+                        out.push(id);
+                    }
+                }
+                Ok(out)
+            },
+        )?;
     }
     let mut out = Vec::new();
     for (id, row) in table.iter_snap(snap) {

@@ -21,7 +21,7 @@ use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::expr::{self, in_set, BinaryOp, Binds, Expr};
 use crate::hasher::{FxHashMap, FxHashSet, FxHasher};
-use crate::index::IndexKey;
+use crate::index::with_key;
 use crate::plan::{self, Access, Attach, FromPlan, RelInput, Step, StepExec, StepKind};
 use crate::prepared::{self, CorePlan, CoreSlot, SetPlans, StmtPlans};
 use crate::sql::ast;
@@ -1802,8 +1802,10 @@ fn exec_step(
                         let keep: &[usize] = keep;
                         let lrows = left.take().expect("left consumed once").into_rows();
                         let mut out = Vec::new();
+                        // One probe buffer for the whole step.
+                        let mut key = Vec::with_capacity(parts.len());
                         for l in lrows {
-                            let mut key = Vec::with_capacity(parts.len());
+                            key.clear();
                             for p in parts.iter() {
                                 let v = p.eval(&l)?;
                                 if v.is_null() {
@@ -1812,13 +1814,13 @@ fn exec_step(
                                 key.push(v);
                             }
                             // A NULL key part equals nothing: no candidates.
-                            let probe = (key.len() == parts.len()).then_some(IndexKey(key));
-                            let cands = probe.iter().flat_map(|probe| {
+                            let probe = (key.len() == parts.len()).then_some(&key[..]);
+                            let cands = probe.into_iter().flat_map(|probe| {
                                 idx.lookup(probe).iter().filter_map(move |&rid| {
                                     // Older versions of a chain may carry a
                                     // different key than the visible one.
                                     let row = t.get_posted(rid, env.snap, |row| {
-                                        idx.key_matches(row, &probe.0)
+                                        idx.key_matches(row, probe)
                                     })?;
                                     Some(keep.iter().map(move |&i| row[i].clone()))
                                 })
@@ -1874,24 +1876,28 @@ fn exec_step(
                     }
                     Access::Point { index, key } => {
                         let idx = find_index(t, index)?;
-                        let probe =
-                            IndexKey(key.iter().map(|e| e.eval(&[])).collect::<Result<_>>()?);
-                        let cands = idx.lookup(&probe).iter().filter_map(|&rid| {
-                            t.get_posted(rid, env.snap, |row| idx.key_matches(row, &probe.0))
-                        });
                         x.local_counts = vec![(0, 0); locals.len()];
-                        Produced::Right(scan_rows(cands, keep, locals, cap, &mut x.local_counts)?)
+                        let counts = &mut x.local_counts;
+                        let scanned = with_key(
+                            key.len(),
+                            |i| key[i].eval(&[]),
+                            |probe| {
+                                let cands = idx.lookup(probe).iter().filter_map(|&rid| {
+                                    t.get_posted(rid, env.snap, |row| idx.key_matches(row, probe))
+                                });
+                                scan_rows(cands, keep, locals, cap, counts)
+                            },
+                        )??;
+                        Produced::Right(scanned)
                     }
                     Access::Range { index, lo, hi } => {
                         let idx = find_index(t, index)?;
-                        let bound = |e: &Option<Expr>| -> Result<Option<IndexKey>> {
-                            Ok(match e {
-                                Some(e) => Some(IndexKey(vec![e.eval(&[])?])),
-                                None => None,
-                            })
-                        };
+                        let bound = |e: &Option<Expr>| e.as_ref().map(|e| e.eval(&[])).transpose();
                         let (lo_key, hi_key) = (bound(lo)?, bound(hi)?);
-                        let entries = idx.range(lo_key.as_ref(), hi_key.as_ref())?;
+                        let entries = idx.range(
+                            lo_key.as_ref().map(std::slice::from_ref),
+                            hi_key.as_ref().map(std::slice::from_ref),
+                        )?;
                         let mut in_range = 0;
                         let cands = entries
                             .iter()
@@ -1900,7 +1906,7 @@ fn exec_step(
                                     // A chain is posted under every key its
                                     // versions carry: keep it under its visible
                                     // version's.
-                                    t.get_posted(rid, env.snap, |row| idx.key_matches(row, &key.0))
+                                    t.get_posted(rid, env.snap, |row| idx.key_matches(row, key))
                                 })
                             })
                             .inspect(|_| in_range += 1);

@@ -41,6 +41,7 @@ pub mod db;
 pub mod error;
 pub mod exec;
 pub mod expr;
+pub mod footprint;
 pub mod hasher;
 pub mod index;
 pub mod io;
@@ -84,6 +85,7 @@ pub use checkpoint::{CheckpointReport, RecoveryReport};
 pub use db::{Database, Txn};
 pub use error::{Error, Result};
 pub use exec::Relation;
+pub use footprint::{Footprint, TableFootprint, Usage};
 pub use io::{Fault, FaultKind, SimFs, StdFs, Vfs};
 pub use prepared::Prepared;
 pub use schema::{Column, ColumnType, TableSchema};

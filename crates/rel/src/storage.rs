@@ -26,7 +26,8 @@
 //! ([`Table::get_posted`]).
 
 use crate::error::{Error, Result};
-use crate::index::{Index, IndexKey, IndexKind, KeyPart, RowId};
+use crate::footprint::{Payloads, TableFootprint, Usage};
+use crate::index::{Index, IndexKind, KeyPart, RowId};
 use crate::schema::TableSchema;
 use crate::txn::{self, Snapshot};
 use crate::value::Value;
@@ -464,24 +465,12 @@ impl Table {
             return Err(Error::Invalid(format!("row {id} not live")));
         }
         // Drop the old chain's postings, then insert the new key set with
-        // unique checks; on a violation restore the old postings verbatim.
-        let old_keys: Vec<Vec<IndexKey>> = self
-            .indexes
-            .iter()
-            .map(|idx| {
-                let mut keys: Vec<IndexKey> = self.rows[id]
-                    .versions()
-                    .iter()
-                    .map(|v| idx.key_of(v.row()))
-                    .collect();
-                keys.sort();
-                keys.dedup();
-                keys
-            })
-            .collect();
-        for (i, keys) in old_keys.iter().enumerate() {
-            for key in keys {
-                self.indexes[i].remove_key(key, id);
+        // unique checks; on a violation repost the old chain's keys.
+        let old = self.rows[id].versions();
+        for idx in &mut self.indexes {
+            for v in old {
+                // Removing a key twice is a no-op.
+                idx.remove(v.row(), id);
             }
         }
         for i in 0..self.indexes.len() {
@@ -489,10 +478,8 @@ impl Table {
                 for j in 0..i {
                     self.indexes[j].remove(&new_row, id);
                 }
-                for (j, keys) in old_keys.iter().enumerate() {
-                    for key in keys {
-                        self.indexes[j].add(key.clone(), id);
-                    }
+                for idx in &mut self.indexes {
+                    post_chain(idx, old, id);
                 }
                 return Err(e);
             }
@@ -517,15 +504,15 @@ impl Table {
     /// live (`end == TS_INF`) in the *current state* — the newest committed
     /// or provisionally written state, not the transaction's snapshot —
     /// matching the write-time first-updater-wins discipline.
-    fn check_unique_mvcc(&self, idx_i: usize, key: &IndexKey, token: u64) -> Result<()> {
+    fn check_unique_mvcc(&self, idx_i: usize, row: &[Value], token: u64) -> Result<()> {
         let idx = &self.indexes[idx_i];
         if !idx.unique {
             return Ok(());
         }
         let own = txn::marker(token);
-        for &rid in idx.lookup(key) {
+        for &rid in idx.postings_of(row) {
             for v in self.rows[rid].versions() {
-                if !idx.key_matches(v.row(), &key.0) {
+                if !idx.same_key(v.row(), row) {
                     continue;
                 }
                 let e = v.end();
@@ -556,18 +543,16 @@ impl Table {
         Ok(())
     }
 
-    /// Insert a provisional row version for transaction `token`. Each
-    /// index's key is built once: checked if the index is unique, then
-    /// posted.
+    /// Insert a provisional row version for transaction `token`: checked
+    /// against every unique index, then posted.
     pub fn mvcc_insert(&mut self, mut row: Vec<Value>, token: u64) -> Result<RowId> {
         self.schema.check_row(&mut row)?;
-        let keys: Vec<IndexKey> = self.indexes.iter().map(|idx| idx.key_of(&row)).collect();
-        for (i, key) in keys.iter().enumerate() {
-            self.check_unique_mvcc(i, key, token)?;
+        for i in 0..self.indexes.len() {
+            self.check_unique_mvcc(i, &row, token)?;
         }
         let id = self.rows.len();
-        for (idx, key) in self.indexes.iter_mut().zip(keys) {
-            idx.add(key, id);
+        for idx in &mut self.indexes {
+            idx.add(&row, id);
         }
         self.rows.push(Slot(Chain::One(Version::provisional(
             row.into_boxed_slice(),
@@ -616,25 +601,20 @@ impl Table {
                 if !self.indexes[i].unique {
                     continue;
                 }
-                let new_key = self.indexes[i].key_of(&new_row);
-                if self.indexes[i].key_matches(v.row(), &new_key.0) {
+                if self.indexes[i].same_key(v.row(), &new_row) {
                     continue;
                 }
-                self.check_unique_mvcc(i, &new_key, token)?;
+                self.check_unique_mvcc(i, &new_row, token)?;
             }
         }
         // Postings only for keys the chain doesn't already cover.
-        let to_add: Vec<(usize, IndexKey)> = self
-            .indexes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, idx)| {
-                let key = idx.key_of(&new_row);
-                let covered = self.rows[id]
+        let to_add: Vec<usize> = (0..self.indexes.len())
+            .filter(|&i| {
+                let idx = &self.indexes[i];
+                !self.rows[id]
                     .versions()
                     .iter()
-                    .any(|v| idx.key_matches(v.row(), &key.0));
-                (!covered).then_some((i, key))
+                    .any(|v| idx.same_key(v.row(), &new_row))
             })
             .collect();
         let own = txn::marker(token);
@@ -644,8 +624,9 @@ impl Table {
             .end
             .store(own, Ordering::Release);
         slot.push(Version::provisional(new_row.into_boxed_slice(), token));
-        for (i, key) in to_add {
-            self.indexes[i].add(key, id);
+        let new_row = slot.latest().expect("just pushed").row();
+        for i in to_add {
+            self.indexes[i].add(new_row, id);
         }
         self.ending.push(id);
         self.bump_version();
@@ -757,14 +738,10 @@ impl Table {
     /// Drop row `id`'s postings for `row`'s keys, unless another surviving
     /// version of the chain still carries the key.
     fn unindex_unless_shared(&mut self, id: RowId, row: &[Value]) {
-        for i in 0..self.indexes.len() {
-            let key = self.indexes[i].key_of(row);
-            let shared = self.rows[id]
-                .versions()
-                .iter()
-                .any(|v| self.indexes[i].key_matches(v.row(), &key.0));
-            if !shared {
-                self.indexes[i].remove_key(&key, id);
+        let survivors = self.rows[id].versions();
+        for idx in &mut self.indexes {
+            if !survivors.iter().any(|v| idx.same_key(v.row(), row)) {
+                idx.remove(row, id);
             }
         }
     }
@@ -786,9 +763,11 @@ impl Table {
     }
 
     /// Create and backfill an index over arbitrary key parts (plain columns
-    /// or `JSON_VAL` extractions — functional indexes). Backfill covers
-    /// every version of every chain (deduplicated per chain); unique
-    /// enforcement applies to the committed-live version of each chain.
+    /// or `JSON_VAL` extractions — functional indexes). Backfill posts
+    /// every version's key once per chain. A unique index is violated only
+    /// by two chains whose committed-live versions (those
+    /// `Snapshot::latest` sees) carry one key: a superseded or deleted
+    /// version's key is posted but holds nothing.
     pub fn create_index_with_parts(
         &mut self,
         name: impl Into<String>,
@@ -808,19 +787,24 @@ impl Table {
         let latest = Snapshot::latest();
         let mut idx = Index::with_parts(name, parts, unique, kind);
         for (id, slot) in self.rows.iter().enumerate() {
-            let mut seen: Vec<IndexKey> = Vec::new();
-            for v in slot.versions().iter().rev() {
-                let key = idx.key_of(v.row());
-                if seen.contains(&key) {
-                    continue;
-                }
-                seen.push(key.clone());
-                if v.visible(latest) {
-                    idx.insert(v.row(), id)?;
-                } else {
-                    idx.add(key, id);
+            if unique {
+                // Chains before this one are posted: a live one holding
+                // this chain's live key is a duplicate.
+                if let Some(row) = slot.visible(latest) {
+                    let taken = idx.postings_of(row).iter().any(|&other| {
+                        self.rows[other]
+                            .visible(latest)
+                            .is_some_and(|o| idx.same_key(o, row))
+                    });
+                    if taken {
+                        return Err(Error::Schema(format!(
+                            "unique index '{}' violated",
+                            idx.name
+                        )));
+                    }
                 }
             }
+            post_chain(&mut idx, slot.versions(), id);
         }
         self.indexes.push(idx);
         self.bump_version();
@@ -862,13 +846,51 @@ impl Table {
 
     /// Row ids matching `key` on the index named `index`. Postings may
     /// cover non-current versions; callers re-check visibility.
-    pub fn index_lookup(&self, index: &str, key: &IndexKey) -> Result<Vec<RowId>> {
+    pub fn index_lookup(&self, index: &str, key: &[Value]) -> Result<Vec<RowId>> {
         let idx = self
             .indexes
             .iter()
             .find(|i| i.name == index)
             .ok_or_else(|| Error::NotFound(format!("index '{index}'")))?;
         Ok(idx.lookup(key).to_vec())
+    }
+
+    /// This table's heap by structure (see [`crate::footprint`]). Shared
+    /// payloads already in `payloads` are not counted again.
+    pub(crate) fn footprint(&self, payloads: &mut Payloads) -> TableFootprint {
+        let mut fp = TableFootprint {
+            name: self.schema.name.clone(),
+            slab: Usage::block(self.rows.capacity() * std::mem::size_of::<Slot>())
+                + Usage::block(self.ending.capacity() * std::mem::size_of::<RowId>()),
+            ..TableFootprint::default()
+        };
+        for slot in &self.rows {
+            if let Chain::Many(vs) = &slot.0 {
+                fp.slab += Usage::block(vs.capacity() * std::mem::size_of::<Version>());
+            }
+            for v in slot.versions() {
+                fp.rows += Usage::block(v.row.len() * std::mem::size_of::<Value>());
+                fp.payloads += v.row.iter().map(|x| payloads.value(x)).sum();
+            }
+        }
+        for idx in &self.indexes {
+            fp.indexes.push((idx.name.clone(), idx.footprint()));
+            fp.payloads += idx
+                .entries()
+                .flat_map(|(key, _)| key)
+                .map(|x| payloads.value(x))
+                .sum();
+        }
+        fp
+    }
+}
+
+/// Post row `id` under each distinct key among `versions`, once per key.
+fn post_chain(idx: &mut Index, versions: &[Version], id: RowId) {
+    for (i, v) in versions.iter().enumerate() {
+        if !versions[..i].iter().any(|w| idx.same_key(w.row(), v.row())) {
+            idx.add(v.row(), id);
+        }
     }
 }
 
@@ -929,7 +951,7 @@ mod tests {
         t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         assert!(t.insert(vec![Value::Int(1), Value::Null]).is_err());
         assert_eq!(t.len(), 1);
-        let key = IndexKey(vec![Value::Int(1)]);
+        let key = [Value::Int(1)];
         assert_eq!(t.index_lookup("t_pk", &key).unwrap().len(), 1);
     }
 
@@ -938,15 +960,8 @@ mod tests {
         let mut t = table();
         let a = t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
         t.update(a, vec![Value::Int(9), Value::str("y")]).unwrap();
-        assert!(t
-            .index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-            .unwrap()
-            .is_empty());
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(9)]))
-                .unwrap(),
-            [a]
-        );
+        assert!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap().is_empty());
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(9)]).unwrap(), [a]);
     }
 
     #[test]
@@ -957,11 +972,7 @@ mod tests {
         assert!(t.update(b, vec![Value::Int(1), Value::Null]).is_err());
         // b unchanged and still findable under its old key.
         assert_eq!(t.get(b).unwrap()[1], Value::str("keep"));
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(2)]))
-                .unwrap(),
-            [b]
-        );
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(2)]).unwrap(), [b]);
     }
 
     #[test]
@@ -972,9 +983,7 @@ mod tests {
         }
         t.create_index("t_v", vec![1], false, IndexKind::BTree)
             .unwrap();
-        let ids = t
-            .index_lookup("t_v", &IndexKey(vec![Value::Int(0)]))
-            .unwrap();
+        let ids = t.index_lookup("t_v", &[Value::Int(0)]).unwrap();
         assert_eq!(ids.len(), 4); // 0, 3, 6, 9
         assert!(t
             .create_index("t_v", vec![1], false, IndexKind::Hash)
@@ -1059,19 +1068,9 @@ mod tests {
         t.rollback_insert(b, 9);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(a).unwrap()[1], Value::str("keep"));
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-                .unwrap(),
-            [a]
-        );
-        assert!(t
-            .index_lookup("t_pk", &IndexKey(vec![Value::Int(7)]))
-            .unwrap()
-            .is_empty());
-        assert!(t
-            .index_lookup("t_pk", &IndexKey(vec![Value::Int(2)]))
-            .unwrap()
-            .is_empty());
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap(), [a]);
+        assert!(t.index_lookup("t_pk", &[Value::Int(7)]).unwrap().is_empty());
+        assert!(t.index_lookup("t_pk", &[Value::Int(2)]).unwrap().is_empty());
 
         let s2 = snap(0, 11);
         t.mvcc_delete(a, 11, s2).unwrap();
@@ -1126,28 +1125,18 @@ mod tests {
         // Watermark 2: v0 dead everywhere, v1 (end=4) still needed.
         assert_eq!(t.vacuum(2), 1);
         assert_eq!(t.slots()[id].versions().len(), 2);
-        assert!(t
-            .index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-            .unwrap()
-            .is_empty());
+        assert!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap().is_empty());
         // Watermark 4: only the live version remains; its key survives.
         assert_eq!(t.vacuum(4), 1);
         assert_eq!(t.slots()[id].versions().len(), 1);
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(3)]))
-                .unwrap(),
-            [id]
-        );
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(3)]).unwrap(), [id]);
         // A fully deleted chain vacuums to an empty tombstone.
         let d = t.insert(vec![Value::Int(9), Value::Null]).unwrap();
         t.mvcc_delete(d, 3, snap(4, 3)).unwrap();
         t.stamp_commit(d, 3, 5);
         assert_eq!(t.vacuum(5), 1);
         assert!(t.slots()[d].versions().is_empty());
-        assert!(t
-            .index_lookup("t_pk", &IndexKey(vec![Value::Int(9)]))
-            .unwrap()
-            .is_empty());
+        assert!(t.index_lookup("t_pk", &[Value::Int(9)]).unwrap().is_empty());
     }
 
     #[test]
@@ -1226,16 +1215,8 @@ mod tests {
         assert!(t.get_posted(id, latest, |_| false).is_some());
         t.mvcc_update(id, vec![Value::Int(2), Value::str("b")], 1, snap(0, 1))
             .unwrap();
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-                .unwrap(),
-            [id]
-        );
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(2)]))
-                .unwrap(),
-            [id]
-        );
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap(), [id]);
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(2)]).unwrap(), [id]);
         assert!(t.get_posted(id, snap(0, 1), |_| false).is_none());
         let idx = &t.indexes()[0];
         let seen = t.get_posted(id, snap(0, 1), |row| idx.key_matches(row, &[Value::Int(2)]));
@@ -1259,23 +1240,12 @@ mod tests {
             .unwrap();
         t.mvcc_update(id, vec![Value::Int(1), Value::str("c")], 1, s)
             .unwrap();
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-                .unwrap(),
-            [id]
-        );
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap(), [id]);
         // Rolling back the chain leaves exactly the original posting.
         t.rollback_update(id, 1);
         t.rollback_update(id, 1);
-        assert_eq!(
-            t.index_lookup("t_pk", &IndexKey(vec![Value::Int(1)]))
-                .unwrap(),
-            [id]
-        );
-        assert!(t
-            .index_lookup("t_pk", &IndexKey(vec![Value::Int(2)]))
-            .unwrap()
-            .is_empty());
+        assert_eq!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap(), [id]);
+        assert!(t.index_lookup("t_pk", &[Value::Int(2)]).unwrap().is_empty());
         assert_eq!(t.get(id).unwrap()[1], Value::str("a"));
     }
 }

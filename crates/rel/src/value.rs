@@ -296,6 +296,21 @@ impl PartialEq for Value {
 
 impl Eq for Value {}
 
+/// The canonical total order, [`Value::total_cmp`]: consistent with the
+/// canonical equality, so B-tree index keys and slices of values order by
+/// it.
+impl PartialOrd for Value {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for Value {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(other)
+    }
+}
+
 impl Hash for Value {
     fn hash<H: Hasher>(&self, state: &mut H) {
         match self {

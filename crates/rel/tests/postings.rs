@@ -5,15 +5,15 @@
 //!   one-version chain — after every step of random transaction histories
 //!   (inserts, key-changing updates, deletes, each rolled back or
 //!   committed, autocommits, and vacuums at random watermarks).
-//! * Every point, probe and range read through those indexes returns what a
-//!   full scan with the same predicate returns, at every open snapshot.
+//! * Every point, probe and range read through those indexes — keys of one,
+//!   two and three parts — returns what a full scan with the same predicate
+//!   returns, at every open snapshot.
 //! * An index read returns the numeric variant the column stores, whatever
 //!   variant the probe value has.
 //! * Each vacuum prunes exactly the versions a walk over every chain finds
 //!   ended at or below its watermark, and leaves the rest as they were.
 
 use proptest::prelude::*;
-use sqlgraph_rel::index::IndexKey;
 use sqlgraph_rel::txn::{is_marker, TS_INF};
 use sqlgraph_rel::{Database, Relation, Txn, Value};
 use std::cmp::Ordering;
@@ -94,6 +94,9 @@ fn fresh_db() -> Database {
     db.execute("CREATE INDEX t_ab ON t (a, b) USING HASH")
         .unwrap();
     db.execute("CREATE INDEX t_c ON t (c) USING BTREE").unwrap();
+    // A three-part key: the one form whose slot owns a heap block.
+    db.execute("CREATE INDEX t_abc ON t (a, b, c) USING HASH")
+        .unwrap();
     // Probe keys for the index nested-loop read.
     db.execute("CREATE TABLE k (x INTEGER, y TEXT)").unwrap();
     db.execute("INSERT INTO k VALUES (0, 'b0'), (1, 'b1'), (2, 'b0')")
@@ -136,14 +139,14 @@ fn read(db: &Database, txn: Option<&mut Txn<'_>>, sql: &str, params: &[Value]) -
 fn check_postings(db: &Database) -> Result<(), TestCaseError> {
     db.read_table("t", |t| {
         for idx in t.indexes() {
-            let mut posted: Vec<Vec<IndexKey>> = vec![Vec::new(); t.slab_len()];
+            let mut posted: Vec<Vec<Vec<Value>>> = vec![Vec::new(); t.slab_len()];
             for (key, rids) in idx.entries() {
                 for &rid in rids {
-                    posted[rid].push(key.clone());
+                    posted[rid].push(key.to_vec());
                 }
             }
             for (rid, slot) in t.slots().iter().enumerate() {
-                let mut keys: Vec<IndexKey> = Vec::new();
+                let mut keys: Vec<Vec<Value>> = Vec::new();
                 for v in slot.versions() {
                     let k = idx.key_of(v.row());
                     if !keys.contains(&k) {
@@ -202,11 +205,16 @@ fn check_reads(
     mut txn: Option<&mut Txn<'_>>,
     (a, b, id, lo, hi): (i64, i64, i64, i64, i64),
 ) -> Result<(), TestCaseError> {
-    let pairs: [(&str, &str, Vec<Value>); 4] = [
+    let pairs: [(&str, &str, Vec<Value>); 5] = [
         (
             "SELECT id, a, b, c FROM t WHERE a = ? AND b = ?",
             "SELECT id, a, b, c FROM t WHERE a + 0 = ? AND b = ?",
             vec![Value::Int(a), label(b)],
+        ),
+        (
+            "SELECT id, a, b, c FROM t WHERE a = ? AND b = ? AND c = ?",
+            "SELECT id, a, b, c FROM t WHERE a + 0 = ? AND b = ? AND c = ?",
+            vec![Value::Int(a), label(b), Value::Int(lo)],
         ),
         (
             "SELECT id, a, b, c FROM t WHERE id = ?",
@@ -383,4 +391,19 @@ fn index_reads_return_the_stored_numeric_variant() {
             .unwrap();
         assert_eq!(rel.rows, vec![vec![Value::Int(1)]]);
     }
+}
+
+#[test]
+fn a_three_part_key_is_read_through_its_index() {
+    let db = fresh_db();
+    db.execute("INSERT INTO t VALUES (1, 0, 'b0', 1), (2, 0, 'b0', 2)")
+        .unwrap();
+    let sql = "SELECT id FROM t WHERE a = 0 AND b = 'b0' AND c = 2";
+    let plan = db
+        .execute(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .strings()
+        .join("\n");
+    assert!(plan.contains("t_abc"), "{plan}");
+    assert_eq!(db.execute(sql).unwrap().rows, vec![vec![Value::Int(2)]]);
 }

@@ -551,3 +551,35 @@ fn vacuum_respects_the_snapshot_watermark() {
     );
     assert_eq!(int(&db.execute("SELECT v FROM t WHERE id = 1").unwrap()), 5);
 }
+
+#[test]
+fn create_unique_index_counts_only_live_versions_as_key_holders() {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id INTEGER, k INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 10), (2, 20)").unwrap();
+    // An open snapshot keeps the superseded versions from being reclaimed.
+    let mut reader = db.begin();
+    assert_eq!(int(&reader.execute("SELECT COUNT(*) FROM t").unwrap()), 2);
+    db.execute("UPDATE t SET k = 30 WHERE id = 1").unwrap();
+    db.execute("UPDATE t SET k = 10 WHERE id = 2").unwrap();
+    // Row 1's old version still carries k = 10, but the live keys are
+    // {30, 10}.
+    db.execute("CREATE UNIQUE INDEX t_k ON t (k)").unwrap();
+    let rel = db.execute("SELECT id FROM t WHERE k = 10").unwrap();
+    assert_eq!(rel.rows, vec![vec![Value::Int(2)]]);
+    // The snapshot still reads its versions through the new index.
+    let rel = reader.execute("SELECT id FROM t WHERE k = 10").unwrap();
+    assert_eq!(rel.rows, vec![vec![Value::Int(1)]]);
+    drop(reader);
+    assert!(db.vacuum() > 0);
+    db.execute("CREATE UNIQUE INDEX t_k2 ON t (k)").unwrap();
+    // A true live duplicate still fails, with the same message.
+    db.execute("CREATE TABLE u (id INTEGER, k INTEGER)")
+        .unwrap();
+    db.execute("INSERT INTO u VALUES (1, 5), (2, 5)").unwrap();
+    match db.execute("CREATE UNIQUE INDEX u_k ON u (k)") {
+        Err(Error::Schema(msg)) => assert_eq!(msg, "unique index 'u_k' violated"),
+        other => panic!("expected a unique violation, got {other:?}"),
+    }
+}
