@@ -10,6 +10,7 @@
 //! chosen and the residual conflicts become spill rows — Table 3 reports
 //! exactly these statistics.
 
+use sqlgraph_rel::Value;
 use std::collections::{HashMap, HashSet};
 
 /// Column assignment for a set of edge labels.
@@ -189,6 +190,9 @@ pub struct GraphLayout {
     pub out_buckets: usize,
     /// `IPA` column-triad count.
     pub in_buckets: usize,
+    /// One string value per bulk-loaded label, shared by every row and
+    /// triad that carries the label, online writes included.
+    pub(crate) labels: HashMap<String, Value>,
 }
 
 impl GraphLayout {
@@ -200,7 +204,17 @@ impl GraphLayout {
             incoming: ColorMap::hashed(in_buckets),
             out_buckets,
             in_buckets,
+            labels: HashMap::new(),
         }
+    }
+
+    /// `label` as a column value: the shared string of a bulk-loaded label,
+    /// or a fresh one for a label the load did not see.
+    pub(crate) fn label(&self, label: &str) -> Value {
+        self.labels
+            .get(label)
+            .cloned()
+            .unwrap_or_else(|| Value::str(label))
     }
 
     /// Column of `label` in `OPA`, clamped to the table width.

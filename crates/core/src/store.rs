@@ -291,20 +291,14 @@ impl SqlGraph {
             Ok(())
         })?;
         // 3. Write EA. Every row and triad carrying a label shares that
-        // label's one string.
-        let mut label_values: HashMap<&str, Value> = HashMap::new();
-        for (.., label, _) in &data.edges {
-            label_values
-                .entry(label.as_str())
-                .or_insert_with(|| Value::str(label));
-        }
+        // label's one string (`GraphLayout::label`).
         self.db.write_table("ea", |ea| {
             for (eid, src, dst, label, props) in &data.edges {
                 ea.insert(vec![
                     Value::Int(*eid),
                     Value::Int(*src),
                     Value::Int(*dst),
-                    label_values[label.as_str()].clone(),
+                    layout.label(label),
                     Value::json(props_to_json(props)),
                 ])?;
             }
@@ -326,8 +320,8 @@ impl SqlGraph {
                 .unwrap_or(0),
             ..LayoutStats::default()
         };
-        self.shred_direction(&layout, &out_adj, &label_values, true, &mut stats_out)?;
-        self.shred_direction(&layout, &in_adj, &label_values, false, &mut stats_in)?;
+        self.shred_direction(&layout, &out_adj, true, &mut stats_out)?;
+        self.shred_direction(&layout, &in_adj, false, &mut stats_in)?;
 
         // 5. Counters and layout.
         let max_vid = data.vertices.iter().map(|(v, _)| *v).max().unwrap_or(0);
@@ -351,7 +345,6 @@ impl SqlGraph {
         &self,
         layout: &GraphLayout,
         adj: &AdjacencyMap<'_>,
-        label_values: &HashMap<&str, Value>,
         out: bool,
         stats: &mut LayoutStats,
     ) -> Result<(), CoreError> {
@@ -397,7 +390,7 @@ impl SqlGraph {
                         }
                     };
                     let row = &mut rows[row_idx];
-                    row[lbl_i] = label_values[*label].clone();
+                    row[lbl_i] = layout.label(label);
                     if entries.len() == 1 {
                         row[eid_i] = Value::Int(entries[0].0);
                         row[val_i] = Value::Int(entries[0].1);
@@ -767,7 +760,7 @@ impl SqlGraph {
                 Value::Int(eid),
                 Value::Int(src),
                 Value::Int(dst),
-                Value::str(label),
+                layout.label(label),
                 attr.clone(),
             ],
         )?;
@@ -835,7 +828,7 @@ impl SqlGraph {
                     "UPDATE {pa} SET lbl{col} = ?, eid{col} = ?, val{col} = ? WHERE rowno = ?"
                 ),
                 &[
-                    Value::str(label),
+                    layout.label(label),
                     Value::Int(eid),
                     Value::Int(other),
                     row[0].clone(),
@@ -854,7 +847,7 @@ impl SqlGraph {
             &[
                 Value::Int(rowno),
                 Value::Int(vid),
-                Value::str(label),
+                layout.label(label),
                 Value::Int(eid),
                 Value::Int(other),
             ],
@@ -1134,9 +1127,13 @@ impl SqlGraph {
 fn layout_for(config: &SchemaConfig, data: &GraphData) -> GraphLayout {
     let mut out_labels: BTreeMap<i64, BTreeSet<&str>> = BTreeMap::new();
     let mut in_labels: BTreeMap<i64, BTreeSet<&str>> = BTreeMap::new();
+    let mut labels = HashMap::new();
     for (_, src, dst, label, _) in &data.edges {
         out_labels.entry(*src).or_default().insert(label);
         in_labels.entry(*dst).or_default().insert(label);
+        if !labels.contains_key(label) {
+            labels.insert(label.clone(), Value::str(label));
+        }
     }
     GraphLayout {
         out: color_labels(
@@ -1153,6 +1150,7 @@ fn layout_for(config: &SchemaConfig, data: &GraphData) -> GraphLayout {
         ),
         out_buckets: config.out_buckets,
         in_buckets: config.in_buckets,
+        labels,
     }
 }
 

@@ -544,3 +544,65 @@ fn linkbench_reads_copy_only_the_columns_they_return() {
         assert!(plan.contains(cols), "{sql}: want {cols}\n{plan}");
     }
 }
+
+/// Heap blocks of the shared string / JSON payloads the store holds.
+fn payload_blocks(g: &SqlGraph) -> usize {
+    g.database()
+        .footprint()
+        .tables
+        .iter()
+        .map(|t| t.payloads.blocks)
+        .sum()
+}
+
+/// Online edges with a bulk-loaded label reuse its one string in the `ea`
+/// row and in both adjacency triads: each adds only its JSON document.
+#[test]
+fn online_edges_share_a_loaded_labels_string() {
+    let g = SqlGraph::with_config(SchemaConfig {
+        out_buckets: 2,
+        in_buckets: 2,
+    })
+    .unwrap();
+    let mut data = GraphData::default();
+    for v in 1..=20 {
+        data.vertices.push((v, vec![]));
+    }
+    for v in 1..=10 {
+        data.edges.push((
+            v,
+            v,
+            v + 1,
+            if v % 2 == 0 { "a" } else { "b" }.into(),
+            vec![],
+        ));
+    }
+    g.bulk_load(&data).unwrap();
+    let before = payload_blocks(&g);
+    // New adjacency rows, free triads, and single → multi migrations.
+    let edges = [
+        (12, 13, "a"),
+        (1, 3, "b"),
+        (1, 4, "b"),
+        (14, 2, "a"),
+        (2, 5, "b"),
+        (15, 16, "a"),
+    ];
+    for (src, dst, label) in edges {
+        g.add_edge(src, dst, label, []).unwrap();
+    }
+    assert_eq!(
+        payload_blocks(&g) - before,
+        edges.len(),
+        "one JSON document per edge"
+    );
+    // A label the load did not see gets strings of its own.
+    let before = payload_blocks(&g);
+    g.add_edge(3, 4, "fresh", []).unwrap();
+    assert_eq!(
+        payload_blocks(&g) - before,
+        4,
+        "a document and three strings"
+    );
+    assert_eq!(g.query("g.v(1).out('b')").unwrap().int_column().len(), 3);
+}

@@ -35,6 +35,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
         bytes: input.as_bytes(),
         pos: 0,
         depth: 0,
+        entries: Vec::new(),
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -53,6 +54,10 @@ struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
+    /// The entries of the objects being parsed, innermost last: an object
+    /// collects its entries here and moves them into a block of its own
+    /// length when it closes.
+    entries: Vec<(String, Json)>,
 }
 
 impl<'a> Parser<'a> {
@@ -130,13 +135,13 @@ impl<'a> Parser<'a> {
     fn object(&mut self) -> Result<Json, ParseError> {
         self.expect(b'{')?;
         self.depth += 1;
-        let mut obj = JsonObject::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(Json::Object(obj));
+            return Ok(Json::Object(JsonObject::new()));
         }
+        let mark = self.entries.len();
         loop {
             self.skip_ws();
             let key = self.string()?;
@@ -144,7 +149,7 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws();
             let value = self.parse_value()?;
-            obj.insert(key, value);
+            self.entries.push((key, value));
             self.skip_ws();
             match self.bump() {
                 Some(b',') => continue,
@@ -156,7 +161,7 @@ impl<'a> Parser<'a> {
             }
         }
         self.depth -= 1;
-        Ok(Json::Object(obj))
+        Ok(Json::Object(self.entries.drain(mark..).collect()))
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -363,6 +368,25 @@ mod tests {
         let doc = parse(r#"{"k": 1, "k": 2}"#).unwrap();
         assert_eq!(doc.get("k"), Some(&Json::int(2)));
         assert_eq!(doc.as_object().unwrap().len(), 1);
+        let doc = parse(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap();
+        let keys: Vec<_> = doc.as_object().unwrap().keys().collect();
+        assert_eq!(keys, ["a", "b"], "a repeated key keeps its first position");
+        assert_eq!(doc.get("a"), Some(&Json::int(3)));
+    }
+
+    #[test]
+    fn parsed_objects_end_at_their_length() {
+        for n in 1..=9 {
+            let members: Vec<String> = (0..n).map(|i| format!(r#""k{i}": {{"x": {i}}}"#)).collect();
+            let doc = parse(&format!("{{{}}}", members.join(", "))).unwrap();
+            let obj = doc.as_object().unwrap();
+            assert_eq!(obj.len(), n);
+            assert_eq!(obj.capacity(), n, "{n} keys");
+            for (_, inner) in obj.iter() {
+                let inner = inner.as_object().unwrap();
+                assert_eq!(inner.capacity(), inner.len(), "nested in {n} keys");
+            }
+        }
     }
 
     #[test]

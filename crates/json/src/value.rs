@@ -83,9 +83,15 @@ impl JsonObject {
     }
 }
 
+/// Allocated at the iterator's size hint, so an object collected from an
+/// exact-size source ends at its length. A repeated key keeps its first
+/// position and its last value, as [`JsonObject::insert`] does.
 impl FromIterator<(String, Json)> for JsonObject {
     fn from_iter<T: IntoIterator<Item = (String, Json)>>(iter: T) -> Self {
-        let mut obj = JsonObject::new();
+        let iter = iter.into_iter();
+        let mut obj = JsonObject {
+            entries: Vec::with_capacity(iter.size_hint().0),
+        };
         for (k, v) in iter {
             obj.insert(k, v);
         }
@@ -307,6 +313,25 @@ mod tests {
         obj.insert("m", Json::Null);
         let keys: Vec<_> = obj.keys().collect();
         assert_eq!(keys, ["z", "a", "m"]);
+    }
+
+    #[test]
+    fn collected_objects_end_at_their_length() {
+        for n in 1..=9 {
+            let obj: JsonObject = (0..n).map(|i| (format!("k{i}"), Json::int(i))).collect();
+            assert_eq!(obj.len(), n as usize);
+            assert_eq!(obj.capacity(), obj.len(), "{n} keys");
+        }
+    }
+
+    #[test]
+    fn a_collected_duplicate_keeps_its_first_position_and_last_value() {
+        let obj: JsonObject = [("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)]
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Json::int(v)))
+            .collect();
+        let entries: Vec<_> = obj.iter().map(|(k, v)| (k, v.as_i64().unwrap())).collect();
+        assert_eq!(entries, [("a", 3), ("b", 5), ("c", 4)]);
     }
 
     #[test]

@@ -119,18 +119,20 @@ fn encode_table(table: &Table, p: &mut Vec<u8>) {
         put_str(p, &col.name);
         p.push(column_type_tag(col.ty));
     }
-    let slots = table.slots();
-    put_u32(p, slots.len() as u32);
-    // Serialize each chain's committed-live version; a chain holding only
-    // provisional (uncommitted) versions snapshots as a tombstone — its
-    // transaction either commits into the fresh WAL segment or vanishes.
+    let slab_len = table.slab_len();
+    put_u32(p, slab_len as u32);
+    // Serialize each chain's committed-live version, at the table's arity;
+    // a chain holding only provisional (uncommitted) versions snapshots as
+    // a tombstone — its transaction either commits into the fresh WAL
+    // segment or vanishes.
     let latest = crate::txn::Snapshot::latest();
-    for slot in slots {
-        match slot.visible(latest) {
+    let mut buf = Vec::new();
+    for slot in table.scan(0..slab_len, latest) {
+        match slot {
             None => p.push(0),
             Some(row) => {
                 p.push(1);
-                put_values(p, row);
+                put_values(p, row.as_full(&mut buf));
             }
         }
     }
@@ -381,5 +383,73 @@ mod tests {
                 "truncation to {len} bytes must not load"
             );
         }
+    }
+
+    /// A row stored without its NULL tail is still written at the table's
+    /// arity: the record is byte for byte the one full-width rows make.
+    #[test]
+    fn null_tailed_rows_encode_at_the_tables_arity() {
+        let col = |name: &str| Column {
+            name: name.into(),
+            ty: ColumnType::Any,
+        };
+        let schema = TableSchema::new("w", vec![col("a"), col("b"), col("c")]).unwrap();
+        let rows = [
+            vec![Value::Int(1), Value::Null, Value::Null],
+            vec![Value::Null, Value::Null, Value::Null],
+            vec![Value::Int(3), Value::Null, Value::Int(4)],
+        ];
+        let mut t = Table::new(schema);
+        for row in &rows {
+            t.insert(row.clone()).unwrap();
+        }
+        let mut got = Vec::new();
+        encode_table(&t, &mut got);
+        let mut want = Vec::new();
+        put_str(&mut want, "w");
+        put_u32(&mut want, 3);
+        for name in ["a", "b", "c"] {
+            put_str(&mut want, name);
+            want.push(column_type_tag(ColumnType::Any));
+        }
+        put_u32(&mut want, 3);
+        for row in &rows {
+            want.push(1);
+            put_values(&mut want, row);
+        }
+        put_u32(&mut want, 0);
+        assert_eq!(got, want);
+        let back = decode_table(&got).unwrap();
+        let full = |t: &Table| t.iter().map(|(_, r)| r.to_vec()).collect::<Vec<_>>();
+        assert_eq!(full(&back), rows);
+    }
+
+    /// A reopen from the checkpoint returns the rows `SELECT *` returned.
+    #[test]
+    fn a_reopened_null_tailed_table_reads_the_same() {
+        let fs = SimFs::new();
+        let base = Path::new("/db.wal");
+        let select = |db: &crate::Database| db.execute("SELECT * FROM w").unwrap().rows;
+        let before = {
+            let db = crate::Database::open_with_vfs(base, std::sync::Arc::new(fs.clone())).unwrap();
+            db.execute("CREATE TABLE w (id INTEGER, l0 TEXT, e0 INTEGER, l1 TEXT, e1 INTEGER)")
+                .unwrap();
+            db.execute("CREATE INDEX w_e1 ON w (e1)").unwrap();
+            db.execute(
+                "INSERT INTO w VALUES (1, 'a', 10, NULL, NULL), (2, NULL, NULL, NULL, NULL), \
+                 (3, 'a', 30, 'b', 31), (4, NULL, NULL, 'b', 41)",
+            )
+            .unwrap();
+            db.execute("UPDATE w SET l1 = NULL, e1 = NULL WHERE id = 3")
+                .unwrap();
+            db.checkpoint().unwrap();
+            select(&db)
+        };
+        assert_eq!(before.len(), 4);
+        assert_eq!(before[2][4], Value::Null);
+        let db = crate::Database::open_with_vfs(base, std::sync::Arc::new(fs)).unwrap();
+        assert_eq!(select(&db), before);
+        let rel = db.execute("SELECT id FROM w WHERE e1 = 41").unwrap();
+        assert_eq!(rel.rows, vec![vec![Value::Int(4)]]);
     }
 }

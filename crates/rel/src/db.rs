@@ -1498,6 +1498,7 @@ fn find_target_rows(table: &Table, filter: Option<&Expr>, snap: Snapshot) -> Res
             |i| Ok(key[i].clone()),
             |key| {
                 let mut out = Vec::new();
+                let mut buf = Vec::new();
                 for &id in idx.lookup(key) {
                     // Postings cover every version in a chain; the full filter
                     // re-check rejects versions that no longer carry the probed
@@ -1505,7 +1506,7 @@ fn find_target_rows(table: &Table, filter: Option<&Expr>, snap: Snapshot) -> Res
                     let Some(row) = table.get_visible(id, snap) else {
                         continue;
                     };
-                    if filter.eval_bool(row)? {
+                    if filter.eval_bool(row.as_full(&mut buf))? {
                         out.push(id);
                     }
                 }
@@ -1514,8 +1515,9 @@ fn find_target_rows(table: &Table, filter: Option<&Expr>, snap: Snapshot) -> Res
         )?;
     }
     let mut out = Vec::new();
+    let mut buf = Vec::new();
     for (id, row) in table.iter_snap(snap) {
-        if filter.eval_bool(row)? {
+        if filter.eval_bool(row.as_full(&mut buf))? {
             out.push(id);
         }
     }

@@ -25,7 +25,7 @@ use crate::index::with_key;
 use crate::plan::{self, Access, Attach, FromPlan, RelInput, Step, StepExec, StepKind};
 use crate::prepared::{self, CorePlan, CoreSlot, SetPlans, StmtPlans};
 use crate::sql::ast;
-use crate::storage::Table;
+use crate::storage::{RowRef, Table};
 use crate::txn::Snapshot;
 use crate::value::Value;
 use std::hash::{Hash, Hasher};
@@ -1744,7 +1744,7 @@ fn find_index<'t>(t: &'t Table, name: &str) -> Result<&'t crate::index::Index> {
 /// keep the rows every local passes, in candidate order, stopping once
 /// `cap` rows are kept. `counts[i]` gathers local `i`'s rows in and out.
 fn scan_rows<'r>(
-    cands: impl Iterator<Item = &'r [Value]>,
+    cands: impl Iterator<Item = RowRef<'r>>,
     keep: &[usize],
     locals: &[Expr],
     cap: usize,
@@ -1758,7 +1758,7 @@ fn scan_rows<'r>(
     let mut row: Row = Vec::with_capacity(keep.len());
     'rows: for r in cands {
         row.clear();
-        row.extend(keep.iter().map(|&i| r[i].clone()));
+        row.extend(keep.iter().map(|&i| r.get(i).clone()));
         for (p, c) in locals.iter().zip(counts.iter_mut()) {
             c.0 += 1;
             if !p.eval_bool(&row)? {
@@ -1822,7 +1822,7 @@ fn exec_step(
                                     let row = t.get_posted(rid, env.snap, |row| {
                                         idx.key_matches(row, probe)
                                     })?;
-                                    Some(keep.iter().map(move |&i| row[i].clone()))
+                                    Some(keep.iter().map(move |&i| row.get(i).clone()))
                                 })
                             });
                             emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
@@ -1882,7 +1882,13 @@ fn exec_step(
                             key.len(),
                             |i| key[i].eval(&[]),
                             |probe| {
-                                let cands = idx.lookup(probe).iter().filter_map(|&rid| {
+                                // A NULL key part equals nothing: no candidates.
+                                let posted = if probe.iter().any(Value::is_null) {
+                                    &[]
+                                } else {
+                                    idx.lookup(probe)
+                                };
+                                let cands = posted.iter().filter_map(|&rid| {
                                     t.get_posted(rid, env.snap, |row| idx.key_matches(row, probe))
                                 });
                                 scan_rows(cands, keep, locals, cap, counts)
@@ -1938,11 +1944,11 @@ fn exec_step(
                         let kept = std::sync::atomic::AtomicUsize::new(0);
                         let chunks = crate::parallel::ordered_map(
                             dop,
-                            t.slots().len(),
+                            t.slab_len(),
                             crate::parallel::MORSEL_ROWS,
                             |range| -> Result<Vec<Row>> {
                                 let left = cap - kept.load(std::sync::atomic::Ordering::Relaxed);
-                                let cands = t.slots()[range].iter().filter_map(|s| s.visible(snap));
+                                let cands = t.scan(range, snap).flatten();
                                 let mut counts = vec![(0, 0); locals.len()];
                                 let out = scan_rows(cands, keep, locals, left, &mut counts)?;
                                 kept.fetch_add(out.len(), std::sync::atomic::Ordering::Relaxed);

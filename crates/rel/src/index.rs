@@ -14,6 +14,7 @@
 use crate::error::{Error, Result};
 use crate::footprint::Usage;
 use crate::hasher::FxHashMap;
+use crate::storage::RowRef;
 use crate::value::Value;
 use std::borrow::Borrow;
 use std::collections::{btree_map, hash_map, BTreeMap};
@@ -86,7 +87,7 @@ impl Postings {
 /// map of any form is probed with a `&[Value]`.
 trait SlotKey: Borrow<[Value]> + Hash + Ord {
     /// The key `parts` extract from `row`.
-    fn extract(parts: &[KeyPart], row: &[Value]) -> Self;
+    fn extract(parts: &[KeyPart], row: RowRef<'_>) -> Self;
 
     /// Heap the key owns itself, shared payloads aside.
     fn heap(&self) -> Usage {
@@ -112,19 +113,19 @@ impl Hash for Single {
 }
 
 impl SlotKey for Single {
-    fn extract(parts: &[KeyPart], row: &[Value]) -> Single {
+    fn extract(parts: &[KeyPart], row: RowRef<'_>) -> Single {
         Single(parts[0].extract(row))
     }
 }
 
 impl SlotKey for [Value; 2] {
-    fn extract(parts: &[KeyPart], row: &[Value]) -> [Value; 2] {
+    fn extract(parts: &[KeyPart], row: RowRef<'_>) -> [Value; 2] {
         [parts[0].extract(row), parts[1].extract(row)]
     }
 }
 
 impl SlotKey for Box<[Value]> {
-    fn extract(parts: &[KeyPart], row: &[Value]) -> Box<[Value]> {
+    fn extract(parts: &[KeyPart], row: RowRef<'_>) -> Box<[Value]> {
         parts.iter().map(|p| p.extract(row)).collect()
     }
 
@@ -157,7 +158,7 @@ impl<K: SlotKey> Slots<K> {
 
     /// Post `id` under `row`'s key. With `unique`, refuse (false) instead
     /// when the key already has a posting.
-    fn post(&mut self, parts: &[KeyPart], row: &[Value], id: RowId, unique: bool) -> bool {
+    fn post(&mut self, parts: &[KeyPart], row: RowRef<'_>, id: RowId, unique: bool) -> bool {
         let key = K::extract(parts, row);
         let postings = match self {
             Slots::Hash(m) => match m.entry(key) {
@@ -183,7 +184,7 @@ impl<K: SlotKey> Slots<K> {
     }
 
     /// Drop `id`'s posting under `row`'s key, and the slot if it empties.
-    fn unpost(&mut self, parts: &[KeyPart], row: &[Value], id: RowId) {
+    fn unpost(&mut self, parts: &[KeyPart], row: RowRef<'_>, id: RowId) {
         let key = K::extract(parts, row);
         let key: &[Value] = key.borrow();
         match self {
@@ -208,7 +209,7 @@ impl<K: SlotKey> Slots<K> {
         .map_or(&[], Postings::as_slice)
     }
 
-    fn get_row(&self, parts: &[KeyPart], row: &[Value]) -> &[RowId] {
+    fn get_row(&self, parts: &[KeyPart], row: RowRef<'_>) -> &[RowId] {
         self.get(K::extract(parts, row).borrow())
     }
 
@@ -310,26 +311,26 @@ impl KeyPart {
 
     /// Whether this part of `row` equals `key` — a plain column is compared
     /// in place, with no clone.
-    fn matches(&self, row: &[Value], key: &Value) -> bool {
+    fn matches(&self, row: RowRef<'_>, key: &Value) -> bool {
         match self {
-            KeyPart::Column(c) => row[*c] == *key,
+            KeyPart::Column(c) => row.get(*c) == key,
             KeyPart::JsonKey(..) => self.extract(row) == *key,
         }
     }
 
     /// Whether rows `a` and `b` carry the same value for this part.
-    fn same(&self, a: &[Value], b: &[Value]) -> bool {
+    fn same(&self, a: RowRef<'_>, b: RowRef<'_>) -> bool {
         match self {
-            KeyPart::Column(c) => a[*c] == b[*c],
+            KeyPart::Column(c) => a.get(*c) == b.get(*c),
             KeyPart::JsonKey(..) => self.extract(a) == self.extract(b),
         }
     }
 
-    /// Evaluate against a full table row.
-    pub fn extract(&self, row: &[Value]) -> Value {
+    /// Evaluate against a table row.
+    pub fn extract(&self, row: RowRef<'_>) -> Value {
         match self {
-            KeyPart::Column(c) => row[*c].clone(),
-            KeyPart::JsonKey(c, key) => match &row[*c] {
+            KeyPart::Column(c) => row.get(*c).clone(),
+            KeyPart::JsonKey(c, key) => match row.get(*c) {
                 Value::Json(doc) => doc
                     .get(key)
                     .map(crate::expr::json_to_value)
@@ -401,23 +402,23 @@ impl Index {
 
     /// An owned copy of `row`'s key under this index. The index itself
     /// never builds one: it extracts straight into its slot form.
-    pub fn key_of(&self, row: &[Value]) -> Vec<Value> {
+    pub fn key_of(&self, row: RowRef<'_>) -> Vec<Value> {
         self.parts.iter().map(|p| p.extract(row)).collect()
     }
 
     /// Whether `row`'s key equals `key`, compared part by part in place.
-    pub(crate) fn key_matches(&self, row: &[Value], key: &[Value]) -> bool {
+    pub(crate) fn key_matches(&self, row: RowRef<'_>, key: &[Value]) -> bool {
         self.parts.len() == key.len() && self.parts.iter().zip(key).all(|(p, k)| p.matches(row, k))
     }
 
     /// Whether rows `a` and `b` carry the same key, compared in place.
-    pub(crate) fn same_key(&self, a: &[Value], b: &[Value]) -> bool {
+    pub(crate) fn same_key(&self, a: RowRef<'_>, b: RowRef<'_>) -> bool {
         self.parts.iter().all(|p| p.same(a, b))
     }
 
     /// Insert `row_id` under the key extracted from `row`.
     /// Unique violations report the index name.
-    pub fn insert(&mut self, row: &[Value], row_id: RowId) -> Result<()> {
+    pub fn insert(&mut self, row: RowRef<'_>, row_id: RowId) -> Result<()> {
         let (parts, unique) = (&self.parts, self.unique);
         if slots!(&mut self.map, s => s.post(parts, row, row_id, unique)) {
             return Ok(());
@@ -432,19 +433,19 @@ impl Index {
     /// paths use this: a unique index legitimately holds postings for
     /// several *versions* carrying the same key, so uniqueness is enforced
     /// at the table level against version liveness instead.
-    pub fn add(&mut self, row: &[Value], row_id: RowId) {
+    pub fn add(&mut self, row: RowRef<'_>, row_id: RowId) {
         let parts = &self.parts;
         slots!(&mut self.map, s => s.post(parts, row, row_id, false));
     }
 
     /// Remove `row_id` under the key extracted from `row`. No-op if absent.
-    pub fn remove(&mut self, row: &[Value], row_id: RowId) {
+    pub fn remove(&mut self, row: RowRef<'_>, row_id: RowId) {
         let parts = &self.parts;
         slots!(&mut self.map, s => s.unpost(parts, row, row_id));
     }
 
     /// Row IDs posted under `row`'s key.
-    pub(crate) fn postings_of(&self, row: &[Value]) -> &[RowId] {
+    pub(crate) fn postings_of(&self, row: RowRef<'_>) -> &[RowId] {
         slots!(&self.map, s => s.get_row(&self.parts, row))
     }
 
@@ -513,19 +514,23 @@ mod tests {
         vals.iter().map(|&v| Value::Int(v)).collect()
     }
 
+    fn at(row: &[Value]) -> RowRef<'_> {
+        RowRef::from(row)
+    }
+
     #[test]
     fn hash_insert_lookup_remove() {
         let mut idx = Index::new("i", vec![0], false, IndexKind::Hash);
-        idx.insert(&row(&[5, 10]), 0).unwrap();
-        idx.insert(&row(&[5, 20]), 1).unwrap();
-        idx.insert(&row(&[6, 30]), 2).unwrap();
+        idx.insert(at(&row(&[5, 10])), 0).unwrap();
+        idx.insert(at(&row(&[5, 20])), 1).unwrap();
+        idx.insert(at(&row(&[6, 30])), 2).unwrap();
         let key = [Value::Int(5)];
         let mut ids = idx.lookup(&key).to_vec();
         ids.sort_unstable();
         assert_eq!(ids, [0, 1]);
-        idx.remove(&row(&[5, 10]), 0);
+        idx.remove(at(&row(&[5, 10])), 0);
         assert_eq!(idx.lookup(&key), [1]);
-        idx.remove(&row(&[5, 20]), 1);
+        idx.remove(at(&row(&[5, 20])), 1);
         assert!(idx.lookup(&key).is_empty());
         assert_eq!(idx.distinct_keys(), 1);
     }
@@ -533,17 +538,17 @@ mod tests {
     #[test]
     fn unique_violation() {
         let mut idx = Index::new("pk", vec![0], true, IndexKind::Hash);
-        idx.insert(&row(&[1]), 0).unwrap();
-        assert!(idx.insert(&row(&[1]), 1).is_err());
+        idx.insert(at(&row(&[1])), 0).unwrap();
+        assert!(idx.insert(at(&row(&[1])), 1).is_err());
         // Distinct key is fine.
-        idx.insert(&row(&[2]), 1).unwrap();
+        idx.insert(at(&row(&[2])), 1).unwrap();
     }
 
     #[test]
     fn composite_keys() {
         let mut idx = Index::new("c", vec![0, 1], false, IndexKind::Hash);
-        idx.insert(&row(&[1, 2]), 0).unwrap();
-        idx.insert(&row(&[1, 3]), 1).unwrap();
+        idx.insert(at(&row(&[1, 2])), 0).unwrap();
+        idx.insert(at(&row(&[1, 3])), 1).unwrap();
         assert_eq!(idx.lookup(&[Value::Int(1), Value::Int(2)]), [0]);
         assert!(idx.lookup(&[Value::Int(1)]).is_empty());
     }
@@ -553,7 +558,7 @@ mod tests {
         for cols in [vec![0], vec![0, 1], vec![0, 1, 2]] {
             for kind in [IndexKind::Hash, IndexKind::BTree] {
                 let mut idx = Index::new("n", cols.clone(), false, kind);
-                idx.insert(&row(&[3, 3, 3]), 0).unwrap();
+                idx.insert(at(&row(&[3, 3, 3])), 0).unwrap();
                 let probe = vec![Value::Double(3.0); cols.len()];
                 assert_eq!(idx.lookup(&probe), [0], "{cols:?} {kind:?}");
             }
@@ -573,7 +578,7 @@ mod tests {
     fn btree_range() {
         let mut idx = Index::new("b", vec![0], false, IndexKind::BTree);
         for (i, v) in [10, 20, 30, 40].iter().enumerate() {
-            idx.insert(&row(&[*v]), i).unwrap();
+            idx.insert(at(&row(&[*v])), i).unwrap();
         }
         let lo = [Value::Int(15)];
         let hi = [Value::Int(35)];
@@ -589,7 +594,7 @@ mod tests {
     fn a_prefix_bound_orders_before_its_longer_keys() {
         let mut idx = Index::new("b2", vec![0, 1], false, IndexKind::BTree);
         for (i, (a, b)) in [(1, 5), (2, 1), (2, 9), (3, 0)].iter().enumerate() {
-            idx.insert(&row(&[*a, *b]), i).unwrap();
+            idx.insert(at(&row(&[*a, *b])), i).unwrap();
         }
         let two = [Value::Int(2)];
         assert_eq!(range_ids(&idx, Some(&two), None), [1, 2, 3]);
@@ -605,9 +610,9 @@ mod tests {
     #[test]
     fn mixed_type_keys_ordered() {
         let mut idx = Index::new("m", vec![0], false, IndexKind::BTree);
-        idx.insert(&[Value::str("b")], 0).unwrap();
-        idx.insert(&[Value::Int(1)], 1).unwrap();
-        idx.insert(&[Value::Null], 2).unwrap();
+        idx.insert(at(&[Value::str("b")]), 0).unwrap();
+        idx.insert(at(&[Value::Int(1)]), 1).unwrap();
+        idx.insert(at(&[Value::Null]), 2).unwrap();
         // Total order: NULL < numbers < strings.
         assert_eq!(range_ids(&idx, None, None), [2, 1, 0]);
     }
@@ -634,12 +639,12 @@ mod tests {
         for cols in [vec![0], vec![0, 1]] {
             let mut idx = Index::new("k", cols, false, IndexKind::Hash);
             for i in 0..100 {
-                idx.insert(&row(&[i, i]), i as RowId).unwrap();
+                idx.insert(at(&row(&[i, i])), i as RowId).unwrap();
             }
             assert_eq!(owned_blocks(&idx), 0);
         }
         let mut wide = Index::new("w", vec![0, 1, 2], false, IndexKind::Hash);
-        wide.insert(&row(&[1, 2, 3]), 0).unwrap();
+        wide.insert(at(&row(&[1, 2, 3])), 0).unwrap();
         assert_eq!(owned_blocks(&wide), 1, "a three-part key owns one block");
     }
 
@@ -647,11 +652,11 @@ mod tests {
     fn a_second_posting_spills_and_returns_inline() {
         let mut idx = Index::new("s", vec![0, 1], false, IndexKind::Hash);
         let r = row(&[1, 2]);
-        idx.insert(&r, 7).unwrap();
+        idx.insert(at(&r), 7).unwrap();
         assert_eq!(owned_blocks(&idx), 0);
-        idx.insert(&r, 8).unwrap();
+        idx.insert(at(&r), 8).unwrap();
         assert_eq!(owned_blocks(&idx), 1);
-        idx.remove(&r, 8);
+        idx.remove(at(&r), 8);
         assert_eq!(owned_blocks(&idx), 0);
         assert_eq!(idx.lookup(&r), [7]);
     }
@@ -665,15 +670,15 @@ mod tests {
             }
         };
         for id in 0..40 {
-            idx.insert(&row(&[id as i64 % 3]), id).unwrap();
+            idx.insert(at(&row(&[id as i64 % 3])), id).unwrap();
             check(&idx);
         }
         for id in (0..40).step_by(4) {
-            idx.remove(&row(&[id as i64 % 3]), id);
+            idx.remove(at(&row(&[id as i64 % 3])), id);
             check(&idx);
         }
         for id in 0..40 {
-            idx.remove(&row(&[id as i64 % 3]), id);
+            idx.remove(at(&row(&[id as i64 % 3])), id);
             check(&idx);
         }
         assert_eq!(idx.distinct_keys(), 0);

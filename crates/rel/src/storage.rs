@@ -7,6 +7,12 @@
 //! tombstone. `RowId`s are slab positions and stay stable for index
 //! entries and undo logs.
 //!
+//! A version stores its row only up to the last non-NULL column: the wide
+//! `OPA`/`IPA` rows of §3.2 are mostly empty label triads, and a NULL past
+//! the last value costs nothing. Readers never see the stored prefix
+//! itself, only a [`RowRef`], which reads NULL from there to the table's
+//! arity.
+//!
 //! Two mutation APIs coexist:
 //!
 //! * the **destructive** API (`insert`/`delete`/`update`) edits
@@ -31,54 +37,168 @@ use crate::index::{Index, IndexKind, KeyPart, RowId};
 use crate::schema::TableSchema;
 use crate::txn::{self, Snapshot};
 use crate::value::Value;
+use std::fmt;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// One version of a row: the payload plus its validity interval.
+/// What a stored row reads past its stored prefix.
+static NULL: Value = Value::Null;
+
+/// A stored row as readers see it: the stored prefix, then NULL up to the
+/// table's arity. It indexes and iterates as the full-width row.
+#[derive(Clone, Copy)]
+pub struct RowRef<'a> {
+    stored: &'a [Value],
+    arity: usize,
+}
+
+impl<'a> RowRef<'a> {
+    /// The number of columns: the table's arity.
+    pub fn len(self) -> usize {
+        self.arity
+    }
+
+    /// True for a row of no columns.
+    pub fn is_empty(self) -> bool {
+        self.arity == 0
+    }
+
+    /// Column `i`, NULL past the stored prefix. Panics at or past the
+    /// arity, as a slice index does.
+    #[inline]
+    pub fn get(self, i: usize) -> &'a Value {
+        match self.stored.get(i) {
+            Some(v) => v,
+            None => {
+                assert!(i < self.arity, "column {i} of a row of {}", self.arity);
+                &NULL
+            }
+        }
+    }
+
+    /// Every column, in order.
+    pub fn iter(self) -> impl ExactSizeIterator<Item = &'a Value> {
+        (0..self.arity).map(move |i| self.get(i))
+    }
+
+    /// An owned copy of the full-width row.
+    pub fn to_vec(self) -> Vec<Value> {
+        let mut row = Vec::with_capacity(self.arity);
+        row.extend_from_slice(self.stored);
+        row.resize(self.arity, Value::Null);
+        row
+    }
+
+    /// The full-width row as a slice: the stored prefix itself when it has
+    /// every column, else a NULL-padded copy in `buf`, which the caller
+    /// reuses from row to row.
+    pub(crate) fn as_full<'b>(self, buf: &'b mut Vec<Value>) -> &'b [Value]
+    where
+        'a: 'b,
+    {
+        if self.stored.len() == self.arity {
+            return self.stored;
+        }
+        buf.clear();
+        buf.extend_from_slice(self.stored);
+        buf.resize(self.arity, Value::Null);
+        buf
+    }
+}
+
+/// A full-width row, not yet stored.
+impl<'a> From<&'a [Value]> for RowRef<'a> {
+    fn from(row: &'a [Value]) -> RowRef<'a> {
+        RowRef {
+            stored: row,
+            arity: row.len(),
+        }
+    }
+}
+
+impl std::ops::Index<usize> for RowRef<'_> {
+    type Output = Value;
+
+    fn index(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+}
+
+impl fmt::Debug for RowRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// One version of a row: the stored prefix plus its validity interval.
 ///
 /// `begin`/`end` are atomics so commit stamping (marker → timestamp) can
 /// run under a table *read* lock while scans proceed; the stores are
 /// simple releases, and every transition is from-marker-to-final.
 #[derive(Debug)]
-pub struct Version {
+struct Version {
     begin: AtomicU64,
     end: AtomicU64,
+    /// The row up to its last non-NULL column.
     row: Box<[Value]>,
 }
 
 impl Version {
-    fn committed(row: Box<[Value]>) -> Version {
+    /// A version of the full-width `row`, stamped `begin`. Only the values
+    /// up to the last non-NULL column are kept, in a block of exactly that
+    /// length: a fresh one (a `Drain` is never collected in place), since
+    /// shrinking `row`'s block would leave a hole the next full-width row
+    /// cannot reuse. An all-NULL row keeps no block at all.
+    fn new(mut row: Vec<Value>, begin: u64) -> Version {
+        let n = row.iter().rposition(|v| !v.is_null()).map_or(0, |i| i + 1);
+        let row = if n == row.len() {
+            row.into_boxed_slice()
+        } else {
+            row.truncate(n);
+            row.drain(..).collect()
+        };
         Version {
-            begin: AtomicU64::new(0),
+            begin: AtomicU64::new(begin),
             end: AtomicU64::new(txn::TS_INF),
             row,
         }
     }
 
-    fn provisional(row: Box<[Value]>, token: u64) -> Version {
-        Version {
-            begin: AtomicU64::new(txn::marker(token)),
-            end: AtomicU64::new(txn::TS_INF),
-            row,
+    fn committed(row: Vec<Value>) -> Version {
+        Version::new(row, 0)
+    }
+
+    fn provisional(row: Vec<Value>, token: u64) -> Version {
+        Version::new(row, txn::marker(token))
+    }
+
+    /// The row, read at `arity` columns.
+    fn row(&self, arity: usize) -> RowRef<'_> {
+        RowRef {
+            stored: &self.row,
+            arity,
         }
     }
 
-    /// The row payload.
-    pub fn row(&self) -> &[Value] {
-        &self.row
+    /// The full-width row, consuming the version.
+    fn into_row(self, arity: usize) -> Vec<Value> {
+        let mut row = self.row.into_vec();
+        row.resize(arity, Value::Null);
+        row
     }
 
     /// Creation stamp: commit timestamp or provisional marker.
-    pub fn begin(&self) -> u64 {
+    fn begin(&self) -> u64 {
         self.begin.load(Ordering::Acquire)
     }
 
     /// Deletion stamp: `TS_INF` while live.
-    pub fn end(&self) -> u64 {
+    fn end(&self) -> u64 {
         self.end.load(Ordering::Acquire)
     }
 
     /// Whether `snap` sees this version.
-    pub fn visible(&self, snap: Snapshot) -> bool {
+    fn visible(&self, snap: Snapshot) -> bool {
         snap.sees(self.begin(), self.end())
     }
 
@@ -90,6 +210,48 @@ impl Version {
     }
 }
 
+/// One version of a stored chain, for introspection ([`Table::slots`]).
+#[derive(Clone, Copy)]
+pub struct VersionRef<'a> {
+    version: &'a Version,
+    arity: usize,
+}
+
+impl<'a> VersionRef<'a> {
+    /// Creation stamp: commit timestamp or provisional marker.
+    pub fn begin(self) -> u64 {
+        self.version.begin()
+    }
+
+    /// Deletion stamp: `TS_INF` while live.
+    pub fn end(self) -> u64 {
+        self.version.end()
+    }
+
+    /// The version's row.
+    pub fn row(self) -> RowRef<'a> {
+        self.version.row(self.arity)
+    }
+}
+
+/// One slab slot's version chain, for introspection ([`Table::slots`]).
+#[derive(Clone, Copy)]
+pub struct SlotRef<'a> {
+    slot: &'a Slot,
+    arity: usize,
+}
+
+impl<'a> SlotRef<'a> {
+    /// The chain's versions, oldest → newest; none for a tombstone.
+    pub fn versions(self) -> impl ExactSizeIterator<Item = VersionRef<'a>> {
+        let arity = self.arity;
+        self.slot
+            .versions()
+            .iter()
+            .map(move |version| VersionRef { version, arity })
+    }
+}
+
 /// A row's version chain, oldest → newest. Empty = tombstone.
 ///
 /// A chain of exactly one version — nearly every row that is not being
@@ -97,7 +259,7 @@ impl Version {
 /// slab entry and no heap vector; longer chains spill to a `Vec`. Every
 /// mutation keeps that normal form: `Many` never holds exactly one version.
 #[derive(Debug)]
-pub struct Slot(Chain);
+struct Slot(Chain);
 
 #[derive(Debug)]
 enum Chain {
@@ -123,16 +285,12 @@ impl Slot {
     /// The version `snap` sees, if any. At most one version of a chain is
     /// visible to a given snapshot; scan newest-first since recent
     /// snapshots want recent versions.
-    pub fn visible(&self, snap: Snapshot) -> Option<&[Value]> {
-        self.versions()
-            .iter()
-            .rev()
-            .find(|v| v.visible(snap))
-            .map(Version::row)
+    fn visible(&self, snap: Snapshot) -> Option<&Version> {
+        self.versions().iter().rev().find(|v| v.visible(snap))
     }
 
     /// All versions, oldest → newest.
-    pub fn versions(&self) -> &[Version] {
+    fn versions(&self) -> &[Version] {
         match &self.0 {
             Chain::One(v) => std::slice::from_ref(v),
             Chain::Many(vs) => vs,
@@ -272,7 +430,7 @@ impl Table {
                 None => rows.push(Slot::default()),
                 Some(mut row) => {
                     schema.check_row(&mut row)?;
-                    rows.push(Slot(Chain::One(Version::committed(row.into_boxed_slice()))));
+                    rows.push(Slot(Chain::One(Version::committed(row))));
                     live += 1;
                 }
             }
@@ -288,6 +446,11 @@ impl Table {
             last_commit_ts: std::sync::atomic::AtomicU64::new(0),
             ending: Vec::new(),
         })
+    }
+
+    /// The number of columns every row reads at.
+    fn arity(&self) -> usize {
+        self.schema.arity()
     }
 
     /// Install analyzed statistics (see [`crate::stats::TableStats`]).
@@ -348,13 +511,14 @@ impl Table {
     }
 
     /// Fetch a row as of the all-committed view.
-    pub fn get(&self, id: RowId) -> Option<&[Value]> {
+    pub fn get(&self, id: RowId) -> Option<RowRef<'_>> {
         self.get_visible(id, Snapshot::latest())
     }
 
     /// Fetch the version of row `id` visible to `snap`, if any.
-    pub fn get_visible(&self, id: RowId, snap: Snapshot) -> Option<&[Value]> {
-        self.rows.get(id).and_then(|s| s.visible(snap))
+    pub fn get_visible(&self, id: RowId, snap: Snapshot) -> Option<RowRef<'_>> {
+        let arity = self.arity();
+        self.rows.get(id)?.visible(snap).map(|v| v.row(arity))
     }
 
     /// The version of row `id` that `snap` sees, if `matches` accepts it.
@@ -366,37 +530,51 @@ impl Table {
         &self,
         id: RowId,
         snap: Snapshot,
-        matches: impl FnOnce(&[Value]) -> bool,
-    ) -> Option<&[Value]> {
+        matches: impl FnOnce(RowRef<'_>) -> bool,
+    ) -> Option<RowRef<'_>> {
+        let arity = self.arity();
         match &self.rows.get(id)?.0 {
-            Chain::One(v) => v.visible(snap).then(|| v.row()),
+            Chain::One(v) => v.visible(snap).then(|| v.row(arity)),
             Chain::Many(vs) => vs
                 .iter()
                 .rev()
                 .find(|v| v.visible(snap))
-                .map(Version::row)
-                .filter(|row| matches(row)),
+                .map(|v| v.row(arity))
+                .filter(|&row| matches(row)),
         }
     }
 
-    /// Raw slab access for morsel-parallel scans: slot `i` is row id `i`'s
-    /// version chain. Workers slice disjoint ranges of this slab so a
-    /// parallel scan visits rows in exactly `iter()`'s order.
-    pub fn slots(&self) -> &[Slot] {
-        &self.rows
+    /// The version `snap` sees of each slot in `range`, in slab order:
+    /// `None` for a slot it sees none of. Morsel-parallel scans read
+    /// disjoint ranges, so together they visit rows in `iter()`'s order.
+    pub(crate) fn scan(
+        &self,
+        range: Range<RowId>,
+        snap: Snapshot,
+    ) -> impl Iterator<Item = Option<RowRef<'_>>> {
+        let arity = self.arity();
+        self.rows[range]
+            .iter()
+            .map(move |s| s.visible(snap).map(|v| v.row(arity)))
+    }
+
+    /// Every slab slot's version chain, in row-id order: an introspection
+    /// view for invariant checks.
+    pub fn slots(&self) -> impl ExactSizeIterator<Item = SlotRef<'_>> {
+        let arity = self.arity();
+        self.rows.iter().map(move |slot| SlotRef { slot, arity })
     }
 
     /// Iterate `(RowId, row)` over rows in the all-committed view.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value])> {
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, RowRef<'_>)> {
         self.iter_snap(Snapshot::latest())
     }
 
     /// Iterate `(RowId, row)` over rows visible to `snap`.
-    pub fn iter_snap(&self, snap: Snapshot) -> impl Iterator<Item = (RowId, &[Value])> {
-        self.rows
-            .iter()
+    pub fn iter_snap(&self, snap: Snapshot) -> impl Iterator<Item = (RowId, RowRef<'_>)> {
+        self.scan(0..self.rows.len(), snap)
             .enumerate()
-            .filter_map(move |(id, s)| s.visible(snap).map(|row| (id, row)))
+            .filter_map(|(id, row)| Some((id, row?)))
     }
 
     // ------------------------------------------------------------------
@@ -412,27 +590,28 @@ impl Table {
     pub fn insert(&mut self, mut row: Vec<Value>) -> Result<RowId> {
         self.schema.check_row(&mut row)?;
         let id = self.rows.len();
+        let full = RowRef::from(&row[..]);
         for i in 0..self.indexes.len() {
-            if let Err(e) = self.indexes[i].insert(&row, id) {
+            if let Err(e) = self.indexes[i].insert(full, id) {
                 for j in 0..i {
-                    self.indexes[j].remove(&row, id);
+                    self.indexes[j].remove(full, id);
                 }
                 return Err(e);
             }
         }
-        self.rows
-            .push(Slot(Chain::One(Version::committed(row.into_boxed_slice()))));
+        self.rows.push(Slot(Chain::One(Version::committed(row))));
         self.live += 1;
         self.bump_version();
         Ok(id)
     }
 
     /// Delete a row by id, discarding its whole version chain. Returns the
-    /// newest version's values.
+    /// newest version's values, at full width.
     pub fn delete(&mut self, id: RowId) -> Result<Vec<Value>> {
         if id >= self.rows.len() {
             return Err(Error::Invalid(format!("row {id} out of range")));
         }
+        let arity = self.arity();
         let mut versions = self.rows[id].take();
         if versions.is_empty() {
             return Err(Error::Invalid(format!("row {id} already deleted")));
@@ -441,7 +620,7 @@ impl Table {
             for idx in &mut self.indexes {
                 // Postings are deduplicated per chain; removing a key twice
                 // is a no-op.
-                idx.remove(v.row(), id);
+                idx.remove(v.row(arity), id);
             }
         }
         let newest = versions.pop().expect("chain checked non-empty");
@@ -449,11 +628,11 @@ impl Table {
             self.live -= 1;
         }
         self.bump_version();
-        Ok(newest.row.into_vec())
+        Ok(newest.into_row(arity))
     }
 
     /// Replace a row in place with a single committed version, updating
-    /// indexes. Returns the newest old values.
+    /// indexes. Returns the newest old values, at full width.
     pub fn update(&mut self, id: RowId, mut new_row: Vec<Value>) -> Result<Vec<Value>> {
         self.schema.check_row(&mut new_row)?;
         if self
@@ -466,32 +645,34 @@ impl Table {
         }
         // Drop the old chain's postings, then insert the new key set with
         // unique checks; on a violation repost the old chain's keys.
+        let arity = self.arity();
         let old = self.rows[id].versions();
         for idx in &mut self.indexes {
             for v in old {
                 // Removing a key twice is a no-op.
-                idx.remove(v.row(), id);
+                idx.remove(v.row(arity), id);
             }
         }
+        let full = RowRef::from(&new_row[..]);
         for i in 0..self.indexes.len() {
-            if let Err(e) = self.indexes[i].insert(&new_row, id) {
+            if let Err(e) = self.indexes[i].insert(full, id) {
                 for j in 0..i {
-                    self.indexes[j].remove(&new_row, id);
+                    self.indexes[j].remove(full, id);
                 }
                 for idx in &mut self.indexes {
-                    post_chain(idx, old, id);
+                    post_chain(idx, old, id, arity);
                 }
                 return Err(e);
             }
         }
         let newest = std::mem::replace(
             &mut self.rows[id],
-            Slot(Chain::One(Version::committed(new_row.into_boxed_slice()))),
+            Slot(Chain::One(Version::committed(new_row))),
         )
         .pop()
         .expect("liveness checked above");
         self.bump_version();
-        Ok(newest.row.into_vec())
+        Ok(newest.into_row(arity))
     }
 
     // ------------------------------------------------------------------
@@ -504,15 +685,16 @@ impl Table {
     /// live (`end == TS_INF`) in the *current state* — the newest committed
     /// or provisionally written state, not the transaction's snapshot —
     /// matching the write-time first-updater-wins discipline.
-    fn check_unique_mvcc(&self, idx_i: usize, row: &[Value], token: u64) -> Result<()> {
+    fn check_unique_mvcc(&self, idx_i: usize, row: RowRef<'_>, token: u64) -> Result<()> {
         let idx = &self.indexes[idx_i];
         if !idx.unique {
             return Ok(());
         }
+        let arity = self.arity();
         let own = txn::marker(token);
         for &rid in idx.postings_of(row) {
             for v in self.rows[rid].versions() {
-                if !idx.same_key(v.row(), row) {
+                if !idx.same_key(v.row(arity), row) {
                     continue;
                 }
                 let e = v.end();
@@ -548,16 +730,14 @@ impl Table {
     pub fn mvcc_insert(&mut self, mut row: Vec<Value>, token: u64) -> Result<RowId> {
         self.schema.check_row(&mut row)?;
         for i in 0..self.indexes.len() {
-            self.check_unique_mvcc(i, &row, token)?;
+            self.check_unique_mvcc(i, RowRef::from(&row[..]), token)?;
         }
         let id = self.rows.len();
         for idx in &mut self.indexes {
-            idx.add(&row, id);
+            idx.add(RowRef::from(&row[..]), id);
         }
-        self.rows.push(Slot(Chain::One(Version::provisional(
-            row.into_boxed_slice(),
-            token,
-        ))));
+        self.rows
+            .push(Slot(Chain::One(Version::provisional(row, token))));
         self.live += 1;
         self.bump_version();
         Ok(id)
@@ -590,6 +770,8 @@ impl Table {
         snap: Snapshot,
     ) -> Result<()> {
         self.schema.check_row(&mut new_row)?;
+        let arity = self.arity();
+        let new = RowRef::from(&new_row[..]);
         {
             let v = self
                 .rows
@@ -601,10 +783,10 @@ impl Table {
                 if !self.indexes[i].unique {
                     continue;
                 }
-                if self.indexes[i].same_key(v.row(), &new_row) {
+                if self.indexes[i].same_key(v.row(arity), new) {
                     continue;
                 }
-                self.check_unique_mvcc(i, &new_row, token)?;
+                self.check_unique_mvcc(i, new, token)?;
             }
         }
         // Postings only for keys the chain doesn't already cover.
@@ -614,7 +796,7 @@ impl Table {
                 !self.rows[id]
                     .versions()
                     .iter()
-                    .any(|v| idx.same_key(v.row(), &new_row))
+                    .any(|v| idx.same_key(v.row(arity), new))
             })
             .collect();
         let own = txn::marker(token);
@@ -623,10 +805,10 @@ impl Table {
             .expect("liveness checked above")
             .end
             .store(own, Ordering::Release);
-        slot.push(Version::provisional(new_row.into_boxed_slice(), token));
-        let new_row = slot.latest().expect("just pushed").row();
+        slot.push(Version::provisional(new_row, token));
+        let new = slot.latest().expect("just pushed").row(arity);
         for i in to_add {
-            self.indexes[i].add(new_row, id);
+            self.indexes[i].add(new, id);
         }
         self.ending.push(id);
         self.bump_version();
@@ -639,7 +821,7 @@ impl Table {
             .pop()
             .expect("rollback insert: version exists");
         debug_assert_eq!(v.begin(), txn::marker(token));
-        self.unindex_unless_shared(id, v.row());
+        self.unindex_unless_shared(id, &v);
         self.live -= 1;
         self.bump_version();
     }
@@ -662,7 +844,7 @@ impl Table {
             .pop()
             .expect("rollback update: successor exists");
         debug_assert_eq!(v.begin(), txn::marker(token));
-        self.unindex_unless_shared(id, v.row());
+        self.unindex_unless_shared(id, &v);
         let prev = self.rows[id]
             .latest()
             .expect("rollback update: predecessor exists");
@@ -730,17 +912,19 @@ impl Table {
             self.rows[id].take().into_iter().partition(dead);
         self.rows[id] = Slot::from_versions(kept);
         for v in &removed {
-            self.unindex_unless_shared(id, v.row());
+            self.unindex_unless_shared(id, v);
         }
         removed.len()
     }
 
-    /// Drop row `id`'s postings for `row`'s keys, unless another surviving
-    /// version of the chain still carries the key.
-    fn unindex_unless_shared(&mut self, id: RowId, row: &[Value]) {
+    /// Drop row `id`'s postings for the keys of `gone`, a version no longer
+    /// in its chain, unless a surviving version still carries the key.
+    fn unindex_unless_shared(&mut self, id: RowId, gone: &Version) {
+        let arity = self.arity();
+        let row = gone.row(arity);
         let survivors = self.rows[id].versions();
         for idx in &mut self.indexes {
-            if !survivors.iter().any(|v| idx.same_key(v.row(), row)) {
+            if !survivors.iter().any(|v| idx.same_key(v.row(arity), row)) {
                 idx.remove(row, id);
             }
         }
@@ -779,23 +963,22 @@ impl Table {
         if self.indexes.iter().any(|i| i.name == name) {
             return Err(Error::Schema(format!("index '{name}' already exists")));
         }
-        if parts.iter().any(|p| p.column() >= self.schema.arity()) {
+        let arity = self.arity();
+        if parts.iter().any(|p| p.column() >= arity) {
             return Err(Error::Schema(format!(
                 "index '{name}' references a column out of range"
             )));
         }
-        let latest = Snapshot::latest();
         let mut idx = Index::with_parts(name, parts, unique, kind);
         for (id, slot) in self.rows.iter().enumerate() {
             if unique {
                 // Chains before this one are posted: a live one holding
                 // this chain's live key is a duplicate.
-                if let Some(row) = slot.visible(latest) {
-                    let taken = idx.postings_of(row).iter().any(|&other| {
-                        self.rows[other]
-                            .visible(latest)
-                            .is_some_and(|o| idx.same_key(o, row))
-                    });
+                if let Some(row) = self.get(id) {
+                    let taken = idx
+                        .postings_of(row)
+                        .iter()
+                        .any(|&other| self.get(other).is_some_and(|o| idx.same_key(o, row)));
                     if taken {
                         return Err(Error::Schema(format!(
                             "unique index '{}' violated",
@@ -804,7 +987,7 @@ impl Table {
                     }
                 }
             }
-            post_chain(&mut idx, slot.versions(), id);
+            post_chain(&mut idx, slot.versions(), id, arity);
         }
         self.indexes.push(idx);
         self.bump_version();
@@ -856,7 +1039,8 @@ impl Table {
     }
 
     /// This table's heap by structure (see [`crate::footprint`]). Shared
-    /// payloads already in `payloads` are not counted again.
+    /// payloads already in `payloads` are not counted again. A row counts
+    /// its stored prefix only.
     pub(crate) fn footprint(&self, payloads: &mut Payloads) -> TableFootprint {
         let mut fp = TableFootprint {
             name: self.schema.name.clone(),
@@ -886,10 +1070,14 @@ impl Table {
 }
 
 /// Post row `id` under each distinct key among `versions`, once per key.
-fn post_chain(idx: &mut Index, versions: &[Version], id: RowId) {
+fn post_chain(idx: &mut Index, versions: &[Version], id: RowId, arity: usize) {
     for (i, v) in versions.iter().enumerate() {
-        if !versions[..i].iter().any(|w| idx.same_key(w.row(), v.row())) {
-            idx.add(v.row(), id);
+        let row = v.row(arity);
+        if !versions[..i]
+            .iter()
+            .any(|w| idx.same_key(w.row(arity), row))
+        {
+            idx.add(row, id);
         }
     }
 }
@@ -994,6 +1182,10 @@ mod tests {
 
     fn snap(ts: u64, token: u64) -> Snapshot {
         Snapshot { ts, token }
+    }
+
+    fn chain_len(t: &Table, id: RowId) -> usize {
+        t.rows[id].versions().len()
     }
 
     #[test]
@@ -1119,23 +1311,23 @@ mod tests {
         t.mvcc_update(id, vec![Value::Int(3), Value::str("v2")], 2, snap(2, 2))
             .unwrap();
         t.stamp_commit(id, 2, 4);
-        assert_eq!(t.slots()[id].versions().len(), 3);
+        assert_eq!(chain_len(&t, id), 3);
         // Watermark 1: v0 (end=2) still visible to a snapshot at ts 1.
         assert_eq!(t.vacuum(1), 0);
         // Watermark 2: v0 dead everywhere, v1 (end=4) still needed.
         assert_eq!(t.vacuum(2), 1);
-        assert_eq!(t.slots()[id].versions().len(), 2);
+        assert_eq!(chain_len(&t, id), 2);
         assert!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap().is_empty());
         // Watermark 4: only the live version remains; its key survives.
         assert_eq!(t.vacuum(4), 1);
-        assert_eq!(t.slots()[id].versions().len(), 1);
+        assert_eq!(chain_len(&t, id), 1);
         assert_eq!(t.index_lookup("t_pk", &[Value::Int(3)]).unwrap(), [id]);
         // A fully deleted chain vacuums to an empty tombstone.
         let d = t.insert(vec![Value::Int(9), Value::Null]).unwrap();
         t.mvcc_delete(d, 3, snap(4, 3)).unwrap();
         t.stamp_commit(d, 3, 5);
         assert_eq!(t.vacuum(5), 1);
-        assert!(t.slots()[d].versions().is_empty());
+        assert_eq!(chain_len(&t, d), 0);
         assert!(t.index_lookup("t_pk", &[Value::Int(9)]).unwrap().is_empty());
     }
 
@@ -1177,7 +1369,7 @@ mod tests {
     }
 
     fn inline(t: &Table, id: RowId) -> bool {
-        matches!(t.slots()[id].0, Chain::One(_))
+        matches!(t.rows[id].0, Chain::One(_))
     }
 
     #[test]
@@ -1199,11 +1391,11 @@ mod tests {
         let b = t.mvcc_insert(vec![Value::Int(5), Value::Null], 4).unwrap();
         assert!(inline(&t, b));
         t.rollback_insert(b, 4);
-        assert!(t.slots()[b].versions().is_empty());
+        assert_eq!(chain_len(&t, b), 0);
         t.update(id, vec![Value::Int(3), Value::str("c")]).unwrap();
         assert!(inline(&t, id));
         t.delete(id).unwrap();
-        assert!(t.slots()[id].versions().is_empty());
+        assert_eq!(chain_len(&t, id), 0);
     }
 
     #[test]
@@ -1247,5 +1439,206 @@ mod tests {
         assert_eq!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap(), [id]);
         assert!(t.index_lookup("t_pk", &[Value::Int(2)]).unwrap().is_empty());
         assert_eq!(t.get(id).unwrap()[1], Value::str("a"));
+    }
+
+    // ---------------- stored prefix ----------------
+
+    /// `(id, a, b, c, d)`: `c` and `d` are the trailing triad-like columns,
+    /// `d` indexed by a B-tree.
+    fn wide() -> Table {
+        let col = |name: &str| Column {
+            name: name.into(),
+            ty: ColumnType::Any,
+        };
+        let schema =
+            TableSchema::new("w", vec![col("id"), col("a"), col("b"), col("c"), col("d")]).unwrap();
+        let mut t = Table::new(schema);
+        t.create_index("w_pk", vec![0], true, IndexKind::Hash)
+            .unwrap();
+        t.create_index("w_d", vec![4], false, IndexKind::BTree)
+            .unwrap();
+        t
+    }
+
+    fn ints(vals: &[Option<i64>]) -> Vec<Value> {
+        vals.iter()
+            .map(|v| v.map_or(Value::Null, Value::Int))
+            .collect()
+    }
+
+    /// Values each version of row `id`'s chain stores, oldest first.
+    fn stored(t: &Table, id: RowId) -> Vec<usize> {
+        t.rows[id].versions().iter().map(|v| v.row.len()).collect()
+    }
+
+    #[test]
+    fn a_row_stores_up_to_its_last_non_null_column() {
+        let mut t = wide();
+        let a = t
+            .insert(ints(&[Some(1), Some(2), None, None, None]))
+            .unwrap();
+        let b = t
+            .insert(ints(&[Some(2), None, Some(3), None, Some(4)]))
+            .unwrap();
+        assert_eq!(stored(&t, a), [2]);
+        assert_eq!(stored(&t, b), [5], "no NULL tail: every column");
+        // Reads run to the arity, NULL past the prefix.
+        let row = t.get(a).unwrap();
+        assert_eq!(row.len(), 5);
+        assert_eq!(row[4], Value::Null);
+        assert_eq!(row.get(2), &Value::Null);
+        assert_eq!(row.to_vec(), ints(&[Some(1), Some(2), None, None, None]));
+        assert_eq!(row.iter().count(), 5);
+        let mut buf = Vec::new();
+        assert_eq!(
+            row.as_full(&mut buf),
+            &ints(&[Some(1), Some(2), None, None, None])[..]
+        );
+        let full = t.get(b).unwrap();
+        assert!(
+            std::ptr::eq(full.as_full(&mut buf), full.stored),
+            "borrowed"
+        );
+        assert_eq!(format!("{row:?}"), "[Int(1), Int(2), Null, Null, Null]");
+    }
+
+    #[test]
+    #[should_panic(expected = "column 5 of a row of 5")]
+    fn a_read_past_the_arity_panics() {
+        let mut t = wide();
+        let a = t.insert(ints(&[Some(1), None, None, None, None])).unwrap();
+        let _ = &t.get(a).unwrap()[5];
+    }
+
+    #[test]
+    fn an_all_null_row_owns_no_block() {
+        let mut t = wide();
+        let mut payloads = Payloads::default();
+        let before = t.footprint(&mut payloads).rows;
+        let a = t.insert(ints(&[None; 5])).unwrap();
+        assert_eq!(stored(&t, a), [0]);
+        assert_eq!(t.footprint(&mut payloads).rows, before);
+        assert_eq!(t.get(a).unwrap().to_vec(), ints(&[None; 5]));
+        assert_eq!(t.index_lookup("w_d", &[Value::Null]).unwrap(), [a]);
+    }
+
+    #[test]
+    fn updates_resize_the_new_version_and_survivors_keep_theirs() {
+        let mut t = wide();
+        let id = t
+            .insert(ints(&[Some(1), Some(1), Some(1), Some(1), Some(1)]))
+            .unwrap();
+        // Clearing the trailing columns shrinks the successor.
+        t.mvcc_update(
+            id,
+            ints(&[Some(1), Some(1), None, None, None]),
+            1,
+            snap(0, 1),
+        )
+        .unwrap();
+        assert_eq!(stored(&t, id), [5, 2]);
+        t.rollback_update(id, 1);
+        assert_eq!(stored(&t, id), [5], "rollback keeps the survivor whole");
+        t.mvcc_update(
+            id,
+            ints(&[Some(1), Some(1), None, None, None]),
+            2,
+            snap(0, 2),
+        )
+        .unwrap();
+        t.stamp_commit(id, 2, 3);
+        // Setting a trailing column again grows the next one.
+        t.mvcc_update(
+            id,
+            ints(&[Some(1), None, None, Some(7), None]),
+            3,
+            snap(3, 3),
+        )
+        .unwrap();
+        t.stamp_commit(id, 3, 4);
+        assert_eq!(stored(&t, id), [5, 2, 4]);
+        assert_eq!(t.vacuum(3), 1);
+        assert_eq!(
+            stored(&t, id),
+            [2, 4],
+            "vacuum keeps each survivor's length"
+        );
+        assert_eq!(t.get_visible(id, snap(3, 0)).unwrap()[4], Value::Null);
+        assert_eq!(t.get(id).unwrap()[3], Value::Int(7));
+        // The destructive update stores the prefix too.
+        t.update(id, ints(&[Some(1), None, None, None, None]))
+            .unwrap();
+        assert_eq!(stored(&t, id), [1]);
+    }
+
+    #[test]
+    fn delete_and_update_return_full_width_rows() {
+        let mut t = wide();
+        let a = t
+            .insert(ints(&[Some(1), Some(2), None, None, None]))
+            .unwrap();
+        let old = t
+            .update(a, ints(&[Some(1), None, None, None, None]))
+            .unwrap();
+        assert_eq!(old, ints(&[Some(1), Some(2), None, None, None]));
+        assert_eq!(old.len(), 5);
+        let gone = t.delete(a).unwrap();
+        assert_eq!(gone, ints(&[Some(1), None, None, None, None]));
+    }
+
+    #[test]
+    fn an_index_on_a_trailing_column_answers_every_read() {
+        let mut t = wide();
+        let a = t
+            .insert(ints(&[Some(1), Some(1), None, None, None]))
+            .unwrap();
+        let b = t
+            .insert(ints(&[Some(2), Some(1), None, None, Some(5)]))
+            .unwrap();
+        let c = t
+            .insert(ints(&[Some(3), None, None, None, Some(9)]))
+            .unwrap();
+        let latest = Snapshot::latest();
+        let idx = &t.indexes()[1];
+        // Point: the NULL-tailed row is posted under NULL, the others under
+        // their stored value.
+        assert_eq!(t.index_lookup("w_d", &[Value::Int(5)]).unwrap(), [b]);
+        assert_eq!(t.index_lookup("w_d", &[Value::Null]).unwrap(), [a]);
+        // Range.
+        let lo = [Value::Int(1)];
+        let ids: Vec<RowId> = idx
+            .range(Some(&lo), None)
+            .unwrap()
+            .iter()
+            .flat_map(|(_, ids)| ids.iter().copied())
+            .collect();
+        assert_eq!(ids, [b, c]);
+        // Probe with the key re-check a multi-version chain takes.
+        t.mvcc_update(
+            a,
+            ints(&[Some(1), Some(1), None, None, Some(9)]),
+            1,
+            snap(0, 1),
+        )
+        .unwrap();
+        let idx = &t.indexes()[1];
+        let key = [Value::Int(9)];
+        let seen: Vec<RowId> = idx
+            .lookup(&key)
+            .iter()
+            .copied()
+            .filter(|&rid| {
+                t.get_posted(rid, snap(0, 1), |row| idx.key_matches(row, &key))
+                    .is_some()
+            })
+            .collect();
+        assert_eq!(seen, [c, a]);
+        let null = [Value::Null];
+        assert!(t
+            .get_posted(a, snap(0, 1), |row| idx.key_matches(row, &null))
+            .is_none());
+        assert!(t
+            .get_posted(a, latest, |row| idx.key_matches(row, &null))
+            .is_some());
     }
 }

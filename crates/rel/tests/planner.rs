@@ -791,3 +791,222 @@ fn a_factorized_input_flattens_into_a_plain_projection() {
         expect_rows(&db, sql, want);
     }
 }
+
+/// NULLs in indexed columns: `t_ab` is a composite hash index, `t_c` a
+/// B-tree and `t_b` a single-column hash index.
+fn null_key_fixture(dop: usize) -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE t (id INTEGER, a INTEGER, b INTEGER, c INTEGER)")
+        .unwrap();
+    db.execute("CREATE INDEX t_ab ON t (a, b)").unwrap();
+    db.execute("CREATE INDEX t_c ON t (c) USING BTREE").unwrap();
+    db.execute("CREATE INDEX t_b ON t (b) USING HASH").unwrap();
+    db.execute("INSERT INTO t VALUES (1,1,NULL,NULL), (2,2,5,3), (3,NULL,NULL,NULL), (4,4,5,7)")
+        .unwrap();
+    db.set_parallelism(dop);
+    db
+}
+
+#[test]
+fn an_index_point_read_of_a_null_key_returns_nothing() {
+    for dop in [1, 4] {
+        let db = null_key_fixture(dop);
+        // (indexed, `+ 0` spelling, index the first must read, params)
+        let cases: [(&str, &str, &str, Vec<Value>); 6] = [
+            (
+                "SELECT id FROM t WHERE c = NULL",
+                "SELECT id FROM t WHERE c + 0 = NULL",
+                "t_c",
+                vec![],
+            ),
+            (
+                "SELECT id FROM t WHERE c = ?",
+                "SELECT id FROM t WHERE c + 0 = ?",
+                "t_c",
+                vec![Value::Null],
+            ),
+            (
+                "SELECT id FROM t WHERE b = ?",
+                "SELECT id FROM t WHERE b + 0 = ?",
+                "t_b",
+                vec![Value::Null],
+            ),
+            (
+                "SELECT id FROM t WHERE a = 1 AND b = NULL",
+                "SELECT id FROM t WHERE a + 0 = 1 AND b + 0 = NULL",
+                "t_ab",
+                vec![],
+            ),
+            (
+                "SELECT id FROM t WHERE a = ? AND b = ?",
+                "SELECT id FROM t WHERE a + 0 = ? AND b + 0 = ?",
+                "t_ab",
+                vec![Value::Int(1), Value::Null],
+            ),
+            (
+                "SELECT id FROM t WHERE a = ? AND b = ?",
+                "SELECT id FROM t WHERE a + 0 = ? AND b + 0 = ?",
+                "t_ab",
+                vec![Value::Null, Value::Null],
+            ),
+        ];
+        for (indexed, scanned, index, params) in &cases {
+            let plan = db
+                .execute_with_params(&format!("EXPLAIN {indexed}"), params)
+                .unwrap()
+                .strings()
+                .join("\n");
+            assert!(plan.contains(&format!("index {index}, point")), "{plan}");
+            let got = db.execute_with_params(indexed, params).unwrap();
+            let want = db.execute_with_params(scanned, params).unwrap();
+            assert_eq!(got.rows, want.rows, "{indexed} {params:?} at dop {dop}");
+            assert!(got.rows.is_empty(), "{indexed} {params:?} at dop {dop}");
+        }
+        // A non-NULL key still finds its rows through each index.
+        let rel = db
+            .execute("SELECT id FROM t WHERE a = 2 AND b = 5")
+            .unwrap();
+        assert_eq!(rel.rows, vec![vec![Value::Int(2)]]);
+        let rel = db.execute("SELECT id FROM t WHERE c = 7").unwrap();
+        assert_eq!(rel.rows, vec![vec![Value::Int(4)]]);
+    }
+}
+
+/// `w (id, src, lbl0, dst0, lbl1, dst1)`: row `i` fills its second triad
+/// `(lbl1, dst1)` only when `i % 3 == 0`, so two rows in three are stored
+/// without it. `src` has a non-unique hash index (CSR-eligible), `dst1` a
+/// B-tree; `k` and `seed` are small probe tables.
+fn null_tail_fixture(dop: usize) -> Database {
+    let db = Database::new();
+    db.execute(
+        "CREATE TABLE w (id INTEGER PRIMARY KEY, src INTEGER, lbl0 TEXT, dst0 INTEGER, \
+         lbl1 TEXT, dst1 INTEGER)",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX w_src ON w (src)").unwrap();
+    db.execute("CREATE INDEX w_dst1 ON w (dst1) USING BTREE")
+        .unwrap();
+    for i in 0..300i64 {
+        db.execute_with_params("INSERT INTO w VALUES (?, ?, ?, ?, ?, ?)", &null_tail_row(i))
+            .unwrap();
+    }
+    db.execute("CREATE TABLE k (x INTEGER)").unwrap();
+    db.execute("INSERT INTO k VALUES (0), (4), (9), (299)")
+        .unwrap();
+    db.execute("CREATE TABLE seed (sid INTEGER PRIMARY KEY)")
+        .unwrap();
+    db.execute("INSERT INTO seed VALUES (0), (1), (2)").unwrap();
+    db.execute("ANALYZE").unwrap();
+    db.set_parallelism(dop);
+    db
+}
+
+fn null_tail_row(i: i64) -> Vec<Value> {
+    let tail = i % 3 == 0;
+    vec![
+        Value::Int(i),
+        Value::Int(i % 30),
+        Value::str("a"),
+        Value::Int(i % 17),
+        if tail { Value::str("b") } else { Value::Null },
+        if tail {
+            Value::Int(i % 11)
+        } else {
+            Value::Null
+        },
+    ]
+}
+
+/// Columns `cols` of `row`.
+fn pick(row: &[Value], cols: &[usize]) -> Vec<Value> {
+    cols.iter().map(|&c| row[c].clone()).collect()
+}
+
+#[test]
+fn rows_with_null_tails_read_at_full_width() {
+    for dop in [1, 4] {
+        let db = null_tail_fixture(dop);
+        let all: Vec<Vec<Value>> = (0..300).map(null_tail_row).collect();
+        expect_rows(&db, "SELECT * FROM w", all.clone());
+        expect_rows(
+            &db,
+            "SELECT dst1, id FROM w",
+            all.iter().map(|r| pick(r, &[5, 0])).collect(),
+        );
+        // A local filter on the trailing column, scanned and indexed.
+        let fives: Vec<Vec<Value>> = all
+            .iter()
+            .filter(|r| r[5] == Value::Int(5))
+            .map(|r| pick(r, &[0, 4]))
+            .collect();
+        assert_eq!(fives.len(), 9);
+        expect_rows(
+            &db,
+            "SELECT id, lbl1 FROM w WHERE dst1 + 0 = 5",
+            fives.clone(),
+        );
+        assert!(plan_of(&db, "SELECT id, lbl1 FROM w WHERE dst1 = 5").contains("index w_dst1"));
+        expect_rows(&db, "SELECT id, lbl1 FROM w WHERE dst1 = 5", fives);
+        let nulls = db.execute("SELECT id FROM w WHERE dst1 IS NULL").unwrap();
+        assert_eq!(nulls.rows.len(), 200);
+        // An index join on the primary key keeps the trailing columns.
+        let sql = "SELECT k.x, w.lbl1, w.dst1 FROM k, w WHERE w.id = k.x";
+        assert!(
+            plan_of(&db, sql).contains("IndexJoin w [w]"),
+            "{}",
+            plan_of(&db, sql)
+        );
+        let joined = [0, 4, 9, 299]
+            .iter()
+            .map(|&x| {
+                let r = null_tail_row(x);
+                vec![Value::Int(x), r[4].clone(), r[5].clone()]
+            })
+            .collect();
+        expect_rows(&db, sql, joined);
+        // So does a CSR expansion.
+        let sql = "SELECT s.sid, w.id, w.dst1 FROM seed s, w WHERE s.sid = w.src";
+        assert!(
+            plan_of(&db, sql).contains("CsrExpand w [w]"),
+            "{}",
+            plan_of(&db, sql)
+        );
+        let expanded = (0..3i64)
+            .flat_map(|sid| {
+                all.iter()
+                    .filter(move |r| r[1] == Value::Int(sid))
+                    .map(move |r| vec![Value::Int(sid), r[0].clone(), r[5].clone()])
+            })
+            .collect();
+        expect_rows(&db, sql, expanded);
+    }
+}
+
+#[test]
+fn dml_filters_on_a_trailing_column() {
+    for dop in [1, 4] {
+        let db = null_tail_fixture(dop);
+        let mut want: Vec<Vec<Value>> = (0..300).map(null_tail_row).collect();
+        // Clearing the trailing triad: its rows shrink and still update.
+        let n = db
+            .execute("UPDATE w SET lbl1 = NULL, dst1 = NULL WHERE dst1 = 5")
+            .unwrap();
+        assert_eq!(n.rows, vec![vec![Value::Int(9)]]);
+        for r in want.iter_mut().filter(|r| r[5] == Value::Int(5)) {
+            r[4] = Value::Null;
+            r[5] = Value::Null;
+        }
+        // Setting it on a row stored without it.
+        db.execute("UPDATE w SET lbl1 = 'c', dst1 = 42 WHERE id = 1")
+            .unwrap();
+        want[1][4] = Value::str("c");
+        want[1][5] = Value::Int(42);
+        let n = db.execute("DELETE FROM w WHERE dst1 + 0 = 7").unwrap();
+        assert_eq!(n.rows, vec![vec![Value::Int(9)]]);
+        want.retain(|r| r[5] != Value::Int(7));
+        let n = db.execute("DELETE FROM w WHERE dst1 = 42").unwrap();
+        assert_eq!(n.rows, vec![vec![Value::Int(1)]]);
+        want.retain(|r| r[5] != Value::Int(42));
+        expect_rows(&db, "SELECT * FROM w", want);
+    }
+}

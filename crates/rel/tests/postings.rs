@@ -6,8 +6,11 @@
 //!   (inserts, key-changing updates, deletes, each rolled back or
 //!   committed, autocommits, and vacuums at random watermarks).
 //! * Every point, probe and range read through those indexes — keys of one,
-//!   two and three parts — returns what a full scan with the same predicate
-//!   returns, at every open snapshot.
+//!   two and three parts, NULL probe keys among them — returns what a full
+//!   scan with the same predicate returns, at every open snapshot.
+//! * The last column `d` is nullable and set and cleared by updates, so rows
+//!   are stored with and without a NULL tail, and a version's stored length
+//!   changes along its chain.
 //! * An index read returns the numeric variant the column stores, whatever
 //!   variant the probe value has.
 //! * Each vacuum prunes exactly the versions a walk over every chain finds
@@ -27,8 +30,10 @@ enum Op {
         a: i64,
         b: i64,
         c: i64,
+        d: Option<i64>,
     },
-    /// Moves every indexed key of row `id`, the unique one included.
+    /// Moves every indexed key of row `id`, the unique one included, and
+    /// sets or clears the trailing `d`.
     Update {
         tx: usize,
         id: i64,
@@ -36,6 +41,7 @@ enum Op {
         a: i64,
         b: i64,
         c: i64,
+        d: Option<i64>,
     },
     Delete {
         tx: usize,
@@ -56,23 +62,22 @@ enum Op {
 fn arb_op() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::Begin),
-        (0usize..4, 0i64..10, 0i64..3, 0i64..2, 0i64..6).prop_map(|(tx, id, a, b, c)| Op::Insert {
-            tx,
-            id,
-            a,
-            b,
-            c
-        }),
-        ((0usize..4, 0i64..10), (0i64..10, 0i64..3, 0i64..2, 0i64..6)).prop_map(
-            |((tx, id), (to, a, b, c))| Op::Update {
+        ((0usize..4, 0i64..10, 0i64..3, 0i64..2, 0i64..6), arb_opt(3))
+            .prop_map(|((tx, id, a, b, c), d)| Op::Insert { tx, id, a, b, c, d }),
+        (
+            (0usize..4, 0i64..10),
+            (0i64..10, 0i64..3, 0i64..2, 0i64..6),
+            arb_opt(3)
+        )
+            .prop_map(|((tx, id), (to, a, b, c), d)| Op::Update {
                 tx,
                 id,
                 to,
                 a,
                 b,
-                c
-            }
-        ),
+                c,
+                d
+            }),
         (0usize..4, 0i64..10).prop_map(|(tx, id)| Op::Delete { tx, id }),
         (0usize..4).prop_map(|tx| Op::Commit { tx }),
         (0usize..4).prop_map(|tx| Op::Rollback { tx }),
@@ -80,14 +85,30 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Read parameters for one step: `(a, b, id, lo, hi)`.
-fn arb_read() -> impl Strategy<Value = (i64, i64, i64, i64, i64)> {
-    (0i64..3, 0i64..2, 0i64..10, 0i64..6, 0i64..6)
+/// `Some` of `0..n`, or `None` one time in `n + 1`.
+fn arb_opt(n: i64) -> impl Strategy<Value = Option<i64>> {
+    (0..n + 1).prop_map(move |v| (v < n).then_some(v))
+}
+
+/// Read parameters for one step: `(a, b, id, lo, hi, d)`. The point keys
+/// `a`, `b`, `id` and `d` are sometimes NULL.
+fn arb_read() -> impl Strategy<Value = Reads> {
+    (
+        (arb_opt(3), arb_opt(2), arb_opt(10)),
+        (0i64..6, 0i64..6, arb_opt(3)),
+    )
+        .prop_map(|((a, b, id), (lo, hi, d))| (a, b, id, lo, hi, d))
+}
+
+type Reads = (Option<i64>, Option<i64>, Option<i64>, i64, i64, Option<i64>);
+
+fn int(v: Option<i64>) -> Value {
+    v.map_or(Value::Null, Value::Int)
 }
 
 fn fresh_db() -> Database {
     let db = Database::new();
-    db.execute("CREATE TABLE t (id INTEGER, a INTEGER, b TEXT, c INTEGER)")
+    db.execute("CREATE TABLE t (id INTEGER, a INTEGER, b TEXT, c INTEGER, d INTEGER)")
         .unwrap();
     db.execute("CREATE UNIQUE INDEX t_id ON t (id) USING HASH")
         .unwrap();
@@ -97,6 +118,8 @@ fn fresh_db() -> Database {
     // A three-part key: the one form whose slot owns a heap block.
     db.execute("CREATE INDEX t_abc ON t (a, b, c) USING HASH")
         .unwrap();
+    // The trailing column, NULL in rows stored without it.
+    db.execute("CREATE INDEX t_d ON t (d) USING HASH").unwrap();
     // Probe keys for the index nested-loop read.
     db.execute("CREATE TABLE k (x INTEGER, y TEXT)").unwrap();
     db.execute("INSERT INTO k VALUES (0, 'b0'), (1, 'b1'), (2, 'b0')")
@@ -104,8 +127,9 @@ fn fresh_db() -> Database {
     db
 }
 
-fn label(b: i64) -> Value {
-    Value::str(format!("b{b}"))
+fn label(b: impl Into<Option<i64>>) -> Value {
+    b.into()
+        .map_or(Value::Null, |b| Value::str(format!("b{b}")))
 }
 
 /// One write through transaction `tx` of `open`, or autocommit when `tx`
@@ -145,7 +169,7 @@ fn check_postings(db: &Database) -> Result<(), TestCaseError> {
                     posted[rid].push(key.to_vec());
                 }
             }
-            for (rid, slot) in t.slots().iter().enumerate() {
+            for (rid, slot) in t.slots().enumerate() {
                 let mut keys: Vec<Vec<Value>> = Vec::new();
                 for v in slot.versions() {
                     let k = idx.key_of(v.row());
@@ -175,10 +199,8 @@ fn check_vacuum(db: &Database, watermark: u64) -> Result<(), TestCaseError> {
     db.write_table("t", |t| {
         let chains = |t: &sqlgraph_rel::storage::Table| -> Vec<Vec<(u64, u64, Vec<Value>)>> {
             t.slots()
-                .iter()
                 .map(|s| {
                     s.versions()
-                        .iter()
                         .map(|v| (v.begin(), v.end(), v.row().to_vec()))
                         .collect()
                 })
@@ -203,33 +225,38 @@ fn check_vacuum(db: &Database, watermark: u64) -> Result<(), TestCaseError> {
 fn check_reads(
     db: &Database,
     mut txn: Option<&mut Txn<'_>>,
-    (a, b, id, lo, hi): (i64, i64, i64, i64, i64),
+    (a, b, id, lo, hi, d): Reads,
 ) -> Result<(), TestCaseError> {
-    let pairs: [(&str, &str, Vec<Value>); 5] = [
+    let pairs: [(&str, &str, Vec<Value>); 6] = [
         (
-            "SELECT id, a, b, c FROM t WHERE a = ? AND b = ?",
-            "SELECT id, a, b, c FROM t WHERE a + 0 = ? AND b = ?",
-            vec![Value::Int(a), label(b)],
+            "SELECT id, a, b, c, d FROM t WHERE a = ? AND b = ?",
+            "SELECT id, a, b, c, d FROM t WHERE a + 0 = ? AND b = ?",
+            vec![int(a), label(b)],
         ),
         (
-            "SELECT id, a, b, c FROM t WHERE a = ? AND b = ? AND c = ?",
-            "SELECT id, a, b, c FROM t WHERE a + 0 = ? AND b = ? AND c = ?",
-            vec![Value::Int(a), label(b), Value::Int(lo)],
+            "SELECT id, a, b, c, d FROM t WHERE a = ? AND b = ? AND c = ?",
+            "SELECT id, a, b, c, d FROM t WHERE a + 0 = ? AND b = ? AND c = ?",
+            vec![int(a), label(b), Value::Int(lo)],
         ),
         (
-            "SELECT id, a, b, c FROM t WHERE id = ?",
-            "SELECT id, a, b, c FROM t WHERE id + 0 = ?",
-            vec![Value::Int(id)],
+            "SELECT id, a, b, c, d FROM t WHERE id = ?",
+            "SELECT id, a, b, c, d FROM t WHERE id + 0 = ?",
+            vec![int(id)],
         ),
         (
-            "SELECT id, a, b, c FROM t WHERE c >= ? AND c <= ?",
-            "SELECT id, a, b, c FROM t WHERE c + 0 >= ? AND c + 0 <= ?",
+            "SELECT id, a, b, c, d FROM t WHERE c >= ? AND c <= ?",
+            "SELECT id, a, b, c, d FROM t WHERE c + 0 >= ? AND c + 0 <= ?",
             vec![Value::Int(lo), Value::Int(hi)],
         ),
         (
-            "SELECT t.id, t.a, t.b, t.c FROM k, t WHERE t.a = k.x AND t.b = k.y",
-            "SELECT t.id, t.a, t.b, t.c FROM k, t WHERE t.a + 0 = k.x AND t.b = k.y",
+            "SELECT t.id, t.a, t.b, t.c, t.d FROM k, t WHERE t.a = k.x AND t.b = k.y",
+            "SELECT t.id, t.a, t.b, t.c, t.d FROM k, t WHERE t.a + 0 = k.x AND t.b = k.y",
             vec![],
+        ),
+        (
+            "SELECT id, a, b, c, d FROM t WHERE d = ?",
+            "SELECT id, a, b, c, d FROM t WHERE d + 0 = ?",
+            vec![int(d)],
         ),
     ];
     for (indexed, scanned, params) in &pairs {
@@ -253,19 +280,19 @@ proptest! {
             match op {
                 Op::Begin if open.len() < 3 => open.push(db.begin()),
                 Op::Begin => {}
-                Op::Insert { tx, id, a, b, c } => write(
+                Op::Insert { tx, id, a, b, c, d } => write(
                     &db,
                     &mut open,
                     tx,
-                    "INSERT INTO t VALUES (?, ?, ?, ?)",
-                    &[Value::Int(id), Value::Int(a), label(b), Value::Int(c)],
+                    "INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+                    &[Value::Int(id), Value::Int(a), label(b), Value::Int(c), int(d)],
                 ),
-                Op::Update { tx, id, to, a, b, c } => write(
+                Op::Update { tx, id, to, a, b, c, d } => write(
                     &db,
                     &mut open,
                     tx,
-                    "UPDATE t SET id = ?, a = ?, b = ?, c = ? WHERE id = ?",
-                    &[Value::Int(to), Value::Int(a), label(b), Value::Int(c), Value::Int(id)],
+                    "UPDATE t SET id = ?, a = ?, b = ?, c = ?, d = ? WHERE id = ?",
+                    &[Value::Int(to), Value::Int(a), label(b), Value::Int(c), int(d), Value::Int(id)],
                 ),
                 Op::Delete { tx, id } => {
                     write(&db, &mut open, tx, "DELETE FROM t WHERE id = ?", &[Value::Int(id)])
@@ -291,7 +318,8 @@ proptest! {
 #[test]
 fn a_range_read_returns_a_row_whose_key_moved_inside_the_range_once() {
     let db = fresh_db();
-    db.execute("INSERT INTO t VALUES (1, 0, 'b0', 1)").unwrap();
+    db.execute("INSERT INTO t VALUES (1, 0, 'b0', 1, NULL)")
+        .unwrap();
     let mut tx = db.begin();
     // The chain now carries c = 1 and c = 4: posted under both keys.
     tx.execute("UPDATE t SET c = 4 WHERE id = 1").unwrap();
@@ -312,7 +340,7 @@ fn the_probe_read_is_an_index_nested_loop() {
     let db = fresh_db();
     for id in 0..10 {
         db.execute_with_params(
-            "INSERT INTO t VALUES (?, ?, ?, ?)",
+            "INSERT INTO t VALUES (?, ?, ?, ?, NULL)",
             &[
                 Value::Int(id),
                 Value::Int(id % 3),
@@ -396,7 +424,7 @@ fn index_reads_return_the_stored_numeric_variant() {
 #[test]
 fn a_three_part_key_is_read_through_its_index() {
     let db = fresh_db();
-    db.execute("INSERT INTO t VALUES (1, 0, 'b0', 1), (2, 0, 'b0', 2)")
+    db.execute("INSERT INTO t VALUES (1, 0, 'b0', 1, NULL), (2, 0, 'b0', 2, NULL)")
         .unwrap();
     let sql = "SELECT id FROM t WHERE a = 0 AND b = 'b0' AND c = 2";
     let plan = db
