@@ -28,11 +28,12 @@
 use crate::cache::ClockCache;
 use crate::checkpoint::{self, CheckpointReport, RecoveryReport};
 use crate::error::{Error, Result};
-use crate::exec::{run_select, run_stmt, subquery_sets, Env, Relation, Row};
-use crate::expr::{BinaryOp, Binds, Expr};
+use crate::exec::{run_select, run_stmt, subquery_sets, target_rows, Env, Relation, Row};
+use crate::expr::{Binds, Expr};
 use crate::hasher::FxHashMap;
-use crate::index::{with_key, IndexKind, KeyPart, RowId};
+use crate::index::{IndexKind, KeyPart, RowId};
 use crate::io::{StdFs, Vfs};
+use crate::plan::FromPlan;
 use crate::prepared::{self, DmlPlan, DmlSlot, InsertInto, Plans, Prepared, Target};
 use crate::schema::{Column, ColumnType, TableSchema};
 use crate::sql::ast::{self, Statement};
@@ -1100,12 +1101,12 @@ impl Database {
         params: &[Value],
         state: &mut TxnState,
     ) -> Result<Relation> {
-        let compile = || DmlPlan::compile(self, stmt);
+        let env = Env::with_snap(self, params, state.snap);
+        let compile = || DmlPlan::compile(&env, stmt);
         let plan = match slot {
-            Some(slot) => slot.plan(self, compile)?,
+            Some(slot) => slot.plan(&env, compile)?,
             None => Arc::new(compile()?),
         };
-        let env = Env::with_snap(self, params, state.snap);
         let sets = match slot {
             Some(slot) if slot.subqueries.is_empty() => FxHashMap::default(),
             _ => {
@@ -1138,20 +1139,16 @@ impl Database {
             }
             Target::Update {
                 table,
-                filter,
+                from,
                 assignments,
             } => {
-                let filter = filter.as_ref().map(|f| f.bound(&binds)).transpose()?;
                 let assignments: Vec<(usize, std::borrow::Cow<'_, Expr>)> = assignments
                     .iter()
                     .map(|(col, e)| Ok((*col, e.bound(&binds)?)))
                     .collect::<Result<_>>()?;
-                self.exec_update(table, filter.as_deref(), &assignments, state)
+                self.exec_update(table, from, &binds, &assignments, state)
             }
-            Target::Delete { table, filter } => {
-                let filter = filter.as_ref().map(|f| f.bound(&binds)).transpose()?;
-                self.exec_delete(table, filter.as_deref(), state)
-            }
+            Target::Delete { table, from } => self.exec_delete(table, from, &binds, state),
         }
     }
 
@@ -1214,13 +1211,14 @@ impl Database {
     fn exec_update(
         &self,
         table: &str,
-        filter: Option<&Expr>,
+        from: &FromPlan,
+        binds: &Binds<'_>,
         assignments: &[(usize, std::borrow::Cow<'_, Expr>)],
         state: &mut TxnState,
     ) -> Result<Relation> {
         let snap = state.snap;
         let updated = self.table_mut(table, |t| {
-            let targets = find_target_rows(t, filter, snap)?;
+            let targets = target_rows(t, from, binds, snap)?;
             let mut updated = 0i64;
             for row_id in targets {
                 let old: Row = t
@@ -1252,12 +1250,13 @@ impl Database {
     fn exec_delete(
         &self,
         table: &str,
-        filter: Option<&Expr>,
+        from: &FromPlan,
+        binds: &Binds<'_>,
         state: &mut TxnState,
     ) -> Result<Relation> {
         let snap = state.snap;
         let deleted = self.table_mut(table, |t| {
-            let targets = find_target_rows(t, filter, snap)?;
+            let targets = target_rows(t, from, binds, snap)?;
             let mut deleted = 0i64;
             for row_id in targets {
                 let row: Row = t
@@ -1444,92 +1443,6 @@ impl Drop for Txn<'_> {
         if let Some(state) = self.state.take() {
             self.db.rollback_state(state);
         }
-    }
-}
-
-/// Row ids visible to `snap` and matching `filter`: an index lookup when
-/// `col = const` conjuncts bind every column of a hash index (the widest
-/// such index), or else the first such conjunct's column has a
-/// single-column index; otherwise a scan.
-fn find_target_rows(table: &Table, filter: Option<&Expr>, snap: Snapshot) -> Result<Vec<RowId>> {
-    let Some(filter) = filter else {
-        return Ok(table.iter_snap(snap).map(|(id, _)| id).collect());
-    };
-    // The `col = const` conjuncts, the first per column.
-    let mut bound: Vec<(usize, Value)> = Vec::new();
-    visit_conjuncts_expr(filter, &mut |c| {
-        if let Expr::Binary(BinaryOp::Eq, a, b) = c {
-            if let (Expr::Col(i), Expr::Const(v)) | (Expr::Const(v), Expr::Col(i)) =
-                (a.as_ref(), b.as_ref())
-            {
-                if bound.iter().all(|(col, _)| col != i) {
-                    bound.push((*i, v.clone()));
-                }
-            }
-        }
-    });
-    let value_of = |col: usize| bound.iter().find(|(c, _)| *c == col).map(|(_, v)| v);
-    let widest_hash = table
-        .indexes()
-        .iter()
-        .filter(|i| {
-            i.kind() == IndexKind::Hash
-                && !i.columns.is_empty()
-                && i.columns.iter().all(|&c| value_of(c).is_some())
-        })
-        .min_by_key(|i| std::cmp::Reverse(i.columns.len()));
-    let probe = match widest_hash {
-        Some(idx) => Some((
-            idx,
-            idx.columns.iter().filter_map(|&c| value_of(c)).collect(),
-        )),
-        None => bound.first().and_then(|(col, v)| {
-            let idx = table.index_with_prefix(*col)?;
-            (idx.columns.len() == 1).then(|| (idx, vec![v]))
-        }),
-    };
-    if let Some((idx, key)) = probe {
-        // `col = NULL` holds for no row.
-        if key.iter().any(|v| v.is_null()) {
-            return Ok(Vec::new());
-        }
-        return with_key(
-            key.len(),
-            |i| Ok(key[i].clone()),
-            |key| {
-                let mut out = Vec::new();
-                let mut buf = Vec::new();
-                for &id in idx.lookup(key) {
-                    // Postings cover every version in a chain; the full filter
-                    // re-check rejects versions that no longer carry the probed
-                    // key.
-                    let Some(row) = table.get_visible(id, snap) else {
-                        continue;
-                    };
-                    if filter.eval_bool(row.as_full(&mut buf))? {
-                        out.push(id);
-                    }
-                }
-                Ok(out)
-            },
-        )?;
-    }
-    let mut out = Vec::new();
-    let mut buf = Vec::new();
-    for (id, row) in table.iter_snap(snap) {
-        if filter.eval_bool(row.as_full(&mut buf))? {
-            out.push(id);
-        }
-    }
-    Ok(out)
-}
-
-fn visit_conjuncts_expr(e: &Expr, f: &mut impl FnMut(&Expr)) {
-    if let Expr::Binary(BinaryOp::And, l, r) = e {
-        visit_conjuncts_expr(l, f);
-        visit_conjuncts_expr(r, f);
-    } else {
-        f(e);
     }
 }
 

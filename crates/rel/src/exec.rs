@@ -21,7 +21,7 @@ use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::expr::{self, in_set, BinaryOp, Binds, Expr};
 use crate::hasher::{FxHashMap, FxHashSet, FxHasher};
-use crate::index::with_key;
+use crate::index::{with_key, RowId};
 use crate::plan::{self, Access, Attach, FromPlan, RelInput, Step, StepExec, StepKind};
 use crate::prepared::{self, CorePlan, CoreSlot, SetPlans, StmtPlans};
 use crate::sql::ast;
@@ -127,7 +127,7 @@ impl Scope {
     }
 
     /// Resolve a possibly-qualified column to a flat offset.
-    fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
+    pub(crate) fn resolve(&self, table: Option<&str>, name: &str) -> Result<usize> {
         let lname = name.to_ascii_lowercase();
         match table {
             Some(t) => {
@@ -1740,6 +1740,119 @@ fn find_index<'t>(t: &'t Table, name: &str) -> Result<&'t crate::index::Index> {
         .ok_or_else(|| Error::NotFound(format!("index '{name}'")))
 }
 
+/// The chains posted under `key` in `idx`, with the version of each that
+/// `snap` sees, kept only if it carries `key`: a chain is posted under every
+/// key its versions carry. A NULL key part equals nothing. Inlined, like
+/// the closures it returns, into each scan loop that drives it.
+#[inline]
+fn posted<'t: 'k, 'k>(
+    t: &'t Table,
+    idx: &'t crate::index::Index,
+    key: &'k [Value],
+    snap: Snapshot,
+) -> impl Iterator<Item = (RowId, RowRef<'t>)> + 'k {
+    let rids = match key.iter().any(Value::is_null) {
+        true => &[],
+        false => idx.lookup(key),
+    };
+    rids.iter().filter_map(move |&rid| {
+        let row = t.get_posted(rid, snap, |row| idx.key_matches(row, key))?;
+        Some((rid, row))
+    })
+}
+
+/// The chains posted under the keys of `entries`, a range of `idx`, each
+/// kept only under the key its version `snap` sees carries ([`posted`]).
+#[inline]
+fn ranged<'t: 'k, 'k>(
+    t: &'t Table,
+    idx: &'t crate::index::Index,
+    entries: &'k [(&'t [Value], &'t [RowId])],
+    snap: Snapshot,
+) -> impl Iterator<Item = (RowId, RowRef<'t>)> + 'k {
+    entries.iter().flat_map(move |&(key, rids)| {
+        rids.iter().filter_map(move |&rid| {
+            let row = t.get_posted(rid, snap, |row| idx.key_matches(row, key))?;
+            Some((rid, row))
+        })
+    })
+}
+
+/// Hand each candidate of a one-table access path — a point, a range or a
+/// full scan — to `visit` as `(RowId, RowRef)`: of each chain, the version
+/// `snap` sees. A point or range goes in posting order through [`posted`]
+/// or [`ranged`], as a SELECT scan step's does; a full scan in slab order.
+/// `value` evaluates a point key or range bound. (A SELECT step keeps its
+/// own loops over the same iterators: driving them through this callback
+/// measured slower.)
+fn candidates<'t>(
+    t: &'t Table,
+    access: &Access,
+    snap: Snapshot,
+    value: impl Fn(&Expr) -> Result<Value>,
+    mut visit: impl FnMut(RowId, RowRef<'t>) -> Result<()>,
+) -> Result<()> {
+    let (index, key) = match access {
+        // A one-table plan's probe key reads no column: it is a point key.
+        Access::Point { index, key } | Access::Probe { index, parts: key } => (index, &key[..]),
+        Access::Csr { index, part } => (index, slice::from_ref(part)),
+        Access::Range { index, lo, hi } => {
+            let idx = find_index(t, index)?;
+            let bound = |e: &Option<Expr>| e.as_ref().map(&value).transpose();
+            let (lo, hi) = (bound(lo)?, bound(hi)?);
+            let entries = idx.range(
+                lo.as_ref().map(slice::from_ref),
+                hi.as_ref().map(slice::from_ref),
+            )?;
+            return ranged(t, idx, &entries, snap).try_for_each(|(rid, row)| visit(rid, row));
+        }
+        Access::Full => {
+            let mut slots = (0..t.slab_len()).zip(t.scan(0..t.slab_len(), snap));
+            return slots.try_for_each(|(rid, row)| row.map_or(Ok(()), |row| visit(rid, row)));
+        }
+    };
+    let idx = find_index(t, index)?;
+    let probe =
+        |probe: &[Value]| posted(t, idx, probe, snap).try_for_each(|(rid, row)| visit(rid, row));
+    with_key(key.len(), |i| value(&key[i]), probe)?
+}
+
+/// The rows an UPDATE or DELETE writes, by the one-table plan `from` of its
+/// filter: the candidates of its access path that pass the scan's locals,
+/// the step's `after` filters and the residual. Nothing is pruned, so each
+/// is evaluated over the whole row. The plan is not copied to be bound: a
+/// key or filter fills its slots from `binds` as it is read. Collected in
+/// full before the first write, so no write feeds the scan that chose it.
+pub(crate) fn target_rows(
+    t: &Table,
+    from: &FromPlan,
+    binds: &Binds<'_>,
+    snap: Snapshot,
+) -> Result<Vec<RowId>> {
+    let [step] = &from.steps[..] else {
+        unreachable!("a DML filter plans one step")
+    };
+    let StepKind::Scan { access, locals, .. } = &step.kind else {
+        unreachable!("a DML target is a base table")
+    };
+    let filters = locals.iter().chain(&step.after).chain(&from.residual);
+    let filters: Vec<_> = filters.map(|p| p.bound(binds)).collect::<Result<_>>()?;
+    let value = |e: &Expr| e.bound(binds)?.eval(&[]);
+    let mut out = Vec::new();
+    let mut buf = Vec::new();
+    candidates(t, access, snap, value, |rid, row| {
+        let row = row.as_full(&mut buf);
+        for p in &filters {
+            if !p.eval_bool(row)? {
+                return Ok(());
+            }
+        }
+        out.push(rid);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
 /// Copy the kept columns of each candidate version into a unit row and
 /// keep the rows every local passes, in candidate order, stopping once
 /// `cap` rows are kept. `counts[i]` gathers local `i`'s rows in and out.
@@ -1808,23 +1921,14 @@ fn exec_step(
                             key.clear();
                             for p in parts.iter() {
                                 let v = p.eval(&l)?;
-                                if v.is_null() {
+                                let null = v.is_null();
+                                key.push(v);
+                                if null {
                                     break;
                                 }
-                                key.push(v);
                             }
-                            // A NULL key part equals nothing: no candidates.
-                            let probe = (key.len() == parts.len()).then_some(&key[..]);
-                            let cands = probe.into_iter().flat_map(|probe| {
-                                idx.lookup(probe).iter().filter_map(move |&rid| {
-                                    // Older versions of a chain may carry a
-                                    // different key than the visible one.
-                                    let row = t.get_posted(rid, env.snap, |row| {
-                                        idx.key_matches(row, probe)
-                                    })?;
-                                    Some(keep.iter().map(move |&i| row.get(i).clone()))
-                                })
-                            });
+                            let cands = posted(t, idx, &key, env.snap)
+                                .map(|(_, row)| keep.iter().map(move |&i| row.get(i).clone()));
                             emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
                         }
                         Produced::Done(Data::Rows(out))
@@ -1882,15 +1986,7 @@ fn exec_step(
                             key.len(),
                             |i| key[i].eval(&[]),
                             |probe| {
-                                // A NULL key part equals nothing: no candidates.
-                                let posted = if probe.iter().any(Value::is_null) {
-                                    &[]
-                                } else {
-                                    idx.lookup(probe)
-                                };
-                                let cands = posted.iter().filter_map(|&rid| {
-                                    t.get_posted(rid, env.snap, |row| idx.key_matches(row, probe))
-                                });
+                                let cands = posted(t, idx, probe, env.snap).map(|(_, row)| row);
                                 scan_rows(cands, keep, locals, cap, counts)
                             },
                         )??;
@@ -1905,16 +2001,8 @@ fn exec_step(
                             hi_key.as_ref().map(std::slice::from_ref),
                         )?;
                         let mut in_range = 0;
-                        let cands = entries
-                            .iter()
-                            .flat_map(|(key, rids)| {
-                                rids.iter().filter_map(|&rid| {
-                                    // A chain is posted under every key its
-                                    // versions carry: keep it under its visible
-                                    // version's.
-                                    t.get_posted(rid, env.snap, |row| idx.key_matches(row, key))
-                                })
-                            })
+                        let cands = ranged(t, idx, &entries, env.snap)
+                            .map(|(_, row)| row)
                             .inspect(|_| in_range += 1);
                         x.local_counts = vec![(0, 0); locals.len()];
                         let scanned = scan_rows(cands, keep, locals, cap, &mut x.local_counts)?;

@@ -348,10 +348,6 @@ pub struct Index {
     pub name: String,
     /// Key parts, in key order.
     pub parts: Vec<KeyPart>,
-    /// Plain column positions when every part is a column (the common
-    /// case); empty if any part is functional. Kept for cheap planner
-    /// matching.
-    pub columns: Vec<usize>,
     /// Rejects duplicate keys when true.
     pub unique: bool,
     map: Map,
@@ -376,11 +372,6 @@ impl Index {
         unique: bool,
         kind: IndexKind,
     ) -> Index {
-        let columns = if parts.iter().all(|p| matches!(p, KeyPart::Column(_))) {
-            parts.iter().map(KeyPart::column).collect()
-        } else {
-            Vec::new()
-        };
         let map = match parts.len() {
             1 => Map::One(Slots::new(kind)),
             2 => Map::Two(Slots::new(kind)),
@@ -389,7 +380,6 @@ impl Index {
         Index {
             name: name.into(),
             parts,
-            columns,
             unique,
             map,
         }

@@ -369,6 +369,14 @@ pub(crate) struct Needs {
 }
 
 impl Needs {
+    /// Every column of every alias: no pruning.
+    pub(crate) fn all() -> Needs {
+        Needs {
+            disable: true,
+            ..Needs::default()
+        }
+    }
+
     /// How many references `alias.column` may receive.
     fn refs(&self, alias: &str, column: &str) -> usize {
         let qualified = self.per_alias.get(alias).and_then(|m| m.get(column));
@@ -1456,10 +1464,9 @@ fn csr_est_fanout(table: &Table, idx: &crate::index::Index) -> f64 {
 }
 
 /// Plan a base-table attach over `table`, read under its lock: choose index
-/// probe / point / range / full scan
-/// (the same strategy ladder the in-line executor used), scoop local
-/// filters, and pick the join strategy — all from `pending`, the conjuncts
-/// this unit may use (for an `outer` unit, its own ON clause).
+/// probe / point / range / full scan, scoop local filters, and pick the join
+/// strategy — all from `pending`, the conjuncts this unit may use (for an
+/// `outer` unit, its own ON clause).
 #[allow(clippy::too_many_arguments)] // one unit's whole planning context
 fn plan_base_table(
     env: &Env<'_>,

@@ -30,18 +30,19 @@
 //! where planning afresh would build the same plan. EXPLAIN always plans
 //! afresh. Parallelism is not in the key: DOP is chosen at execution.
 //!
-//! A DML statement has one [`DmlSlot`] instead: its target table's name,
-//! its filter and assignments (UPDATE, DELETE) or column mapping and VALUES
-//! rows (INSERT), compiled against the table's columns with the same bind
-//! slots, and checked against the plan epoch alone — every DDL that could
-//! move a column moves it. Which rows it writes is still decided per
-//! execution, by `find_target_rows` in [`crate::db`].
+//! A DML statement has one [`DmlSlot`] instead. An UPDATE or DELETE plans
+//! its filter as the WHERE of a one-table SELECT core over its target, by
+//! the same [`crate::plan::plan_from`] — access path, pushed filters and
+//! residual — with nothing pruned, and compiles its assignments against
+//! that core's scope; an INSERT compiles its VALUES rows. The plan has the
+//! same bind slots and is checked the same way, against the plan epoch and
+//! its guards. Its rows are found through the same index lookups and key
+//! re-checks as a SELECT scan's ([`crate::exec::target_rows`]).
 
-use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::exec::{compile_expr, Env, Relation, Scope, Shape};
 use crate::expr::Expr;
-use crate::plan::{FromPlan, Guard, OrderModel};
+use crate::plan::{self, FromPlan, Guard, Needs, OrderModel};
 use crate::schema::TableSchema;
 use crate::sql::ast::{self, Statement};
 use crate::unpoison;
@@ -227,12 +228,14 @@ pub(crate) struct DmlSlot {
     pub(crate) source: Option<StmtPlans>,
 }
 
-/// A DML statement compiled against its target table's columns, with bind
-/// slots for parameters and IN-subquery results.
+/// A DML statement compiled against its target table, with bind slots for
+/// parameters and IN-subquery results.
 pub(crate) struct DmlPlan {
     pub(crate) target: Target,
     /// The database's plan epoch, read before compiling began.
     epoch: u64,
+    /// The bind values planning the filter looked at.
+    guards: Vec<Guard>,
 }
 
 /// What a [`DmlPlan`] does to its table.
@@ -247,13 +250,14 @@ pub(crate) enum Target {
     Update {
         /// The table's lower-cased name.
         table: String,
-        filter: Option<Expr>,
+        /// The filter's one-table plan: which rows are written.
+        from: FromPlan,
         /// `(column, value)` per assignment, in statement order.
         assignments: Vec<(usize, Expr)>,
     },
     Delete {
         table: String,
-        filter: Option<Expr>,
+        from: FromPlan,
     },
 }
 
@@ -303,16 +307,19 @@ impl DmlSlot {
     }
 
     /// The statement's plan for this execution: the cached one while the
-    /// plan epoch has not moved, else a fresh one from `build`, which
-    /// replaces it.
+    /// plan epoch has not moved and its guards hold for these binds, else a
+    /// fresh one from `build`, which replaces it. Not counted in
+    /// [`Database::plan_cache_stats`](crate::Database::plan_cache_stats),
+    /// which counts SELECT cores.
     pub(crate) fn plan(
         &self,
-        db: &Database,
+        env: &Env<'_>,
         build: impl FnOnce() -> Result<DmlPlan>,
     ) -> Result<Arc<DmlPlan>> {
         let cached = unpoison(self.plan.read()).clone();
         if let Some(plan) = cached {
-            if plan.epoch == db.plan_epoch() {
+            let guarded = plan.guards.iter().all(|g| g.holds(env.params));
+            if plan.epoch == env.db.plan_epoch() && guarded {
                 return Ok(plan);
             }
         }
@@ -323,14 +330,15 @@ impl DmlSlot {
 }
 
 impl DmlPlan {
-    /// Compile `stmt`, an INSERT, UPDATE or DELETE. An UPDATE or DELETE
-    /// compiles against its table's columns as they are now, in statement
+    /// Compile `stmt`, an INSERT, UPDATE or DELETE, with `env`'s binds. An
+    /// UPDATE or DELETE plans against its table as it is now, in statement
     /// order — the filter, then each assignment's column and value — so the
     /// first unknown one is the one reported. An INSERT compiles only its
     /// VALUES here; its table and columns resolve at the write
     /// ([`InsertInto`]).
-    pub(crate) fn compile(db: &Database, stmt: &Statement) -> Result<DmlPlan> {
-        let epoch = db.plan_epoch();
+    pub(crate) fn compile(env: &Env<'_>, stmt: &Statement) -> Result<DmlPlan> {
+        let epoch = env.db.plan_epoch();
+        let mut guards = Vec::new();
         let target = match stmt {
             Statement::Insert { source, .. } => {
                 let values = match source {
@@ -348,32 +356,40 @@ impl DmlPlan {
                 }
             }
             Statement::Update { table, filter, .. } | Statement::Delete { table, filter } => {
-                db.read_table(table, |t| {
-                    // The table is addressable by its own name.
-                    let mut scope = Scope::default();
-                    let names = t.schema.columns.iter().map(|c| c.name.clone());
-                    scope.push(&t.schema.name, names.collect());
-                    let filter = filter
-                        .as_ref()
-                        .map(|f| compile_expr(&scope, f))
-                        .transpose()?;
-                    let table = t.schema.name.clone();
-                    Ok(match stmt {
-                        Statement::Update { assignments, .. } => Target::Update {
-                            table,
-                            filter,
-                            assignments: assignments
-                                .iter()
-                                .map(|(c, e)| Ok((column(&t.schema, c)?, compile_expr(&scope, e)?)))
-                                .collect::<Result<_>>()?,
-                        },
-                        _ => Target::Delete { table, filter },
-                    })
-                })?
+                // The filter is the WHERE of `SELECT * FROM table`: every
+                // column is kept, as rows are checked and written whole.
+                // Planning takes the table's read lock itself.
+                let item = ast::FromItem::Table {
+                    name: table.clone(),
+                    alias: None,
+                };
+                let from = std::slice::from_ref(&item);
+                let planned =
+                    plan::plan_from(env, from, filter.as_ref(), &Needs::all(), &[], &mut guards)?;
+                let from = planned.from;
+                let table = table.to_ascii_lowercase();
+                match stmt {
+                    Statement::Update { assignments, .. } => Target::Update {
+                        table,
+                        from,
+                        assignments: assignments
+                            .iter()
+                            .map(|(c, e)| {
+                                let col = planned.scope.resolve(None, c)?;
+                                Ok((col, compile_expr(&planned.scope, e)?))
+                            })
+                            .collect::<Result<_>>()?,
+                    },
+                    _ => Target::Delete { table, from },
+                }
             }
             _ => unreachable!("DmlPlan::compile takes INSERT, UPDATE or DELETE"),
         };
-        Ok(DmlPlan { target, epoch })
+        Ok(DmlPlan {
+            target,
+            epoch,
+            guards,
+        })
     }
 }
 
@@ -512,5 +528,137 @@ pub(crate) fn expr_subqueries<'q>(e: &'q ast::Expr, out: &mut Vec<&'q ast::Selec
             expr_subqueries(hi, out);
         }
         ast::Expr::Call { args, .. } => args.iter().for_each(|a| expr_subqueries(a, out)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::db::Database;
+    use crate::plan::{Access, StepKind};
+    use crate::sql::parse_statement;
+    use crate::value::Value;
+
+    /// The tables `core::schema::create_tables` makes, with one triad, plus
+    /// a B-tree functional index on a vertex attribute.
+    fn store_db() -> Database {
+        let db = Database::new();
+        for sql in [
+            "CREATE TABLE opa (rowno INTEGER, vid INTEGER, spill INTEGER, \
+             lbl0 TEXT, eid0 INTEGER, val0 INTEGER)",
+            "CREATE UNIQUE INDEX opa_rowno ON opa (rowno) USING HASH",
+            "CREATE INDEX opa_vid ON opa (vid) USING HASH",
+            "CREATE TABLE osa (valid INTEGER, eid INTEGER, val INTEGER)",
+            "CREATE INDEX osa_valid ON osa (valid) USING HASH",
+            "CREATE INDEX osa_valid_val ON osa (valid, val) USING HASH",
+            "CREATE TABLE va (vid INTEGER PRIMARY KEY, attr JSON)",
+            "CREATE TABLE ea (eid INTEGER PRIMARY KEY, inv INTEGER, outv INTEGER, \
+             lbl TEXT, attr JSON)",
+            "CREATE INDEX ea_inv_lbl ON ea (inv, lbl) USING HASH",
+            "CREATE INDEX ea_outv_lbl ON ea (outv, lbl) USING HASH",
+            "CREATE INDEX va_attr_age ON va (JSON_VAL(attr, 'age')) USING BTREE",
+        ] {
+            db.execute(sql).unwrap();
+        }
+        db
+    }
+
+    /// The access path of `sql`'s target plan, its index, how many filters
+    /// its candidates pass through, and whether planning looked at a bind.
+    fn target(db: &Database, sql: &str, params: &[Value]) -> (&'static str, String, usize, bool) {
+        let env = Env::new(db, params);
+        let plan = DmlPlan::compile(&env, &parse_statement(sql).unwrap()).unwrap();
+        let (Target::Update { from, .. } | Target::Delete { from, .. }) = &plan.target else {
+            panic!("{sql}: not an UPDATE or DELETE");
+        };
+        let StepKind::Scan { access, locals, .. } = &from.steps[0].kind else {
+            panic!("{sql}: not a scan");
+        };
+        let filters = locals.len() + from.steps[0].after.len() + from.residual.len();
+        let (path, index) = match access {
+            Access::Point { index, .. } => ("point", index.clone()),
+            Access::Range { index, .. } => ("range", index.clone()),
+            Access::Full => ("full", String::new()),
+            Access::Probe { index, .. } | Access::Csr { index, .. } => ("probe", index.clone()),
+        };
+        (path, index, filters, !plan.guards.is_empty())
+    }
+
+    #[test]
+    fn prepared_dml_targets_of_the_store_take_the_planned_access_path() {
+        let db = store_db();
+        let i = Value::Int;
+        let two = [i(1), i(2)];
+        let three = [i(1), i(2), i(3)];
+        let cleanup = "DELETE FROM osa WHERE valid NOT IN (SELECT t.v FROM opa p, \
+                       TABLE(VALUES (p.val0)) AS t(v) WHERE t.v >= 1000)";
+        for (sql, params, want) in [
+            (
+                "UPDATE opa SET eid0 = NULL, val0 = ? WHERE rowno = ?",
+                &two[..],
+                ("point", "opa_rowno", 0),
+            ),
+            (
+                "UPDATE opa SET lbl0 = NULL, eid0 = NULL, val0 = NULL WHERE rowno = ?",
+                &two[..1],
+                ("point", "opa_rowno", 0),
+            ),
+            (
+                "DELETE FROM osa WHERE valid = ? AND val = ? AND eid = ?",
+                &three[..],
+                ("point", "osa_valid_val", 1),
+            ),
+            (
+                "DELETE FROM ea WHERE eid = ?",
+                &two[..1],
+                ("point", "ea_pk_eid", 0),
+            ),
+            // A key computed from no column plans as a probe, which the
+            // target scan reads as a point.
+            (
+                "DELETE FROM ea WHERE eid = -1",
+                &[],
+                ("probe", "ea_pk_eid", 0),
+            ),
+            (
+                "UPDATE ea SET attr = ? WHERE eid = ?",
+                &two[..],
+                ("point", "ea_pk_eid", 0),
+            ),
+            (
+                "UPDATE va SET vid = ? WHERE vid = ?",
+                &two[..],
+                ("point", "va_pk_vid", 0),
+            ),
+            (
+                "UPDATE opa SET vid = ? WHERE vid = ?",
+                &two[..],
+                ("point", "opa_vid", 0),
+            ),
+            // `vid` has hash indexes only: a range over it is a full scan.
+            ("DELETE FROM va WHERE vid < 0", &[], ("full", "", 1)),
+            ("DELETE FROM opa WHERE vid < 0", &[], ("full", "", 1)),
+            (cleanup, &[], ("full", "", 1)),
+            // A B-tree serves a range on its key.
+            (
+                "DELETE FROM va WHERE JSON_VAL(attr, 'age') > ? AND JSON_VAL(attr, 'age') <= ?",
+                &two[..],
+                ("range", "va_attr_age", 2),
+            ),
+        ] {
+            let (path, index, filters, _) = target(&db, sql, params);
+            assert_eq!((path, index.as_str(), filters), want, "{sql}");
+        }
+        // The probe finds its row as a point does.
+        db.execute("INSERT INTO ea VALUES (-1, 0, 0, 'l', NULL), (1, 0, 0, 'l', NULL)")
+            .unwrap();
+        let deleted = db.execute("DELETE FROM ea WHERE eid = -1").unwrap().rows;
+        assert_eq!(deleted, vec![vec![i(1)]]);
+        // A bound JSON member picks the functional index, and is guarded.
+        let sql = "UPDATE va SET attr = NULL WHERE JSON_VAL(attr, ?) = ?";
+        let age = target(&db, sql, &[Value::str("age"), i(3)]);
+        assert_eq!(age, ("point", "va_attr_age".into(), 0, true), "{sql}");
+        let name = target(&db, sql, &[Value::str("name"), i(3)]);
+        assert_eq!(name, ("full", String::new(), 1, true), "{sql}");
     }
 }

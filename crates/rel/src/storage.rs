@@ -567,12 +567,7 @@ impl Table {
 
     /// Iterate `(RowId, row)` over rows in the all-committed view.
     pub fn iter(&self) -> impl Iterator<Item = (RowId, RowRef<'_>)> {
-        self.iter_snap(Snapshot::latest())
-    }
-
-    /// Iterate `(RowId, row)` over rows visible to `snap`.
-    pub fn iter_snap(&self, snap: Snapshot) -> impl Iterator<Item = (RowId, RowRef<'_>)> {
-        self.scan(0..self.rows.len(), snap)
+        self.scan(0..self.slab_len(), Snapshot::latest())
             .enumerate()
             .filter_map(|(id, row)| Some((id, row?)))
     }
@@ -1004,22 +999,6 @@ impl Table {
             return true;
         }
         false
-    }
-
-    /// Find an index whose *first* key column is `column` and that can serve
-    /// point lookups on a prefix. Used by the planner for single-column
-    /// equality predicates.
-    pub fn index_with_prefix(&self, column: usize) -> Option<&Index> {
-        // Exact single-column index preferred; otherwise a composite whose
-        // key starts with `column` can still narrow a B-tree range.
-        self.indexes
-            .iter()
-            .find(|i| i.columns.len() == 1 && i.columns[0] == column)
-            .or_else(|| {
-                self.indexes
-                    .iter()
-                    .find(|i| i.columns.first() == Some(&column) && i.kind() == IndexKind::BTree)
-            })
     }
 
     /// All indexes (for introspection / stats).

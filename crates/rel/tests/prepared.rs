@@ -245,3 +245,49 @@ fn unknown_columns_fail_in_statement_order() {
         vec![vec![Value::Int(1), Value::Int(5)]]
     );
 }
+
+#[test]
+fn a_held_dml_plan_re_plans_when_its_json_member_bind_moves() {
+    let setup = |db: &Database| {
+        db.execute("CREATE TABLE t (id INTEGER, j JSON, c INTEGER)")
+            .unwrap();
+        db.execute("CREATE INDEX t_jk ON t (JSON_VAL(j, 'k')) USING HASH")
+            .unwrap();
+        let docs = [
+            r#"{"k":1}"#,
+            r#"{"m":1}"#,
+            r#"{"k":1,"m":2}"#,
+            r#"{"k":2,"m":1}"#,
+        ];
+        for (id, doc) in (1..).zip(docs) {
+            let doc = Value::json(sqlgraph_json::parse(doc).unwrap());
+            db.execute_with_params("INSERT INTO t VALUES (?, ?, 0)", &[Value::Int(id), doc])
+                .unwrap();
+        }
+    };
+    let sql = "UPDATE t SET c = c + 1 WHERE JSON_VAL(j, ?) = ?";
+    let (held, fresh) = (Database::new(), Database::new());
+    setup(&held);
+    setup(&fresh);
+    let update = prepare(sql);
+    let statement = parse_statement(sql).unwrap();
+    // `k` reads the functional index, `m` has none: each bind of the member
+    // must run the plan it would get planned afresh.
+    for member in ["k", "m", "k"] {
+        let params = [s(member), Value::Int(1)];
+        let got = held.execute_prepared(&update, &params).unwrap();
+        let want = fresh.execute_statement(&statement, &params, None).unwrap();
+        assert_eq!(got.rows, want.rows, "member {member}");
+        let all = "SELECT id, c FROM t ORDER BY id";
+        assert_eq!(rows(&held, all), rows(&fresh, all), "member {member}");
+    }
+    assert_eq!(
+        rows(&held, "SELECT c FROM t ORDER BY id"),
+        vec![
+            vec![Value::Int(2)],
+            vec![Value::Int(1)],
+            vec![Value::Int(2)],
+            vec![Value::Int(1)]
+        ]
+    );
+}
