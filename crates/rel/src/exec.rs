@@ -4,9 +4,10 @@
 //! into an explicit [`plan::FromPlan`] operator tree (join order, access
 //! paths, pushdown, pruning — every decision), and [`Shape`] compiles the
 //! output stage. A core's plan comes from its prepared statement's cache
-//! when there is one ([`crate::prepared`]) and is bound to this execution's
-//! values. This module only *executes*: [`exec_from`] walks the bound plan
-//! step by step, [`run_aggregate`] / [`Shape::run`] shape the output, and
+//! when there is one ([`crate::prepared`]) and runs in place: each step
+//! reads this execution's values where it uses a bind slot. This module
+//! only *executes*: [`exec_from`] walks the plan step by step,
+//! [`run_aggregate`] / [`Shape::run`] shape the output, and
 //! set ops / ORDER BY / LIMIT compose on top. The executor makes no
 //! planning choices of its own.
 //!
@@ -19,7 +20,7 @@
 
 use crate::db::Database;
 use crate::error::{Error, Result};
-use crate::expr::{self, in_set, BinaryOp, Binds, Expr};
+use crate::expr::{self, bound_all, in_set, BinaryOp, Binds, Expr};
 use crate::hasher::{FxHashMap, FxHashSet, FxHasher};
 use crate::index::{with_key, RowId};
 use crate::plan::{self, Access, Attach, FromPlan, RelInput, Step, StepExec, StepKind};
@@ -28,6 +29,7 @@ use crate::sql::ast;
 use crate::storage::{RowRef, Table};
 use crate::txn::Snapshot;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::hash::{Hash, Hasher};
 use std::slice;
 use std::sync::Arc;
@@ -419,11 +421,12 @@ fn dedup_rows(rows: &mut Vec<Row>, width: usize) {
 // ---------------------------------------------------------------------------
 
 /// Run one SELECT core: run its derived tables, take its plan (from `slot`
-/// when it is current, else planned afresh), run its IN subqueries, bind,
-/// execute. Derived tables run before planning because the join order
-/// reads their sizes; each subquery runs once, whatever the plan's shape.
-/// Only the first `cap` output rows are wanted: a core whose output rows
-/// are its FROM rows in order stops its FROM there.
+/// when it is current, else planned afresh), run its IN subqueries, and
+/// execute the plan in place with this execution's [`Binds`]. Derived
+/// tables run before planning because the join order reads their sizes;
+/// each subquery runs once, whatever the plan's shape. Only the first `cap`
+/// output rows are wanted: a core whose output rows are its FROM rows in
+/// order stops its FROM there.
 fn run_core(
     env: &Env<'_>,
     core: &ast::SelectCore,
@@ -453,13 +456,11 @@ fn run_core(
         params: env.params,
         sets,
     };
-    let bound = plan.from.bind(&binds)?;
-    let from = bound.as_ref().unwrap_or(&plan.from);
-    let shape = plan.shape.bound(&binds)?;
-    let mut execs = vec![StepExec::default(); from.steps.len()];
+    let (from, shape) = (&plan.from, &plan.shape);
     let cap = if shape.streams() { cap } else { usize::MAX };
-    let data = exec_from(env, from, &derived, &mut execs, cap)?;
-    let rel = shape.run(env, data)?;
+    let mut execs = Vec::new();
+    let data = exec_from(env, from, &binds, &derived, &mut execs, cap)?;
+    let rel = shape.run(env, data, &binds)?;
     if env.trace.is_some() {
         // EXPLAIN: render the physical operator tree that just ran.
         plan::render_tree(env, from, &execs, &shape.wrappers());
@@ -492,7 +493,7 @@ fn plan_core(
     let shape = Shape::compile(&planned.scope, core, order_by)?;
     Ok(CorePlan {
         from: planned.from,
-        shape: Arc::new(shape),
+        shape,
         epoch,
         guards,
         order: planned.order,
@@ -526,7 +527,6 @@ pub(crate) fn subquery_sets<'q>(
 /// projection or aggregation, DISTINCT, and the ORDER BY keys, which are
 /// computed as hidden trailing columns so they may reference unprojected
 /// inputs.
-#[derive(Clone)]
 pub(crate) struct Shape {
     /// Output column names.
     names: Vec<String>,
@@ -536,11 +536,8 @@ pub(crate) struct Shape {
     descs: Vec<bool>,
     /// Width of the FROM rows.
     width: usize,
-    /// Whether an expression holds a bind slot.
-    slots: bool,
 }
 
-#[derive(Clone)]
 enum ShapeKind {
     /// Plain projection: one expression per output column, then the sort
     /// keys, and how its rows reuse the FROM rows.
@@ -549,7 +546,6 @@ enum ShapeKind {
 }
 
 /// How a plain projection makes its rows out of the FROM rows it is handed.
-#[derive(Clone)]
 enum Reuse {
     /// The expressions are exactly `Col(0)`, …, `Col(k - 1)`: the FROM rows,
     /// cut to their first `k` values, are the output rows.
@@ -606,49 +602,20 @@ impl Shape {
             let reuse = Reuse::of(&exprs, scope.width);
             (names, ShapeKind::Project(exprs, reuse))
         };
-        let mut shape = Shape {
+        Ok(Shape {
             names,
             kind,
             distinct: core.distinct,
             descs: order_by.iter().map(|(_, d)| *d).collect(),
             width: scope.width,
-            slots: false,
-        };
-        shape.slots = shape.exprs_mut().into_iter().any(|e| e.has_slots());
-        Ok(shape)
+        })
     }
 
-    /// Every expression of the shape.
-    fn exprs_mut(&mut self) -> Vec<&mut Expr> {
-        match &mut self.kind {
-            ShapeKind::Project(exprs, _) => exprs.iter_mut().collect(),
-            ShapeKind::Aggregate(a) => a
-                .group
-                .iter_mut()
-                .chain(a.aggs.iter_mut().filter_map(|s| s.arg.as_mut()))
-                .chain(&mut a.proj)
-                .chain(&mut a.having)
-                .collect(),
-        }
-    }
-
-    /// This shape with its bind slots filled (itself when it has none).
-    fn bound(self: &Arc<Shape>, b: &Binds<'_>) -> Result<Arc<Shape>> {
-        if !self.slots {
-            return Ok(self.clone());
-        }
-        let mut shape = (**self).clone();
-        for e in shape.exprs_mut() {
-            *e = e.bind(b)?;
-        }
-        shape.slots = false;
-        Ok(Arc::new(shape))
-    }
-
-    /// Shape the FROM pipeline's output into the core's relation.
-    fn run(&self, env: &Env<'_>, data: Data) -> Result<Relation> {
+    /// Shape the FROM pipeline's output into the core's relation, each
+    /// expression's bind slots filled from `binds` once, before the rows.
+    fn run(&self, env: &Env<'_>, data: Data, binds: &Binds<'_>) -> Result<Relation> {
         let rows = match &self.kind {
-            ShapeKind::Aggregate(agg) => run_aggregate(env, self.width, data, agg)?,
+            ShapeKind::Aggregate(agg) => run_aggregate(env, self.width, data, &*agg.bound(binds)?)?,
             ShapeKind::Project(exprs, reuse) => {
                 let mut rows = data.into_rows();
                 match reuse {
@@ -659,10 +626,11 @@ impl Shape {
                         rows
                     }
                     Reuse::Evaluate => {
+                        let exprs = bound_all(exprs, binds)?;
                         let mut out_rows = Vec::with_capacity(rows.len());
                         for row in &rows {
                             let mut out = Vec::with_capacity(exprs.len());
-                            for e in exprs {
+                            for e in exprs.iter() {
                                 out.push(e.eval(row)?);
                             }
                             out_rows.push(out);
@@ -1089,18 +1057,39 @@ fn compile_aggregate(
 }
 
 impl AggPlan {
-    /// Which of the `width` input columns the aggregation reads: group
-    /// keys, aggregate arguments, HAVING and the output expressions.
+    /// Every expression: group keys, aggregate arguments, the output
+    /// expressions and HAVING.
+    fn exprs(&self) -> impl Iterator<Item = &Expr> {
+        let args = self.aggs.iter().filter_map(|s| s.arg.as_ref());
+        let exprs = self.group.iter().chain(args).chain(&self.proj);
+        exprs.chain(&self.having)
+    }
+
+    /// This aggregation with its bind slots filled from `b`, borrowed when
+    /// it has none.
+    fn bound(&self, b: &Binds<'_>) -> Result<Cow<'_, AggPlan>> {
+        if !self.exprs().any(Expr::has_slots) {
+            return Ok(Cow::Borrowed(self));
+        }
+        let bind = |e: &Expr| e.bind(b);
+        let aggs = self.aggs.iter().map(|s| {
+            Ok(AggSpec {
+                arg: s.arg.as_ref().map(bind).transpose()?,
+                ..*s
+            })
+        });
+        Ok(Cow::Owned(AggPlan {
+            group: self.group.iter().map(bind).collect::<Result<_>>()?,
+            aggs: aggs.collect::<Result<_>>()?,
+            proj: self.proj.iter().map(bind).collect::<Result<_>>()?,
+            having: self.having.as_ref().map(bind).transpose()?,
+        }))
+    }
+
+    /// Which of the `width` input columns the aggregation reads.
     fn columns(&self, width: usize) -> Vec<bool> {
         let mut read = vec![false; width];
-        let args = self.aggs.iter().filter_map(|s| s.arg.as_ref());
-        for e in self
-            .group
-            .iter()
-            .chain(args)
-            .chain(&self.proj)
-            .chain(&self.having)
-        {
+        for e in self.exprs() {
             e.visit_columns(&mut |c| {
                 if c < width {
                     read[c] = true;
@@ -1694,25 +1683,29 @@ enum Produced {
     Done(Data),
 }
 
-/// Execute a bound FROM pipeline over its `derived` tables, recording what
-/// each step observed in `execs` (one per step). Only the first `cap` rows
-/// are wanted: a pipeline of one unfiltered step reads no further.
+/// Execute a FROM pipeline over its `derived` tables, its bind slots
+/// filled from `binds` where each step reads them. Under EXPLAIN, what
+/// each step observed is pushed onto `execs`; otherwise nothing is kept.
+/// Only the first `cap` rows are wanted: a pipeline of one unfiltered step
+/// reads no further.
 fn exec_from(
     env: &Env<'_>,
     plan: &FromPlan,
+    binds: &Binds<'_>,
     derived: &[Arc<Relation>],
-    execs: &mut [StepExec],
+    execs: &mut Vec<StepExec>,
     cap: usize,
 ) -> Result<Data> {
     let one_step =
         plan.steps.len() == 1 && plan.steps[0].after.is_empty() && plan.residual.is_empty();
     let cap = if one_step { cap } else { usize::MAX };
     let mut data = Data::Rows(vec![Vec::new()]); // identity row
-    for (step, x) in plan.steps.iter().zip(execs) {
+    for step in &plan.steps {
+        let mut x = StepExec::default();
         let was_factor = matches!(&data, Data::Factor(_));
-        data = exec_step(env, step, x, derived, data, cap)?;
+        data = exec_step(env, step, binds, &mut x, derived, data, cap)?;
         for p in &step.after {
-            data = filter_data(env, data, p)?;
+            data = filter_data(env, data, p, binds)?;
         }
         // EXPLAIN's per-step list-vs-flat mode: a step whose output stays
         // factorized runs in list mode; the step that materializes a
@@ -1723,9 +1716,12 @@ fn exec_from(
             x.list_out = Some(false);
         }
         x.actual = Some(data.len());
+        if env.trace.is_some() {
+            execs.push(x);
+        }
     }
     for p in &plan.residual {
-        data = filter_data(env, data, p)?;
+        data = filter_data(env, data, p, binds)?;
     }
     Ok(data)
 }
@@ -1867,19 +1863,24 @@ fn scan_rows<'r>(
     if cap == 0 {
         return Ok(out);
     }
-    // A rejected row's buffer is reused for the next.
-    let mut row: Row = Vec::with_capacity(keep.len());
+    // A rejected row's buffer is reused for the next candidate; a kept
+    // row's is not replaced until another candidate arrives.
+    let mut spare: Option<Row> = None;
     'rows: for r in cands {
+        let mut row = spare
+            .take()
+            .unwrap_or_else(|| Vec::with_capacity(keep.len()));
         row.clear();
         row.extend(keep.iter().map(|&i| r.get(i).clone()));
         for (p, c) in locals.iter().zip(counts.iter_mut()) {
             c.0 += 1;
             if !p.eval_bool(&row)? {
+                spare = Some(row);
                 continue 'rows;
             }
             c.1 += 1;
         }
-        out.push(std::mem::replace(&mut row, Vec::with_capacity(keep.len())));
+        out.push(row);
         if out.len() >= cap {
             break;
         }
@@ -1889,10 +1890,12 @@ fn scan_rows<'r>(
 
 /// Execute one step: produce the unit's rows per [`plan::StepKind`] /
 /// [`plan::Access`], then combine with the accumulated rows per
-/// [`plan::Attach`]. A scan stops after `cap` rows.
+/// [`plan::Attach`]. A scan stops after `cap` rows. Each expression with a
+/// bind slot is bound once here, before the rows it reads.
 fn exec_step(
     env: &Env<'_>,
     step: &Step,
+    binds: &Binds<'_>,
     x: &mut StepExec,
     derived: &[Arc<Relation>],
     left: Data,
@@ -1906,6 +1909,7 @@ fn exec_step(
             access,
             locals,
         } => {
+            let locals = &*bound_all(locals, binds)?;
             env.db.read_table(table, |t| {
                 Ok(match access {
                     Access::Probe { index, parts } => {
@@ -1913,6 +1917,8 @@ fn exec_step(
                         // row, probe, and emit combined rows directly.
                         let idx = find_index(t, index)?;
                         let keep: &[usize] = keep;
+                        let parts = bound_all(parts, binds)?;
+                        let outer = step.outer.as_ref().map(|o| o.bound(binds)).transpose()?;
                         let lrows = left.take().expect("left consumed once").into_rows();
                         let mut out = Vec::new();
                         // One probe buffer for the whole step.
@@ -1929,7 +1935,7 @@ fn exec_step(
                             }
                             let cands = posted(t, idx, &key, env.snap)
                                 .map(|(_, row)| keep.iter().map(move |&i| row.get(i).clone()));
-                            emit_matches(step.outer.as_ref(), &l, cands, &mut out)?;
+                            emit_matches(outer.as_deref(), &l, cands, &mut out)?;
                         }
                         Produced::Done(Data::Rows(out))
                     }
@@ -1940,6 +1946,7 @@ fn exec_step(
                         // see `Database::csr_for`). Output stays factorized:
                         // the expansion is appended as an offset-delimited
                         // level instead of materializing one row per match.
+                        let part = &*part.bound(binds)?;
                         let entry = env.db.csr_for(t, table, index, keep, env.snap)?;
                         x.csr_groups = Some(entry.group_count());
                         let ldata = left.take().expect("left consumed once");
@@ -1984,7 +1991,7 @@ fn exec_step(
                         let counts = &mut x.local_counts;
                         let scanned = with_key(
                             key.len(),
-                            |i| key[i].eval(&[]),
+                            |i| key[i].bound(binds)?.eval(&[]),
                             |probe| {
                                 let cands = posted(t, idx, probe, env.snap).map(|(_, row)| row);
                                 scan_rows(cands, keep, locals, cap, counts)
@@ -1994,7 +2001,8 @@ fn exec_step(
                     }
                     Access::Range { index, lo, hi } => {
                         let idx = find_index(t, index)?;
-                        let bound = |e: &Option<Expr>| e.as_ref().map(|e| e.eval(&[])).transpose();
+                        let value = |e: &Expr| e.bound(binds)?.eval(&[]);
+                        let bound = |e: &Option<Expr>| e.as_ref().map(value).transpose();
                         let (lo_key, hi_key) = (bound(lo)?, bound(hi)?);
                         let entries = idx.range(
                             lo_key.as_ref().map(std::slice::from_ref),
@@ -2063,6 +2071,7 @@ fn exec_step(
                     .ok_or_else(|| Error::NotFound(format!("CTE '{name}'")))?,
                 RelInput::Derived(n) => &derived[*n],
             };
+            let pushed = bound_all(pushed, binds)?;
             // The first pushed filter picks the rows copied out of the
             // shared relation; the rest filter the copy.
             let mut rows = match pushed.first() {
@@ -2090,6 +2099,17 @@ fn exec_step(
             rows: compiled_rows,
             arity,
         } => {
+            let bound;
+            let compiled_rows = match compiled_rows.iter().flatten().any(Expr::has_slots) {
+                true => {
+                    bound = compiled_rows
+                        .iter()
+                        .map(|row| row.iter().map(|e| e.bind(binds)).collect())
+                        .collect::<Result<Vec<Vec<Expr>>>>()?;
+                    &bound
+                }
+                false => compiled_rows,
+            };
             let ldata = left.take().expect("left consumed once");
             let k = compiled_rows.len();
             // Only a factored input can fill `cols` (one value per leaf and
@@ -2146,6 +2166,7 @@ fn exec_step(
             args,
             arity: _,
         } => {
+            let args = bound_all(args, binds)?;
             let lrows = left.take().expect("left consumed once").into_rows();
             let mut out = Vec::new();
             for row in lrows {
@@ -2167,6 +2188,7 @@ fn exec_step(
         Produced::Right(right) => exec_attach(
             env,
             step,
+            binds,
             x,
             left.take().expect("left consumed once"),
             right,
@@ -2207,13 +2229,16 @@ fn emit_matches<C: IntoIterator<Item = Value>>(
 fn exec_attach(
     env: &Env<'_>,
     step: &Step,
+    binds: &Binds<'_>,
     x: &mut StepExec,
     left: Data,
     rrows: Vec<Row>,
 ) -> Result<Data> {
-    let outer = step.outer.as_ref();
+    let outer = step.outer.as_ref().map(|o| o.bound(binds)).transpose()?;
+    let outer = outer.as_deref();
     match &step.attach {
         Attach::Hash { lkey, rkey } => {
+            let (lkey, rkey) = (&*lkey.bound(binds)?, &*rkey.bound(binds)?);
             let dop = env.db.dop_for(rrows.len().max(left.len()));
             x.join_rows = Some(rrows.len());
             x.join_dop = Some(dop);
@@ -2277,10 +2302,11 @@ fn exec_attach(
     }
 }
 
-/// Apply one compiled predicate to intermediate data. Rows filter through
-/// the morsel-parallel row filter; a factor filters its leaves list-wise
-/// when it can.
-fn filter_data(env: &Env<'_>, data: Data, p: &Expr) -> Result<Data> {
+/// Apply one compiled predicate, its slots filled from `binds`, to
+/// intermediate data. Rows filter through the morsel-parallel row filter; a
+/// factor filters its leaves list-wise when it can.
+fn filter_data(env: &Env<'_>, data: Data, p: &Expr, binds: &Binds<'_>) -> Result<Data> {
+    let p = &*p.bound(binds)?;
     match data {
         Data::Rows(rows) => Ok(Data::Rows(filter_rows_par(env, rows, p)?)),
         Data::Factor(mut f) => {

@@ -10,6 +10,7 @@ use crate::error::{Error, Result};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::value::{CastType, Value};
 use sqlgraph_json::Json;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -182,6 +183,15 @@ pub(crate) struct Binds<'a> {
     pub(crate) sets: FxHashMap<usize, Arc<FxHashSet<Value>>>,
 }
 
+/// [`Expr::bound`] of each of `exprs`, borrowing the slice itself when none
+/// has a slot.
+pub(crate) fn bound_all<'e>(exprs: &'e [Expr], b: &Binds<'_>) -> Result<Cow<'e, [Expr]>> {
+    Ok(match exprs.iter().any(Expr::has_slots) {
+        true => Cow::Owned(exprs.iter().map(|e| e.bind(b)).collect::<Result<_>>()?),
+        false => Cow::Borrowed(exprs),
+    })
+}
+
 /// The membership set `IN` compiles to: NULLs can never match, so they are
 /// left out.
 pub(crate) fn in_set(values: impl IntoIterator<Item = Value>) -> Arc<FxHashSet<Value>> {
@@ -272,10 +282,10 @@ impl Expr {
     }
 
     /// [`Expr::bind`], borrowing the expression itself when it has no slot.
-    pub(crate) fn bound(&self, b: &Binds<'_>) -> Result<std::borrow::Cow<'_, Expr>> {
+    pub(crate) fn bound(&self, b: &Binds<'_>) -> Result<Cow<'_, Expr>> {
         Ok(match self.has_slots() {
-            true => std::borrow::Cow::Owned(self.bind(b)?),
-            false => std::borrow::Cow::Borrowed(self),
+            true => Cow::Owned(self.bind(b)?),
+            false => Cow::Borrowed(self),
         })
     }
 

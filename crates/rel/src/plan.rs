@@ -17,9 +17,11 @@
 //! to bind slots ([`Expr::Param`]), an IN subquery to a slot its result fills
 //! ([`Expr::InSubquery`]), and CTEs and derived tables are referenced
 //! ([`RelInput`]) rather than copied in — their pushed filters run at
-//! execution. [`FromPlan::bind`] makes the executable copy. What planning
-//! did read that can change while the statement does not is recorded
-//! ([`Guard`], [`OrderModel`]) so a cached plan can be checked against it.
+//! execution. The executor runs a plan in place, cached or fresh: each
+//! execution reads its bind values where a step uses them ([`Binds`]),
+//! once per step and never by copying the plan. What planning did read
+//! that can change while the statement does not is recorded ([`Guard`],
+//! [`OrderModel`]) so a cached plan can be checked against it.
 //!
 //! The planning pass mirrors the retired in-line planner *decision for
 //! decision* — the same conjunct-retirement order, the same compile-attempt
@@ -30,13 +32,14 @@
 
 use crate::error::{Error, Result};
 use crate::exec::{compile_expr, Env, Relation, Scope, TableFunc};
-use crate::expr::{BinaryOp, Binds, Expr};
+use crate::expr::{bound_all, BinaryOp, Binds, Expr};
 use crate::hasher::{FxHashMap, FxHashSet};
 use crate::index::KeyPart;
 use crate::sql::ast;
 use crate::stats::{ndv_with_default, TableStats};
 use crate::storage::Table;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
@@ -46,19 +49,15 @@ use std::sync::Arc;
 /// A fully-planned FROM pipeline: an ordered list of attach steps and
 /// residual filters that run after the last attach.
 pub(crate) struct FromPlan {
-    /// Attach steps in execution order (post join-reorder). Shared between
-    /// a cached plan and its bound copies where a step has no bind slot.
-    pub(crate) steps: Vec<Arc<Step>>,
+    /// Attach steps in execution order (post join-reorder).
+    pub(crate) steps: Vec<Step>,
     /// Conjuncts that resolve only against the full scope, compiled, in
     /// original conjunct order.
     pub(crate) residual: Vec<Expr>,
-    /// Whether a step or residual conjunct holds a bind slot.
-    slots: bool,
 }
 
 /// One unit attachment: produce the unit's rows ([`StepKind`]) and combine
 /// them with the rows accumulated so far ([`Attach`]).
-#[derive(Clone)]
 pub(crate) struct Step {
     /// Display label (the unit's alias).
     pub(crate) label: String,
@@ -71,8 +70,6 @@ pub(crate) struct Step {
     /// Ready conjuncts applied to the combined rows right after the attach
     /// (combined layout), in conjunct order.
     pub(crate) after: Vec<Expr>,
-    /// Whether an expression of the step holds a bind slot.
-    slots: bool,
 }
 
 /// The null-supplying half of a LEFT OUTER JOIN step. The join key ([`Access`]
@@ -92,7 +89,7 @@ pub(crate) struct Outer {
 
 /// Cardinalities and DOPs observed while executing a [`Step`]. One per step
 /// per execution, beside the plan: a plan is never written while it runs.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct StepExec {
     /// Combined rows after the attach and `after` filters.
     pub(crate) actual: Option<usize>,
@@ -116,7 +113,6 @@ pub(crate) struct StepExec {
 }
 
 /// How a step produces its unit rows.
-#[derive(Clone)]
 pub(crate) enum StepKind {
     /// Base-table scan (pruned to `keep` columns) with a chosen access path
     /// and fused local filters (unit layout).
@@ -143,7 +139,6 @@ pub(crate) enum StepKind {
 }
 
 /// Where a [`StepKind::Rel`] step's rows come from.
-#[derive(Clone)]
 pub(crate) enum RelInput {
     /// The CTE of this (lower-cased) name in the executing environment.
     Cte(String),
@@ -155,7 +150,6 @@ pub(crate) enum RelInput {
 /// Access path of a base-table scan. Key expressions that come before the
 /// scan — a probe part that is a constant, a point key, a range bound — are
 /// constants or bind slots.
-#[derive(Clone)]
 pub(crate) enum Access {
     /// Index nested-loop join: per accumulated row, evaluate `parts`
     /// (combined layout) into a key and probe `index`. Consumes the left
@@ -187,7 +181,6 @@ pub(crate) enum Access {
 /// How the unit rows combine with the accumulated rows. The same three join
 /// strategies serve comma units, inner JOIN operands and — with
 /// [`Step::outer`] set — LEFT OUTER JOIN operands.
-#[derive(Clone)]
 pub(crate) enum Attach {
     /// Handled inside the scan ([`Access::Probe`]).
     Probe,
@@ -199,99 +192,17 @@ pub(crate) enum Attach {
     Flatten,
 }
 
-// ---------------------------------------------------------------------------
-// Binding
-// ---------------------------------------------------------------------------
-
-impl FromPlan {
-    fn new(steps: Vec<Arc<Step>>, residual: Vec<Expr>) -> FromPlan {
-        let slots = steps.iter().any(|s| s.slots) || residual.iter().any(Expr::has_slots);
-        FromPlan {
-            steps,
-            residual,
-            slots,
-        }
-    }
-
-    /// The executable copy of this plan for one execution, with its bind
-    /// slots filled from `b` — `None` when it has none and runs as it is.
-    /// Steps without a slot are shared, not copied.
-    pub(crate) fn bind(&self, b: &Binds<'_>) -> Result<Option<FromPlan>> {
-        if !self.slots {
-            return Ok(None);
-        }
-        let steps = self
-            .steps
-            .iter()
-            .map(|s| match s.slots {
-                true => s.bind(b).map(Arc::new),
-                false => Ok(s.clone()),
-            })
-            .collect::<Result<_>>()?;
-        let residual = self
-            .residual
-            .iter()
-            .map(|e| e.bind(b))
-            .collect::<Result<_>>()?;
-        Ok(Some(FromPlan::new(steps, residual)))
-    }
-}
-
-impl Step {
-    fn new(
-        label: String,
-        est: Option<f64>,
-        kind: StepKind,
-        attach: Attach,
-        outer: Option<Outer>,
-        after: Vec<Expr>,
-    ) -> Step {
-        let mut step = Step {
-            label,
-            est,
-            kind,
-            attach,
-            outer,
-            after,
-            slots: false,
-        };
-        step.slots = step.exprs_mut().into_iter().any(|e| e.has_slots());
-        step
-    }
-
-    /// Every expression of the step.
-    fn exprs_mut(&mut self) -> Vec<&mut Expr> {
-        let mut out: Vec<&mut Expr> = Vec::new();
-        match &mut self.kind {
-            StepKind::Scan { access, locals, .. } => {
-                out.extend(locals);
-                match access {
-                    Access::Probe { parts, .. } => out.extend(parts),
-                    Access::Csr { part, .. } => out.push(part),
-                    Access::Point { key, .. } => out.extend(key),
-                    Access::Range { lo, hi, .. } => out.extend(lo.iter_mut().chain(hi)),
-                    Access::Full => {}
-                }
-            }
-            StepKind::Rel { pushed, .. } => out.extend(pushed),
-            StepKind::LateralValues { rows, .. } => out.extend(rows.iter_mut().flatten()),
-            StepKind::LateralFunc { args, .. } => out.extend(args),
-        }
-        if let Attach::Hash { lkey, rkey } = &mut self.attach {
-            out.extend([lkey, rkey]);
-        }
-        out.extend(self.outer.iter_mut().flat_map(|o| &mut o.on));
-        out.extend(&mut self.after);
-        out
-    }
-
-    fn bind(&self, b: &Binds<'_>) -> Result<Step> {
-        let mut step = self.clone();
-        for e in step.exprs_mut() {
-            *e = e.bind(b)?;
-        }
-        step.slots = false;
-        Ok(step)
+impl Outer {
+    /// This half with its ON residue's bind slots filled from `b`, borrowed
+    /// when the residue has none.
+    pub(crate) fn bound(&self, b: &Binds<'_>) -> Result<Cow<'_, Outer>> {
+        Ok(match bound_all(&self.on, b)? {
+            Cow::Borrowed(_) => Cow::Borrowed(self),
+            Cow::Owned(on) => Cow::Owned(Outer {
+                on,
+                width: self.width,
+            }),
+        })
     }
 }
 
@@ -1158,7 +1069,10 @@ pub(crate) fn plan_from(
             None => Vec::new(),
         };
         return Ok(Planned {
-            from: FromPlan::new(Vec::new(), residual),
+            from: FromPlan {
+                steps: Vec::new(),
+                residual,
+            },
             scope,
             order: None,
         });
@@ -1200,7 +1114,7 @@ pub(crate) fn plan_from(
     // Phase 4: plan each attach step in execution order.
     let mut scope = Scope::default();
     let mut slots: Vec<Option<Unit<'_>>> = units.into_iter().map(Some).collect();
-    let mut steps: Vec<Arc<Step>> = Vec::with_capacity(slots.len());
+    let mut steps: Vec<Step> = Vec::with_capacity(slots.len());
 
     for p in &planned {
         let Unit {
@@ -1321,9 +1235,14 @@ pub(crate) fn plan_from(
             // Compile failures reference columns not yet in scope; retry
             // after the next unit extends it.
         }
-        steps.push(Arc::new(Step::new(
-            alias, p.est, kind, attach, outer, after,
-        )));
+        steps.push(Step {
+            label: alias,
+            est: p.est,
+            kind,
+            attach,
+            outer,
+            after,
+        });
     }
 
     // Each step pushed one scope entry. Restore the entries to textual order
@@ -1345,7 +1264,7 @@ pub(crate) fn plan_from(
         residual.push(compile_expr(&scope, c)?);
     }
     Ok(Planned {
-        from: FromPlan::new(steps, residual),
+        from: FromPlan { steps, residual },
         scope,
         order,
     })
@@ -1802,7 +1721,7 @@ pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, execs: &[StepExec], wr
 /// Recursive left-deep tree render of `steps[..=i]`.
 fn tree_into(
     env: &Env<'_>,
-    steps: &[Arc<Step>],
+    steps: &[Step],
     execs: &[StepExec],
     i: usize,
     depth: usize,

@@ -172,7 +172,7 @@ impl SetPlans {
 /// [`Shape`], both with bind slots — and what it was planned from.
 pub(crate) struct CorePlan {
     pub(crate) from: FromPlan,
-    pub(crate) shape: Arc<Shape>,
+    pub(crate) shape: Shape,
     /// The database's plan epoch, read before planning began.
     pub(crate) epoch: u64,
     /// The bind values planning looked at.

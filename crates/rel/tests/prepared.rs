@@ -6,6 +6,10 @@
 //! * An IN subquery in a cached statement runs on every execution.
 //! * A bare `execute_statement` compiles afresh, and an unknown column
 //!   fails as it always has: the filter first, then each assignment.
+//!
+//! A cached SELECT plan runs in place, its bind slots read where each step
+//! uses them: every bind position answers as the same text with its
+//! literals written inline, at DOP 1 and 4, on plan hits.
 
 use sqlgraph_rel::sql::parse_statement;
 use sqlgraph_rel::{Database, Error, Prepared, Value};
@@ -290,4 +294,254 @@ fn a_held_dml_plan_re_plans_when_its_json_member_bind_moves() {
             vec![Value::Int(1)]
         ]
     );
+}
+
+/// `params` written into `sql` as literals, one per `?` in order.
+fn inline(sql: &str, params: &[Value]) -> String {
+    let mut values = params.iter();
+    let mut out = String::new();
+    for (i, piece) in sql.split('?').enumerate() {
+        if i > 0 {
+            out += &match values.next().expect("one value per ?") {
+                Value::Null => "NULL".to_string(),
+                Value::Int(n) => n.to_string(),
+                Value::Str(s) => format!("'{s}'"),
+                other => panic!("no literal for {other:?}"),
+            };
+        }
+        out += piece;
+    }
+    out
+}
+
+/// One bind position: a statement with a `?` there, the operator its
+/// EXPLAIN shows (so the position is really exercised), and three bind
+/// sets. `replans` lists the runs after the first whose guarded binds
+/// change, so they plan afresh; every other later run is a plan hit.
+struct BindCase {
+    sql: &'static str,
+    node: &'static str,
+    binds: [Vec<Value>; 3],
+    csr: bool,
+    replans: &'static [usize],
+}
+
+fn bind_fixture() -> Database {
+    let db = Database::new();
+    for ddl in [
+        "CREATE TABLE v (id INTEGER PRIMARY KEY, k INTEGER, s TEXT, c INTEGER, tag INTEGER)",
+        "CREATE INDEX v_ks ON v (k, s) USING HASH",
+        "CREATE INDEX v_c ON v (c) USING BTREE",
+        "CREATE TABLE e (src INTEGER, dst INTEGER, w INTEGER)",
+        "CREATE INDEX e_src ON e (src) USING HASH",
+        "CREATE TABLE p (src INTEGER, w INTEGER, dst INTEGER)",
+        "CREATE INDEX p_src_w ON p (src, w) USING HASH",
+        "CREATE TABLE h (x INTEGER, y INTEGER)",
+    ] {
+        db.execute(ddl).unwrap();
+    }
+    for id in 0..300i64 {
+        let c = match id % 37 {
+            0 => Value::Null,
+            _ => Value::Int(id % 50),
+        };
+        let s = ["a", "b", "c"][(id % 3) as usize];
+        db.execute_with_params(
+            "INSERT INTO v VALUES (?, ?, ?, ?, ?)",
+            &[
+                Value::Int(id),
+                Value::Int(id % 10),
+                Value::str(s),
+                c,
+                Value::Int(id % 4),
+            ],
+        )
+        .unwrap();
+    }
+    for i in 0..600i64 {
+        let (src, dst, w) = (
+            Value::Int(i % 300),
+            Value::Int(i * 7 % 300),
+            Value::Int(i % 5),
+        );
+        db.execute_with_params(
+            "INSERT INTO e VALUES (?, ?, ?)",
+            &[src.clone(), dst.clone(), w.clone()],
+        )
+        .unwrap();
+        db.execute_with_params("INSERT INTO p VALUES (?, ?, ?)", &[src, w, dst])
+            .unwrap();
+    }
+    for i in 0..40i64 {
+        db.execute_with_params(
+            "INSERT INTO h VALUES (?, ?)",
+            &[Value::Int(i % 20), Value::Int(i)],
+        )
+        .unwrap();
+    }
+    db.execute("ANALYZE").unwrap();
+    db
+}
+
+fn bind_cases() -> Vec<BindCase> {
+    let (i, n, t) = (Value::Int, Value::Null, s);
+    let case = |sql, node, binds, csr, replans| BindCase {
+        sql,
+        node,
+        binds,
+        csr,
+        replans,
+    };
+    vec![
+        case(
+            "SELECT id, s FROM v WHERE id = ?",
+            "point, 1 key parts",
+            [vec![i(5)], vec![i(17)], vec![n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT id, c FROM v WHERE k = ? AND s = ?",
+            "point, 2 key parts",
+            [
+                vec![i(3), t("a")],
+                vec![i(4), t("b")],
+                vec![i(3), n.clone()],
+            ],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT v.id, p.dst FROM v, p WHERE v.k = ? AND p.src = v.id AND p.w = ?",
+            "IndexJoin p [p] (index p_src_w, 2 key parts)",
+            [vec![i(2), i(1)], vec![i(7), i(3)], vec![i(2), n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT v.id, e.dst FROM v, e WHERE v.k = ? AND e.src = v.id + ?",
+            "CsrExpand e [e] (index e_src",
+            [vec![i(1), i(0)], vec![i(4), i(2)], vec![i(9), n.clone()]],
+            true,
+            &[],
+        ),
+        // A NULL bound is no range bound: the third run plans afresh.
+        case(
+            "SELECT id, c FROM v WHERE c >= ? AND c <= ?",
+            "(index v_c, range",
+            [
+                vec![i(10), i(20)],
+                vec![i(15), i(33)],
+                vec![n.clone(), i(12)],
+            ],
+            false,
+            &[2],
+        ),
+        case(
+            "SELECT id, c FROM v WHERE c IN (?, ?, ?)",
+            "pushed filters",
+            [
+                vec![i(1), i(1), n.clone()],
+                vec![i(2), n.clone(), n.clone()],
+                vec![i(3), i(4), i(3)],
+            ],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT v.id, h.y FROM v, h WHERE v.tag = h.x AND v.c + h.y > ?",
+            "Filter (1 predicates)",
+            [vec![i(40)], vec![i(70)], vec![n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT 1 AS one WHERE ? > 2",
+            "Filter (1 residual predicates)",
+            [vec![i(3)], vec![i(1)], vec![n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT v.id, h.y FROM v, h WHERE h.x = v.tag + ?",
+            "HashJoin",
+            [vec![i(1)], vec![i(15)], vec![n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT v.id, h.y FROM v LEFT JOIN h ON h.x = v.tag AND h.y + v.id > ? WHERE v.id < 12",
+            "left outer, 1 ON predicates",
+            [vec![i(20)], vec![i(45)], vec![n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT v.id, t.x FROM v, TABLE(VALUES (v.c + ?), (?)) AS t(x) WHERE v.id < 8",
+            "Values t",
+            [
+                vec![i(1), i(9)],
+                vec![i(100), n.clone()],
+                vec![n.clone(), i(-4)],
+            ],
+            false,
+            &[],
+        ),
+        case(
+            "WITH q AS (SELECT id, c FROM v WHERE tag = 1) SELECT id FROM q WHERE c > ?",
+            "Rel q",
+            [vec![i(30)], vec![i(45)], vec![n.clone()]],
+            false,
+            &[],
+        ),
+        case(
+            "SELECT id FROM v WHERE tag = ? AND c IN (SELECT y FROM h WHERE x < ?)",
+            "Scan v",
+            [vec![i(1), i(7)], vec![i(2), i(12)], vec![i(3), n]],
+            false,
+            // `x < NULL` is no range bound either: the subquery re-plans.
+            &[2],
+        ),
+    ]
+}
+
+#[test]
+fn a_cached_select_plan_reads_every_bind_position_like_inline_literals() {
+    let db = bind_fixture();
+    for case in bind_cases() {
+        db.set_csr_enabled(case.csr);
+        for dop in [1, 4] {
+            db.set_parallelism(dop);
+            let explain = format!("EXPLAIN {}", case.sql);
+            let plan = db.execute_with_params(&explain, &case.binds[0]).unwrap();
+            let plan: Vec<String> = plan.rows.iter().map(|r| format!("{:?}", r[0])).collect();
+            assert!(
+                plan.iter().any(|line| line.contains(case.node)),
+                "{}: no `{}` in\n{}",
+                case.sql,
+                case.node,
+                plan.join("\n")
+            );
+            let prepared = prepare(case.sql);
+            let mut cores = 0;
+            for (run, params) in case.binds.iter().enumerate() {
+                let (hits, replans) = db.plan_cache_stats();
+                let got = db.execute_prepared(&prepared, params).unwrap();
+                let (hit, replan) = db.plan_cache_stats();
+                let (hit, replan) = (hit - hits, replan - replans);
+                let what = format!("{} {params:?} at dop {dop}", case.sql);
+                if run == 0 {
+                    assert_eq!(hit, 0, "{what}");
+                    cores = replan;
+                } else if case.replans.contains(&run) {
+                    assert!(replan > 0 && hit + replan == cores, "{what}");
+                } else {
+                    assert_eq!((hit, replan), (cores, 0), "{what}: a plan hit");
+                }
+                let want = db.execute(&inline(case.sql, params)).unwrap();
+                assert_eq!(got.columns, want.columns, "{what}");
+                assert_eq!(got.rows, want.rows, "{what}");
+            }
+        }
+    }
 }
