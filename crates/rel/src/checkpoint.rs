@@ -292,6 +292,7 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot> {
 mod tests {
     use super::*;
     use crate::io::SimFs;
+    use crate::txn::Snapshot;
     use crate::value::Value;
 
     fn sample_table() -> Table {
@@ -326,7 +327,10 @@ mod tests {
             ])
             .unwrap();
         }
-        t.delete(2).unwrap(); // leave a tombstone in the slab
+        // Leave a tombstone in the slab.
+        t.mvcc_delete(2, 1, Snapshot { ts: 0, token: 1 }).unwrap();
+        t.stamp_commit(2, 1, 1);
+        t.vacuum(1);
         t
     }
 

@@ -532,8 +532,10 @@ mod tests {
             .map(|(id, _)| id)
             .collect();
         for id in doomed {
-            t.delete(id).unwrap();
+            t.mvcc_delete(id, 1, Snapshot { ts: 0, token: 1 }).unwrap();
+            t.stamp_commit(id, 1, 1);
         }
+        t.vacuum(1);
         let entry = CsrEntry::build(&t, "adj_src", &[2, 3], snap).unwrap();
         assert_eq!(entry.elem_count(), 30);
         let mut out = vec![Vec::new(), Vec::new()];

@@ -10,11 +10,13 @@
 //! *provisional* row versions under their transaction token, holding a
 //! table's write lock only while applying one statement's mutations to
 //! that table; write-write races fail fast with
-//! [`Error::TxnConflict`] (first-updater-wins). Commits serialize on the
-//! transaction manager: redo records are appended to the WAL with the
-//! commit timestamp, provisional versions are stamped, and the clock
-//! advances last. Rollback walks the undo journal in reverse. Old versions
-//! are reclaimed by [`Database::vacuum`] below the oldest-active-snapshot
+//! [`Error::TxnConflict`] (first-updater-wins). Each write makes one
+//! journal entry, its WAL record. Commits serialize on the transaction
+//! manager: the journal's records are appended to the WAL with the commit
+//! timestamp, the versions they name are stamped, and the clock advances
+//! last. Rollback walks the journal in reverse. Recovery replays each
+//! logged commit through the same MVCC writes and stamps. Old versions are
+//! reclaimed by [`Database::vacuum`] below the oldest-active-snapshot
 //! watermark.
 //!
 //! Two residual locking rules keep the rare multi-lock paths safe: a
@@ -128,23 +130,21 @@ impl std::fmt::Debug for Database {
     }
 }
 
-/// One undo entry, applied in reverse order on rollback. DML entries are
-/// slim — the version chains hold the row images; rollback pops the
-/// provisional version (or clears the provisional delete marker).
+/// One journal entry per write, in the order the writes ran: what a commit
+/// logs and stamps and what rollback undoes, walking the entries in
+/// reverse. A row write is its WAL record alone — the version chains hold
+/// the row images, so rollback pops the provisional version (or clears the
+/// provisional delete marker) of the record's table and row id.
 #[derive(Debug)]
-enum UndoOp {
-    Insert {
-        table: String,
-        row_id: RowId,
-    },
-    Delete {
-        table: String,
-        row_id: RowId,
-    },
-    Update {
-        table: String,
-        row_id: RowId,
-    },
+enum Entry {
+    Row(WalRecord),
+    /// A DDL statement: its logged text and how rollback reverses it.
+    Ddl(WalRecord, UndoDdl),
+}
+
+/// How rollback reverses a catalog change.
+#[derive(Debug)]
+enum UndoDdl {
     CreateTable {
         table: String,
     },
@@ -158,40 +158,32 @@ enum UndoOp {
     },
 }
 
-impl UndoOp {
-    /// The `(table, row_id)` a DML undo entry targets — the set of rows
-    /// whose provisional stamps the commit path must finalize.
-    fn dml_target(&self) -> Option<(&str, RowId)> {
+impl Entry {
+    fn record(&self) -> &WalRecord {
         match self {
-            UndoOp::Insert { table, row_id }
-            | UndoOp::Delete { table, row_id }
-            | UndoOp::Update { table, row_id } => Some((table, *row_id)),
-            _ => None,
+            Entry::Row(record) | Entry::Ddl(record, _) => record,
         }
     }
 }
 
-/// Per-transaction journal: undo for rollback, redo for the WAL.
-#[derive(Debug, Default)]
-struct Journal {
-    undo: Vec<UndoOp>,
-    redo: Vec<WalRecord>,
+/// The table and slab slot a row record wrote.
+fn row_written(record: &WalRecord) -> Option<(&str, RowId)> {
+    match record {
+        WalRecord::Insert { table, row_id, .. }
+        | WalRecord::Update { table, row_id, .. }
+        | WalRecord::Delete { table, row_id } => Some((table, *row_id)),
+        WalRecord::Ddl { .. } | WalRecord::Commit { .. } => None,
+    }
 }
 
 /// The execution state of one open transaction: its MVCC snapshot (which
 /// also carries the provisional-write token), held in the active-snapshot
-/// set until it is released exactly once, and its undo/redo journal.
+/// set until it is released exactly once, and its journal.
 /// Owned by a [`Txn`] handle or by one autocommit statement.
 #[derive(Debug)]
 struct TxnState {
     snap: Snapshot,
-    journal: Journal,
-}
-
-impl TxnState {
-    fn is_empty(&self) -> bool {
-        self.journal.undo.is_empty() && self.journal.redo.is_empty()
-    }
+    journal: Vec<Entry>,
 }
 
 impl Database {
@@ -465,7 +457,7 @@ impl Database {
             report.records_replayed += scan.commits.iter().map(|(_, r)| r.len()).sum::<usize>();
             report.dangling_records += scan.dangling_records;
             report.bytes_truncated += scan.file_len - scan.valid_len;
-            db.replay_commits(&scan.commits)?;
+            db.replay_commits(scan.commits)?;
             // Truncate past the last commit marker *before* appending:
             // anything left there (torn tail, corrupt record, commit-less
             // batch) would make every later commit unreadable on the next
@@ -477,6 +469,9 @@ impl Database {
             active_gen = gen;
             gen += 1;
         }
+        // Replay leaves the versions its updates and deletes ended; no
+        // snapshot can see them, so the store opens without them.
+        db.vacuum();
 
         db.wal = Some(Mutex::new(Wal::open_segment(vfs, &base, active_gen)?));
         db.recovery = Some(report);
@@ -563,20 +558,19 @@ impl Database {
         })
     }
 
-    /// Apply recovered commits. Each operation targets the physical row id
-    /// recorded at commit time; ids are remapped when replay assigns a
-    /// different slab slot than the original run did (the original slab may
-    /// contain tombstones from rolled-back transactions, which the WAL —
-    /// correctly — knows nothing about). Replay uses the destructive table
-    /// paths (every recovered commit is committed state — no version
-    /// history to preserve) and restores the commit clock to the highest
-    /// replayed timestamp.
-    fn replay_commits(&mut self, commits: &[(u64, Vec<WalRecord>)]) -> Result<()> {
+    /// Apply recovered commits the way a live commit applies them: each
+    /// under a transaction token through the MVCC writes, stamped with its
+    /// logged timestamp, with the live vacuum cadence. Each operation
+    /// targets the physical row id recorded at commit time; ids are
+    /// remapped when replay assigns a different slab slot than the original
+    /// run did (the original slab may contain tombstones from rolled-back
+    /// transactions, which the WAL — correctly — knows nothing about). The
+    /// commit clock ends at the highest replayed timestamp.
+    fn replay_commits(&mut self, commits: Vec<(u64, Vec<WalRecord>)>) -> Result<()> {
         let mut id_map: FxHashMap<(String, RowId), RowId> = FxHashMap::default();
-        let mut max_ts = 0;
-        for (ts, commit) in commits {
-            max_ts = max_ts.max(*ts);
-            for record in commit {
+        for (ts, mut commit) in commits {
+            let snap = self.txns.begin();
+            for record in &mut commit {
                 match record {
                     WalRecord::Ddl { sql } => {
                         // An autocommit DDL can be logged by a checkpoint's
@@ -590,25 +584,30 @@ impl Database {
                         }
                     }
                     WalRecord::Insert { table, row_id, row } => {
-                        let new_id = self.table_mut(table, |t| t.insert(row.clone()))?;
-                        id_map.insert((table.clone(), *row_id), new_id);
+                        let row = std::mem::take(row);
+                        let id = self.table_mut(table, |t| t.mvcc_insert(row, snap.token))?;
+                        id_map.insert((table.clone(), *row_id), id);
+                        *row_id = id;
                     }
-                    WalRecord::Delete { table, row_id, .. } => {
-                        let id = id_map.remove(&(table.clone(), *row_id)).unwrap_or(*row_id);
-                        self.table_mut(table, |t| t.delete(id)).map_err(|e| {
-                            Error::Wal(format!("replay delete {table}[{row_id}]: {e}"))
-                        })?;
-                    }
-                    WalRecord::Update {
-                        table, row_id, new, ..
-                    } => {
-                        let id = id_map
-                            .get(&(table.clone(), *row_id))
+                    WalRecord::Update { table, row_id, new } => {
+                        let logged = *row_id;
+                        *row_id = id_map
+                            .get(&(table.clone(), logged))
                             .copied()
-                            .unwrap_or(*row_id);
-                        self.table_mut(table, |t| t.update(id, new.clone()))
+                            .unwrap_or(logged);
+                        let (id, new) = (*row_id, std::mem::take(new));
+                        self.table_mut(table, |t| t.mvcc_update(id, new, snap.token, snap))
                             .map_err(|e| {
-                                Error::Wal(format!("replay update {table}[{row_id}]: {e}"))
+                                Error::Wal(format!("replay update {table}[{logged}]: {e}"))
+                            })?;
+                    }
+                    WalRecord::Delete { table, row_id } => {
+                        let logged = *row_id;
+                        *row_id = id_map.remove(&(table.clone(), logged)).unwrap_or(logged);
+                        let id = *row_id;
+                        self.table_mut(table, |t| t.mvcc_delete(id, snap.token, snap))
+                            .map_err(|e| {
+                                Error::Wal(format!("replay delete {table}[{logged}]: {e}"))
                             })?;
                     }
                     // Commit markers are consumed by the segment scanner;
@@ -616,8 +615,11 @@ impl Database {
                     WalRecord::Commit { .. } => {}
                 }
             }
+            self.stamp(commit.iter(), snap.token, ts);
+            self.txns.restore_clock(ts);
+            self.txns.release(snap);
+            self.maybe_vacuum();
         }
-        self.txns.restore_clock(max_ts);
         Ok(())
     }
 
@@ -762,7 +764,7 @@ impl Database {
             // nothing to journal, nothing to commit.
             let mut state = TxnState {
                 snap: self.txns.read_snapshot(),
-                journal: Journal::default(),
+                journal: Vec::new(),
             };
             let result = self.execute_in(stmt, plans, params, sql_text, &mut state);
             self.release_state(state);
@@ -818,19 +820,20 @@ impl Database {
     fn begin_state(&self) -> TxnState {
         TxnState {
             snap: self.txns.begin(),
-            journal: Journal::default(),
+            journal: Vec::new(),
         }
     }
 
     /// Commit protocol: serialize on the transaction manager, reserve a
-    /// fresh timestamp from its allocator, append redo + `Commit{ts}` to the
-    /// WAL, stamp every provisional version with `ts` (shared table guards
-    /// — stamps are atomics), and advance the applied clock *last* so any
-    /// snapshot at the new clock value observes the commit in full. `held`
-    /// is the commit lock's shared guard when the caller already holds one
-    /// (autocommit DDL); it is taken here only when there is none.
+    /// fresh timestamp from its allocator, append the journal's records +
+    /// `Commit{ts}` to the WAL, stamp every provisional version with `ts`
+    /// (shared table guards — stamps are atomics), and advance the applied
+    /// clock *last* so any snapshot at the new clock value observes the
+    /// commit in full. `held` is the commit lock's shared guard when the
+    /// caller already holds one (autocommit DDL); it is taken here only
+    /// when there is none.
     fn commit_under(&self, state: TxnState, held: Option<RwLockReadGuard<'_, ()>>) -> Result<()> {
-        if state.is_empty() {
+        if state.journal.is_empty() {
             self.release_state(state);
             return Ok(());
         }
@@ -838,8 +841,9 @@ impl Database {
             let _commit = held.unwrap_or_else(|| unpoison(self.commit_lock.read()));
             let serial = unpoison(self.txns.commit_mutex.lock());
             let ts = self.txns.allocate_ts();
-            if let (Some(wal), false) = (&self.wal, state.journal.redo.is_empty()) {
-                if let Err(e) = unpoison(wal.lock()).append_commit(&state.journal.redo, ts) {
+            if let Some(wal) = &self.wal {
+                let records = state.journal.iter().map(Entry::record);
+                if let Err(e) = unpoison(wal.lock()).append_commit(records, ts) {
                     // A failed commit must not leave its mutations visible:
                     // the caller got an error, so the in-memory state rolls
                     // back — still under the commit lock, so no checkpoint
@@ -851,17 +855,8 @@ impl Database {
                     return Err(e);
                 }
             }
-            let token = state.snap.token;
-            for op in &state.journal.undo {
-                if let Some((table, row_id)) = op.dml_target() {
-                    // The table can be gone if this transaction also
-                    // dropped it; its versions are unreachable then.
-                    let _ = self.read_table(table, |t| {
-                        t.stamp_commit(row_id, token, ts);
-                        Ok(())
-                    });
-                }
-            }
+            let rows = state.journal.iter().map(Entry::record);
+            self.stamp(rows, state.snap.token, ts);
             self.txns.advance_clock(ts);
         }
         self.release_state(state);
@@ -869,45 +864,49 @@ impl Database {
         Ok(())
     }
 
+    /// Stamp the versions transaction `token` wrote through `records` with
+    /// commit timestamp `ts`: a live commit's and a replayed one's.
+    fn stamp<'r>(&self, records: impl Iterator<Item = &'r WalRecord>, token: u64, ts: u64) {
+        for (table, row_id) in records.filter_map(row_written) {
+            // The table can be gone if this transaction also dropped it;
+            // its versions are unreachable then.
+            let _ = self.read_table(table, |t| {
+                t.stamp_commit(row_id, token, ts);
+                Ok(())
+            });
+        }
+    }
+
     fn rollback_state(&self, state: TxnState) {
         let TxnState { snap, journal } = state;
-        for op in journal.undo.into_iter().rev() {
+        for entry in journal.into_iter().rev() {
             // Rollback must not fail; violations here indicate a bug, and
             // panicking beats silently corrupting state.
-            match op {
-                UndoOp::Insert { table, row_id } => {
-                    self.table_mut(&table, |t| {
-                        t.rollback_insert(row_id, snap.token);
+            match entry {
+                Entry::Row(record) => {
+                    let (table, row_id) = row_written(&record).expect("a row record");
+                    self.table_mut(table, |t| {
+                        match record {
+                            WalRecord::Insert { .. } => t.rollback_insert(row_id, snap.token),
+                            WalRecord::Update { .. } => t.rollback_update(row_id, snap.token),
+                            _ => t.rollback_delete(row_id, snap.token),
+                        }
                         Ok(())
                     })
                     .expect("table exists during rollback");
                 }
-                UndoOp::Delete { table, row_id } => {
-                    self.table_mut(&table, |t| {
-                        t.rollback_delete(row_id, snap.token);
-                        Ok(())
-                    })
-                    .expect("table exists during rollback");
-                }
-                UndoOp::Update { table, row_id } => {
-                    self.table_mut(&table, |t| {
-                        t.rollback_update(row_id, snap.token);
-                        Ok(())
-                    })
-                    .expect("table exists during rollback");
-                }
-                UndoOp::CreateTable { table } => {
+                Entry::Ddl(_, UndoDdl::CreateTable { table }) => {
                     unpoison(self.tables.write()).remove(&table);
                     self.plan_inputs_changed();
                 }
-                UndoOp::CreateIndex { table, index } => {
+                Entry::Ddl(_, UndoDdl::CreateIndex { table, index }) => {
                     let dropped = self
                         .table_mut(&table, |t| Ok(t.drop_index(&index)))
                         .expect("table exists during rollback");
                     assert!(dropped, "undo create index");
                     self.plan_inputs_changed();
                 }
-                UndoOp::DropTable { table, handle } => {
+                Entry::Ddl(_, UndoDdl::DropTable { table, handle }) => {
                     unpoison(self.tables.write()).insert(table, handle);
                     self.plan_inputs_changed();
                 }
@@ -990,14 +989,15 @@ impl Database {
             } => {
                 let created = self.create_table_internal(name, columns, *if_not_exists)?;
                 if created {
-                    state.journal.redo.push(WalRecord::Ddl {
-                        sql: sql_text
-                            .map(str::to_owned)
-                            .unwrap_or_else(|| render_create_table(name, columns)),
-                    });
-                    state.journal.undo.push(UndoOp::CreateTable {
-                        table: name.to_ascii_lowercase(),
-                    });
+                    let sql = sql_text
+                        .map(str::to_owned)
+                        .unwrap_or_else(|| render_create_table(name, columns));
+                    state.journal.push(Entry::Ddl(
+                        WalRecord::Ddl { sql },
+                        UndoDdl::CreateTable {
+                            table: name.to_ascii_lowercase(),
+                        },
+                    ));
                 }
                 Ok(Relation::count(created as i64))
             }
@@ -1018,15 +1018,16 @@ impl Database {
                     *if_not_exists,
                 )?;
                 if created {
-                    state.journal.redo.push(WalRecord::Ddl {
-                        sql: sql_text.map(str::to_owned).unwrap_or_else(|| {
-                            render_create_index(name, table, columns, *unique, *kind)
-                        }),
+                    let sql = sql_text.map(str::to_owned).unwrap_or_else(|| {
+                        render_create_index(name, table, columns, *unique, *kind)
                     });
-                    state.journal.undo.push(UndoOp::CreateIndex {
-                        table: table.to_ascii_lowercase(),
-                        index: name.to_ascii_lowercase(),
-                    });
+                    state.journal.push(Entry::Ddl(
+                        WalRecord::Ddl { sql },
+                        UndoDdl::CreateIndex {
+                            table: table.to_ascii_lowercase(),
+                            index: name.to_ascii_lowercase(),
+                        },
+                    ));
                 }
                 Ok(Relation::count(created as i64))
             }
@@ -1046,13 +1047,15 @@ impl Database {
                     self.plan_inputs_changed();
                     self.stmt_cache.clear();
                     self.invalidate_csr(&lower);
-                    state.journal.redo.push(WalRecord::Ddl {
-                        sql: format!("DROP TABLE IF EXISTS {lower}"),
-                    });
-                    state.journal.undo.push(UndoOp::DropTable {
-                        table: lower,
-                        handle,
-                    });
+                    state.journal.push(Entry::Ddl(
+                        WalRecord::Ddl {
+                            sql: format!("DROP TABLE IF EXISTS {lower}"),
+                        },
+                        UndoDdl::DropTable {
+                            table: lower,
+                            handle,
+                        },
+                    ));
                 }
                 Ok(Relation::count(dropped as i64))
             }
@@ -1192,15 +1195,11 @@ impl Database {
                 };
                 let row_image = full.clone();
                 let row_id = t.mvcc_insert(full, token)?;
-                state.journal.undo.push(UndoOp::Insert {
-                    table: into.table.clone(),
-                    row_id,
-                });
-                state.journal.redo.push(WalRecord::Insert {
+                state.journal.push(Entry::Row(WalRecord::Insert {
                     table: into.table.clone(),
                     row_id,
                     row: row_image,
-                });
+                }));
                 inserted += 1;
             }
             Ok(inserted)
@@ -1221,25 +1220,21 @@ impl Database {
             let targets = target_rows(t, from, binds, snap)?;
             let mut updated = 0i64;
             for row_id in targets {
-                let old: Row = t
+                let mut buf = Vec::new();
+                let old = t
                     .get_visible(row_id, snap)
                     .expect("target visible under write lock")
-                    .to_vec();
-                let mut new = old.clone();
+                    .as_full(&mut buf);
+                let mut new = old.to_vec();
                 for (idx, e) in assignments {
-                    new[*idx] = e.eval(&old)?;
+                    new[*idx] = e.eval(old)?;
                 }
                 t.mvcc_update(row_id, new.clone(), snap.token, snap)?;
-                state.journal.undo.push(UndoOp::Update {
+                state.journal.push(Entry::Row(WalRecord::Update {
                     table: table.to_string(),
                     row_id,
-                });
-                state.journal.redo.push(WalRecord::Update {
-                    table: table.to_string(),
-                    row_id,
-                    old,
                     new,
-                });
+                }));
                 updated += 1;
             }
             Ok(updated)
@@ -1259,20 +1254,11 @@ impl Database {
             let targets = target_rows(t, from, binds, snap)?;
             let mut deleted = 0i64;
             for row_id in targets {
-                let row: Row = t
-                    .get_visible(row_id, snap)
-                    .expect("target visible under write lock")
-                    .to_vec();
                 t.mvcc_delete(row_id, snap.token, snap)?;
-                state.journal.undo.push(UndoOp::Delete {
+                state.journal.push(Entry::Row(WalRecord::Delete {
                     table: table.to_string(),
                     row_id,
-                });
-                state.journal.redo.push(WalRecord::Delete {
-                    table: table.to_string(),
-                    row_id,
-                    row,
-                });
+                }));
                 deleted += 1;
             }
             Ok(deleted)
@@ -1376,7 +1362,7 @@ impl Default for Database {
 }
 
 /// A transaction handle: statements executed through it share one MVCC
-/// snapshot and one undo/redo journal. Dropping the handle without
+/// snapshot and one journal. Dropping the handle without
 /// [`Txn::commit`] rolls the transaction back.
 pub struct Txn<'a> {
     db: &'a Database,

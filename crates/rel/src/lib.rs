@@ -15,8 +15,9 @@
 //!   row version chains, multi-statement transactions via
 //!   [`Database::begin`] / [`Database::transaction`], first-updater-wins
 //!   conflict detection, and watermark-driven vacuum,
-//! * DML atomicity (undo journal) and durability (checksummed WAL with
-//!   commit timestamps + replay recovery).
+//! * DML atomicity and durability from one journal entry per write:
+//!   rollback undoes it, commit appends it to a checksummed WAL with the
+//!   commit timestamp, and recovery replays it through the MVCC writes.
 //!
 //! # Example
 //!

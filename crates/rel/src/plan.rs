@@ -1575,7 +1575,13 @@ fn plan_base_table(
     // Strategy 2: B-tree range scan for comparison predicates on an indexed
     // key part. Bounds are applied inclusively; the bounding conjuncts stay
     // pending — `take_locals` scoops them, so exclusive endpoints are
-    // filtered exactly.
+    // filtered exactly. Only a comparison on a part with a single-part
+    // B-tree can bound one, so only its bind's NULL-ness is guarded.
+    let btree = |part: &KeyPart| {
+        table.indexes().iter().find(|i| {
+            i.parts.len() == 1 && i.parts[0] == *part && i.kind() == crate::index::IndexKind::BTree
+        })
+    };
     let mut range_access: Option<Access> = None;
     {
         let mut lo: Option<(KeyPart, Expr)> = None;
@@ -1588,7 +1594,14 @@ fn plan_base_table(
             // BETWEEN desugars to `a AND b` inside one conjunct: split at
             // the compiled level too.
             visit_conjuncts(&compiled, &mut |leaf| {
-                let Expr::Binary(op, a, b) = leaf else { return };
+                let Expr::Binary(
+                    op @ (BinaryOp::Lt | BinaryOp::Le | BinaryOp::Gt | BinaryOp::Ge),
+                    a,
+                    b,
+                ) = leaf
+                else {
+                    return;
+                };
                 // Normalize to `part OP constant`.
                 let (part, value, op) = match (as_key_part(a, guards), as_key_part(b, guards)) {
                     (Some(p), _) if is_constant(b) => (p, (**b).clone(), *op),
@@ -1605,6 +1618,9 @@ fn plan_base_table(
                     }
                     _ => return,
                 };
+                if btree(&part).is_none() {
+                    return;
+                }
                 let null = match &value {
                     Expr::Param(i) => param_is_null(env, guards, *i),
                     Expr::Const(v) => v.is_null(),
@@ -1624,19 +1640,14 @@ fn plan_base_table(
                 }
             });
         }
-        // Bounds must target one part with a single-part B-tree index.
+        // Bounds must target one part.
         let part = match (&lo, &hi) {
             (Some((p1, _)), Some((p2, _))) if p1 == p2 => Some(p1.clone()),
             (Some((p, _)), None) | (None, Some((p, _))) => Some(p.clone()),
             _ => None,
         };
         if let Some(part) = part {
-            let found = table.indexes().iter().find(|i| {
-                i.parts.len() == 1
-                    && i.parts[0] == part
-                    && i.kind() == crate::index::IndexKind::BTree
-            });
-            if let Some(idx) = found {
+            if let Some(idx) = btree(&part) {
                 let bound =
                     |b: Option<(KeyPart, Expr)>| b.filter(|(p, _)| *p == part).map(|(_, v)| v);
                 range_access = Some(Access::Range {

@@ -5,7 +5,7 @@
 //! stamped with `begin`/`end` commit timestamps (see [`crate::txn`]). A
 //! snapshot sees at most one version per chain. An empty chain is a
 //! tombstone. `RowId`s are slab positions and stay stable for index
-//! entries and undo logs.
+//! entries and the transaction journal.
 //!
 //! A version stores its row only up to the last non-NULL column: the wide
 //! `OPA`/`IPA` rows of §3.2 are mostly empty label triads, and a NULL past
@@ -13,16 +13,13 @@
 //! itself, only a [`RowRef`], which reads NULL from there to the table's
 //! arity.
 //!
-//! Two mutation APIs coexist:
-//!
-//! * the **destructive** API (`insert`/`delete`/`update`) edits
-//!   chains as single committed versions — WAL replay, checkpoint restore,
-//!   and bulk load run single-threaded with no snapshots active, so they
-//!   need no history;
-//! * the **MVCC** API (`mvcc_insert`/`mvcc_delete`/`mvcc_update` plus the
-//!   `rollback_*` inverses, `stamp_commit`, and `vacuum`) grows chains with
-//!   provisional versions stamped by a transaction token, enforcing
-//!   first-updater-wins at write time.
+//! Every write goes through the **MVCC** API (`mvcc_insert`/`mvcc_delete`/
+//! `mvcc_update` plus the `rollback_*` inverses, `stamp_commit`, and
+//! `vacuum`): it grows chains with provisional versions stamped by a
+//! transaction token, enforcing first-updater-wins at write time. Live
+//! commits and WAL replay both use it. Bulk load and tests add committed
+//! rows with [`Table::insert`], and checkpoint restore installs them with
+//! [`Table::from_slots`].
 //!
 //! A chain's index postings are exactly the distinct keys of its versions:
 //! every mutation adds the keys a new version brings and drops the keys no
@@ -178,13 +175,6 @@ impl Version {
             stored: &self.row,
             arity,
         }
-    }
-
-    /// The full-width row, consuming the version.
-    fn into_row(self, arity: usize) -> Vec<Value> {
-        let mut row = self.row.into_vec();
-        row.resize(arity, Value::Null);
-        row
     }
 
     /// Creation stamp: commit timestamp or provisional marker.
@@ -572,13 +562,9 @@ impl Table {
             .filter_map(|(id, row)| Some((id, row?)))
     }
 
-    // ------------------------------------------------------------------
-    // Destructive API: single committed versions, no history. WAL replay,
-    // checkpoint restore, and bulk load — single-threaded, no snapshots.
-    // ------------------------------------------------------------------
-
     /// Insert a row (validated/coerced against the schema) as a single
-    /// committed version, updating all indexes. Returns the new row's id.
+    /// committed version, updating all indexes: bulk load, which runs with
+    /// no snapshot active, needs no history. Returns the new row's id.
     ///
     /// On a unique violation the row is not inserted and previously updated
     /// indexes are rolled back, so the table stays consistent.
@@ -598,76 +584,6 @@ impl Table {
         self.live += 1;
         self.bump_version();
         Ok(id)
-    }
-
-    /// Delete a row by id, discarding its whole version chain. Returns the
-    /// newest version's values, at full width.
-    pub fn delete(&mut self, id: RowId) -> Result<Vec<Value>> {
-        if id >= self.rows.len() {
-            return Err(Error::Invalid(format!("row {id} out of range")));
-        }
-        let arity = self.arity();
-        let mut versions = self.rows[id].take();
-        if versions.is_empty() {
-            return Err(Error::Invalid(format!("row {id} already deleted")));
-        }
-        for v in &versions {
-            for idx in &mut self.indexes {
-                // Postings are deduplicated per chain; removing a key twice
-                // is a no-op.
-                idx.remove(v.row(arity), id);
-            }
-        }
-        let newest = versions.pop().expect("chain checked non-empty");
-        if newest.end() == txn::TS_INF {
-            self.live -= 1;
-        }
-        self.bump_version();
-        Ok(newest.into_row(arity))
-    }
-
-    /// Replace a row in place with a single committed version, updating
-    /// indexes. Returns the newest old values, at full width.
-    pub fn update(&mut self, id: RowId, mut new_row: Vec<Value>) -> Result<Vec<Value>> {
-        self.schema.check_row(&mut new_row)?;
-        if self
-            .rows
-            .get(id)
-            .and_then(Slot::latest)
-            .is_none_or(|v| v.end() != txn::TS_INF)
-        {
-            return Err(Error::Invalid(format!("row {id} not live")));
-        }
-        // Drop the old chain's postings, then insert the new key set with
-        // unique checks; on a violation repost the old chain's keys.
-        let arity = self.arity();
-        let old = self.rows[id].versions();
-        for idx in &mut self.indexes {
-            for v in old {
-                // Removing a key twice is a no-op.
-                idx.remove(v.row(arity), id);
-            }
-        }
-        let full = RowRef::from(&new_row[..]);
-        for i in 0..self.indexes.len() {
-            if let Err(e) = self.indexes[i].insert(full, id) {
-                for j in 0..i {
-                    self.indexes[j].remove(full, id);
-                }
-                for idx in &mut self.indexes {
-                    post_chain(idx, old, id, arity);
-                }
-                return Err(e);
-            }
-        }
-        let newest = std::mem::replace(
-            &mut self.rows[id],
-            Slot(Chain::One(Version::committed(new_row))),
-        )
-        .pop()
-        .expect("liveness checked above");
-        self.bump_version();
-        Ok(newest.into_row(arity))
     }
 
     // ------------------------------------------------------------------
@@ -1103,11 +1019,13 @@ mod tests {
         let mut t = table();
         let a = t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         t.insert(vec![Value::Int(2), Value::Null]).unwrap();
-        let removed = t.delete(a).unwrap();
-        assert_eq!(removed[0], Value::Int(1));
+        t.mvcc_delete(a, 1, snap(0, 1)).unwrap();
+        t.stamp_commit(a, 1, 1);
+        assert_eq!(t.vacuum(1), 1);
         assert_eq!(t.len(), 1);
         assert!(t.get(a).is_none());
-        assert!(t.delete(a).is_err());
+        assert_eq!(chain_len(&t, a), 0);
+        assert!(t.mvcc_delete(a, 2, snap(1, 2)).is_err());
         // id 1 is reusable now via the unique index.
         t.insert(vec![Value::Int(1), Value::str("again")]).unwrap();
     }
@@ -1126,7 +1044,10 @@ mod tests {
     fn update_moves_index_entries() {
         let mut t = table();
         let a = t.insert(vec![Value::Int(1), Value::str("x")]).unwrap();
-        t.update(a, vec![Value::Int(9), Value::str("y")]).unwrap();
+        t.mvcc_update(a, vec![Value::Int(9), Value::str("y")], 1, snap(0, 1))
+            .unwrap();
+        t.stamp_commit(a, 1, 1);
+        assert_eq!(t.vacuum(1), 1);
         assert!(t.index_lookup("t_pk", &[Value::Int(1)]).unwrap().is_empty());
         assert_eq!(t.index_lookup("t_pk", &[Value::Int(9)]).unwrap(), [a]);
     }
@@ -1136,7 +1057,9 @@ mod tests {
         let mut t = table();
         t.insert(vec![Value::Int(1), Value::Null]).unwrap();
         let b = t.insert(vec![Value::Int(2), Value::str("keep")]).unwrap();
-        assert!(t.update(b, vec![Value::Int(1), Value::Null]).is_err());
+        assert!(t
+            .mvcc_update(b, vec![Value::Int(1), Value::Null], 1, snap(0, 1))
+            .is_err());
         // b unchanged and still findable under its old key.
         assert_eq!(t.get(b).unwrap()[1], Value::str("keep"));
         assert_eq!(t.index_lookup("t_pk", &[Value::Int(2)]).unwrap(), [b]);
@@ -1371,9 +1294,9 @@ mod tests {
         assert!(inline(&t, b));
         t.rollback_insert(b, 4);
         assert_eq!(chain_len(&t, b), 0);
-        t.update(id, vec![Value::Int(3), Value::str("c")]).unwrap();
-        assert!(inline(&t, id));
-        t.delete(id).unwrap();
+        t.mvcc_delete(id, 5, snap(3, 5)).unwrap();
+        t.stamp_commit(id, 5, 6);
+        assert_eq!(t.vacuum(6), 1);
         assert_eq!(chain_len(&t, id), 0);
     }
 
@@ -1544,25 +1467,6 @@ mod tests {
         );
         assert_eq!(t.get_visible(id, snap(3, 0)).unwrap()[4], Value::Null);
         assert_eq!(t.get(id).unwrap()[3], Value::Int(7));
-        // The destructive update stores the prefix too.
-        t.update(id, ints(&[Some(1), None, None, None, None]))
-            .unwrap();
-        assert_eq!(stored(&t, id), [1]);
-    }
-
-    #[test]
-    fn delete_and_update_return_full_width_rows() {
-        let mut t = wide();
-        let a = t
-            .insert(ints(&[Some(1), Some(2), None, None, None]))
-            .unwrap();
-        let old = t
-            .update(a, ints(&[Some(1), None, None, None, None]))
-            .unwrap();
-        assert_eq!(old, ints(&[Some(1), Some(2), None, None, None]));
-        assert_eq!(old.len(), 5);
-        let gone = t.delete(a).unwrap();
-        assert_eq!(gone, ints(&[Some(1), None, None, None, None]));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! ## Commit protocol
 //!
 //! Commits serialize on a single mutex: reserve the next timestamp `ts`,
-//! append the redo records + `Commit{ts}` to the WAL, stamp every
+//! append the journal's records + `Commit{ts}` to the WAL, stamp every
 //! provisional version to `ts`, and only then advance the applied clock.
 //! Snapshots read the applied clock *first*, so a snapshot either predates
 //! a commit entirely (its versions still carry markers or a larger `ts` —

@@ -9,8 +9,10 @@
 //! discarded and truncated away before the log accepts new appends.
 //!
 //! Row operations carry the physical [`RowId`] they touched so replay can
-//! target the exact slot even when duplicate row images exist; full images
-//! are still logged for auditability and defense-in-depth checks.
+//! target the exact slot even when duplicate row images exist, and log only
+//! what replay reads: an insert its row, an update its new row, a delete
+//! only its table and row id. A transaction's records are also its undo
+//! journal until it commits (see [`crate::db`]).
 //!
 //! Segments rotate at checkpoint time (see [`crate::checkpoint`]): segment
 //! `gen` holds everything committed since snapshot `gen` was taken, so
@@ -47,8 +49,6 @@ pub enum WalRecord {
         table: String,
         /// Slab slot the row occupied.
         row_id: RowId,
-        /// Full row image (for audit; replay targets `row_id`).
-        row: Vec<Value>,
     },
     /// Row updated in `table`.
     Update {
@@ -56,8 +56,6 @@ pub enum WalRecord {
         table: String,
         /// Slab slot the row occupies.
         row_id: RowId,
-        /// Previous row image.
-        old: Vec<Value>,
         /// New row image.
         new: Vec<Value>,
     },
@@ -190,7 +188,11 @@ impl Wal {
     /// Append one transaction: `records` followed by a commit marker, as a
     /// single write (so a torn tail drops the transaction atomically),
     /// flushed — and fsynced when `sync_on_commit` — before returning.
-    pub fn append_commit(&mut self, records: &[WalRecord], ts: u64) -> Result<()> {
+    pub fn append_commit<'r>(
+        &mut self,
+        records: impl IntoIterator<Item = &'r WalRecord>,
+        ts: u64,
+    ) -> Result<()> {
         if self.poisoned {
             return Err(Error::Wal(
                 "log poisoned by an earlier append failure; reopen the database to recover".into(),
@@ -264,22 +266,15 @@ fn encode_record(r: &WalRecord, out: &mut Vec<u8>) {
             put_u64(p, *row_id as u64);
             put_values(p, row);
         }
-        WalRecord::Delete { table, row_id, row } => {
-            p.push(1);
+        WalRecord::Delete { table, row_id } => {
+            p.push(5);
             put_str(p, table);
             put_u64(p, *row_id as u64);
-            put_values(p, row);
         }
-        WalRecord::Update {
-            table,
-            row_id,
-            old,
-            new,
-        } => {
-            p.push(2);
+        WalRecord::Update { table, row_id, new } => {
+            p.push(6);
             put_str(p, table);
             put_u64(p, *row_id as u64);
-            put_values(p, old);
             put_values(p, new);
         }
         WalRecord::Ddl { sql } => {
@@ -301,15 +296,15 @@ fn decode_record(payload: &[u8]) -> std::result::Result<WalRecord, CodecError> {
             row_id: c.u64()? as RowId,
             row: c.values()?,
         },
-        1 => WalRecord::Delete {
+        // Ops 1 and 2 were a delete and an update that also logged the
+        // old row; a log holding one reads as a corrupt tail from there.
+        5 => WalRecord::Delete {
             table: c.str()?.to_string(),
             row_id: c.u64()? as RowId,
-            row: c.values()?,
         },
-        2 => WalRecord::Update {
+        6 => WalRecord::Update {
             table: c.str()?.to_string(),
             row_id: c.u64()? as RowId,
-            old: c.values()?,
             new: c.values()?,
         },
         3 => WalRecord::Ddl {
@@ -346,12 +341,10 @@ mod tests {
             WalRecord::Delete {
                 table: "ea".into(),
                 row_id: 7,
-                row: vec![Value::Int(7), Value::str("knows")],
             },
             WalRecord::Update {
                 table: "opa".into(),
                 row_id: 3,
-                old: vec![Value::Null, Value::Double(0.5)],
                 new: vec![Value::Bool(true), Value::array(vec![Value::Int(1)])],
             },
         ]
@@ -448,6 +441,21 @@ mod tests {
         assert_eq!(scan.dangling_records, 1);
         assert!(scan.valid_len < scan.file_len);
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_retired_op_tag_is_refused() {
+        // Ops 1 and 2 were a delete and an update that also logged the old
+        // row: a log holding one is corrupt from there, never misread.
+        for op in [1u8, 2] {
+            let mut payload = vec![op];
+            put_str(&mut payload, "t");
+            put_u64(&mut payload, 0);
+            put_values(&mut payload, &[Value::Int(1)]);
+            put_values(&mut payload, &[Value::Int(2)]);
+            let err = decode_record(&payload).unwrap_err();
+            assert!(err.to_string().contains("unknown WAL op"), "{err}");
+        }
     }
 
     #[test]

@@ -395,6 +395,39 @@ fn drop_sync_matrix_scripted() {
     drop_sync_matrix(&scripted_workload_with_checkpoint());
 }
 
+/// One transaction writing rows several times over: it inserts a row and
+/// updates it twice (moving its indexed key once), updates a second row it
+/// inserted, and deletes a third. Recovery replays every write of one row
+/// inside one commit, and the versions the commit ended must be gone.
+fn rewrite_workload() -> Vec<Step> {
+    vec![
+        txn(&[
+            "CREATE TABLE acct (id INTEGER, owner TEXT, bal INTEGER)",
+            "CREATE INDEX acct_id ON acct (id)",
+            "INSERT INTO acct VALUES (1, 'ada', 100)",
+        ]),
+        txn(&[
+            "INSERT INTO acct VALUES (2, 'bob', 50)",
+            "UPDATE acct SET bal = 60 WHERE id = 2",
+            "UPDATE acct SET id = 20, bal = 70 WHERE id = 2",
+            "INSERT INTO acct VALUES (3, 'cy', 10), (4, 'dee', 5)",
+            "UPDATE acct SET bal = 11 WHERE id = 3",
+            "DELETE FROM acct WHERE id = 4",
+        ]),
+        txn(&[
+            "UPDATE acct SET bal = 0 WHERE id = 20",
+            "INSERT INTO acct VALUES (5, 'eve', 1)",
+        ]),
+    ]
+}
+
+#[test]
+fn crash_matrix_one_transaction_rewriting_its_rows() {
+    crash_matrix(&rewrite_workload(), &[0, 1, 13, usize::MAX]);
+    fail_op_matrix(&rewrite_workload());
+    drop_sync_matrix(&rewrite_workload());
+}
+
 // ------------------------------------------------------- randomized runs --
 
 /// A random workload over one indexed table: inserts (with deliberate
@@ -535,7 +568,6 @@ fn replay_resolves_duplicate_row_images_by_physical_id() {
             &[WalRecord::Delete {
                 table: "t".into(),
                 row_id: 1,
-                row: dup.clone(),
             }],
             3,
         )
@@ -545,7 +577,6 @@ fn replay_resolves_duplicate_row_images_by_physical_id() {
             &[WalRecord::Update {
                 table: "t".into(),
                 row_id: 0,
-                old: dup.clone(),
                 new: vec![Value::Int(1), Value::str("first-updated")],
             }],
             4,

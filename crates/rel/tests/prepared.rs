@@ -499,8 +499,8 @@ fn bind_cases() -> Vec<BindCase> {
             "Scan v",
             [vec![i(1), i(7)], vec![i(2), i(12)], vec![i(3), n]],
             false,
-            // `x < NULL` is no range bound either: the subquery re-plans.
-            &[2],
+            // `h.x` has no B-tree: `x < NULL` changes no choice, no re-plan.
+            &[],
         ),
     ]
 }
@@ -542,6 +542,49 @@ fn a_cached_select_plan_reads_every_bind_position_like_inline_literals() {
                 assert_eq!(got.columns, want.columns, "{what}");
                 assert_eq!(got.rows, want.rows, "{what}");
             }
+        }
+    }
+}
+
+/// A NULL bind re-plans a cached core only where it could have been a
+/// B-tree range bound: `tag` and `h.x` have no index, so flipping either
+/// to NULL changes no choice, while `c` has one (`v_c`).
+#[test]
+fn a_null_bind_re_plans_only_where_it_could_bound_a_b_tree_range() {
+    let db = bind_fixture();
+    let (i, n) = (Value::Int, Value::Null);
+    let cases = [
+        (
+            "SELECT id FROM v WHERE tag = ? AND c IN (SELECT y FROM h WHERE x < ?)",
+            [
+                vec![i(1), i(7)],
+                vec![n.clone(), i(7)],
+                vec![i(2), n.clone()],
+                vec![n.clone(), n.clone()],
+            ],
+            false,
+        ),
+        (
+            "SELECT id, c FROM v WHERE c >= ? AND c <= ?",
+            [
+                vec![i(10), i(20)],
+                vec![n.clone(), i(20)],
+                vec![i(10), n.clone()],
+                vec![n.clone(), n.clone()],
+            ],
+            true,
+        ),
+    ];
+    for (sql, binds, range) in cases {
+        let prepared = prepare(sql);
+        for (run, params) in binds.iter().enumerate() {
+            let (_, replans) = db.plan_cache_stats();
+            let got = db.execute_prepared(&prepared, params).unwrap();
+            let replanned = db.plan_cache_stats().1 > replans;
+            // Every run after the first flips a range bind's NULL-ness.
+            assert_eq!(replanned, run == 0 || range, "{sql} {params:?}");
+            let want = db.execute(&inline(sql, params)).unwrap();
+            assert_eq!(got.rows, want.rows, "{sql} {params:?}");
         }
     }
 }
