@@ -18,6 +18,7 @@ use sqlgraph_rel::Value;
 use sqlgraph_server::Server;
 use std::fmt::Write as _;
 use std::net::SocketAddr;
+use std::sync::atomic::{AtomicU64, Ordering as AtomicOrd};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -672,12 +673,13 @@ fn run_linkbench<S: LinkOps>(
     requesters: usize,
     ops_per_requester: usize,
     seed: u64,
-) -> (f64, Vec<(&'static str, LatencyStats)>) {
+) -> (f64, Vec<(&'static str, LatencyStats)>, u64) {
     let collected: Mutex<Vec<(&'static str, LatencyStats)>> = Mutex::new(Vec::new());
+    let lost = AtomicU64::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for r in 0..requesters {
-            let collected = &collected;
+            let (collected, lost) = (&collected, &lost);
             scope.spawn(move || {
                 let mut wl = Workload::new(seed, r as u64, nodes, 32);
                 let mut local: std::collections::HashMap<&'static str, LatencyStats> =
@@ -685,7 +687,11 @@ fn run_linkbench<S: LinkOps>(
                 for _ in 0..ops_per_requester {
                     let op = wl.next_op();
                     let t0 = Instant::now();
-                    let _ = store.apply(&op);
+                    if let Err(e) = store.apply(&op) {
+                        if lost_conflict(&e) {
+                            lost.fetch_add(1, AtomicOrd::Relaxed);
+                        }
+                    }
                     local.entry(op.name()).or_default().record(t0.elapsed());
                 }
                 let mut guard = collected.lock().expect("no poisoning");
@@ -704,7 +710,14 @@ fn run_linkbench<S: LinkOps>(
     }
     let mut per_op: Vec<(&'static str, LatencyStats)> = merged.into_iter().collect();
     per_op.sort_by_key(|(name, _)| *name);
-    (total_ops as f64 / elapsed, per_op)
+    (total_ops as f64 / elapsed, per_op, lost.into_inner())
+}
+
+/// Whether an op's error is a write that lost a first-updater-wins
+/// conflict on its last try. `LinkOps` reports errors as text, and every
+/// transport keeps the engine's rendering of the conflict in it.
+fn lost_conflict(err: &str) -> bool {
+    err.contains(&sqlgraph_rel::Error::TxnConflict(String::new()).to_string())
 }
 
 /// Merge per-operation latency sets into one distribution for tail
@@ -798,7 +811,8 @@ fn under_lock<T>(lock: Option<&FifoRwLock>, write: bool, request: impl FnOnce() 
 /// transactions continuously until the readers finish — every operation a
 /// real socket round trip against the wire-protocol server at `addr`
 /// (writes are explicit BEGIN … COMMIT sessions, one round trip per
-/// statement). Returns aggregate (read ops/sec, write ops/sec). Dedicated
+/// statement). Returns aggregate (read ops/sec, committed writes/sec,
+/// write attempts that lost a conflict). Dedicated
 /// roles keep the writer pressure constant — in a closed-loop mix, blocked
 /// readers would stop issuing writes too, hiding exactly the
 /// reader/writer interference this experiment measures.
@@ -814,25 +828,28 @@ fn run_mixed(
     reads_per_thread: usize,
     seed: u64,
     lock_baseline: bool,
-) -> (f64, f64) {
-    use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering as AtomicOrd};
+) -> (f64, f64, u64) {
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     let lock = lock_baseline.then(FifoRwLock::default);
     let lock = lock.as_ref();
     let stop = AtomicBool::new(false);
     let wrote = AtomicU64::new(0);
+    let conflicts = AtomicU64::new(0);
     let done = AtomicUsize::new(0);
     let start = Instant::now();
     std::thread::scope(|scope| {
         for w in 0..writers {
-            let (stop, wrote) = (&stop, &wrote);
+            let (stop, wrote, conflicts) = (&stop, &wrote, &conflicts);
             scope.spawn(move || {
                 let mut ops = RemoteMixedOps::connect(addr).expect("writer connects");
                 let mut wl = Workload::new(seed, 1_000 + w as u64, nodes, 32);
                 while !stop.load(AtomicOrd::Relaxed) {
                     let op = wl.next_op_mixed(1000);
-                    let _ = under_lock(lock, true, || ops.apply(&op));
-                    wrote.fetch_add(1, AtomicOrd::Relaxed);
+                    if under_lock(lock, true, || ops.apply(&op)) == Ok(true) {
+                        wrote.fetch_add(1, AtomicOrd::Relaxed);
+                    }
                 }
+                conflicts.fetch_add(ops.conflicts, AtomicOrd::Relaxed);
             });
         }
         for r in 0..readers {
@@ -853,7 +870,8 @@ fn run_mixed(
     let secs = start.elapsed().as_secs_f64().max(1e-9);
     (
         (readers * reads_per_thread) as f64 / secs,
-        wrote.load(AtomicOrd::Relaxed) as f64 / secs,
+        wrote.into_inner() as f64 / secs,
+        conflicts.into_inner(),
     )
 }
 
@@ -890,8 +908,8 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
     );
     let _ = writeln!(
         out,
-        "{:<10} {:>14} {:>12} {:>8} {:>14} {:>12}",
-        "rd/wr", "lock rd/s", "mvcc rd/s", "rd gain", "lock wr/s", "mvcc wr/s"
+        "{:<10} {:>14} {:>12} {:>8} {:>14} {:>12} {:>10}",
+        "rd/wr", "lock rd/s", "mvcc rd/s", "rd gain", "lock wr/s", "mvcc wr/s", "conflicts"
     );
     let mut headline = 0.0f64;
     // (readers, writers): 8-thread cells model the 90/10 and 50/50 mixes
@@ -914,27 +932,30 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
             server.shutdown();
             result
         };
-        let (lock_rd, lock_wr) = run(true);
-        let (mvcc_rd, mvcc_wr) = run(false);
+        let (lock_rd, lock_wr, _) = run(true);
+        let (mvcc_rd, mvcc_wr, conflicts) = run(false);
         let gain = mvcc_rd / lock_rd.max(1e-9);
         if (readers, writers) == (7, 1) {
             headline = gain;
         }
         let _ = writeln!(
             out,
-            "{:<10} {:>14.0} {:>12.0} {:>7.2}x {:>14.0} {:>12.0}",
+            "{:<10} {:>14.0} {:>12.0} {:>7.2}x {:>14.0} {:>12.0} {:>10}",
             format!("{readers}rd/{writers}wr"),
             lock_rd,
             mvcc_rd,
             gain,
             lock_wr,
-            mvcc_wr
+            mvcc_wr,
+            conflicts
         );
     }
     let _ = writeln!(
         out,
         "(headline: 8 threads, 7 readers + 1 writer (~90/10): MVCC reader throughput \
-         is {headline:.1}x the per-table-lock baseline)"
+         is {headline:.1}x the per-table-lock baseline. wr/s counts committed writes; \
+         conflicts: MVCC write attempts that lost a write-write conflict (an op runs \
+         again from BEGIN, up to 16 times) — the lock arm serializes its writers)"
     );
     out
 }
@@ -952,7 +973,7 @@ pub fn throughput_mixed(cfg: &ReproConfig) -> String {
 /// high-connection rows measure many mostly-idle sockets (the LinkBench
 /// requester model) rather than proportionally more work.
 pub fn conn_sweep(cfg: &ReproConfig) -> String {
-    use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrd};
+    use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
     let mut out = String::new();
@@ -1105,12 +1126,12 @@ pub fn fig9(cfg: &ReproConfig) -> String {
                 graph: &sql,
                 overhead,
             };
-            let (sql_tput, sql_lat) = run_linkbench(&sql_ops, nodes, req, ops, 5);
+            let (sql_tput, sql_lat, _) = run_linkbench(&sql_ops, nodes, req, ops, 5);
             let base = *first.get_or_insert(sql_tput);
             let kv = RemoteGraph::new(build_kvgraph(&data), overhead);
-            let (kv_tput, _) = run_linkbench(&kv, nodes, req, ops, 5);
+            let (kv_tput, ..) = run_linkbench(&kv, nodes, req, ops, 5);
             let native = RemoteGraph::new(build_nativegraph(&data), overhead);
-            let (native_tput, _) = run_linkbench(&native, nodes, req, ops, 5);
+            let (native_tput, ..) = run_linkbench(&native, nodes, req, ops, 5);
             let _ = writeln!(
                 out,
                 "{:<12} {:>12.0} {:>8.2}x {} {:>16.0} {:>14.0}",
@@ -1163,11 +1184,11 @@ pub fn table67(cfg: &ReproConfig, large: bool) -> String {
         graph: &sql,
         overhead,
     };
-    let (_, sql_lat) = run_linkbench(&sql_ops, nodes, requesters, cfg.lb_ops, 6);
+    let (_, sql_lat, sql_lost) = run_linkbench(&sql_ops, nodes, requesters, cfg.lb_ops, 6);
     let native = RemoteGraph::new(build_nativegraph(&data), overhead);
-    let (_, native_lat) = run_linkbench(&native, nodes, requesters, cfg.lb_ops, 6);
+    let (_, native_lat, _) = run_linkbench(&native, nodes, requesters, cfg.lb_ops, 6);
     let kv = RemoteGraph::new(build_kvgraph(&data), overhead);
-    let (_, kv_lat) = run_linkbench(&kv, nodes, requesters, cfg.lb_ops, 6);
+    let (_, kv_lat, _) = run_linkbench(&kv, nodes, requesters, cfg.lb_ops, 6);
 
     let find = |set: &[(&'static str, LatencyStats)], name: &str| -> String {
         set.iter()
@@ -1201,10 +1222,13 @@ pub fn table67(cfg: &ReproConfig, large: bool) -> String {
             find(&native_lat, op)
         );
     }
+    let _ = writeln!(out, "{:<16} {:>20}", "conflicts", sql_lost);
     let _ = writeln!(
         out,
         "(paper shape: SQLGraph slower on delete node/add link/update link at mid scale, \
-         fastest reads; wins everything at the largest scale)"
+         fastest reads; wins everything at the largest scale. conflicts: SQLGraph writes \
+         that still lost a write-write conflict after the store's retries; the \
+         lock-based baselines cannot conflict)"
     );
     out
 }

@@ -8,12 +8,12 @@
 //! one indexed SQL statement, writes run as the multi-table stored
 //! procedures.
 
-use sqlgraph_core::{GraphTxn, SqlGraph};
+use sqlgraph_core::{CoreError, GraphTxn, SqlGraph};
 use sqlgraph_datagen::linkbench::Op;
 use sqlgraph_gremlin::{Blueprints, Direction};
 use sqlgraph_json::Json;
-use sqlgraph_rel::{Database, Relation, Value};
-use sqlgraph_server::Client;
+use sqlgraph_rel::{Database, Error, Relation, Value};
+use sqlgraph_server::{Client, ClientError};
 
 /// Execute one LinkBench operation. Errors from racing requesters (e.g.
 /// the node was deleted concurrently) are normal and reported as `Ok(false)`.
@@ -184,26 +184,47 @@ impl LinkOps for SqlLinkOps<'_> {
 // Mixed read/write drivers: one write script, two transports
 // ---------------------------------------------------------------------------
 
+/// How many times a mixed write op runs from `BEGIN` while it keeps
+/// losing first-updater-wins conflicts.
+const OP_RETRIES: usize = 16;
+
 /// One open transaction the mixed write script can drive, independent of
 /// transport: the in-process [`GraphTxn`] or a wire-protocol session with
 /// an open transaction. Having exactly one script run over both is what
 /// lets `remote_parity` assert that `statements_executed` accounting
-/// matches between embedded and remote execution.
+/// matches between embedded and remote execution. Errors are the
+/// engine's, so both transports report a conflict as
+/// [`Error::TxnConflict`].
 pub trait MixedTxn {
     /// Run one SQL statement inside the transaction.
-    fn sql(&mut self, sql: &str, params: &[Value]) -> Result<Relation, String>;
+    fn sql(&mut self, sql: &str, params: &[Value]) -> Result<Relation, Error>;
     /// Run one Gremlin CRUD statement inside the transaction.
-    fn gremlin(&mut self, q: &str) -> Result<Relation, String>;
+    fn gremlin(&mut self, q: &str) -> Result<Relation, Error>;
     /// The transaction's cumulative statement counter.
     fn stmts(&self) -> u64;
 }
 
-impl MixedTxn for GraphTxn<'_> {
-    fn sql(&mut self, sql: &str, params: &[Value]) -> Result<Relation, String> {
-        self.sql_with_params(sql, params).map_err(|e| e.to_string())
+/// The engine error behind a store error; any other failure (Gremlin,
+/// graph, unsupported) as [`Error::Invalid`] with its message.
+fn engine_error(e: CoreError) -> Error {
+    match e {
+        CoreError::Rel(e) => e,
+        other => Error::Invalid(other.to_string()),
     }
-    fn gremlin(&mut self, q: &str) -> Result<Relation, String> {
-        self.query(q).map_err(|e| e.to_string())
+}
+
+/// [`engine_error`] for a failure reported over the wire.
+fn remote_error(e: ClientError) -> Error {
+    e.as_rel_error()
+        .unwrap_or_else(|| Error::Invalid(e.to_string()))
+}
+
+impl MixedTxn for GraphTxn<'_> {
+    fn sql(&mut self, sql: &str, params: &[Value]) -> Result<Relation, Error> {
+        self.sql_with_params(sql, params).map_err(engine_error)
+    }
+    fn gremlin(&mut self, q: &str) -> Result<Relation, Error> {
+        self.query(q).map_err(engine_error)
     }
     fn stmts(&self) -> u64 {
         self.statements_executed()
@@ -214,13 +235,13 @@ impl MixedTxn for GraphTxn<'_> {
 pub struct RemoteTxn<'c>(pub &'c mut Client);
 
 impl MixedTxn for RemoteTxn<'_> {
-    fn sql(&mut self, sql: &str, params: &[Value]) -> Result<Relation, String> {
+    fn sql(&mut self, sql: &str, params: &[Value]) -> Result<Relation, Error> {
         self.0
             .query_sql_with_params(sql, params)
-            .map_err(|e| e.to_string())
+            .map_err(remote_error)
     }
-    fn gremlin(&mut self, q: &str) -> Result<Relation, String> {
-        self.0.query_gremlin(q).map_err(|e| e.to_string())
+    fn gremlin(&mut self, q: &str) -> Result<Relation, Error> {
+        self.0.query_gremlin(q).map_err(remote_error)
     }
     fn stmts(&self) -> u64 {
         self.0.statements_executed()
@@ -252,7 +273,7 @@ fn find_link_tx<T: MixedTxn>(
     src: i64,
     dst: i64,
     ltype: &str,
-) -> Result<Option<i64>, String> {
+) -> Result<Option<i64>, Error> {
     let rel = tx.sql(
         "SELECT eid FROM ea WHERE inv = ? AND outv = ? AND lbl = ?",
         &[Value::Int(src), Value::Int(dst), Value::str(ltype)],
@@ -260,11 +281,23 @@ fn find_link_tx<T: MixedTxn>(
     Ok(rel.rows.first().and_then(|r| r[0].as_int()))
 }
 
+/// A mutation whose failure is LinkBench's no-op (the row is gone):
+/// `Ok(false)`. A lost conflict is not a no-op; it stays an error, so the
+/// op can run again.
+fn effective(done: Result<Relation, Error>) -> Result<bool, Error> {
+    match done {
+        Ok(_) => Ok(true),
+        Err(e @ Error::TxnConflict(_)) => Err(e),
+        Err(_) => Ok(false),
+    }
+}
+
 /// The mixed benchmark's write script: the op's statements inside an
 /// already-open transaction. The caller commits on `Ok(true)` and rolls
-/// back on `Ok(false)` / `Err`. Statement-for-statement identical over
+/// back on `Ok(false)` / `Err`; an [`Error::TxnConflict`] asks it to run
+/// the op again from `BEGIN`. Statement-for-statement identical over
 /// both transports, so `MixedTxn::stmts` must agree at every step.
-pub fn apply_mixed_write<T: MixedTxn>(tx: &mut T, op: &Op) -> Result<bool, String> {
+pub fn apply_mixed_write<T: MixedTxn>(tx: &mut T, op: &Op) -> Result<bool, Error> {
     match op {
         Op::AddNode { props } => {
             tx.gremlin(&format!("g.addVertex([{}])", gremlin_map(props)))?;
@@ -288,25 +321,42 @@ pub fn apply_mixed_write<T: MixedTxn>(tx: &mut T, op: &Op) -> Result<bool, Strin
         Op::DeleteNode { id } => {
             // Racing delete is fine; the §4.5.2 procedure itself is
             // several statements (edge deletes + negative-ID marks).
-            Ok(tx.gremlin(&format!("g.removeVertex({id})")).is_ok())
+            effective(tx.gremlin(&format!("g.removeVertex({id})")))
         }
         Op::AddLink { src, dst, ltype } => {
             let q = format!(
                 "g.addEdge({src}, {dst}, '{ltype}', ['visibility':1, 'timestamp':1500000000])"
             );
-            Ok(tx.gremlin(&q).is_ok())
+            effective(tx.gremlin(&q))
         }
         Op::DeleteLink { src, dst, ltype } => match find_link_tx(tx, *src, *dst, ltype)? {
-            Some(e) => Ok(tx.gremlin(&format!("g.removeEdge({e})")).is_ok()),
+            Some(e) => effective(tx.gremlin(&format!("g.removeEdge({e})"))),
             None => Ok(false),
         },
         Op::UpdateLink { src, dst, ltype } => match find_link_tx(tx, *src, *dst, ltype)? {
-            Some(e) => Ok(tx
-                .gremlin(&format!("g.e({e}).setProperty('timestamp', 1600000000)"))
-                .is_ok()),
+            Some(e) => {
+                effective(tx.gremlin(&format!("g.e({e}).setProperty('timestamp', 1600000000)")))
+            }
             None => Ok(false),
         },
-        _ => Err(format!("{} is not a write op", op.name())),
+        _ => Err(Error::Invalid(format!("{} is not a write op", op.name()))),
+    }
+}
+
+/// Run one write op (`attempt` opens, scripts and ends its transaction)
+/// until it does not lose a conflict, at most [`OP_RETRIES`] times.
+/// Returns the outcome and how many attempts lost a conflict.
+fn retry_op(mut attempt: impl FnMut() -> Result<bool, Error>) -> (Result<bool, String>, u64) {
+    let mut conflicts = 0;
+    loop {
+        match attempt() {
+            Err(Error::TxnConflict(_)) if conflicts + 1 < OP_RETRIES as u64 => conflicts += 1,
+            Err(e) => {
+                conflicts += u64::from(matches!(e, Error::TxnConflict(_)));
+                return (Err(e.to_string()), conflicts);
+            }
+            Ok(done) => return (Ok(done), conflicts),
+        }
     }
 }
 
@@ -323,21 +373,17 @@ impl LinkOps for MixedSqlOps<'_> {
         if !op.is_write() {
             return read_op(self.graph.database(), op);
         }
-        let mut tx = self.graph.transaction();
-        match apply_mixed_write(&mut tx, op) {
-            Ok(true) => {
-                tx.commit().map_err(|e| e.to_string())?;
-                Ok(true)
-            }
-            Ok(false) => {
+        retry_op(|| {
+            let mut tx = self.graph.transaction();
+            // An error drops `tx`, which rolls it back.
+            if !apply_mixed_write(&mut tx, op)? {
                 tx.rollback();
-                Ok(false)
+                return Ok(false);
             }
-            Err(e) => {
-                tx.rollback();
-                Err(e)
-            }
-        }
+            tx.commit().map_err(engine_error)?;
+            Ok(true)
+        })
+        .0
     }
 }
 
@@ -348,6 +394,9 @@ impl LinkOps for MixedSqlOps<'_> {
 pub struct RemoteMixedOps {
     /// The connection; `pub` so harnesses can reuse it for setup.
     pub client: Client,
+    /// Write attempts that lost a first-updater-wins conflict, retried or
+    /// not.
+    pub(crate) conflicts: u64,
 }
 
 impl RemoteMixedOps {
@@ -355,19 +404,27 @@ impl RemoteMixedOps {
     pub fn connect(addr: std::net::SocketAddr) -> Result<RemoteMixedOps, String> {
         Ok(RemoteMixedOps {
             client: Client::connect(addr).map_err(|e| e.to_string())?,
+            conflicts: 0,
         })
     }
 
-    /// Apply one LinkBench operation over the wire.
+    /// Apply one LinkBench operation over the wire. A write that loses a
+    /// conflict runs again from `BEGIN`, a bounded number of times.
     pub fn apply(&mut self, op: &Op) -> Result<bool, String> {
         if !op.is_write() {
             return self.apply_read(op);
         }
-        self.client.begin().map_err(|e| e.to_string())?;
+        let (done, conflicts) = retry_op(|| self.write_once(op));
+        self.conflicts += conflicts;
+        done
+    }
+
+    fn write_once(&mut self, op: &Op) -> Result<bool, Error> {
+        self.client.begin().map_err(remote_error)?;
         let outcome = apply_mixed_write(&mut RemoteTxn(&mut self.client), op);
         match outcome {
             Ok(true) => {
-                self.client.commit().map_err(|e| e.to_string())?;
+                self.client.commit().map_err(remote_error)?;
                 Ok(true)
             }
             Ok(false) => {
@@ -375,9 +432,8 @@ impl RemoteMixedOps {
                 Ok(false)
             }
             Err(e) => {
-                // The server may have already aborted the transaction
-                // (conflict); a failed rollback of a closed transaction
-                // is fine.
+                // The server has already aborted a transaction that lost a
+                // conflict; a failed rollback of a closed one is fine.
                 if self.client.in_transaction() {
                     let _ = self.client.rollback();
                 }

@@ -25,22 +25,23 @@ use sqlgraph_rel::{ClockCache, Database, Prepared, Relation, Txn, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, LockResult, PoisonError, RwLock, RwLockWriteGuard, TryLockError};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 
 /// Per-vertex adjacency grouped by label: vid → label → [(eid, other)].
 type AdjacencyMap<'a> = BTreeMap<i64, BTreeMap<&'a str, Vec<(i64, i64)>>>;
 
 /// How many times an autocommit graph mutation is retried when it loses a
 /// first-updater-wins conflict against a concurrent writer. Graph CRUD
-/// touches disjoint rows in the common case, so a handful of retries
-/// absorbs transient hot-row collisions (e.g. two edges migrating the same
-/// adjacency triad single→multi).
+/// touches disjoint vertices in the common case, so a handful of retries
+/// absorbs transient hot-vertex collisions (e.g. two edges added to one
+/// vertex at once). Retry `n` first pauses `2^(n-1)` µs, at most 512: the
+/// winner usually holds the row until it commits, so an immediate retry
+/// would only meet the same conflict.
 const TXN_RETRIES: usize = 16;
 
 /// Take a lock whatever a panicking holder left behind: the store's locks
-/// guard no state an unwind can tear (the mutation lock guards nothing; the
-/// layout and load stats are replaced whole), so a panicked transaction
-/// does not wedge later callers.
+/// guard no state an unwind can tear (the layout and load stats are
+/// replaced whole), so a panicked caller does not wedge later ones.
 fn unpoison<G>(locked: LockResult<G>) -> G {
     locked.unwrap_or_else(PoisonError::into_inner)
 }
@@ -94,11 +95,6 @@ pub struct SqlGraph {
     templates: ClockCache<TemplateKey, Template>,
     template_hits: AtomicU64,
     template_misses: AtomicU64,
-    /// Vertex deletion must not interleave with other mutations: a
-    /// concurrent `add_edge` could slip an edge past the incident-edge
-    /// collection and leave a dangling reference. Deletion takes this lock
-    /// exclusively; every other mutation takes it shared.
-    mutation_lock: RwLock<()>,
     next_vid: AtomicI64,
     next_eid: AtomicI64,
     next_valid: AtomicI64,
@@ -159,10 +155,10 @@ impl SqlGraph {
     }
 
     /// Snapshot the full graph state and rotate the WAL, bounding the next
-    /// open to the snapshot plus the post-checkpoint tail. Graph mutations
-    /// are excluded while the snapshot is cut.
+    /// open to the snapshot plus the post-checkpoint tail. The engine cuts
+    /// a commit-consistent image: a graph transaction is in it whole or
+    /// not at all.
     pub fn checkpoint(&self) -> Result<sqlgraph_rel::CheckpointReport, CoreError> {
-        let _exclusive = unpoison(self.mutation_lock.write());
         Ok(self.db.checkpoint()?)
     }
 
@@ -187,7 +183,6 @@ impl SqlGraph {
             templates: ClockCache::new(TEMPLATE_CACHE_CAP),
             template_hits: AtomicU64::new(0),
             template_misses: AtomicU64::new(0),
-            mutation_lock: RwLock::new(()),
             next_vid: AtomicI64::new(1),
             next_eid: AtomicI64::new(1),
             next_valid: AtomicI64::new(1),
@@ -606,21 +601,22 @@ impl SqlGraph {
     /// times when it loses a first-updater-wins conflict. Each attempt
     /// re-runs the closure against a fresh snapshot, so its reads observe
     /// whatever the winning writer committed.
-    pub(crate) fn retry_txn<T>(
+    fn retry_txn<T>(
         &self,
-        f: impl Fn(&mut Txn<'_>) -> sqlgraph_rel::Result<T>,
+        f: impl Fn(&mut Txn<'_>) -> Result<T, CoreError>,
     ) -> Result<T, CoreError> {
-        let mut attempts = 0usize;
+        let mut retries = 0;
         loop {
-            match self.db.transaction(&f) {
-                Err(sqlgraph_rel::Error::TxnConflict(msg)) => {
-                    attempts += 1;
-                    if attempts >= TXN_RETRIES {
-                        return Err(sqlgraph_rel::Error::TxnConflict(msg).into());
-                    }
-                    std::thread::yield_now();
+            let mut tx = self.db.begin();
+            // On an error `tx` drops unused, which rolls it back.
+            match f(&mut tx).and_then(|v| Ok(tx.commit().map(|()| v)?)) {
+                Err(CoreError::Rel(sqlgraph_rel::Error::TxnConflict(_)))
+                    if retries + 1 < TXN_RETRIES =>
+                {
+                    std::thread::sleep(std::time::Duration::from_micros(1 << retries.min(9)));
+                    retries += 1;
                 }
-                other => return other.map_err(CoreError::from),
+                done => return done,
             }
         }
     }
@@ -631,41 +627,15 @@ impl SqlGraph {
     /// until [`GraphTxn::commit`]; reads through the handle see the
     /// snapshot taken here plus the transaction's own writes, and nothing
     /// from writers that commit later (snapshot isolation). Dropping the
-    /// handle rolls back.
-    ///
-    /// The handle holds the store's mutation lock exclusively for its
-    /// lifetime: autocommit mutations and checkpoints wait until it
-    /// finishes, which keeps the multi-table invariants (no dangling
-    /// adjacency entries) safe from interleaving without giving up
-    /// lock-free *reads* — queries on other threads still run against
-    /// their own snapshots.
+    /// handle rolls back. Any number of graph transactions and autocommit
+    /// mutations run at once; see [`GraphTxn`] for how they conflict.
     pub fn transaction(&self) -> GraphTxn<'_> {
-        let exclusive = unpoison(self.mutation_lock.write());
         GraphTxn {
             txn: self.db.begin(),
             layout: self.layout(),
             graph: self,
-            _exclusive: exclusive,
+            conflicted: false,
         }
-    }
-
-    /// [`SqlGraph::transaction`] without blocking: `None` if another
-    /// transaction (or an autocommit mutation / checkpoint) holds the
-    /// mutation lock. The wire server's session threads poll this instead
-    /// of parking in `transaction()`, so a shutdown request can interrupt
-    /// a `BEGIN` that is queued behind a long-lived transaction.
-    pub fn try_transaction(&self) -> Option<GraphTxn<'_>> {
-        let exclusive = match self.mutation_lock.try_write() {
-            Ok(exclusive) => exclusive,
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
-            Err(TryLockError::WouldBlock) => return None,
-        };
-        Some(GraphTxn {
-            txn: self.db.begin(),
-            layout: self.layout(),
-            graph: self,
-            _exclusive: exclusive,
-        })
     }
 
     /// Add a vertex with properties; returns its id.
@@ -679,7 +649,6 @@ impl SqlGraph {
     }
 
     fn add_vertex_props(&self, props: &[(String, Json)]) -> Result<i64, CoreError> {
-        let _shared = unpoison(self.mutation_lock.read());
         let vid = self.next_vid.fetch_add(1, Ordering::SeqCst);
         let attr = Value::json(props_to_json(props));
         self.retry_txn(|tx| self.add_vertex_in(tx, vid, &attr))?;
@@ -688,12 +657,7 @@ impl SqlGraph {
 
     /// Insert the vertex attribute row and both empty primary adjacency
     /// rows inside `tx`.
-    pub(crate) fn add_vertex_in(
-        &self,
-        tx: &mut Txn<'_>,
-        vid: i64,
-        attr: &Value,
-    ) -> sqlgraph_rel::Result<()> {
+    fn add_vertex_in(&self, tx: &mut Txn<'_>, vid: i64, attr: &Value) -> Result<(), CoreError> {
         tx.execute_with_params(
             "INSERT INTO va VALUES (?, ?)",
             &[Value::Int(vid), attr.clone()],
@@ -728,32 +692,39 @@ impl SqlGraph {
         label: &str,
         props: &[(String, Json)],
     ) -> Result<i64, CoreError> {
-        let _shared = unpoison(self.mutation_lock.read());
-        for v in [src, dst] {
-            if !self.vertex_exists_internal(v)? {
-                return Err(CoreError::Graph(GraphError::new(format!("no vertex {v}"))));
-            }
-        }
-        let eid = self.next_eid.fetch_add(1, Ordering::SeqCst);
         let attr = Value::json(props_to_json(props));
         let layout = self.layout();
-        self.retry_txn(|tx| self.add_edge_in(tx, &layout, eid, src, dst, label, &attr))?;
-        Ok(eid)
+        self.retry_txn(|tx| self.add_edge_in(tx, &layout, src, dst, label, &attr))
     }
 
-    /// Insert the edge attribute/triple row and both adjacency entries
-    /// inside `tx`.
-    #[allow(clippy::too_many_arguments)] // (txn, layout, eid, src, dst, label, attr) is the natural shape
-    pub(crate) fn add_edge_in(
+    /// Check both endpoints, then insert the edge attribute/triple row and
+    /// both adjacency entries inside `tx`; returns the new edge's id,
+    /// allocated once both endpoints are known to exist.
+    fn add_edge_in(
         &self,
         tx: &mut Txn<'_>,
         layout: &GraphLayout,
-        eid: i64,
         src: i64,
         dst: i64,
         label: &str,
         attr: &Value,
-    ) -> sqlgraph_rel::Result<()> {
+    ) -> Result<i64, CoreError> {
+        // The check reads the rows `attach` writes: a live vertex's rows
+        // carry its id, a removed vertex's the negative mark. A vertex
+        // with no row in a direction yet is checked and claimed by
+        // rewriting its attribute row, which removal marks too.
+        let src_rows = adjacency_rows(tx, layout, true, src, label)?;
+        let dst_rows = adjacency_rows(tx, layout, false, dst, label)?;
+        for (v, rows) in [(src, &src_rows), (dst, &dst_rows)] {
+            if rows.is_empty() {
+                let sql = "UPDATE va SET attr = attr WHERE vid = ?";
+                let claimed = tx.execute_with_params(sql, &[Value::Int(v)])?;
+                if claimed.scalar().and_then(Value::as_int).unwrap_or(0) == 0 {
+                    return Err(no_vertex(v));
+                }
+            }
+        }
+        let eid = self.next_eid.fetch_add(1, Ordering::SeqCst);
         tx.execute_with_params(
             "INSERT INTO ea VALUES (?, ?, ?, ?, ?)",
             &[
@@ -764,14 +735,15 @@ impl SqlGraph {
                 attr.clone(),
             ],
         )?;
-        self.attach(tx, layout, true, src, label, eid, dst)?;
-        self.attach(tx, layout, false, dst, label, eid, src)?;
-        Ok(())
+        self.attach(tx, layout, true, src, label, eid, dst, &src_rows)?;
+        self.attach(tx, layout, false, dst, label, eid, src, &dst_rows)?;
+        Ok(eid)
     }
 
-    /// Insert `(label, eid, other)` into one direction's adjacency tables.
-    #[allow(clippy::too_many_arguments)] // (txn, layout, direction, vid, label, eid, other) is the natural shape
-    pub(crate) fn attach(
+    /// Insert `(label, eid, other)` into one direction's adjacency tables,
+    /// given `vid`'s rows there ([`adjacency_rows`]).
+    #[allow(clippy::too_many_arguments)] // (txn, layout, direction, vid, label, eid, other, rows) is the natural shape
+    fn attach(
         &self,
         tx: &mut Txn<'_>,
         layout: &GraphLayout,
@@ -780,6 +752,7 @@ impl SqlGraph {
         label: &str,
         eid: i64,
         other: i64,
+        rows: &[Vec<Value>],
     ) -> sqlgraph_rel::Result<()> {
         let (pa, sa) = if out { ("opa", "osa") } else { ("ipa", "isa") };
         let col = if out {
@@ -787,19 +760,14 @@ impl SqlGraph {
         } else {
             layout.in_column(label)
         };
-        let rows = tx.execute_with_params(
-            &format!("SELECT rowno, lbl{col}, eid{col}, val{col} FROM {pa} WHERE vid = ?"),
-            &[Value::Int(vid)],
-        )?;
-        // Same label already present?
-        if let Some(row) = rows.rows.iter().find(|r| r[1].as_str() == Some(label)) {
-            let rowno = row[0].clone();
-            if row[2].is_null() {
+        let written = if let Some(row) = rows.iter().find(|r| r[2].as_str() == Some(label)) {
+            if row[3].is_null() {
                 // Already multi-valued: append to the secondary table.
                 tx.execute_with_params(
                     &format!("INSERT INTO {sa} VALUES (?, ?, ?)"),
-                    &[row[3].clone(), Value::Int(eid), Value::Int(other)],
+                    &[row[4].clone(), Value::Int(eid), Value::Int(other)],
                 )?;
+                None
             } else {
                 // Single → multi migration.
                 let valid = MV_BASE + self.next_valid.fetch_add(1, Ordering::Relaxed);
@@ -807,8 +775,8 @@ impl SqlGraph {
                     &format!("INSERT INTO {sa} VALUES (?, ?, ?), (?, ?, ?)"),
                     &[
                         Value::Int(valid),
-                        row[2].clone(),
                         row[3].clone(),
+                        row[4].clone(),
                         Value::Int(valid),
                         Value::Int(eid),
                         Value::Int(other),
@@ -816,13 +784,12 @@ impl SqlGraph {
                 )?;
                 tx.execute_with_params(
                     &format!("UPDATE {pa} SET eid{col} = NULL, val{col} = ? WHERE rowno = ?"),
-                    &[Value::Int(valid), rowno],
+                    &[Value::Int(valid), row[0].clone()],
                 )?;
+                Some(&row[0])
             }
-            return Ok(());
-        }
-        // Free triad on an existing row?
-        if let Some(row) = rows.rows.iter().find(|r| r[1].is_null()) {
+        } else if let Some(row) = rows.iter().find(|r| r[2].is_null()) {
+            // Free triad on an existing row.
             tx.execute_with_params(
                 &format!(
                     "UPDATE {pa} SET lbl{col} = ?, eid{col} = ?, val{col} = ? WHERE rowno = ?"
@@ -834,31 +801,33 @@ impl SqlGraph {
                     row[0].clone(),
                 ],
             )?;
-            return Ok(());
-        }
-        // New row: primary if the vertex had none yet, spill otherwise.
-        let spill = i64::from(!rows.rows.is_empty());
-        let rowno = self.next_rowno.fetch_add(1, Ordering::Relaxed);
-        tx.execute_with_params(
-            &format!(
-                "INSERT INTO {pa} (rowno, vid, spill, lbl{col}, eid{col}, val{col}) \
-                 VALUES (?, ?, {spill}, ?, ?, ?)"
-            ),
-            &[
-                Value::Int(rowno),
-                Value::Int(vid),
-                layout.label(label),
-                Value::Int(eid),
-                Value::Int(other),
-            ],
-        )?;
-        Ok(())
+            Some(&row[0])
+        } else {
+            // New row: primary if the vertex had none yet, spill otherwise.
+            let spill = i64::from(!rows.is_empty());
+            let rowno = self.next_rowno.fetch_add(1, Ordering::Relaxed);
+            tx.execute_with_params(
+                &format!(
+                    "INSERT INTO {pa} (rowno, vid, spill, lbl{col}, eid{col}, val{col}) \
+                     VALUES (?, ?, {spill}, ?, ?, ?)"
+                ),
+                &[
+                    Value::Int(rowno),
+                    Value::Int(vid),
+                    layout.label(label),
+                    Value::Int(eid),
+                    Value::Int(other),
+                ],
+            )?;
+            None
+        };
+        claim_primary(tx, pa, rows, written)
     }
 
     /// Remove `eid` (which joins `vid` to `other`) from one direction's
     /// adjacency tables.
     #[allow(clippy::too_many_arguments)] // (txn, layout, direction, vid, label, eid, other) is the natural shape
-    pub(crate) fn detach(
+    fn detach(
         &self,
         tx: &mut Txn<'_>,
         layout: &GraphLayout,
@@ -874,19 +843,18 @@ impl SqlGraph {
         } else {
             layout.in_column(label)
         };
-        let rows = tx.execute_with_params(
-            &format!("SELECT rowno, lbl{col}, eid{col}, val{col} FROM {pa} WHERE vid = ?"),
-            &[Value::Int(vid)],
-        )?;
-        let Some(row) = rows.rows.iter().find(|r| r[1].as_str() == Some(label)) else {
+        let rows = adjacency_rows(tx, layout, out, vid, label)?;
+        let Some(row) = rows.iter().find(|r| r[2].as_str() == Some(label)) else {
             return Ok(()); // already detached (idempotent)
         };
-        let rowno = row[0].clone();
-        if row[2].is_null() {
+        let clear = format!(
+            "UPDATE {pa} SET lbl{col} = NULL, eid{col} = NULL, val{col} = NULL WHERE rowno = ?"
+        );
+        let written = if row[3].is_null() {
             // Multi-valued list: remove this edge's entry. Naming the
             // other endpoint lets the `(valid, val)` index find it without
             // walking the whole list.
-            let valid = row[3].clone();
+            let valid = row[4].clone();
             tx.execute_with_params(
                 &format!("DELETE FROM {sa} WHERE valid = ? AND val = ? AND eid = ?"),
                 &[valid.clone(), Value::Int(other), Value::Int(eid)],
@@ -897,46 +865,38 @@ impl SqlGraph {
                 &[valid],
             )?;
             if left.rows.is_empty() {
-                tx.execute_with_params(
-                    &format!(
-                        "UPDATE {pa} SET lbl{col} = NULL, eid{col} = NULL, val{col} = NULL \
-                         WHERE rowno = ?"
-                    ),
-                    &[rowno],
-                )?;
+                tx.execute_with_params(&clear, &[row[0].clone()])?;
+                Some(&row[0])
+            } else {
+                None
             }
-        } else if row[2].as_int() == Some(eid) {
-            tx.execute_with_params(
-                &format!(
-                    "UPDATE {pa} SET lbl{col} = NULL, eid{col} = NULL, val{col} = NULL \
-                     WHERE rowno = ?"
-                ),
-                &[rowno],
-            )?;
-        }
-        Ok(())
+        } else if row[3].as_int() == Some(eid) {
+            tx.execute_with_params(&clear, &[row[0].clone()])?;
+            Some(&row[0])
+        } else {
+            None
+        };
+        claim_primary(tx, pa, &rows, written)
     }
 
     fn remove_edge_impl(&self, eid: i64) -> Result<(), CoreError> {
-        let _shared = unpoison(self.mutation_lock.read());
         let layout = self.layout();
-        self.retry_txn(|tx| self.remove_edge_in(tx, &layout, eid))?;
-        Ok(())
+        self.retry_txn(|tx| self.remove_edge_in(tx, &layout, eid))
     }
 
     /// Delete the edge row and detach both endpoints inside `tx`.
-    pub(crate) fn remove_edge_in(
+    fn remove_edge_in(
         &self,
         tx: &mut Txn<'_>,
         layout: &GraphLayout,
         eid: i64,
-    ) -> sqlgraph_rel::Result<()> {
+    ) -> Result<(), CoreError> {
         let rel = tx.execute_with_params(
             "SELECT inv, outv, lbl FROM ea WHERE eid = ?",
             &[Value::Int(eid)],
         )?;
         let Some(row) = rel.rows.first() else {
-            return Err(sqlgraph_rel::Error::NotFound(format!("edge {eid}")));
+            return Err(sqlgraph_rel::Error::NotFound(format!("edge {eid}")).into());
         };
         let (src, dst) = (row[0].as_int().unwrap_or(-1), row[1].as_int().unwrap_or(-1));
         let label = row[2].as_str().unwrap_or("").to_string();
@@ -947,28 +907,33 @@ impl SqlGraph {
     }
 
     fn remove_vertex_impl(&self, vid: i64) -> Result<(), CoreError> {
-        let _exclusive = unpoison(self.mutation_lock.write());
-        if !self.vertex_exists_internal(vid)? {
-            return Err(CoreError::Graph(GraphError::new(format!(
-                "no vertex {vid}"
-            ))));
-        }
         let layout = self.layout();
-        self.retry_txn(|tx| self.remove_vertex_in(tx, &layout, vid))?;
-        Ok(())
+        self.retry_txn(|tx| self.remove_vertex_in(tx, &layout, vid))
     }
 
-    /// The §4.5.2 vertex-removal procedure inside `tx`: delete every
-    /// incident edge and detach it from the *other* endpoint's adjacency,
-    /// then mark the vertex's own rows with the negative-ID tombstone. The
-    /// vertex's own adjacency is not detached edge by edge — the tombstone
-    /// hides it, and [`SqlGraph::vacuum`] reclaims its lists.
+    /// The §4.5.2 vertex-removal procedure inside `tx`: mark the vertex's
+    /// attribute row with the negative-ID tombstone, delete every incident
+    /// edge and detach it from the *other* endpoint's adjacency, then mark
+    /// the vertex's adjacency rows. The vertex's own adjacency is not
+    /// detached edge by edge — the tombstone hides it, and
+    /// [`SqlGraph::vacuum`] reclaims its lists.
     fn remove_vertex_in(
         &self,
         tx: &mut Txn<'_>,
         layout: &GraphLayout,
         vid: i64,
-    ) -> sqlgraph_rel::Result<()> {
+    ) -> Result<(), CoreError> {
+        // Negative-ID marking (§4.5.2): cheap logical deletion of the
+        // vertex's own rows; vacuum() removes them physically. Marking the
+        // attribute row first is the existence check.
+        let marked = Value::Int(deleted_id(vid));
+        let rel = tx.execute_with_params(
+            "UPDATE va SET vid = ? WHERE vid = ?",
+            &[marked.clone(), Value::Int(vid)],
+        )?;
+        if rel.scalar().and_then(Value::as_int).unwrap_or(0) == 0 {
+            return Err(no_vertex(vid));
+        }
         // All incident edges via the redundant EA triple table.
         let mut incident: Vec<(i64, i64, i64, String)> = Vec::new();
         for key in ["inv", "outv"] {
@@ -996,13 +961,6 @@ impl SqlGraph {
                 self.detach(tx, layout, false, dst, &label, eid, src)?;
             }
         }
-        // Negative-ID marking (§4.5.2): cheap logical deletion of the
-        // vertex's own rows; vacuum() removes them physically.
-        let marked = Value::Int(deleted_id(vid));
-        tx.execute_with_params(
-            "UPDATE va SET vid = ? WHERE vid = ?",
-            &[marked.clone(), Value::Int(vid)],
-        )?;
         for pa in ["opa", "ipa"] {
             tx.execute_with_params(
                 &format!("UPDATE {pa} SET vid = ? WHERE vid = ?"),
@@ -1013,33 +971,32 @@ impl SqlGraph {
     }
 
     fn set_vertex_property_impl(&self, vid: i64, key: &str, value: &Json) -> Result<(), CoreError> {
-        let _shared = unpoison(self.mutation_lock.read());
         self.retry_txn(|tx| Self::set_property_in(tx, "va", "vid", vid, key, value))
     }
 
     fn set_edge_property_impl(&self, eid: i64, key: &str, value: &Json) -> Result<(), CoreError> {
-        let _shared = unpoison(self.mutation_lock.read());
         self.retry_txn(|tx| Self::set_property_in(tx, "ea", "eid", eid, key, value))
     }
 
     /// Read-modify-write of one element's JSON attribute document inside
     /// `tx`. `table`/`id_col` select the element kind (`va`/`vid` or
-    /// `ea`/`eid`).
-    pub(crate) fn set_property_in(
+    /// `ea`/`eid`). Writing the row is what makes it conflict with a
+    /// concurrent removal.
+    fn set_property_in(
         tx: &mut Txn<'_>,
         table: &str,
         id_col: &str,
         id: i64,
         key: &str,
         value: &Json,
-    ) -> sqlgraph_rel::Result<()> {
+    ) -> Result<(), CoreError> {
         let rel = tx.execute_with_params(
             &format!("SELECT attr FROM {table} WHERE {id_col} = ?"),
             &[Value::Int(id)],
         )?;
         let Some(Value::Json(doc)) = rel.rows.first().and_then(|r| r.first()) else {
             let kind = if table == "va" { "vertex" } else { "edge" };
-            return Err(sqlgraph_rel::Error::NotFound(format!("{kind} {id}")));
+            return Err(sqlgraph_rel::Error::NotFound(format!("{kind} {id}")).into());
         };
         let mut doc = (**doc).clone();
         if let Some(obj) = doc.as_object_mut() {
@@ -1083,8 +1040,8 @@ impl SqlGraph {
     }
 
     /// Offline cleanup (§4.5.2): physically remove rows marked deleted.
+    /// Each step is one ordinary autocommit statement.
     pub fn vacuum(&self) -> Result<usize, CoreError> {
-        let _exclusive = unpoison(self.mutation_lock.write());
         let mut removed = 0usize;
         for table in ["va", "opa", "ipa"] {
             let rel = self
@@ -1107,20 +1064,56 @@ impl SqlGraph {
         }
         Ok(removed)
     }
+}
 
-    pub(crate) fn vertex_exists_internal(&self, vid: i64) -> Result<bool, CoreError> {
-        let rel = self
-            .db
-            .execute_with_params("SELECT vid FROM va WHERE vid = ?", &[Value::Int(vid)])?;
-        Ok(!rel.rows.is_empty())
-    }
+/// `vid`'s rows in one direction's primary adjacency table, each as
+/// `[rowno, spill, lbl, eid, val]` with `label`'s triad.
+fn adjacency_rows(
+    tx: &mut Txn<'_>,
+    layout: &GraphLayout,
+    out: bool,
+    vid: i64,
+    label: &str,
+) -> sqlgraph_rel::Result<Vec<Vec<Value>>> {
+    let (pa, col) = if out {
+        ("opa", layout.out_column(label))
+    } else {
+        ("ipa", layout.in_column(label))
+    };
+    let rel = tx.execute_with_params(
+        &format!("SELECT rowno, spill, lbl{col}, eid{col}, val{col} FROM {pa} WHERE vid = ?"),
+        &[Value::Int(vid)],
+    )?;
+    Ok(rel.rows)
+}
 
-    /// [`SqlGraph::vertex_exists_internal`] evaluated inside `tx`, so a
-    /// vertex added earlier in the same transaction counts as existing.
-    fn vertex_exists_tx(&self, tx: &mut Txn<'_>, vid: i64) -> sqlgraph_rel::Result<bool> {
-        let rel = tx.execute_with_params("SELECT vid FROM va WHERE vid = ?", &[Value::Int(vid)])?;
-        Ok(!rel.rows.is_empty())
+/// Finish an `attach` or `detach` of a vertex whose rows in `pa` are
+/// `rows` by making sure it wrote the vertex's primary row (`spill = 0`):
+/// rewrite that row unchanged unless the change was to it (`written`).
+/// This materializes the conflict (Fekete et al., *Making Snapshot
+/// Isolation Serializable*, TODS 2005) that [`GraphTxn`] describes:
+/// without it, an `add_edge` appending to a multi-valued list writes only
+/// the secondary table, and could slip past a removal of its endpoint.
+fn claim_primary(
+    tx: &mut Txn<'_>,
+    pa: &str,
+    rows: &[Vec<Value>],
+    written: Option<&Value>,
+) -> sqlgraph_rel::Result<()> {
+    let Some(primary) = rows.iter().find(|r| r[1].as_int() == Some(0)) else {
+        return Ok(());
+    };
+    if written != Some(&primary[0]) {
+        tx.execute_with_params(
+            &format!("UPDATE {pa} SET spill = 0 WHERE rowno = ?"),
+            &[primary[0].clone()],
+        )?;
     }
+    Ok(())
+}
+
+fn no_vertex(vid: i64) -> CoreError {
+    CoreError::Graph(GraphError::new(format!("no vertex {vid}")))
 }
 
 /// Compute the §3.2 coloring layout from a graph's per-vertex label sets.
@@ -1167,17 +1160,27 @@ fn layout_for(config: &SchemaConfig, data: &GraphData) -> GraphLayout {
 /// committing rolls everything back — including a partially applied
 /// vertex-removal procedure, which is exactly the multi-table update the
 /// paper runs as a stored-procedure transaction (§4.5.2).
+///
+/// Graph transactions run concurrently with each other and with autocommit
+/// mutations; the engine's first-updater-wins check is the only
+/// concurrency control. Every change to a vertex's adjacency writes the
+/// vertex's primary adjacency row in that direction, and vertex removal
+/// marks all its rows, so two transactions that change one vertex's
+/// adjacency in one direction, or change it and remove the vertex,
+/// conflict: the later writer's call, or its commit, fails with
+/// [`sqlgraph_rel::Error::TxnConflict`]. Such a transaction cannot commit
+/// (its `commit` returns the conflict and rolls back); retry it from
+/// [`SqlGraph::transaction`]. Autocommit mutations retry by themselves.
 pub struct GraphTxn<'g> {
     graph: &'g SqlGraph,
     txn: Txn<'g>,
-    /// Layout frozen at `transaction()`; safe because the mutation lock
-    /// excludes concurrent bulk loads (the only layout writers).
+    /// Layout frozen at `transaction()`. Only `bulk_load` replaces the
+    /// layout, and it is meant for a fresh store, not one in use.
     layout: Arc<GraphLayout>,
-    /// Held exclusively so no autocommit mutation or checkpoint
-    /// interleaves with this transaction's statements. Declared after
-    /// `txn` so the rollback (via `Txn::drop`) happens before the lock is
-    /// released.
-    _exclusive: RwLockWriteGuard<'g, ()>,
+    /// A call lost a write-write conflict, possibly after writing part of
+    /// a graph procedure (an `ea` row without its adjacency, say), so the
+    /// transaction must not commit.
+    conflicted: bool,
 }
 
 impl<'g> GraphTxn<'g> {
@@ -1202,36 +1205,26 @@ impl<'g> GraphTxn<'g> {
         label: &str,
         props: &[(String, Json)],
     ) -> Result<i64, CoreError> {
-        for v in [src, dst] {
-            if !self.graph.vertex_exists_tx(&mut self.txn, v)? {
-                return Err(CoreError::Graph(GraphError::new(format!("no vertex {v}"))));
-            }
-        }
-        let eid = self.graph.next_eid.fetch_add(1, Ordering::SeqCst);
         let attr = Value::json(props_to_json(props));
-        self.graph
-            .add_edge_in(&mut self.txn, &self.layout, eid, src, dst, label, &attr)?;
-        Ok(eid)
+        let added = self
+            .graph
+            .add_edge_in(&mut self.txn, &self.layout, src, dst, label, &attr);
+        self.noting(added)
     }
 
     /// Remove a vertex and all incident edges (the §4.5.2 negative-ID
     /// procedure), atomically with the rest of this transaction.
     pub fn remove_vertex(&mut self, vid: i64) -> Result<(), CoreError> {
-        if !self.graph.vertex_exists_tx(&mut self.txn, vid)? {
-            return Err(CoreError::Graph(GraphError::new(format!(
-                "no vertex {vid}"
-            ))));
-        }
-        self.graph
-            .remove_vertex_in(&mut self.txn, &self.layout, vid)?;
-        Ok(())
+        let removed = self
+            .graph
+            .remove_vertex_in(&mut self.txn, &self.layout, vid);
+        self.noting(removed)
     }
 
     /// Remove an edge.
     pub fn remove_edge(&mut self, eid: i64) -> Result<(), CoreError> {
-        self.graph
-            .remove_edge_in(&mut self.txn, &self.layout, eid)?;
-        Ok(())
+        let removed = self.graph.remove_edge_in(&mut self.txn, &self.layout, eid);
+        self.noting(removed)
     }
 
     /// Set (or replace) a vertex property.
@@ -1241,8 +1234,8 @@ impl<'g> GraphTxn<'g> {
         key: &str,
         value: &Json,
     ) -> Result<(), CoreError> {
-        SqlGraph::set_property_in(&mut self.txn, "va", "vid", vid, key, value)?;
-        Ok(())
+        let set = SqlGraph::set_property_in(&mut self.txn, "va", "vid", vid, key, value);
+        self.noting(set)
     }
 
     /// Set (or replace) an edge property.
@@ -1252,8 +1245,8 @@ impl<'g> GraphTxn<'g> {
         key: &str,
         value: &Json,
     ) -> Result<(), CoreError> {
-        SqlGraph::set_property_in(&mut self.txn, "ea", "eid", eid, key, value)?;
-        Ok(())
+        let set = SqlGraph::set_property_in(&mut self.txn, "ea", "eid", eid, key, value);
+        self.noting(set)
     }
 
     /// Execute a Gremlin statement inside this transaction. Traversals
@@ -1312,7 +1305,7 @@ impl<'g> GraphTxn<'g> {
 
     /// Run raw SQL inside this transaction (inspection, tests).
     pub fn sql(&mut self, statement: &str) -> Result<Relation, CoreError> {
-        Ok(self.txn.execute(statement)?)
+        self.sql_with_params(statement, &[])
     }
 
     /// Run raw SQL with positional `?` parameters inside this transaction.
@@ -1321,7 +1314,16 @@ impl<'g> GraphTxn<'g> {
         statement: &str,
         params: &[Value],
     ) -> Result<Relation, CoreError> {
-        Ok(self.txn.execute_with_params(statement, params)?)
+        let ran = self.txn.execute_with_params(statement, params);
+        self.noting(ran.map_err(CoreError::from))
+    }
+
+    /// Pass `result` through, remembering a lost conflict.
+    fn noting<T>(&mut self, result: Result<T, CoreError>) -> Result<T, CoreError> {
+        if let Err(CoreError::Rel(sqlgraph_rel::Error::TxnConflict(_))) = &result {
+            self.conflicted = true;
+        }
+        result
     }
 
     /// SQL statements executed so far in this transaction. Graph calls
@@ -1331,8 +1333,13 @@ impl<'g> GraphTxn<'g> {
         self.txn.statements_executed()
     }
 
-    /// Make every buffered mutation visible atomically.
+    /// Make every buffered mutation visible atomically. After a call lost
+    /// a conflict this rolls back and returns the conflict instead.
     pub fn commit(self) -> Result<(), CoreError> {
+        if self.conflicted {
+            let lost = "an earlier call of this transaction lost a write-write conflict";
+            return Err(sqlgraph_rel::Error::TxnConflict(lost.into()).into());
+        }
         Ok(self.txn.commit()?)
     }
 
@@ -1453,7 +1460,10 @@ impl Blueprints for SqlGraph {
     }
 
     fn vertex_exists(&self, v: i64) -> bool {
-        self.vertex_exists_internal(v).unwrap_or(false)
+        self.db
+            .execute_with_params("SELECT vid FROM va WHERE vid = ?", &[Value::Int(v)])
+            .map(|r| !r.rows.is_empty())
+            .unwrap_or(false)
     }
 
     fn edge_exists(&self, e: i64) -> bool {

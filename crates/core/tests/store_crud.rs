@@ -229,9 +229,8 @@ fn wal_backed_store_recovers() {
     std::fs::remove_file(&path).unwrap();
 }
 
-/// A panic while a lock is held must not wedge the store: a graph
-/// transaction (which holds the mutation lock exclusively) and a raw table
-/// write both unwind mid-flight. Afterwards mutations, queries and
+/// A panic mid-write must not wedge the store: a graph transaction and a
+/// raw table write (under its table lock) both unwind mid-flight. Afterwards mutations, queries and
 /// checkpoints run as before, and the panicked transaction is rolled back.
 #[test]
 fn a_panic_under_a_lock_leaves_the_store_usable() {

@@ -85,8 +85,6 @@ pub struct Snapshot {
     pub clock: u64,
     /// Rebuilt tables, in serialized order.
     pub tables: Vec<Table>,
-    /// Snapshot file size.
-    pub bytes: u64,
 }
 
 fn column_type_tag(ty: ColumnType) -> u8 {
@@ -280,12 +278,7 @@ fn decode_snapshot(data: &[u8]) -> Result<Snapshot> {
         .map(|_| decode_table(c.record()?))
         .collect::<Result<Vec<_>>>()?;
     c.finish()?;
-    Ok(Snapshot {
-        gen,
-        clock,
-        tables,
-        bytes: data.len() as u64,
-    })
+    Ok(Snapshot { gen, clock, tables })
 }
 
 #[cfg(test)]

@@ -57,8 +57,6 @@ pub struct CsrEntry {
     offsets: Vec<u32>,
     /// Kept columns, parallel to `CsrKey::keep`.
     cols: Vec<CsrCol>,
-    /// Total element count.
-    elems: usize,
     /// `Table::content_version` at build time.
     pub built_version: u64,
 }
@@ -136,7 +134,6 @@ impl CsrEntry {
             groups,
             offsets,
             cols,
-            elems: elems as usize,
             built_version: t.content_version(),
         })
     }
@@ -144,11 +141,6 @@ impl CsrEntry {
     /// Number of distinct probe keys with at least one visible row.
     pub fn group_count(&self) -> usize {
         self.offsets.len() - 1
-    }
-
-    /// Total stored elements across all groups.
-    pub fn elem_count(&self) -> usize {
-        self.elems
     }
 
     /// Append the elements under `key` to `out` (one `Vec<Value>` per kept
@@ -173,20 +165,6 @@ impl CsrEntry {
             }
         }
         hi - lo
-    }
-
-    /// Approximate heap footprint of the entry in bytes (compression
-    /// observability; coarse for `Plain` columns).
-    pub fn approx_bytes(&self) -> usize {
-        let cols: usize = self
-            .cols
-            .iter()
-            .map(|c| match c {
-                CsrCol::Packed(p) => p.encoded_bytes(),
-                CsrCol::Plain(vals) => vals.len() * std::mem::size_of::<Value>(),
-            })
-            .sum();
-        cols + self.offsets.len() * 4 + self.groups.len() * std::mem::size_of::<(Value, u32)>()
     }
 }
 
@@ -235,35 +213,11 @@ pub struct PackedIntVec {
     data: Vec<u8>,
     /// Null bitmap over *logical* element positions (None = no nulls).
     nulls: Option<Vec<u64>>,
-    /// Total logical element count.
-    len: usize,
     /// Byte offset in `data` where each group's encoding begins.
     group_starts: Vec<u32>,
 }
 
 impl PackedIntVec {
-    /// Logical element count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when the vector holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of encoded groups.
-    pub fn group_count(&self) -> usize {
-        self.group_starts.len()
-    }
-
-    /// Heap footprint of the encoding in bytes (payload + bitmap + starts).
-    pub fn encoded_bytes(&self) -> usize {
-        self.data.len()
-            + self.nulls.as_ref().map_or(0, |w| w.len() * 8)
-            + self.group_starts.len() * 4
-    }
-
     /// Decode group `g`, whose elements occupy logical positions
     /// `lo..hi`, invoking `f` once per element in order (`None` = NULL).
     pub fn for_each_in_group(
@@ -355,7 +309,6 @@ impl PackedIntWriter {
         PackedIntVec {
             data: self.data,
             nulls: self.nulls,
-            len: self.len,
             group_starts: self.group_starts,
         }
     }
@@ -364,6 +317,11 @@ impl PackedIntWriter {
 #[cfg(test)]
 mod packed_tests {
     use super::*;
+
+    /// Heap footprint of the encoding in bytes (payload + bitmap + starts).
+    pub(super) fn encoded_bytes(p: &PackedIntVec) -> usize {
+        p.data.len() + p.nulls.as_ref().map_or(0, |w| w.len() * 8) + p.group_starts.len() * 4
+    }
 
     #[test]
     fn packed_roundtrip_with_nulls_and_groups() {
@@ -382,8 +340,7 @@ mod packed_tests {
             }
         }
         let packed = w.finish();
-        assert_eq!(packed.group_count(), groups.len());
-        assert_eq!(packed.len(), groups.iter().map(Vec::len).sum::<usize>());
+        assert_eq!(packed.group_starts.len(), groups.len());
         let mut lo = 0;
         for (gi, g) in groups.iter().enumerate() {
             let hi = lo + g.len();
@@ -423,9 +380,9 @@ mod packed_tests {
         let packed = w.finish();
         // First value pays full varint width; the rest are 1-byte deltas.
         assert!(
-            packed.encoded_bytes() < 1024 + 16,
+            encoded_bytes(&packed) < 1024 + 16,
             "expected ~1 byte/elem, got {}",
-            packed.encoded_bytes()
+            encoded_bytes(&packed)
         );
         // Nulls are suppressed: a null carries bitmap bits but no payload.
         let mut w = PackedIntWriter::new();
@@ -434,7 +391,7 @@ mod packed_tests {
             w.push(if i % 2 == 0 { Some(i) } else { None });
         }
         let with_nulls = w.finish();
-        assert!(with_nulls.encoded_bytes() <= 32 + 8 + 4);
+        assert!(encoded_bytes(&with_nulls) <= 32 + 8 + 4);
     }
 }
 
@@ -443,6 +400,25 @@ mod tests {
     use super::*;
     use crate::index::IndexKind;
     use crate::schema::{Column, ColumnType, TableSchema};
+
+    /// Total stored elements across all groups.
+    fn elem_count(entry: &CsrEntry) -> usize {
+        entry.offsets.last().map_or(0, |&n| n as usize)
+    }
+
+    /// Approximate heap footprint of the entry in bytes (coarse for
+    /// `Plain` columns).
+    fn approx_bytes(entry: &CsrEntry) -> usize {
+        let cols: usize = entry
+            .cols
+            .iter()
+            .map(|c| match c {
+                CsrCol::Packed(p) => super::packed_tests::encoded_bytes(p),
+                CsrCol::Plain(vals) => vals.len() * std::mem::size_of::<Value>(),
+            })
+            .sum();
+        cols + entry.offsets.len() * 4 + entry.groups.len() * std::mem::size_of::<(Value, u32)>()
+    }
 
     fn adjacency_table() -> Table {
         let col = |name: &str, ty: ColumnType| Column {
@@ -480,7 +456,7 @@ mod tests {
         let snap = Snapshot::latest();
         let entry = CsrEntry::build(&t, "adj_src", &[2, 3], snap).unwrap();
         assert_eq!(entry.group_count(), 7);
-        assert_eq!(entry.elem_count(), 60);
+        assert_eq!(elem_count(&entry), 60);
         for src in 0..7i64 {
             let key = Value::Int(src);
             // Reference: the probe path over postings.
@@ -516,7 +492,7 @@ mod tests {
         let entry = CsrEntry::build(&t, "adj_src", &[2], Snapshot::latest()).unwrap();
         // 60 sorted-ish neighbor ids should encode far below the 24 bytes a
         // Value each would take.
-        assert!(entry.approx_bytes() < 60 * 8);
+        assert!(approx_bytes(&entry) < 60 * 8);
         let deleted_version = entry.built_version;
         assert!(deleted_version > 0, "inserts bump the content version");
     }
@@ -537,7 +513,7 @@ mod tests {
         }
         t.vacuum(1);
         let entry = CsrEntry::build(&t, "adj_src", &[2, 3], snap).unwrap();
-        assert_eq!(entry.elem_count(), 30);
+        assert_eq!(elem_count(&entry), 30);
         let mut out = vec![Vec::new(), Vec::new()];
         entry.expand_into(&Value::Int(0), &mut out);
         assert!(out[1].iter().all(|v| *v == Value::str("knows")));

@@ -179,11 +179,6 @@ pub struct Env<'a> {
 }
 
 impl<'a> Env<'a> {
-    /// New environment with no CTEs, reading latest-committed state.
-    pub fn new(db: &'a Database, params: &'a [Value]) -> Env<'a> {
-        Env::with_snap(db, params, Snapshot::latest())
-    }
-
     /// New environment reading through an explicit MVCC snapshot.
     pub fn with_snap(db: &'a Database, params: &'a [Value], snap: Snapshot) -> Env<'a> {
         Env {

@@ -34,27 +34,27 @@
 //! assert_eq!(rel.strings(), ["marko"]);
 //! ```
 
-pub mod cache;
-pub mod checkpoint;
+pub(crate) mod cache;
+pub(crate) mod checkpoint;
 pub mod codec;
-pub mod csr;
+pub(crate) mod csr;
 pub mod db;
-pub mod error;
-pub mod exec;
+pub(crate) mod error;
+pub(crate) mod exec;
 pub mod expr;
-pub mod footprint;
-pub mod hasher;
-pub mod index;
+pub(crate) mod footprint;
+pub(crate) mod hasher;
+pub(crate) mod index;
 pub mod io;
 pub mod parallel;
-pub mod plan;
-pub mod prepared;
-pub mod schema;
+pub(crate) mod plan;
+pub(crate) mod prepared;
+pub(crate) mod schema;
 pub mod sql;
-pub mod stats;
+pub(crate) mod stats;
 pub mod storage;
 pub mod txn;
-pub mod value;
+pub(crate) mod value;
 pub mod wal;
 
 // Morsel workers share the store's read paths across threads: tables (via

@@ -537,6 +537,7 @@ mod tests {
     use crate::db::Database;
     use crate::plan::{Access, StepKind};
     use crate::sql::parse_statement;
+    use crate::txn::Snapshot;
     use crate::value::Value;
 
     /// The tables `core::schema::create_tables` makes, with one triad, plus
@@ -566,7 +567,7 @@ mod tests {
     /// The access path of `sql`'s target plan, its index, how many filters
     /// its candidates pass through, and whether planning looked at a bind.
     fn target(db: &Database, sql: &str, params: &[Value]) -> (&'static str, String, usize, bool) {
-        let env = Env::new(db, params);
+        let env = Env::with_snap(db, params, Snapshot::latest());
         let plan = DmlPlan::compile(&env, &parse_statement(sql).unwrap()).unwrap();
         let (Target::Update { from, .. } | Target::Delete { from, .. }) = &plan.target else {
             panic!("{sql}: not an UPDATE or DELETE");

@@ -13,9 +13,8 @@
 //! * [`Server`] — an accept thread and one blocking session thread per
 //!   connection; a request is read, executed and answered on that one
 //!   thread. A bounded number of execution permits, not the number of
-//!   sockets, limits how many autocommit statements run at once, and
-//!   frames inside a transaction take none, so the holder of the store's
-//!   mutation lock can always get its `COMMIT` served.
+//!   sockets, limits how many statements run at once. Transactions run
+//!   concurrently; a write-write conflict is a typed `TxnConflict` frame.
 //! * [`Client`] — a blocking connection used by tests and the
 //!   `repro -- conn-sweep` / `throughput-mixed` drivers.
 //!

@@ -18,8 +18,9 @@
 //!   open), its write timeout bounds how long a client that stopped
 //!   reading can hold its own thread — and nobody else's.
 //! * **Execution permits** — threads scale with connections, execution
-//!   does not: outside a transaction a statement (`QuerySql`, `Execute`,
-//!   `QueryGremlin`, `Prepare`) runs holding one of `workers` permits.
+//!   does not: a statement (`QuerySql`, `Execute`, `QueryGremlin`,
+//!   `Prepare`), inside a transaction or not, runs holding one of
+//!   `workers` permits.
 //!   The bound is deliberately small (default ≲ the core count): hundreds
 //!   of mostly parked sockets share it, and the statements themselves can
 //!   fan out through `rel::parallel`'s morsel workers, so more would
@@ -27,16 +28,13 @@
 //!   memory at once. It is a counter rather than a worker pool because a
 //!   pool needs a queue and a hand-off each way, while a permit is taken
 //!   and returned by the thread that already holds the request.
-//!   `Hello`/`Ping`/`Close` and every frame inside an open transaction
-//!   take no permit: at most one graph transaction runs at a time (the
-//!   store's mutation lock is exclusive) and the permit holders may be
-//!   autocommit writers parked on that lock, so the lock holder's `COMMIT`
-//!   must never queue behind them.
-//! * **`BEGIN`** acquires the store transaction on the session's own
-//!   thread. It polls [`SqlGraph::try_transaction`] — the one retry loop in
-//!   this file — because the store has no timed acquire to block on and
-//!   both the acquire deadline and shutdown must be able to end the wait;
-//!   it never sleeps when the transaction is free.
+//!   `Hello`/`Ping`/`Close`, `BEGIN`, `COMMIT` and `ROLLBACK` take none.
+//!   No statement waits on another transaction: writers that touch the
+//!   same rows conflict (first-updater-wins), they do not queue.
+//! * **`BEGIN`** opens a store transaction on the session's own thread,
+//!   and never blocks. Open transactions run concurrently; one that loses
+//!   a write-write conflict is answered with a `TxnConflict` frame and
+//!   rolled back, and the client retries from `BEGIN`.
 //!
 //! ## Shutdown
 //!
@@ -61,7 +59,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Server knobs. `Default` is sized for tests and the bench harness.
 #[derive(Debug, Clone)]
@@ -78,16 +76,12 @@ pub struct ServerConfig {
     /// Close connections idle longer than this (no open transaction).
     pub idle_timeout: Duration,
     /// Roll back and close a session whose open transaction sits idle
-    /// longer than this — a stalled client cannot wedge the store's
-    /// mutation lock forever.
+    /// longer than this — a stalled client cannot pin its snapshot (and
+    /// the rows it has written) forever.
     pub txn_idle_timeout: Duration,
-    /// Give up on `BEGIN` if the store transaction cannot be acquired
-    /// within this long (another session holds it).
-    pub txn_acquire_timeout: Duration,
     /// Refuse sockets beyond this many concurrent connections.
     pub max_connections: usize,
-    /// Refuse `BEGIN` beyond this many concurrently open transactions
-    /// (each is a session holding the store transaction or polling for it).
+    /// Refuse `BEGIN` beyond this many concurrently open transactions.
     pub max_txn_sessions: usize,
     /// Upper bound on the graceful drain at shutdown.
     pub drain_timeout: Duration,
@@ -105,7 +99,6 @@ impl Default for ServerConfig {
             auth_token: String::new(),
             idle_timeout: Duration::from_secs(60),
             txn_idle_timeout: Duration::from_secs(5),
-            txn_acquire_timeout: Duration::from_secs(10),
             max_connections: 2048,
             max_txn_sessions: 64,
             drain_timeout: Duration::from_secs(5),
@@ -115,8 +108,6 @@ impl Default for ServerConfig {
 
 /// How long one response write may block on a client that is not reading.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
-/// Pause between `try_transaction` attempts while `BEGIN` is contended.
-const BEGIN_RETRY: Duration = Duration::from_micros(200);
 /// Longest wait for a session to exit after `accept` itself failed.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
@@ -375,8 +366,7 @@ impl Drop for TxnSlot<'_> {
 }
 
 /// An open explicit transaction and its slot. The transaction comes (and
-/// so drops) first: the slot is given back once the rollback has released
-/// the store's mutation lock.
+/// so drops) first: the slot is given back once the rollback is done.
 type OpenTxn<'g> = Option<(GraphTxn<'g>, TxnSlot<'g>)>;
 
 /// One connection's state, owned by its session thread.
@@ -440,8 +430,8 @@ fn serve(shared: &Shared, id: u64, mut sock: &TcpStream) -> std::io::Result<()> 
                         Some(error(ErrorCode::TooLarge, e.to_string()))
                     }
                     ErrorKind::WouldBlock | ErrorKind::TimedOut => {
-                        // In a transaction this is a stalled client holding
-                        // the mutation lock: roll back and kick it.
+                        // In a transaction this is a stalled client pinning
+                        // its snapshot: roll back and kick it.
                         let message = match sess.txn {
                             Some(_) => "transaction idle timeout; rolled back",
                             None => "idle timeout",
@@ -540,7 +530,7 @@ fn handle<'g>(shared: &'g Shared, sess: &mut Session<'g>, body: &[u8]) -> Outcom
             (Response::Ok { stmts: 0 }, CLOSE)
         }
         Request::Prepare { sql } => {
-            let _permit = sess.txn.is_none().then(|| shared.permit());
+            let _permit = shared.permit();
             match shared.engine.database().prepare(&sql) {
                 Ok(()) => {
                     let stmt = sess.next_stmt;
@@ -570,8 +560,7 @@ fn handle<'g>(shared: &'g Shared, sess: &mut Session<'g>, body: &[u8]) -> Outcom
     }
 }
 
-/// Reserve a transaction slot and acquire the store transaction, retrying
-/// so the acquire deadline and shutdown can interrupt the wait.
+/// Reserve a transaction slot and open the store transaction.
 fn begin<'g>(shared: &'g Shared, sess: &mut Session<'g>) -> Outcome {
     if sess.txn.is_some() {
         return (error(ErrorCode::Invalid, "transaction already open"), KEEP);
@@ -583,21 +572,8 @@ fn begin<'g>(shared: &'g Shared, sess: &mut Session<'g>) -> Outcome {
         let message = format!("open-transaction limit ({cap}) reached");
         return (error(ErrorCode::Busy, message), KEEP);
     }
-    let deadline = Instant::now() + shared.cfg.txn_acquire_timeout;
-    loop {
-        if shared.shutdown.load(Ordering::Acquire) {
-            return (shutting_down(), CLOSE);
-        }
-        if let Some(txn) = shared.engine.try_transaction() {
-            sess.txn = Some((txn, slot));
-            return (Response::Ok { stmts: 0 }, KEEP);
-        }
-        if Instant::now() > deadline {
-            let message = "timed out waiting for the store transaction";
-            return (error(ErrorCode::Busy, message), KEEP);
-        }
-        std::thread::sleep(BEGIN_RETRY);
-    }
+    sess.txn = Some((shared.engine.transaction(), slot));
+    (Response::Ok { stmts: 0 }, KEEP)
 }
 
 /// `COMMIT` / `ROLLBACK`: the slot is back before the reply goes out.
@@ -619,8 +595,8 @@ enum Stmt<'a> {
     Gremlin(&'a str),
 }
 
-/// Run one statement: inside the session's transaction if it has one,
-/// otherwise in autocommit under an execution permit. In a transaction,
+/// Run one statement under an execution permit: inside the session's
+/// transaction if it has one, otherwise in autocommit. In a transaction,
 /// recoverable errors (bad SQL, missing vertex, …) leave it open, matching
 /// in-process `GraphTxn` semantics; a first-updater-wins conflict aborts
 /// it — the snapshot can no longer commit, so the server rolls back and
@@ -638,6 +614,7 @@ fn statement<'g>(shared: &'g Shared, open: &mut OpenTxn<'g>, stmt: Stmt<'_>) -> 
             Err(e) => (Response::from_core_error(&e), KEEP),
         };
     };
+    let _permit = shared.permit();
     let result = match stmt {
         Stmt::Sql(sql, params) => txn.sql_with_params(sql, params),
         Stmt::Gremlin(gremlin) => txn.query(gremlin),

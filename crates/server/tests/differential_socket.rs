@@ -395,8 +395,8 @@ fn first_updater_wins_conflict_comes_back_as_typed_error_frame() {
         ),
         ["i:2"]
     );
-    // A second session updates the same row via autocommit SQL (this path
-    // does not take the graph mutation lock, so it runs concurrently).
+    // A second session updates the same row via autocommit SQL, while the
+    // first session's transaction is still open.
     other
         .query_sql_with_params(
             "UPDATE va SET attr = ? WHERE vid = 2",
@@ -461,9 +461,8 @@ fn concurrent_sessions_mixing_autocommit_and_transactions() {
                 client.close().unwrap();
             });
         }
-        // Writers run explicit transactions; the store's mutation lock
-        // serializes them, so each either commits or observes Busy when
-        // the acquire deadline passes under contention.
+        // Writers run explicit transactions concurrently; each adds its own
+        // vertex, so they touch disjoint rows and no commit conflicts.
         for w in 0..writers {
             s.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();

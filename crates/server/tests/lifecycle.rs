@@ -8,7 +8,7 @@ use sqlgraph_rel::{Fault, FaultKind, SimFs, Value};
 use sqlgraph_server::{Client, ClientError, ErrorCode, Server, ServerConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn small_graph() -> Arc<SqlGraph> {
     let graph = Arc::new(SqlGraph::new_in_memory());
@@ -263,71 +263,50 @@ fn connection_cap_holds_under_a_connect_burst() {
 }
 
 #[test]
-fn contended_begin_times_out_with_busy() {
+fn two_sessions_hold_transactions_at_once() {
     let graph = small_graph();
-    let cfg = ServerConfig {
-        txn_acquire_timeout: Duration::from_millis(100),
-        ..ServerConfig::default()
+    let server = Server::start_local(Arc::clone(&graph)).unwrap();
+    let mut a = Client::connect(server.local_addr()).unwrap();
+    let mut b = Client::connect(server.local_addr()).unwrap();
+    let name = |v: i64| {
+        graph
+            .query(&format!("g.v({v}).values('name')"))
+            .unwrap()
+            .strings()
     };
-    let server = Server::start(Arc::clone(&graph), cfg).unwrap();
-    let mut holder = Client::connect(server.local_addr()).unwrap();
-    let mut waiter = Client::connect(server.local_addr()).unwrap();
 
-    holder.begin().unwrap();
-    let err = waiter.begin().unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::Busy), "got {err}");
-    // The refused session stays usable and the holder is undisturbed.
-    waiter.ping().unwrap();
-    holder.commit().unwrap();
-    waiter.begin().unwrap();
-    waiter.rollback().unwrap();
+    // Disjoint writes: both transactions are open at once and both commit.
+    a.begin().unwrap();
+    b.begin().unwrap();
+    assert_eq!(server.open_transactions(), 2);
+    a.query_gremlin("g.v(1).setProperty('name', 'a1')").unwrap();
+    b.query_gremlin("g.v(2).setProperty('name', 'b2')").unwrap();
+    b.commit().unwrap();
+    a.commit().unwrap();
+    assert_eq!((name(1), name(2)), (vec!["a1".into()], vec!["b2".into()]));
+
+    // The same row: the second writer gets a typed conflict, and the
+    // server rolls its transaction back.
+    a.begin().unwrap();
+    b.begin().unwrap();
+    a.query_gremlin("g.v(3).setProperty('name', 'a3')").unwrap();
+    let err = b
+        .query_gremlin("g.v(3).setProperty('name', 'b3')")
+        .unwrap_err();
+    assert_eq!(err.code(), Some(ErrorCode::TxnConflict), "got {err}");
+    assert!(!b.in_transaction());
+    assert_eq!(server.open_transactions(), 1);
+    a.commit().unwrap();
     assert_eq!(server.open_transactions(), 0);
-    server.shutdown();
-}
+    assert_eq!(name(3), ["a3"]);
 
-#[test]
-fn shutdown_interrupts_a_begin_waiting_on_the_store_transaction() {
-    let graph = small_graph();
-    let drain_timeout = Duration::from_secs(3);
-    let cfg = ServerConfig {
-        txn_acquire_timeout: Duration::from_secs(60),
-        txn_idle_timeout: Duration::from_secs(60),
-        drain_timeout,
-        ..ServerConfig::default()
-    };
-    let server = Server::start(Arc::clone(&graph), cfg).unwrap();
-    let addr = server.local_addr();
-
-    let mut holder = Client::connect(addr).unwrap();
-    holder.begin().unwrap();
-    holder
-        .query_gremlin("g.addVertex(['name':'provisional'])")
-        .unwrap();
-
-    let waiter = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        client.begin()
-    });
-    // The waiter's slot is counted from the moment its BEGIN is taken up,
-    // so two open transactions means it is parked behind the holder.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while server.open_transactions() < 2 {
-        assert!(Instant::now() < deadline, "second BEGIN never arrived");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-
-    let t0 = Instant::now();
-    server.shutdown();
-    assert!(
-        t0.elapsed() < drain_timeout,
-        "shutdown took {:?} with a session parked in BEGIN",
-        t0.elapsed()
-    );
-    let err = waiter.join().unwrap().unwrap_err();
-    assert_eq!(err.code(), Some(ErrorCode::ShuttingDown), "got {err}");
+    // The losing session stays usable: its retry from BEGIN commits.
+    b.ping().unwrap();
+    b.begin().unwrap();
+    b.query_gremlin("g.v(3).setProperty('name', 'b3')").unwrap();
+    b.commit().unwrap();
+    assert_eq!(name(3), ["b3"]);
+    assert_eq!(server.open_transactions(), 0);
     assert_eq!(graph.database().txns().active_snapshots(), 0);
-    assert_eq!(
-        graph.query("g.V.count()").unwrap().rows,
-        vec![vec![Value::Int(50)]]
-    );
+    server.shutdown();
 }

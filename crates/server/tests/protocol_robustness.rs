@@ -312,7 +312,7 @@ fn stalled_transaction_hits_idle_timeout_and_rolls_back() {
     txn.begin().unwrap();
     txn.query_gremlin("g.addVertex(['name':'stale'])").unwrap();
     // Stall past the transaction idle timeout: the server must roll back
-    // and free the mutation lock so other writers proceed.
+    // the stalled transaction so its writes never become visible.
     std::thread::sleep(Duration::from_millis(800));
     control.begin().unwrap();
     control
