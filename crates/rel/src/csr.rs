@@ -21,14 +21,21 @@
 //! commit, and only while the content version is unchanged; in-transaction
 //! readers build private entries against their own snapshot instead (see
 //! `Database::csr_for`).
+//!
+//! **Unpivot entries.** An entry may also fold in the lateral
+//! `TABLE(VALUES …)` that unpivots each adjacency row ([`Unpivot`]): its
+//! elements are then the unpivoted tuples that pass the folded conjuncts, in
+//! posting order × VALUES-row order — the order the lateral step and its
+//! filters would emit them in — holding only the columns read later.
 
 use crate::error::{Error, Result};
+use crate::expr::Expr;
 use crate::hasher::FxHashMap;
 use crate::storage::Table;
 use crate::txn::Snapshot;
 use crate::value::Value;
 
-/// Cache key: one entry per (table, index, kept-column set).
+/// Cache key: one entry per (table, index, kept-column set, unpivot).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CsrKey {
     /// Table name (lowercase, as registered in the catalog).
@@ -37,6 +44,27 @@ pub struct CsrKey {
     pub index: String,
     /// Kept column positions, in output order.
     pub keep: Vec<usize>,
+    /// [`Unpivot::key`] of a folded unpivot.
+    pub unpivot: Option<String>,
+}
+
+/// A lateral `TABLE(VALUES …)` over one adjacency row, folded into the CSR
+/// entry that reads the row: each visible row unpivots into one tuple per
+/// VALUES row, and a tuple is an element only if every folded conjunct
+/// passes. An element holds the entry's kept table columns, then the kept
+/// tuple columns.
+#[derive(Debug)]
+pub(crate) struct Unpivot {
+    /// Per VALUES row, the table column each tuple column reads.
+    pub(crate) rows: Vec<Vec<usize>>,
+    /// Folded conjuncts over one tuple. They hold no bind slot and cannot
+    /// raise an error: an entry runs them over rows no probe may reach.
+    pub(crate) filter: Vec<Expr>,
+    /// Tuple columns stored, in output order.
+    pub(crate) keep: Vec<usize>,
+    /// `rows`, `filter` and `keep` rendered for the cache key: equal text,
+    /// equal spec.
+    pub(crate) key: String,
 }
 
 /// One kept column of a CSR entry.
@@ -62,9 +90,16 @@ pub struct CsrEntry {
 }
 
 impl CsrEntry {
-    /// Build an entry from `index_name`'s postings as seen by `snap`.
-    /// The index must have a single key part.
-    pub fn build(t: &Table, index_name: &str, keep: &[usize], snap: Snapshot) -> Result<CsrEntry> {
+    /// Build an entry from `index_name`'s postings as seen by `snap`,
+    /// unpivoting each row when `unpivot` is set. The index must have a
+    /// single key part.
+    pub(crate) fn build(
+        t: &Table,
+        index_name: &str,
+        keep: &[usize],
+        unpivot: Option<&Unpivot>,
+        snap: Snapshot,
+    ) -> Result<CsrEntry> {
         let idx = t
             .indexes()
             .iter()
@@ -76,9 +111,18 @@ impl CsrEntry {
                 idx.parts.len()
             )));
         }
+        // A plain entry is the unpivot into one empty tuple per row.
+        let one = [Vec::new()];
+        let (tuples, filter, tuple_keep) = match unpivot {
+            Some(u) => (&u.rows[..], &u.filter[..], &u.keep[..]),
+            None => (&one[..], &[][..], &[][..]),
+        };
         let mut groups = FxHashMap::default();
         let mut offsets: Vec<u32> = vec![0];
-        let mut raw: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
+        let mut raw: Vec<Vec<Value>> = (0..keep.len() + tuple_keep.len())
+            .map(|_| Vec::new())
+            .collect();
+        let mut tuple = Vec::new();
         let mut elems: u32 = 0;
         for (key, rids) in idx.entries() {
             let kv = &key[0];
@@ -93,10 +137,21 @@ impl CsrEntry {
                 let Some(row) = t.get_posted(rid, snap, |row| idx.key_matches(row, key)) else {
                     continue;
                 };
-                for (ci, &col) in keep.iter().enumerate() {
-                    raw[ci].push(row[col].clone());
+                'tuples: for cols in tuples {
+                    tuple.clear();
+                    tuple.extend(cols.iter().map(|&c| row[c].clone()));
+                    for p in filter {
+                        if !p.eval_bool(&tuple)? {
+                            continue 'tuples;
+                        }
+                    }
+                    let own = keep.iter().map(|&c| &row[c]);
+                    let vals = own.chain(tuple_keep.iter().map(|&c| &tuple[c]));
+                    for (dst, v) in raw.iter_mut().zip(vals) {
+                        dst.push(v.clone());
+                    }
+                    elems += 1;
                 }
-                elems += 1;
             }
             if elems == before {
                 // Nothing visible under this key: same outcome as an absent
@@ -454,7 +509,7 @@ mod tests {
     fn csr_matches_probe_order_and_visibility() {
         let t = adjacency_table();
         let snap = Snapshot::latest();
-        let entry = CsrEntry::build(&t, "adj_src", &[2, 3], snap).unwrap();
+        let entry = CsrEntry::build(&t, "adj_src", &[2, 3], None, snap).unwrap();
         assert_eq!(entry.group_count(), 7);
         assert_eq!(elem_count(&entry), 60);
         for src in 0..7i64 {
@@ -489,7 +544,7 @@ mod tests {
     #[test]
     fn csr_packs_integer_columns() {
         let t = adjacency_table();
-        let entry = CsrEntry::build(&t, "adj_src", &[2], Snapshot::latest()).unwrap();
+        let entry = CsrEntry::build(&t, "adj_src", &[2], None, Snapshot::latest()).unwrap();
         // 60 sorted-ish neighbor ids should encode far below the 24 bytes a
         // Value each would take.
         assert!(approx_bytes(&entry) < 60 * 8);
@@ -512,7 +567,7 @@ mod tests {
             t.stamp_commit(id, 1, 1);
         }
         t.vacuum(1);
-        let entry = CsrEntry::build(&t, "adj_src", &[2, 3], snap).unwrap();
+        let entry = CsrEntry::build(&t, "adj_src", &[2, 3], None, snap).unwrap();
         assert_eq!(elem_count(&entry), 30);
         let mut out = vec![Vec::new(), Vec::new()];
         entry.expand_into(&Value::Int(0), &mut out);

@@ -90,9 +90,9 @@ pub struct Database {
     /// 5–28× on long ones), so a cost rule needs the off arm to be judged.
     csr: std::sync::atomic::AtomicBool,
     /// Lazily built CSR adjacency entries, keyed by (table, index, kept
-    /// columns). Entries are validated against the table's content version
-    /// and commit clock on every lookup (see [`Database::csr_for`]) so a
-    /// stale entry is never served.
+    /// columns, folded unpivot). Entries are validated against the table's
+    /// content version and commit clock on every lookup (see
+    /// [`Database::csr_for`]) so a stale entry is never served.
     csr_cache: RwLock<FxHashMap<crate::csr::CsrKey, Arc<crate::csr::CsrEntry>>>,
     /// Total CSR builds performed (cache-miss observability for tests).
     csr_builds: std::sync::atomic::AtomicU64,
@@ -240,7 +240,8 @@ impl Database {
         self.csr_builds.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// Drop every cached CSR entry built over `table` (case-insensitive).
+    /// Drop every cached CSR entry built over `table` (case-insensitive),
+    /// unpivot entries included.
     /// Called on `ANALYZE` and `DROP TABLE`: both mark points where caches
     /// derived from the old table contents must not linger.
     pub fn invalidate_csr(&self, table: &str) {
@@ -248,8 +249,9 @@ impl Database {
         unpoison(self.csr_cache.write()).retain(|k, _| k.table != lower);
     }
 
-    /// Fetch or build the CSR entry for (`table`, `index`, `keep`) as seen
-    /// by `snap`, where `t` is `table`, read under its lock.
+    /// Fetch or build the CSR entry for (`table`, `index`, `keep`,
+    /// `unpivot`) as seen by `snap`, where `t` is `table`, read under its
+    /// lock.
     ///
     /// Cache discipline (the MVCC contract):
     /// * Only read-only snapshots (`token == 0`) touch the shared cache.
@@ -270,12 +272,14 @@ impl Database {
         table: &str,
         index: &str,
         keep: &[usize],
+        unpivot: Option<&crate::csr::Unpivot>,
         snap: Snapshot,
     ) -> Result<Arc<crate::csr::CsrEntry>> {
         let key = crate::csr::CsrKey {
             table: table.to_string(),
             index: index.to_string(),
             keep: keep.to_vec(),
+            unpivot: unpivot.map(|u| u.key.clone()),
         };
         // The caller holds the table's read lock, so the content version
         // cannot change while we validate, build, or publish.
@@ -294,7 +298,7 @@ impl Database {
                 }
             }
         }
-        let entry = Arc::new(crate::csr::CsrEntry::build(t, index, keep, snap)?);
+        let entry = Arc::new(crate::csr::CsrEntry::build(t, index, keep, unpivot, snap)?);
         self.csr_builds
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         if cacheable {
@@ -759,7 +763,10 @@ impl Database {
         params: &[Value],
         sql_text: Option<&str>,
     ) -> Result<Relation> {
-        if matches!(stmt, Statement::Select(_) | Statement::Explain(_)) {
+        if matches!(
+            stmt,
+            Statement::Select(_) | Statement::Explain(_) | Statement::ExplainAnalyze(_)
+        ) {
             // Read-only fast path: an active read snapshot (token 0),
             // nothing to journal, nothing to commit.
             let mut state = TxnState {
@@ -962,11 +969,12 @@ impl Database {
                 let env = Env::with_snap(self, params, snap);
                 run_stmt(&env, select, plans.and_then(Plans::select))
             }
-            Statement::Explain(select) => {
+            Statement::Explain(select) | Statement::ExplainAnalyze(select) => {
                 // Plans afresh: EXPLAIN shows what planning does now.
                 let trace = std::cell::RefCell::new(Vec::new());
                 let mut env = Env::with_snap(self, params, snap);
                 env.trace = Some(&trace);
+                env.analyze = matches!(stmt, Statement::ExplainAnalyze(_));
                 let rel = run_select(&env, select)?;
                 let mut rows: Vec<Row> = trace
                     .into_inner()

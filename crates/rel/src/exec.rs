@@ -121,11 +121,11 @@ impl Scope {
         });
     }
 
-    /// Remove the last entry pushed.
-    pub(crate) fn pop(&mut self) {
-        if let Some(e) = self.entries.pop() {
-            self.width = e.offset;
-        }
+    /// Remove the last entry pushed and return its column names.
+    pub(crate) fn pop(&mut self) -> Vec<String> {
+        let e = self.entries.pop().expect("an entry to pop");
+        self.width = e.offset;
+        e.columns
     }
 
     /// Resolve a possibly-qualified column to a flat offset.
@@ -173,6 +173,8 @@ pub struct Env<'a> {
     /// When set, the executor records access-path decisions here
     /// (`EXPLAIN` support).
     pub trace: Option<&'a std::cell::RefCell<Vec<String>>>,
+    /// `EXPLAIN ANALYZE`: the trace shows each step's wall time.
+    pub analyze: bool,
     /// MVCC snapshot every table read resolves against. `Snapshot::latest`
     /// sees all committed state (no in-flight provisional versions).
     pub snap: Snapshot,
@@ -186,6 +188,7 @@ impl<'a> Env<'a> {
             ctes: FxHashMap::default(),
             params,
             trace: None,
+            analyze: false,
             snap,
         }
     }
@@ -222,6 +225,7 @@ pub(crate) fn run_stmt(
             ctes: env.ctes.clone(),
             params: env.params,
             trace: env.trace,
+            analyze: env.analyze,
             snap: env.snap,
         };
         for (i, (name, query)) in stmt.ctes.iter().enumerate() {
@@ -455,10 +459,11 @@ fn run_core(
     let cap = if shape.streams() { cap } else { usize::MAX };
     let mut execs = Vec::new();
     let data = exec_from(env, from, &binds, &derived, &mut execs, cap)?;
+    let started = env.trace.map(|_| std::time::Instant::now());
     let rel = shape.run(env, data, &binds)?;
-    if env.trace.is_some() {
+    if let Some(started) = started {
         // EXPLAIN: render the physical operator tree that just ran.
-        plan::render_tree(env, from, &execs, &shape.wrappers());
+        plan::render_tree(env, from, &execs, &shape.wrappers(), started.elapsed());
     }
     Ok(rel)
 }
@@ -1698,10 +1703,12 @@ fn exec_from(
     for step in &plan.steps {
         let mut x = StepExec::default();
         let was_factor = matches!(&data, Data::Factor(_));
+        let started = env.trace.map(|_| std::time::Instant::now());
         data = exec_step(env, step, binds, &mut x, derived, data, cap)?;
         for p in &step.after {
             data = filter_data(env, data, p, binds)?;
         }
+        x.elapsed = started.map(|t| t.elapsed());
         // EXPLAIN's per-step list-vs-flat mode: a step whose output stays
         // factorized runs in list mode; the step that materializes a
         // factored input back to rows is the flatten point.
@@ -1786,7 +1793,7 @@ fn candidates<'t>(
     let (index, key) = match access {
         // A one-table plan's probe key reads no column: it is a point key.
         Access::Point { index, key } | Access::Probe { index, parts: key } => (index, &key[..]),
-        Access::Csr { index, part } => (index, slice::from_ref(part)),
+        Access::Csr { index, part, .. } => (index, slice::from_ref(part)),
         Access::Range { index, lo, hi } => {
             let idx = find_index(t, index)?;
             let bound = |e: &Option<Expr>| e.as_ref().map(&value).transpose();
@@ -1934,19 +1941,27 @@ fn exec_step(
                         }
                         Produced::Done(Data::Rows(out))
                     }
-                    Access::Csr { index, part } => {
+                    Access::Csr {
+                        index,
+                        part,
+                        unpivot,
+                    } => {
                         // CSR adjacency expansion: probe keys resolve through a
                         // compressed per-key grouping of the index's postings
                         // (cached across statements when the snapshot allows —
                         // see `Database::csr_for`). Output stays factorized:
                         // the expansion is appended as an offset-delimited
                         // level instead of materializing one row per match.
+                        // A fused unpivot's tuples are the entry's elements.
                         let part = &*part.bound(binds)?;
-                        let entry = env.db.csr_for(t, table, index, keep, env.snap)?;
+                        let entry =
+                            env.db
+                                .csr_for(t, table, index, keep, unpivot.as_ref(), env.snap)?;
                         x.csr_groups = Some(entry.group_count());
                         let ldata = left.take().expect("left consumed once");
                         let mut offsets: Vec<u32> = vec![0];
-                        let mut cols: Vec<Vec<Value>> = keep.iter().map(|_| Vec::new()).collect();
+                        let width = keep.len() + unpivot.as_ref().map_or(0, |u| u.keep.len());
+                        let mut cols: Vec<Vec<Value>> = (0..width).map(|_| Vec::new()).collect();
                         let mut total = 0usize;
                         let mut expand = |l: &Row| -> Result<()> {
                             let key = part.eval(l)?;
@@ -2093,6 +2108,7 @@ fn exec_step(
         StepKind::LateralValues {
             rows: compiled_rows,
             arity,
+            filter,
         } => {
             let bound;
             let compiled_rows = match compiled_rows.iter().flatten().any(Expr::has_slots) {
@@ -2108,25 +2124,34 @@ fn exec_step(
             let ldata = left.take().expect("left consumed once");
             let k = compiled_rows.len();
             // Only a factored input can fill `cols` (one value per leaf and
-            // VALUES row); the row path below never touches them.
+            // VALUES row, unless a filter drops some); the row path below
+            // never touches them.
             let leaves = match &ldata {
-                Data::Factor(f) => f.leaf_count(),
+                Data::Factor(f) if filter.is_empty() => f.leaf_count(),
                 _ => 0,
             };
+            // Each tuple is evaluated into `tuple` and kept only if every
+            // filter passes it: a rejected one is never materialized.
+            let mut tuple: Row = Vec::with_capacity(*arity);
+            let (mut tuples, mut kept) = (0usize, 0usize);
             let mut offsets: Vec<u32> = vec![0];
             let mut cols: Vec<Vec<Value>> = (0..*arity)
                 .map(|_| Vec::with_capacity(leaves * k))
                 .collect();
             let mut unpivot = |leaf: &Row| -> Result<()> {
                 for cr in compiled_rows.iter() {
-                    for (j, expr) in cr.iter().enumerate() {
-                        cols[j].push(expr.eval(leaf)?);
+                    tuples += 1;
+                    if lateral_tuple(leaf, cr, filter, &mut tuple)? {
+                        kept += 1;
+                        for (col, v) in cols.iter_mut().zip(tuple.drain(..)) {
+                            col.push(v);
+                        }
                     }
                 }
-                offsets.push((offsets.len() * k) as u32);
+                offsets.push(kept as u32);
                 Ok(())
             };
-            match ldata {
+            let data = match ldata {
                 // A factored input stays factored when every row expression
                 // reads only the last level's columns (the unpivot then
                 // nests as one more offset-delimited level instead of
@@ -2136,25 +2161,35 @@ fn exec_step(
                 Data::Factor(mut f)
                     if f.try_each_leaf(compiled_rows.iter().flatten(), &mut unpivot)? =>
                 {
-                    let len = (offsets.len() - 1) * k;
-                    f.levels.push(Level { offsets, cols, len });
-                    Produced::Done(Data::Factor(f))
+                    f.levels.push(Level {
+                        offsets,
+                        cols,
+                        len: kept,
+                    });
+                    Data::Factor(f)
                 }
                 other => {
                     let lrows = other.into_rows();
-                    let mut out = Vec::with_capacity(lrows.len() * k);
+                    let mut out = Vec::new();
                     for row in lrows {
                         for cr in compiled_rows.iter() {
-                            let mut extended = row.clone();
-                            for e in cr {
-                                extended.push(e.eval(&row)?);
+                            tuples += 1;
+                            if lateral_tuple(&row, cr, filter, &mut tuple)? {
+                                kept += 1;
+                                let mut extended = Vec::with_capacity(row.len() + tuple.len());
+                                extended.extend_from_slice(&row);
+                                extended.append(&mut tuple);
+                                out.push(extended);
                             }
-                            out.push(extended);
                         }
                     }
-                    Produced::Done(Data::Rows(out))
+                    Data::Rows(out)
                 }
+            };
+            if !filter.is_empty() {
+                x.local_counts.push((tuples, kept));
             }
+            Produced::Done(data)
         }
         StepKind::LateralFunc {
             func,
@@ -2189,6 +2224,21 @@ fn exec_step(
             right,
         ),
     }
+}
+
+/// Evaluate the lateral VALUES row `cr` over `row` into `tuple`; whether
+/// every one of `filter` passes it.
+fn lateral_tuple(row: &[Value], cr: &[Expr], filter: &[Expr], tuple: &mut Row) -> Result<bool> {
+    tuple.clear();
+    for e in cr {
+        tuple.push(e.eval(row)?);
+    }
+    for p in filter {
+        if !p.eval_bool(tuple)? {
+            return Ok(false);
+        }
+    }
+    Ok(true)
 }
 
 /// The match-time half of every row join loop: emit `l` joined with each

@@ -30,6 +30,7 @@
 //! inclusive-range + residual-filter treatment of B-tree bounds — so planned
 //! results are byte-identical to the seed engine's.
 
+use crate::csr::Unpivot;
 use crate::error::{Error, Result};
 use crate::exec::{compile_expr, Env, Relation, Scope, TableFunc};
 use crate::expr::{bound_all, BinaryOp, Binds, Expr};
@@ -110,6 +111,8 @@ pub(crate) struct StepExec {
     /// Whether a csr step emitted factorized lists (`true`) or had to
     /// flatten into rows (`false`). `None` for non-csr steps.
     pub(crate) list_out: Option<bool>,
+    /// Wall time of the step and its `after` filters (EXPLAIN only).
+    pub(crate) elapsed: Option<std::time::Duration>,
 }
 
 /// How a step produces its unit rows.
@@ -128,8 +131,13 @@ pub(crate) enum StepKind {
     /// The `pushed` filters (unit layout) run as its rows are copied out.
     Rel { input: RelInput, pushed: Vec<Expr> },
     /// Lateral `TABLE (VALUES ...)`: value expressions compiled against the
-    /// *prior* scope, evaluated once per accumulated row.
-    LateralValues { rows: Vec<Vec<Expr>>, arity: usize },
+    /// *prior* scope, evaluated once per accumulated row. A tuple is kept
+    /// only if each of `filter` (slot-free, over the tuple alone) passes.
+    LateralValues {
+        rows: Vec<Vec<Expr>>,
+        arity: usize,
+        filter: Vec<Expr>,
+    },
     /// Lateral table function call.
     LateralFunc {
         func: TableFunc,
@@ -164,6 +172,9 @@ pub(crate) enum Access {
         index: String,
         /// The single probe-key expression (combined layout).
         part: Expr,
+        /// A lateral VALUES over the row, fused into the entry: the step's
+        /// unit row is its kept columns, then the unpivot's.
+        unpivot: Option<Unpivot>,
     },
     /// Constant-key index lookup.
     Point { index: String, key: Vec<Expr> },
@@ -294,10 +305,16 @@ impl Needs {
         qualified.copied().unwrap_or(0) + self.bare.get(column).copied().unwrap_or(0)
     }
 
+    /// Whether `alias`'s columns may be pruned: no `*` or `alias.*` reads
+    /// them all.
+    fn prunes(&self, alias: &str) -> bool {
+        !self.disable && !self.all_for.contains(alias)
+    }
+
     /// Pruned column list for `alias` given the table's full column list,
     /// or `None` when pruning is not applicable.
     fn pruned(&self, alias: &str, columns: &[String]) -> Option<Vec<usize>> {
-        if self.disable || self.all_for.contains(alias) {
+        if !self.prunes(alias) {
             return None;
         }
         Some(
@@ -1132,6 +1149,10 @@ pub(crate) fn plan_from(
             Some(on) => on,
             None => &mut pending,
         };
+        let lateral = match &src {
+            Source::Lateral { rows, .. } => Some(*rows),
+            _ => None,
+        };
         let (kind, attach) = match src {
             Source::Lateral {
                 rows: value_rows,
@@ -1154,6 +1175,7 @@ pub(crate) fn plan_from(
                     StepKind::LateralValues {
                         rows: compiled_rows,
                         arity,
+                        filter: Vec::new(),
                     },
                     Attach::Flatten,
                 )
@@ -1218,6 +1240,7 @@ pub(crate) fn plan_from(
         // Ready conjuncts: everything now fully resolvable applies to the
         // combined rows right after this attach, in conjunct order.
         let mut after = Vec::new();
+        let mut after_ast = Vec::new();
         for slot in pending.iter_mut() {
             let Some(c) = slot else { continue };
             if let Ok(compiled) = compile_expr(&scope, c) {
@@ -1229,6 +1252,7 @@ pub(crate) fn plan_from(
                 });
                 if !any || max_col < scope.width {
                     after.push(compiled);
+                    after_ast.push(*c);
                     *slot = None;
                 }
             }
@@ -1243,6 +1267,9 @@ pub(crate) fn plan_from(
             outer,
             after,
         });
+        if let Some(rows) = lateral {
+            finish_lateral(needs, &mut scope, &mut steps, &after_ast, rows);
+        }
     }
 
     // Each step pushed one scope entry. Restore the entries to textual order
@@ -1268,6 +1295,133 @@ pub(crate) fn plan_from(
         scope,
         order,
     })
+}
+
+/// Whether evaluating `e` can never raise an error: a column tested against
+/// a constant — `IS [NOT] NULL`, a comparison, `IN` a set.
+fn infallible(e: &Expr) -> bool {
+    use BinaryOp::*;
+    let (col, con) = (
+        |e: &Expr| matches!(e, Expr::Col(_)),
+        |e: &Expr| matches!(e, Expr::Const(_)),
+    );
+    match e {
+        Expr::IsNull(x, _) | Expr::InSet { expr: x, .. } => col(x),
+        Expr::Binary(Eq | Ne | Lt | Le | Gt | Ge, l, r) => col(l) && con(r) || con(l) && col(r),
+        _ => false,
+    }
+}
+
+/// Finish the lateral VALUES step just pushed: the leading run of its
+/// `after` conjuncts (`after_ast` their sources) that read only its own
+/// columns and hold no bind slot moves into the step, so a tuple they reject
+/// is never materialized. When its `value_rows` are plain columns of the
+/// CSR step just before it, the two fuse into that CSR step, whose entry
+/// unpivots ([`Unpivot`]) and folds in the leading infallible run of those
+/// conjuncts; of both units the scope then keeps only what something
+/// outside the unpivot reads, and the rest of `after` is re-based onto it.
+fn finish_lateral(
+    needs: &Needs,
+    scope: &mut Scope,
+    steps: &mut Vec<Step>,
+    after_ast: &[&ast::Expr],
+    value_rows: &[Vec<ast::Expr>],
+) {
+    let mut step = steps.pop().expect("the lateral step");
+    let StepKind::LateralValues {
+        rows,
+        arity,
+        filter,
+    } = &mut step.kind
+    else {
+        unreachable!("a lateral VALUES step")
+    };
+    let start = scope.width - *arity;
+    let own = step.after.iter().take_while(|c| {
+        let mut first = usize::MAX;
+        c.visit_columns(&mut |i| first = first.min(i));
+        !c.has_slots() && (start..usize::MAX).contains(&first)
+    });
+    let own = own.count();
+    let rebase = |mut e: Expr| {
+        e.map_columns(&mut |c| c - start);
+        e
+    };
+    let p_start = match steps.last() {
+        Some(Step {
+            kind:
+                StepKind::Scan {
+                    keep,
+                    access: Access::Csr { unpivot: None, .. },
+                    ..
+                },
+            outer: None,
+            after,
+            ..
+        }) if after.is_empty() => start - keep.len(),
+        _ => start,
+    };
+    let plain = |e: &Expr| matches!(e, Expr::Col(c) if (p_start..start).contains(c));
+    if !rows.iter().flatten().all(plain) {
+        *filter = step.after.drain(..own).map(rebase).collect();
+        steps.push(step);
+        return;
+    }
+    let fold = step.after[..own].iter().take_while(|c| infallible(c));
+    let fold = fold.count();
+    let p = steps.last_mut().expect("the CSR step");
+    let StepKind::Scan {
+        keep,
+        access: Access::Csr { unpivot, .. },
+        ..
+    } = &mut p.kind
+    else {
+        unreachable!("a CSR step")
+    };
+    // A column stays only if something besides the unpivot (for `p`) or the
+    // folded conjuncts (for the lateral) may read it.
+    let (mut by_rows, mut by_folded) = (Needs::default(), Needs::default());
+    let in_rows = value_rows.iter().flatten();
+    in_rows.for_each(|e| collect_expr_needs(e, &mut by_rows));
+    let folded = after_ast[..fold].iter();
+    folded.for_each(|e| collect_expr_needs(e, &mut by_folded));
+    let out = |alias: &str, names: &[String], used: &Needs| -> Vec<usize> {
+        let alias = alias.to_ascii_lowercase();
+        let read =
+            |n: &String| !needs.prunes(&alias) || needs.refs(&alias, n) > used.refs(&alias, n);
+        (0..names.len()).filter(|&i| read(&names[i])).collect()
+    };
+    let (t_names, p_names) = (scope.pop(), scope.pop());
+    let p_out = out(&p.label, &p_names, &by_rows);
+    let t_out = out(&step.label, &t_names, &by_folded);
+    let at = |out: &[usize], c: usize| out.iter().position(|&i| i == c).expect("a read column");
+    let mut relocate = |c: usize| match c {
+        c if c < p_start => c,
+        c if c < start => p_start + at(&p_out, c - p_start),
+        c => p_start + p_out.len() + at(&t_out, c - start),
+    };
+    let folded: Vec<Expr> = step.after.drain(..fold).map(rebase).collect();
+    p.after = step.after;
+    p.after
+        .iter_mut()
+        .for_each(|c| c.map_columns(&mut relocate));
+    p.est = step.est;
+    let pick = |names: &[String], out: &[usize]| out.iter().map(|&i| names[i].clone()).collect();
+    scope.push(&p.label, pick(&p_names, &p_out));
+    scope.push(&step.label, pick(&t_names, &t_out));
+    let col = |e: &Expr| match e {
+        Expr::Col(c) => keep[c - p_start],
+        _ => unreachable!("a plain column"),
+    };
+    let rows: Vec<Vec<usize>> = rows.iter().map(|r| r.iter().map(col).collect()).collect();
+    let key = format!("{rows:?} {folded:?} {t_out:?}");
+    *keep = p_out.iter().map(|&j| keep[j]).collect();
+    *unpivot = Some(Unpivot {
+        rows,
+        filter: folded,
+        keep: t_out,
+        key,
+    });
 }
 
 /// Plan the attachment of a materialized relation with `columns`: push its
@@ -1540,6 +1694,7 @@ fn plan_base_table(
                 Access::Csr {
                     index: idx.name.clone(),
                     part: parts.pop().expect("one probe part"),
+                    unpivot: None,
                 }
             } else {
                 Access::Probe {
@@ -1696,9 +1851,21 @@ fn plan_base_table(
 /// tree. Each fact is stated once, on the node it belongs to: access path,
 /// pushed-filter row counts and scan DOP on the source line; join kind,
 /// build/right rows and join DOP on the join line; `estimated … actual` on
-/// the topmost line of the step.
-pub(crate) fn render_tree(env: &Env<'_>, plan: &FromPlan, execs: &[StepExec], wrappers: &[String]) {
-    let mut lines: Vec<String> = vec!["plan:".to_string()];
+/// the topmost line of the step. Under `EXPLAIN ANALYZE` each step's wall
+/// time follows its `actual`, and the output shape's (`shaped`: projection,
+/// aggregation, DISTINCT and sort) is on the `plan:` line.
+pub(crate) fn render_tree(
+    env: &Env<'_>,
+    plan: &FromPlan,
+    execs: &[StepExec],
+    wrappers: &[String],
+    shaped: std::time::Duration,
+) {
+    let head = match env.analyze {
+        true => format!("plan: [output {:.3} ms]", shaped.as_secs_f64() * 1e3),
+        false => "plan:".to_string(),
+    };
+    let mut lines: Vec<String> = vec![head];
     let mut depth = 1usize;
     for w in wrappers {
         lines.push(format!("{}{w}", "  ".repeat(depth)));
@@ -1786,11 +1953,15 @@ fn tree_into(
         Some(false) => " (flat)",
         None => "",
     };
+    let time = match x.elapsed.filter(|_| env.analyze) {
+        Some(t) => format!(", {:.3} ms", t.as_secs_f64() * 1e3),
+        None => String::new(),
+    };
     match (step.est, x.actual) {
         (Some(est), Some(actual)) => {
-            out[top] += &format!(" [estimated {est:.0} rows, actual {actual}{mode}]")
+            out[top] += &format!(" [estimated {est:.0} rows, actual {actual}{mode}{time}]")
         }
-        (None, Some(actual)) => out[top] += &format!(" [actual {actual}{mode}]"),
+        (None, Some(actual)) => out[top] += &format!(" [actual {actual}{mode}{time}]"),
         (_, None) => {}
     }
 }
@@ -1821,13 +1992,22 @@ fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
                 outer_note(step),
                 parts.len()
             ),
-            Access::Csr { index, .. } => {
+            Access::Csr { index, unpivot, .. } => {
                 let fanout = env.db.read_table(table, |t| {
                     let idx = t.indexes().iter().find(|i| &i.name == index);
                     Ok(idx.map(|idx| csr_est_fanout(t, idx)))
                 });
+                let unpivot = unpivot.as_ref().map_or(String::new(), |u| {
+                    format!(
+                        ", unpivot ({} rows, {}/{} cols, {} folded filters)",
+                        u.rows.len(),
+                        u.keep.len(),
+                        u.rows.first().map_or(0, Vec::len),
+                        u.filter.len()
+                    )
+                });
                 format!(
-                    "CsrExpand {} [{table}] (index {index}, {} groups, est fanout {:.1})",
+                    "CsrExpand {} [{table}] (index {index}{unpivot}, {} groups, est fanout {:.1})",
                     step.label,
                     x.csr_groups.unwrap_or_default(),
                     fanout.ok().flatten().unwrap_or(0.0)
@@ -1862,9 +2042,16 @@ fn source_label(env: &Env<'_>, step: &Step, x: &StepExec) -> String {
             x.scan_rows.unwrap_or_default(),
             filters_suffix(pushed.len(), &x.local_counts)
         ),
-        StepKind::LateralValues { rows, arity } => {
-            format!("Values {} ({} rows, {arity} cols)", step.label, rows.len())
-        }
+        StepKind::LateralValues {
+            rows,
+            arity,
+            filter,
+        } => format!(
+            "Values {} ({} rows, {arity} cols{})",
+            step.label,
+            rows.len(),
+            filters_suffix(filter.len(), &x.local_counts)
+        ),
         StepKind::LateralFunc { func, arity, .. } => {
             format!("Call {} ({func:?}, {arity} cols)", step.label)
         }

@@ -71,6 +71,9 @@ pub enum Statement {
     /// `EXPLAIN SELECT ...` — run the query, returning the executor's
     /// access-path decisions instead of the rows.
     Explain(SelectStmt),
+    /// `EXPLAIN ANALYZE SELECT ...` — `EXPLAIN` with each operator's wall
+    /// time.
+    ExplainAnalyze(SelectStmt),
     /// `ANALYZE [t]` — collect exact per-column distinct-value statistics
     /// for one table (or every table) to feed the cost-based planner.
     Analyze {

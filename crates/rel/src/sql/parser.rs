@@ -239,6 +239,9 @@ impl Parser {
             return self.drop_stmt();
         }
         if self.eat_keyword("EXPLAIN") {
+            if self.eat_keyword("ANALYZE") {
+                return Ok(Statement::ExplainAnalyze(self.select_stmt()?));
+            }
             return Ok(Statement::Explain(self.select_stmt()?));
         }
         if self.eat_keyword("ANALYZE") {

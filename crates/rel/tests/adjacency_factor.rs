@@ -273,3 +273,164 @@ fn null_probe_keys_expand_to_nothing() {
         "SELECT s.sid, a.dst FROM seed s, adj a WHERE s.sid = a.src",
     );
 }
+
+/// A wide adjacency table in the paper's OPA shape: per vertex a row of four
+/// `(lbl, val)` triads, plus spill rows for vertices whose edges do not fit
+/// in one — 320 rows, so the table clears the CSR floor and its `vid` index
+/// is non-unique. A third of the triads are NULL, every 17th row has none at
+/// all, and neither has any row of a vertex divisible by 13. `front` probes vertices 0..139 (120..139 have no row) and NULL;
+/// the rows of vertices 1000 and up are never probed, and their labels are
+/// not numbers.
+fn wide_db() -> Database {
+    let db = Database::new();
+    db.execute("CREATE TABLE front (fid INTEGER PRIMARY KEY, v INTEGER)")
+        .unwrap();
+    db.execute(
+        "CREATE TABLE wadj (id INTEGER PRIMARY KEY, vid INTEGER, spill INTEGER, \
+         lbl0 TEXT, val0 INTEGER, lbl1 TEXT, val1 INTEGER, \
+         lbl2 TEXT, val2 INTEGER, lbl3 TEXT, val3 INTEGER)",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX wadj_vid ON wadj (vid)").unwrap();
+    for i in 0..=140i64 {
+        let v = if i == 140 { Value::Null } else { Value::Int(i) };
+        db.execute_with_params("INSERT INTO front VALUES (?, ?)", &[Value::Int(i), v])
+            .unwrap();
+    }
+    for i in 0..320i64 {
+        let vid = if i < 300 { i % 120 } else { 1000 + i };
+        let mut row = vec![
+            Value::Int(i),
+            Value::Int(vid),
+            Value::Int((i >= 120) as i64),
+        ];
+        for j in 0..4i64 {
+            if i % 17 == 0 || vid % 13 == 0 || (i + j) % 3 == 0 {
+                row.extend([Value::Null, Value::Null]);
+            } else {
+                let lbl = if vid >= 1000 {
+                    "x"
+                } else {
+                    ["1", "2", "3"][((i * (j + 1)) % 3) as usize]
+                };
+                row.extend([Value::str(lbl), Value::Int((i * 7 + j * 13) % 150)]);
+            }
+        }
+        db.execute_with_params(
+            "INSERT INTO wadj VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+            &row,
+        )
+        .unwrap();
+    }
+    db.execute("ANALYZE").unwrap();
+    db
+}
+
+/// One unlabeled hop over [`wide_db`]: probe, unpivot, then the `AND`s.
+const HOP: &str = "FROM front f, wadj p, TABLE(VALUES (p.lbl0, p.val0), (p.lbl1, p.val1), \
+                   (p.lbl2, p.val2), (p.lbl3, p.val3)) AS t(lbl, val) WHERE f.v = p.vid";
+
+/// [`assert_csr_identical`] at DOP 1 and 4, with the unpivot fused into the
+/// CSR step on the CSR side.
+fn assert_fused_identical(db: &Database, sql: &str) {
+    for dop in [1, 4] {
+        db.set_parallelism(dop);
+        assert_csr_identical(db, sql);
+        assert_fused(db, sql, &[]);
+    }
+    db.set_parallelism(0);
+}
+
+/// `sql`'s EXPLAIN shows the lateral `t` fused into a CSR step.
+fn assert_fused(db: &Database, sql: &str, params: &[Value]) {
+    let plan = db
+        .execute_with_params(&format!("EXPLAIN {sql}"), params)
+        .unwrap()
+        .strings()
+        .join("\n");
+    assert!(
+        plan.contains("CsrExpand p [wadj] (index wadj_vid, unpivot ("),
+        "not fused: {sql}\n{plan}"
+    );
+}
+
+#[test]
+fn a_fused_unpivot_matches_the_lateral_step() {
+    let db = wide_db();
+    let queries = [
+        // The unlabeled hop: only `t.val` is read, nothing of `p`.
+        format!("SELECT t.val {HOP} AND t.val IS NOT NULL"),
+        // A constant label, folded into the entry too.
+        format!("SELECT f.fid, t.lbl, t.val {HOP} AND t.val IS NOT NULL AND t.lbl = '2'"),
+        // `p`'s own columns beside the unpivot's.
+        format!("SELECT p.vid, p.spill, t.val {HOP} AND t.val IS NOT NULL AND t.lbl IN ('1', '3')"),
+        // No conjunct at all: every tuple, NULL triads included.
+        format!("SELECT f.fid, t.lbl, t.val {HOP}"),
+        // Zero surviving tuples for every probe key.
+        format!("SELECT f.fid, t.val {HOP} AND t.val > 1000"),
+        // A conjunct that is not a column against a constant stays a filter.
+        format!("SELECT t.val {HOP} AND t.val IS NOT NULL AND t.val + 1 > 60"),
+        // Aggregation reads the fused level in place.
+        format!("SELECT COUNT(*), SUM(t.val), MAX(f.fid) {HOP} AND t.val IS NOT NULL"),
+        format!("SELECT t.val, COUNT(*) {HOP} AND t.val IS NOT NULL GROUP BY t.val ORDER BY t.val"),
+        // Two hops: the second probes with the first's unpivoted values.
+        "SELECT f.fid, t2.val FROM front f, wadj p, \
+         TABLE(VALUES (p.lbl0, p.val0), (p.lbl1, p.val1), (p.lbl2, p.val2), (p.lbl3, p.val3)) AS t(lbl, val), \
+         wadj p2, TABLE(VALUES (p2.lbl0, p2.val0), (p2.lbl3, p2.val3)) AS t2(lbl, val) \
+         WHERE f.v = p.vid AND t.val IS NOT NULL AND t.val = p2.vid AND t2.val IS NOT NULL"
+            .to_string(),
+    ];
+    for sql in &queries {
+        assert_fused_identical(&db, sql);
+    }
+    // Probe keys with no row, and with rows but no surviving tuple, occur.
+    let sql = format!("SELECT COUNT(DISTINCT f.fid) {HOP} AND t.val IS NOT NULL");
+    let reached = db.execute(&sql).unwrap().scalar().and_then(Value::as_int);
+    assert_eq!(reached, Some(120 - 10));
+}
+
+#[test]
+fn a_bound_label_filter_is_not_folded_and_one_entry_serves_every_bind() {
+    let db = wide_db();
+    let sql = format!("SELECT f.fid, t.val {HOP} AND t.val IS NOT NULL AND t.lbl IN (?, ?)");
+    let binds = [
+        vec![Value::str("1"), Value::str("3")],
+        vec![Value::str("2"), Value::Null],
+    ];
+    for dop in [1, 4] {
+        db.set_parallelism(dop);
+        for params in &binds {
+            db.set_csr_enabled(false);
+            let row = db.execute_with_params(&sql, params).unwrap();
+            db.set_csr_enabled(true);
+            let csr = db.execute_with_params(&sql, params).unwrap();
+            assert_eq!(csr.rows, row.rows, "diverged at dop {dop} on {params:?}");
+            assert_fused(&db, &sql, params);
+        }
+        // Both bind sets read one entry: the bound filter stays a step filter.
+        let builds = db.csr_builds();
+        for params in &binds {
+            db.execute_with_params(&sql, params).unwrap();
+        }
+        assert_eq!(db.csr_builds(), builds, "a bind set built its own entry");
+    }
+    db.set_parallelism(0);
+}
+
+#[test]
+fn a_conjunct_that_can_fail_is_never_folded_into_the_entry() {
+    let db = wide_db();
+    // The CAST fails on the labels of the rows no probe reaches, which an
+    // entry would read: only a step filter, run on probed rows, succeeds.
+    for sql in [
+        format!("SELECT t.val {HOP} AND t.val IS NOT NULL AND CAST(t.lbl AS INTEGER) > 1"),
+        format!("SELECT t.val {HOP} AND CAST(t.lbl AS INTEGER) > 1 AND t.val IS NOT NULL"),
+    ] {
+        assert_fused_identical(&db, &sql);
+    }
+    let everywhere = "SELECT COUNT(*) FROM wadj p WHERE CAST(p.lbl1 AS INTEGER) > 1";
+    assert!(
+        db.execute(everywhere).is_err(),
+        "the fixture holds no failing row"
+    );
+}

@@ -160,6 +160,86 @@ fn every_mutation_invalidates_cached_csr() {
 }
 
 #[test]
+fn a_committed_write_rebuilds_the_unpivot_entry_and_an_open_txn_keeps_its_snapshot() {
+    // `csr_db`'s seeds probing a two-triad adjacency table: the lateral
+    // unpivot fuses into the CSR step, so its entry is an unpivot entry.
+    let db = csr_db();
+    db.execute("CREATE TABLE wadj (vid INTEGER, lbl0 TEXT, val0 INTEGER, lbl1 TEXT, val1 INTEGER)")
+        .unwrap();
+    db.execute("CREATE INDEX wadj_vid ON wadj (vid)").unwrap();
+    for i in 0..300 {
+        let val1 = if i % 3 == 0 {
+            Value::Int(i)
+        } else {
+            Value::Null
+        };
+        let row = [
+            Value::Int(i % 20),
+            Value::str("a"),
+            Value::Int(i),
+            Value::str("b"),
+            val1,
+        ];
+        db.execute_with_params("INSERT INTO wadj VALUES (?, ?, ?, ?, ?)", &row)
+            .unwrap();
+    }
+    let sql = "SELECT COUNT(*), SUM(t.val) FROM seed s, wadj p, \
+               TABLE(VALUES (p.lbl0, p.val0), (p.lbl1, p.val1)) AS t(lbl, val) \
+               WHERE s.sid = p.vid AND t.val IS NOT NULL";
+    let plan = db
+        .execute(&format!("EXPLAIN {sql}"))
+        .unwrap()
+        .strings()
+        .join("\n");
+    assert!(plan.contains("unpivot ("), "not fused:\n{plan}");
+    let answer = |count: i64, sum: i64| vec![vec![Value::Int(count), Value::Int(sum)]];
+    let before = answer(400, 44850 + 14850);
+    assert_eq!(db.execute(sql).unwrap().rows, before);
+    let (builds, entries) = (db.csr_builds(), db.csr_cache_len());
+    assert_eq!(db.execute(sql).unwrap().rows, before);
+    assert_eq!(
+        db.csr_builds(),
+        builds,
+        "the unpivot entry is served from the cache"
+    );
+
+    let mut txn = db.begin();
+    assert_eq!(txn.execute(sql).unwrap().rows, before);
+    db.execute("INSERT INTO wadj VALUES (3, 'a', 1000, NULL, NULL)")
+        .unwrap();
+    let after = answer(401, 44850 + 14850 + 1000);
+    assert_eq!(db.execute(sql).unwrap().rows, after, "the write is seen");
+    assert!(
+        db.csr_builds() > builds,
+        "a committed write rebuilds the entry"
+    );
+    assert_eq!(db.csr_cache_len(), entries, "the stale entry was replaced");
+    assert_eq!(
+        txn.execute(sql).unwrap().rows,
+        before,
+        "the txn keeps its snapshot"
+    );
+    txn.rollback();
+    db.set_csr_enabled(false);
+    assert_eq!(
+        db.execute(sql).unwrap().rows,
+        after,
+        "the row engine agrees"
+    );
+    db.set_csr_enabled(true);
+    db.execute(sql).unwrap();
+    db.execute("SELECT COUNT(*) FROM seed s, adj a WHERE s.sid = a.src")
+        .unwrap();
+    assert_eq!(db.csr_cache_len(), 2);
+    db.execute("ANALYZE wadj").unwrap();
+    assert_eq!(
+        db.csr_cache_len(),
+        1,
+        "ANALYZE drops the unpivot entry; adj's stays"
+    );
+}
+
+#[test]
 fn reconfigured_query_results_match() {
     // Run a query, reconfigure, re-run the identical (now cached) SQL
     // string, and require the same answer.

@@ -17,7 +17,8 @@ use sqlgraph_rel::{Database, Value};
 use std::path::PathBuf;
 
 /// Deterministic fixture: a fact table with a composite-key index, a small
-/// dimension table, and fresh ANALYZE statistics. Parallelism is pinned to
+/// dimension table, a two-triad adjacency table in the paper's OPA shape,
+/// and fresh ANALYZE statistics. Parallelism is pinned to
 /// 4 so per-node `dop` values do not depend on the host's core count.
 fn fixture() -> Database {
     let db = Database::new();
@@ -45,6 +46,20 @@ fn fixture() -> Database {
             &[Value::Int(k), Value::Int(k % 2)],
         )
         .unwrap();
+    }
+    db.execute("CREATE TABLE opa (vid INTEGER, lbl0 TEXT, val0 INTEGER, lbl1 TEXT, val1 INTEGER)")
+        .unwrap();
+    db.execute("CREATE INDEX opa_vid ON opa (vid)").unwrap();
+    for i in 0..300i64 {
+        let triad = |on: bool, v: i64| match on {
+            true => [Value::str("e"), Value::Int(v)],
+            false => [Value::Null, Value::Null],
+        };
+        let mut row = vec![Value::Int(i % 20)];
+        row.extend(triad(i % 3 != 0, i % 11));
+        row.extend(triad(i % 4 == 0, i % 7));
+        db.execute_with_params("INSERT INTO opa VALUES (?, ?, ?, ?, ?)", &row)
+            .unwrap();
     }
     db.execute("ANALYZE").unwrap();
     db.set_parallelism(4);
@@ -82,6 +97,16 @@ const GOLDEN_QUERIES: &[(&str, &str)] = &[
         "left_outer_join",
         "WITH t AS (SELECT dim.k AS val FROM dim WHERE dim.tag = 1) \
          SELECT COALESCE(s.v, p.val) AS val FROM t p LEFT OUTER JOIN fact s ON p.val = s.k",
+    ),
+    // The paper's unlabeled hop: the lateral unpivot fused into the CSR
+    // expansion, `t.val IS NOT NULL` folded into its entry, `t.val + 0 > 3`
+    // (not a column against a constant) left a step filter.
+    (
+        "csr_unpivot",
+        "SELECT t.val, COUNT(*) FROM dim, opa p, \
+         TABLE(VALUES (p.lbl0, p.val0), (p.lbl1, p.val1)) AS t(lbl, val) \
+         WHERE dim.k = p.vid AND dim.tag = 1 AND t.val IS NOT NULL AND t.val + 0 > 3 \
+         GROUP BY t.val",
     ),
 ];
 

@@ -1010,3 +1010,71 @@ fn dml_filters_on_a_trailing_column() {
         expect_rows(&db, "SELECT * FROM w", want);
     }
 }
+
+/// `line` without the wall times `EXPLAIN ANALYZE` adds: `, 1.234 ms` inside
+/// a step's brackets, ` [output 1.234 ms]` on the `plan:` line.
+fn strip_times(line: &str) -> String {
+    let mut out = line.to_string();
+    while let Some(end) = out.find(" ms") {
+        let num = out[..end].trim_end_matches(|c: char| c.is_ascii_digit() || c == '.');
+        let (cut, tail) = match (num.strip_suffix(", "), num.strip_suffix(" [")) {
+            (Some(head), _) => (head.len(), end + 3),
+            (_, Some(head)) => (head.len(), end + 4),
+            _ if num.ends_with(" [output ") => (num.len() - 9, end + 4),
+            _ => panic!("not a time: {line}"),
+        };
+        out.replace_range(cut..tail, "");
+    }
+    out
+}
+
+#[test]
+fn explain_analyze_times_each_step_and_the_output_shape() {
+    let db = Database::new();
+    db.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, k INTEGER)")
+        .unwrap();
+    db.execute("CREATE TABLE b (k INTEGER PRIMARY KEY, tag INTEGER)")
+        .unwrap();
+    for i in 0..60i64 {
+        db.execute_with_params(
+            "INSERT INTO a VALUES (?, ?)",
+            &[Value::Int(i), Value::Int(i % 6)],
+        )
+        .unwrap();
+    }
+    for k in 0..6i64 {
+        db.execute_with_params(
+            "INSERT INTO b VALUES (?, ?)",
+            &[Value::Int(k), Value::Int(k % 2)],
+        )
+        .unwrap();
+    }
+    db.set_parallelism(1);
+    for sql in [
+        "SELECT b.tag, COUNT(*) FROM a, b WHERE a.k + 0 = b.k AND a.id > 5 GROUP BY b.tag",
+        "SELECT a.id, t.x FROM a, TABLE(VALUES (a.k), (a.id)) AS t(x) WHERE t.x > 50",
+    ] {
+        let plain = plan_of(&db, sql);
+        assert!(
+            !plain.contains(" ms"),
+            "plain EXPLAIN shows no time:\n{plain}"
+        );
+        let analyzed = db
+            .execute(&format!("EXPLAIN ANALYZE {sql}"))
+            .unwrap()
+            .strings();
+        for line in analyzed.iter().filter(|l| l.contains("actual")) {
+            assert!(line.ends_with(" ms]"), "a step without its time: {line}");
+        }
+        assert!(
+            analyzed.iter().any(|l| l.starts_with("plan: [output ")),
+            "no output-shape time in {analyzed:?}"
+        );
+        let stripped: Vec<String> = analyzed.iter().map(|l| strip_times(l)).collect();
+        assert_eq!(
+            stripped.join("\n"),
+            plain,
+            "EXPLAIN ANALYZE is EXPLAIN plus times"
+        );
+    }
+}
