@@ -967,7 +967,11 @@ impl Database {
         match stmt {
             Statement::Select(select) => {
                 let env = Env::with_snap(self, params, snap);
-                run_stmt(&env, select, plans.and_then(Plans::select))
+                match plans.and_then(Plans::select) {
+                    Some(plans) => run_stmt(&env, select, Some(plans)),
+                    // A bare statement: inlined here, as a prepared one was.
+                    None => run_stmt(&env, &prepared::inlined(select), None),
+                }
             }
             Statement::Explain(select) | Statement::ExplainAnalyze(select) => {
                 // Plans afresh: EXPLAIN shows what planning does now.
@@ -975,7 +979,7 @@ impl Database {
                 let mut env = Env::with_snap(self, params, snap);
                 env.trace = Some(&trace);
                 env.analyze = matches!(stmt, Statement::ExplainAnalyze(_));
-                let rel = run_select(&env, select)?;
+                let rel = run_select(&env, &prepared::inlined(select))?;
                 let mut rows: Vec<Row> = trace
                     .into_inner()
                     .into_iter()

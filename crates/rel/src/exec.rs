@@ -463,7 +463,8 @@ fn run_core(
     let rel = shape.run(env, data, &binds)?;
     if let Some(started) = started {
         // EXPLAIN: render the physical operator tree that just ran.
-        plan::render_tree(env, from, &execs, &shape.wrappers(), started.elapsed());
+        let shaped = started.elapsed();
+        plan::render_tree(env, from, &execs, &shape.wrappers(), &core.inlined, shaped);
     }
     Ok(rel)
 }
@@ -932,7 +933,7 @@ struct AggSpec {
     distinct: bool,
 }
 
-fn contains_aggregate(e: &ast::Expr) -> bool {
+pub(crate) fn contains_aggregate(e: &ast::Expr) -> bool {
     match e {
         ast::Expr::CountStar => true,
         ast::Expr::Call { name, args, .. } => {

@@ -1853,18 +1853,23 @@ fn plan_base_table(
 /// build/right rows and join DOP on the join line; `estimated … actual` on
 /// the topmost line of the step. Under `EXPLAIN ANALYZE` each step's wall
 /// time follows its `actual`, and the output shape's (`shaped`: projection,
-/// aggregation, DISTINCT and sort) is on the `plan:` line.
+/// aggregation, DISTINCT and sort) is on the `plan:` line, after the CTEs
+/// the core absorbed (`inlined`).
 pub(crate) fn render_tree(
     env: &Env<'_>,
     plan: &FromPlan,
     execs: &[StepExec],
     wrappers: &[String],
+    inlined: &[String],
     shaped: std::time::Duration,
 ) {
-    let head = match env.analyze {
-        true => format!("plan: [output {:.3} ms]", shaped.as_secs_f64() * 1e3),
-        false => "plan:".to_string(),
-    };
+    let mut head = "plan:".to_string();
+    if !inlined.is_empty() {
+        head += &format!(" [inlined {}]", inlined.join(", "));
+    }
+    if env.analyze {
+        head += &format!(" [output {:.3} ms]", shaped.as_secs_f64() * 1e3);
+    }
     let mut lines: Vec<String> = vec![head];
     let mut depth = 1usize;
     for w in wrappers {

@@ -40,12 +40,13 @@
 //! re-checks as a SELECT scan's ([`crate::exec::target_rows`]).
 
 use crate::error::{Error, Result};
-use crate::exec::{compile_expr, Env, Relation, Scope, Shape};
-use crate::expr::Expr;
+use crate::exec::{compile_expr, contains_aggregate, Env, Relation, Scope, Shape};
+use crate::expr::{BinaryOp, Expr};
 use crate::plan::{self, FromPlan, Guard, Needs, OrderModel};
 use crate::schema::TableSchema;
 use crate::sql::ast::{self, Statement};
 use crate::unpoison;
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock, RwLock};
 
 /// A parsed statement and its plan slots — the unit `Database`'s statement
@@ -58,7 +59,12 @@ pub struct Prepared {
 impl Prepared {
     /// Prepare `statement`. Its plans are made by its first execution
     /// ([`crate::Database::execute_prepared`]).
-    pub fn new(statement: Statement) -> Prepared {
+    pub fn new(mut statement: Statement) -> Prepared {
+        if let Statement::Select(select) = &mut statement {
+            if let Cow::Owned(merged) = inlined(select) {
+                *select = merged;
+            }
+        }
         let plans = match &statement {
             Statement::Select(select) => Some(Plans::Select(StmtPlans::new(select))),
             Statement::Insert { .. } | Statement::Update { .. } | Statement::Delete { .. } => {
@@ -72,7 +78,7 @@ impl Prepared {
         }
     }
 
-    /// The parsed statement.
+    /// The statement that runs: the parsed one, with its CTEs inlined.
     pub fn statement(&self) -> &Arc<Statement> {
         &self.statement
     }
@@ -529,6 +535,265 @@ pub(crate) fn expr_subqueries<'q>(e: &'q ast::Expr, out: &mut Vec<&'q ast::Selec
         }
         ast::Expr::Call { args, .. } => args.iter().for_each(|a| expr_subqueries(a, out)),
     }
+}
+
+// ---------------------------------------------------------------------------
+// CTE inlining
+// ---------------------------------------------------------------------------
+
+/// `select` with each CTE merged into its one reader where it is read
+/// once, as a comma FROM item of a later single-core statement, and its
+/// body only renames columns of a join of tables (DESIGN, *CTE inlining*).
+/// CTEs are taken in WITH order, so a chain collapses into its last reader;
+/// a CTE that fails any condition stays materialized.
+pub(crate) fn inlined(select: &ast::SelectStmt) -> Cow<'_, ast::SelectStmt> {
+    // Every table name read and CTE name defined, at any depth: a CTE read
+    // once appears twice.
+    let mut names = Vec::new();
+    table_names(select, &mut names);
+    let mut stmt = Cow::Borrowed(select);
+    let mut i = 0;
+    while i < stmt.ctes.len() {
+        let name = stmt.ctes[i].0.to_ascii_lowercase();
+        match names.iter().filter(|n| **n == name).count() == 2 && inline_cte(stmt.to_mut(), i) {
+            true => drop(stmt.to_mut().ctes.remove(i)),
+            false => i += 1,
+        }
+    }
+    stmt
+}
+
+/// Inline CTE `i` of `stmt` into the core that reads it, if it qualifies.
+fn inline_cte(stmt: &mut ast::SelectStmt, i: usize) -> bool {
+    // Moved later, the body would read a CTE from here on where it read a
+    // table.
+    let mut read = Vec::new();
+    table_names(&stmt.ctes[i].1, &mut read);
+    for (c, _) in &stmt.ctes[i..] {
+        if read.contains(&c.to_ascii_lowercase()) {
+            return false;
+        }
+    }
+    let mut ctes = std::mem::take(&mut stmt.ctes);
+    let (head, later) = ctes.split_at_mut(i + 1);
+    let cte = &head[i];
+    let statements = later.iter_mut().map(|(_, q)| q);
+    let reader = statements.chain(std::iter::once(&mut *stmt)).find_map(|q| {
+        let ast::SetExpr::Select(core) = &mut q.body else {
+            return None;
+        };
+        let (at, r) = core.from.iter().enumerate().find_map(|(k, f)| match f {
+            ast::FromItem::Table { name, alias } if name.eq_ignore_ascii_case(&cte.0) => {
+                Some((k, alias.as_deref().unwrap_or(name).to_ascii_lowercase()))
+            }
+            _ => None,
+        })?;
+        // No WITH of its own, whose names could shadow the body's; no ORDER
+        // BY, whose keys may name the CTE's columns; no LIMIT or OFFSET,
+        // whose rows depend on an order merging can change.
+        let free = q.ctes.is_empty() && q.order_by.is_empty();
+        (free && q.limit.is_none() && q.offset.is_none()).then_some((core, at, r))
+    });
+    let merged = reader.and_then(|(core, at, r)| absorb(core, at, r, cte).map(|m| **core = m));
+    stmt.ctes = ctes;
+    merged.is_some()
+}
+
+/// `reader` with CTE `name`'s body `query` merged in place of its FROM item
+/// `at`, aliased `r`, or `None` where the body does more than rename
+/// columns of a join of tables, or a name could change its meaning.
+fn absorb(
+    reader: &ast::SelectCore,
+    at: usize,
+    r: String,
+    (name, query): &(String, ast::SelectStmt),
+) -> Option<ast::SelectCore> {
+    let ast::SetExpr::Select(body) = &query.body else {
+        return None;
+    };
+    let plain = query.ctes.is_empty() && query.order_by.is_empty() && query.limit.is_none();
+    let plain = plain && query.offset.is_none() && !body.distinct && body.group_by.is_empty();
+    (plain && body.having.is_none()).then_some(())?;
+    // The body's FROM items' aliases, lower-cased: all must be tables.
+    let mut tables = Vec::new();
+    for f in &body.from {
+        let ast::FromItem::Table { name, alias } = f else {
+            return None;
+        };
+        tables.push(alias.as_deref().unwrap_or(name).to_ascii_lowercase());
+    }
+    // The body's aliases become names no SQL text can spell (a quoted
+    // identifier ends at `"`): the reader's alias for a lone table, which
+    // leaves with the CTE, else `r"a`, unique as `r` is in the reader.
+    let fresh = |a: &str| match tables.len() {
+        1 => r.clone(),
+        _ => format!("{r}\"{a}"),
+    };
+    let alias_of = |t: &str| Some(fresh(tables.iter().find(|a| a.eq_ignore_ascii_case(t))?));
+    let mut body = (**body).clone();
+    for (table, _) in core_columns(&mut body) {
+        *table = Some(match table {
+            Some(t) => alias_of(t)?,
+            None => (tables.len() == 1).then(|| r.clone())?,
+        });
+    }
+    // The CTE's columns: every column of the body's one `a.*`, or the body
+    // column each renames, by output name.
+    let star = match &mut body.projections[..] {
+        [ast::Projection::TableWildcard(a)] => {
+            *a = alias_of(a)?;
+            Some(a.clone())
+        }
+        _ => None,
+    };
+    let mut cols = Vec::new();
+    for p in body.projections.iter().filter(|_| star.is_none()) {
+        let ast::Projection::Expr {
+            expr: ast::Expr::Column { table, name },
+            alias,
+        } = p
+        else {
+            return None;
+        };
+        let n = alias.as_deref().unwrap_or(name).to_ascii_lowercase();
+        cols.push((n, table.clone(), name.clone()));
+    }
+    for (f, a) in body.from.iter_mut().zip(&tables) {
+        if let ast::FromItem::Table { alias, .. } = f {
+            *alias = Some(fresh(a));
+        }
+    }
+    let mut reader = reader.clone();
+    let single = reader.from.len() == 1;
+    // Each output column keeps its name.
+    let mut aggregated = !reader.group_by.is_empty();
+    for p in &mut reader.projections {
+        if let ast::Projection::Expr { expr, alias } = p {
+            aggregated |= contains_aggregate(expr);
+            if let (ast::Expr::Column { name, .. }, None) = (&*expr, &alias) {
+                *alias = Some(name.clone());
+            }
+        }
+    }
+    // The reader's references to the CTE become the body's columns. An
+    // unqualified name is the CTE's only when the CTE is the whole FROM.
+    for (table, name) in core_columns(&mut reader) {
+        match (&*table, &star) {
+            (Some(t), _) if !t.eq_ignore_ascii_case(&r) => {}
+            (None, _) if !single => return None,
+            (_, Some(a)) => *table = Some(a.clone()),
+            _ => {
+                let (_, t, n) = cols.iter().find(|(c, _, _)| c.eq_ignore_ascii_case(name))?;
+                (*table, *name) = (t.clone(), n.clone());
+            }
+        }
+    }
+    // A wildcard over the CTE becomes the body's projections; beside an
+    // aggregate it is an error, and stays one.
+    let mut projections = Vec::new();
+    for p in std::mem::take(&mut reader.projections) {
+        let over = match &p {
+            ast::Projection::Wildcard => single.then_some(true)?,
+            ast::Projection::TableWildcard(t) => t.eq_ignore_ascii_case(&r),
+            ast::Projection::Expr { .. } => false,
+        };
+        match over {
+            false => projections.push(p),
+            true if aggregated => return None,
+            true => projections.extend(body.projections.iter().cloned()),
+        }
+    }
+    reader.projections = projections;
+    reader.from.splice(at..=at, body.from);
+    reader.filter = match (reader.filter.take(), body.filter) {
+        (Some(a), Some(b)) => Some(ast::Expr::Binary(BinaryOp::And, Box::new(a), Box::new(b))),
+        (a, b) => a.or(b),
+    };
+    reader.inlined.extend(body.inlined);
+    reader.inlined.push(name.clone());
+    Some(reader)
+}
+
+/// Push every table name `q` reads and every CTE name it defines, at any
+/// depth, lower-cased.
+fn table_names(q: &ast::SelectStmt, out: &mut Vec<String>) {
+    fn tables(item: &ast::FromItem, out: &mut Vec<String>) {
+        match item {
+            ast::FromItem::Join { left, right, .. } => {
+                tables(left, out);
+                tables(right, out);
+            }
+            ast::FromItem::Table { name, .. } => out.push(name.to_ascii_lowercase()),
+            _ => {}
+        }
+    }
+    out.extend(q.ctes.iter().map(|(n, _)| n.to_ascii_lowercase()));
+    let mut nested: Vec<&ast::SelectStmt> = q.ctes.iter().map(|(_, b)| b).collect();
+    let mut sets = vec![&q.body];
+    while let Some(set) = sets.pop() {
+        match set {
+            ast::SetExpr::Op { left, right, .. } => sets.extend([&**left, &**right]),
+            ast::SetExpr::Select(core) => {
+                core.from.iter().for_each(|f| tables(f, out));
+                nested.extend(core_derived(core));
+                nested.extend(core_subqueries(core, &[]));
+            }
+        }
+    }
+    let bounds = q.limit.iter().chain(&q.offset);
+    let clauses = q.order_by.iter().map(|(e, _)| e).chain(bounds);
+    clauses.for_each(|e| expr_subqueries(e, &mut nested));
+    nested.into_iter().for_each(|n| table_names(n, out));
+}
+
+/// A column reference: its qualifier and name.
+type Column<'q> = (&'q mut Option<String>, &'q mut String);
+
+/// The column references in `core`'s own scope — its projections, FROM (ON
+/// conditions and lateral arguments), WHERE, GROUP BY and HAVING — but not
+/// in its derived tables or IN subqueries, which resolve names on their own.
+fn core_columns(core: &mut ast::SelectCore) -> Vec<Column<'_>> {
+    fn from<'q>(item: &'q mut ast::FromItem, out: &mut Vec<Column<'q>>) {
+        match item {
+            ast::FromItem::Join {
+                left, right, on, ..
+            } => {
+                from(left, out);
+                from(right, out);
+                columns([on], out);
+            }
+            ast::FromItem::LateralValues { rows, .. } => columns(rows.iter_mut().flatten(), out),
+            ast::FromItem::LateralFunc { args, .. } => columns(args, out),
+            ast::FromItem::Table { .. } | ast::FromItem::Subquery { .. } => {}
+        }
+    }
+    fn columns<'q>(es: impl IntoIterator<Item = &'q mut ast::Expr>, out: &mut Vec<Column<'q>>) {
+        use ast::Expr as E;
+        for e in es {
+            match e {
+                E::Column { table, name } => out.push((table, name)),
+                E::Literal(_) | E::Param(_) | E::CountStar => {}
+                E::Unary(_, x) | E::IsNull(x, _) | E::Cast(x, _) => columns([&mut **x], out),
+                E::InSubquery { expr, .. } => columns([&mut **expr], out),
+                E::Binary(_, l, r) | E::Subscript(l, r) => columns([&mut **l, &mut **r], out),
+                E::Like { expr, pattern, .. } => columns([&mut **expr, &mut **pattern], out),
+                E::Between { expr, lo, hi, .. } => columns([&mut **expr, lo, hi], out),
+                E::InList { expr, list, .. } => {
+                    columns(std::iter::once(&mut **expr).chain(list), out)
+                }
+                E::Call { args, .. } => columns(args, out),
+            }
+        }
+    }
+    let mut out = Vec::new();
+    core.from.iter_mut().for_each(|f| from(f, &mut out));
+    let projected = core.projections.iter_mut().filter_map(|p| match p {
+        ast::Projection::Expr { expr, .. } => Some(expr),
+        _ => None,
+    });
+    let clauses = core.filter.iter_mut().chain(&mut core.group_by);
+    columns(projected.chain(clauses).chain(&mut core.having), &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -160,6 +160,8 @@ pub struct SelectCore {
     pub group_by: Vec<Expr>,
     /// HAVING predicate.
     pub having: Option<Expr>,
+    /// The CTEs `prepared::inlined` merged into this core (none if parsed).
+    pub inlined: Vec<String>,
 }
 
 /// One element of the projection list.

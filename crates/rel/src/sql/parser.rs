@@ -438,10 +438,18 @@ impl Parser {
     // ---- queries ----
 
     fn select_stmt(&mut self) -> Result<SelectStmt> {
-        let mut ctes = Vec::new();
+        let mut ctes: Vec<(String, SelectStmt)> = Vec::new();
         if self.eat_keyword("WITH") {
             loop {
+                let at = self.offset();
                 let name = self.ident()?;
+                // As in PostgreSQL: a second CTE of one name would shadow the first.
+                if ctes.iter().any(|(n, _)| n.eq_ignore_ascii_case(&name)) {
+                    return Err(Error::Parse {
+                        offset: at,
+                        message: format!("WITH query name \"{name}\" specified more than once"),
+                    });
+                }
                 self.expect_keyword("AS")?;
                 self.expect_symbol(Symbol::LParen)?;
                 let query = self.select_stmt()?;
@@ -564,6 +572,7 @@ impl Parser {
             filter,
             group_by,
             having,
+            inlined: Vec::new(),
         })))
     }
 

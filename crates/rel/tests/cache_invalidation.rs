@@ -280,8 +280,14 @@ fn full_statement_cache_evicts_one_entry_per_insert() {
 
 /// A frontier CTE joined to `adj` (≥ 256 rows, non-unique hash index: a CSR
 /// probe) — two cores, a join order to choose, an access path the size
-/// rule decides.
-const FRONTIER_SQL: &str = "WITH f AS (SELECT s.sid AS sid FROM seed s WHERE s.sid < ?) \
+/// rule decides. The computed column keeps the CTE materialized (a
+/// bare-column body would be inlined into its reader: see
+/// `single_use_bare_column_ctes_run_as_one_core`).
+const FRONTIER_SQL: &str = "WITH f AS (SELECT s.sid + 0 AS sid FROM seed s WHERE s.sid < ?) \
+     SELECT COUNT(*), SUM(a.dst) FROM f, adj a WHERE f.sid = a.src";
+
+/// [`FRONTIER_SQL`] with a bare-column CTE, which is inlined.
+const FRONTIER_INLINED: &str = "WITH f AS (SELECT s.sid AS sid FROM seed s WHERE s.sid < ?) \
      SELECT COUNT(*), SUM(a.dst) FROM f, adj a WHERE f.sid = a.src";
 
 fn prepared(sql: &str) -> Prepared {
@@ -420,6 +426,7 @@ fn plan_cache_survives_writes_short_of_the_drift_line() {
 
 /// The greedy join order reads a CTE's size, so the same statement with
 /// another bind can order its units differently (EXPLAIN shows the flip).
+/// The CTE's computed column keeps it materialized.
 /// The rebound execution re-plans the core whose order moved — only that
 /// one — and matches the inline text byte for byte.
 #[test]
@@ -448,7 +455,7 @@ fn plan_cache_replans_when_a_bind_flips_the_join_order() {
     }
     let sql = |k: &str| {
         format!(
-            "WITH c AS (SELECT g.id AS id FROM grp g WHERE g.k < {k}) \
+            "WITH c AS (SELECT g.id + 0 AS id FROM grp g WHERE g.k < {k}) \
              SELECT b.id, b.v FROM big b, c WHERE b.id = c.id"
         )
     };
@@ -512,7 +519,8 @@ fn plan_cache_eight_readers_share_one_statement_while_a_writer_mutates() {
         )
         .unwrap();
     }
-    let sql = "WITH g AS (SELECT o.id AS id FROM owners o WHERE o.team = ?) \
+    // The computed column keeps the CTE materialized: two cores.
+    let sql = "WITH g AS (SELECT o.id + 0 AS id FROM owners o WHERE o.team = ?) \
                SELECT COUNT(*) FROM g, items i WHERE i.owner = g.id";
     let count = |rel: Relation| rel.int_column()[0];
     // Five owners a team, four items an owner.
@@ -570,4 +578,77 @@ fn plan_cache_eight_readers_share_one_statement_while_a_writer_mutates() {
         "replans {}",
         replans - replans0
     );
+}
+
+/// The plan-cache tests above keep their CTEs materialized with a computed
+/// column. Their single-use bare-column forms are inlined into the reader:
+/// EXPLAIN names the CTE on the one remaining core, each execution plans
+/// or hits one core, and the answers are the materialized forms'.
+#[test]
+fn single_use_bare_column_ctes_run_as_one_core() {
+    let sorted = |rel: Relation| {
+        let mut rows = rel.rows;
+        rows.sort_by_key(|r| format!("{r:?}"));
+        rows
+    };
+    let frontier = csr_db();
+    let flip = Database::new();
+    for ddl in [
+        "CREATE TABLE big (id INTEGER PRIMARY KEY, v INTEGER)",
+        "CREATE TABLE grp (id INTEGER PRIMARY KEY, k INTEGER)",
+        "INSERT INTO big VALUES (1, 7), (2, 1), (3, 8), (40, 2)",
+        "INSERT INTO grp VALUES (3, 3), (2, 2), (1, 1), (99, 0)",
+    ] {
+        flip.execute(ddl).unwrap();
+    }
+    let flip_sql = |id: &str| {
+        format!(
+            "WITH c AS (SELECT g.id{id} AS id FROM grp g WHERE g.k < ?) \
+             SELECT b.id, b.v FROM big b, c WHERE b.id = c.id"
+        )
+    };
+    let owners = Database::new();
+    for ddl in [
+        "CREATE TABLE owners (id INTEGER PRIMARY KEY, team INTEGER)",
+        "CREATE TABLE items (id INTEGER PRIMARY KEY, owner INTEGER)",
+        "CREATE INDEX items_owner ON items (owner)",
+        "INSERT INTO owners VALUES (1, 2), (2, 2), (3, 10), (4, 1)",
+        "INSERT INTO items VALUES (1, 1), (2, 1), (3, 2), (4, 3), (5, 4), (6, 9)",
+    ] {
+        owners.execute(ddl).unwrap();
+    }
+    let owners_sql = |id: &str| {
+        format!(
+            "WITH g AS (SELECT o.id{id} AS id FROM owners o WHERE o.team = ?) \
+             SELECT COUNT(*) FROM g, items i WHERE i.owner = g.id"
+        )
+    };
+    let cases = [
+        (
+            &frontier,
+            FRONTIER_INLINED.to_string(),
+            FRONTIER_SQL.to_string(),
+            "f",
+        ),
+        (&flip, flip_sql(""), flip_sql(" + 0"), "c"),
+        (&owners, owners_sql(""), owners_sql(" + 0"), "g"),
+    ];
+    for (db, inlined, materialized, cte) in cases {
+        for bound in [2, 10] {
+            let binds = [Value::Int(bound)];
+            let explain = db
+                .execute_with_params(&format!("EXPLAIN {inlined}"), &binds)
+                .unwrap()
+                .strings();
+            let plans: Vec<&String> = explain.iter().filter(|l| l.starts_with("plan:")).collect();
+            assert_eq!(plans, [&format!("plan: [inlined {cte}]")], "{inlined}");
+            let held = prepared(&inlined);
+            let (hits, replans) = db.plan_cache_stats();
+            let got = db.execute_prepared(&held, &binds).unwrap();
+            db.execute_prepared(&held, &binds).unwrap();
+            assert_eq!(db.plan_cache_stats(), (hits + 1, replans + 1), "{inlined}");
+            let want = db.execute_with_params(&materialized, &binds).unwrap();
+            assert_eq!(sorted(got), sorted(want), "{inlined}");
+        }
+    }
 }

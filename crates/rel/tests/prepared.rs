@@ -487,12 +487,23 @@ fn bind_cases() -> Vec<BindCase> {
             false,
             &[],
         ),
+        // The computed column keeps `q` materialized: the bind filters a
+        // CTE's rows.
         case(
-            "WITH q AS (SELECT id, c FROM v WHERE tag = 1) SELECT id FROM q WHERE c > ?",
+            "WITH q AS (SELECT id, c + 0 AS c FROM v WHERE tag = 1) SELECT id FROM q WHERE c > ?",
             "Rel q",
             [vec![i(30)], vec![i(45)], vec![n.clone()]],
             false,
             &[],
+        ),
+        // A bare-column CTE is inlined: the bind bounds `v`'s B-tree range,
+        // so a NULL bound plans afresh.
+        case(
+            "WITH q AS (SELECT id, c FROM v WHERE tag = 1) SELECT id FROM q WHERE c > ?",
+            "plan: [inlined q]",
+            [vec![i(30)], vec![i(45)], vec![n.clone()]],
+            false,
+            &[2],
         ),
         case(
             "SELECT id FROM v WHERE tag = ? AND c IN (SELECT y FROM h WHERE x < ?)",

@@ -86,6 +86,36 @@ fn cte_pipeline_like_gremlin_translation() {
     assert_eq!(rel.scalar(), Some(&Value::Int(2)));
 }
 
+/// Two CTEs of one name are refused, as in PostgreSQL, rather than the
+/// second shadowing the first.
+#[test]
+fn duplicate_cte_names_are_a_parse_error() {
+    let db = db_with_people();
+    db.execute("CREATE TABLE a (id INTEGER)").unwrap();
+    db.execute("CREATE TABLE b (id INTEGER)").unwrap();
+    db.execute("INSERT INTO a VALUES (1)").unwrap();
+    db.execute("INSERT INTO b VALUES (2)").unwrap();
+    for sql in [
+        "WITH t1 AS (SELECT id AS val FROM a), t1 AS (SELECT id AS val FROM b) SELECT val FROM t1",
+        "WITH t1 AS (SELECT id AS val FROM a), T1 AS (SELECT id AS val FROM b) SELECT val FROM t1",
+    ] {
+        let err = db.execute(sql).unwrap_err();
+        let sqlgraph_rel::Error::Parse { offset, message } = &err else {
+            panic!("{sql}: {err:?}");
+        };
+        assert!(message.contains("specified more than once"), "{message}");
+        // The error points at the second definition's name.
+        assert_eq!(*offset, sql.find("), ").unwrap() + 3, "{sql}");
+    }
+    // Distinct names, one reading the other, still run.
+    let rel = db
+        .execute(
+            "WITH t1 AS (SELECT id AS val FROM a), t2 AS (SELECT val FROM t1) SELECT val FROM t2",
+        )
+        .unwrap();
+    assert_eq!(rel.rows, [vec![Value::Int(1)]]);
+}
+
 #[test]
 fn lateral_table_values_unnest() {
     // The paper's device for turning hash-bucket column triads back into rows.
