@@ -509,9 +509,13 @@ impl SqlGraph {
 
     /// The statement a traversal executes as and the values bound to its
     /// `?` parameters — what [`SqlGraph::query`] hands to
-    /// [`Database::execute_prepared`]. With the binds written in place of
-    /// the `?`s it is the statement [`SqlGraph::translate_query_with`]
-    /// prints.
+    /// [`Database::execute_prepared`]. It is the statement
+    /// [`SqlGraph::translate_query_with`] prints after preparation has
+    /// merged each single-use, column-only CTE into its reader
+    /// ([`sqlgraph_rel::Prepared::statement`]): with the binds written in
+    /// place of the `?`s it has fewer CTEs than the printed text, and the
+    /// merged bodies' tables read under fresh aliases (`r"a`) no SQL text
+    /// can spell.
     pub fn prepare_query(
         &self,
         gremlin: &str,

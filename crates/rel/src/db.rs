@@ -307,10 +307,14 @@ impl Database {
         Ok(entry)
     }
 
-    /// Set intra-query parallelism: `0` = auto (the planner picks a DOP
-    /// from table statistics and stays serial below a row threshold),
-    /// `1` = force serial, `n > 1` = pin every eligible operator to `n`
-    /// workers regardless of input size (for differential testing).
+    /// Set intra-query parallelism: `0` = auto ([`Database::dop_for`]
+    /// picks each operator's DOP from its input row count: serial below
+    /// [`crate::parallel::AUTO_PARALLEL_MIN_ROWS`] rows, else
+    /// [`crate::parallel::max_workers`]), `1` = force serial, `n > 1` =
+    /// pin every eligible operator to a logical DOP of `n` regardless of
+    /// input size (for differential testing). The logical DOP sets the
+    /// morsel fan-out and the hash join's partition count; the threads a
+    /// call runs on are still capped at `max_workers()`.
     pub fn set_parallelism(&self, n: usize) {
         self.parallelism
             .store(n, std::sync::atomic::Ordering::Relaxed);

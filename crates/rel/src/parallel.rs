@@ -1,90 +1,39 @@
-//! Morsel-driven intra-query parallelism: a shared worker pool plus the
-//! order-preserving fan-out primitive the executor's parallel operators
-//! are built on.
+//! Morsel-driven intra-query parallelism: the order-preserving fan-out
+//! primitive the executor's parallel operators are built on.
 //!
 //! # Model
 //!
 //! Work is split into fixed-size **morsels** (`MORSEL_ROWS` rows of the
 //! input slab). Workers pull morsel indexes from a shared atomic cursor,
-//! so a slow morsel never stalls the others, and each morsel's result is
-//! written into a slot keyed by its index. [`ordered_map`] then returns
-//! results **in morsel order**, which is what lets every parallel
+//! so a slow morsel never stalls the others, and each worker hands back
+//! its results tagged with their morsel index. [`ordered_map`] then
+//! returns results **in morsel order**, which is what lets every parallel
 //! operator produce byte-identical output to its serial twin: serial
 //! execution visits rows in slab order, and concatenating per-morsel
 //! outputs in morsel index order recreates exactly that sequence.
 //!
-//! # Pool
+//! # Threads
 //!
-//! One process-wide pool (`pool()`) is spawned lazily on first parallel
-//! query and lives for the life of the process. Queries submit
-//! lifetime-erased closures to it; a per-call latch makes the submission
-//! scoped — `run_scoped` does not return until every task it queued has
-//! finished, so borrowing the caller's stack from a task is sound. The
-//! calling thread always participates as one worker, which means a
-//! degree-of-parallelism of 1 never touches the pool at all, and a
-//! nested parallel call from inside a pool worker simply runs inline
-//! (`IN_POOL_WORKER`) instead of deadlocking on its own pool.
+//! A parallel call opens a `std::thread::scope`, spawns its helpers in it
+//! and works beside them on the calling thread; the scope joins every
+//! helper before the call returns, so morsel closures borrow the caller's
+//! stack without any lifetime erasure. A degree of parallelism of 1
+//! spawns nothing, and a nested parallel call opens a scope of its own,
+//! which cannot deadlock on the one around it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Rows per morsel. Small enough that a scan over a few tens of
 /// thousands of rows still fans out across every worker, large enough
-/// that per-morsel bookkeeping (one slot write, one cursor bump) is
+/// that per-morsel bookkeeping (one cursor bump, one tagged result) is
 /// noise next to predicate evaluation.
 pub const MORSEL_ROWS: usize = 1024;
 
 /// Row-count threshold below which auto mode stays serial: thread
 /// handoff costs more than scanning this many rows.
 pub const AUTO_PARALLEL_MIN_ROWS: usize = 8192;
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Shared pool of detached worker threads blocking on one `mpsc` channel
-/// whose receiver they share behind a mutex.
-struct WorkerPool {
-    sender: Sender<Job>,
-    workers: usize,
-}
-
-thread_local! {
-    /// Set while this thread is executing a pool job. A nested parallel
-    /// call inside a worker degrades to inline serial execution rather
-    /// than re-entering the pool (which could deadlock: every worker
-    /// waiting on tasks only the blocked workers could run).
-    static IN_POOL_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
-}
-
-fn pool() -> &'static WorkerPool {
-    static POOL: OnceLock<WorkerPool> = OnceLock::new();
-    POOL.get_or_init(|| {
-        let workers = max_workers().saturating_sub(1).max(1);
-        let (sender, receiver) = channel::<Job>();
-        let receiver = Arc::new(Mutex::new(receiver));
-        for i in 0..workers {
-            let rx = Arc::clone(&receiver);
-            std::thread::Builder::new()
-                .name(format!("rel-worker-{i}"))
-                .spawn(move || {
-                    IN_POOL_WORKER.with(|f| f.set(true));
-                    loop {
-                        // Take the job in a `let` so the receiver's guard
-                        // drops before `job()` runs; a `while let` would
-                        // hold it across the body and run one job at a time.
-                        let next = rx.lock().expect("no job runs under the lock").recv();
-                        let Ok(job) = next else {
-                            break;
-                        };
-                        job();
-                    }
-                })
-                .expect("spawn rel worker");
-        }
-        WorkerPool { sender, workers }
-    })
-}
 
 /// Upper bound on useful workers for one query: the machine's logical
 /// core count, clamped to [2, 8]. Cached — `available_parallelism` can
@@ -99,123 +48,24 @@ pub fn max_workers() -> usize {
     })
 }
 
-/// Completion latch: counts outstanding tasks and releases waiters (and
-/// carries the first panic payload) when the count reaches zero.
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-    panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-}
-
-impl Latch {
-    fn new(count: usize) -> Self {
-        Latch {
-            remaining: Mutex::new(count),
-            done: Condvar::new(),
-            panic: Mutex::new(None),
-        }
-    }
-
-    fn arrive(&self) {
-        let mut n = self.remaining.lock().unwrap();
-        *n -= 1;
-        if *n == 0 {
-            // Notify while still holding the lock: the latch lives on the
-            // waiter's stack, and a waiter that could observe zero before
-            // this call would return and pop it from under `done`.
-            self.done.notify_all();
-        }
-    }
-
-    fn wait(&self) {
-        let mut n = self.remaining.lock().unwrap();
-        while *n > 0 {
-            n = self.done.wait(n).unwrap();
-        }
-    }
-}
-
-/// Run `task` on `dop` logical workers (the calling thread plus up to
-/// `dop - 1` pool threads) and return once all have finished. Each
-/// worker invocation receives its worker index `0..dop`.
-///
-/// `task` typically loops on a shared atomic cursor rather than using
-/// the worker index for static partitioning — see [`ordered_map`].
-///
-/// Panics in any worker are re-raised on the calling thread **after**
-/// every worker has finished, so no task is left running with borrows
-/// into a unwound stack frame.
-fn run_scoped<F>(dop: usize, task: F)
-where
-    F: Fn(usize) + Send + Sync,
-{
-    if dop <= 1 || IN_POOL_WORKER.with(|f| f.get()) {
-        task(0);
-        return;
-    }
-    let pool = pool();
-    let helpers = (dop - 1).min(pool.workers);
-    if helpers == 0 {
-        task(0);
-        return;
-    }
-
-    let latch = Latch::new(helpers);
-    // Erase the task's stack lifetime so it can cross into the detached
-    // pool. Soundness: the latch guard below blocks this frame until
-    // every erased closure has run to completion, even if `task(0)`
-    // panics on the calling thread, so the borrow never dangles.
-    let task_ref: &(dyn Fn(usize) + Send + Sync) = &task;
-    let task_static: &'static (dyn Fn(usize) + Send + Sync) =
-        unsafe { std::mem::transmute(task_ref) };
-    let latch_ref: &'static Latch = unsafe { std::mem::transmute(&latch) };
-
-    struct WaitGuard<'a>(&'a Latch);
-    impl Drop for WaitGuard<'_> {
-        fn drop(&mut self) {
-            self.0.wait();
-        }
-    }
-    let guard = WaitGuard(&latch);
-
-    for w in 1..=helpers {
-        let job: Job = Box::new(move || {
-            if let Err(p) = catch_unwind(AssertUnwindSafe(|| task_static(w))) {
-                let mut slot = latch_ref.panic.lock().unwrap();
-                if slot.is_none() {
-                    *slot = Some(p);
-                }
-            }
-            latch_ref.arrive();
-        });
-        if pool.sender.send(job).is_err() {
-            // Channel can only close if every worker died; degrade.
-            latch.arrive();
-        }
-    }
-
-    let own = catch_unwind(AssertUnwindSafe(|| task_static(0)));
-    drop(guard); // blocks until all helpers have arrived
-    if let Err(p) = own {
-        std::panic::resume_unwind(p);
-    }
-    let helper_panic = latch.panic.lock().unwrap().take();
-    if let Some(p) = helper_panic {
-        std::panic::resume_unwind(p);
-    }
-}
-
 /// Split `0..count` items into `⌈count / morsel⌉` morsels, apply `f` to
 /// each morsel's index range on `dop` workers, and return the per-morsel
 /// results **in morsel order**.
 ///
 /// Work distribution is dynamic (shared atomic cursor), result order is
-/// static (slot per morsel) — parallel output is therefore independent
-/// of scheduling and identical to the serial loop.
-pub fn ordered_map<R, F>(dop: usize, count: usize, morsel: usize, f: F) -> Vec<R>
+/// static (each result carries its morsel index) — parallel output is
+/// therefore independent of scheduling and identical to the serial loop.
+///
+/// The calling thread is one worker; it spawns `min(dop, morsels,
+/// max_workers()) - 1` scoped helpers: a pinned `dop` above
+/// `max_workers()` still sets how many pieces a caller splits its work
+/// into (e.g. hash-join partitions), but never the number of threads. A
+/// panic in any morsel is re-raised on the caller with its own payload
+/// once every helper has finished.
+pub(crate) fn ordered_map<R, F>(dop: usize, count: usize, morsel: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(std::ops::Range<usize>) -> R + Send + Sync,
+    F: Fn(std::ops::Range<usize>) -> R + Sync,
 {
     let morsel = morsel.max(1);
     let n_morsels = count.div_ceil(morsel);
@@ -225,31 +75,40 @@ where
             .collect();
     }
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(n_morsels);
-    slots.resize_with(n_morsels, || None);
-    let slots = Mutex::new(&mut slots);
     let cursor = AtomicUsize::new(0);
-
-    run_scoped(dop.min(n_morsels), |_| loop {
-        let m = cursor.fetch_add(1, Ordering::Relaxed);
-        if m >= n_morsels {
-            break;
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let m = cursor.fetch_add(1, Ordering::Relaxed);
+            if m >= n_morsels {
+                return done;
+            }
+            done.push((m, f(m * morsel..((m + 1) * morsel).min(count))));
         }
-        let r = f(m * morsel..((m + 1) * morsel).min(count));
-        slots.lock().unwrap()[m] = Some(r);
+    };
+    let helpers = dop.min(n_morsels).min(max_workers()) - 1;
+    let mut done = std::thread::scope(|s| {
+        let spawned: Vec<_> = (0..helpers).map(|_| s.spawn(work)).collect();
+        let mut done = work();
+        for helper in spawned {
+            // Re-raising here leaves the other helpers unjoined; the scope
+            // still waits for them before the panic leaves it.
+            done.extend(helper.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        done
     });
-
-    slots
-        .into_inner()
-        .unwrap()
-        .drain(..)
-        .map(|s| s.expect("morsel slot filled"))
-        .collect()
+    done.sort_unstable_by_key(|&(m, _)| m);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Barrier;
+    use std::thread::ThreadId;
+    use std::time::Duration;
 
     #[test]
     fn ordered_map_preserves_morsel_order() {
@@ -270,28 +129,68 @@ mod tests {
     #[test]
     fn run_scoped_runs_every_worker() {
         let hits = AtomicUsize::new(0);
-        run_scoped(4, |_| {
+        ordered_map(4, 4, 1, |_| {
             hits.fetch_add(1, Ordering::SeqCst);
         });
-        assert_eq!(hits.load(Ordering::SeqCst), 4.min(1 + pool().workers));
+        assert_eq!(hits.load(Ordering::SeqCst), 4);
     }
 
     #[test]
     fn worker_panic_propagates_after_join() {
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            run_scoped(4, |w| {
-                if w == 1 || w == 0 {
-                    panic!("boom {w}");
-                }
-            })
-        }));
+        // Both morsels meet at the barrier, so they run on two threads, and
+        // only the helper's morsel panics: the caller must see its message.
+        let r = within_a_minute(|| {
+            let caller = std::thread::current().id();
+            let meet = Barrier::new(2);
+            catch_unwind(AssertUnwindSafe(|| {
+                ordered_map(4, 2, 1, |r| {
+                    meet.wait();
+                    if std::thread::current().id() != caller {
+                        panic!("boom {}", r.start);
+                    }
+                })
+            }))
+            .map_err(|p| p.downcast::<String>().map(|m| *m))
+        });
         assert!(r.is_err());
-        // Pool must still be usable afterwards.
+        let msg = r.unwrap_err().expect("the morsel's own panic payload");
+        assert!(msg == "boom 0" || msg == "boom 1", "{msg}");
+        // ordered_map must still be usable afterwards.
         let hits = AtomicUsize::new(0);
-        run_scoped(4, |_| {
+        ordered_map(4, 4, 1, |_| {
             hits.fetch_add(1, Ordering::SeqCst);
         });
         assert!(hits.load(Ordering::SeqCst) >= 1);
+    }
+
+    #[test]
+    fn two_morsels_run_at_the_same_time_at_dop_2() {
+        // Each morsel waits for the other, so a serial run never returns.
+        let got = within_a_minute(|| {
+            let meet = Barrier::new(2);
+            ordered_map(2, 2, 1, |r| {
+                meet.wait();
+                r.start
+            })
+        });
+        assert_eq!(got, [0, 1]);
+    }
+
+    #[test]
+    fn a_wide_dop_runs_on_at_most_max_workers_threads() {
+        // Each morsel sleeps, so every spawned thread gets some of them.
+        let threads: HashSet<ThreadId> = ordered_map(64, 64, 1, |_| {
+            std::thread::sleep(Duration::from_millis(1));
+            std::thread::current().id()
+        })
+        .into_iter()
+        .collect();
+        assert!(
+            threads.len() <= max_workers(),
+            "{} threads, max_workers() = {}",
+            threads.len(),
+            max_workers()
+        );
     }
 
     #[test]
@@ -322,14 +221,26 @@ mod tests {
     }
 
     #[test]
-    fn nested_parallel_degrades_inline() {
+    fn nested_parallel_completes() {
         let total = AtomicUsize::new(0);
-        run_scoped(4, |_| {
-            // Inner call must not deadlock waiting for pool workers that
-            // are all busy running this very closure.
+        ordered_map(4, 4, 1, |_| {
+            // Each inner call opens its own scope beside the outer one.
             let inner: Vec<usize> = ordered_map(4, 256, 16, |r| r.len());
             total.fetch_add(inner.iter().sum::<usize>(), Ordering::SeqCst);
         });
         assert_eq!(total.load(Ordering::SeqCst) % 256, 0);
+        assert_eq!(total.load(Ordering::SeqCst), 4 * 256);
+    }
+
+    /// Runs `f` on a thread of its own and fails if it does not finish
+    /// within a minute: a test whose morsels wait for each other hangs,
+    /// rather than fails, when they run one after another.
+    fn within_a_minute<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("the morsels hung or the watched call panicked")
     }
 }
